@@ -15,6 +15,11 @@ Everything is derived from ``--seed``: the dataset, the key material, the
 build order and the query ranges.  The program under test only receives the
 generated pairs and tokens.
 
+Every time reported is scaled to a reference host speed (see `hostspeed`):
+the reference task is timed between windows of queries and around each
+set-up, and a time is scaled by how much slower than its reference time the
+task ran next to it.  The unscaled figures are in the provenance line.
+
 ``--trace 0`` prints the end-to-end metrics of BENCHMARK.json.  ``--trace 1``
 prints the per-layer metrics: it runs a traced phase (spans from
 `spans.Tracer`, every query audited for leakage afterwards) and then an
@@ -55,26 +60,23 @@ sys.path.insert(0, str(HERE))
 import cryptography  # noqa: E402
 import numpy  # noqa: E402
 
+import hostspeed  # noqa: E402
 from hsbt import bench, bptree, codec, crypto, enclave, leakage, server  # noqa: E402
 from spans import Tracer  # noqa: E402
 
 N_PAIRS = 100_000
-SETUP_REPS = 5
 # A --trace 1 run spends at most this share of its measuring time (and this
 # many queries) traced; the rest is untraced, the reference for the tracing
 # overhead.  Every traced query is audited afterwards, at tens of ms each.
 TRACED_SHARE = 0.5
 TRACED_QUERIES = 200
 SPAN_DIR = ROOT / ".perfbench"
-# End-to-end latency and throughput come from the quietest QUIET_SHARE of each
-# timed phase's windows (see Phase.quiet_share).  A window closes once it
-# spans WINDOW_NS and holds WINDOW_QUERIES queries, so that ranking windows
-# never ranks single queries.  Log-uniform sizes are drawn in blocks of
-# SIZE_BLOCK (see QueryStream).
-WINDOW_NS = 100_000_000
-WINDOW_QUERIES = 16
+# The host's speed is measured between windows of queries.  A window closes
+# once it spans WINDOW_NS, short against the seconds a host-speed regime
+# lasts.  Log-uniform sizes are drawn in blocks of SIZE_BLOCK (see
+# QueryStream).
+WINDOW_NS = 250_000_000
 SIZE_BLOCK = 16
-QUIET_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,9 @@ class Workload:
     """One benchmark workload.  `result_size` is the exact size of every
     query, or with `log_uniform` the upper end of a log-uniform draw on
     [1, result_size].  `warmup` queries run before timing; they are also the
-    fixed probe set the exact counters come from."""
+    fixed probe set the exact counters come from.  A run sets up
+    `deployments` indexes, each under its own key, and splits its measuring
+    time over them."""
 
     name: str
     construction: int  # 1 = resident tree, 2 = streamed batches
@@ -91,6 +95,7 @@ class Workload:
     result_size: int
     warmup: int
     log_uniform: bool = False
+    deployments: int = 5
     n: int = N_PAIRS
 
 
@@ -99,11 +104,14 @@ class Workload:
 # (token open, root-slot PRP, per-call RNG, session bookkeeping) dominate the
 # short streamed query; per-node decrypt/decode/match and the multiset folds
 # dominate the long one; the resident workload moves node decryption into
-# set-up and has no sessions, batching or root-slot PRP at all.
+# set-up and has no sessions, batching or root-slot PRP at all.  The key
+# decides node placement and so the cost of the root-slot PRP, 0.1 to 0.6 ms
+# a query on a 2-core Xeon VM, a large share of the short query: that
+# workload averages more keys.
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("short-stream-integrity", 2, True, 100, 100, warmup=200),
+        Workload("short-stream-integrity", 2, True, 100, 100, warmup=200, deployments=10),
         Workload("long-stream-integrity", 2, True, 10, 4096, warmup=20),
         Workload("mixed-resident", 1, False, 10, 4096, warmup=200, log_uniform=True),
     )
@@ -217,8 +225,8 @@ class Dataset:
 class QueryStream:
     """Seed-derived queries.  Log-uniform sizes are stratified: each block of
     SIZE_BLOCK queries holds one size from each 1/SIZE_BLOCK band of the log
-    scale, in random order, so every window of queries carries the same mix
-    of sizes and ranking windows by latency does not rank them by size."""
+    scale, in random order, so that the mix of sizes varies little from one
+    run, or one stretch of a run, to the next."""
 
     def __init__(self, w: Workload, data: Dataset, rng: random.Random):
         self.w = w
@@ -254,8 +262,10 @@ class Deployment:
 def deploy(w: Workload, pairs, sk: crypto.SecretKey, seed: int) -> Deployment:
     """Generated pairs -> ready to query: build, encrypt, serialize, parse
     (the deployment round trip, in memory), provision and attach, and for
-    the resident construction the one-time tree load."""
+    the resident construction the one-time tree load.  Step times are
+    scaled to the reference host speed measured before and after."""
     clock = time.perf_counter
+    before = hostspeed.settled_ms()
     t0 = clock()
     tree = bptree.build_tree(pairs, w.branching, rng=random.Random(f"{seed}/build"))
     t1 = clock()
@@ -272,6 +282,7 @@ def deploy(w: Workload, pairs, sk: crypto.SecretKey, seed: int) -> Deployment:
     if w.construction == 1:
         sim.load_tree(index)
     t6 = clock()
+    factor = hostspeed.scale(before, hostspeed.settled_ms())
     steps = {
         "bptree.build_tree_s": t1 - t0,
         "codec.encrypt_index_s": t2 - t1,
@@ -280,6 +291,8 @@ def deploy(w: Workload, pairs, sk: crypto.SecretKey, seed: int) -> Deployment:
         "enclave.load_tree_s": t6 - t5,
         "setup_s": t6 - t0,
     }
+    steps = {name: seconds * factor for name, seconds in steps.items()}
+    steps["bench.wall_setup_s"] = t6 - t0
     return Deployment(tree, index, sim, len(blob), steps)
 
 
@@ -318,35 +331,30 @@ class Tally:
 
 @dataclass
 class Phase:
-    """Timed queries of one phase: (window number, elapsed ns, passed)."""
+    """Timed queries of one phase, (query id, window, elapsed ns, passed),
+    and per window the factor that scales its times to the reference host
+    speed."""
 
     queries: list = field(default_factory=list)
+    factors: list = field(default_factory=list)
+
+    def factor_of(self) -> dict:
+        """Host-speed factor per query id."""
+        return {query: self.factors[window] for query, window, _, _ in self.queries}
+
+    @property
+    def busy_s(self) -> float:
+        """Scaled time spent in queries, failed ones included."""
+        return sum(ns * self.factors[window] for _, window, ns, _ in self.queries) / 1e9
 
     @property
     def latencies_ms(self) -> list:
-        return [ns / 1e6 for _, ns, passed in self.queries if passed]
+        """Scaled latency of every passed query."""
+        return [ns * self.factors[window] / 1e6 for _, window, ns, ok in self.queries if ok]
 
-    def quiet_share(self) -> "Phase":
-        """The queries of the QUIET_SHARE of windows with the lowest median
-        latency.  Co-tenants on a shared host slow every query by up to half
-        for seconds at a time; ranking whole windows drops those stretches
-        without picking individual queries, so the tail within the kept
-        windows stays in."""
-        windows: dict[int, list] = {}
-        for query in self.queries:
-            windows.setdefault(query[0], []).append(query)
-
-        def rank(queries):
-            # Neither the short last window nor one of failed queries counts
-            # as quiet.
-            passed = [ns for _, ns, ok in queries if ok]
-            if len(queries) < WINDOW_QUERIES or not passed:
-                return float("inf")
-            return statistics.median(passed)
-
-        ranked = sorted(windows.values(), key=rank)
-        kept = ranked[: max(1, round(len(ranked) * QUIET_SHARE))]
-        return Phase([q for qs in kept for q in qs])
+    @property
+    def wall_latencies_ms(self) -> list:
+        return [ns / 1e6 for _, _, ns, ok in self.queries if ok]
 
 
 def run_phase(dep, sk, stream, seconds, tally, *, serve_fn=serve, tracer=None, traces=None, max_queries=None):
@@ -354,40 +362,45 @@ def run_phase(dep, sk, stream, seconds, tally, *, serve_fn=serve, tracer=None, t
     query, then check its values outside the timed region.  With `traces`
     set, each query records an AccessTrace; those of passed queries are kept
     with their ranges for an audit after the loop, so that the audit's own
-    work does not disturb the timed queries."""
+    work does not disturb the timed queries.  The host's speed is measured
+    before the first window, between windows and after the last one."""
     phase = Phase()
     clock = time.perf_counter_ns
     deadline = clock() + int(seconds * 1e9)
     start = tally.attempted
-    window = window_size = 0
+    window = 0
+    speeds = [hostspeed.measure_ms()]
     window_start = clock()
     while tally.attempted == start or (
         clock() < deadline and (max_queries is None or tally.attempted - start < max_queries)
     ):
+        if clock() - window_start >= WINDOW_NS:
+            speeds.append(hostspeed.measure_ms())
+            window, window_start = window + 1, clock()
         r_start, r_end, size = stream.next()
         trace = leakage.AccessTrace() if traces is not None else None
+        query = tally.attempted
         if tracer is not None:
-            tracer.query = tally.attempted
+            tracer.query = query
         tally.attempted += 1
         t0 = clock()
-        if window_size >= WINDOW_QUERIES and t0 - window_start >= WINDOW_NS:
-            window, window_start, window_size = window + 1, t0, 0
-        window_size += 1
         try:
             values, verified, _ = serve_fn(dep, sk, stream.w, r_start, r_end, trace)
         except Exception:
-            phase.queries.append((window, clock() - t0, False))
+            phase.queries.append((query, window, clock() - t0, False))
             tally.fail(traceback.format_exc())
             continue
         elapsed = clock() - t0
         passed = verified and stream.data.matches(values, r_start, size)
-        phase.queries.append((window, elapsed, passed))
+        phase.queries.append((query, window, elapsed, passed))
         if not verified:
             tally.fail("result tag missing or invalid")
         elif not passed:
             tally.fail(f"wrong values for [{r_start}, {r_end}]")
         elif trace is not None:
             traces.append((trace, r_start, r_end))
+    speeds.append(hostspeed.measure_ms())
+    phase.factors = [hostspeed.scale(a, b) for a, b in zip(speeds, speeds[1:])]
     if not phase.latencies_ms:
         sys.exit("perfbench: no query passed, so there is nothing to report")
     if tracer is not None:
@@ -482,33 +495,33 @@ def peak_rss_mb() -> float:
 
 
 def end_to_end(phases, setups, dep, user_bytes: int) -> dict:
-    """Latency and throughput over the quiet share of each deployment's timed
-    windows, pooled, so that every deployment counts the same."""
-    quiet = [q for phase in phases for q in phase.quiet_share().queries]
-    lat = Phase(quiet).latencies_ms
-    busy_s = sum(q[1] for q in quiet) / 1e9
+    """Latency and throughput over every timed query of the run, each scaled
+    to the reference host speed; every deployment gets the same time."""
+    lat = [ms for phase in phases for ms in phase.latencies_ms]
     return {
         "query_p50_ms": statistics.median(lat),
         "query_p90_ms": p90(lat),
-        "throughput_qps": len(lat) / busy_s,
+        "throughput_qps": len(lat) / sum(phase.busy_s for phase in phases),
         "setup_s": statistics.median(s["setup_s"] for s in setups),
         "bytes_per_user_byte": dep.container_bytes / user_bytes,
         "peak_rss_mb": peak_rss_mb(),
     }
 
 
-def layer_times(tracer: Tracer) -> dict:
-    """Median and p90 per traced query of every entry in LAYER_TIMES."""
-    queries = list(tracer.per_query().values())
+def layer_times(tracer: Tracer, phase: Phase) -> dict:
+    """Median and p90 per traced query of every entry in LAYER_TIMES, scaled
+    by the host-speed factor of the query's window in `phase`."""
+    factor = phase.factor_of()
+    queries = [(factor[query] / 1e3, q) for query, q in tracer.per_query().items()]
     out = {}
     for metric, kind, name in LAYER_TIMES:
         if kind == "total":
-            per_query = [q.total_ns.get(name, 0) / 1e3 for q in queries]
+            per_query = [us * q.total_ns.get(name, 0) for us, q in queries]
         elif kind == "self":
-            per_query = [q.self_ns.get(name, 0) / 1e3 for q in queries]
+            per_query = [us * q.self_ns.get(name, 0) for us, q in queries]
         else:
             parent = kind.partition(":")[2]
-            per_query = [q.under_ns.get((name, parent), 0) / 1e3 for q in queries]
+            per_query = [us * q.under_ns.get((name, parent), 0) for us, q in queries]
         out[metric] = statistics.median(per_query)
         out[metric + ".p90"] = p90(per_query)
     return out
@@ -534,7 +547,7 @@ def git_revision() -> str:
     return "unknown"
 
 
-def provenance(w, args, queries: int) -> dict:
+def provenance(w, args, extra: dict) -> dict:
     return {
         "workload": w.name,
         "seed": args.seed,
@@ -546,18 +559,33 @@ def provenance(w, args, queries: int) -> dict:
         "git_revision": git_revision(),
         "nproc": len(os.sched_getaffinity(0)),
         "pairs": w.n,
-        "setup_reps": SETUP_REPS,
+        "deployments": w.deployments,
         "warmup_queries": w.warmup,
-        "timed_queries": queries,
+        **extra,
+    }
+
+
+def measured(phases, setups) -> dict:
+    """What a run measured besides its metrics: the timed query count, the
+    host's speed against the reference (1 is the reference speed, 0.5 half
+    of it) and the unscaled latency and set-up time."""
+    factors = [f for phase in phases for f in phase.factors]
+    return {
+        "timed_queries": sum(len(phase.latencies_ms) for phase in phases),
+        "host_speed": statistics.median(factors),
+        "wall_query_p50_ms": statistics.median(
+            ms for phase in phases for ms in phase.wall_latencies_ms
+        ),
+        "wall_setup_s": statistics.median(s["bench.wall_setup_s"] for s in setups),
     }
 
 
 def run_workload(w: Workload, seed: int, seconds: float, traced: bool, span_path=None):
-    """One benchmark run.  Returns the result dict and the number of timed
-    queries; a traced run writes its spans to `span_path` when given.
+    """One benchmark run.  Returns the result dict and what `measured`
+    gives; a traced run writes its spans to `span_path` when given.
 
-    The run sets up SETUP_REPS deployments, one after another, each with its
-    own seed-derived key (the key decides node placement, and so the cost of
+    The run sets up `w.deployments` deployments, one after another, each with
+    its own seed-derived key (the key decides node placement, and so the cost of
     the root-slot PRP).  An untraced run splits its measuring time evenly
     over them; a traced run measures the last one."""
     data = Dataset.generate(w, seed)
@@ -565,7 +593,7 @@ def run_workload(w: Workload, seed: int, seconds: float, traced: bool, span_path
     tally = Tally()
     setups, phases = [], []
     dep = None
-    for k in range(SETUP_REPS):
+    for k in range(w.deployments):
         dep = None
         gc.collect()
         sk = secret_key(seed, k)
@@ -575,11 +603,11 @@ def run_workload(w: Workload, seed: int, seconds: float, traced: bool, span_path
         if k == 0:
             counters = probed
         if not traced:
-            phases.append(run_phase(dep, sk, stream, seconds / SETUP_REPS, tally))
+            phases.append(run_phase(dep, sk, stream, seconds / w.deployments, tally))
     if not traced:
         user_bytes = sum(4 + len(v) for _, v in data.pairs)
         metrics = end_to_end(phases, setups, dep, user_bytes)
-        return result(tally, metrics), sum(len(phase.latencies_ms) for phase in phases)
+        return result(tally, metrics), measured(phases, setups)
 
     # Traced phase first, capped so that the audit after it stays short.  Its
     # spans and traces are folded, audited and released before the untraced
@@ -601,7 +629,7 @@ def run_workload(w: Workload, seed: int, seconds: float, traced: bool, span_path
             max_queries=TRACED_QUERIES,
         )
     remaining = seconds - (time.perf_counter() - started)
-    metrics = layer_times(tracer)
+    metrics = layer_times(tracer, traced_phase)
     if span_path is not None:
         tracer.dump(span_path)
     leaks = audit_failures(dep, sk, w, traces)
@@ -619,15 +647,15 @@ def run_workload(w: Workload, seed: int, seconds: float, traced: bool, span_path
             "bench.error_rate": tally.failed / tally.attempted,
             "bench.traced_queries": len(traced_phase.latencies_ms),
             "bench.tracing_overhead_pct": (
-                statistics.median(traced_phase.quiet_share().latencies_ms)
-                / statistics.median(base.quiet_share().latencies_ms)
+                statistics.median(traced_phase.latencies_ms) / statistics.median(base.latencies_ms)
                 - 1
             )
             * 100,
         }
     )
-    timed = len(base.latencies_ms) + len(traced_phase.latencies_ms)
-    return result(tally, metrics, leaks), timed
+    phases = [traced_phase, base]
+    metrics["bench.host_speed"] = statistics.median(f for phase in phases for f in phase.factors)
+    return result(tally, metrics, leaks), measured(phases, setups)
 
 
 def result(tally: Tally, metrics: dict, leaks: int = 0) -> dict:
@@ -651,7 +679,7 @@ def unit_of(metric: str) -> str:
         return "%"
     if "bytes" in base:
         return "B"
-    if base in PROBE_RATIOS or base == "bench.error_rate":
+    if base in PROBE_RATIOS or base in ("bench.error_rate", "bench.host_speed"):
         return "ratio"
     return "count"
 
@@ -696,11 +724,11 @@ def main(argv=None) -> int:
     if args.trace:
         SPAN_DIR.mkdir(exist_ok=True)
         span_path = SPAN_DIR / f"spans-{w.name}.tsv"
-    result, timed = run_workload(w, args.seed, args.seconds, bool(args.trace), span_path)
+    result, extra = run_workload(w, args.seed, args.seconds, bool(args.trace), span_path)
     result["metrics"] = {
         name: {"value": value, "unit": unit_of(name)} for name, value in result["metrics"].items()
     }
-    print("provenance " + json.dumps(provenance(w, args, timed)))
+    print("provenance " + json.dumps(provenance(w, args, extra)))
     print(json.dumps(result))
     return 0
 

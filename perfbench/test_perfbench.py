@@ -124,7 +124,22 @@ def test_a_failed_query_is_counted_and_the_run_goes_on(monkeypatch, short_deploy
     phase = run.run_phase(dep, sk, stream, 60, tally, traces=traces, max_queries=6)
     assert (tally.attempted, tally.failed) == (6, 3)
     assert len(phase.latencies_ms) == len(traces) == 3
+    assert len(phase.factors) == phase.queries[-1][1] + 1
     assert run.audit_failures(dep, sk, w, traces) == 0
+
+
+def test_times_are_scaled_by_their_windows_host_speed():
+    phase = run.Phase(
+        [(0, 0, 2_000_000, True), (1, 1, 4_000_000, True), (2, 1, 1_000_000, False)],
+        [1.0, 0.5],
+    )
+    assert phase.latencies_ms == [2.0, 2.0]
+    assert phase.wall_latencies_ms == [2.0, 4.0]
+    assert phase.busy_s == pytest.approx(0.0045)
+    assert phase.factor_of() == {0: 1.0, 1: 0.5, 2: 0.5}
+    ref = run.hostspeed.REFERENCE_MS
+    assert run.hostspeed.scale(ref, ref) == 1.0
+    assert run.hostspeed.scale(ref, 3 * ref) == 0.5
 
 
 def test_a_run_where_no_query_passes_reports_nothing(monkeypatch, short_deployment):
