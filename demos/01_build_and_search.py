@@ -10,11 +10,10 @@ linear scan.
 
 import random
 
-from hsbt.bptree import build_tree, scan_oracle
-from hsbt.codec import decrypt_results, encrypt_index, make_token, verify_result_mac
-from hsbt.crypto import SecretKey
-from hsbt.enclave import DEFAULT_CLIENT, EnclaveSim
-from hsbt.server import CSV_HEADER, search_resident, search_streamed
+from hsbt.bptree import scan_oracle
+from hsbt.codec import make_token
+from hsbt.deploy import Deployment
+from hsbt.server import CSV_HEADER
 
 rng = random.Random(7)
 
@@ -23,52 +22,43 @@ rng = random.Random(7)
 print("== client: building and encrypting the index ==")
 keys = rng.sample(range(1, 2**32 - 1), 5_000)
 pairs = [(k, f"record-{i:05d}".encode()) for i, k in enumerate(keys)]
-tree = build_tree(pairs, branching=10, rng=rng)
-print(f"plaintext tree: {len(tree.nodes)} nodes, height {tree.height}")
-
-sk = SecretKey.generate()
-index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=True)
+# Builds the plaintext tree, encrypts it under a fresh key, and stands up a
+# provisioned enclave with the container attached.
+dep = Deployment.build(pairs, 10, integrity=True, rng=rng)
+index = dep.index
+print(f"plaintext tree: {len(dep.tree.nodes)} nodes, height {dep.tree.height}")
 print(
     f"container: {index.node_count} fixed-size node records of "
     f"{index.node_record_size} bytes + {index.n_values} value blobs\n"
 )
 
-# -- server side: deployment ---------------------------------------------------
-
-enclave = EnclaveSim()
-enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-enclave.attach_container(index)
-enclave.load_tree(index)  # construction 1 wants the tree resident
-
 # -- queries -------------------------------------------------------------------
 
 sorted_keys = sorted(keys)
 lo, hi = sorted_keys[1000], sorted_keys[1040]
-token = make_token(sk.tree_key, lo, hi)
 print(f"== range [{lo}, {hi}] (41 matching keys) ==")
 print(CSV_HEADER)
 
-blobs, stats = search_resident(index, enclave, token)
+# Construction 1 loads the tree into trusted memory on first use.
+values_c1, stats = dep.query(lo, hi, construction=1)
 stats.range_size = hi - lo + 1
-values_c1 = decrypt_results(sk.value_key, blobs)
 print(stats.csv_row())
 
-blobs, mac, stats = search_streamed(index, enclave, make_token(sk.tree_key, lo, hi))
+# Construction 2 streams nodes; the query raises unless the result tag verifies.
+values_c2, stats = dep.query(lo, hi, construction=2)
 stats.range_size = hi - lo + 1
-values_c2 = decrypt_results(sk.value_key, blobs)
 print(stats.csv_row())
-print(f"result tag verified: {verify_result_mac(sk.tree_key, values_c2, mac)}")
+print("result tag verified")
 
 oracle = scan_oracle(pairs, lo, hi)
 assert sorted(values_c1) == sorted(oracle) == sorted(values_c2)
 print(f"both constructions agree with the linear-scan oracle ({len(oracle)} values)")
 
 # Open-ended ranges use sentinel endpoints.
-below = make_token(sk.tree_key, None, sorted_keys[9])
-blobs, _, _ = search_streamed(index, enclave, below)
-print(f"\nopen query 'everything below {sorted_keys[9]}': {len(blobs)} values")
+below, _ = dep.query(None, sorted_keys[9])
+print(f"\nopen query 'everything below {sorted_keys[9]}': {len(below)} values")
 
 # Equal queries produce different tokens and differently ordered answers.
-t1, t2 = make_token(sk.tree_key, lo, hi), make_token(sk.tree_key, lo, hi)
+t1, t2 = make_token(dep.sk.tree_key, lo, hi), make_token(dep.sk.tree_key, lo, hi)
 assert t1.ciphertext.to_bytes() != t2.ciphertext.to_bytes()
 print("two tokens for the same range are distinct ciphertexts")

@@ -8,10 +8,10 @@ from the leakage.  Injecting a single out-of-leakage fetch flips the verdict.
 
 import random
 
-from hsbt.bptree import build_tree
-from hsbt.codec import encrypt_index, make_token, node_plain_size
-from hsbt.crypto import SecretKey, prp_permutation
-from hsbt.enclave import DEFAULT_CLIENT, EnclaveSim
+from hsbt.codec import node_plain_size
+from hsbt.crypto import prp_permutation
+from hsbt.deploy import Deployment
+from hsbt.enclave import EnclaveSim
 from hsbt.leakage import (
     AccessTrace,
     PageLayout,
@@ -21,25 +21,21 @@ from hsbt.leakage import (
     leak_hw_nodes,
     leak_hw_pages,
 )
-from hsbt.server import search_resident, search_streamed
 
 rng = random.Random(11)
 keys = rng.sample(range(1, 2**32 - 1), 2_000)
 pairs = [(k, b"v%05d" % i) for i, k in enumerate(keys)]
-tree = build_tree(pairs, branching=8, rng=rng)
-sk = SecretKey.generate()
-index = encrypt_index(sk, tree, [v for _, v in pairs])
+# Replayable shuffle seeds, recorded on each trace for the auditor.
+seed_rng = random.Random(12)
+dep = Deployment.build(
+    pairs, 8, rng=rng, enclave=EnclaveSim(order_seed_source=lambda: seed_rng.getrandbits(64))
+)
+tree, index = dep.tree, dep.index
 
 static = leak_enc(pairs, tree)
 print(f"static leakage: n={static.n_values}, node count={static.node_count}, value sizes visible\n")
 
-seed_rng = random.Random(12)
-enclave = EnclaveSim(order_seed_source=lambda: seed_rng.getrandbits(64))
-enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-enclave.attach_container(index)
-enclave.load_tree(index)
-
-perm = prp_permutation(sk.tree_key, index.node_count)
+perm = prp_permutation(dep.sk.tree_key, index.node_count)
 position_map = lambda nid: int(perm[nid])
 
 sorted_keys = sorted(keys)
@@ -49,7 +45,7 @@ lo, hi = sorted_keys[400], sorted_keys[424]
 
 print(f"== streamed query [{lo}, {hi}]: node-granular trace ==")
 trace = AccessTrace()
-search_streamed(index, enclave, make_token(sk.tree_key, lo, hi), trace=trace)
+dep.query(lo, hi, trace=trace)
 for line in trace.to_lines()[:8]:
     print("  trace:", line)
 print(f"  ... {len(trace.events)} events total")
@@ -64,7 +60,7 @@ print(f"audit: {'PASS' if verdict.passed else 'FAIL'} - {verdict.detail}\n")
 print("== same range, resident tree: page-granular trace ==")
 layout = PageLayout(record_size=node_plain_size(index.branching, index.integrity))
 trace = AccessTrace()
-search_resident(index, enclave, make_token(sk.tree_key, lo, hi), trace=trace)
+dep.query(lo, hi, construction=1, trace=trace)
 access_p, pattern_p = leak_hw_pages(tree, lo, hi, layout, position_map=position_map)
 verdict = audit_query(trace, access_p, pattern_p)
 print(f"pages touched: {sorted(set(trace.touched('page')))}")
@@ -83,7 +79,7 @@ print(f"  probe path actually walked:       {sorted(access_g.vertices)}")
 
 print("\n== injecting one fetch outside the declared leakage ==")
 trace = AccessTrace()
-search_streamed(index, enclave, make_token(sk.tree_key, lo, hi), trace=trace)
+dep.query(lo, hi, trace=trace)
 access, pattern = leak_hw_nodes(tree, lo, hi, position_map=position_map)
 outsider = next(s for s in range(index.node_count) if s not in access.vertices)
 trace.node_fetch(outsider)

@@ -11,21 +11,13 @@ shows where each one gets caught.
 import random
 
 from hsbt.bench import make_dataset
-from hsbt.bptree import build_tree
-from hsbt.codec import encrypt_index, make_token
-from hsbt.crypto import SecretKey
-from hsbt.enclave import DEFAULT_CLIENT, EnclaveSim
+from hsbt.codec import make_token
+from hsbt.deploy import Deployment
 from hsbt.tamper import KINDS, TamperScript, run_with_tamper
 
 rng = random.Random(23)
 pairs = make_dataset(3_000, rng)
-tree = build_tree(pairs, branching=8, rng=rng)
-sk = SecretKey.generate()
-index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=True)
-
-enclave = EnclaveSim()
-enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-enclave.attach_container(index)
+dep = Deployment.build(pairs, 8, integrity=True, rng=rng)
 
 sorted_keys = sorted(k for k, _ in pairs)
 
@@ -33,8 +25,8 @@ print(f"{'script':<22} {'outcome':<15} detail")
 print("-" * 76)
 for kind in KINDS:
     start = rng.randrange(0, len(sorted_keys) - 40)
-    token = make_token(sk.tree_key, sorted_keys[start], sorted_keys[start + 30])
-    report = run_with_tamper(index, enclave, sk, token, TamperScript(kind), rng)
+    token = make_token(dep.sk.tree_key, sorted_keys[start], sorted_keys[start + 30])
+    report = run_with_tamper(dep, token, TamperScript(kind), rng)
     print(f"{kind:<22} {report.outcome.value:<15} {report.detail[:60]}")
 
 print(

@@ -15,11 +15,9 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from hsbt.bptree import KEY_MAX, build_tree, scan_oracle
-from hsbt.codec import decrypt_results, encrypt_index, make_token, verify_result_mac
-from hsbt.crypto import SecretKey
-from hsbt.enclave import DEFAULT_CLIENT, EnclaveSim
-from hsbt.server import search_resident, search_streamed
+from hsbt.bptree import KEY_MAX, scan_oracle
+from hsbt.deploy import Deployment
+from hsbt.enclave import EnclaveSim
 
 BENCH_CSV_HEADER = (
     "construction,b,n,integrity,result_size,reps,median_micros,"
@@ -56,15 +54,6 @@ def sample_result_window(sorted_keys, result_size: int, rng: random.Random):
     return sorted_keys[start], sorted_keys[start + result_size - 1]
 
 
-@dataclass
-class _Deployment:
-    pairs: list
-    sk: SecretKey
-    index: object
-    enclave: EnclaveSim
-    sorted_keys: list
-
-
 class DeploymentCache:
     """Builds (and reuses) one encrypted deployment per (n, b, integrity)."""
 
@@ -72,49 +61,35 @@ class DeploymentCache:
         self.seed = seed
         self.value_size = value_size
         self.reserved_space = reserved_space
-        self._cache: dict[tuple, _Deployment] = {}
+        self._cache: dict[tuple, tuple[list, list, Deployment]] = {}
 
-    def get(self, n: int, branching: int, integrity: bool) -> _Deployment:
+    def get(self, n: int, branching: int, integrity: bool) -> tuple[list, list, Deployment]:
+        """Returns (pairs, sorted keys, deployment)."""
         key = (n, branching, integrity)
         if key not in self._cache:
             rng = random.Random(f"{self.seed}/{n}/{branching}/{integrity}")
             pairs = make_dataset(n, rng, self.value_size)
-            tree = build_tree(pairs, branching, rng=rng)
-            sk = SecretKey.generate()
-            index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=integrity)
             enclave = EnclaveSim(reserved_space=self.reserved_space)
-            enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-            enclave.attach_container(index)
-            self._cache[key] = _Deployment(pairs, sk, index, enclave, sorted(k for k, _ in pairs))
+            dep = Deployment.build(pairs, branching, integrity=integrity, rng=rng, enclave=enclave)
+            self._cache[key] = (pairs, sorted(k for k, _ in pairs), dep)
         return self._cache[key]
 
 
 def run_cell(cell: WorkloadCell, cache: DeploymentCache, rng: random.Random, *, verify: bool = False) -> dict:
     """Measure one cell; returns the median row.
 
-    With `verify` set, every query's decrypted values are checked against the
-    scan oracle (slow; meant for correctness sweeps, not timing)."""
-    dep = cache.get(cell.n, cell.branching, cell.integrity)
-    if cell.construction == 1 and not dep.enclave.tree_loaded:
-        dep.enclave.load_tree(dep.index)
+    Every query takes the full client path, result tag included.  With
+    `verify` set, the decrypted values are also checked against the scan
+    oracle (slow; meant for correctness sweeps, not timing)."""
+    pairs, sorted_keys, dep = cache.get(cell.n, cell.branching, cell.integrity)
 
     micros, crossings, nodes, touched = [], [], [], []
     for _ in range(cell.reps):
-        rs, re_ = sample_result_window(dep.sorted_keys, cell.result_size, rng)
-        token = make_token(dep.sk.tree_key, rs, re_)
-        if cell.construction == 1:
-            blobs, stats = search_resident(dep.index, dep.enclave, token)
-            mac = None
-        else:
-            blobs, mac, stats = search_streamed(dep.index, dep.enclave, token)
-        stats.range_size = re_ - rs + 1
+        rs, re_ = sample_result_window(sorted_keys, cell.result_size, rng)
+        values, stats = dep.query(rs, re_, cell.construction)
         assert stats.result_size == cell.result_size
         if verify:
-            values = decrypt_results(dep.sk.value_key, blobs)
-            want = scan_oracle(dep.pairs, rs, re_)
-            assert sorted(values) == sorted(want)
-            if mac is not None:
-                assert verify_result_mac(dep.sk.tree_key, values, mac)
+            assert sorted(values) == sorted(scan_oracle(pairs, rs, re_))
         micros.append(stats.micros)
         crossings.append(stats.crossings)
         nodes.append(stats.nodes_transferred)

@@ -33,6 +33,7 @@ KEY_MAX = 2**32 - 2
 KEY_INFINITY = 2**32 - 1  # pads unused key slots; upper sentinel in tokens
 KEY_NEG_INFINITY = 0  # lower sentinel in tokens, below every stored key
 DUMMY_POINTER = 0xFFFFFFFF
+MIN_BRANCHING = 3
 
 Pair = tuple[int, bytes]
 
@@ -145,8 +146,8 @@ def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | No
     Deterministic given the pair order, the branching factor, and the state
     of `rng`, which only decides the random storage order of the values.
     """
-    if branching < 3:
-        raise BuildError("branching factor must be at least 3")
+    if branching < MIN_BRANCHING:
+        raise BuildError(f"branching factor must be at least {MIN_BRANCHING}")
     if not pairs:
         raise BuildError("cannot build an index over zero pairs")
     for key, _value in pairs:

@@ -30,11 +30,12 @@ from pathlib import Path
 
 from hsbt import bench as bench_mod
 from hsbt.bptree import build_tree
-from hsbt.codec import EncryptedIndex, decrypt_results, encrypt_index, make_token, verify_result_mac
+from hsbt.codec import EncryptedIndex, make_token, node_plain_size
 from hsbt.crypto import AuthenticationError, SecretKey, prp_permutation
-from hsbt.enclave import DEFAULT_CLIENT, EnclaveError, EnclaveSim
+from hsbt.deploy import Deployment
+from hsbt.enclave import EnclaveError, EnclaveSim
 from hsbt.leakage import AccessTrace, PageLayout, audit_query, leak_enc, leak_hw_nodes, leak_hw_pages
-from hsbt.server import CSV_HEADER, search_resident, search_streamed
+from hsbt.server import CSV_HEADER
 from hsbt.tamper import KINDS, Outcome, TamperScript, run_with_tamper
 
 EXIT_OK = 0
@@ -69,16 +70,17 @@ def read_pairs_text(path: Path):
 def read_pairs_binary(path: Path):
     """``u32 count`` then per pair ``u32 key, u32 len, bytes`` (little-endian)."""
     data = path.read_bytes()
-    if len(data) < 4:
-        raise CliError(f"{path}: truncated binary pair stream")
-    (count,) = struct.unpack_from("<I", data, 0)
-    off = 4
-    pairs = []
-    for _ in range(count):
-        key, length = struct.unpack_from("<II", data, off)
-        off += 8
-        pairs.append((key, data[off : off + length]))
-        off += length
+    pairs, off = [], 4
+    try:
+        (count,) = struct.unpack_from("<I", data, 0)
+        for _ in range(count):
+            key, length = struct.unpack_from("<II", data, off)
+            pairs.append((key, data[off + 8 : off + 8 + length]))
+            off += 8 + length
+    except struct.error:
+        raise CliError(f"{path}: truncated binary pair stream") from None
+    if off != len(data):
+        raise CliError(f"{path}: pair stream is {len(data)} bytes, its entries need {off}")
     return pairs
 
 
@@ -88,17 +90,18 @@ def _derived_secret_key(seed: int) -> SecretKey:
     return SecretKey(tree_key, value_key)
 
 
-def _load_keyfile(path: Path):
-    meta = json.loads(path.read_text())
+def _attach(args, enclave: EnclaveSim):
+    """Load the container and its key sidecar into a deployment; returns
+    (deployment, sidecar fields)."""
+    try:
+        index = EncryptedIndex.load(Path(args.index))
+    except ValueError as exc:
+        raise CliError(f"{args.index}: {exc}")
+    meta = json.loads(Path(args.key).read_text())
     sk = SecretKey(bytes.fromhex(meta["tree_key"]), bytes.fromhex(meta["value_key"]))
-    return sk, meta
-
-
-def _provisioned_enclave(sk: SecretKey, meta, index, reserved_space) -> EnclaveSim:
-    enclave = EnclaveSim(reserved_space=reserved_space)
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=meta["root_id"])
-    enclave.attach_container(index)
-    return enclave
+    integrity = meta["integrity"]
+    dep = Deployment.attach(index, sk, meta["root_id"], integrity=integrity, enclave=enclave)
+    return dep, meta
 
 
 def _parse_range(spec: str):
@@ -121,28 +124,28 @@ def cmd_build(args) -> int:
     if not pairs:
         raise CliError(f"{path}: no key-value pairs to index")
 
+    integrity = args.integrity == "on"
     sk = _derived_secret_key(args.seed) if args.seed is not None else SecretKey.generate()
-    rng = random.Random(args.seed)
-    tree = build_tree(pairs, args.b, rng=rng)
-    index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=args.integrity == "on")
+    dep = Deployment.build(pairs, args.b, integrity=integrity, sk=sk, rng=random.Random(args.seed))
     out = Path(args.out)
-    index.save(out)
+    dep.index.save(out)
     keyfile = out.with_suffix(out.suffix + ".key")
     keyfile.write_text(
         json.dumps(
             {
                 "tree_key": sk.tree_key.hex(),
                 "value_key": sk.value_key.hex(),
-                "root_id": tree.root_id,
+                "root_id": dep.tree.root_id,
                 "b": args.b,
                 "seed": args.seed,
-                "integrity": args.integrity == "on",
+                "integrity": integrity,
             },
             indent=2,
         )
     )
-    static = leak_enc(pairs, tree)
-    print(f"container written to {out} ({len(index.to_bytes())} bytes), key material in {keyfile}")
+    static = leak_enc(pairs, dep.tree)
+    size = len(dep.index.to_bytes())
+    print(f"container written to {out} ({size} bytes), key material in {keyfile}")
     print(
         f"static leakage: n={static.n_values} nodes={static.node_count} "
         f"value_bytes={sum(static.value_sizes)}"
@@ -151,22 +154,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_query(args) -> int:
-    index = EncryptedIndex.load(Path(args.index))
-    sk, meta = _load_keyfile(Path(args.key))
-    enclave = _provisioned_enclave(sk, meta, index, args.reserved_space)
+    dep, _ = _attach(args, EnclaveSim(reserved_space=args.reserved_space))
     r_start, r_end = _parse_range(args.range)
-    token = make_token(sk.tree_key, r_start, r_end)
-
     try:
-        if args.construction == 1:
-            enclave.load_tree(index)
-            blobs, stats = search_resident(index, enclave, token)
-            mac = None
-        else:
-            blobs, mac, stats = search_streamed(index, enclave, token)
-        values = decrypt_results(sk.value_key, blobs)
-        if mac is not None and not verify_result_mac(sk.tree_key, values, mac):
-            raise CliError("result tag verification failed")
+        values, stats = dep.query(r_start, r_end, args.construction)
     except (EnclaveError, AuthenticationError) as exc:
         raise CliError(f"query rejected: {exc}")
 
@@ -206,42 +197,30 @@ def cmd_bench(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    index = EncryptedIndex.load(Path(args.index))
-    sk, meta = _load_keyfile(Path(args.key))
+    seed_rng = random.Random(args.seed)
+    enclave = EnclaveSim(
+        reserved_space=args.reserved_space, order_seed_source=lambda: seed_rng.getrandbits(64)
+    )
+    dep, meta = _attach(args, enclave)
     path = Path(args.input)
     pairs = read_pairs_binary(path) if args.format == "binary" else read_pairs_text(path)
     # The auditor is omniscient: it reconstructs the plaintext tree the same
     # deterministic way the build made it.
     tree = build_tree(pairs, meta["b"], rng=random.Random(meta["seed"]))
-    perm = prp_permutation(sk.tree_key, index.node_count)
-    position_map = perm.__getitem__
-    pm = lambda nid: int(position_map(nid))
-
-    seed_rng = random.Random(args.seed)
-    enclave = EnclaveSim(
-        reserved_space=args.reserved_space,
-        order_seed_source=lambda: seed_rng.getrandbits(64),
-    )
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=meta["root_id"])
-    enclave.attach_container(index)
-    if args.construction == 1:
-        enclave.load_tree(index)
-        from hsbt.codec import node_plain_size
-
-        layout = PageLayout(record_size=node_plain_size(index.branching, index.integrity))
+    perm = prp_permutation(dep.sk.tree_key, dep.index.node_count)
+    pm = lambda nid: int(perm[nid])
+    layout = PageLayout(record_size=node_plain_size(dep.index.branching, dep.index.integrity))
 
     keys = sorted(k for k, _ in pairs)
     rng = random.Random(args.seed)
     failures = 0
     for q in range(args.queries):
         a, b = sorted((rng.choice(keys), rng.choice(keys)))
-        token = make_token(sk.tree_key, a, b)
         trace = AccessTrace()
+        dep.query(a, b, args.construction, trace=trace)
         if args.construction == 1:
-            search_resident(index, enclave, token, trace=trace)
             access, pattern = leak_hw_pages(tree, a, b, layout, position_map=pm)
         else:
-            search_streamed(index, enclave, token, trace=trace)
             access, pattern = leak_hw_nodes(tree, a, b, position_map=pm)
         verdict = audit_query(trace, access, pattern)
         status = "PASS" if verdict.passed else f"FAIL ({verdict.detail})"
@@ -254,12 +233,8 @@ def cmd_audit(args) -> int:
 def cmd_tamper(args) -> int:
     rng = random.Random(args.seed)
     pairs = bench_mod.make_dataset(args.n, rng)
-    tree = build_tree(pairs, args.b, rng=rng)
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=True)
     enclave = EnclaveSim(reserved_space=args.reserved_space)
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
+    dep = Deployment.build(pairs, args.b, integrity=True, rng=rng, enclave=enclave)
     sorted_keys = sorted(k for k, _ in pairs)
 
     kinds = list(KINDS) if args.script == "all" else [args.script]
@@ -267,8 +242,8 @@ def cmd_tamper(args) -> int:
     for kind in kinds:
         for t in range(args.targets):
             start = rng.randrange(0, len(sorted_keys) - 20)
-            token = make_token(sk.tree_key, sorted_keys[start], sorted_keys[start + 15])
-            report = run_with_tamper(index, enclave, sk, token, TamperScript(kind), rng)
+            token = make_token(dep.sk.tree_key, sorted_keys[start], sorted_keys[start + 15])
+            report = run_with_tamper(dep, token, TamperScript(kind), rng)
             detected = report.outcome in (Outcome.ENCLAVE_ABORT, Outcome.CLIENT_REJECT)
             ok = detected if kind != "replay-token" else report.outcome == Outcome.ACCEPTED
             print(f"{kind} target {t}: {report.outcome.value} - {report.detail}")

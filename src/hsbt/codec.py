@@ -30,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hsbt.bptree import DUMMY_POINTER, KEY_INFINITY, KEY_NEG_INFINITY, PlainNode, PlainTree
+from hsbt.bptree import (
+    DUMMY_POINTER,
+    KEY_INFINITY,
+    KEY_NEG_INFINITY,
+    MIN_BRANCHING,
+    PlainNode,
+    PlainTree,
+)
 import hmac as _hmac
 
 from hsbt.crypto import (
@@ -190,6 +197,10 @@ class EncryptedIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncryptedIndex":
+        """Parse a container; any malformed or inconsistent input raises
+        `ValueError`, trailing bytes included."""
+        if len(data) < _HEADER.size:
+            raise ValueError("container shorter than its header")
         magic, version, integrity, key_width, b, node_count, n, record_size = _HEADER.unpack_from(
             data, 0
         )
@@ -197,15 +208,22 @@ class EncryptedIndex:
             raise ValueError("not an index container")
         if version != HEADER_VERSION:
             raise ValueError(f"unsupported container version {version}")
-        off = _HEADER.size
-        region = data[off : off + node_count * record_size]
-        off += node_count * record_size
+        if integrity not in (0, 1) or key_width != 4 or b < MIN_BRANCHING or node_count < 1:
+            raise ValueError("malformed container header")
+        if record_size != node_plain_size(b, bool(integrity)) + NONCE_BYTES + TAG_BYTES:
+            raise ValueError(f"node record size {record_size} does not fit b={b}")
+        off = region_end = _HEADER.size + node_count * record_size
         blobs = []
-        for _ in range(n):
-            (length,) = struct.unpack_from("<I", data, off)
-            off += 4
-            blobs.append(data[off : off + length])
-            off += length
+        try:
+            for _ in range(n):
+                (length,) = struct.unpack_from("<I", data, off)
+                blobs.append(data[off + 4 : off + 4 + length])
+                off += 4 + length
+        except struct.error:
+            raise ValueError("container truncated") from None
+        if off != len(data):
+            raise ValueError(f"container is {len(data)} bytes, its header implies {off}")
+        region = data[_HEADER.size : region_end]
         return cls(b, n, node_count, key_width, bool(integrity), record_size, region, tuple(blobs))
 
     def save(self, path) -> None:

@@ -111,27 +111,17 @@ class AccessTrace:
 
 
 @dataclass(frozen=True)
-class NodeAccessTree:
-    """Node-granular access pattern: storage positions and fetch-order edges."""
+class AccessTree:
+    """Access pattern of one query: touched locators and parent->child edges.
+
+    `granularity` is ``"node"`` (storage positions, fetch-order edges) or
+    ``"page"`` (4 KiB page ids, node edges collapsed through the page map).
+    """
 
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
     root: int
-
-    def to_lines(self) -> list[str]:
-        lines = [f"root {self.root}"]
-        lines += [f"vertex {v}" for v in sorted(self.vertices)]
-        lines += [f"edge {a} {b}" for a, b in sorted(self.edges)]
-        return lines
-
-
-@dataclass(frozen=True)
-class PageAccessTree:
-    """Page-granular access pattern: node edges collapsed through the page map."""
-
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    root: int
+    granularity: str
 
     def to_lines(self) -> list[str]:
         lines = [f"root {self.root}"]
@@ -220,7 +210,7 @@ def formal_vertex_ids(tree: PlainTree, r_start: int, r_end: int) -> frozenset[in
 
 def leak_hw_nodes(
     tree: PlainTree, r_start: int, r_end: int, position_map=None
-) -> tuple[NodeAccessTree, ValueAccessPattern]:
+) -> tuple[AccessTree, ValueAccessPattern]:
     """Node-granular runtime leakage of one range query.
 
     `position_map` translates node ids to storage positions (the identity
@@ -235,12 +225,12 @@ def leak_hw_nodes(
     pattern = ValueAccessPattern(
         tuple((pm(leaf_id), ptrs) for leaf_id, ptrs in matched_leaf_pointers(tree, r_start, r_end))
     )
-    return NodeAccessTree(frozenset(vertices), frozenset(edges), pm(tree.root_id)), pattern
+    return AccessTree(frozenset(vertices), frozenset(edges), pm(tree.root_id), "node"), pattern
 
 
 def leak_hw_pages(
     tree: PlainTree, r_start: int, r_end: int, layout: PageLayout, position_map=None
-) -> tuple[PageAccessTree, ValueAccessPattern]:
+) -> tuple[AccessTree, ValueAccessPattern]:
     """Page-granular runtime leakage: the node tree pushed through the page
     map, with intra-page edges collapsed."""
     node_tree, node_pattern = leak_hw_nodes(tree, r_start, r_end, position_map)
@@ -252,7 +242,7 @@ def leak_hw_pages(
     pattern = ValueAccessPattern(
         tuple((page(loc), ptrs) for loc, ptrs in node_pattern.entries)
     )
-    return PageAccessTree(vertices, edges, page(node_tree.root)), pattern
+    return AccessTree(vertices, edges, page(node_tree.root), "page"), pattern
 
 
 @dataclass(frozen=True)
@@ -271,7 +261,7 @@ class AuditVerdict:
 
 def audit_query(
     trace: AccessTrace,
-    access_tree: NodeAccessTree | PageAccessTree,
+    access_tree: AccessTree,
     value_pattern: ValueAccessPattern,
 ) -> AuditVerdict:
     """Check that a recorded trace is reconstructible from declared leakage.
@@ -281,8 +271,8 @@ def audit_query(
     set.  Every first touch must be explainable by an already-touched leakage
     parent, and the emitted value pointers must equal the declared pattern.
     """
-    page_level = isinstance(access_tree, PageAccessTree)
-    kind = "page" if page_level else "node"
+    kind = access_tree.granularity
+    page_level = kind == "page"
     # The node tree has a unique parent per vertex; the page image can give a
     # page several parent pages (slots are permuted, so one page mixes tree
     # levels).  A first touch is justified by any already-touched parent.

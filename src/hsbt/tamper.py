@@ -15,8 +15,10 @@ query and reports how the pipeline reacted:
 Denial-of-service behaviours (just refusing to answer) are out of scope: the
 driver can always stall, and no response is its own signal.
 
-The attacker drives its own copy of the streaming loop so the production
-driver stays free of injection hooks.
+Every script runs the production driver, `hsbt.server.search_streamed`.  The
+node-level deviations put an interposer between the driver and the enclave
+that rewrites batch positions on their way in, so the driver itself carries
+no injection hooks.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from __future__ import annotations
 import dataclasses
 import enum
 import random
-from collections import deque
 from dataclasses import dataclass
 
-from hsbt.codec import EncryptedIndex, RangeToken, decrypt_results, verify_result_mac
-from hsbt.crypto import AuthenticationError, SecretKey
+from hsbt.codec import RangeToken
+from hsbt.crypto import AuthenticationError
+from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveError, EnclaveSim
+from hsbt.leakage import AccessTrace
+from hsbt.server import search_streamed
 
 KINDS = (
     "modify-node",
@@ -63,93 +67,60 @@ class TamperScript:
 class TamperReport:
     outcome: Outcome
     detail: str
-    values: list[bytes] | None = None
 
 
-def _drive(
-    index: EncryptedIndex,
-    enclave: EnclaveSim,
-    token: RangeToken,
-    *,
-    first_slot: int | None = None,
-    substitute: dict[int, int] | None = None,
-    drop_slots: set[int] | None = None,
-    trace=None,
-):
-    """Streaming loop with injection points; returns (value pointers, nonce)."""
-    queue = deque([first_slot if first_slot is not None else enclave.root_slot(index.node_count)])
-    max_batch = enclave.max_batch_nodes(index.node_record_size)
-    pointers: list[int] = []
-    nonce = None
-    while queue:
-        batch = []
-        while queue and len(batch) < max_batch:
-            slot = queue.popleft()
-            if drop_slots and slot in drop_slots:
-                drop_slots.discard(slot)
-                continue
-            if substitute and slot in substitute:
-                slot = substitute.pop(slot)
-            batch.append(slot)
-        if not batch:
-            continue
-        pairs, nonce = enclave.search_batch(token, batch, session=nonce, trace=trace)
-        for is_value, ptr in pairs:
-            (pointers.append if is_value else queue.append)(ptr)
-    return pointers, nonce
+class _BatchRewriter:
+    """Interposer between the driver and the enclave: forwards everything,
+    but rewrites positions in each batch.  A position maps to another slot,
+    or to None to drop it; each rewrite fires once."""
+
+    def __init__(self, enclave: EnclaveSim, rewrites: dict[int, int | None]):
+        self._enclave = enclave
+        self._rewrites = dict(rewrites)
+
+    def __getattr__(self, name):
+        return getattr(self._enclave, name)
+
+    def search_batch(self, token, positions, session=None, trace=None):
+        batch = [self._rewrites.pop(p, p) for p in positions]
+        batch = [p for p in batch if p is not None]
+        return self._enclave.search_batch(token, batch, session=session, trace=trace)
 
 
-def _client_receive(sk: SecretKey, blobs, mac) -> TamperReport:
+def _client_receive(dep: Deployment, blobs, mac) -> TamperReport:
     try:
-        values = decrypt_results(sk.value_key, blobs)
-    except AuthenticationError:
-        return TamperReport(Outcome.CLIENT_REJECT, "a result value failed decryption")
-    if mac is None or not verify_result_mac(sk.tree_key, values, mac):
-        return TamperReport(Outcome.CLIENT_REJECT, "result tag missing or mismatched")
-    return TamperReport(Outcome.ACCEPTED, "result verified", values)
-
-
-def _touched_slots(index, enclave, token) -> list[int]:
-    """Honest dry run to learn which slots the query fetches, root first."""
-    from hsbt.leakage import AccessTrace
-
-    trace = AccessTrace()
-    _, nonce = _drive(index, enclave, token, trace=trace)
-    if nonce is not None:
-        enclave.finalize_session(nonce)
-    return trace.touched("node")
+        dep.receive(blobs, mac)
+    except AuthenticationError as exc:
+        return TamperReport(Outcome.CLIENT_REJECT, str(exc))
+    return TamperReport(Outcome.ACCEPTED, "result verified")
 
 
 def run_with_tamper(
-    index: EncryptedIndex,
-    enclave: EnclaveSim,
-    sk: SecretKey,
-    token: RangeToken,
-    script: TamperScript,
-    rng: random.Random,
+    dep: Deployment, token: RangeToken, script: TamperScript, rng: random.Random
 ) -> TamperReport:
     """Execute one scripted deviation against one query and classify the result.
 
-    Requires an integrity-mode container for every script except
+    Requires an integrity-mode deployment for every script except
     ``replay-token``; the caller supplies a query whose traversal reaches
     below the root and returns at least one value, so every script has a
     meaningful target.
     """
     kind = script.kind
-    if kind != "replay-token" and not index.integrity:
-        raise ValueError(f"script {kind!r} needs an integrity-mode container")
+    if kind != "replay-token" and not dep.integrity:
+        raise ValueError(f"script {kind!r} needs an integrity-mode deployment")
+    index, enclave = dep.index, dep.enclave
 
     if kind == "replay-token":
-        first, nonce1 = _drive(index, enclave, token)
-        second, nonce2 = _drive(index, enclave, token)
-        for nonce in (nonce1, nonce2):
-            if nonce is not None:
-                enclave.finalize_session(nonce)
+        first, _, _ = search_streamed(index, enclave, token)
+        second, _, _ = search_streamed(index, enclave, token)
         same = set(first) == set(second)
         outcome = Outcome.ACCEPTED if same else Outcome.CLIENT_REJECT
         return TamperReport(outcome, f"replay result sets identical: {same}")
 
-    touched = _touched_slots(index, enclave, token)
+    # Honest dry run to learn which slots the query fetches, root first.
+    trace = AccessTrace()
+    search_streamed(index, enclave, token, trace=trace)
+    touched = trace.touched("node")
     root_slot = touched[0]
 
     if kind == "modify-node":
@@ -160,56 +131,45 @@ def run_with_tamper(
         broken = dataclasses.replace(index, node_region=bytes(region))
         enclave.attach_container(broken)
         try:
-            _drive(broken, enclave, token)
+            search_streamed(broken, enclave, token)
             return TamperReport(Outcome.ACCEPTED, f"modified node {target} went unnoticed")
         except EnclaveError as exc:
             return TamperReport(Outcome.ENCLAVE_ABORT, str(exc))
         finally:
             enclave.attach_container(index)
 
-    if kind == "wrong-first-node":
-        wrong = rng.choice([s for s in range(index.node_count) if s != root_slot])
-        try:
-            _drive(index, enclave, token, first_slot=wrong)
-            return TamperReport(Outcome.ACCEPTED, f"non-root first node {wrong} accepted")
-        except EnclaveError as exc:
-            return TamperReport(Outcome.ENCLAVE_ABORT, str(exc))
-
-    if kind in ("swap-nodes", "drop-requested-node"):
-        candidates = [s for s in touched if s != root_slot]
-        target = rng.choice(candidates)
-        if kind == "swap-nodes":
-            outsiders = [s for s in range(index.node_count) if s not in set(touched)]
-            action = {"substitute": {target: rng.choice(outsiders)}}
+    if kind in ("wrong-first-node", "swap-nodes", "drop-requested-node"):
+        if kind == "wrong-first-node":
+            target = root_slot
+            rewrite = rng.choice([s for s in range(index.node_count) if s != root_slot])
         else:
-            action = {"drop_slots": {target}}
+            target = rng.choice([s for s in touched if s != root_slot])
+            if kind == "swap-nodes":
+                fetched = set(touched)
+                rewrite = rng.choice([s for s in range(index.node_count) if s not in fetched])
+            else:
+                rewrite = None
         try:
-            pointers, nonce = _drive(index, enclave, token, **action)
-            mac = enclave.finalize_session(nonce)
-            blobs = [index.value_blob(p) for p in pointers]
-            report = _client_receive(sk, blobs, mac)
-            report.detail = f"{kind} on {target}: " + report.detail
-            return report
+            interposed = _BatchRewriter(enclave, {target: rewrite})
+            blobs, mac, _ = search_streamed(index, interposed, token)
         except EnclaveError as exc:
             return TamperReport(Outcome.ENCLAVE_ABORT, str(exc))
+        report = _client_receive(dep, blobs, mac)
+        report.detail = f"{kind} on {target}: " + report.detail
+        return report
 
     # modify-value / withhold-results: the traversal itself stays honest.
-    try:
-        pointers, nonce = _drive(index, enclave, token)
-        mac = enclave.finalize_session(nonce)
-    except EnclaveError as exc:  # pragma: no cover - honest run should pass
-        return TamperReport(Outcome.ENCLAVE_ABORT, str(exc))
-    blobs = [index.value_blob(p) for p in pointers]
+    blobs, mac, _ = search_streamed(index, enclave, token)
 
     if kind == "modify-value":
         at = rng.randrange(len(blobs))
         broken = bytearray(blobs[at])
         broken[rng.randrange(len(broken))] ^= 1 << rng.randrange(8)
         blobs[at] = bytes(broken)
-        return _client_receive(sk, blobs, mac)
+        return _client_receive(dep, blobs, mac)
 
     if kind == "withhold-results":
         del blobs[rng.randrange(len(blobs))]
-        return _client_receive(sk, blobs, mac)
+        return _client_receive(dep, blobs, mac)
 
     raise AssertionError(f"unhandled script {kind!r}")

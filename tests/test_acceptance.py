@@ -32,7 +32,8 @@ from hsbt.crypto import (
     mset_eq,
     prp_permutation,
 )
-from hsbt.enclave import DEFAULT_CLIENT, EnclaveSim, TouchCounter, oblivious_match_slots
+from hsbt.deploy import Deployment
+from hsbt.enclave import EnclaveSim, TouchCounter, oblivious_match_slots
 from hsbt.leakage import AccessTrace, PageLayout, audit_query, leak_hw_nodes, leak_hw_pages
 from hsbt.server import search_resident, search_streamed
 from hsbt.tamper import KINDS, Outcome, TamperScript, run_with_tamper
@@ -47,16 +48,11 @@ def cache():
     return DeploymentCache(seed=20240717, value_size=12)
 
 
-def _deployment(cache, n, b, integrity=False):
-    dep = cache.get(n, b, integrity)
-    return dep
-
-
 # -- 1. correctness ------------------------------------------------------------
 
 
 def test_criterion_1_correctness_1000_random_ranges(cache):
-    dep = _deployment(cache, 10_000, 10)
+    pairs, _, dep = cache.get(10_000, 10, False)
     if not dep.enclave.tree_loaded:
         dep.enclave.load_tree(dep.index)
     rng = random.Random(101)
@@ -71,7 +67,7 @@ def test_criterion_1_correctness_1000_random_ranges(cache):
             else:
                 blobs, _, _ = search_streamed(dep.index, dep.enclave, token)
             values = decrypt_results(dep.sk.value_key, blobs)
-            if sorted(values) != sorted(scan_oracle(dep.pairs, a, b)):
+            if sorted(values) != sorted(scan_oracle(pairs, a, b)):
                 mismatches += 1
     elapsed = time.perf_counter() - started
     assert mismatches == 0
@@ -87,10 +83,10 @@ def test_criterion_2_logarithmic_touched_node_growth(cache):
     medians = {}
     rng = random.Random(202)
     for n in (1_000, 10_000, 100_000):
-        dep = _deployment(cache, n, 10)
+        _, sorted_keys, dep = cache.get(n, 10, False)
         touched = []
         for _ in range(301):
-            rs, re_ = sample_result_window(dep.sorted_keys, 16, rng)
+            rs, re_ = sample_result_window(sorted_keys, 16, rng)
             trace = AccessTrace()
             search_streamed(dep.index, dep.enclave, make_token(dep.sk.tree_key, rs, re_), trace=trace)
             touched.append(len(trace.touched("node")))
@@ -185,12 +181,7 @@ def test_criterion_6_tamper_suite_full_detection():
     rng = random.Random(606)
     keys = rng.sample(range(1, KEY_MAX), 2000)
     pairs = [(k, b"doc%06d" % i) for i, k in enumerate(keys)]
-    tree = build_tree(pairs, 8, rng=rng)
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=True)
-    enclave = EnclaveSim()
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
+    dep = Deployment.build(pairs, 8, integrity=True, rng=rng)
     sorted_keys = sorted(keys)
 
     detecting = [k for k in KINDS if k != "replay-token"]
@@ -198,8 +189,8 @@ def test_criterion_6_tamper_suite_full_detection():
     for kind in detecting:
         for _ in range(50):
             start = rng.randrange(0, len(sorted_keys) - 30)
-            token = make_token(sk.tree_key, sorted_keys[start], sorted_keys[start + 24])
-            report = run_with_tamper(index, enclave, sk, token, TamperScript(kind), rng)
+            token = make_token(dep.sk.tree_key, sorted_keys[start], sorted_keys[start + 24])
+            report = run_with_tamper(dep, token, TamperScript(kind), rng)
             if report.outcome not in (Outcome.ENCLAVE_ABORT, Outcome.CLIENT_REJECT):
                 missed[kind] += 1
     assert not missed, f"undetected deviations: {dict(missed)}"
@@ -207,8 +198,8 @@ def test_criterion_6_tamper_suite_full_detection():
     replays_consistent = 0
     for _ in range(50):
         start = rng.randrange(0, len(sorted_keys) - 30)
-        token = make_token(sk.tree_key, sorted_keys[start], sorted_keys[start + 24])
-        report = run_with_tamper(index, enclave, sk, token, TamperScript("replay-token"), rng)
+        token = make_token(dep.sk.tree_key, sorted_keys[start], sorted_keys[start + 24])
+        report = run_with_tamper(dep, token, TamperScript("replay-token"), rng)
         assert report.outcome == Outcome.ACCEPTED, report.detail
         replays_consistent += 1
     _report(
@@ -225,13 +216,11 @@ def test_criterion_7_simulatability_and_injected_fetch():
     rng = random.Random(707)
     keys = rng.sample(range(1, KEY_MAX), 5000)
     pairs = [(k, b"v%06d" % i) for i, k in enumerate(keys)]
-    tree = build_tree(pairs, 10, rng=rng)
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, [v for _, v in pairs])
     seed_rng = random.Random(708)
-    enclave = EnclaveSim(order_seed_source=lambda: seed_rng.getrandbits(64))
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
+    dep = Deployment.build(
+        pairs, 10, rng=rng, enclave=EnclaveSim(order_seed_source=lambda: seed_rng.getrandbits(64))
+    )
+    tree, sk, index, enclave = dep.tree, dep.sk, dep.index, dep.enclave
     enclave.load_tree(index)
     perm = prp_permutation(sk.tree_key, index.node_count)
     pm = lambda nid: int(perm[nid])

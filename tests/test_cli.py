@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from hsbt.cli import main, read_pairs_binary, read_pairs_text
+from hsbt.cli import CliError, main, read_pairs_binary, read_pairs_text
 from hsbt.codec import EncryptedIndex
 
 
@@ -229,3 +229,59 @@ def test_text_parser_rejects_bad_keys(tmp_path):
     path.write_text("notanumber hello\n")
     with pytest.raises(Exception):
         read_pairs_text(path)
+
+def test_query_rejects_header_integrity_downgrade(tmp_path, dataset, capsys):
+    out, keys = _build(tmp_path, dataset, extra=("--integrity", "on"))
+    data = bytearray(out.read_bytes())
+    data[6] = 0  # the container header's integrity flag
+    out.write_bytes(bytes(data))
+    capsys.readouterr()
+    sorted_keys = sorted(keys)
+    code = main(
+        [
+            "query",
+            "--index",
+            str(out),
+            "--key",
+            str(out) + ".key",
+            "--construction",
+            "2",
+            "--range",
+            f"{sorted_keys[10]}:{sorted_keys[40]}",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("cut", [0, 10, 25, 26, 100, -1, "trailing"])
+def test_malformed_container_exits_one_without_traceback(tmp_path, dataset, capsys, cut):
+    out, keys = _build(tmp_path, dataset, extra=("--integrity", "on"))
+    data = out.read_bytes()
+    out.write_bytes(data + b"\0" if cut == "trailing" else data[:cut])
+    capsys.readouterr()
+    for command in ("query", "audit"):
+        argv = [command, "--index", str(out), "--key", str(out) + ".key"]
+        argv += ["--range", "1:99"] if command == "query" else ["--input", str(dataset[0])]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pytest.param(struct.pack("<IH", 1, 5), id="truncated-pair-header"),
+        pytest.param(struct.pack("<III", 1, 5, 4) + b"fi", id="truncated-value"),
+        pytest.param(struct.pack("<III", 1, 5, 4) + b"five!", id="trailing-bytes"),
+    ],
+)
+def test_binary_pair_stream_fails_closed(tmp_path, capsys, blob):
+    path = tmp_path / "pairs.bin"
+    path.write_bytes(blob)
+    with pytest.raises(CliError):
+        read_pairs_binary(path)
+    code = main(["build", "--input", str(path), "--format", "binary", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -7,8 +7,12 @@ from collections import Counter
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hsbt.bptree import KEY_INFINITY, KEY_MAX, build_tree
 from hsbt.codec import (
+    _HEADER,
     EncryptedIndex,
     decrypt_results,
     deserialize_node,
@@ -116,6 +120,67 @@ def test_container_file_roundtrip_byte_exact(tmp_path):
 def test_header_magic_checked():
     with pytest.raises(ValueError):
         EncryptedIndex.from_bytes(b"NOPE!" + bytes(64))
+
+
+def _small_container() -> bytes:
+    pairs = [(k, b"v%02d" % k) for k in range(1, 13)]
+    tree = build_tree(pairs, 4, rng=random.Random(0))
+    index = encrypt_index(SecretKey.generate(), tree, [v for _, v in pairs], integrity=True)
+    return index.to_bytes()
+
+
+_VALID = _small_container()
+
+
+def _with_header_field(data: bytes, field: int, value: int) -> bytes:
+    fields = list(_HEADER.unpack_from(data, 0))
+    fields[field] = value
+    return _HEADER.pack(*fields) + data[_HEADER.size :]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(_VALID[: _HEADER.size - 1], id="short-header"),
+        pytest.param(_VALID[:100], id="truncated-node-region"),
+        pytest.param(_VALID[:-1], id="truncated-value-blob"),
+        pytest.param(_VALID + b"\0", id="trailing-bytes"),
+        pytest.param(_with_header_field(_VALID, 4, 2), id="branching-below-minimum"),
+        pytest.param(_with_header_field(_VALID, 2, 0), id="integrity-flag-cleared"),
+        pytest.param(_with_header_field(_VALID, 7, 999), id="record-size-mismatch"),
+        pytest.param(_with_header_field(_VALID, 6, 10**6), id="value-count-beyond-data"),
+    ],
+)
+def test_malformed_container_raises_value_error(data):
+    assert EncryptedIndex.from_bytes(_VALID).to_bytes() == _VALID
+    with pytest.raises(ValueError):
+        EncryptedIndex.from_bytes(data)
+
+
+def _mutate_header_byte(at_value):
+    at, value = at_value
+    data = bytearray(_VALID)
+    data[at] = value
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=256),
+        st.tuples(st.integers(0, len(_VALID)), st.binary(max_size=8)).map(
+            lambda cut_tail: _VALID[: cut_tail[0]] + cut_tail[1]
+        ),
+        st.tuples(st.integers(0, _HEADER.size - 1), st.integers(0, 255)).map(_mutate_header_byte),
+    )
+)
+def test_arbitrary_bytes_parse_exactly_or_raise_value_error(data):
+    try:
+        index = EncryptedIndex.from_bytes(data)
+    except ValueError:
+        return
+    # Whatever parses is a well-formed container: it re-serializes byte-exact.
+    assert index.to_bytes() == data
 
 
 # -- tokens -------------------------------------------------------------------

@@ -6,9 +6,10 @@ from collections import Counter
 
 import pytest
 
-from hsbt.bptree import KEY_MAX, build_tree, scan_oracle
-from hsbt.codec import deserialize_node, encrypt_index, make_token
+from hsbt.bptree import KEY_MAX, scan_oracle
+from hsbt.codec import deserialize_node, make_token
 from hsbt.crypto import SecretKey
+from hsbt.deploy import Deployment
 from hsbt.enclave import (
     DEFAULT_CLIENT,
     CapacityExceededError,
@@ -24,13 +25,8 @@ def _fixture(n=500, b=5, seed=0, integrity=False, values=None):
     rng = random.Random(seed)
     keys = rng.sample(range(1, KEY_MAX), n)
     pairs = [(k, values[i] if values else b"v%06d" % i) for i, k in enumerate(keys)]
-    tree = build_tree(pairs, b, rng=rng)
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=integrity)
-    enclave = EnclaveSim()
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
-    return pairs, tree, sk, index, enclave
+    dep = Deployment.build(pairs, b, integrity=integrity, rng=rng)
+    return pairs, dep.tree, dep.sk, dep.index, dep.enclave
 
 
 def _oracle_pointer_set(pairs, tree, rs, re):
@@ -165,13 +161,9 @@ def test_repeated_query_same_set_fresh_orders():
 def test_two_level_tree_root_batch_emits_all_children():
     # 9 sequential keys at b=4 give one root over four leaves.
     pairs = [(k, b"v%d" % k) for k in range(1, 10)]
-    tree = build_tree(pairs, 4, rng=random.Random(0))
-    assert tree.height == 2
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, [v for _, v in pairs])
-    enclave = EnclaveSim()
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
+    dep = Deployment.build(pairs, 4, rng=random.Random(0))
+    assert dep.tree.height == 2
+    sk, index, enclave = dep.sk, dep.index, dep.enclave
 
     token = make_token(sk.tree_key, None, None)
     root_slot = enclave.root_slot(index.node_count)
@@ -199,12 +191,8 @@ def test_batch_search_matches_oracle():
 
 def test_empty_intersection_at_root_gives_empty_result():
     pairs = [(k, b"x") for k in range(100, 200)]
-    tree = build_tree(pairs, 4, rng=random.Random(0))
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=True)
-    enclave = EnclaveSim()
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
+    dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
+    sk, index, enclave = dep.sk, dep.index, dep.enclave
     values, nonce = _drive_batches(index, enclave, make_token(sk.tree_key, 500, 900))
     assert values == []
     # Session still closes cleanly over the empty result.
@@ -301,12 +289,8 @@ def test_extra_node_beyond_outstanding_requests_aborts_immediately():
     # Root-only tree: nothing is ever requested, so any follow-up node drives
     # the outstanding-request counter negative at once.
     pairs = [(7, b"only")]
-    tree = build_tree(pairs, 4, rng=random.Random(0))
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, [b"only"], integrity=True)
-    enclave = EnclaveSim()
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
+    dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
+    sk, enclave = dep.sk, dep.enclave
     token = make_token(sk.tree_key, None, None)
     out, nonce = enclave.search_batch(token, [enclave.root_slot(1)])
     with pytest.raises(EnclaveAbort):

@@ -11,7 +11,8 @@ from hsbt.bptree import KEY_INFINITY as INF
 from hsbt.bptree import KEY_MAX, PlainNode, PlainTree, build_tree
 from hsbt.codec import encrypt_index, make_token, node_plain_size
 from hsbt.crypto import SecretKey, prp_permutation
-from hsbt.enclave import DEFAULT_CLIENT, EnclaveSim
+from hsbt.deploy import Deployment
+from hsbt.enclave import EnclaveSim
 from hsbt.leakage import (
     AccessTrace,
     PageLayout,
@@ -184,16 +185,17 @@ def _pipeline(n=500, b=5, seed=5, integrity=False):
     rng = random.Random(seed)
     keys = rng.sample(range(1, KEY_MAX), n)
     pairs = [(k, b"v%06d" % i) for i, k in enumerate(keys)]
-    tree = build_tree(pairs, b, rng=rng)
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=integrity)
     seed_rng = random.Random(seed)
-    enclave = EnclaveSim(order_seed_source=lambda: seed_rng.getrandbits(64))
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
-    perm = prp_permutation(sk.tree_key, index.node_count)
+    dep = Deployment.build(
+        pairs,
+        b,
+        integrity=integrity,
+        rng=rng,
+        enclave=EnclaveSim(order_seed_source=lambda: seed_rng.getrandbits(64)),
+    )
+    perm = prp_permutation(dep.sk.tree_key, dep.index.node_count)
     position_map = lambda nid: int(perm[nid])
-    return pairs, tree, sk, index, enclave, position_map
+    return pairs, dep.tree, dep.sk, dep.index, dep.enclave, position_map
 
 
 def test_streamed_queries_audit_pass():

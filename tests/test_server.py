@@ -7,10 +7,10 @@ from collections import Counter
 
 import pytest
 
-from hsbt.bptree import KEY_MAX, build_tree, scan_oracle
-from hsbt.codec import decrypt_results, encrypt_index, make_token, verify_result_mac
-from hsbt.crypto import SecretKey
-from hsbt.enclave import DEFAULT_CLIENT, EnclaveAbort, EnclaveSim
+from hsbt.bptree import KEY_MAX, scan_oracle
+from hsbt.codec import decrypt_results, make_token, verify_result_mac
+from hsbt.deploy import Deployment
+from hsbt.enclave import EnclaveAbort, EnclaveSim
 from hsbt.leakage import AccessTrace
 from hsbt.server import CSV_HEADER, QueryStats, fetch_values, search_resident, search_streamed
 
@@ -19,13 +19,10 @@ def _fixture(n=400, b=5, seed=0, integrity=False, reserved_space=64 * 1024, valu
     rng = random.Random(seed)
     keys = rng.sample(range(1, KEY_MAX), n)
     pairs = [(k, values[i] if values else b"val%06d" % i) for i, k in enumerate(keys)]
-    tree = build_tree(pairs, b, rng=rng)
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=integrity)
-    enclave = EnclaveSim(reserved_space=reserved_space)
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
-    return pairs, tree, sk, index, enclave
+    dep = Deployment.build(
+        pairs, b, integrity=integrity, rng=rng, enclave=EnclaveSim(reserved_space=reserved_space)
+    )
+    return pairs, dep.tree, dep.sk, dep.index, dep.enclave
 
 
 def test_fetch_values_basics():
@@ -66,13 +63,8 @@ def test_streamed_driver_matches_oracle_and_mac_verifies():
 
 
 def test_single_node_tree_takes_one_batch_call():
-    pairs = [(5, b"v")]
-    tree = build_tree(pairs, 4, rng=random.Random(0))
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, [b"v"])
-    enclave = EnclaveSim()
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
+    dep = Deployment.build([(5, b"v")], 4, rng=random.Random(0))
+    sk, index, enclave = dep.sk, dep.index, dep.enclave
     blobs, mac, stats = search_streamed(index, enclave, make_token(sk.tree_key, None, None))
     assert stats.crossings == 1 and stats.nodes_transferred == 1
     assert mac is None
@@ -124,12 +116,8 @@ def test_no_plaintext_sentinels_on_untrusted_surfaces():
     rng = random.Random(8)
     keys = [sentinel_key] + rng.sample(range(1, KEY_MAX), 63)
     pairs = [(k, values[i]) for i, k in enumerate(keys)]
-    tree = build_tree(pairs, 5, rng=rng)
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, values, integrity=False)
-    enclave = EnclaveSim()
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
+    dep = Deployment.build(pairs, 5, rng=rng)
+    sk, index, enclave = dep.sk, dep.index, dep.enclave
     token = make_token(sk.tree_key, sentinel_key, sentinel_key)
     blobs, mac, stats = search_streamed(index, enclave, token)
 

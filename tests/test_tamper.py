@@ -5,10 +5,9 @@ import random
 
 import pytest
 
-from hsbt.bptree import KEY_MAX, build_tree
-from hsbt.codec import encrypt_index, make_token
-from hsbt.crypto import SecretKey
-from hsbt.enclave import DEFAULT_CLIENT, EnclaveSim
+from hsbt.bptree import KEY_MAX
+from hsbt.codec import make_token
+from hsbt.deploy import Deployment
 from hsbt.tamper import KINDS, Outcome, TamperScript, run_with_tamper
 
 
@@ -17,14 +16,8 @@ def setup():
     rng = random.Random(0)
     keys = rng.sample(range(1, KEY_MAX), 600)
     pairs = [(k, b"doc-%06d" % i) for i, k in enumerate(keys)]
-    tree = build_tree(pairs, 5, rng=rng)
-    sk = SecretKey.generate()
-    index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=True)
-    enclave = EnclaveSim()
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    enclave.attach_container(index)
-    sorted_keys = sorted(keys)
-    return pairs, sorted_keys, sk, index, enclave
+    dep = Deployment.build(pairs, 5, integrity=True, rng=rng)
+    return pairs, sorted(keys), dep
 
 
 def _token(sk, sorted_keys, rng):
@@ -44,21 +37,18 @@ def _token(sk, sorted_keys, rng):
     ],
 )
 def test_each_deviation_detected(setup, kind, expected):
-    pairs, sorted_keys, sk, index, enclave = setup
+    pairs, sorted_keys, dep = setup
     rng = random.Random(hash(kind) & 0xFFFF)
     for _ in range(5):
-        report = run_with_tamper(
-            index, enclave, sk, _token(sk, sorted_keys, rng), TamperScript(kind), rng
-        )
+        report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), TamperScript(kind), rng)
         assert report.outcome == expected, (kind, report.detail)
 
 
 def test_replay_token_accepted_with_identical_sets(setup):
-    pairs, sorted_keys, sk, index, enclave = setup
+    pairs, sorted_keys, dep = setup
     rng = random.Random(1)
-    report = run_with_tamper(
-        index, enclave, sk, _token(sk, sorted_keys, rng), TamperScript("replay-token"), rng
-    )
+    token = _token(dep.sk, sorted_keys, rng)
+    report = run_with_tamper(dep, token, TamperScript("replay-token"), rng)
     assert report.outcome == Outcome.ACCEPTED
     assert "True" in report.detail
 
@@ -69,14 +59,11 @@ def test_unknown_script_rejected():
 
 
 def test_non_replay_scripts_need_integrity_container(setup):
-    pairs, sorted_keys, sk, index, enclave = setup
+    pairs, sorted_keys, dep = setup
     rng = random.Random(2)
-    tree = build_tree(pairs[:50], 5, rng=random.Random(0))
-    plain_index = encrypt_index(sk, tree, [v for _, v in pairs[:50]], integrity=False)
+    plain = Deployment.build(pairs[:50], 5, sk=dep.sk, rng=random.Random(0))
     with pytest.raises(ValueError):
-        run_with_tamper(
-            plain_index, enclave, sk, _token(sk, sorted_keys, rng), TamperScript("modify-node"), rng
-        )
+        run_with_tamper(plain, _token(dep.sk, sorted_keys, rng), TamperScript("modify-node"), rng)
 
 
 def test_all_kinds_enumerated():
