@@ -83,9 +83,12 @@ def run_cell(cell: WorkloadCell, cache: DeploymentCache, rng: random.Random, *, 
     oracle (slow; meant for correctness sweeps, not timing)."""
     pairs, sorted_keys, dep = cache.get(cell.n, cell.branching, cell.integrity)
 
+    # Nodes the enclave visited: each one scans its b-1 key slots.
+    counter = dep.enclave.touch_counter
     micros, crossings, nodes, touched = [], [], [], []
     for _ in range(cell.reps):
         rs, re_ = sample_result_window(sorted_keys, cell.result_size, rng)
+        key_slots = counter.key_slots
         values, stats = dep.query(rs, re_, cell.construction)
         assert stats.result_size == cell.result_size
         if verify:
@@ -93,7 +96,7 @@ def run_cell(cell: WorkloadCell, cache: DeploymentCache, rng: random.Random, *, 
         micros.append(stats.micros)
         crossings.append(stats.crossings)
         nodes.append(stats.nodes_transferred)
-        touched.append(stats.nodes_transferred if cell.construction == 2 else 0)
+        touched.append((counter.key_slots - key_slots) // (cell.branching - 1))
 
     return {
         "construction": cell.construction,

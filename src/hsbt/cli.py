@@ -10,7 +10,10 @@ Subcommands:
 * ``tamper`` - run scripted active-attacker behaviours against a fresh
   deployment and report detection
 
-Exit codes: 0 ok, 1 verification/authentication failure, 2 usage error.
+Exit codes: 0 ok, 1 verification/authentication failure or malformed input
+data (pairs, container, key sidecar), 2 usage error (a bad flag value, a
+malformed or empty range, a path that cannot be opened).  Past argument
+parsing, every failure prints one ``error: ...`` line to stderr.
 
 ``--seed`` makes everything reproducible except AEAD nonces and wall times;
 in particular ``build --seed`` derives the key material deterministically so
@@ -29,7 +32,7 @@ import sys
 from pathlib import Path
 
 from hsbt import bench as bench_mod
-from hsbt.bptree import build_tree
+from hsbt.bptree import KEY_INFINITY, KEY_NEG_INFINITY, MIN_BRANCHING, BuildError, build_tree
 from hsbt.codec import EncryptedIndex, make_token, node_plain_size
 from hsbt.crypto import AuthenticationError, SecretKey, prp_permutation
 from hsbt.deploy import Deployment
@@ -90,6 +93,35 @@ def _derived_secret_key(seed: int) -> SecretKey:
     return SecretKey(tree_key, value_key)
 
 
+# Every field `build` writes into a key sidecar, with its JSON type.
+_SIDECAR_FIELDS = {
+    "tree_key": str,
+    "value_key": str,
+    "root_id": int,
+    "b": int,
+    "seed": (int, type(None)),
+    "integrity": bool,
+}
+
+
+def _read_sidecar(path: Path) -> tuple[SecretKey, dict]:
+    """Parse a key sidecar; anything malformed or incomplete is a `CliError`."""
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError:
+        raise CliError(f"{path}: key sidecar is not JSON") from None
+    if not isinstance(meta, dict):
+        raise CliError(f"{path}: key sidecar is not a JSON object")
+    for name, kind in _SIDECAR_FIELDS.items():
+        if not isinstance(meta.get(name), kind):
+            raise CliError(f"{path}: key sidecar field {name!r} is missing or mistyped")
+    try:
+        sk = SecretKey(bytes.fromhex(meta["tree_key"]), bytes.fromhex(meta["value_key"]))
+    except ValueError as exc:
+        raise CliError(f"{path}: bad key material in key sidecar: {exc}") from None
+    return sk, meta
+
+
 def _attach(args, enclave: EnclaveSim):
     """Load the container and its key sidecar into a deployment; returns
     (deployment, sidecar fields)."""
@@ -97,26 +129,44 @@ def _attach(args, enclave: EnclaveSim):
         index = EncryptedIndex.load(Path(args.index))
     except ValueError as exc:
         raise CliError(f"{args.index}: {exc}")
-    meta = json.loads(Path(args.key).read_text())
-    sk = SecretKey(bytes.fromhex(meta["tree_key"]), bytes.fromhex(meta["value_key"]))
-    integrity = meta["integrity"]
-    dep = Deployment.attach(index, sk, meta["root_id"], integrity=integrity, enclave=enclave)
+    sk, meta = _read_sidecar(Path(args.key))
+    if not 0 <= meta["root_id"] < index.node_count:
+        raise CliError(f"{args.key}: root id {meta['root_id']} is not a node of {args.index}")
+    dep = Deployment.attach(
+        index, sk, meta["root_id"], integrity=meta["integrity"], enclave=enclave
+    )
     return dep, meta
 
 
 def _parse_range(spec: str):
+    """``A:B`` with either side optional; a malformed or empty range is a
+    usage error."""
     lo, sep, hi = spec.partition(":")
     if not sep:
         raise CliError(f"range must look like A:B, got {spec!r}", EXIT_USAGE)
-    r_start = int(lo) if lo else None
-    r_end = int(hi) if hi else None
+    try:
+        r_start = int(lo) if lo else None
+        r_end = int(hi) if hi else None
+    except ValueError:
+        raise CliError(f"range endpoints must be integers, got {spec!r}", EXIT_USAGE) from None
+    for end in (r_start, r_end):
+        if end is not None and not KEY_NEG_INFINITY <= end <= KEY_INFINITY:
+            raise CliError(f"range endpoint {end} outside the 32-bit key space", EXIT_USAGE)
+    if r_start is not None and r_end is not None and r_start > r_end:
+        raise CliError(f"empty range {spec!r}: start exceeds end", EXIT_USAGE)
     return r_start, r_end
+
+
+def _check_branching(branching: int) -> None:
+    if branching < MIN_BRANCHING:
+        raise CliError(f"--b must be at least {MIN_BRANCHING}, got {branching}", EXIT_USAGE)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_build(args) -> int:
+    _check_branching(args.b)
     path = Path(args.input)
     if not path.exists():
         raise CliError(f"input file {path} does not exist", EXIT_USAGE)
@@ -126,7 +176,12 @@ def cmd_build(args) -> int:
 
     integrity = args.integrity == "on"
     sk = _derived_secret_key(args.seed) if args.seed is not None else SecretKey.generate()
-    dep = Deployment.build(pairs, args.b, integrity=integrity, sk=sk, rng=random.Random(args.seed))
+    try:
+        dep = Deployment.build(
+            pairs, args.b, integrity=integrity, sk=sk, rng=random.Random(args.seed)
+        )
+    except BuildError as exc:
+        raise CliError(f"{path}: {exc}") from None
     out = Path(args.out)
     dep.index.save(out)
     keyfile = out.with_suffix(out.suffix + ".key")
@@ -154,8 +209,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_query(args) -> int:
-    dep, _ = _attach(args, EnclaveSim(reserved_space=args.reserved_space))
     r_start, r_end = _parse_range(args.range)
+    dep, _ = _attach(args, EnclaveSim(reserved_space=args.reserved_space))
     try:
         values, stats = dep.query(r_start, r_end, args.construction)
     except (EnclaveError, AuthenticationError) as exc:
@@ -169,6 +224,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    for branching in args.b:
+        _check_branching(branching)
     cells = [
         bench_mod.WorkloadCell(
             n=n,
@@ -206,7 +263,12 @@ def cmd_audit(args) -> int:
     pairs = read_pairs_binary(path) if args.format == "binary" else read_pairs_text(path)
     # The auditor is omniscient: it reconstructs the plaintext tree the same
     # deterministic way the build made it.
-    tree = build_tree(pairs, meta["b"], rng=random.Random(meta["seed"]))
+    if not pairs:
+        raise CliError(f"{path}: no key-value pairs to audit")
+    try:
+        tree = build_tree(pairs, meta["b"], rng=random.Random(meta["seed"]))
+    except BuildError as exc:
+        raise CliError(f"{path}: {exc}") from None
     perm = prp_permutation(dep.sk.tree_key, dep.index.node_count)
     pm = lambda nid: int(perm[nid])
     layout = PageLayout(record_size=node_plain_size(dep.index.branching, dep.index.integrity))
@@ -318,6 +380,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:
+        # An input or output path that cannot be opened is a usage error.
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except (AuthenticationError, EnclaveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -16,6 +16,10 @@ Node record plaintext, all integers little-endian::
     id(4) | flags(1, bit0 = leaf) | key_count(2) | keys[(b-1) x 4] |
     pointers[b x 4] | integrity region (only when the integrity flag is set)
 
+Inside the enclave, nodes are array-shaped: `deserialize_node` decodes a
+batch of plaintexts, or the whole node region, into one numpy record array
+of `node_dtype` with a single `np.frombuffer`.
+
 The integrity region is ``max(4 b, 16 (b-1))`` bytes: inner nodes lay out one
 child id per pointer slot, leaves one 16-byte value digest per key slot; the
 shared size keeps records shape-identical.  Inner pointer slots hold child
@@ -24,6 +28,7 @@ storage positions on disk (the build-side child ids are rewritten here).
 
 from __future__ import annotations
 
+import functools
 import io
 import struct
 from dataclasses import dataclass
@@ -59,7 +64,7 @@ HEADER_VERSION = 1
 _HEADER = struct.Struct("<5sBBBHIQI")  # magic, version, integrity, key width, b, #nodes, n, record size
 
 _NODE_FIXED = struct.Struct("<IBH")
-_FLAG_LEAF = 0x01
+FLAG_LEAF = 0x01
 
 
 def integrity_region_size(branching: int) -> int:
@@ -67,7 +72,7 @@ def integrity_region_size(branching: int) -> int:
 
 
 def node_plain_size(branching: int, integrity: bool) -> int:
-    size = _NODE_FIXED.size + 4 * (branching - 1) + 4 * branching
+    size = node_struct(branching).size
     return size + (integrity_region_size(branching) if integrity else 0)
 
 
@@ -81,10 +86,9 @@ def serialize_node(node: PlainNode, branching: int, integrity: bool, *, pointer_
     if not node.is_leaf and pointer_map is not None:
         for i in range(node.key_count + 1):
             pointers[i] = pointer_map(pointers[i])
-    out = bytearray()
-    out += _NODE_FIXED.pack(node.node_id, _FLAG_LEAF if node.is_leaf else 0, node.key_count)
-    out += np.asarray(node.keys, dtype="<u4").tobytes()
-    out += np.asarray(pointers, dtype="<u4").tobytes()
+    flags = FLAG_LEAF if node.is_leaf else 0
+    fixed = node_struct(branching).pack(node.node_id, flags, node.key_count, *node.keys, *pointers)
+    out = bytearray(fixed)
     if integrity:
         region = bytearray(integrity_region_size(branching))
         if node.is_leaf:
@@ -99,51 +103,50 @@ def serialize_node(node: PlainNode, branching: int, integrity: bool, *, pointer_
     return bytes(out)
 
 
-@dataclass(slots=True)
-class DecodedNode:
-    """A node record after decryption, as seen inside the enclave."""
-
-    node_id: int
-    is_leaf: bool
-    key_count: int
-    keys: tuple[int, ...]  # b-1 entries, padded with KEY_INFINITY
-    pointers: tuple[int, ...]  # b entries
-    slot: int
-    child_ids: tuple[int, ...] | None = None  # b entries (inner, integrity mode)
-    _hash_region: bytes | None = None
-
-    def value_hash(self, pointer_slot: int) -> bytes:
-        """Digest stored next to leaf pointer `pointer_slot` (1-based like the keys)."""
-        off = 16 * (pointer_slot - 1)
-        return self._hash_region[off : off + 16]
+@functools.lru_cache(maxsize=None)
+def node_struct(branching: int) -> struct.Struct:
+    """A record's fixed part as one struct:
+    ``(id, flags, key_count, keys..., pointers...)``."""
+    return struct.Struct(f"<IBH{branching - 1}I{branching}I")
 
 
-_word_structs: dict[int, struct.Struct] = {}
+@functools.lru_cache(maxsize=None)
+def node_dtype(branching: int, integrity: bool, stride: int | None = None) -> np.dtype:
+    """Structured numpy dtype of one node record plaintext, laid out as in
+    the module docstring.
 
-
-def _words(count: int) -> struct.Struct:
-    s = _word_structs.get(count)
-    if s is None:
-        s = _word_structs[count] = struct.Struct(f"<{count}I")
-    return s
-
-
-def deserialize_node(plain: bytes, branching: int, integrity: bool, slot: int) -> DecodedNode:
-    node_id, flags, key_count = _NODE_FIXED.unpack_from(plain, 0)
-    off = _NODE_FIXED.size
-    keys = _words(branching - 1).unpack_from(plain, off)
-    off += 4 * (branching - 1)
-    pointers = _words(branching).unpack_from(plain, off)
-    off += 4 * branching
-    is_leaf = bool(flags & _FLAG_LEAF)
-    child_ids = None
-    hash_region = None
+    Fields: `id`, `flags`, `key_count`, `keys[b-1]`, `ptrs[b]` and, with
+    `integrity`, the integrity region seen two ways over the same bytes:
+    `child_ids[b]` (inner nodes) and `digests[b-1, 16]` (leaves, one value
+    digest per key slot).  `stride` is the distance between records; it
+    defaults to the plaintext size."""
+    keys_at = _NODE_FIXED.size
+    ptrs_at = keys_at + 4 * (branching - 1)
+    region_at = ptrs_at + 4 * branching
+    names = ["id", "flags", "key_count", "keys", "ptrs"]
+    formats = ["<u4", "u1", "<u2", ("<u4", (branching - 1,)), ("<u4", (branching,))]
+    offsets = [0, 4, 5, keys_at, ptrs_at]
     if integrity:
-        if is_leaf:
-            hash_region = plain[off : off + 16 * (branching - 1)]
-        else:
-            child_ids = _words(branching).unpack_from(plain, off)
-    return DecodedNode(node_id, is_leaf, key_count, keys, pointers, slot, child_ids, hash_region)
+        names += ["child_ids", "digests"]
+        formats += [("<u4", (branching,)), ("u1", (branching - 1, 16))]
+        offsets += [region_at, region_at]
+    itemsize = stride if stride is not None else node_plain_size(branching, integrity)
+    return np.dtype({"names": names, "formats": formats, "offsets": offsets, "itemsize": itemsize})
+
+
+def deserialize_node(plains, branching: int, integrity: bool) -> np.ndarray:
+    """Decode node plaintexts of one common length into a `node_dtype` record
+    array, one record per plaintext, with one `np.frombuffer` over their
+    concatenation.  The stride is the plaintexts' own length, so a record
+    that carries an integrity region the caller does not read (a cleared
+    header flag) decodes like any other."""
+    stride = len(plains[0]) if plains else None
+    return np.frombuffer(b"".join(plains), dtype=node_dtype(branching, integrity, stride))
+
+
+def leaf_mask(nodes: np.ndarray) -> np.ndarray:
+    """Boolean mask of the leaf records in a `node_dtype` array."""
+    return (nodes["flags"] & FLAG_LEAF).astype(bool)
 
 
 @dataclass
@@ -338,5 +341,6 @@ def decrypt_results(value_key: bytes, blobs) -> list[bytes]:
 def verify_result_mac(tree_key: bytes, values, mac: bytes) -> bool:
     """Recompute the result multiset digest over the values actually received
     and compare against the enclave-issued tag."""
-    state = MultisetHash.empty(tree_key).add_all(value_digest(v) for v in values)
+    digests = b"".join([value_digest(v) for v in values])
+    state = MultisetHash.empty(tree_key).add_all(digests)
     return _hmac.compare_digest(result_mac(tree_key, state), mac)

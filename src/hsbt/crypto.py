@@ -2,12 +2,13 @@
 
 Four primitives live here: authenticated probabilistic encryption (AES-128-GCM),
 a small-domain pseudorandom permutation (cycle-walking Feistel network keyed by
-AES), an incremental multiset hash (XOR accumulator over a keyed PRF plus an
+AES), an incremental multiset hash over 16-byte elements (XOR accumulator over
+AES-128 used as a PRF under a subkey derived from the caller's key, plus an
 explicit element counter), and an HMAC tag.
 
 All operations are pure given their key material, so they are safe for
 unrestricted concurrent use.  `MultisetHash` values are immutable snapshots;
-`add` returns a new state.
+`add_all` returns a new state.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import hmac
 import secrets
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,13 +235,42 @@ def prp_apply(key: bytes, domain_size: int, x: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Multiset-PRF contexts, one dict per thread (a cipher context must not be
+# shared across threads), keyed by the caller's key.  Building one, subkey
+# included, costs about three small `add_all` calls, so they are kept; the
+# cap bounds the table.
+_mset_contexts = threading.local()
+_MSET_CONTEXT_CAP = 64
+
+
+def mset_subkey(key: bytes) -> bytes:
+    """The AES key of the multiset PRF: derived from `key`, never `key`
+    itself.  The tree key also keys the node AEAD and the Feistel PRP, and
+    the GHASH key of AES-GCM is AES_k(0^128), which would be the image of
+    node id 0 under the raw key."""
+    return mac_tag(key, b"hsbt-mset-prf")[:KEY_BYTES]
+
+
+def _mset_prf(key: bytes):
+    contexts = getattr(_mset_contexts, "by_key", None)
+    if contexts is None:
+        contexts = _mset_contexts.by_key = {}
+    prf = contexts.get(key)
+    if prf is None:
+        if len(contexts) >= _MSET_CONTEXT_CAP:
+            contexts.clear()
+        prf = contexts[key] = Cipher(algorithms.AES(mset_subkey(key)), modes.ECB()).encryptor()
+    return prf
+
+
 @dataclass(frozen=True)
 class MultisetHash:
-    """Order-independent incremental digest of a multiset of byte strings.
+    """Order-independent incremental digest of a multiset of 16-byte elements
+    (MSet-XOR-Hash, Clarke et al., ASIACRYPT 2003).
 
-    The accumulator XORs a keyed PRF of each element, and the explicit element
-    counter keeps repeated elements from cancelling out.  Equality compares
-    both accumulator and count.
+    The accumulator XORs AES under `mset_subkey(key)` of each element, and the
+    explicit element counter keeps repeated elements from cancelling out.
+    Equality compares both accumulator and count.
     """
 
     digest: bytes
@@ -251,22 +282,21 @@ class MultisetHash:
         return cls(bytes(MSET_DIGEST_BYTES), 0, key)
 
     def add(self, element: bytes) -> "MultisetHash":
-        h = hashlib.blake2b(element, key=self.key, digest_size=MSET_DIGEST_BYTES).digest()
-        mixed = (
-            int.from_bytes(self.digest, "little") ^ int.from_bytes(h, "little")
-        ).to_bytes(MSET_DIGEST_BYTES, "little")
-        return MultisetHash(mixed, self.count + 1, self.key)
+        """Fold one 16-byte element; `add_all` of that element."""
+        return self.add_all(element)
 
-    def add_all(self, elements) -> "MultisetHash":
-        acc = int.from_bytes(self.digest, "little")
-        n = self.count
-        for element in elements:
-            acc ^= int.from_bytes(
-                hashlib.blake2b(element, key=self.key, digest_size=MSET_DIGEST_BYTES).digest(),
-                "little",
-            )
-            n += 1
-        return MultisetHash(acc.to_bytes(MSET_DIGEST_BYTES, "little"), n, self.key)
+    def add_all(self, elements: bytes) -> "MultisetHash":
+        """Fold the concatenation of any number of 16-byte elements, all in
+        one PRF call; raises `ValueError` on a ragged length."""
+        if len(elements) % MSET_DIGEST_BYTES:
+            raise ValueError(f"multiset input of {len(elements)} bytes is not 16-byte elements")
+        if not elements:
+            return self
+        images = np.frombuffer(_mset_prf(self.key).update(elements), dtype="<u8")
+        acc = np.bitwise_xor.reduce(images.reshape(-1, 2), axis=0)
+        acc ^= np.frombuffer(self.digest, dtype="<u8")
+        count = self.count + len(elements) // MSET_DIGEST_BYTES
+        return MultisetHash(acc.tobytes(), count, self.key)
 
 
 def mset_eq(a: MultisetHash, b: MultisetHash) -> bool:

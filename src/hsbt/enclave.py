@@ -14,11 +14,18 @@ query entry points mirror the two deployment modes:
   returned pointers.  The observable channel is the node-granular fetch
   pattern.
 
+Nodes are array-shaped: the resident tree is one `node_dtype` record array
+indexed by slot, and a streamed batch decodes into one with a single
+`deserialize_node`.  `oblivious_match_slots` matches a whole batch, or a
+whole level of the resident walk, in one vectorised comparison; a resident
+level too small to repay numpy's per-call cost is scanned node by node with
+the same per-slot formula.
+
 In integrity mode `search_batch` additionally runs a per-query session that
 counts the nodes it asked for and folds three multiset hashes (expected node
-ids, received node ids, matched value digests).  A session only ever yields a
-result tag when every requested node arrived, nothing else arrived, and the
-first node of the query was the root.
+ids, received node ids, matched value digests), each once per call.  A
+session only ever yields a result tag when every requested node arrived,
+nothing else arrived, and the first node of the query was the root.
 
 Every pointer list leaving the enclave is freshly shuffled, and in-node
 matching touches every key and pointer slot whether it matches or not, so
@@ -29,13 +36,22 @@ from __future__ import annotations
 
 import random
 import secrets
-import struct
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from hsbt.codec import DecodedNode, EncryptedIndex, RangeToken, deserialize_node, node_plain_size, slot_aad, unpack_range
+from hsbt.codec import (
+    FLAG_LEAF,
+    EncryptedIndex,
+    RangeToken,
+    deserialize_node,
+    leaf_mask,
+    node_plain_size,
+    node_struct,
+    slot_aad,
+    unpack_range,
+)
 from hsbt.crypto import (
     AuthenticationError,
     MultisetHash,
@@ -87,51 +103,85 @@ class TouchCounter:
     key_slots: int = 0
     pointer_slots: int = 0
 
+    def add(self, nodes: int, branching: int) -> None:
+        """Count a full scan of `nodes` nodes: every key and pointer slot."""
+        self.key_slots += nodes * (branching - 1)
+        self.pointer_slots += nodes * branching
+
     def reset(self) -> None:
         self.key_slots = 0
         self.pointer_slots = 0
 
 
 def oblivious_match_slots(
-    node: DecodedNode, r_start: int, r_end: int, counter: TouchCounter | None = None
-) -> list[int]:
-    """Pointer slots of `node` whose key interval meets [r_start, r_end].
+    nodes: np.ndarray, r_start: int, r_end: int, counter: TouchCounter | None = None
+) -> np.ndarray:
+    """Matching pointer slots of every node in a `node_dtype` record array,
+    as a boolean array of shape ``(len(nodes), b)``.
 
-    Branch-free selection: one inclusion bit is computed for every pointer
-    slot, live or padded, matching or not, using non-short-circuiting bitwise
-    combinations of comparisons, so every key slot and every pointer slot is
-    examined on every call.  For an inner node a slot matches when its
-    child's key window intersects the range; for a leaf, when its key lies
-    inside.  Padded slots are suppressed by the liveness term in the bit.
+    Slot ``j`` of an inner node matches when its child's key window
+    ``[lo, hi) = [keys[j-1], keys[j])`` meets [r_start, r_end]:
+    ``(lo <= rs < hi) | (lo <= re < hi) | (rs <= lo & hi <= re)``, where
+    slot 0 opens at -inf and slot b-1 closes at +inf.  Slot ``j`` of a leaf
+    matches when ``rs <= lo <= re`` (slot 0, at -inf, never does).  With
+    rs <= re, which the enclave demands of every token, the infinite ends
+    reduce slot 0 to ``rs < keys[0]`` and slot b-1 to ``keys[b-2] <= re``.
+    Both formulas are evaluated for every key and pointer slot of every
+    node, live or padded, leaf or inner, matching or not, with whole-array
+    comparisons; the node kind and the liveness term ``j <= key_count``
+    then select bits, never control flow.
     """
-    keys = node.keys
-    branching = len(keys) + 1
-    kc = node.key_count
-    if node.is_leaf:
-        bits = [False]
-        bits += [
-            (r_start <= k) & (k <= r_end) & (j <= kc) for j, k in enumerate(keys, start=1)
-        ]
-    else:
-        bits = [r_start < keys[0]]
-        bits += [
-            (
-                ((keys[j - 1] <= r_start) & (r_start < keys[j]))
-                | ((keys[j - 1] <= r_end) & (r_end < keys[j]))
-                | ((r_start <= keys[j - 1]) & (keys[j] <= r_end))
-            )
-            & (j <= kc)
-            for j in range(1, branching - 1)
-        ]
-        bits.append((keys[branching - 2] <= r_end) & (branching - 1 <= kc))
+    keys = nodes["keys"]
+    n, width = keys.shape
+    edges = np.empty((n, width + 2), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, 1:-1] = keys
+    edges[:, -1] = 1 << 32
+    le_start = edges <= r_start
+    le_end = edges <= r_end
+    ge_start = edges >= r_start
+    # On booleans, `x > y` is `x & ~y`: lo <= r < hi.
+    inner = (
+        (le_start[:, :-1] > le_start[:, 1:])
+        | (le_end[:, :-1] > le_end[:, 1:])
+        | (ge_start[:, :-1] & le_end[:, 1:])
+    )
+    leaf = ge_start[:, :-1] & le_end[:, :-1]
+    live = np.arange(width + 1) <= nodes["key_count"][:, None]
     if counter is not None:
-        counter.key_slots += branching - 1
-        counter.pointer_slots += branching
-    return [j for j, bit in enumerate(bits) if bit]
+        counter.add(n, width + 1)
+    return np.where(nodes["flags"][:, None] & FLAG_LEAF, leaf, inner) & live
 
 
-def _id_bytes(node_id: int) -> bytes:
-    return struct.pack("<I", node_id)
+# A resident level of fewer slots than this is scanned node by node: one
+# vectorised match has a fixed cost of some twenty numpy calls, and a scalar
+# scan is cheaper below about a hundred slots (measured at b = 10 and 32).
+_VECTOR_MIN_SLOTS = 100
+
+
+def _scan_record(record: tuple, branching: int, r_start: int, r_end: int) -> list[int]:
+    """`oblivious_match_slots` for one record unpacked by `node_struct`:
+    the same bit for every pointer slot, live or padded, matching or not,
+    with non-short-circuiting operators; returns the matching slots."""
+    key_count = record[2]
+    edges = (-1, *record[3 : branching + 2], 1 << 32)
+    if record[1] & FLAG_LEAF:
+        bits = [(r_start <= lo) & (lo <= r_end) for lo in edges[:-1]]
+    else:
+        bits = [
+            ((lo <= r_start) & (r_start < hi))
+            | ((lo <= r_end) & (r_end < hi))
+            | ((r_start <= lo) & (hi <= r_end))
+            for lo, hi in zip(edges, edges[1:])
+        ]
+    return [j for j, bit in enumerate(bits) if bit & (j <= key_count)]
+
+
+def _id_elements(node_ids: np.ndarray) -> bytes:
+    """Node ids as multiset elements: ``id(4, little-endian) || 0^12`` each."""
+    blocks = np.zeros((len(node_ids), 4), dtype="<u4")
+    blocks[:, 0] = node_ids
+    return blocks.tobytes()
 
 
 # Per-query shuffle seeds come from a process-level generator that is itself
@@ -140,42 +190,15 @@ def _id_bytes(node_id: int) -> bytes:
 _seed_stream = random.Random(secrets.randbits(128))
 
 
-class _OrderRng:
-    """Per-query randomness for output-order hiding.
-
-    `permuted` draws a fresh uniform permutation; `index` draws one uniform
-    position from a buffered float stream (used to pop a random worklist
-    element, which is distribution-identical to re-permuting the worklist
-    before every pop and costs O(1) instead of O(|worklist|))."""
-
-    __slots__ = ("gen", "_buf", "_at")
-
-    def __init__(self, seed: int):
-        self.gen = np.random.Generator(np.random.PCG64(seed))
-        self._buf = None
-        self._at = 0
-
-    def index(self, n: int) -> int:
-        if self._buf is None or self._at >= self._buf.shape[0]:
-            self._buf = self.gen.random(512)
-            self._at = 0
-        f = self._buf[self._at]
-        self._at += 1
-        return int(f * n)
-
-    def permuted(self, items: list) -> list:
-        if len(items) < 2:
-            return items
-        return [items[i] for i in self.gen.permutation(len(items))]
-
-
 class EnclaveSim:
     """Simulated enclave: key table, optional resident tree, session map.
 
     `reserved_space` is the byte budget for streamed node batches and decides
     the batch ceiling; `capacity` is the budget for a resident tree (modelling
     the protected-memory limit).  Query paths are read-only and may run
-    concurrently; session and key-table mutation is serialized internally.
+    concurrently; session and key-table mutation, and the instrumentation
+    counters (`node_decryptions`, `touch_counter`, folded once per call), are
+    serialized internally.
 
     `order_seed_source` is a test-only hook: when set, per-query shuffle seeds
     are drawn from it (and recorded on the trace) so an auditor can replay
@@ -197,8 +220,9 @@ class EnclaveSim:
         self._key_table: dict[str, bytes] = {}
         self._tree_key: bytes | None = None
         self._root_id: int | None = None
+        self._root_slot: tuple[tuple, int] | None = None  # ((key, root id, node count), slot)
         self._container: EncryptedIndex | None = None
-        self._resident: list[DecodedNode] | None = None
+        self._resident: np.ndarray | None = None
         self._resident_root_slot: int | None = None
         self._resident_plain_size: int | None = None
         self._sessions: dict[bytes, IntegritySession] = {}
@@ -217,18 +241,27 @@ class EnclaveSim:
             if root_id is not None:
                 self._tree_key = tree_key
                 self._root_id = root_id
+                self._root_slot = None
 
     def attach_container(self, index: EncryptedIndex) -> None:
         """Share the container with the enclave (host-memory mapping: records
         are fetched from it directly, no copy crosses the boundary)."""
         self._container = index
+        self._root_slot = None
 
     def root_slot(self, node_count: int) -> int:
         """Storage slot of the root node.  Revealed to the driver at setup;
-        the first fetch of any query discloses it anyway."""
+        the first fetch of any query discloses it anyway.  The PRP runs once
+        per (tree key, root id, node count) and again after every
+        `provision` or `attach_container`."""
         if self._tree_key is None or self._root_id is None:
             raise NoKeyError("enclave not provisioned")
-        return prp_apply(self._tree_key, node_count, self._root_id)
+        which = (self._tree_key, self._root_id, node_count)
+        cached = self._root_slot
+        if cached is None or cached[0] != which:
+            slot = prp_apply(self._tree_key, node_count, self._root_id)
+            cached = self._root_slot = (which, slot)
+        return cached[1]
 
     def max_batch_nodes(self, record_size: int) -> int:
         """Batch ceiling: how many records fit in the reserved space."""
@@ -241,7 +274,8 @@ class EnclaveSim:
     # -- construction 1: resident tree --------------------------------------
 
     def load_tree(self, index: EncryptedIndex) -> None:
-        """One-time load: verify and decrypt every node into trusted memory."""
+        """One-time load: verify and decrypt every node into trusted memory,
+        decoded into one record array indexed by slot."""
         if self._tree_key is None:
             raise NoKeyError("enclave not provisioned")
         plain_size = node_plain_size(index.branching, index.integrity)
@@ -250,59 +284,65 @@ class EnclaveSim:
                 f"resident tree needs {plain_size * index.node_count} bytes, "
                 f"budget is {self.capacity}"
             )
-        resident: list[DecodedNode | None] = [None] * index.node_count
-        root_slot = None
+        plains = []
         for slot in range(index.node_count):
             try:
-                plain = decrypt_wire(self._tree_key, index.node_record(slot), slot_aad(slot))
+                plains.append(decrypt_wire(self._tree_key, index.node_record(slot), slot_aad(slot)))
             except AuthenticationError:
                 raise EnclaveAbort(f"node record at slot {slot} failed authentication") from None
-            self.node_decryptions += 1
-            node = deserialize_node(plain, index.branching, index.integrity, slot)
-            resident[slot] = node
-            if node.node_id == self._root_id:
-                root_slot = slot
-        if root_slot is None:
+        resident = deserialize_node(plains, index.branching, index.integrity)
+        self._tally(len(plains), 0, index.branching)
+        roots = np.flatnonzero(resident["id"] == self._root_id)
+        if not roots.size:
             raise EnclaveAbort("provisioned root id not present in the container")
         self._resident = resident
-        self._resident_root_slot = root_slot
+        self._resident_root_slot = int(roots[0])
         self._resident_plain_size = plain_size
         self._container = index
-
-    def _page_of(self, slot: int) -> int:
-        # Resident nodes sit back to back in slot order; the page channel
-        # observes 4 KiB granules of that layout.
-        return slot * self._resident_plain_size // PAGE_SIZE
 
     def search_resident(self, token: RangeToken, trace=None) -> list[int]:
         """Range search over the resident tree; returns value pointers.
 
-        Breadth-style walk with a re-shuffled worklist each round and a final
-        shuffle of the pointer list.
+        Level-synchronous walk: each level's frontier is shuffled, which
+        orders its page touches, then matched; every parent level is touched
+        before its children.  A level of at least `_VECTOR_MIN_SLOTS` slots
+        is matched in one `oblivious_match_slots` call, a smaller one node by
+        node with `_scan_record`, read straight from the record array.  The
+        pointer list is shuffled once more on the way out.
         """
-        if self._resident is None:
+        resident = self._resident
+        if resident is None:
             raise EnclaveError("no resident tree loaded")
         rs, re_ = self._open_token(token)
         rng = self._fresh_order_rng(trace)
-        resident = self._resident
-        counter = self.touch_counter
+        branching = resident["ptrs"].shape[1]
+        unpack = node_struct(branching).unpack_from
+        frontier = [self._resident_root_slot]
         pointers: list[int] = []
-        worklist = [resident[self._resident_root_slot]]
-        while worklist:
-            # Uniform random pop == freshly permuted worklist each round.
-            at = rng.index(len(worklist))
-            node = worklist[at]
-            worklist[at] = worklist[-1]
-            worklist.pop()
+        visited = 0
+        while frontier:
+            if len(frontier) > 1:
+                rng.shuffle(frontier)
             if trace is not None:
-                trace.page_touch(self._page_of(node.slot))
-            slots = oblivious_match_slots(node, rs, re_, counter)
-            node_pointers = node.pointers
-            if node.is_leaf:
-                pointers.extend(node_pointers[s] for s in slots)
+                # Resident nodes sit back to back in slot order; the page
+                # channel observes 4 KiB granules of that layout.
+                for slot in frontier:
+                    trace.page_touch(slot * self._resident_plain_size // PAGE_SIZE)
+            visited += len(frontier)
+            if len(frontier) * branching < _VECTOR_MIN_SLOTS:
+                children: list[int] = []
+                for slot in frontier:
+                    record = unpack(resident, slot * resident.itemsize)
+                    out = pointers if record[1] & FLAG_LEAF else children
+                    slots = _scan_record(record, branching, rs, re_)
+                    out.extend(record[branching + 2 + j] for j in slots)
+                frontier = children
             else:
-                worklist.extend(resident[node_pointers[s]] for s in slots)
-        pointers = rng.permuted(pointers)
+                is_value, found, _, _ = _expand(resident[frontier], rs, re_)
+                pointers += found[is_value].tolist()
+                frontier = found[~is_value].tolist()
+        self._tally(0, visited, branching)
+        rng.shuffle(pointers)
         if trace is not None:
             trace.pointers_out(pointers)
         return pointers
@@ -323,6 +363,11 @@ class EnclaveSim:
         pointers name storage positions still to traverse.  Output order is a
         fresh random permutation.  `nonce` continues the integrity session
         (None outside integrity mode).
+
+        Each record is fetched and authenticated on its own; the batch is
+        then decoded and matched at once, and each session accumulator is
+        folded once.  A failure aborts at the same node, with the same
+        message, as a node-by-node walk would.
         """
         if self._container is None:
             raise EnclaveError("no container attached")
@@ -340,58 +385,59 @@ class EnclaveSim:
             if sess is None:
                 raise EnclaveAbort("unknown or expired session nonce")
 
-        out: list[tuple[bool, int]] = []
-        branching = container.branching
+        plains = []
+        failure = None
         tree_key = self._tree_key
-        counter = self.touch_counter
         for position in positions:
             try:
                 record = container.node_record(position)
             except IndexError:
-                self._drop_session(sess)
-                raise EnclaveAbort(f"no node record at position {position}") from None
+                failure = f"no node record at position {position}"
+                break
             try:
-                plain = decrypt_wire(tree_key, record, slot_aad(position))
+                plains.append(decrypt_wire(tree_key, record, slot_aad(position)))
             except AuthenticationError:
-                self._drop_session(sess)
-                raise EnclaveAbort(f"node at position {position} failed authentication") from None
-            self.node_decryptions += 1
-            node = deserialize_node(plain, branching, integrity, position)
+                failure = f"node at position {position} failed authentication"
+                break
             if trace is not None:
                 trace.node_fetch(position)
+        branching = container.branching
+        nodes = deserialize_node(plains, branching, integrity)
+        self._tally(len(nodes), len(nodes), branching)
+        is_value, pointers, rows, cols = _expand(nodes, rs, re_)
 
-            if integrity:
-                if sess is None:
-                    if node.node_id != self._root_id:
-                        raise EnclaveAbort("protocol violation: first node is not the root")
-                    sess = self._new_session()
-                else:
-                    sess.received_hash = sess.received_hash.add(_id_bytes(node.node_id))
-                    sess.expected_amount -= 1
-                    if sess.expected_amount < 0:
-                        self._drop_session(sess)
-                        raise EnclaveAbort("protocol violation: more nodes than requested")
+        if integrity and len(nodes):
+            fresh = sess is None
+            if fresh:
+                if nodes["id"][0] != self._root_id:
+                    raise EnclaveAbort("protocol violation: first node is not the root")
+                sess = self._new_session()
+            # Running count of outstanding requests, node by node: every
+            # arrival but the opening root settles one, then adds its matches.
+            inner = ~is_value
+            outstanding = sess.expected_amount + fresh
+            for requested in np.bincount(rows[inner], minlength=len(nodes)).tolist():
+                outstanding -= 1
+                if outstanding < 0:
+                    self._drop_session(sess)
+                    raise EnclaveAbort("protocol violation: more nodes than requested")
+                outstanding += requested
+            sess.expected_amount = outstanding
+            sess.received_hash = sess.received_hash.add_all(_id_elements(nodes["id"][int(fresh) :]))
+            sess.expected_hash = sess.expected_hash.add_all(
+                _id_elements(nodes["child_ids"][rows[inner], cols[inner]])
+            )
+            sess.result_hash = sess.result_hash.add_all(
+                nodes["digests"][rows[is_value], cols[is_value] - 1].tobytes()
+            )
+        if failure is not None:
+            self._drop_session(sess)
+            raise EnclaveAbort(failure)
 
-            slots = oblivious_match_slots(node, rs, re_, counter)
-            node_pointers = node.pointers
-            if node.is_leaf:
-                out.extend((True, node_pointers[s]) for s in slots)
-                if sess is not None and slots:
-                    sess.result_hash = sess.result_hash.add_all(
-                        node.value_hash(s) for s in slots
-                    )
-            else:
-                out.extend((False, node_pointers[s]) for s in slots)
-                if sess is not None and slots:
-                    child_ids = node.child_ids
-                    sess.expected_hash = sess.expected_hash.add_all(
-                        _id_bytes(child_ids[s]) for s in slots
-                    )
-                    sess.expected_amount += len(slots)
-
-        out = rng.permuted(out)
+        order = rng.permutation(len(pointers))
+        out = list(zip(is_value[order].tolist(), pointers[order].tolist()))
         if trace is not None:
-            trace.pointers_out([p for is_value, p in out if is_value])
+            trace.pointers_out([p for is_val, p in out if is_val])
         return out, (sess.nonce if sess is not None else None)
 
     def finalize_session(self, nonce: bytes) -> bytes:
@@ -423,9 +469,12 @@ class EnclaveSim:
             plain = decrypt(key, token.ciphertext)
         except AuthenticationError:
             raise EnclaveAbort("token failed authentication") from None
-        return unpack_range(plain)
+        r_start, r_end = unpack_range(plain)
+        if r_start > r_end:
+            raise EnclaveAbort("token names an empty range")
+        return r_start, r_end
 
-    def _fresh_order_rng(self, trace) -> _OrderRng:
+    def _fresh_order_rng(self, trace) -> np.random.Generator:
         seed = (
             self._order_seed_source()
             if self._order_seed_source is not None
@@ -433,7 +482,13 @@ class EnclaveSim:
         )
         if trace is not None:
             trace.order_seeds.append(seed)
-        return _OrderRng(seed)
+        return np.random.Generator(np.random.PCG64(seed))
+
+    def _tally(self, decrypted: int, scanned: int, branching: int) -> None:
+        """Fold one call's instrumentation into the shared counters."""
+        with self._lock:
+            self.node_decryptions += decrypted
+            self.touch_counter.add(scanned, branching)
 
     def _new_session(self) -> IntegritySession:
         empty = MultisetHash.empty(self._tree_key)
@@ -446,3 +501,11 @@ class EnclaveSim:
         if sess is not None:
             with self._lock:
                 self._sessions.pop(sess.nonce, None)
+
+
+def _expand(nodes: np.ndarray, r_start: int, r_end: int):
+    """Match a record array and list its matching slots in node order, slot
+    order within a node: ``(is_value, pointers, rows, cols)``, where a
+    value pointer comes from a leaf and the others name child nodes."""
+    rows, cols = np.nonzero(oblivious_match_slots(nodes, r_start, r_end))
+    return leaf_mask(nodes)[rows], nodes["ptrs"][rows, cols], rows, cols

@@ -266,18 +266,19 @@ def test_criterion_8_touch_counts_exact_over_sweep():
     index = encrypt_index(sk, tree, [v for _, v in pairs])
     from hsbt.codec import deserialize_node, slot_aad
 
-    nodes = []
-    for slot in range(index.node_count):
-        plain = decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot))
-        nodes.append(deserialize_node(plain, index.branching, False, slot))
+    plains = [
+        decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot))
+        for slot in range(index.node_count)
+    ]
+    nodes = deserialize_node(plains, index.branching, False)
 
     cases = 0
     counter = TouchCounter()
     while cases < 1000:
-        node = nodes[rng.randrange(len(nodes))]
+        at = rng.randrange(len(nodes))
         a, b = sorted((rng.randrange(0, 2**32), rng.randrange(0, 2**32)))
         before = (counter.key_slots, counter.pointer_slots)
-        oblivious_match_slots(node, a, b, counter)
+        oblivious_match_slots(nodes[at : at + 1], a, b, counter)
         key_touches = counter.key_slots - before[0]
         ptr_touches = counter.pointer_slots - before[1]
         assert key_touches == index.branching - 1, (key_touches, cases)
@@ -315,11 +316,11 @@ def test_criterion_9_primitive_sweeps():
     # Multiset hash: fold invariant under 100 random shuffles of a multiset
     # with genuine repetitions.
     mset_key = generate_key()
-    elements = [bytes([rng.randrange(7)]) * 4 for _ in range(50)]
-    reference = MultisetHash.empty(mset_key).add_all(elements)
+    elements = [bytes([rng.randrange(7)]) * 16 for _ in range(50)]
+    reference = MultisetHash.empty(mset_key).add_all(b"".join(elements))
     for _ in range(100):
         rng.shuffle(elements)
-        assert mset_eq(reference, MultisetHash.empty(mset_key).add_all(elements))
+        assert mset_eq(reference, MultisetHash.empty(mset_key).add_all(b"".join(elements)))
 
     _report(
         9,

@@ -15,6 +15,7 @@ from hsbt.bench import (
     sample_result_window,
 )
 from hsbt.bptree import scan_oracle
+from hsbt.leakage import leak_hw_nodes
 
 
 def test_window_sampling_returns_exact_result_size():
@@ -69,3 +70,14 @@ def test_cell_validation():
         WorkloadCell(n=10, branching=4, result_size=11, construction=2)
     with pytest.raises(ValueError):
         WorkloadCell(n=10, branching=4, result_size=1, construction=3)
+
+
+@pytest.mark.parametrize("construction", [1, 2])
+def test_median_touched_is_the_declared_access_tree_size(construction):
+    cache = DeploymentCache(seed=3)
+    pairs, sorted_keys, dep = cache.get(2000, 6, False)
+    rs, re_ = sample_result_window(sorted_keys, 40, random.Random(7))
+    access, _ = leak_hw_nodes(dep.tree, rs, re_)
+    cell = WorkloadCell(n=2000, branching=6, result_size=40, construction=construction, reps=1)
+    row = run_cell(cell, cache, random.Random(7))
+    assert row["median_touched"] == len(access.vertices) > 1

@@ -285,3 +285,69 @@ def test_binary_pair_stream_fails_closed(tmp_path, capsys, blob):
     code = main(["build", "--input", str(path), "--format", "binary", "--out", str(tmp_path / "x")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_build_rejects_key_outside_key_space(tmp_path, capsys):
+    path = tmp_path / "pairs.txt"
+    path.write_text("0 zero\n5 five\n7 seven\n")
+    assert main(["build", "--input", str(path), "--out", str(tmp_path / "x.hsbt")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.hsbt").exists()
+
+
+def test_build_rejects_branching_below_minimum(tmp_path, dataset, capsys):
+    path, _ = dataset
+    argv = ["build", "--input", str(path), "--b", "2", "--out", str(tmp_path / "x.hsbt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", ["9:5", "x:5", "1:y", "1:4294967296"])
+def test_query_rejects_malformed_range_as_usage_error(tmp_path, dataset, capsys, spec):
+    out, _ = _build(tmp_path, dataset)
+    capsys.readouterr()
+    argv = ["query", "--index", str(out), "--key", str(out) + ".key", "--range", spec]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_query_missing_container_is_usage_error(tmp_path, dataset, capsys):
+    out, _ = _build(tmp_path, dataset)
+    capsys.readouterr()
+    argv = ["query", "--index", str(tmp_path / "nope.hsbt"), "--key", str(out) + ".key"]
+    assert main(argv + ["--range", "1:99"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        "not-json",
+        "not-an-object",
+        "missing-root-id",
+        "mistyped-integrity",
+        "bad-hex",
+        "root-out-of-range",
+    ],
+)
+def test_malformed_key_sidecar_fails_closed(tmp_path, dataset, capsys, damage):
+    out, _ = _build(tmp_path, dataset)
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "store.hsbt.key").read_text())
+    if damage == "missing-root-id":
+        del meta["root_id"]
+    elif damage == "mistyped-integrity":
+        meta["integrity"] = "yes"
+    elif damage == "bad-hex":
+        meta["tree_key"] = "zz" * 16
+    elif damage == "root-out-of-range":
+        meta["root_id"] = 10**6
+    text = {"not-json": "{", "not-an-object": "[1, 2]"}.get(damage, json.dumps(meta))
+    keyfile = tmp_path / "damaged.key"
+    keyfile.write_text(text)
+    for command in ("query", "audit"):
+        argv = [command, "--index", str(out), "--key", str(keyfile)]
+        argv += ["--range", "1:99"] if command == "query" else ["--input", str(dataset[0])]
+        assert main(argv) == 1, (command, damage)
+        assert capsys.readouterr().err.startswith("error:")

@@ -5,6 +5,7 @@ import random
 import struct
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from hsbt.codec import (
     deserialize_node,
     encrypt_index,
     integrity_region_size,
+    leaf_mask,
     make_token,
+    node_dtype,
     node_plain_size,
     serialize_node,
     slot_aad,
@@ -39,11 +42,12 @@ def _dataset(n, b, seed, integrity=False):
 
 
 def _decrypt_all_nodes(index, sk):
-    out = []
-    for slot in range(index.node_count):
-        plain = decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot))
-        out.append(deserialize_node(plain, index.branching, index.integrity, slot))
-    return out
+    """Every node as one record array, indexed by storage slot."""
+    plains = [
+        decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot))
+        for slot in range(index.node_count)
+    ]
+    return deserialize_node(plains, index.branching, index.integrity)
 
 
 def test_single_node_tree_container_shape():
@@ -56,9 +60,9 @@ def test_single_node_tree_container_shape():
 def test_slots_occupied_by_prp_permutation():
     pairs, tree, sk, index = _dataset(40, 4, 1)
     nodes = _decrypt_all_nodes(index, sk)
-    assert sorted(n.node_id for n in nodes) == list(range(index.node_count))
-    for node in nodes:
-        assert node.slot == prp_apply(sk.tree_key, index.node_count, node.node_id)
+    assert sorted(nodes["id"].tolist()) == list(range(index.node_count))
+    for slot, node_id in enumerate(nodes["id"].tolist()):
+        assert slot == prp_apply(sk.tree_key, index.node_count, node_id)
 
 
 def test_two_encryptions_differ_bytewise():
@@ -84,22 +88,54 @@ def test_node_records_share_one_size_across_kinds():
 
 def test_decrypted_tree_preserves_logical_structure():
     pairs, tree, sk, index = _dataset(300, 5, 4, integrity=True)
-    by_id = {n.node_id: n for n in _decrypt_all_nodes(index, sk)}
-    slot_of = {n.node_id: n.slot for n in by_id.values()}
+    nodes = _decrypt_all_nodes(index, sk)
+    leaves = leaf_mask(nodes)
+    slot_of = {node_id: slot for slot, node_id in enumerate(nodes["id"].tolist())}
     for node in tree.nodes:
-        got = by_id[node.node_id]
-        assert got.is_leaf == node.is_leaf
-        assert got.key_count == node.key_count
-        assert tuple(got.keys) == node.keys
+        got = nodes[slot_of[node.node_id]]
+        assert leaves[slot_of[node.node_id]] == node.is_leaf
+        assert got["key_count"] == node.key_count
+        assert tuple(got["keys"].tolist()) == node.keys
+        pointers = got["ptrs"].tolist()
         if node.is_leaf:
-            assert tuple(got.pointers[1 : node.key_count + 1]) == node.pointers[1 : node.key_count + 1]
+            assert tuple(pointers[1 : node.key_count + 1]) == node.pointers[1 : node.key_count + 1]
             for j in range(1, node.key_count + 1):
-                assert got.value_hash(j) == node.value_hashes[j - 1]
+                assert got["digests"][j - 1].tobytes() == node.value_hashes[j - 1]
         else:
             # Inner pointers were rewritten from child ids to storage slots.
             for i in range(node.key_count + 1):
-                assert got.pointers[i] == slot_of[node.pointers[i]]
-                assert got.child_ids[i] == node.pointers[i]
+                assert pointers[i] == slot_of[node.pointers[i]]
+                assert got["child_ids"][i] == node.pointers[i]
+
+
+def test_batch_decode_matches_record_by_record_decode():
+    pairs, tree, sk, index = _dataset(200, 6, 11, integrity=True)
+    plains = [
+        decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot))
+        for slot in range(index.node_count)
+    ]
+    batch = deserialize_node(plains, index.branching, True)
+    assert batch.dtype == node_dtype(index.branching, True)
+    for slot, plain in enumerate(plains):
+        alone = deserialize_node([plain], index.branching, True)
+        assert batch[slot].tobytes() == alone[0].tobytes()
+    assert len(deserialize_node([], index.branching, True)) == 0
+
+
+def test_decode_strides_by_plaintext_length_under_cleared_flag():
+    # Records carry an integrity region that a caller told "no integrity"
+    # does not read: the stride follows the plaintext, so every node still
+    # decodes to the same fields.
+    pairs, tree, sk, index = _dataset(150, 5, 12, integrity=True)
+    plains = [
+        decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot))
+        for slot in range(index.node_count)
+    ]
+    full = deserialize_node(plains, index.branching, True)
+    cleared = deserialize_node(plains, index.branching, False)
+    assert cleared.dtype.itemsize == node_plain_size(index.branching, True)
+    for name in ("id", "flags", "key_count", "keys", "ptrs"):
+        assert np.array_equal(full[name], cleared[name]), name
 
 
 def test_relocated_record_rejected_by_slot_binding():
@@ -242,7 +278,7 @@ def test_decrypt_results_aborts_wholesale_on_tamper():
 def test_verify_result_mac_roundtrip():
     sk = SecretKey.generate()
     values = [b"a", b"bb", b"ccc"]
-    state = MultisetHash.empty(sk.tree_key).add_all(value_digest(v) for v in values)
+    state = MultisetHash.empty(sk.tree_key).add_all(b"".join(value_digest(v) for v in values))
     mac = result_mac(sk.tree_key, state)
     assert verify_result_mac(sk.tree_key, values, mac)
     assert verify_result_mac(sk.tree_key, list(reversed(values)), mac)  # order-free

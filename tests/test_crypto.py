@@ -3,9 +3,11 @@ bijectivity, multiset-hash order independence, MAC determinism."""
 
 import random
 import secrets
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,14 +171,15 @@ def test_prp_bijective_on_random_domains(n):
 def test_mset_commutative_fold():
     key = generate_key()
     h0 = MultisetHash.empty(key)
-    assert h0.add(b"a").add(b"b") == h0.add(b"b").add(b"a")
+    a, b = b"a" * 16, b"b" * 16
+    assert h0.add(a).add(b) == h0.add(b).add(a)
 
 
 def test_mset_nondegenerate_and_count_sensitive():
     h0 = MultisetHash.empty(generate_key())
-    h1 = h0.add(b"a")
+    h1 = h0.add(b"a" * 16)
     assert h1 != h0
-    h2 = h1.add(b"a")
+    h2 = h1.add(b"a" * 16)
     # XOR cancels the accumulator but the element counter keeps them apart.
     assert h2.digest == h0.digest
     assert not mset_eq(h2, h0) and not mset_eq(h2, h1)
@@ -184,31 +187,71 @@ def test_mset_nondegenerate_and_count_sensitive():
 
 def test_mset_add_all_matches_repeated_add():
     key = generate_key()
-    items = [secrets.token_bytes(9) for _ in range(20)]
+    items = [secrets.token_bytes(16) for _ in range(20)]
     one_by_one = MultisetHash.empty(key)
     for item in items:
         one_by_one = one_by_one.add(item)
-    assert one_by_one == MultisetHash.empty(key).add_all(items)
+    assert one_by_one == MultisetHash.empty(key).add_all(b"".join(items))
+    assert one_by_one.count == 20
+    # Folding in pieces is folding at once.
+    split = MultisetHash.empty(key).add_all(b"".join(items[:7])).add_all(b"".join(items[7:]))
+    assert split == one_by_one
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.binary(min_size=1, max_size=16), min_size=1, max_size=30), st.randoms())
+@given(st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=30), st.randoms())
 def test_mset_invariant_under_shuffle(items, rng):
     key = b"\x13" * 16
-    base = MultisetHash.empty(key).add_all(items)
+    base = MultisetHash.empty(key).add_all(b"".join(items))
     shuffled = list(items)
     rng.shuffle(shuffled)
-    assert mset_eq(base, MultisetHash.empty(key).add_all(shuffled))
+    assert mset_eq(base, MultisetHash.empty(key).add_all(b"".join(shuffled)))
 
 
 def test_mset_shuffle_invariance_50_elements_100_shuffles():
     key = generate_key()
-    items = [secrets.token_bytes(12) for _ in range(50)]
-    reference = MultisetHash.empty(key).add_all(items)
+    items = [secrets.token_bytes(16) for _ in range(50)]
+    reference = MultisetHash.empty(key).add_all(b"".join(items))
     rng = random.Random(1234)
     for _ in range(100):
         rng.shuffle(items)
-        assert mset_eq(reference, MultisetHash.empty(key).add_all(items))
+        assert mset_eq(reference, MultisetHash.empty(key).add_all(b"".join(items)))
+
+
+@pytest.mark.parametrize("length", [1, 9, 15, 17, 31])
+def test_mset_rejects_input_that_is_not_16_byte_elements(length):
+    h0 = MultisetHash.empty(generate_key())
+    with pytest.raises(ValueError):
+        h0.add_all(bytes(length))
+    with pytest.raises(ValueError):
+        h0.add(bytes(length))
+
+
+def test_mset_empty_input_leaves_state_unchanged():
+    h1 = MultisetHash.empty(generate_key()).add(b"z" * 16)
+    assert h1.add_all(b"") == h1
+
+
+def test_mset_prf_is_keyed_by_a_subkey_not_the_tree_key():
+    # Under the raw key, the image of the zero block (node id 0) would be
+    # AES_k(0^128), the GHASH key of every AES-GCM ciphertext under that key.
+    key = generate_key()
+    zero = bytes(16)
+    raw = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(zero)
+    folded = MultisetHash.empty(key).add_all(zero).digest
+    assert folded != raw
+    assert crypto.mset_subkey(key) != key
+    sub = Cipher(algorithms.AES(crypto.mset_subkey(key)), modes.ECB()).encryptor().update(zero)
+    assert folded == sub
+
+
+def test_mset_folds_agree_across_threads():
+    key = generate_key()
+    items = b"".join(secrets.token_bytes(16) for _ in range(64))
+    want = MultisetHash.empty(key).add_all(items)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lambda _: MultisetHash.empty(key).add_all(items), range(32)))
+    assert all(g == want for g in got)
 
 
 # -- MAC ---------------------------------------------------------------------
@@ -231,6 +274,6 @@ def test_mac_message_bit_sensitivity():
 
 def test_result_mac_binds_count_and_digest():
     key = generate_key()
-    a = MultisetHash.empty(key).add(b"x")
-    b = a.add(b"x")
+    a = MultisetHash.empty(key).add(b"x" * 16)
+    b = a.add(b"x" * 16)
     assert crypto.result_mac(key, a) != crypto.result_mac(key, b)

@@ -2,12 +2,24 @@
 against the scan oracle, the integrity session machine, oblivious scanning."""
 
 import random
+import sys
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsbt.bptree import KEY_MAX, scan_oracle
-from hsbt.codec import deserialize_node, make_token
+from hsbt.bptree import (
+    KEY_INFINITY,
+    KEY_MAX,
+    KEY_MIN,
+    KEY_NEG_INFINITY,
+    MIN_BRANCHING,
+    PlainNode,
+    scan_oracle,
+)
+from hsbt.codec import deserialize_node, leaf_mask, make_token, node_struct, serialize_node
 from hsbt.crypto import SecretKey
 from hsbt.deploy import Deployment
 from hsbt.enclave import (
@@ -17,6 +29,7 @@ from hsbt.enclave import (
     EnclaveSim,
     NoKeyError,
     TouchCounter,
+    _scan_record,
     oblivious_match_slots,
 )
 
@@ -336,63 +349,94 @@ def test_nonce_single_use():
 # -- oblivious in-node scan ------------------------------------------------------
 
 
-def _decoded(tree, sk, index, node_id):
+def _decoded(sk, index, slots):
+    """Record array of the nodes at `slots`, in that order."""
     from hsbt.codec import slot_aad
-    from hsbt.crypto import decrypt_wire, prp_apply
+    from hsbt.crypto import decrypt_wire
 
-    slot = prp_apply(sk.tree_key, index.node_count, node_id)
-    plain = decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot))
-    return deserialize_node(plain, index.branching, index.integrity, slot)
+    plains = [decrypt_wire(sk.tree_key, index.node_record(s), slot_aad(s)) for s in slots]
+    return deserialize_node(plains, index.branching, index.integrity)
+
+
+def _scalar_match_slots(keys, key_count, is_leaf, r_start, r_end):
+    """Reference: the per-slot bit formula, one node and one slot at a time."""
+    branching = len(keys) + 1
+    kc = key_count
+    if is_leaf:
+        bits = [False]
+        bits += [(r_start <= k) & (k <= r_end) & (j <= kc) for j, k in enumerate(keys, start=1)]
+    else:
+        bits = [r_start < keys[0]]
+        bits += [
+            (
+                ((keys[j - 1] <= r_start) & (r_start < keys[j]))
+                | ((keys[j - 1] <= r_end) & (r_end < keys[j]))
+                | ((r_start <= keys[j - 1]) & (keys[j] <= r_end))
+            )
+            & (j <= kc)
+            for j in range(1, branching - 1)
+        ]
+        bits.append((keys[branching - 2] <= r_end) & (branching - 1 <= kc))
+    return [j for j, bit in enumerate(bits) if bit]
 
 
 def test_touch_counts_constant_over_sweep():
     pairs, tree, sk, index, enclave = _fixture(300, b=8, seed=17)
-    nodes = [_decoded(tree, sk, index, nid) for nid in range(min(20, index.node_count))]
+    nodes = _decoded(sk, index, range(min(20, index.node_count)))
     rng = random.Random(18)
     cases = 0
     counter = TouchCounter()
-    for node in nodes:
+    for i in range(len(nodes)):
         for _ in range(50):
             a, b_ = sorted((rng.randrange(0, 2**32), rng.randrange(0, 2**32)))
             before = (counter.key_slots, counter.pointer_slots)
-            oblivious_match_slots(node, a, b_, counter)
+            oblivious_match_slots(nodes[i : i + 1], a, b_, counter)
             assert counter.key_slots - before[0] == index.branching - 1
             assert counter.pointer_slots - before[1] == index.branching
             cases += 1
     assert cases == len(nodes) * 50
+    # A batch counts every slot of every node in it.
+    before = (counter.key_slots, counter.pointer_slots)
+    oblivious_match_slots(nodes, 0, 2**32 - 1, counter)
+    assert counter.key_slots - before[0] == len(nodes) * (index.branching - 1)
+    assert counter.pointer_slots - before[1] == len(nodes) * index.branching
 
 
 def test_empty_match_still_touches_every_slot():
     pairs, tree, sk, index, enclave = _fixture(50, b=6, seed=19)
-    leaf = next(n for n in (_decoded(tree, sk, index, i) for i in range(index.node_count)) if n.is_leaf)
+    nodes = _decoded(sk, index, range(index.node_count))
+    leaf = nodes[leaf_mask(nodes)][:1]
     counter = TouchCounter()
     dead_key = next(k for k in range(1, KEY_MAX) if k not in {k_ for k_, _ in pairs})
-    slots = oblivious_match_slots(leaf, dead_key, dead_key, counter)
-    assert len(slots) == 0
+    bits = oblivious_match_slots(leaf, dead_key, dead_key, counter)
+    assert bits.shape == (1, 6) and not bits.any()
     assert (counter.key_slots, counter.pointer_slots) == (5, 6)
 
 
 def test_full_match_returns_exactly_live_slots():
     pairs, tree, sk, index, enclave = _fixture(50, b=6, seed=20)
-    for nid in range(index.node_count):
-        node = _decoded(tree, sk, index, nid)
-        slots = oblivious_match_slots(node, 0, 2**32 - 1)
-        lo = 1 if node.is_leaf else 0
-        assert list(slots) == list(range(lo, node.key_count + 1))
+    nodes = _decoded(sk, index, range(index.node_count))
+    bits = oblivious_match_slots(nodes, 0, 2**32 - 1)
+    for node, is_leaf, row in zip(nodes, leaf_mask(nodes), bits):
+        lo = 1 if is_leaf else 0
+        assert np.flatnonzero(row).tolist() == list(range(lo, int(node["key_count"]) + 1))
 
 
 def test_scan_agrees_with_naive_reference():
     pairs, tree, sk, index, enclave = _fixture(400, b=7, seed=21)
+    nodes = _decoded(sk, index, range(index.node_count))
+    leaves = leaf_mask(nodes)
     rng = random.Random(22)
-    for nid in range(index.node_count):
-        node = _decoded(tree, sk, index, nid)
-        keys = [int(k) for k in node.keys]
-        for _ in range(20):
-            a, b_ = sorted((rng.randrange(1, 2**32 - 1), rng.randrange(1, 2**32 - 1)))
-            got = set(map(int, oblivious_match_slots(node, a, b_)))
+    for _ in range(20):
+        a, b_ = sorted((rng.randrange(1, 2**32 - 1), rng.randrange(1, 2**32 - 1)))
+        bits = oblivious_match_slots(nodes, a, b_)
+        for slot, node in enumerate(nodes):
+            keys = node["keys"].tolist()
+            key_count = int(node["key_count"])
+            got = set(np.flatnonzero(bits[slot]).tolist())
             want = set()
-            if node.is_leaf:
-                for j in range(node.key_count):
+            if leaves[slot]:
+                for j in range(key_count):
                     if a <= keys[j] <= b_:
                         want.add(j + 1)
             else:
@@ -404,5 +448,157 @@ def test_scan_agrees_with_naive_reference():
                         want.add(i)
                 if keys[-1] <= b_:
                     want.add(index.branching - 1)
-                want = {w for w in want if w <= node.key_count}
-            assert got == want, (nid, a, b_)
+                want = {w for w in want if w <= key_count}
+            assert got == want, (slot, a, b_)
+
+
+_KEY_EDGES = st.sampled_from([KEY_MIN, KEY_MIN + 1, KEY_MAX - 1, KEY_MAX])
+_RANGE_EDGES = st.sampled_from([KEY_NEG_INFINITY, KEY_MIN, KEY_MAX, KEY_INFINITY])
+
+
+@st.composite
+def _node_batches(draw):
+    """A batch of padded nodes of one branching factor (leaves and inner
+    nodes, every key count from 0 to b-1), plus a range over their keys,
+    the key-space edges and the open sentinels."""
+    branching = draw(st.integers(MIN_BRANCHING, 12))
+    keys_st = st.one_of(st.integers(KEY_MIN, KEY_MAX), _KEY_EDGES)
+    nodes = []
+    for node_id in range(draw(st.integers(1, 6))):
+        key_count = draw(st.integers(0, branching - 1))
+        keys = sorted(draw(st.lists(keys_st, min_size=key_count, max_size=key_count)))
+        keys += [KEY_INFINITY] * (branching - 1 - key_count)
+        is_leaf = draw(st.booleans())
+        pointers = tuple(range(100 * node_id, 100 * node_id + branching))
+        nodes.append(PlainNode(node_id, is_leaf, key_count, tuple(keys), pointers))
+    ends = st.one_of(st.integers(0, KEY_INFINITY), _RANGE_EDGES, st.sampled_from(
+        [k for node in nodes for k in node.keys] or [KEY_MIN]
+    ))
+    r_start, r_end = sorted((draw(ends), draw(ends)))
+    return branching, nodes, r_start, r_end
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_batches(), st.booleans())
+def test_vectorised_match_agrees_with_scalar_formula(batch, integrity):
+    branching, plain_nodes, r_start, r_end = batch
+    plains = [serialize_node(node, branching, integrity) for node in plain_nodes]
+    nodes = deserialize_node(plains, branching, integrity)
+    bits = oblivious_match_slots(nodes, r_start, r_end)
+    assert bits.shape == (len(plain_nodes), branching)
+    unpack = node_struct(branching).unpack_from
+    for node, row, plain in zip(plain_nodes, bits, plains):
+        want = _scalar_match_slots(node.keys, node.key_count, node.is_leaf, r_start, r_end)
+        assert np.flatnonzero(row).tolist() == want, (node, r_start, r_end)
+        # The node-by-node scan of small resident levels agrees too.
+        assert _scan_record(unpack(plain), branching, r_start, r_end) == want
+
+
+# -- instrumentation and cached set-up ------------------------------------------
+
+
+def test_root_slot_prp_runs_once_per_attachment(monkeypatch):
+    import hsbt.enclave as enclave_mod
+    from hsbt.crypto import prp_apply
+
+    calls = []
+
+    def counting(key, domain_size, x):
+        calls.append((domain_size, x))
+        return prp_apply(key, domain_size, x)
+
+    monkeypatch.setattr(enclave_mod, "prp_apply", counting)
+    pairs, tree, sk, index, enclave = _fixture(300, b=5, seed=30)
+    dep = Deployment(sk, tree, index, enclave, integrity=False)
+    keys = sorted(k for k, _ in pairs)
+    for i in range(5):
+        values, _ = dep.query(keys[i], keys[i + 20])
+        assert len(values) == 21
+    assert len(calls) == 1
+    want = prp_apply(sk.tree_key, index.node_count, tree.root_id)
+    assert enclave.root_slot(index.node_count) == want
+    assert len(calls) == 1
+    enclave.attach_container(index)  # a re-attach recomputes once
+    for i in range(3):
+        dep.query(keys[i], keys[i + 20])
+    assert len(calls) == 2
+    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
+    dep.query(keys[0], keys[20])
+    dep.query(keys[0], keys[20])
+    assert len(calls) == 3
+
+
+def test_counters_under_concurrency_equal_sequential_totals():
+    import threading
+
+    pairs, tree, sk, index, enclave = _fixture(600, b=5, seed=31, integrity=True)
+    dep = Deployment(sk, tree, index, enclave, integrity=True)
+    dep.enclave.load_tree(index)
+    keys = sorted(k for k, _ in pairs)
+    rng = random.Random(32)
+    queries = []
+    for i in range(40):
+        lo = rng.randrange(0, len(keys) - 60)
+        queries.append((keys[lo], keys[lo + rng.randrange(0, 60)], 1 + i % 2))
+
+    def totals():
+        counter = enclave.touch_counter
+        return (enclave.node_decryptions, counter.key_slots, counter.pointer_slots)
+
+    before = totals()
+    for rs, re_, construction in queries:
+        dep.query(rs, re_, construction)
+    sequential = [after - start for after, start in zip(totals(), before)]
+
+    before = totals()
+    start = threading.Barrier(4)
+    failures = []
+
+    def worker(share):
+        start.wait()
+        try:
+            for rs, re_, construction in share:
+                dep.query(rs, re_, construction)
+        except Exception as exc:  # pragma: no cover - surfaced via failures
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(queries[t::4],)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost update shows
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert [after - start for after, start in zip(totals(), before)] == sequential
+    assert sequential[0] > 0 and sequential[1] > 0
+
+
+def test_batch_abort_lands_on_the_first_failing_node():
+    # Root over four leaves: the root batch requests exactly four nodes.
+    pairs = [(k, b"v%d" % k) for k in range(1, 10)]
+    dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
+    index, enclave = dep.index, dep.enclave
+    token = make_token(dep.sk.tree_key, None, None)
+    root = enclave.root_slot(index.node_count)
+    nowhere = index.node_count + 5
+
+    def leaves():
+        out, nonce = enclave.search_batch(token, [root])
+        return [ptr for _, ptr in out], nonce
+
+    # A fifth node overflows the requests before the missing record is reached.
+    children, nonce = leaves()
+    with pytest.raises(EnclaveAbort, match="more nodes than requested"):
+        enclave.search_batch(token, children + children[:1] + [nowhere], session=nonce)
+    # The missing record comes first: it is what the batch dies on.
+    children, nonce = leaves()
+    with pytest.raises(EnclaveAbort, match=f"no node record at position {nowhere}"):
+        enclave.search_batch(token, [nowhere] + children + children[:1], session=nonce)
+    # A wrong first node is caught before a later missing record.
+    with pytest.raises(EnclaveAbort, match="first node is not the root"):
+        enclave.search_batch(token, children[:1] + [nowhere])
