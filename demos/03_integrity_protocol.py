@@ -1,8 +1,9 @@
 """An actively malicious server against the integrity protocol.
 
-In integrity mode the enclave tracks, per query, how many nodes it asked
-for, a multiset hash of the ids it asked for, a multiset hash of the ids it
-received, and a multiset hash of the matched value digests; the client
+In integrity mode the enclave tracks, per query, the token that opened the
+query, how many nodes it asked for, one balance multiset hash into which
+the ids it asked for and the ids it received both fold (it must end at
+zero), and a multiset hash of the matched value digests; the client
 re-derives the value digest multiset from what it actually received and
 checks the enclave's tag.  This script runs every scripted deviation and
 shows where each one gets caught.
@@ -31,7 +32,7 @@ for kind in KINDS:
 
 print(
     "\nEverything except the replay is detected: static tampering dies at\n"
-    "authenticated decryption, protocol deviations at the session hash check,\n"
+    "authenticated decryption, protocol deviations at the session checks,\n"
     "and withheld results at the client's tag verification.  Replaying a\n"
     "token is harmless by design - the tree is static, so a replay repeats\n"
     "exactly the old answer and the old leakage."

@@ -56,7 +56,7 @@ from hsbt.crypto import (
     encrypt_wire,
     prp_permutation,
     result_mac,
-    value_digest,
+    value_digests,
 )
 
 HEADER_MAGIC = b"HSBT1"
@@ -341,6 +341,5 @@ def decrypt_results(value_key: bytes, blobs) -> list[bytes]:
 def verify_result_mac(tree_key: bytes, values, mac: bytes) -> bool:
     """Recompute the result multiset digest over the values actually received
     and compare against the enclave-issued tag."""
-    digests = b"".join([value_digest(v) for v in values])
-    state = MultisetHash.empty(tree_key).add_all(digests)
+    state = MultisetHash.empty(tree_key).add_all(value_digests(values))
     return _hmac.compare_digest(result_mac(tree_key, state), mac)

@@ -154,6 +154,14 @@ def value_digest(value: bytes) -> bytes:
     return hashlib.sha256(value).digest()[:MSET_DIGEST_BYTES]
 
 
+def value_digests(values) -> bytes:
+    """`value_digest` of every value, concatenated: one numpy reshape cuts
+    the 16-byte prefixes out of the joined SHA-256 outputs."""
+    sha256 = hashlib.sha256
+    full = np.frombuffer(b"".join([sha256(v).digest() for v in values]), dtype=np.uint8)
+    return full.reshape(-1, 32)[:, :MSET_DIGEST_BYTES].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Small-domain pseudorandom permutation
 # ---------------------------------------------------------------------------

@@ -21,15 +21,26 @@ whole level of the resident walk, in one vectorised comparison; a resident
 level too small to repay numpy's per-call cost is scanned node by node with
 the same per-slot formula.
 
-In integrity mode `search_batch` additionally runs a per-query session that
-counts the nodes it asked for and folds three multiset hashes (expected node
-ids, received node ids, matched value digests), each once per call.  A
-session only ever yields a result tag when every requested node arrived,
-nothing else arrived, and the first node of the query was the root.
+A batch answer is two plain int lists, value pointers and node pointers,
+each shuffled on its own; the driver routes them with one list operation
+apiece.
+
+In integrity mode `search_batch` additionally runs a per-query session bound
+to the token that opened it.  It counts the nodes it asked for and keeps two
+multiset hashes: a balance accumulator into which both the requested child
+ids and the received node ids fold, and the matched value digests; each is
+folded once per call.  Under MSet-XOR-Hash two accumulators are equal exactly
+when their XOR is zero, so one accumulator over both multisets proves what
+two compared for equality did.  A session only ever yields a result tag when
+every requested node arrived, nothing else arrived, and the first node of
+the query was the root.  At most `MAX_OPEN_SESSIONS` sessions stay open;
+opening one more evicts the oldest.
 
 Every pointer list leaving the enclave is freshly shuffled, and in-node
 matching touches every key and pointer slot whether it matches or not, so
-neither output order nor intra-node access reveals key positions.
+neither output order nor intra-node access reveals key positions.  The
+shuffles draw from one PCG64 generator per thread, reseeded from each call's
+64-bit seed, so an output order is a function of the recorded seed alone.
 """
 
 from __future__ import annotations
@@ -53,11 +64,11 @@ from hsbt.codec import (
     unpack_range,
 )
 from hsbt.crypto import (
+    MSET_DIGEST_BYTES,
     AuthenticationError,
     MultisetHash,
     decrypt,
     decrypt_wire,
-    mset_eq,
     prp_apply,
     result_mac,
 )
@@ -65,6 +76,10 @@ from hsbt.crypto import (
 PAGE_SIZE = 4096
 
 DEFAULT_CLIENT = "client-0"
+
+# Open integrity sessions an enclave keeps; opening one more evicts the
+# oldest, so a driver that abandons queries cannot grow trusted state.
+MAX_OPEN_SESSIONS = 1024
 
 
 class EnclaveError(Exception):
@@ -86,12 +101,22 @@ class EnclaveAbort(EnclaveError):
 
 @dataclass
 class IntegritySession:
-    """Per-query integrity state, keyed by a single-use nonce."""
+    """Per-query integrity state, keyed by a single-use nonce.
+
+    `token` is ``(client_id, GCM tag)`` of the token that opened the session;
+    every later batch must carry that token.  `expected_amount` counts
+    requested nodes not yet received.  `balance_hash` folds every requested
+    child id and every received node id (the root, which opens the session
+    unrequested, excepted); requests and deliveries agree as multisets
+    exactly when the count is zero and the accumulator is 16 zero bytes,
+    because MSet-XOR-Hash accumulators of two multisets are equal exactly
+    when their XOR is zero, and a zero count means equal sizes.
+    """
 
     nonce: bytes
+    token: tuple[str | None, bytes]
     expected_amount: int
-    expected_hash: MultisetHash
-    received_hash: MultisetHash
+    balance_hash: MultisetHash
     result_hash: MultisetHash
 
 
@@ -189,6 +214,13 @@ def _id_elements(node_ids: np.ndarray) -> bytes:
 # syscall on the hot path without changing what the simulation models.
 _seed_stream = random.Random(secrets.randbits(128))
 
+# One shuffle generator per thread (a bit generator must not be shared across
+# threads), reseeded on every enclave call: setting a PCG64 state costs about
+# a tenth of constructing a seeded generator.  The call's 64-bit seed is the
+# state, the increment is fixed (odd, as PCG requires).
+_order_rngs = threading.local()
+_ORDER_INCREMENT = 0xDA3E39CB94B95BDB5851F42D4C957F2D
+
 
 class EnclaveSim:
     """Simulated enclave: key table, optional resident tree, session map.
@@ -198,7 +230,8 @@ class EnclaveSim:
     the protected-memory limit).  Query paths are read-only and may run
     concurrently; session and key-table mutation, and the instrumentation
     counters (`node_decryptions`, `touch_counter`, folded once per call), are
-    serialized internally.
+    serialized internally.  `sessions_evicted` counts open sessions dropped to
+    keep the table at `MAX_OPEN_SESSIONS`.
 
     `order_seed_source` is a test-only hook: when set, per-query shuffle seeds
     are drawn from it (and recorded on the trace) so an auditor can replay
@@ -226,6 +259,7 @@ class EnclaveSim:
         self._resident_root_slot: int | None = None
         self._resident_plain_size: int | None = None
         self._sessions: dict[bytes, IntegritySession] = {}
+        self.sessions_evicted = 0
         self._lock = threading.Lock()
 
     # -- provisioning and container wiring ---------------------------------
@@ -355,19 +389,20 @@ class EnclaveSim:
         positions,
         session: bytes | None = None,
         trace=None,
-    ) -> tuple[list[tuple[bool, int]], bytes | None]:
+    ) -> tuple[tuple[list[int], list[int]], bytes | None]:
         """Process one batch of node positions for a range query.
 
-        Returns ``(pairs, nonce)`` where each pair is ``(is_value, pointer)``:
-        value pointers come from leaves and index the value region, node
-        pointers name storage positions still to traverse.  Output order is a
-        fresh random permutation.  `nonce` continues the integrity session
-        (None outside integrity mode).
+        Returns ``((value_ptrs, node_ptrs), nonce)``: value pointers come
+        from leaves and index the value region, node pointers name storage
+        positions still to traverse.  Each list is a fresh permutation drawn
+        from the call's seeded generator.  `nonce` continues the integrity
+        session (None outside integrity mode); a continuing batch must carry
+        the token that opened the session.
 
-        Each record is fetched and authenticated on its own; the batch is
-        then decoded and matched at once, and each session accumulator is
-        folded once.  A failure aborts at the same node, with the same
-        message, as a node-by-node walk would.
+        Each record is sliced from the shared node region and authenticated
+        on its own; the batch is then decoded and matched at once, and each
+        session accumulator is folded once.  A failure aborts at the same
+        node, with the same message, as a node-by-node walk would.
         """
         if self._container is None:
             raise EnclaveError("no container attached")
@@ -377,6 +412,7 @@ class EnclaveSim:
         integrity = container.integrity
         rs, re_ = self._open_token(token)
         rng = self._fresh_order_rng(trace)
+        opener = (token.client_id, token.ciphertext.tag)
 
         sess: IntegritySession | None = None
         if integrity and session is not None:
@@ -384,16 +420,21 @@ class EnclaveSim:
                 sess = self._sessions.get(session)
             if sess is None:
                 raise EnclaveAbort("unknown or expired session nonce")
+            if sess.token != opener:
+                self._drop_session(sess)
+                raise EnclaveAbort("protocol violation: batch token differs from the session's")
 
         plains = []
         failure = None
         tree_key = self._tree_key
+        region = container.node_region
+        size = container.node_record_size
+        node_count = container.node_count
         for position in positions:
-            try:
-                record = container.node_record(position)
-            except IndexError:
+            if not 0 <= position < node_count:
                 failure = f"no node record at position {position}"
                 break
+            record = region[position * size : (position + 1) * size]
             try:
                 plains.append(decrypt_wire(tree_key, record, slot_aad(position)))
             except AuthenticationError:
@@ -405,16 +446,16 @@ class EnclaveSim:
         nodes = deserialize_node(plains, branching, integrity)
         self._tally(len(nodes), len(nodes), branching)
         is_value, pointers, rows, cols = _expand(nodes, rs, re_)
+        inner = ~is_value
 
         if integrity and len(nodes):
             fresh = sess is None
             if fresh:
                 if nodes["id"][0] != self._root_id:
                     raise EnclaveAbort("protocol violation: first node is not the root")
-                sess = self._new_session()
+                sess = self._new_session(opener)
             # Running count of outstanding requests, node by node: every
             # arrival but the opening root settles one, then adds its matches.
-            inner = ~is_value
             outstanding = sess.expected_amount + fresh
             for requested in np.bincount(rows[inner], minlength=len(nodes)).tolist():
                 outstanding -= 1
@@ -423,9 +464,10 @@ class EnclaveSim:
                     raise EnclaveAbort("protocol violation: more nodes than requested")
                 outstanding += requested
             sess.expected_amount = outstanding
-            sess.received_hash = sess.received_hash.add_all(_id_elements(nodes["id"][int(fresh) :]))
-            sess.expected_hash = sess.expected_hash.add_all(
-                _id_elements(nodes["child_ids"][rows[inner], cols[inner]])
+            received = nodes["id"][int(fresh) :]
+            requested_ids = nodes["child_ids"][rows[inner], cols[inner]]
+            sess.balance_hash = sess.balance_hash.add_all(
+                _id_elements(np.concatenate((received, requested_ids)))
             )
             sess.result_hash = sess.result_hash.add_all(
                 nodes["digests"][rows[is_value], cols[is_value] - 1].tobytes()
@@ -434,18 +476,23 @@ class EnclaveSim:
             self._drop_session(sess)
             raise EnclaveAbort(failure)
 
-        order = rng.permutation(len(pointers))
-        out = list(zip(is_value[order].tolist(), pointers[order].tolist()))
+        value_ptrs = pointers[is_value]
+        node_ptrs = pointers[inner]
+        rng.shuffle(value_ptrs)
+        rng.shuffle(node_ptrs)
+        value_ptrs = value_ptrs.tolist()
         if trace is not None:
-            trace.pointers_out([p for is_val, p in out if is_val])
-        return out, (sess.nonce if sess is not None else None)
+            trace.pointers_out(value_ptrs)
+        return (value_ptrs, node_ptrs.tolist()), (sess.nonce if sess is not None else None)
 
     def finalize_session(self, nonce: bytes) -> bytes:
         """Close an integrity session and issue the result tag.
 
         Only succeeds when no requested node is outstanding and the received
-        node multiset matches the requested one; any other state aborts, and
-        the nonce is consumed either way.
+        node multiset matches the requested one: a zero count and an
+        all-zero balance accumulator, the same decision as comparing two
+        accumulators.  Any other state aborts, and the nonce is consumed
+        either way.
         """
         with self._lock:
             sess = self._sessions.pop(nonce, None)
@@ -455,7 +502,7 @@ class EnclaveSim:
             raise EnclaveAbort(
                 f"protocol violation: {sess.expected_amount} requested nodes never arrived"
             )
-        if not mset_eq(sess.expected_hash, sess.received_hash):
+        if sess.balance_hash.digest != bytes(MSET_DIGEST_BYTES):
             raise EnclaveAbort("protocol violation: received nodes differ from requested nodes")
         return result_mac(self._tree_key, sess.result_hash)
 
@@ -482,7 +529,16 @@ class EnclaveSim:
         )
         if trace is not None:
             trace.order_seeds.append(seed)
-        return np.random.Generator(np.random.PCG64(seed))
+        rng = getattr(_order_rngs, "generator", None)
+        if rng is None:
+            rng = _order_rngs.generator = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": seed, "inc": _ORDER_INCREMENT},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
 
     def _tally(self, decrypted: int, scanned: int, branching: int) -> None:
         """Fold one call's instrumentation into the shared counters."""
@@ -490,10 +546,13 @@ class EnclaveSim:
             self.node_decryptions += decrypted
             self.touch_counter.add(scanned, branching)
 
-    def _new_session(self) -> IntegritySession:
+    def _new_session(self, opener: tuple[str | None, bytes]) -> IntegritySession:
         empty = MultisetHash.empty(self._tree_key)
-        sess = IntegritySession(secrets.token_bytes(16), 0, empty, empty, empty)
+        sess = IntegritySession(secrets.token_bytes(16), opener, 0, empty, empty)
         with self._lock:
+            while len(self._sessions) >= MAX_OPEN_SESSIONS:
+                del self._sessions[next(iter(self._sessions))]
+                self.sessions_evicted += 1
             self._sessions[sess.nonce] = sess
         return sess
 

@@ -50,21 +50,18 @@ class QueryStats:
 
 
 def fetch_values(index: EncryptedIndex, pointers) -> list[bytes]:
-    """Dereference value pointers into the value region, in pointer order.
+    """Dereference a sequence of value pointers into the value region, in
+    pointer order.
 
     An out-of-range pointer means the enclave output was corrupted in
     transit; surfacing it beats returning garbage.
     """
-    region = index.value_blobs
     n = index.n_values
-    out = []
-    append = out.append
-    for p in pointers:
-        if 0 <= p < n:
-            append(region[p])
-        else:
-            raise ValueError(f"value pointer {p} outside [0, {n})")
-    return out
+    if pointers and not (0 <= min(pointers) and max(pointers) < n):
+        bad = next(p for p in pointers if not 0 <= p < n)
+        raise ValueError(f"value pointer {bad} outside [0, {n})")
+    region = index.value_blobs
+    return [region[p] for p in pointers]
 
 
 def search_resident(
@@ -116,18 +113,15 @@ def search_streamed(
 
     while queue:
         batch = [queue.popleft() for _ in range(min(len(queue), max_batch))]
-        pairs, nonce = enclave.search_batch(token, batch, session=nonce, trace=trace)
+        (values, nodes), nonce = enclave.search_batch(token, batch, session=nonce, trace=trace)
         crossings += 1
         nodes_moved += len(batch)
         # Records move by reference out of shared memory, but their bytes are
         # still charged as boundary input alongside the token.
         bytes_in += token.wire_size + len(batch) * index.node_record_size
-        bytes_out += 5 * len(pairs) + (len(nonce) if nonce else 0)
-        for is_value, pointer in pairs:
-            if is_value:
-                value_pointers.append(pointer)
-            else:
-                queue.append(pointer)
+        bytes_out += 5 * (len(values) + len(nodes)) + (len(nonce) if nonce else 0)
+        value_pointers += values
+        queue.extend(nodes)
 
     mac: bytes | None = None
     if index.integrity:

@@ -11,14 +11,16 @@ query and reports how the pipeline reacted:
 * ``withhold-results``    - drop one encrypted value from the response
 * ``replay-token``  - replay an old token unmodified (harmless: the tree is
   static, a replay reveals nothing new and must yield the same result set)
+* ``mix-tokens``    - present a second valid token, for another range, with
+  the query's second batch
 
 Denial-of-service behaviours (just refusing to answer) are out of scope: the
 driver can always stall, and no response is its own signal.
 
 Every script runs the production driver, `hsbt.server.search_streamed`.  The
 node-level deviations put an interposer between the driver and the enclave
-that rewrites batch positions on their way in, so the driver itself carries
-no injection hooks.
+that rewrites batch positions, or the token, on their way in, so the driver
+itself carries no injection hooks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import enum
 import random
 from dataclasses import dataclass
 
-from hsbt.codec import RangeToken
+from hsbt.bptree import KEY_MAX, KEY_MIN
+from hsbt.codec import RangeToken, make_token
 from hsbt.crypto import AuthenticationError
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveError, EnclaveSim
@@ -43,6 +46,7 @@ KINDS = (
     "wrong-first-node",
     "withhold-results",
     "replay-token",
+    "mix-tokens",
 )
 
 
@@ -72,16 +76,27 @@ class TamperReport:
 class _BatchRewriter:
     """Interposer between the driver and the enclave: forwards everything,
     but rewrites positions in each batch.  A position maps to another slot,
-    or to None to drop it; each rewrite fires once."""
+    or to None to drop it; each rewrite fires once.  With `second_token`,
+    the second batch carries that token instead of the driver's."""
 
-    def __init__(self, enclave: EnclaveSim, rewrites: dict[int, int | None]):
+    def __init__(
+        self,
+        enclave: EnclaveSim,
+        rewrites: dict[int, int | None],
+        second_token: RangeToken | None = None,
+    ):
         self._enclave = enclave
         self._rewrites = dict(rewrites)
+        self._second_token = second_token
+        self._batches = 0
 
     def __getattr__(self, name):
         return getattr(self._enclave, name)
 
     def search_batch(self, token, positions, session=None, trace=None):
+        self._batches += 1
+        if self._batches == 2 and self._second_token is not None:
+            token = self._second_token
         batch = [self._rewrites.pop(p, p) for p in positions]
         batch = [p for p in batch if p is not None]
         return self._enclave.search_batch(token, batch, session=session, trace=trace)
@@ -138,19 +153,29 @@ def run_with_tamper(
         finally:
             enclave.attach_container(index)
 
-    if kind in ("wrong-first-node", "swap-nodes", "drop-requested-node"):
-        if kind == "wrong-first-node":
+    if kind in ("wrong-first-node", "swap-nodes", "drop-requested-node", "mix-tokens"):
+        rewrites: dict[int, int | None] = {}
+        second_token = None
+        if kind == "mix-tokens":
+            # A valid token of the same client for another range, as a host
+            # sees when it serves that client's other queries.
+            r_start, r_end = sorted(rng.randrange(KEY_MIN, KEY_MAX + 1) for _ in range(2))
+            second_token = make_token(dep.sk.tree_key, r_start, r_end, token.client_id)
+            target = f"[{r_start}, {r_end}]"
+        elif kind == "wrong-first-node":
             target = root_slot
-            rewrite = rng.choice([s for s in range(index.node_count) if s != root_slot])
+            rewrites[target] = rng.choice([s for s in range(index.node_count) if s != root_slot])
         else:
             target = rng.choice([s for s in touched if s != root_slot])
             if kind == "swap-nodes":
                 fetched = set(touched)
-                rewrite = rng.choice([s for s in range(index.node_count) if s not in fetched])
+                rewrites[target] = rng.choice(
+                    [s for s in range(index.node_count) if s not in fetched]
+                )
             else:
-                rewrite = None
+                rewrites[target] = None
         try:
-            interposed = _BatchRewriter(enclave, {target: rewrite})
+            interposed = _BatchRewriter(enclave, rewrites, second_token)
             blobs, mac, _ = search_streamed(index, interposed, token)
         except EnclaveError as exc:
             return TamperReport(Outcome.ENCLAVE_ABORT, str(exc))

@@ -26,6 +26,8 @@ from hsbt.crypto import (
     mset_eq,
     prp_apply,
     prp_permutation,
+    value_digest,
+    value_digests,
 )
 
 
@@ -277,3 +279,10 @@ def test_result_mac_binds_count_and_digest():
     a = MultisetHash.empty(key).add(b"x" * 16)
     b = a.add(b"x" * 16)
     assert crypto.result_mac(key, a) != crypto.result_mac(key, b)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 300])
+def test_value_digests_concatenate_value_digest(count):
+    rng = random.Random(count)
+    values = [rng.randbytes(rng.randrange(0, 64)) for _ in range(count)]
+    assert value_digests(values) == b"".join(value_digest(v) for v in values)

@@ -1,6 +1,7 @@
 """Trusted-side contracts: provisioning, resident load, both search paths
 against the scan oracle, the integrity session machine, oblivious scanning."""
 
+import functools
 import random
 import sys
 from collections import Counter
@@ -24,11 +25,13 @@ from hsbt.crypto import SecretKey
 from hsbt.deploy import Deployment
 from hsbt.enclave import (
     DEFAULT_CLIENT,
+    MAX_OPEN_SESSIONS,
     CapacityExceededError,
     EnclaveAbort,
     EnclaveSim,
     NoKeyError,
     TouchCounter,
+    _expand,
     _scan_record,
     oblivious_match_slots,
 )
@@ -55,9 +58,9 @@ def _drive_batches(index, enclave, token, max_batch=None):
     nonce, values = None, []
     while queue:
         batch = [queue.popleft() for _ in range(min(len(queue), max_batch))]
-        pairs_out, nonce = enclave.search_batch(token, batch, session=nonce)
-        for is_value, ptr in pairs_out:
-            (values.append if is_value else queue.append)(ptr)
+        (found, children), nonce = enclave.search_batch(token, batch, session=nonce)
+        values += found
+        queue.extend(children)
     return values, nonce
 
 
@@ -180,17 +183,19 @@ def test_two_level_tree_root_batch_emits_all_children():
 
     token = make_token(sk.tree_key, None, None)
     root_slot = enclave.root_slot(index.node_count)
-    out, _ = enclave.search_batch(token, [root_slot])
+    (values, children), _ = enclave.search_batch(token, [root_slot])
     # The root is inner: every emitted pointer names a child node still to
     # traverse, none is a value pointer yet.
-    assert all(is_value is False for is_value, _ in out)
-    child_slots = {ptr for _, ptr in out}
-    assert len(child_slots) == 4 and root_slot not in child_slots
+    assert values == []
+    child_slots = set(children)
+    assert len(children) == len(child_slots) == 4 and root_slot not in child_slots
+    assert all(type(p) is int for p in children)
 
     # Feeding those children (the leaves) emits exactly the value pointers.
-    out2, _ = enclave.search_batch(token, sorted(child_slots))
-    assert all(is_value for is_value, _ in out2)
-    assert sorted(p for _, p in out2) == list(range(9))
+    (values2, children2), _ = enclave.search_batch(token, sorted(child_slots))
+    assert children2 == []
+    assert sorted(values2) == list(range(9))
+    assert all(type(p) is int for p in values2)
 
 
 def test_batch_search_matches_oracle():
@@ -210,6 +215,73 @@ def test_empty_intersection_at_root_gives_empty_result():
     assert values == []
     # Session still closes cleanly over the empty result.
     assert enclave.finalize_session(nonce)
+
+
+@functools.cache
+def _batch_deployment():
+    """One shared plain deployment (b=5, 400 keys) for the property test."""
+    return _fixture(400, b=5, seed=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_batch_pointer_lists_are_the_matched_slots(data):
+    pairs, tree, sk, index, enclave = _batch_deployment()
+    keys = sorted(k for k, _ in pairs)
+    ends = st.one_of(st.integers(KEY_MIN, KEY_MAX), st.sampled_from(keys))
+    r_start, r_end = sorted((data.draw(ends), data.draw(ends)))
+    positions = data.draw(
+        st.lists(st.integers(0, index.node_count - 1), min_size=0, max_size=20)
+    )
+    (values, children), nonce = enclave.search_batch(
+        make_token(sk.tree_key, r_start, r_end), positions
+    )
+    assert nonce is None
+    is_value, pointers, _, _ = _expand(_decoded(sk, index, positions), r_start, r_end)
+    assert Counter(values) == Counter(pointers[is_value].tolist())
+    assert Counter(children) == Counter(pointers[~is_value].tolist())
+    assert all(type(p) is int for p in values + children)
+
+
+def _seeded_outputs(index, sk, root_id, tokens):
+    """Every batch answer of a streamed walk per token, on a fresh enclave
+    whose shuffle seeds come from a fixed stream."""
+    seeds = random.Random(41)
+    enclave = EnclaveSim(order_seed_source=lambda: seeds.getrandbits(64))
+    dep = Deployment.attach(index, sk, root_id, integrity=index.integrity, enclave=enclave)
+    answers = []
+    for token in tokens:
+        queue = [dep.enclave.root_slot(index.node_count)]
+        while queue:
+            (values, children), _ = dep.enclave.search_batch(token, queue)
+            answers.append((values, children))
+            queue = children
+    return answers
+
+
+def test_same_seed_source_gives_identical_orders_across_instances_and_threads():
+    import threading
+
+    pairs, tree, sk, index, _ = _fixture(600, b=5, seed=42)
+    keys = sorted(k for k, _ in pairs)
+    tokens = [make_token(sk.tree_key, keys[i], keys[i + 150]) for i in (0, 200, 400)]
+    reference = _seeded_outputs(index, sk, tree.root_id, tokens)
+    assert any(len(values) > 1 for values, _ in reference)
+    assert any(len(children) > 1 for _, children in reference)
+    assert _seeded_outputs(index, sk, tree.root_id, tokens) == reference
+
+    results = {}
+
+    def worker(name):
+        results[name] = _seeded_outputs(index, sk, tree.root_id, tokens)
+
+    threads = [threading.Thread(target=worker, args=(name,)) for name in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {0: reference, 1: reference}
 
 
 # -- integrity session machine -------------------------------------------------
@@ -259,13 +331,11 @@ def test_withheld_node_blocks_finalize():
     dropped = False
     while queue:
         batch = [queue.popleft() for _ in range(len(queue))]
-        out, nonce = enclave.search_batch(token, batch, session=nonce)
-        for is_value, ptr in out:
-            if not is_value and not dropped:
-                dropped = True  # withhold exactly one requested node
-                continue
-            if not is_value:
-                queue.append(ptr)
+        (_, children), nonce = enclave.search_batch(token, batch, session=nonce)
+        if children and not dropped:
+            dropped = True  # withhold exactly one requested node
+            children = children[1:]
+        queue.extend(children)
     assert dropped
     with pytest.raises(EnclaveAbort):
         enclave.finalize_session(nonce)
@@ -288,11 +358,9 @@ def test_substituted_node_fails_hash_check():
             outsider = next(s for s in range(index.node_count) if s not in requested)
             batch[0] = outsider
             swapped = True
-        out, nonce = enclave.search_batch(token, batch, session=nonce)
-        for is_value, ptr in out:
-            if not is_value:
-                queue.append(ptr)
-                requested.add(ptr)
+        (_, children), nonce = enclave.search_batch(token, batch, session=nonce)
+        queue.extend(children)
+        requested.update(children)
     assert swapped
     with pytest.raises(EnclaveAbort):
         enclave.finalize_session(nonce)
@@ -305,7 +373,8 @@ def test_extra_node_beyond_outstanding_requests_aborts_immediately():
     dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
     sk, enclave = dep.sk, dep.enclave
     token = make_token(sk.tree_key, None, None)
-    out, nonce = enclave.search_batch(token, [enclave.root_slot(1)])
+    (values, children), nonce = enclave.search_batch(token, [enclave.root_slot(1)])
+    assert values == [0] and children == []
     with pytest.raises(EnclaveAbort):
         enclave.search_batch(token, [0], session=nonce)
 
@@ -329,11 +398,9 @@ def test_extra_node_mid_query_caught_at_finalize():
                 outsider = next(s for s in range(index.node_count) if s not in requested)
                 batch.append(outsider)  # deliver one node that was never asked for
                 injected = True
-            out, nonce = enclave.search_batch(token, batch, session=nonce)
-            for is_value, ptr in out:
-                if not is_value:
-                    queue.append(ptr)
-                    requested.add(ptr)
+            (_, children), nonce = enclave.search_batch(token, batch, session=nonce)
+            queue.extend(children)
+            requested.update(children)
         assert injected
         enclave.finalize_session(nonce)
 
@@ -344,6 +411,46 @@ def test_nonce_single_use():
     assert enclave.finalize_session(nonce)
     with pytest.raises(EnclaveAbort):
         enclave.finalize_session(nonce)
+
+
+def test_continuing_batch_with_another_token_aborts_and_drops_the_session():
+    pairs, tree, sk, index, enclave = _integrity_fixture(seed=17)
+    keys = sorted(k for k, _ in pairs)
+    token = make_token(sk.tree_key, keys[5], keys[60])
+    root = [enclave.root_slot(index.node_count)]
+    others = [
+        make_token(sk.tree_key, keys[100], keys[160]),  # another range
+        make_token(sk.tree_key, keys[5], keys[60]),  # the same range, minted again
+    ]
+    for other in others:
+        (_, children), nonce = enclave.search_batch(token, root)
+        assert children
+        with pytest.raises(EnclaveAbort, match="token differs"):
+            enclave.search_batch(other, children, session=nonce)
+        with pytest.raises(EnclaveAbort, match="unknown or expired session"):
+            enclave.search_batch(token, children, session=nonce)
+    # The opening token itself carries the session through.
+    values, nonce = _drive_batches(index, enclave, token)
+    assert len(values) == 56 and enclave.finalize_session(nonce)
+
+
+def test_open_session_table_is_capped_oldest_first():
+    # Root-only tree: every session opens with nothing outstanding.
+    dep = Deployment.build([(7, b"only")], 4, integrity=True, rng=random.Random(0))
+    enclave = dep.enclave
+    token = make_token(dep.sk.tree_key, None, None)
+    nonces = [enclave.search_batch(token, [0])[1] for _ in range(MAX_OPEN_SESSIONS + 5)]
+    assert len(set(nonces)) == MAX_OPEN_SESSIONS + 5
+    assert len(enclave._sessions) == MAX_OPEN_SESSIONS
+    assert enclave.sessions_evicted == 5
+    assert list(enclave._sessions) == nonces[5:]
+    with pytest.raises(EnclaveAbort, match="unknown or expired session"):
+        enclave.search_batch(token, [0], session=nonces[0])
+    with pytest.raises(EnclaveAbort, match="unknown or expired session"):
+        enclave.finalize_session(nonces[4])
+    assert enclave.finalize_session(nonces[5])
+    assert enclave.finalize_session(nonces[-1])
+    assert enclave.sessions_evicted == 5
 
 
 # -- oblivious in-node scan ------------------------------------------------------
@@ -588,8 +695,8 @@ def test_batch_abort_lands_on_the_first_failing_node():
     nowhere = index.node_count + 5
 
     def leaves():
-        out, nonce = enclave.search_batch(token, [root])
-        return [ptr for _, ptr in out], nonce
+        (_, children), nonce = enclave.search_batch(token, [root])
+        return children, nonce
 
     # A fifth node overflows the requests before the missing record is reached.
     children, nonce = leaves()

@@ -36,6 +36,19 @@ def test_fetch_values_basics():
         fetch_values(index, [20])
 
 
+def test_fetch_values_names_the_first_bad_pointer():
+    pairs, tree, sk, index, _ = _fixture(20)
+    with pytest.raises(ValueError, match=r"value pointer 25 outside \[0, 20\)"):
+        fetch_values(index, [3, 25, -1, 40])
+    with pytest.raises(ValueError, match=r"value pointer -1 outside"):
+        fetch_values(index, [0, -1, 30])
+    with pytest.raises(ValueError, match=r"value pointer 20 outside"):
+        fetch_values(index, range(15, 25))
+    with pytest.raises(ValueError, match=r"value pointer -2 outside"):
+        fetch_values(index, range(-2, 5))
+    assert fetch_values(index, range(5, 5)) == []
+
+
 def test_resident_driver_crossings_and_results():
     pairs, tree, sk, index, enclave = _fixture(300, seed=1)
     enclave.load_tree(index)

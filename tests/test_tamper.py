@@ -34,6 +34,7 @@ def _token(sk, sorted_keys, rng):
         ("wrong-first-node", Outcome.ENCLAVE_ABORT),
         ("modify-value", Outcome.CLIENT_REJECT),
         ("withhold-results", Outcome.CLIENT_REJECT),
+        ("mix-tokens", Outcome.ENCLAVE_ABORT),
     ],
 )
 def test_each_deviation_detected(setup, kind, expected):
@@ -75,4 +76,5 @@ def test_all_kinds_enumerated():
         "wrong-first-node",
         "withhold-results",
         "replay-token",
+        "mix-tokens",
     }
