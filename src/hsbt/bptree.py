@@ -10,7 +10,8 @@ unused pointer slots a recognizable dummy.
 Node ids follow creation order, starting at 0 for the very first leaf; splits
 and new roots take the next free id.  Inner-node pointer slots hold child
 *ids* at this layer; the codec rewrites them to permuted storage positions
-when the tree is encrypted.
+when the tree is encrypted.  The tree carries no value digests: the codec
+computes them from the values as it writes leaf records.
 
 Separator invariant: every key in subtree ``i`` is >= separator ``i`` and
 strictly below separator ``i + 1``.  Splits shift their split point to the
@@ -25,8 +26,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-from hsbt.crypto import value_digest
 
 KEY_MIN = 1
 KEY_MAX = 2**32 - 2
@@ -50,8 +49,7 @@ class PlainNode:
     of them real and the rest KEY_INFINITY.  `pointers` has ``branching``
     entries: for an inner node, slots ``0..key_count`` hold child ids; for a
     leaf, slots ``1..key_count`` hold value-region indices and slot 0 is
-    always unused.  `value_hashes` carries a 128-bit digest of each leaf
-    value, consumed only by the integrity-mode codec.
+    always unused.
     """
 
     node_id: int
@@ -59,11 +57,6 @@ class PlainNode:
     key_count: int
     keys: tuple[int, ...]
     pointers: tuple[int, ...]
-    value_hashes: tuple[bytes, ...] | None = None
-
-    @property
-    def live_pointer_slots(self) -> range:
-        return range(1, self.key_count + 1) if self.is_leaf else range(0, self.key_count + 1)
 
 
 @dataclass(frozen=True)
@@ -228,9 +221,7 @@ def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | No
         if isinstance(node, _Leaf):
             live = tuple(value_positions[i] for i in node.pair_indices)
             pointers = (DUMMY_POINTER,) + live + (DUMMY_POINTER,) * (max_keys - count)
-            hashes = tuple(value_digest(pairs[i][1]) for i in node.pair_indices)
-            hashes += (bytes(16),) * (max_keys - count)
-            padded[node.node_id] = PlainNode(node.node_id, True, count, keys, pointers, hashes)
+            padded[node.node_id] = PlainNode(node.node_id, True, count, keys, pointers)
         else:
             live = tuple(child.node_id for child in node.children)
             pointers = live + (DUMMY_POINTER,) * (branching - len(live))

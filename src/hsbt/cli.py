@@ -296,7 +296,8 @@ def cmd_tamper(args) -> int:
     rng = random.Random(args.seed)
     pairs = bench_mod.make_dataset(args.n, rng)
     enclave = EnclaveSim(reserved_space=args.reserved_space)
-    dep = Deployment.build(pairs, args.b, integrity=True, rng=rng, enclave=enclave)
+    sk = _derived_secret_key(args.seed)
+    dep = Deployment.build(pairs, args.b, integrity=True, sk=sk, rng=rng, enclave=enclave)
     sorted_keys = sorted(k for k, _ in pairs)
 
     kinds = list(KINDS) if args.script == "all" else [args.script]

@@ -16,13 +16,15 @@ Node record plaintext, all integers little-endian::
     id(4) | flags(1, bit0 = leaf) | key_count(2) | keys[(b-1) x 4] |
     pointers[b x 4] | integrity region (only when the integrity flag is set)
 
-Inside the enclave, nodes are array-shaped: `deserialize_node` decodes a
-batch of plaintexts, or the whole node region, into one numpy record array
-of `node_dtype` with a single `np.frombuffer`.
+Records are array-shaped on both sides: `encrypt_index` writes them through
+one numpy structured dtype, `node_dtype`, and the enclave decodes a batch of
+plaintexts, or the whole node region, into a record array of it with a
+single `np.frombuffer` (`deserialize_node`).
 
 The integrity region is ``max(4 b, 16 (b-1))`` bytes: inner nodes lay out one
 child id per pointer slot, leaves one 16-byte value digest per key slot; the
-shared size keeps records shape-identical.  Inner pointer slots hold child
+shared size keeps records shape-identical.  The codec computes the digests
+from the values as it writes the leaves.  Inner pointer slots hold child
 storage positions on disk (the build-side child ids are rewritten here).
 """
 
@@ -35,17 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hsbt.bptree import (
-    DUMMY_POINTER,
-    KEY_INFINITY,
-    KEY_NEG_INFINITY,
-    MIN_BRANCHING,
-    PlainNode,
-    PlainTree,
-)
+from hsbt.bptree import KEY_INFINITY, KEY_NEG_INFINITY, MIN_BRANCHING, PlainTree
 import hmac as _hmac
 
 from hsbt.crypto import (
+    MSET_DIGEST_BYTES,
     Ciphertext,
     MultisetHash,
     NONCE_BYTES,
@@ -74,33 +70,6 @@ def integrity_region_size(branching: int) -> int:
 def node_plain_size(branching: int, integrity: bool) -> int:
     size = node_struct(branching).size
     return size + (integrity_region_size(branching) if integrity else 0)
-
-
-def serialize_node(node: PlainNode, branching: int, integrity: bool, *, pointer_map=None) -> bytes:
-    """Fixed-shape plaintext for one node.
-
-    `pointer_map` rewrites live inner pointers (child ids from the build) to
-    storage positions; leaves keep their value-region indices as is.
-    """
-    pointers = list(node.pointers)
-    if not node.is_leaf and pointer_map is not None:
-        for i in range(node.key_count + 1):
-            pointers[i] = pointer_map(pointers[i])
-    flags = FLAG_LEAF if node.is_leaf else 0
-    fixed = node_struct(branching).pack(node.node_id, flags, node.key_count, *node.keys, *pointers)
-    out = bytearray(fixed)
-    if integrity:
-        region = bytearray(integrity_region_size(branching))
-        if node.is_leaf:
-            for i, digest in enumerate(node.value_hashes or ()):
-                region[16 * i : 16 * i + 16] = digest
-        else:
-            # Child ids, one per pointer slot, dummy-padded like the pointers.
-            ids = list(node.pointers[: node.key_count + 1])
-            ids += [DUMMY_POINTER] * (branching - len(ids))
-            region[: 4 * branching] = np.asarray(ids, dtype="<u4").tobytes()
-        out += region
-    return bytes(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,38 +218,61 @@ def encrypt_index(
     """Encrypt a built tree and its values into a container.
 
     `values` must align with the pair order given to the build; the tree's
-    value permutation decides where each encrypted blob lands.
+    value permutation decides where each encrypted blob lands.  Node records
+    are filled as one `node_dtype` array and sealed slot by slot.
     """
     if len(values) != tree.n_values:
         raise ValueError("value count does not match the built tree")
-    node_count = len(tree.nodes)
+    branching = tree.branching
+    nodes = tree.nodes
+    node_count = len(nodes)
     slot_of_id = prp_permutation(sk.tree_key, node_count)
 
-    plain_size = node_plain_size(tree.branching, integrity)
-    records: list[bytes | None] = [None] * node_count
-    for node in tree.nodes:
-        slot = int(slot_of_id[node.node_id])
-        plain = serialize_node(
-            node, tree.branching, integrity, pointer_map=lambda i: int(slot_of_id[i])
-        )
-        assert len(plain) == plain_size
-        records[slot] = encrypt_wire(sk.tree_key, plain, slot_aad(slot))
+    by_id = np.zeros(node_count, dtype=node_dtype(branching, integrity))
+    leaf = np.array([node.is_leaf for node in nodes])
+    key_count = np.array([node.key_count for node in nodes])
+    pointers = np.array([node.pointers for node in nodes], dtype=np.int64)
+    by_id["id"] = np.arange(node_count)
+    by_id["flags"] = leaf * FLAG_LEAF
+    by_id["key_count"] = key_count
+    by_id["keys"] = [node.keys for node in nodes]
+    slots = np.arange(branching)
+    live = slots <= key_count[:, None]
+    if integrity:
+        # Inner records keep their child ids, dummy-padded like the pointers;
+        # leaf slot j carries the digest of the value behind pointer j.
+        by_id["child_ids"][~leaf] = pointers[~leaf]
+        rows, cols = np.nonzero(live & leaf[:, None] & (slots > 0))
+        digests = np.frombuffer(value_digests(values), np.uint8).reshape(-1, MSET_DIGEST_BYTES)
+        by_position = digests[np.argsort(tree.value_positions)]
+        by_id["digests"][rows, cols - 1] = by_position[pointers[rows, cols]]
+    inner = live & ~leaf[:, None]
+    pointers[inner] = slot_of_id[pointers[inner]]
+    by_id["ptrs"] = pointers
 
-    record_size = len(records[0])
-    assert all(len(r) == record_size for r in records)
+    records = np.zeros_like(by_id)
+    records[slot_of_id] = by_id
+    plain = records.tobytes()
+    size = records.itemsize
+    region = b"".join(
+        [
+            encrypt_wire(sk.tree_key, plain[slot * size : (slot + 1) * size], slot_aad(slot))
+            for slot in range(node_count)
+        ]
+    )
 
     blobs: list[bytes | None] = [None] * tree.n_values
     for i, value in enumerate(values):
         blobs[tree.value_positions[i]] = encrypt_wire(sk.value_key, bytes(value))
 
     return EncryptedIndex(
-        branching=tree.branching,
+        branching=branching,
         n_values=tree.n_values,
         node_count=node_count,
         key_width=4,
         integrity=integrity,
-        node_record_size=record_size,
-        node_region=b"".join(records),
+        node_record_size=size + NONCE_BYTES + TAG_BYTES,
+        node_region=region,
         value_blobs=tuple(blobs),
     )
 

@@ -16,7 +16,9 @@ query entry points mirror the two deployment modes:
 
 Nodes are array-shaped: the resident tree is one `node_dtype` record array
 indexed by slot, and a streamed batch decodes into one with a single
-`deserialize_node`.  `oblivious_match_slots` matches a whole batch, or a
+`deserialize_node`.  The resident load and a streamed batch open records in
+one place, `_open_records`, which authenticates each against its slot and
+names the first that fails.  `oblivious_match_slots` matches a whole batch, or a
 whole level of the resident walk, in one vectorised comparison; a resident
 level too small to repay numpy's per-call cost is scanned node by node with
 the same per-slot formula.
@@ -132,10 +134,6 @@ class TouchCounter:
         """Count a full scan of `nodes` nodes: every key and pointer slot."""
         self.key_slots += nodes * (branching - 1)
         self.pointer_slots += nodes * branching
-
-    def reset(self) -> None:
-        self.key_slots = 0
-        self.pointer_slots = 0
 
 
 def oblivious_match_slots(
@@ -253,11 +251,9 @@ class EnclaveSim:
         self._key_table: dict[str, bytes] = {}
         self._tree_key: bytes | None = None
         self._root_id: int | None = None
-        self._root_slot: tuple[tuple, int] | None = None  # ((key, root id, node count), slot)
+        self._root_slot: int | None = None
         self._container: EncryptedIndex | None = None
         self._resident: np.ndarray | None = None
-        self._resident_root_slot: int | None = None
-        self._resident_plain_size: int | None = None
         self._sessions: dict[bytes, IntegritySession] = {}
         self.sessions_evicted = 0
         self._lock = threading.Lock()
@@ -279,23 +275,36 @@ class EnclaveSim:
 
     def attach_container(self, index: EncryptedIndex) -> None:
         """Share the container with the enclave (host-memory mapping: records
-        are fetched from it directly, no copy crosses the boundary)."""
+        are fetched from it directly, no copy crosses the boundary).  A
+        resident tree loaded from another container is dropped."""
+        if index is not self._container:
+            self._resident = None
         self._container = index
         self._root_slot = None
 
-    def root_slot(self, node_count: int) -> int:
-        """Storage slot of the root node.  Revealed to the driver at setup;
-        the first fetch of any query discloses it anyway.  The PRP runs once
-        per (tree key, root id, node count) and again after every
-        `provision` or `attach_container`."""
-        if self._tree_key is None or self._root_id is None:
-            raise NoKeyError("enclave not provisioned")
-        which = (self._tree_key, self._root_id, node_count)
-        cached = self._root_slot
-        if cached is None or cached[0] != which:
+    def root_slot(self) -> int:
+        """Storage slot of the root node in the attached container.  Revealed
+        to the driver at setup; the first fetch of any query discloses it
+        anyway.  The node count is the attached container's, never the
+        caller's.  The PRP runs once, and again after every
+        `attach_container` or `provision` with a root id."""
+        return self._find_root_slot()
+
+    def _find_root_slot(self) -> int:
+        # `root_slot` without its public name: the resident walk starts here,
+        # and only the driver's own lookups count as root-slot calls.
+        slot = self._root_slot
+        if slot is None:
+            if self._tree_key is None or self._root_id is None:
+                raise NoKeyError("enclave not provisioned")
+            if self._container is None:
+                raise EnclaveError("no container attached")
+            node_count = self._container.node_count
+            if self._root_id >= node_count:
+                raise EnclaveAbort("provisioned root id not present in the container")
             slot = prp_apply(self._tree_key, node_count, self._root_id)
-            cached = self._root_slot = (which, slot)
-        return cached[1]
+            self._root_slot = slot
+        return slot
 
     def max_batch_nodes(self, record_size: int) -> int:
         """Batch ceiling: how many records fit in the reserved space."""
@@ -318,21 +327,14 @@ class EnclaveSim:
                 f"resident tree needs {plain_size * index.node_count} bytes, "
                 f"budget is {self.capacity}"
             )
-        plains = []
-        for slot in range(index.node_count):
-            try:
-                plains.append(decrypt_wire(self._tree_key, index.node_record(slot), slot_aad(slot)))
-            except AuthenticationError:
-                raise EnclaveAbort(f"node record at slot {slot} failed authentication") from None
-        resident = deserialize_node(plains, index.branching, index.integrity)
-        self._tally(len(plains), 0, index.branching)
-        roots = np.flatnonzero(resident["id"] == self._root_id)
-        if not roots.size:
-            raise EnclaveAbort("provisioned root id not present in the container")
+        resident, failure = self._open_records(index, range(index.node_count))
+        self._tally(len(resident), 0, index.branching)
+        if failure is not None:
+            raise EnclaveAbort(failure)
+        self.attach_container(index)
+        if resident["id"][self._find_root_slot()] != self._root_id:
+            raise EnclaveAbort("provisioned root id not at the container's root slot")
         self._resident = resident
-        self._resident_root_slot = int(roots[0])
-        self._resident_plain_size = plain_size
-        self._container = index
 
     def search_resident(self, token: RangeToken, trace=None) -> list[int]:
         """Range search over the resident tree; returns value pointers.
@@ -351,7 +353,7 @@ class EnclaveSim:
         rng = self._fresh_order_rng(trace)
         branching = resident["ptrs"].shape[1]
         unpack = node_struct(branching).unpack_from
-        frontier = [self._resident_root_slot]
+        frontier = [self._find_root_slot()]
         pointers: list[int] = []
         visited = 0
         while frontier:
@@ -361,7 +363,7 @@ class EnclaveSim:
                 # Resident nodes sit back to back in slot order; the page
                 # channel observes 4 KiB granules of that layout.
                 for slot in frontier:
-                    trace.page_touch(slot * self._resident_plain_size // PAGE_SIZE)
+                    trace.page_touch(slot * resident.itemsize // PAGE_SIZE)
             visited += len(frontier)
             if len(frontier) * branching < _VECTOR_MIN_SLOTS:
                 children: list[int] = []
@@ -424,26 +426,8 @@ class EnclaveSim:
                 self._drop_session(sess)
                 raise EnclaveAbort("protocol violation: batch token differs from the session's")
 
-        plains = []
-        failure = None
-        tree_key = self._tree_key
-        region = container.node_region
-        size = container.node_record_size
-        node_count = container.node_count
-        for position in positions:
-            if not 0 <= position < node_count:
-                failure = f"no node record at position {position}"
-                break
-            record = region[position * size : (position + 1) * size]
-            try:
-                plains.append(decrypt_wire(tree_key, record, slot_aad(position)))
-            except AuthenticationError:
-                failure = f"node at position {position} failed authentication"
-                break
-            if trace is not None:
-                trace.node_fetch(position)
+        nodes, failure = self._open_records(container, positions, trace)
         branching = container.branching
-        nodes = deserialize_node(plains, branching, integrity)
         self._tally(len(nodes), len(nodes), branching)
         is_value, pointers, rows, cols = _expand(nodes, rs, re_)
         inner = ~is_value
@@ -520,6 +504,34 @@ class EnclaveSim:
         if r_start > r_end:
             raise EnclaveAbort("token names an empty range")
         return r_start, r_end
+
+    def _open_records(
+        self, container: EncryptedIndex, positions, trace=None
+    ) -> tuple[np.ndarray, str | None]:
+        """Authenticate the records at `positions`, sliced from the shared
+        node region, and decode them as one record array.  Stops at the first
+        position with no record or whose record fails authentication, and
+        returns the records before it with the abort message (None when
+        every record opened)."""
+        plains = []
+        failure = None
+        tree_key = self._tree_key
+        region = container.node_region
+        size = container.node_record_size
+        node_count = container.node_count
+        for position in positions:
+            if not 0 <= position < node_count:
+                failure = f"no node record at position {position}"
+                break
+            record = region[position * size : (position + 1) * size]
+            try:
+                plains.append(decrypt_wire(tree_key, record, slot_aad(position)))
+            except AuthenticationError:
+                failure = f"node at position {position} failed authentication"
+                break
+            if trace is not None:
+                trace.node_fetch(position)
+        return deserialize_node(plains, container.branching, container.integrity), failure
 
     def _fresh_order_rng(self, trace) -> np.random.Generator:
         seed = (

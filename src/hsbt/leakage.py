@@ -254,10 +254,6 @@ class AuditVerdict:
     def __bool__(self) -> bool:
         return self.passed
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
-
 
 def audit_query(
     trace: AccessTrace,

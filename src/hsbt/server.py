@@ -103,7 +103,7 @@ def search_streamed(
     """
     t0 = time.perf_counter()
     max_batch = enclave.max_batch_nodes(index.node_record_size)
-    queue: deque[int] = deque([enclave.root_slot(index.node_count)])
+    queue: deque[int] = deque([enclave.root_slot()])
     value_pointers: list[int] = []
     nonce: bytes | None = None
     crossings = 0

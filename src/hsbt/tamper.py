@@ -132,11 +132,13 @@ def run_with_tamper(
         outcome = Outcome.ACCEPTED if same else Outcome.CLIENT_REJECT
         return TamperReport(outcome, f"replay result sets identical: {same}")
 
-    # Honest dry run to learn which slots the query fetches, root first.
+    # Honest dry run to learn which slots the query fetches, root first.  The
+    # rest follow the enclave's shuffles, so targets come from sorted slots.
     trace = AccessTrace()
     search_streamed(index, enclave, token, trace=trace)
     touched = trace.touched("node")
     root_slot = touched[0]
+    touched = sorted(touched)
 
     if kind == "modify-node":
         target = rng.choice(touched)

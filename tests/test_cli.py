@@ -183,6 +183,18 @@ def test_tamper_command_all_detected(capsys):
     assert "0 undetected deviations" in capsys.readouterr().out
 
 
+def test_tamper_command_same_seed_same_output(capsys):
+    # The key and every target derive from the seed, so two runs name the
+    # same node positions and print the same lines.
+    argv = ["tamper", "--script", "all", "--targets", "2", "--n", "400", "--seed", "3"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "modify-node target 1" in outputs[0]
+
+
 def test_bench_command_csv(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code = main(

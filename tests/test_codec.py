@@ -1,6 +1,7 @@
 """Container format contracts: slot permutation, fixed record shape,
 roundtrips, token behaviour, client result handling."""
 
+import hashlib
 import random
 import struct
 from collections import Counter
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsbt.bptree import KEY_INFINITY, KEY_MAX, build_tree
+from hsbt.bptree import DUMMY_POINTER, KEY_INFINITY, KEY_MAX, KEY_MIN, MIN_BRANCHING, build_tree
 from hsbt.codec import (
     _HEADER,
+    FLAG_LEAF,
     EncryptedIndex,
     decrypt_results,
     deserialize_node,
@@ -23,12 +25,23 @@ from hsbt.codec import (
     make_token,
     node_dtype,
     node_plain_size,
-    serialize_node,
     slot_aad,
     unpack_range,
     verify_result_mac,
 )
-from hsbt.crypto import AuthenticationError, MultisetHash, SecretKey, decrypt, decrypt_wire, prp_apply, result_mac, value_digest
+from hsbt.crypto import (
+    NONCE_BYTES,
+    TAG_BYTES,
+    AuthenticationError,
+    MultisetHash,
+    SecretKey,
+    decrypt,
+    decrypt_wire,
+    prp_apply,
+    prp_permutation,
+    result_mac,
+    value_digest,
+)
 
 
 def _dataset(n, b, seed, integrity=False):
@@ -79,8 +92,11 @@ def test_two_encryptions_differ_bytewise():
 def test_node_records_share_one_size_across_kinds():
     pairs, tree, sk, index = _dataset(200, 6, 3, integrity=True)
     plain = node_plain_size(6, True)
+    assert {node.is_leaf for node in tree.nodes} == {True, False}
+    assert index.node_record_size == plain + NONCE_BYTES + TAG_BYTES
     sizes = {
-        len(serialize_node(node, 6, True, pointer_map=lambda i: i)) for node in tree.nodes
+        len(decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot)))
+        for slot in range(index.node_count)
     }
     assert sizes == {plain}
     assert integrity_region_size(6) == max(24, 80)
@@ -91,6 +107,7 @@ def test_decrypted_tree_preserves_logical_structure():
     nodes = _decrypt_all_nodes(index, sk)
     leaves = leaf_mask(nodes)
     slot_of = {node_id: slot for slot, node_id in enumerate(nodes["id"].tolist())}
+    value_at = {tree.value_positions[i]: value for i, (_, value) in enumerate(pairs)}
     for node in tree.nodes:
         got = nodes[slot_of[node.node_id]]
         assert leaves[slot_of[node.node_id]] == node.is_leaf
@@ -100,12 +117,92 @@ def test_decrypted_tree_preserves_logical_structure():
         if node.is_leaf:
             assert tuple(pointers[1 : node.key_count + 1]) == node.pointers[1 : node.key_count + 1]
             for j in range(1, node.key_count + 1):
-                assert got["digests"][j - 1].tobytes() == node.value_hashes[j - 1]
+                assert got["digests"][j - 1].tobytes() == value_digest(value_at[pointers[j]])
         else:
             # Inner pointers were rewritten from child ids to storage slots.
             for i in range(node.key_count + 1):
                 assert pointers[i] == slot_of[node.pointers[i]]
                 assert got["child_ids"][i] == node.pointers[i]
+
+
+@st.composite
+def _builds(draw):
+    """Pairs for one build: b from 3 to 12, distinct keys each repeated up
+    to b-1 times, in a drawn order, plus the seed of the value shuffle."""
+    branching = draw(st.integers(MIN_BRANCHING, 12))
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(KEY_MIN, KEY_MAX), st.integers(1, branching - 1)),
+            min_size=1,
+            max_size=40,
+            unique_by=lambda run: run[0],
+        )
+    )
+    keys = draw(st.permutations([key for key, count in runs for _ in range(count)]))
+    pairs = [(key, b"value-%d" % i) for i, key in enumerate(keys)]
+    return branching, pairs, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_builds(), st.booleans())
+def test_encoder_round_trip_matches_plain_tree(build, integrity):
+    branching, pairs, seed = build
+    tree = build_tree(pairs, branching, rng=random.Random(seed))
+    sk = SecretKey(bytes(range(16)), bytes(range(16, 32)))
+    index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=integrity)
+    records = _decrypt_all_nodes(index, sk)
+    slot_of = prp_permutation(sk.tree_key, index.node_count)
+    value_at = {tree.value_positions[i]: value for i, (_, value) in enumerate(pairs)}
+    for node in tree.nodes:
+        got = records[slot_of[node.node_id]]
+        live = node.key_count + 1
+        assert got["id"] == node.node_id
+        assert got["flags"] == (FLAG_LEAF if node.is_leaf else 0)
+        assert got["key_count"] == node.key_count
+        assert tuple(got["keys"].tolist()) == node.keys
+        if node.is_leaf:
+            assert tuple(got["ptrs"].tolist()) == node.pointers
+        else:
+            slots = [int(slot_of[child]) for child in node.pointers[:live]]
+            assert got["ptrs"].tolist() == slots + [DUMMY_POINTER] * (branching - live)
+        if not integrity:
+            continue
+        if node.is_leaf:
+            for j in range(1, branching):
+                want = value_digest(value_at[node.pointers[j]]) if j < live else bytes(16)
+                assert got["digests"][j - 1].tobytes() == want
+        else:
+            ids = list(node.pointers[:live]) + [DUMMY_POINTER] * (branching - live)
+            assert got["child_ids"].tolist() == ids
+            assert not got["digests"].tobytes()[4 * branching :].strip(b"\0")
+
+
+# SHA-256 over the header, every node plaintext in slot order and every value
+# plaintext in region order, for the build in `_golden_digest`.  A change to
+# any byte of the format changes it; nonces are random and stay out.
+_GOLDEN_HSBT1 = {
+    False: "baaa3b757ab15896a5b78a6c966a1168ace91666279d2d737b54ce7862001559",
+    True: "897a6b5ddd272578e8d13bbf1a94e9ace6285f8cba7f465c3f9c9af6f1ec1f40",
+}
+
+
+def _golden_digest(integrity):
+    rng = random.Random(5)
+    pairs = [(rng.randrange(1, 4000), rng.randbytes(rng.randrange(0, 40))) for _ in range(2000)]
+    tree = build_tree(pairs, 7, rng=random.Random(6))
+    sk = SecretKey(bytes(range(16)), bytes(range(16, 32)))
+    index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=integrity)
+    digest = hashlib.sha256(index.to_bytes()[: _HEADER.size])
+    for slot in range(index.node_count):
+        digest.update(decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot)))
+    for blob in index.value_blobs:
+        digest.update(decrypt_wire(sk.value_key, blob))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("integrity", [False, True])
+def test_container_bytes_match_the_pinned_format(integrity):
+    assert _golden_digest(integrity) == _GOLDEN_HSBT1[integrity]
 
 
 def test_batch_decode_matches_record_by_record_decode():

@@ -20,7 +20,7 @@ from hsbt.bptree import (
     PlainNode,
     scan_oracle,
 )
-from hsbt.codec import deserialize_node, leaf_mask, make_token, node_struct, serialize_node
+from hsbt.codec import FLAG_LEAF, deserialize_node, leaf_mask, make_token, node_dtype, node_struct
 from hsbt.crypto import SecretKey
 from hsbt.deploy import Deployment
 from hsbt.enclave import (
@@ -28,6 +28,7 @@ from hsbt.enclave import (
     MAX_OPEN_SESSIONS,
     CapacityExceededError,
     EnclaveAbort,
+    EnclaveError,
     EnclaveSim,
     NoKeyError,
     TouchCounter,
@@ -54,7 +55,7 @@ def _drive_batches(index, enclave, token, max_batch=None):
     from collections import deque
 
     max_batch = max_batch or enclave.max_batch_nodes(index.node_record_size)
-    queue = deque([enclave.root_slot(index.node_count)])
+    queue = deque([enclave.root_slot()])
     nonce, values = None, []
     while queue:
         batch = [queue.popleft() for _ in range(min(len(queue), max_batch))]
@@ -74,7 +75,12 @@ def test_search_before_provision_rejected():
     with pytest.raises(NoKeyError):
         bare.search_batch(make_token(sk.tree_key, 1, 2), [0])
     with pytest.raises(NoKeyError):
-        bare.root_slot(index.node_count)
+        bare.root_slot()
+    # The root slot's domain is the attached container's node count.
+    detached = EnclaveSim()
+    detached.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
+    with pytest.raises(EnclaveError, match="no container attached"):
+        detached.root_slot()
 
 
 def test_provision_then_search_succeeds():
@@ -90,7 +96,7 @@ def test_two_clients_tokens_do_not_cross_decrypt():
     # Token minted under the owner's key but presented as client-b.
     forged = make_token(sk.tree_key, 1, KEY_MAX, client_id="client-b")
     with pytest.raises(EnclaveAbort):
-        enclave.search_batch(forged, [enclave.root_slot(index.node_count)])
+        enclave.search_batch(forged, [enclave.root_slot()])
     # client-b's own token works against the shared tree.
     ok = make_token(other.tree_key, None, None, client_id="client-b")
     values, _ = _drive_batches(index, enclave, ok)
@@ -102,7 +108,7 @@ def test_reprovision_replaces_key():
     fresh = SecretKey.generate()
     enclave.provision(DEFAULT_CLIENT, fresh.tree_key)  # token key only
     with pytest.raises(EnclaveAbort):
-        enclave.search_batch(make_token(sk.tree_key, 1, 9), [enclave.root_slot(index.node_count)])
+        enclave.search_batch(make_token(sk.tree_key, 1, 9), [enclave.root_slot()])
 
 
 # -- construction 1: resident tree ---------------------------------------------
@@ -129,6 +135,50 @@ def test_tampered_node_aborts_load():
     broken = dataclasses.replace(index, node_region=bytes(region))
     with pytest.raises(EnclaveAbort):
         enclave.load_tree(broken)
+
+
+def test_load_aborts_when_root_slot_holds_another_node():
+    # A host that drops records and lowers the header's node count changes
+    # the permutation's domain, so a provisioned id's slot can hold another
+    # node.  Sixteen records narrow the Feistel width, which makes that so
+    # for some id below sixteen.
+    from hsbt.crypto import prp_apply
+
+    pairs, tree, sk, index, enclave = _fixture(300, b=4, seed=2)
+    fewer = 16
+    root = next(
+        r
+        for r in range(fewer)
+        if prp_apply(sk.tree_key, fewer, r) != prp_apply(sk.tree_key, index.node_count, r)
+    )
+    import dataclasses
+
+    shrunk = dataclasses.replace(
+        index, node_count=fewer, node_region=index.node_region[: fewer * index.node_record_size]
+    )
+    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=root)
+    with pytest.raises(EnclaveAbort, match="root id not at the container's root slot"):
+        enclave.load_tree(shrunk)
+    assert not enclave.tree_loaded
+    # A root id beyond the node count has no slot at all.
+    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=index.node_count)
+    enclave.attach_container(index)
+    with pytest.raises(EnclaveAbort, match="root id not present"):
+        enclave.root_slot()
+    with pytest.raises(EnclaveAbort, match="root id not present"):
+        enclave.load_tree(index)
+
+
+def test_attaching_another_container_drops_the_resident_tree():
+    pairs, tree, sk, index, enclave = _fixture(100, seed=2)
+    enclave.load_tree(index)
+    enclave.attach_container(index)
+    assert enclave.tree_loaded
+    assert sorted(enclave.search_resident(make_token(sk.tree_key, None, None))) == list(range(100))
+    import dataclasses
+
+    enclave.attach_container(dataclasses.replace(index))
+    assert not enclave.tree_loaded
 
 
 def test_capacity_budget_enforced():
@@ -182,7 +232,7 @@ def test_two_level_tree_root_batch_emits_all_children():
     sk, index, enclave = dep.sk, dep.index, dep.enclave
 
     token = make_token(sk.tree_key, None, None)
-    root_slot = enclave.root_slot(index.node_count)
+    root_slot = enclave.root_slot()
     (values, children), _ = enclave.search_batch(token, [root_slot])
     # The root is inner: every emitted pointer names a child node still to
     # traverse, none is a value pointer yet.
@@ -251,7 +301,7 @@ def _seeded_outputs(index, sk, root_id, tokens):
     dep = Deployment.attach(index, sk, root_id, integrity=index.integrity, enclave=enclave)
     answers = []
     for token in tokens:
-        queue = [dep.enclave.root_slot(index.node_count)]
+        queue = [dep.enclave.root_slot()]
         while queue:
             (values, children), _ = dep.enclave.search_batch(token, queue)
             answers.append((values, children))
@@ -307,7 +357,7 @@ def test_honest_run_finalizes_with_verifiable_mac():
 
 def test_non_root_first_node_aborts():
     pairs, tree, sk, index, enclave = _integrity_fixture(seed=11)
-    root_slot = enclave.root_slot(index.node_count)
+    root_slot = enclave.root_slot()
     wrong = (root_slot + 1) % index.node_count
     with pytest.raises(EnclaveAbort):
         enclave.search_batch(make_token(sk.tree_key, 1, 5), [wrong])
@@ -326,7 +376,7 @@ def test_withheld_node_blocks_finalize():
     token = make_token(sk.tree_key, None, None)
     from collections import deque
 
-    queue = deque([enclave.root_slot(index.node_count)])
+    queue = deque([enclave.root_slot()])
     nonce = None
     dropped = False
     while queue:
@@ -346,7 +396,7 @@ def test_substituted_node_fails_hash_check():
     token = make_token(sk.tree_key, None, None)
     from collections import deque
 
-    root_slot = enclave.root_slot(index.node_count)
+    root_slot = enclave.root_slot()
     queue = deque([root_slot])
     requested = {root_slot}
     nonce = None
@@ -373,7 +423,7 @@ def test_extra_node_beyond_outstanding_requests_aborts_immediately():
     dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
     sk, enclave = dep.sk, dep.enclave
     token = make_token(sk.tree_key, None, None)
-    (values, children), nonce = enclave.search_batch(token, [enclave.root_slot(1)])
+    (values, children), nonce = enclave.search_batch(token, [enclave.root_slot()])
     assert values == [0] and children == []
     with pytest.raises(EnclaveAbort):
         enclave.search_batch(token, [0], session=nonce)
@@ -384,7 +434,7 @@ def test_extra_node_mid_query_caught_at_finalize():
     token = make_token(sk.tree_key, None, None)
     from collections import deque
 
-    root_slot = enclave.root_slot(index.node_count)
+    root_slot = enclave.root_slot()
     queue = deque([root_slot])
     requested = {root_slot}
     nonce = None
@@ -417,7 +467,7 @@ def test_continuing_batch_with_another_token_aborts_and_drops_the_session():
     pairs, tree, sk, index, enclave = _integrity_fixture(seed=17)
     keys = sorted(k for k, _ in pairs)
     token = make_token(sk.tree_key, keys[5], keys[60])
-    root = [enclave.root_slot(index.node_count)]
+    root = [enclave.root_slot()]
     others = [
         make_token(sk.tree_key, keys[100], keys[160]),  # another range
         make_token(sk.tree_key, keys[5], keys[60]),  # the same range, minted again
@@ -589,16 +639,21 @@ def _node_batches(draw):
 @given(_node_batches(), st.booleans())
 def test_vectorised_match_agrees_with_scalar_formula(batch, integrity):
     branching, plain_nodes, r_start, r_end = batch
-    plains = [serialize_node(node, branching, integrity) for node in plain_nodes]
-    nodes = deserialize_node(plains, branching, integrity)
+    nodes = np.zeros(len(plain_nodes), dtype=node_dtype(branching, integrity))
+    nodes["id"] = [node.node_id for node in plain_nodes]
+    nodes["flags"] = [FLAG_LEAF if node.is_leaf else 0 for node in plain_nodes]
+    nodes["key_count"] = [node.key_count for node in plain_nodes]
+    nodes["keys"] = [node.keys for node in plain_nodes]
+    nodes["ptrs"] = [node.pointers for node in plain_nodes]
     bits = oblivious_match_slots(nodes, r_start, r_end)
     assert bits.shape == (len(plain_nodes), branching)
     unpack = node_struct(branching).unpack_from
-    for node, row, plain in zip(plain_nodes, bits, plains):
+    for i, (node, row) in enumerate(zip(plain_nodes, bits)):
         want = _scalar_match_slots(node.keys, node.key_count, node.is_leaf, r_start, r_end)
         assert np.flatnonzero(row).tolist() == want, (node, r_start, r_end)
         # The node-by-node scan of small resident levels agrees too.
-        assert _scan_record(unpack(plain), branching, r_start, r_end) == want
+        record = unpack(nodes, i * nodes.itemsize)
+        assert _scan_record(record, branching, r_start, r_end) == want
 
 
 # -- instrumentation and cached set-up ------------------------------------------
@@ -623,7 +678,7 @@ def test_root_slot_prp_runs_once_per_attachment(monkeypatch):
         assert len(values) == 21
     assert len(calls) == 1
     want = prp_apply(sk.tree_key, index.node_count, tree.root_id)
-    assert enclave.root_slot(index.node_count) == want
+    assert enclave.root_slot() == want
     assert len(calls) == 1
     enclave.attach_container(index)  # a re-attach recomputes once
     for i in range(3):
@@ -691,7 +746,7 @@ def test_batch_abort_lands_on_the_first_failing_node():
     dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
     index, enclave = dep.index, dep.enclave
     token = make_token(dep.sk.tree_key, None, None)
-    root = enclave.root_slot(index.node_count)
+    root = enclave.root_slot()
     nowhere = index.node_count + 5
 
     def leaves():

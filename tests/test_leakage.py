@@ -33,7 +33,6 @@ def _leaf(nid, keys, first_value):
         count,
         tuple(keys) + (INF,) * (3 - count),
         (D,) + tuple(range(first_value, first_value + count)) + (D,) * (3 - count),
-        (b"\x00" * 16,) * 3,
     )
 
 
