@@ -3,9 +3,10 @@
 In integrity mode the enclave tracks, per query, the token that opened the
 query, how many nodes it asked for, one balance multiset hash into which
 the ids it asked for and the ids it received both fold (it must end at
-zero), and a multiset hash of the matched value digests; the client
-re-derives the value digest multiset from what it actually received and
-checks the enclave's tag.  This script runs every scripted deviation and
+zero), and a multiset hash of the matched leaf value tags (each leaf slot
+holds the AES-GCM tag of the value blob it points to); the client folds the
+tags of the blobs it actually received and decrypted, and checks the
+enclave's tag.  This script runs every scripted deviation and
 shows where each one gets caught.
 """
 
@@ -33,7 +34,7 @@ for kind in KINDS:
 print(
     "\nEverything except the replay is detected: static tampering dies at\n"
     "authenticated decryption, protocol deviations at the session checks,\n"
-    "and withheld results at the client's tag verification.  Replaying a\n"
-    "token is harmless by design - the tree is static, so a replay repeats\n"
-    "exactly the old answer and the old leakage."
+    "and withheld or substituted results at the client's tag verification.\n"
+    "Replaying a token is harmless by design - the tree is static, so a\n"
+    "replay repeats exactly the old answer and the old leakage."
 )

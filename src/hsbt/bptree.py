@@ -10,8 +10,9 @@ unused pointer slots a recognizable dummy.
 Node ids follow creation order, starting at 0 for the very first leaf; splits
 and new roots take the next free id.  Inner-node pointer slots hold child
 *ids* at this layer; the codec rewrites them to permuted storage positions
-when the tree is encrypted.  The tree carries no value digests: the codec
-computes them from the values as it writes leaf records.
+when the tree is encrypted.  The tree carries no value commitments: the
+codec copies the value blobs' GCM tags into the leaf records as it writes
+them.
 
 Separator invariant: every key in subtree ``i`` is >= separator ``i`` and
 strictly below separator ``i + 1``.  Splits shift their split point to the

@@ -5,9 +5,10 @@ The container holds two regions behind a small header:
 * node region: one fixed-size encrypted record per tree node, the record of
   node ``x`` stored at slot ``PRP(tree_key, node_count, x.id)``.  Every record
   has the same size whether it came from the root, an inner node, or a leaf,
-  so the ciphertexts expose nothing about node fullness.  Each record is
-  bound to its slot through the AEAD associated data, so relocating a record
-  is detected at decryption.
+  so the ciphertexts expose nothing about node fullness.  Each record's
+  AEAD associated data is the 26-byte packed header followed by its 4-byte
+  slot (`EncryptedIndex.record_aad`), so relocating a record, or rewriting
+  any header field, is detected at the first record decrypted.
 * value region: ``n`` length-prefixed encrypted blobs in the random order
   chosen at build time, decryptable only with the value key.
 
@@ -22,26 +23,26 @@ plaintexts, or the whole node region, into a record array of it with a
 single `np.frombuffer` (`deserialize_node`).
 
 The integrity region is ``max(4 b, 16 (b-1))`` bytes: inner nodes lay out one
-child id per pointer slot, leaves one 16-byte value digest per key slot; the
-shared size keeps records shape-identical.  The codec computes the digests
-from the values as it writes the leaves.  Inner pointer slots hold child
-storage positions on disk (the build-side child ids are rewritten here).
+child id per pointer slot, leaves one 16-byte value tag per key slot; the
+shared size keeps records shape-identical.  A value tag is the AES-GCM tag
+(the last `TAG_BYTES` bytes) of the blob behind that pointer: the codec seals
+the values first and copies their tags into the leaves, so no value is ever
+hashed.  Inner pointer slots hold child storage positions on disk (the
+build-side child ids are rewritten here).
 """
 
 from __future__ import annotations
 
 import functools
+import hmac
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from hsbt.bptree import KEY_INFINITY, KEY_NEG_INFINITY, MIN_BRANCHING, PlainTree
-import hmac as _hmac
-
 from hsbt.crypto import (
-    MSET_DIGEST_BYTES,
     Ciphertext,
     MultisetHash,
     NONCE_BYTES,
@@ -49,15 +50,15 @@ from hsbt.crypto import (
     TAG_BYTES,
     decrypt_wires,
     encrypt,
-    encrypt_wire,
+    encrypt_wires,
     prp_permutation,
     result_mac,
-    value_digests,
 )
 
-HEADER_MAGIC = b"HSBT1"
-HEADER_VERSION = 1
+HEADER_MAGIC = b"HSBT2"
+HEADER_VERSION = 2
 _HEADER = struct.Struct("<5sBBBHIQI")  # magic, version, integrity, key width, b, #nodes, n, record size
+_SLOT = struct.Struct("<I")
 
 _NODE_FIXED = struct.Struct("<IBH")
 FLAG_LEAF = 0x01
@@ -86,9 +87,9 @@ def node_dtype(branching: int, integrity: bool, stride: int | None = None) -> np
 
     Fields: `id`, `flags`, `key_count`, `keys[b-1]`, `ptrs[b]` and, with
     `integrity`, the integrity region seen two ways over the same bytes:
-    `child_ids[b]` (inner nodes) and `digests[b-1, 16]` (leaves, one value
-    digest per key slot).  `stride` is the distance between records; it
-    defaults to the plaintext size."""
+    `child_ids[b]` (inner nodes) and `value_tags[b-1, 16]` (leaves, the GCM
+    tag of the value blob behind each live pointer slot).  `stride` is the
+    distance between records; it defaults to the plaintext size."""
     keys_at = _NODE_FIXED.size
     ptrs_at = keys_at + 4 * (branching - 1)
     region_at = ptrs_at + 4 * branching
@@ -96,7 +97,7 @@ def node_dtype(branching: int, integrity: bool, stride: int | None = None) -> np
     formats = ["<u4", "u1", "<u2", ("<u4", (branching - 1,)), ("<u4", (branching,))]
     offsets = [0, 4, 5, keys_at, ptrs_at]
     if integrity:
-        names += ["child_ids", "digests"]
+        names += ["child_ids", "value_tags"]
         formats += [("<u4", (branching,)), ("u1", (branching - 1, 16))]
         offsets += [region_at, region_at]
     itemsize = stride if stride is not None else node_plain_size(branching, integrity)
@@ -124,7 +125,9 @@ class EncryptedIndex:
 
     Immutable after creation; concurrent readers need no coordination.  The
     node region is a single byte blob sliced by slot, which doubles as the
-    shared host-memory region the enclave fetches records from.
+    shared host-memory region the enclave fetches records from.  `header` is
+    the packed container header, computed once from the fields; every node
+    record is bound to it (`record_aad`).
     """
 
     branching: int
@@ -135,6 +138,24 @@ class EncryptedIndex:
     node_record_size: int
     node_region: bytes
     value_blobs: tuple[bytes, ...]
+    header: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.header = _HEADER.pack(
+            HEADER_MAGIC,
+            HEADER_VERSION,
+            1 if self.integrity else 0,
+            self.key_width,
+            self.branching,
+            self.node_count,
+            self.n_values,
+            self.node_record_size,
+        )
+
+    def record_aad(self, slot: int) -> bytes:
+        """Associated data of the node record at `slot`: the packed header,
+        then the slot (4 bytes, little-endian)."""
+        return self.header + _SLOT.pack(slot)
 
     def node_record(self, slot: int) -> bytes:
         if not 0 <= slot < self.node_count:
@@ -149,18 +170,7 @@ class EncryptedIndex:
 
     def to_bytes(self) -> bytes:
         out = io.BytesIO()
-        out.write(
-            _HEADER.pack(
-                HEADER_MAGIC,
-                HEADER_VERSION,
-                1 if self.integrity else 0,
-                self.key_width,
-                self.branching,
-                self.node_count,
-                self.n_values,
-                self.node_record_size,
-            )
-        )
+        out.write(self.header)
         out.write(self.node_region)
         for blob in self.value_blobs:
             out.write(struct.pack("<I", len(blob)))
@@ -176,9 +186,9 @@ class EncryptedIndex:
         magic, version, integrity, key_width, b, node_count, n, record_size = _HEADER.unpack_from(
             data, 0
         )
-        if magic != HEADER_MAGIC:
+        if magic[:4] != HEADER_MAGIC[:4]:
             raise ValueError("not an index container")
-        if version != HEADER_VERSION:
+        if (magic, version) != (HEADER_MAGIC, HEADER_VERSION):
             raise ValueError(f"unsupported container version {version}")
         if integrity not in (0, 1) or key_width != 4 or b < MIN_BRANCHING or node_count < 1:
             raise ValueError("malformed container header")
@@ -208,21 +218,27 @@ class EncryptedIndex:
             return cls.from_bytes(fh.read())
 
 
-def slot_aad(slot: int) -> bytes:
-    return struct.pack("<I", slot)
-
-
 def encrypt_index(
     sk: SecretKey, tree: PlainTree, values, *, integrity: bool = False
 ) -> EncryptedIndex:
     """Encrypt a built tree and its values into a container.
 
     `values` must align with the pair order given to the build; the tree's
-    value permutation decides where each encrypted blob lands.  Node records
-    are filled as one `node_dtype` array and sealed slot by slot.
+    value permutation decides where each encrypted blob lands.  The values
+    are sealed first, in one bulk call in value-region order; in integrity
+    mode leaf slot j then carries the GCM tag of the blob behind pointer j.
+    Node records are filled as one `node_dtype` array and sealed in one bulk
+    call, each under `EncryptedIndex.record_aad` of its slot.
     """
-    if len(values) != tree.n_values:
+    n_values = tree.n_values
+    if len(values) != n_values:
         raise ValueError("value count does not match the built tree")
+    # Sealed in value-region order, the order `to_bytes` writes them; the
+    # gathered list lives only for the call.
+    blobs = tuple(
+        encrypt_wires(sk.value_key, [values[i] for i in np.argsort(tree.value_positions).tolist()])
+    )
+
     branching = tree.branching
     nodes = tree.nodes
     node_count = len(nodes)
@@ -240,41 +256,34 @@ def encrypt_index(
     live = slots <= key_count[:, None]
     if integrity:
         # Inner records keep their child ids, dummy-padded like the pointers;
-        # leaf slot j carries the digest of the value behind pointer j.
+        # leaf slot j carries the tag of the blob behind pointer j.
         by_id["child_ids"][~leaf] = pointers[~leaf]
         rows, cols = np.nonzero(live & leaf[:, None] & (slots > 0))
-        digests = np.frombuffer(value_digests(values), np.uint8).reshape(-1, MSET_DIGEST_BYTES)
-        by_position = digests[np.argsort(tree.value_positions)]
-        by_id["digests"][rows, cols - 1] = by_position[pointers[rows, cols]]
+        tags = np.frombuffer(b"".join([blob[-TAG_BYTES:] for blob in blobs]), np.uint8)
+        by_id["value_tags"][rows, cols - 1] = tags.reshape(-1, TAG_BYTES)[pointers[rows, cols]]
     inner = live & ~leaf[:, None]
     pointers[inner] = slot_of_id[pointers[inner]]
     by_id["ptrs"] = pointers
 
     records = np.zeros_like(by_id)
     records[slot_of_id] = by_id
-    plain = records.tobytes()
     size = records.itemsize
-    region = b"".join(
-        [
-            encrypt_wire(sk.tree_key, plain[slot * size : (slot + 1) * size], slot_aad(slot))
-            for slot in range(node_count)
-        ]
-    )
-
-    blobs: list[bytes | None] = [None] * tree.n_values
-    for i, value in enumerate(values):
-        blobs[tree.value_positions[i]] = encrypt_wire(sk.value_key, bytes(value))
-
-    return EncryptedIndex(
+    index = EncryptedIndex(
         branching=branching,
-        n_values=tree.n_values,
+        n_values=n_values,
         node_count=node_count,
         key_width=4,
         integrity=integrity,
         node_record_size=size + NONCE_BYTES + TAG_BYTES,
-        node_region=region,
-        value_blobs=tuple(blobs),
+        node_region=b"",
+        value_blobs=blobs,
     )
+    sealed = encrypt_wires(
+        sk.tree_key,
+        records.view(np.uint8).reshape(node_count, size),
+        map(index.record_aad, range(node_count)),
+    )
+    return replace(index, node_region=b"".join(sealed))
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +333,60 @@ def unpack_range(plain: bytes) -> tuple[int, int]:
     return rs, re_
 
 
-def decrypt_results(value_key: bytes, blobs) -> list[bytes]:
+class Results(list):
+    """Decrypted result values, in order, and the blobs they came from.
+
+    A read-only `list` of the plaintexts, so `==`, `Counter` and iteration
+    work as on a plain list; `blobs` holds the ciphertexts they were
+    authenticated from.  Only `decrypt_results` makes one, and
+    `verify_result_mac` accepts nothing else, so no path can check a result
+    tag over plaintexts it did not authenticate (its docstring gives why
+    folding the blobs' tags suffices).
+    """
+
+    __slots__ = ("blobs",)
+
+    def __init__(self, plains, blobs: tuple[bytes, ...]):
+        super().__init__(plains)
+        self.blobs = blobs
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("Results are read-only: they must stay the decryptions of their blobs")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+
+def decrypt_results(value_key: bytes, blobs) -> Results:
     """Decrypt fetched result blobs, in order.  Any authentication failure
     aborts the whole result: partial output would mask tampering."""
-    return decrypt_wires(value_key, blobs)
+    blobs = tuple(blobs)
+    return Results(decrypt_wires(value_key, blobs), blobs)
 
 
-def verify_result_mac(tree_key: bytes, values, mac: bytes) -> bool:
-    """Recompute the result multiset digest over the values actually received
-    and compare against the enclave-issued tag."""
-    state = MultisetHash.empty(tree_key).add_all(value_digests(values))
-    return _hmac.compare_digest(result_mac(tree_key, state), mac)
+def verify_result_mac(tree_key: bytes, results: Results, mac: bytes) -> bool:
+    """Check the enclave-issued result tag against the results received.
+
+    Each live leaf slot commits to the AES-GCM tag of its value blob, and the
+    enclave folds the tags of the slots a query matched.  The client folds
+    the tags of the blobs it decrypted, with one `MultisetHash.add_all`, and
+    compares the two result MACs; no value is hashed here.
+
+    Why that suffices: `decrypt_results` already authenticated every blob
+    under `value_key`, which only the client holds.  A host that passes off
+    any blob under a committed tag, other than the one the build sealed,
+    has forged an AES-GCM ciphertext, which INT-CTXT of AES-GCM rules out
+    (Bellare-Namprempre, ASIACRYPT 2000; McGrew-Viega 2004).  A genuine blob
+    from outside the result, or a dropped or repeated one, changes the
+    folded multiset (MSet-XOR-Hash with an element count, Clarke et al.,
+    ASIACRYPT 2003).  AES-GCM does not commit to its key (Dodis et al.,
+    CRYPTO 2018), so this is no commitment against a holder of `value_key`;
+    that is the client itself, outside this threat model.
+
+    Raises `TypeError` for anything but a `Results` from `decrypt_results`.
+    """
+    if not isinstance(results, Results):
+        raise TypeError("verify_result_mac needs the Results of decrypt_results")
+    tags = b"".join([blob[-TAG_BYTES:] for blob in results.blobs])
+    state = MultisetHash.empty(tree_key).add_all(tags)
+    return hmac.compare_digest(result_mac(tree_key, state), mac)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import itertools
 import secrets
 import struct
 import threading
@@ -125,6 +126,22 @@ def encrypt_wire(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
     return nonce + _aead(key).encrypt(nonce, plaintext, aad or None)
 
 
+def encrypt_wires(key: bytes, plaintexts, aads=None) -> list[bytes]:
+    """Bulk `encrypt_wire`: one nonce draw and one AEAD object for the whole
+    batch.  `plaintexts` is a sized sequence of bytes-like items (numpy rows
+    included); `aads`, any iterable when given, binds each plaintext to its
+    own associated data."""
+    seal = _aead(key).encrypt
+    drawn = secrets.token_bytes(NONCE_BYTES * len(plaintexts))
+    starts = range(0, len(drawn), NONCE_BYTES)
+    if aads is None:
+        aads = itertools.repeat(None)
+    return [
+        (nonce := drawn[at : at + NONCE_BYTES]) + seal(nonce, plain, aad)
+        for at, plain, aad in zip(starts, plaintexts, aads)
+    ]
+
+
 def decrypt_wire(key: bytes, wire: bytes, aad: bytes = b"") -> bytes:
     """Invert `encrypt_wire`; raises AuthenticationError on any modification."""
     if len(wire) < NONCE_BYTES + TAG_BYTES:
@@ -146,20 +163,6 @@ def decrypt_wires(key: bytes, wires, aad: bytes = b"") -> list[bytes]:
     except (InvalidTag, ValueError):
         raise AuthenticationError("ciphertext rejected") from None
     return out
-
-
-def value_digest(value: bytes) -> bytes:
-    """128-bit digest of a plaintext value, as embedded in leaf nodes and
-    recomputed by the client during result verification."""
-    return hashlib.sha256(value).digest()[:MSET_DIGEST_BYTES]
-
-
-def value_digests(values) -> bytes:
-    """`value_digest` of every value, concatenated: one numpy reshape cuts
-    the 16-byte prefixes out of the joined SHA-256 outputs."""
-    sha256 = hashlib.sha256
-    full = np.frombuffer(b"".join([sha256(v).digest() for v in values]), dtype=np.uint8)
-    return full.reshape(-1, 32)[:, :MSET_DIGEST_BYTES].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +308,6 @@ class MultisetHash:
         acc ^= np.frombuffer(self.digest, dtype="<u8")
         count = self.count + len(elements) // MSET_DIGEST_BYTES
         return MultisetHash(acc.tobytes(), count, self.key)
-
-
-def mset_eq(a: MultisetHash, b: MultisetHash) -> bool:
-    """True iff both accumulators and both element counts agree."""
-    return a.digest == b.digest and a.count == b.count
 
 
 def mac_tag(key: bytes, message: bytes) -> bytes:

@@ -17,11 +17,11 @@ query entry points mirror the two deployment modes:
 Nodes are array-shaped: the resident tree is one `node_dtype` record array
 indexed by slot, and a streamed batch decodes into one with a single
 `deserialize_node`.  The resident load and a streamed batch open records in
-one place, `_open_records`, which authenticates each against its slot and
-names the first that fails.  `oblivious_match_slots` matches a whole batch, or a
-whole level of the resident walk, in one vectorised comparison; a resident
-level too small to repay numpy's per-call cost is scanned node by node with
-the same per-slot formula.
+one place, `_open_records`, which authenticates each against the container
+header and its slot and names the first that fails.  `oblivious_match_slots`
+matches a whole batch, or a whole level of the resident walk, in one
+vectorised comparison; a resident level too small to repay numpy's per-call
+cost is scanned node by node with the same per-slot formula.
 
 A batch answer is two plain int lists, value pointers and node pointers,
 each shuffled on its own; the driver routes them with one list operation
@@ -30,7 +30,8 @@ apiece.
 In integrity mode `search_batch` additionally runs a per-query session bound
 to the token that opened it.  It counts the nodes it asked for and keeps two
 multiset hashes: a balance accumulator into which both the requested child
-ids and the received node ids fold, and the matched value digests; each is
+ids and the received node ids fold, and the matched leaf value tags (the
+GCM tags of the value blobs, copied blindly from the leaves); each is
 folded once per call.  Under MSet-XOR-Hash two accumulators are equal exactly
 when their XOR is zero, so one accumulator over both multisets proves what
 two compared for equality did.  A session only ever yields a result tag when
@@ -62,7 +63,6 @@ from hsbt.codec import (
     leaf_mask,
     node_plain_size,
     node_struct,
-    slot_aad,
     unpack_range,
 )
 from hsbt.crypto import (
@@ -454,7 +454,7 @@ class EnclaveSim:
                 _id_elements(np.concatenate((received, requested_ids)))
             )
             sess.result_hash = sess.result_hash.add_all(
-                nodes["digests"][rows[is_value], cols[is_value] - 1].tobytes()
+                nodes["value_tags"][rows[is_value], cols[is_value] - 1].tobytes()
             )
         if failure is not None:
             self._drop_session(sess)
@@ -509,23 +509,24 @@ class EnclaveSim:
         self, container: EncryptedIndex, positions, trace=None
     ) -> tuple[np.ndarray, str | None]:
         """Authenticate the records at `positions`, sliced from the shared
-        node region, and decode them as one record array.  Stops at the first
-        position with no record or whose record fails authentication, and
-        returns the records before it with the abort message (None when
-        every record opened)."""
+        node region, each under `record_aad` of its slot, and decode them as
+        one record array.  Stops at the first position with no record or
+        whose record fails authentication, and returns the records before it
+        with the abort message (None when every record opened)."""
         plains = []
         failure = None
         tree_key = self._tree_key
         region = container.node_region
         size = container.node_record_size
         node_count = container.node_count
+        record_aad = container.record_aad
         for position in positions:
             if not 0 <= position < node_count:
                 failure = f"no node record at position {position}"
                 break
             record = region[position * size : (position + 1) * size]
             try:
-                plains.append(decrypt_wire(tree_key, record, slot_aad(position)))
+                plains.append(decrypt_wire(tree_key, record, record_aad(position)))
             except AuthenticationError:
                 failure = f"node at position {position} failed authentication"
                 break

@@ -28,6 +28,10 @@ class QueryStats:
 
     `range_size` is client knowledge (the driver cannot read the token) and
     is filled in by whoever minted the query; drivers leave it at 0.
+
+    `micros` is driver-only: the wall time of the search call, from its
+    first enclave call through fetching the value blobs.  It excludes token
+    minting and the client's decryption and result-tag check.
     """
 
     construction: int

@@ -13,6 +13,9 @@ query and reports how the pipeline reacted:
   static, a replay reveals nothing new and must yield the same result set)
 * ``mix-tokens``    - present a second valid token, for another range, with
   the query's second batch
+* ``substitute-value`` - replace one result blob with a genuine blob from
+  outside the result (it authenticates: only the leaves' tag commitment
+  catches it)
 
 Denial-of-service behaviours (just refusing to answer) are out of scope: the
 driver can always stall, and no response is its own signal.
@@ -47,6 +50,7 @@ KINDS = (
     "withhold-results",
     "replay-token",
     "mix-tokens",
+    "substitute-value",
 )
 
 
@@ -185,7 +189,8 @@ def run_with_tamper(
         report.detail = f"{kind} on {target}: " + report.detail
         return report
 
-    # modify-value / withhold-results: the traversal itself stays honest.
+    # modify-value / withhold-results / substitute-value: the traversal
+    # itself stays honest.
     blobs, mac, _ = search_streamed(index, enclave, token)
 
     if kind == "modify-value":
@@ -198,5 +203,14 @@ def run_with_tamper(
     if kind == "withhold-results":
         del blobs[rng.randrange(len(blobs))]
         return _client_receive(dep, blobs, mac)
+
+    if kind == "substitute-value":
+        result = set(blobs)
+        outside = [p for p, blob in enumerate(index.value_blobs) if blob not in result]
+        at, target = rng.randrange(len(blobs)), rng.choice(outside)
+        blobs[at] = index.value_blob(target)
+        report = _client_receive(dep, blobs, mac)
+        report.detail = f"{kind} with value {target}: " + report.detail
+        return report
 
     raise AssertionError(f"unhandled script {kind!r}")

@@ -122,13 +122,12 @@ def test_same_seed_builds_structurally_identical_containers(tmp_path, dataset):
     )
     assert a.node_region != b.node_region
     meta = json.loads((tmp_path / "a.hsbt.key").read_text())
-    from hsbt.codec import slot_aad
     from hsbt.crypto import decrypt_wire
 
     tree_key = bytes.fromhex(meta["tree_key"])
     for slot in range(a.node_count):
-        pa = decrypt_wire(tree_key, a.node_record(slot), slot_aad(slot))
-        pb = decrypt_wire(tree_key, b.node_record(slot), slot_aad(slot))
+        pa = decrypt_wire(tree_key, a.node_record(slot), a.record_aad(slot))
+        pb = decrypt_wire(tree_key, b.node_record(slot), b.record_aad(slot))
         assert pa == pb  # identical plaintext structure at every slot
 
 
@@ -266,6 +265,31 @@ def test_query_rejects_header_integrity_downgrade(tmp_path, dataset, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("construction", ["1", "2"])
+def test_query_rejects_reshaped_header(tmp_path, capsys, construction):
+    # A b=10 integrity record is as long as a b=28 plain one, so a header
+    # rewritten that way still parses; the records are bound to the header.
+    rng = random.Random(3)
+    keys = rng.sample(range(1, 2**31), 3000)
+    path = tmp_path / "pairs.txt"
+    path.write_text("".join(f"{k} record-{i:05d}\n" for i, k in enumerate(keys)))
+    out = tmp_path / "store.hsbt"
+    argv = ["build", "--input", str(path), "--b", "10", "--integrity", "on", "--out", str(out)]
+    assert main(argv) == 0
+    data = bytearray(out.read_bytes())
+    data[6] = 0  # integrity flag
+    data[8:10] = struct.pack("<H", 28)  # branching
+    out.write_bytes(bytes(data))
+    EncryptedIndex.load(out)  # still well-formed
+    capsys.readouterr()
+    key = str(out) + ".key"
+    argv = ["query", "--index", str(out), "--key", key, "--construction", construction]
+    assert main(argv + ["--range", f"{min(keys)}:{max(keys)}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "failed authentication" in captured.err
 
 
 @pytest.mark.parametrize("cut", [0, 10, 25, 26, 100, -1, "trailing"])

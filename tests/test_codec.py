@@ -1,6 +1,7 @@
 """Container format contracts: slot permutation, fixed record shape,
 roundtrips, token behaviour, client result handling."""
 
+import dataclasses
 import hashlib
 import random
 import struct
@@ -25,7 +26,6 @@ from hsbt.codec import (
     make_token,
     node_dtype,
     node_plain_size,
-    slot_aad,
     unpack_range,
     verify_result_mac,
 )
@@ -40,7 +40,6 @@ from hsbt.crypto import (
     prp_apply,
     prp_permutation,
     result_mac,
-    value_digest,
 )
 
 
@@ -57,7 +56,7 @@ def _dataset(n, b, seed, integrity=False):
 def _decrypt_all_nodes(index, sk):
     """Every node as one record array, indexed by storage slot."""
     plains = [
-        decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot))
+        decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
         for slot in range(index.node_count)
     ]
     return deserialize_node(plains, index.branching, index.integrity)
@@ -95,7 +94,7 @@ def test_node_records_share_one_size_across_kinds():
     assert {node.is_leaf for node in tree.nodes} == {True, False}
     assert index.node_record_size == plain + NONCE_BYTES + TAG_BYTES
     sizes = {
-        len(decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot)))
+        len(decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot)))
         for slot in range(index.node_count)
     }
     assert sizes == {plain}
@@ -107,7 +106,6 @@ def test_decrypted_tree_preserves_logical_structure():
     nodes = _decrypt_all_nodes(index, sk)
     leaves = leaf_mask(nodes)
     slot_of = {node_id: slot for slot, node_id in enumerate(nodes["id"].tolist())}
-    value_at = {tree.value_positions[i]: value for i, (_, value) in enumerate(pairs)}
     for node in tree.nodes:
         got = nodes[slot_of[node.node_id]]
         assert leaves[slot_of[node.node_id]] == node.is_leaf
@@ -117,7 +115,8 @@ def test_decrypted_tree_preserves_logical_structure():
         if node.is_leaf:
             assert tuple(pointers[1 : node.key_count + 1]) == node.pointers[1 : node.key_count + 1]
             for j in range(1, node.key_count + 1):
-                assert got["digests"][j - 1].tobytes() == value_digest(value_at[pointers[j]])
+                tag = index.value_blob(pointers[j])[-TAG_BYTES:]
+                assert got["value_tags"][j - 1].tobytes() == tag
         else:
             # Inner pointers were rewritten from child ids to storage slots.
             for i in range(node.key_count + 1):
@@ -152,7 +151,6 @@ def test_encoder_round_trip_matches_plain_tree(build, integrity):
     index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=integrity)
     records = _decrypt_all_nodes(index, sk)
     slot_of = prp_permutation(sk.tree_key, index.node_count)
-    value_at = {tree.value_positions[i]: value for i, (_, value) in enumerate(pairs)}
     for node in tree.nodes:
         got = records[slot_of[node.node_id]]
         live = node.key_count + 1
@@ -169,20 +167,35 @@ def test_encoder_round_trip_matches_plain_tree(build, integrity):
             continue
         if node.is_leaf:
             for j in range(1, branching):
-                want = value_digest(value_at[node.pointers[j]]) if j < live else bytes(16)
-                assert got["digests"][j - 1].tobytes() == want
+                want = index.value_blob(node.pointers[j])[-TAG_BYTES:] if j < live else bytes(16)
+                assert got["value_tags"][j - 1].tobytes() == want
         else:
             ids = list(node.pointers[:live]) + [DUMMY_POINTER] * (branching - live)
             assert got["child_ids"].tolist() == ids
-            assert not got["digests"].tobytes()[4 * branching :].strip(b"\0")
+            assert not got["value_tags"].tobytes()[4 * branching :].strip(b"\0")
+
+
+@pytest.mark.parametrize("count", [1, 7, 300])
+def test_leaf_entries_are_the_tags_of_their_value_blobs(count):
+    pairs, tree, sk, index = _dataset(count, 5, count, integrity=True)
+    nodes = _decrypt_all_nodes(index, sk)
+    slots = np.arange(index.branching)
+    live = (slots >= 1) & (slots <= nodes["key_count"][:, None]) & leaf_mask(nodes)[:, None]
+    rows, cols = np.nonzero(live)
+    pointers = nodes["ptrs"][rows, cols].tolist()
+    assert sorted(pointers) == list(range(count))  # each blob committed once
+    entries = nodes["value_tags"][rows, cols - 1]
+    assert [e.tobytes() for e in entries] == [index.value_blob(p)[-TAG_BYTES:] for p in pointers]
 
 
 # SHA-256 over the header, every node plaintext in slot order and every value
 # plaintext in region order, for the build in `_golden_digest`.  A change to
-# any byte of the format changes it; nonces are random and stay out.
-_GOLDEN_HSBT1 = {
-    False: "baaa3b757ab15896a5b78a6c966a1168ace91666279d2d737b54ce7862001559",
-    True: "897a6b5ddd272578e8d13bbf1a94e9ace6285f8cba7f465c3f9c9af6f1ec1f40",
+# any byte of the format changes it.  Nonces are random and stay out, and so
+# do the leaves' value tags, which depend on them: each is checked against its
+# blob's tag and hashed as the blob's position instead.
+_GOLDEN_HSBT2 = {
+    False: "3372ab0a527a3d2547fa16ce6841691b284fe322e4219b0b5f435e4626712c47",
+    True: "28f6b9fb4db4d2263991ad8ba116f87bd2f57bb9df0e188639b8efeb6f18ec95",
 }
 
 
@@ -193,8 +206,18 @@ def _golden_digest(integrity):
     sk = SecretKey(bytes(range(16)), bytes(range(16, 32)))
     index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=integrity)
     digest = hashlib.sha256(index.to_bytes()[: _HEADER.size])
-    for slot in range(index.node_count):
-        digest.update(decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot)))
+    records = _decrypt_all_nodes(index, sk).copy()
+    if integrity:
+        slots = np.arange(index.branching)
+        live = (slots >= 1) & (slots <= records["key_count"][:, None]) & leaf_mask(records)[:, None]
+        rows, cols = np.nonzero(live)
+        pointers = records["ptrs"][rows, cols]
+        tags = [index.value_blob(p)[-TAG_BYTES:] for p in pointers.tolist()]
+        assert [t.tobytes() for t in records["value_tags"][rows, cols - 1]] == tags
+        stand_in = np.zeros((len(rows), TAG_BYTES), np.uint8)
+        stand_in[:, :4] = pointers.astype("<u4").view(np.uint8).reshape(-1, 4)
+        records["value_tags"][rows, cols - 1] = stand_in
+    digest.update(records.tobytes())
     for blob in index.value_blobs:
         digest.update(decrypt_wire(sk.value_key, blob))
     return digest.hexdigest()
@@ -202,13 +225,19 @@ def _golden_digest(integrity):
 
 @pytest.mark.parametrize("integrity", [False, True])
 def test_container_bytes_match_the_pinned_format(integrity):
-    assert _golden_digest(integrity) == _GOLDEN_HSBT1[integrity]
+    assert _golden_digest(integrity) == _GOLDEN_HSBT2[integrity]
+
+
+def test_hsbt1_container_rejected_as_unsupported_version():
+    hsbt1 = _with_header_field(_with_header_field(_VALID, 0, b"HSBT1"), 1, 1)
+    with pytest.raises(ValueError, match="unsupported container version 1"):
+        EncryptedIndex.from_bytes(hsbt1)
 
 
 def test_batch_decode_matches_record_by_record_decode():
     pairs, tree, sk, index = _dataset(200, 6, 11, integrity=True)
     plains = [
-        decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot))
+        decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
         for slot in range(index.node_count)
     ]
     batch = deserialize_node(plains, index.branching, True)
@@ -225,7 +254,7 @@ def test_decode_strides_by_plaintext_length_under_cleared_flag():
     # decodes to the same fields.
     pairs, tree, sk, index = _dataset(150, 5, 12, integrity=True)
     plains = [
-        decrypt_wire(sk.tree_key, index.node_record(slot), slot_aad(slot))
+        decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
         for slot in range(index.node_count)
     ]
     full = deserialize_node(plains, index.branching, True)
@@ -238,7 +267,13 @@ def test_decode_strides_by_plaintext_length_under_cleared_flag():
 def test_relocated_record_rejected_by_slot_binding():
     pairs, tree, sk, index = _dataset(50, 4, 5)
     with pytest.raises(AuthenticationError):
-        decrypt_wire(sk.tree_key, index.node_record(0), slot_aad(1))
+        decrypt_wire(sk.tree_key, index.node_record(0), index.record_aad(1))
+    # The header is bound too: a record read under any other header fails.
+    for name, value in [("branching", 28), ("integrity", True), ("n_values", 49)]:
+        reshaped = dataclasses.replace(index, **{name: value})
+        assert reshaped.header != index.header
+        with pytest.raises(AuthenticationError):
+            decrypt_wire(sk.tree_key, index.node_record(0), reshaped.record_aad(0))
 
 
 def test_container_file_roundtrip_byte_exact(tmp_path):
@@ -373,14 +408,29 @@ def test_decrypt_results_aborts_wholesale_on_tamper():
 
 
 def test_verify_result_mac_roundtrip():
-    sk = SecretKey.generate()
-    values = [b"a", b"bb", b"ccc"]
-    state = MultisetHash.empty(sk.tree_key).add_all(b"".join(value_digest(v) for v in values))
+    pairs, tree, sk, index = _dataset(50, 5, 10, integrity=True)
+    blobs = [index.value_blob(p) for p in (3, 17, 42)]
+    state = MultisetHash.empty(sk.tree_key).add_all(b"".join(b[-TAG_BYTES:] for b in blobs))
     mac = result_mac(sk.tree_key, state)
-    assert verify_result_mac(sk.tree_key, values, mac)
-    assert verify_result_mac(sk.tree_key, list(reversed(values)), mac)  # order-free
-    assert not verify_result_mac(sk.tree_key, values[:-1], mac)
-    assert not verify_result_mac(sk.tree_key, values + [b"extra"], mac)
+
+    def check(chosen):
+        return verify_result_mac(sk.tree_key, decrypt_results(sk.value_key, chosen), mac)
+
+    assert check(blobs)
+    assert check(blobs[::-1])  # order-free
+    assert not check(blobs[:-1])
+    assert not check(blobs + [index.value_blob(0)])
+    assert not check(blobs[:-1] + [index.value_blob(0)])
+    # Only plaintexts decrypt_results authenticated can be checked.
+    results = decrypt_results(sk.value_key, blobs)
+    for unauthenticated in (list(results), results[:], tuple(results)):
+        with pytest.raises(TypeError):
+            verify_result_mac(sk.tree_key, unauthenticated, mac)
+    with pytest.raises(TypeError):
+        results[0] = b"forged"
+    with pytest.raises(TypeError):
+        results.append(b"forged")
+    assert results == [pairs[tree.value_positions.index(p)][1] for p in (3, 17, 42)]
 
 
 def test_all_hundred_random_blobs_match_build_input():

@@ -8,9 +8,11 @@ from collections import Counter
 import pytest
 
 from hsbt.bptree import KEY_MAX, scan_oracle
+from hsbt.codec import make_token
 from hsbt.crypto import AuthenticationError
 from hsbt.deploy import Deployment
-from hsbt.enclave import EnclaveSim
+from hsbt.enclave import EnclaveAbort, EnclaveSim
+from hsbt.server import search_streamed
 
 
 def _pairs(n=300, seed=0):
@@ -37,15 +39,19 @@ def test_build_and_attach_answer_both_constructions():
 def test_client_requires_tag_when_header_flag_is_cleared():
     pairs, rng = _pairs(seed=1)
     dep = Deployment.build(pairs, 5, integrity=True, rng=rng)
-    # The host clears the header flag: the enclave then runs no session and
-    # issues no tag.  The client's own record still says integrity.
+    # The host clears the header flag.  Every record is bound to the header,
+    # so neither construction gets past the first record it opens.
     downgraded = dataclasses.replace(dep.index, integrity=False)
     hosted = Deployment.attach(downgraded, dep.sk, dep.tree.root_id, integrity=True)
-    with pytest.raises(AuthenticationError):
-        hosted.query(None, None, construction=2)
-    # Construction 1 issues no tag by design.
-    values, _ = hosted.query(None, None, construction=1)
-    assert len(values) == len(pairs)
+    for construction in (1, 2):
+        with pytest.raises(EnclaveAbort, match="failed authentication"):
+            hosted.query(None, None, construction=construction)
+    # A driver that drops the tag still meets the client's own record.
+    blobs, mac, _ = search_streamed(dep.index, dep.enclave, make_token(dep.sk.tree_key, None, None))
+    assert mac is not None
+    with pytest.raises(AuthenticationError, match="no result tag"):
+        dep.receive(blobs, None)
+    assert Counter(dep.receive(blobs, mac)) == Counter(v for _, v in pairs)
 
 
 def test_wrong_tag_rejected():

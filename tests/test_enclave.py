@@ -157,8 +157,25 @@ def test_load_aborts_when_root_slot_holds_another_node():
         index, node_count=fewer, node_region=index.node_region[: fewer * index.node_record_size]
     )
     enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=root)
-    with pytest.raises(EnclaveAbort, match="root id not at the container's root slot"):
+    # The records are bound to the header, so a host's shrink fails at once;
+    # only a holder of the tree key can re-seal them under the new header.
+    with pytest.raises(EnclaveAbort, match="node at position 0 failed authentication"):
         enclave.load_tree(shrunk)
+    from hsbt.crypto import decrypt_wire, encrypt_wire
+
+    resealed = dataclasses.replace(
+        shrunk,
+        node_region=b"".join(
+            encrypt_wire(
+                sk.tree_key,
+                decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot)),
+                shrunk.record_aad(slot),
+            )
+            for slot in range(fewer)
+        ),
+    )
+    with pytest.raises(EnclaveAbort, match="root id not at the container's root slot"):
+        enclave.load_tree(resealed)
     assert not enclave.tree_loaded
     # A root id beyond the node count has no slot at all.
     enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=index.node_count)
@@ -508,10 +525,9 @@ def test_open_session_table_is_capped_oldest_first():
 
 def _decoded(sk, index, slots):
     """Record array of the nodes at `slots`, in that order."""
-    from hsbt.codec import slot_aad
     from hsbt.crypto import decrypt_wire
 
-    plains = [decrypt_wire(sk.tree_key, index.node_record(s), slot_aad(s)) for s in slots]
+    plains = [decrypt_wire(sk.tree_key, index.node_record(s), index.record_aad(s)) for s in slots]
     return deserialize_node(plains, index.branching, index.integrity)
 
 

@@ -35,6 +35,7 @@ def _token(sk, sorted_keys, rng):
         ("modify-value", Outcome.CLIENT_REJECT),
         ("withhold-results", Outcome.CLIENT_REJECT),
         ("mix-tokens", Outcome.ENCLAVE_ABORT),
+        ("substitute-value", Outcome.CLIENT_REJECT),
     ],
 )
 def test_each_deviation_detected(setup, kind, expected):
@@ -77,4 +78,5 @@ def test_all_kinds_enumerated():
         "withhold-results",
         "replay-token",
         "mix-tokens",
+        "substitute-value",
     }
