@@ -38,6 +38,8 @@ import hmac
 import io
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -58,7 +60,10 @@ from hsbt.crypto import (
 HEADER_MAGIC = b"HSBT2"
 HEADER_VERSION = 2
 _HEADER = struct.Struct("<5sBBBHIQI")  # magic, version, integrity, key width, b, #nodes, n, record size
-_SLOT = struct.Struct("<I")
+# A node record's associated data: the packed header, then its slot.
+_RECORD_AAD = struct.Struct(f"<{_HEADER.size}sI")
+# The AES-GCM tag of a sealed wire: its last `TAG_BYTES` bytes.
+_tag_of = itemgetter(slice(-TAG_BYTES, None))
 
 _NODE_FIXED = struct.Struct("<IBH")
 FLAG_LEAF = 0x01
@@ -155,7 +160,12 @@ class EncryptedIndex:
     def record_aad(self, slot: int) -> bytes:
         """Associated data of the node record at `slot`: the packed header,
         then the slot (4 bytes, little-endian)."""
-        return self.header + _SLOT.pack(slot)
+        return _RECORD_AAD.pack(self.header, slot)
+
+    def record_aads(self, slots):
+        """`record_aad` of each slot, in order, as an iterator: one `pack`
+        per slot from the current header, with no per-slot table kept."""
+        return map(_RECORD_AAD.pack, repeat(self.header), slots)
 
     def node_record(self, slot: int) -> bytes:
         if not 0 <= slot < self.node_count:
@@ -259,7 +269,7 @@ def encrypt_index(
         # leaf slot j carries the tag of the blob behind pointer j.
         by_id["child_ids"][~leaf] = pointers[~leaf]
         rows, cols = np.nonzero(live & leaf[:, None] & (slots > 0))
-        tags = np.frombuffer(b"".join([blob[-TAG_BYTES:] for blob in blobs]), np.uint8)
+        tags = np.frombuffer(b"".join(map(_tag_of, blobs)), np.uint8)
         by_id["value_tags"][rows, cols - 1] = tags.reshape(-1, TAG_BYTES)[pointers[rows, cols]]
     inner = live & ~leaf[:, None]
     pointers[inner] = slot_of_id[pointers[inner]]
@@ -281,7 +291,7 @@ def encrypt_index(
     sealed = encrypt_wires(
         sk.tree_key,
         records.view(np.uint8).reshape(node_count, size),
-        map(index.record_aad, range(node_count)),
+        index.record_aads(range(node_count)),
     )
     return replace(index, node_region=b"".join(sealed))
 
@@ -387,6 +397,6 @@ def verify_result_mac(tree_key: bytes, results: Results, mac: bytes) -> bool:
     """
     if not isinstance(results, Results):
         raise TypeError("verify_result_mac needs the Results of decrypt_results")
-    tags = b"".join([blob[-TAG_BYTES:] for blob in results.blobs])
+    tags = b"".join(map(_tag_of, results.blobs))
     state = MultisetHash.empty(tree_key).add_all(tags)
     return hmac.compare_digest(result_mac(tree_key, state), mac)

@@ -20,6 +20,7 @@ import secrets
 import struct
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -143,26 +144,29 @@ def encrypt_wires(key: bytes, plaintexts, aads=None) -> list[bytes]:
 
 
 def decrypt_wire(key: bytes, wire: bytes, aad: bytes = b"") -> bytes:
-    """Invert `encrypt_wire`; raises AuthenticationError on any modification."""
-    if len(wire) < NONCE_BYTES + TAG_BYTES:
-        raise AuthenticationError("ciphertext too short")
+    """Invert `encrypt_wire`; raises AuthenticationError on any modification.
+
+    A wire too short for a nonce and a tag is rejected by the AEAD itself
+    (`ValueError` for a nonce under 8 bytes, `InvalidTag` otherwise), so no
+    length check runs in Python."""
     try:
         return _aead(key).decrypt(wire[:NONCE_BYTES], wire[NONCE_BYTES:], aad or None)
-    except InvalidTag:
+    except (InvalidTag, ValueError):
         raise AuthenticationError("ciphertext rejected") from None
+
+
+_nonce_of = itemgetter(slice(None, NONCE_BYTES))
+_body_of = itemgetter(slice(NONCE_BYTES, None))
 
 
 def decrypt_wires(key: bytes, wires, aad: bytes = b"") -> list[bytes]:
-    """Bulk `decrypt_wire`; any failure aborts the whole batch."""
-    aead = _aead(key)
-    bound = aad or None
-    out = []
+    """Bulk `decrypt_wire` over a sequence of wires, in order, in one `map`;
+    any failure aborts the whole batch."""
+    bound = itertools.repeat(aad or None)
     try:
-        for wire in wires:
-            out.append(aead.decrypt(wire[:NONCE_BYTES], wire[NONCE_BYTES:], bound))
+        return list(map(_aead(key).decrypt, map(_nonce_of, wires), map(_body_of, wires), bound))
     except (InvalidTag, ValueError):
         raise AuthenticationError("ciphertext rejected") from None
-    return out
 
 
 # ---------------------------------------------------------------------------

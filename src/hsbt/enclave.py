@@ -18,17 +18,24 @@ Nodes are array-shaped: the resident tree is one `node_dtype` record array
 indexed by slot, and a streamed batch decodes into one with a single
 `deserialize_node`.  The resident load and a streamed batch open records in
 one place, `_open_records`, which authenticates each against the container
-header and its slot and names the first that fails.  `oblivious_match_slots`
-matches a whole batch, or a whole level of the resident walk, in one
-vectorised comparison; a resident level too small to repay numpy's per-call
-cost is scanned node by node with the same per-slot formula.
+header and its slot and names the first that fails.  It does so in one
+C-level pass: a single bound check for the batch, then one `decrypt_wire`
+call per record mapped over plain-bytes slices of the node region and their
+associated data, with the trace's fetch events recorded afterwards for the
+records opened.  The AES-GCM calls are most of that pass.
+`oblivious_match_slots` matches a whole batch, or a whole level of the
+resident walk, in one vectorised comparison; a resident level too small to
+repay numpy's per-call cost is scanned node by node with the same per-slot
+formula.
 
 A batch answer is two plain int lists, value pointers and node pointers,
 each shuffled on its own; the driver routes them with one list operation
 apiece.
 
 In integrity mode `search_batch` additionally runs a per-query session bound
-to the token that opened it.  It counts the nodes it asked for and keeps two
+to the token that opened it.  It counts the nodes it asked for a batch at a
+time (a cumulative sum over the per-node request counts checks each arrival
+when a batch holds more nodes than were outstanding), and keeps two
 multiset hashes: a balance accumulator into which both the requested child
 ids and the received node ids fold, and the matched leaf value tags (the
 GCM tags of the value blobs, copied blindly from the leaves); each is
@@ -52,6 +59,7 @@ import random
 import secrets
 import threading
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -438,16 +446,13 @@ class EnclaveSim:
                 if nodes["id"][0] != self._root_id:
                     raise EnclaveAbort("protocol violation: first node is not the root")
                 sess = self._new_session(opener)
-            # Running count of outstanding requests, node by node: every
-            # arrival but the opening root settles one, then adds its matches.
-            outstanding = sess.expected_amount + fresh
-            for requested in np.bincount(rows[inner], minlength=len(nodes)).tolist():
-                outstanding -= 1
-                if outstanding < 0:
-                    self._drop_session(sess)
-                    raise EnclaveAbort("protocol violation: more nodes than requested")
-                outstanding += requested
-            sess.expected_amount = outstanding
+            try:
+                sess.expected_amount = _settle_requests(
+                    sess.expected_amount + fresh, rows[inner], len(nodes)
+                )
+            except EnclaveAbort:
+                self._drop_session(sess)
+                raise
             received = nodes["id"][int(fresh) :]
             requested_ids = nodes["child_ids"][rows[inner], cols[inner]]
             sess.balance_hash = sess.balance_hash.add_all(
@@ -508,30 +513,36 @@ class EnclaveSim:
     def _open_records(
         self, container: EncryptedIndex, positions, trace=None
     ) -> tuple[np.ndarray, str | None]:
-        """Authenticate the records at `positions`, sliced from the shared
-        node region, each under `record_aad` of its slot, and decode them as
-        one record array.  Stops at the first position with no record or
-        whose record fails authentication, and returns the records before it
-        with the abort message (None when every record opened)."""
-        plains = []
+        """Authenticate the records at `positions`, in order, and decode them
+        as one record array.
+
+        One bound check covers the whole batch.  Each record is sliced from
+        the shared node region as plain bytes and opened by its own
+        `decrypt_wire` call under `record_aads`, the container header
+        followed by its slot, in one `map`.  Stops at the first position with
+        no record or whose record fails authentication, and returns the
+        records before it with the abort message (None when every record
+        opened); the trace records a fetch for exactly those records, in
+        order, once the pass is over."""
         failure = None
-        tree_key = self._tree_key
+        node_count = container.node_count
+        if positions and not (0 <= min(positions) and max(positions) < node_count):
+            end = next(i for i, p in enumerate(positions) if not 0 <= p < node_count)
+            failure = f"no node record at position {positions[end]}"
+            positions = positions[:end]
         region = container.node_region
         size = container.node_record_size
-        node_count = container.node_count
-        record_aad = container.record_aad
-        for position in positions:
-            if not 0 <= position < node_count:
-                failure = f"no node record at position {position}"
-                break
-            record = region[position * size : (position + 1) * size]
-            try:
-                plains.append(decrypt_wire(tree_key, record, record_aad(position)))
-            except AuthenticationError:
-                failure = f"node at position {position} failed authentication"
-                break
-            if trace is not None:
-                trace.node_fetch(position)
+        records = [region[p * size : (p + 1) * size] for p in positions]
+        plains: list[bytes] = []
+        try:
+            # `extend` keeps the plaintexts opened before a failure.
+            plains.extend(
+                map(decrypt_wire, repeat(self._tree_key), records, container.record_aads(positions))
+            )
+        except AuthenticationError:
+            failure = f"node at position {positions[len(plains)]} failed authentication"
+        if trace is not None:
+            trace.node_fetches(positions[: len(plains)])
         return deserialize_node(plains, container.branching, container.integrity), failure
 
     def _fresh_order_rng(self, trace) -> np.random.Generator:
@@ -573,6 +584,27 @@ class EnclaveSim:
         if sess is not None:
             with self._lock:
                 self._sessions.pop(sess.nonce, None)
+
+
+def _settle_requests(outstanding: int, parents: np.ndarray, arrivals: int) -> int:
+    """Requests still outstanding after a batch of `arrivals` nodes, where
+    `parents` names, in node order, the node making each of the batch's
+    requests.
+
+    Node ``i`` arrives, settles one of the `outstanding` requests, then adds
+    its own; the opening root, which nobody requested, is counted in
+    `outstanding` by the caller.  Raises `EnclaveAbort` when some arrival
+    finds nothing outstanding, the same decision as a node-by-node count.
+    That can only happen when the batch holds more nodes than were
+    outstanding, and then one cumulative sum over the per-node request
+    counts checks every arrival at once: the count is lowest just before
+    some node's requests are added."""
+    if arrivals > outstanding:
+        requested = np.bincount(parents, minlength=arrivals)
+        balance = np.cumsum(requested - 1)
+        if outstanding + int((balance - requested).min()) < 0:
+            raise EnclaveAbort("protocol violation: more nodes than requested")
+    return outstanding - arrivals + len(parents)
 
 
 def _expand(nodes: np.ndarray, r_start: int, r_end: int):

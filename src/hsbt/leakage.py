@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from hsbt.bptree import PlainTree
 
@@ -65,6 +66,10 @@ class AccessTrace:
 
     def node_fetch(self, position: int) -> None:
         self.events.append(("node", position))
+
+    def node_fetches(self, positions) -> None:
+        """`node_fetch` of each position, in order, in one `extend`."""
+        self.events.extend(zip(repeat("node"), positions))
 
     def page_touch(self, page_id: int) -> None:
         self.events.append(("page", page_id))

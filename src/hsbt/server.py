@@ -12,8 +12,8 @@ result is returned.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from hsbt.codec import EncryptedIndex, RangeToken
 from hsbt.enclave import EnclaveSim
@@ -55,17 +55,22 @@ class QueryStats:
 
 def fetch_values(index: EncryptedIndex, pointers) -> list[bytes]:
     """Dereference a sequence of value pointers into the value region, in
-    pointer order.
+    pointer order, as a new list.
 
-    An out-of-range pointer means the enclave output was corrupted in
-    transit; surfacing it beats returning garbage.
+    One min/max bound check covers the whole sequence; an out-of-range
+    pointer means the enclave output was corrupted in transit, and the error
+    names the first one, since surfacing it beats returning garbage.  The
+    blobs are then gathered by one `operator.itemgetter` call.
     """
     n = index.n_values
     if pointers and not (0 <= min(pointers) and max(pointers) < n):
         bad = next(p for p in pointers if not 0 <= p < n)
         raise ValueError(f"value pointer {bad} outside [0, {n})")
     region = index.value_blobs
-    return [region[p] for p in pointers]
+    if len(pointers) < 2:
+        # An itemgetter of one item returns it bare, not in a tuple.
+        return [region[p] for p in pointers]
+    return list(itemgetter(*pointers)(region))
 
 
 def search_resident(
@@ -107,7 +112,7 @@ def search_streamed(
     """
     t0 = time.perf_counter()
     max_batch = enclave.max_batch_nodes(index.node_record_size)
-    queue: deque[int] = deque([enclave.root_slot()])
+    queue = [enclave.root_slot()]
     value_pointers: list[int] = []
     nonce: bytes | None = None
     crossings = 0
@@ -116,7 +121,8 @@ def search_streamed(
     bytes_out = 0
 
     while queue:
-        batch = [queue.popleft() for _ in range(min(len(queue), max_batch))]
+        batch = queue[:max_batch]
+        del queue[:max_batch]
         (values, nodes), nonce = enclave.search_batch(token, batch, session=nonce, trace=trace)
         crossings += 1
         nodes_moved += len(batch)
@@ -125,7 +131,7 @@ def search_streamed(
         bytes_in += token.wire_size + len(batch) * index.node_record_size
         bytes_out += 5 * (len(values) + len(nodes)) + (len(nonce) if nonce else 0)
         value_pointers += values
-        queue.extend(nodes)
+        queue += nodes
 
     mac: bytes | None = None
     if index.integrity:

@@ -16,6 +16,9 @@ query and reports how the pipeline reacted:
 * ``substitute-value`` - replace one result blob with a genuine blob from
   outside the result (it authenticates: only the leaves' tag commitment
   catches it)
+* ``reshape-header`` - serve a copy of the container with one header field
+  rewritten (the integrity flag, the branching factor or the value count);
+  every record's associated data holds the header, so the first record fails
 
 Denial-of-service behaviours (just refusing to answer) are out of scope: the
 driver can always stall, and no response is its own signal.
@@ -51,6 +54,7 @@ KINDS = (
     "replay-token",
     "mix-tokens",
     "substitute-value",
+    "reshape-header",
 )
 
 
@@ -135,6 +139,25 @@ def run_with_tamper(
         same = set(first) == set(second)
         outcome = Outcome.ACCEPTED if same else Outcome.CLIENT_REJECT
         return TamperReport(outcome, f"replay result sets identical: {same}")
+
+    if kind == "reshape-header":
+        rewritten, value = rng.choice(
+            [
+                ("integrity", not index.integrity),
+                ("branching", index.branching + 1),
+                ("n_values", index.n_values - 1),
+            ]
+        )
+        # `replace` packs the header afresh, so every record AAD changes.
+        reshaped = dataclasses.replace(index, **{rewritten: value})
+        enclave.attach_container(reshaped)
+        try:
+            search_streamed(reshaped, enclave, token)
+            return TamperReport(Outcome.ACCEPTED, f"rewritten {rewritten} went unnoticed")
+        except EnclaveError as exc:
+            return TamperReport(Outcome.ENCLAVE_ABORT, f"{kind} of {rewritten}: {exc}")
+        finally:
+            enclave.attach_container(index)
 
     # Honest dry run to learn which slots the query fetches, root first.  The
     # rest follow the enclave's shuffles, so targets come from sorted slots.

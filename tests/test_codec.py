@@ -37,6 +37,7 @@ from hsbt.crypto import (
     SecretKey,
     decrypt,
     decrypt_wire,
+    encrypt_wires,
     prp_apply,
     prp_permutation,
     result_mac,
@@ -431,6 +432,27 @@ def test_verify_result_mac_roundtrip():
     with pytest.raises(TypeError):
         results.append(b"forged")
     assert results == [pairs[tree.value_positions.index(p)][1] for p in (3, 17, 42)]
+
+
+def test_verify_result_mac_folds_the_last_16_bytes_of_blobs_of_mixed_lengths():
+    sk = SecretKey.generate()
+    values = [b"", b"a", b"x" * 15, b"y" * 16, b"z" * 333]
+    blobs = encrypt_wires(sk.value_key, values)
+    assert len({len(blob) for blob in blobs}) == len(values)
+    results = decrypt_results(sk.value_key, blobs)
+    assert results == values
+
+    def mac_over(chunks):
+        return result_mac(sk.tree_key, MultisetHash.empty(sk.tree_key).add_all(b"".join(chunks)))
+
+    assert verify_result_mac(sk.tree_key, results, mac_over(b[-TAG_BYTES:] for b in blobs))
+    # Any other 16 bytes of each blob (its first 16, or the 16 before its
+    # last byte) make a different multiset.
+    for other in (
+        [b[:TAG_BYTES] for b in blobs],
+        [b[-TAG_BYTES - 1 : -1] for b in blobs],
+    ):
+        assert not verify_result_mac(sk.tree_key, results, mac_over(other))
 
 
 def test_all_hundred_random_blobs_match_build_input():

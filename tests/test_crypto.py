@@ -116,6 +116,27 @@ def test_bulk_encrypt_matches_wire_helpers():
     assert encrypt_wires(key, []) == []
 
 
+@pytest.mark.parametrize("length", [0, 7, 11, 12, 27])
+def test_short_wires_raise_authentication_error_only(length):
+    # No length check runs in Python: the AEAD rejects a nonce under 8 bytes
+    # with ValueError and a missing or partial tag with InvalidTag, and both
+    # helpers must turn either into AuthenticationError.
+    key = generate_key()
+    wire = secrets.token_bytes(length)
+    good = encrypt_wire(key, b"fine", b"ad")
+    for aad in (b"", b"ad"):
+        with pytest.raises(AuthenticationError):
+            decrypt_wire(key, wire, aad)
+        with pytest.raises(AuthenticationError):
+            decrypt_wires(key, [wire], aad)
+    with pytest.raises(AuthenticationError):
+        decrypt_wires(key, [good, wire, good], b"ad")
+    with pytest.raises(AuthenticationError):
+        decrypt_wires(key, (good, wire), b"ad")
+    assert decrypt_wires(key, (good, good), b"ad") == [b"fine", b"fine"]
+    assert decrypt_wires(key, []) == []
+
+
 def test_aead_fuzz_bit_flips_never_accepted():
     # Smaller sibling of the acceptance sweep; full 10^4 flips run there.
     key = generate_key()

@@ -34,8 +34,11 @@ from hsbt.enclave import (
     TouchCounter,
     _expand,
     _scan_record,
+    _settle_requests,
     oblivious_match_slots,
 )
+from hsbt.leakage import AccessTrace
+from hsbt.server import search_streamed
 
 
 def _fixture(n=500, b=5, seed=0, integrity=False, values=None):
@@ -780,3 +783,105 @@ def test_batch_abort_lands_on_the_first_failing_node():
     # A wrong first node is caught before a later missing record.
     with pytest.raises(EnclaveAbort, match="first node is not the root"):
         enclave.search_batch(token, children[:1] + [nowhere])
+
+
+def _broken_at(index, slot):
+    """A copy of the container whose record at `slot` fails authentication."""
+    import dataclasses
+
+    region = bytearray(index.node_region)
+    region[slot * index.node_record_size + index.node_record_size // 2] ^= 0x01
+    return dataclasses.replace(index, node_region=bytes(region))
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 7])
+def test_traced_batch_records_exactly_the_records_opened(k):
+    # Integrity off: a batch may name any slots, so the failing one can sit
+    # anywhere in it.
+    pairs, tree, sk, index, enclave = _fixture(300, seed=21)
+    token = make_token(sk.tree_key, None, None)
+    positions = random.Random(k).sample(range(index.node_count), 8)
+
+    enclave.attach_container(_broken_at(index, positions[k]))
+    trace = AccessTrace()
+    with pytest.raises(EnclaveAbort, match=f"^node at position {positions[k]} failed auth"):
+        enclave.search_batch(token, positions, trace=trace)
+    assert trace.touched("node") == positions[:k]
+    # An earlier authentication failure wins over a later missing record.
+    trace = AccessTrace()
+    with pytest.raises(EnclaveAbort, match=f"^node at position {positions[k]} failed auth"):
+        enclave.search_batch(token, positions + [index.node_count], trace=trace)
+    assert trace.touched("node") == positions[:k]
+
+    # A position outside the region stops the batch just the same.
+    enclave.attach_container(index)
+    for outside in (index.node_count, index.node_count + 9, -1):
+        batch = positions[:k] + [outside] + positions[k:]
+        trace = AccessTrace()
+        with pytest.raises(EnclaveAbort, match=f"^no node record at position {outside}$"):
+            enclave.search_batch(token, batch, trace=trace)
+        assert trace.touched("node") == positions[:k]
+    # And an intact batch records every fetch, in order.
+    trace = AccessTrace()
+    enclave.search_batch(token, positions, trace=trace)
+    assert trace.touched("node") == positions
+
+
+@pytest.mark.parametrize("reserved_space", [64 * 1024, 2048])
+def test_streamed_query_calls_decrypt_wire_once_per_node_decryption(monkeypatch, reserved_space):
+    # `crypto.node_decrypt` is timed by wrapping `hsbt.enclave.decrypt_wire`:
+    # every record must still go through that name, once.
+    import hsbt.enclave
+
+    calls = []
+    real = hsbt.enclave.decrypt_wire
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(hsbt.enclave, "decrypt_wire", counting)
+    rng = random.Random(22)
+    pairs = [(k, b"v%d" % k) for k in rng.sample(range(1, KEY_MAX), 2000)]
+    dep = Deployment.build(
+        pairs, 6, integrity=True, rng=rng, enclave=EnclaveSim(reserved_space=reserved_space)
+    )
+    keys = sorted(k for k, _ in pairs)
+    before = dep.enclave.node_decryptions
+    blobs, mac, stats = search_streamed(
+        dep.index, dep.enclave, make_token(dep.sk.tree_key, keys[100], keys[900])
+    )
+    assert len(blobs) == 801 and stats.crossings > 2
+    assert len(calls) == dep.enclave.node_decryptions - before == stats.nodes_transferred
+    assert len(set(calls)) == len(calls)
+
+
+def _settle_node_by_node(outstanding, requested):
+    """Reference session count, one arrival at a time; None where an arrival
+    finds nothing outstanding."""
+    for count in requested:
+        outstanding -= 1
+        if outstanding < 0:
+            return None
+        outstanding += count
+    return outstanding
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=300),
+    st.integers(min_value=0, max_value=400),
+    st.booleans(),
+)
+def test_vectorised_session_count_agrees_with_node_by_node_count(requested, balance, fresh):
+    # A fresh session starts from nothing requested; its root settles nothing.
+    outstanding = (0 if fresh else balance) + fresh
+    want = _settle_node_by_node(outstanding, requested)
+    # The enclave names each request's node, in node order, as np.nonzero does.
+    parents = np.repeat(np.arange(len(requested)), requested)
+    if want is None:
+        with pytest.raises(EnclaveAbort, match="^protocol violation: more nodes than requested$"):
+            _settle_requests(outstanding, parents, len(requested))
+    else:
+        got = _settle_requests(outstanding, parents, len(requested))
+        assert got == want and type(got) is int

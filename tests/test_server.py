@@ -49,6 +49,25 @@ def test_fetch_values_names_the_first_bad_pointer():
     assert fetch_values(index, range(5, 5)) == []
 
 
+def test_fetch_values_returns_a_list_in_pointer_order_for_any_sequence():
+    pairs, tree, sk, index, _ = _fixture(20)
+    blob = index.value_blob
+    # One pointer is the itemgetter trap: a bare item, not a 1-tuple.
+    for one in ([7], (7,), range(7, 8)):
+        got = fetch_values(index, one)
+        assert type(got) is list and got == [blob(7)]
+    for none in ([], (), range(3, 3)):
+        got = fetch_values(index, none)
+        assert type(got) is list and got == []
+    order = [5, 0, 19, 5, 3]
+    for pointers in (order, tuple(order), range(19, 2, -4)):
+        got = fetch_values(index, pointers)
+        assert type(got) is list and got == [blob(p) for p in pointers]
+    # A fresh list every time: the caller may edit it.
+    got.append(b"x")
+    assert fetch_values(index, order) == [blob(p) for p in order]
+
+
 def test_resident_driver_crossings_and_results():
     pairs, tree, sk, index, enclave = _fixture(300, seed=1)
     enclave.load_tree(index)

@@ -36,6 +36,7 @@ def _token(sk, sorted_keys, rng):
         ("withhold-results", Outcome.CLIENT_REJECT),
         ("mix-tokens", Outcome.ENCLAVE_ABORT),
         ("substitute-value", Outcome.CLIENT_REJECT),
+        ("reshape-header", Outcome.ENCLAVE_ABORT),
     ],
 )
 def test_each_deviation_detected(setup, kind, expected):
@@ -44,6 +45,29 @@ def test_each_deviation_detected(setup, kind, expected):
     for _ in range(5):
         report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), TamperScript(kind), rng)
         assert report.outcome == expected, (kind, report.detail)
+
+
+def test_reshape_header_aborts_at_the_first_record(setup):
+    # Every record's associated data holds the header, so the root record,
+    # the first one fetched, already fails; no AAD cached from the genuine
+    # header may let it through.
+    pairs, sorted_keys, dep = setup
+    root = dep.enclave.root_slot()
+    rng = random.Random(4)
+    rewritten = set()
+    for _ in range(12):
+        report = run_with_tamper(
+            dep, _token(dep.sk, sorted_keys, rng), TamperScript("reshape-header"), rng
+        )
+        assert report.outcome == Outcome.ENCLAVE_ABORT
+        assert report.detail.endswith(f"node at position {root} failed authentication")
+        rewritten.add(report.detail.split(":")[0])
+    assert len(rewritten) == 3, rewritten
+    # The genuine container is attached again afterwards.
+    assert dep.enclave.root_slot() == root
+    assert run_with_tamper(
+        dep, _token(dep.sk, sorted_keys, rng), TamperScript("replay-token"), rng
+    ).outcome == Outcome.ACCEPTED
 
 
 def test_replay_token_accepted_with_identical_sets(setup):
@@ -79,4 +103,5 @@ def test_all_kinds_enumerated():
         "replay-token",
         "mix-tokens",
         "substitute-value",
+        "reshape-header",
     }
