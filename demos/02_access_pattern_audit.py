@@ -82,7 +82,7 @@ trace = AccessTrace()
 dep.query(lo, hi, trace=trace)
 access, pattern = leak_hw_nodes(tree, lo, hi, position_map=position_map)
 outsider = next(s for s in range(index.node_count) if s not in access.vertices)
-trace.node_fetch(outsider)
+trace.node_fetches([outsider])
 verdict = audit_query(trace, access, pattern)
 print(f"audit: {'PASS' if verdict.passed else 'FAIL'} - {verdict.detail}")
 assert not verdict.passed

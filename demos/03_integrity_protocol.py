@@ -15,7 +15,7 @@ import random
 from hsbt.bench import make_dataset
 from hsbt.codec import make_token
 from hsbt.deploy import Deployment
-from hsbt.tamper import KINDS, TamperScript, run_with_tamper
+from hsbt.tamper import KINDS, run_with_tamper
 
 rng = random.Random(23)
 pairs = make_dataset(3_000, rng)
@@ -28,7 +28,7 @@ print("-" * 76)
 for kind in KINDS:
     start = rng.randrange(0, len(sorted_keys) - 40)
     token = make_token(dep.sk.tree_key, sorted_keys[start], sorted_keys[start + 30])
-    report = run_with_tamper(dep, token, TamperScript(kind), rng)
+    report = run_with_tamper(dep, token, kind, rng)
     print(f"{kind:<22} {report.outcome.value:<15} {report.detail[:60]}")
 
 print(

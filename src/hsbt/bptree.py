@@ -75,9 +75,6 @@ class PlainTree:
     root_id: int
     value_positions: tuple[int, ...]
 
-    def node(self, node_id: int) -> PlainNode:
-        return self.nodes[node_id]
-
     @property
     def root(self) -> PlainNode:
         return self.nodes[self.root_id]

@@ -39,7 +39,7 @@ from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveError, EnclaveSim
 from hsbt.leakage import AccessTrace, PageLayout, audit_query, leak_enc, leak_hw_nodes, leak_hw_pages
 from hsbt.server import CSV_HEADER
-from hsbt.tamper import KINDS, Outcome, TamperScript, run_with_tamper
+from hsbt.tamper import KINDS, Outcome, run_with_tamper
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -157,19 +157,17 @@ def _parse_range(spec: str):
     return r_start, r_end
 
 
-def _check_branching(branching: int) -> None:
-    if branching < MIN_BRANCHING:
-        raise CliError(f"--b must be at least {MIN_BRANCHING}, got {branching}", EXIT_USAGE)
+def _check_at_least(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise CliError(f"{flag} must be at least {minimum}, got {value}", EXIT_USAGE)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_build(args) -> int:
-    _check_branching(args.b)
+    _check_at_least("--b", args.b, MIN_BRANCHING)
     path = Path(args.input)
-    if not path.exists():
-        raise CliError(f"input file {path} does not exist", EXIT_USAGE)
     pairs = read_pairs_binary(path) if args.format == "binary" else read_pairs_text(path)
     if not pairs:
         raise CliError(f"{path}: no key-value pairs to index")
@@ -224,8 +222,10 @@ def cmd_query(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    for branching in args.b:
-        _check_branching(branching)
+    _check_at_least("--n", min(args.n), 1)
+    _check_at_least("--b", min(args.b), MIN_BRANCHING)
+    _check_at_least("--result-size", min(args.result_size), 1)
+    _check_at_least("--reps", args.reps, 1)
     cells = [
         bench_mod.WorkloadCell(
             n=n,
@@ -259,6 +259,8 @@ def cmd_audit(args) -> int:
         reserved_space=args.reserved_space, order_seed_source=lambda: seed_rng.getrandbits(64)
     )
     dep, meta = _attach(args, enclave)
+    if meta["seed"] is None:
+        raise CliError(f"{args.key}: built without --seed, so no rebuilt tree matches", EXIT_USAGE)
     path = Path(args.input)
     pairs = read_pairs_binary(path) if args.format == "binary" else read_pairs_text(path)
     # The auditor is omniscient: it reconstructs the plaintext tree the same
@@ -293,6 +295,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_tamper(args) -> int:
+    _check_at_least("--b", args.b, MIN_BRANCHING)
+    # A 16-key window spans leaves holding at most 16 + 2 (b - 2) keys; one
+    # more leaves swap-nodes an unfetched node, substitute-value an outsider.
+    _check_at_least("--n", args.n, 2 * args.b + 13)
     rng = random.Random(args.seed)
     pairs = bench_mod.make_dataset(args.n, rng)
     enclave = EnclaveSim(reserved_space=args.reserved_space)
@@ -304,9 +310,8 @@ def cmd_tamper(args) -> int:
     undetected = 0
     for kind in kinds:
         for t in range(args.targets):
-            start = rng.randrange(0, len(sorted_keys) - 20)
-            token = make_token(dep.sk.tree_key, sorted_keys[start], sorted_keys[start + 15])
-            report = run_with_tamper(dep, token, TamperScript(kind), rng)
+            window = bench_mod.sample_result_window(sorted_keys, 16, rng)
+            report = run_with_tamper(dep, make_token(dep.sk.tree_key, *window), kind, rng)
             detected = report.outcome in (Outcome.ENCLAVE_ABORT, Outcome.CLIENT_REJECT)
             ok = detected if kind != "replay-token" else report.outcome == Outcome.ACCEPTED
             print(f"{kind} target {t}: {report.outcome.value} - {report.detail}")

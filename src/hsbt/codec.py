@@ -59,6 +59,7 @@ from hsbt.crypto import (
 
 HEADER_MAGIC = b"HSBT2"
 HEADER_VERSION = 2
+KEY_WIDTH = 4  # bytes per key, packed into the header
 _HEADER = struct.Struct("<5sBBBHIQI")  # magic, version, integrity, key width, b, #nodes, n, record size
 # A node record's associated data: the packed header, then its slot.
 _RECORD_AAD = struct.Struct(f"<{_HEADER.size}sI")
@@ -130,27 +131,29 @@ class EncryptedIndex:
 
     Immutable after creation; concurrent readers need no coordination.  The
     node region is a single byte blob sliced by slot, which doubles as the
-    shared host-memory region the enclave fetches records from.  `header` is
-    the packed container header, computed once from the fields; every node
-    record is bound to it (`record_aad`).
+    shared host-memory region the enclave fetches records from.
+    `node_record_size` and `header`, the packed container header, follow
+    from the other fields and are computed once; every node record is bound
+    to the header (`record_aad`).
     """
 
     branching: int
     n_values: int
     node_count: int
-    key_width: int
     integrity: bool
-    node_record_size: int
     node_region: bytes
     value_blobs: tuple[bytes, ...]
+    node_record_size: int = field(init=False, compare=False)
     header: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        plain_size = node_plain_size(self.branching, self.integrity)
+        self.node_record_size = plain_size + NONCE_BYTES + TAG_BYTES
         self.header = _HEADER.pack(
             HEADER_MAGIC,
             HEADER_VERSION,
             1 if self.integrity else 0,
-            self.key_width,
+            KEY_WIDTH,
             self.branching,
             self.node_count,
             self.n_values,
@@ -200,7 +203,7 @@ class EncryptedIndex:
             raise ValueError("not an index container")
         if (magic, version) != (HEADER_MAGIC, HEADER_VERSION):
             raise ValueError(f"unsupported container version {version}")
-        if integrity not in (0, 1) or key_width != 4 or b < MIN_BRANCHING or node_count < 1:
+        if integrity not in (0, 1) or key_width != KEY_WIDTH or b < MIN_BRANCHING or node_count < 1:
             raise ValueError("malformed container header")
         if record_size != node_plain_size(b, bool(integrity)) + NONCE_BYTES + TAG_BYTES:
             raise ValueError(f"node record size {record_size} does not fit b={b}")
@@ -216,7 +219,7 @@ class EncryptedIndex:
         if off != len(data):
             raise ValueError(f"container is {len(data)} bytes, its header implies {off}")
         region = data[_HEADER.size : region_end]
-        return cls(b, n, node_count, key_width, bool(integrity), record_size, region, tuple(blobs))
+        return cls(b, n, node_count, bool(integrity), region, tuple(blobs))
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -278,16 +281,7 @@ def encrypt_index(
     records = np.zeros_like(by_id)
     records[slot_of_id] = by_id
     size = records.itemsize
-    index = EncryptedIndex(
-        branching=branching,
-        n_values=n_values,
-        node_count=node_count,
-        key_width=4,
-        integrity=integrity,
-        node_record_size=size + NONCE_BYTES + TAG_BYTES,
-        node_region=b"",
-        value_blobs=blobs,
-    )
+    index = EncryptedIndex(branching, n_values, node_count, integrity, b"", blobs)
     sealed = encrypt_wires(
         sk.tree_key,
         records.view(np.uint8).reshape(node_count, size),

@@ -19,7 +19,7 @@ import itertools
 import secrets
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -44,10 +44,8 @@ class AuthenticationError(Exception):
     """
 
 
-def generate_key(security_param: int = 128) -> bytes:
+def generate_key() -> bytes:
     """Draw one uniformly random 128-bit symmetric key from the OS CSPRNG."""
-    if security_param != 128:
-        raise ValueError(f"unsupported security parameter: {security_param}")
     return secrets.token_bytes(KEY_BYTES)
 
 
@@ -66,32 +64,24 @@ class SecretKey:
             raise ValueError("tree key and value key must differ")
 
     @classmethod
-    def generate(cls, security_param: int = 128) -> "SecretKey":
-        return cls(generate_key(security_param), generate_key(security_param))
+    def generate(cls) -> "SecretKey":
+        return cls(generate_key(), generate_key())
 
 
 @dataclass(frozen=True)
 class Ciphertext:
     """One authenticated ciphertext.
 
-    Wire layout is ``nonce(12) || body || tag(16)``, bit-exact.  The optional
-    `aad` field echoes the associated data the ciphertext was bound to; it is
-    never serialized.
+    Wire layout is ``nonce(12) || body || tag(16)``, bit-exact, the layout
+    `decrypt_wire` opens.
     """
 
     nonce: bytes
     body: bytes
     tag: bytes
-    aad: bytes | None = field(default=None, compare=False)
 
     def to_bytes(self) -> bytes:
         return self.nonce + self.body + self.tag
-
-    @classmethod
-    def from_bytes(cls, wire: bytes) -> "Ciphertext":
-        if len(wire) < NONCE_BYTES + TAG_BYTES:
-            raise ValueError("ciphertext too short")
-        return cls(wire[:NONCE_BYTES], wire[NONCE_BYTES:-TAG_BYTES], wire[-TAG_BYTES:])
 
 
 _aead_cache: dict[bytes, AESGCM] = {}
@@ -108,7 +98,7 @@ def encrypt(key: bytes, plaintext: bytes, aad: bytes = b"") -> Ciphertext:
     """Probabilistic authenticated encryption; a fresh nonce is drawn per call."""
     nonce = secrets.token_bytes(NONCE_BYTES)
     sealed = _aead(key).encrypt(nonce, plaintext, aad or None)
-    return Ciphertext(nonce, sealed[:-TAG_BYTES], sealed[-TAG_BYTES:], aad)
+    return Ciphertext(nonce, sealed[:-TAG_BYTES], sealed[-TAG_BYTES:])
 
 
 def decrypt(key: bytes, ciphertext: Ciphertext, aad: bytes = b"") -> bytes:
@@ -121,17 +111,11 @@ def decrypt(key: bytes, ciphertext: Ciphertext, aad: bytes = b"") -> bytes:
         raise AuthenticationError("ciphertext rejected") from None
 
 
-def encrypt_wire(key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    """`encrypt` directly to wire bytes (hot path for bulk record handling)."""
-    nonce = secrets.token_bytes(NONCE_BYTES)
-    return nonce + _aead(key).encrypt(nonce, plaintext, aad or None)
-
-
 def encrypt_wires(key: bytes, plaintexts, aads=None) -> list[bytes]:
-    """Bulk `encrypt_wire`: one nonce draw and one AEAD object for the whole
-    batch.  `plaintexts` is a sized sequence of bytes-like items (numpy rows
-    included); `aads`, any iterable when given, binds each plaintext to its
-    own associated data."""
+    """`encrypt` of each plaintext straight to wire bytes, with one nonce
+    draw and one AEAD object for the whole batch.  `plaintexts` is a sized
+    sequence of bytes-like items (numpy rows included); `aads`, any iterable
+    when given, binds each plaintext to its own associated data."""
     seal = _aead(key).encrypt
     drawn = secrets.token_bytes(NONCE_BYTES * len(plaintexts))
     starts = range(0, len(drawn), NONCE_BYTES)
@@ -144,7 +128,8 @@ def encrypt_wires(key: bytes, plaintexts, aads=None) -> list[bytes]:
 
 
 def decrypt_wire(key: bytes, wire: bytes, aad: bytes = b"") -> bytes:
-    """Invert `encrypt_wire`; raises AuthenticationError on any modification.
+    """Invert one `encrypt_wires` item; raises AuthenticationError on any
+    modification.
 
     A wire too short for a nonce and a tag is rejected by the AEAD itself
     (`ValueError` for a nonce under 8 bytes, `InvalidTag` otherwise), so no

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hsbt.bptree import PlainTree, build_tree
+from hsbt.bptree import KEY_INFINITY, KEY_NEG_INFINITY, PlainTree, build_tree
 from hsbt.codec import EncryptedIndex, decrypt_results, encrypt_index, make_token, verify_result_mac
 from hsbt.crypto import AuthenticationError, SecretKey
 from hsbt.enclave import DEFAULT_CLIENT, EnclaveSim
@@ -46,17 +46,24 @@ class Deployment:
     def query(self, r_start, r_end, construction=2, trace=None) -> tuple[list[bytes], QueryStats]:
         """Mint a token, search, decrypt and verify; returns (values, stats).
 
-        Construction 1 loads the resident tree on first use and issues no
-        result tag.  Enclave rejections propagate as `EnclaveError`.
+        A `None` endpoint is an open side, counted from `KEY_NEG_INFINITY` or
+        to `KEY_INFINITY` in `stats.range_size`.  Construction 1 loads the
+        resident tree on first use and issues no result tag.  Enclave
+        rejections propagate as `EnclaveError`.
         """
+        r_start = KEY_NEG_INFINITY if r_start is None else r_start
+        r_end = KEY_INFINITY if r_end is None else r_end
         token = make_token(self.sk.tree_key, r_start, r_end)
         if construction == 1:
             if not self.enclave.tree_loaded:
                 self.enclave.load_tree(self.index)
             blobs, stats = search_resident(self.index, self.enclave, token, trace=trace)
-            return decrypt_results(self.sk.value_key, blobs), stats
-        blobs, mac, stats = search_streamed(self.index, self.enclave, token, trace=trace)
-        return self.receive(blobs, mac), stats
+            values = decrypt_results(self.sk.value_key, blobs)
+        else:
+            blobs, mac, stats = search_streamed(self.index, self.enclave, token, trace=trace)
+            values = self.receive(blobs, mac)
+        stats.range_size = r_end - r_start + 1
+        return values, stats
 
     def receive(self, blobs, mac: bytes | None) -> list[bytes]:
         """Client side of a streamed answer: decrypt the blobs and check the

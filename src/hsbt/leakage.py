@@ -64,11 +64,8 @@ class AccessTrace:
     events: list[tuple[str, object]] = field(default_factory=list)
     order_seeds: list[int] = field(default_factory=list)
 
-    def node_fetch(self, position: int) -> None:
-        self.events.append(("node", position))
-
     def node_fetches(self, positions) -> None:
-        """`node_fetch` of each position, in order, in one `extend`."""
+        """Record a fetch of each node position, in order, in one `extend`."""
         self.events.extend(zip(repeat("node"), positions))
 
     def page_touch(self, page_id: int) -> None:
@@ -95,24 +92,6 @@ class AccessTrace:
             else:
                 lines.append(f"{kind} {payload}")
         return lines
-
-    @classmethod
-    def from_lines(cls, lines) -> "AccessTrace":
-        trace = cls()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            kind, _, rest = line.partition(" ")
-            if kind == "seed":
-                trace.order_seeds.append(int(rest))
-            elif kind == "ptrs":
-                trace.events.append(("ptrs", tuple(int(p) for p in rest.split(",") if p)))
-            elif kind in ("node", "page"):
-                trace.events.append((kind, int(rest)))
-            else:
-                raise ValueError(f"unknown trace event {kind!r}")
-        return trace
 
 
 @dataclass(frozen=True)

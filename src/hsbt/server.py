@@ -27,7 +27,8 @@ class QueryStats:
     switches (crossings), node transfer volume, and raw byte movement.
 
     `range_size` is client knowledge (the driver cannot read the token) and
-    is filled in by whoever minted the query; drivers leave it at 0.
+    is filled in by whoever minted the query, as `Deployment.query` does;
+    drivers leave it at 0.
 
     `micros` is driver-only: the wall time of the search call, from its
     first enclave call through fetching the value blobs.  It excludes token

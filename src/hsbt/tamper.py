@@ -64,17 +64,6 @@ class Outcome(enum.Enum):
     ACCEPTED = "accepted"
 
 
-@dataclass(frozen=True)
-class TamperScript:
-    """One attack behaviour; targets are drawn from `rng` at run time."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown tamper script {self.kind!r}")
-
-
 @dataclass
 class TamperReport:
     outcome: Outcome
@@ -118,17 +107,32 @@ def _client_receive(dep: Deployment, blobs, mac) -> TamperReport:
     return TamperReport(Outcome.ACCEPTED, "result verified")
 
 
-def run_with_tamper(
-    dep: Deployment, token: RangeToken, script: TamperScript, rng: random.Random
-) -> TamperReport:
-    """Execute one scripted deviation against one query and classify the result.
+def _serve_copy(dep: Deployment, copy, token: RangeToken, what: str) -> TamperReport:
+    """Run the query against `copy`, a doctored container, in place of the
+    genuine one, which is attached again afterwards; `what` names the change."""
+    dep.enclave.attach_container(copy)
+    try:
+        search_streamed(copy, dep.enclave, token)
+        return TamperReport(Outcome.ACCEPTED, f"{what} went unnoticed")
+    except EnclaveError as exc:
+        return TamperReport(Outcome.ENCLAVE_ABORT, f"{what}: {exc}")
+    finally:
+        dep.enclave.attach_container(dep.index)
 
-    Requires an integrity-mode deployment for every script except
-    ``replay-token``; the caller supplies a query whose traversal reaches
-    below the root and returns at least one value, so every script has a
-    meaningful target.
+
+def run_with_tamper(
+    dep: Deployment, token: RangeToken, kind: str, rng: random.Random
+) -> TamperReport:
+    """Execute the deviation `kind`, one of `KINDS`, against one query and
+    classify the result; targets are drawn from `rng`.
+
+    Raises `ValueError` for an unknown kind.  Requires an integrity-mode
+    deployment for every script except ``replay-token``; the caller supplies
+    a query whose traversal reaches below the root, returns at least one
+    value and leaves some node unfetched, so every script has a target.
     """
-    kind = script.kind
+    if kind not in KINDS:
+        raise ValueError(f"unknown tamper script {kind!r}")
     if kind != "replay-token" and not dep.integrity:
         raise ValueError(f"script {kind!r} needs an integrity-mode deployment")
     index, enclave = dep.index, dep.enclave
@@ -150,14 +154,7 @@ def run_with_tamper(
         )
         # `replace` packs the header afresh, so every record AAD changes.
         reshaped = dataclasses.replace(index, **{rewritten: value})
-        enclave.attach_container(reshaped)
-        try:
-            search_streamed(reshaped, enclave, token)
-            return TamperReport(Outcome.ACCEPTED, f"rewritten {rewritten} went unnoticed")
-        except EnclaveError as exc:
-            return TamperReport(Outcome.ENCLAVE_ABORT, f"{kind} of {rewritten}: {exc}")
-        finally:
-            enclave.attach_container(index)
+        return _serve_copy(dep, reshaped, token, f"{kind} of {rewritten}")
 
     # Honest dry run to learn which slots the query fetches, root first.  The
     # rest follow the enclave's shuffles, so targets come from sorted slots.
@@ -173,14 +170,7 @@ def run_with_tamper(
         offset = target * index.node_record_size + rng.randrange(index.node_record_size)
         region[offset] ^= 1 << rng.randrange(8)
         broken = dataclasses.replace(index, node_region=bytes(region))
-        enclave.attach_container(broken)
-        try:
-            search_streamed(broken, enclave, token)
-            return TamperReport(Outcome.ACCEPTED, f"modified node {target} went unnoticed")
-        except EnclaveError as exc:
-            return TamperReport(Outcome.ENCLAVE_ABORT, str(exc))
-        finally:
-            enclave.attach_container(index)
+        return _serve_copy(dep, broken, token, f"{kind} on {target}")
 
     if kind in ("wrong-first-node", "swap-nodes", "drop-requested-node", "mix-tokens"):
         rewrites: dict[int, int | None] = {}

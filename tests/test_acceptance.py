@@ -27,7 +27,7 @@ from hsbt.crypto import (
     MultisetHash,
     SecretKey,
     decrypt_wire,
-    encrypt_wire,
+    encrypt_wires,
     generate_key,
     prp_permutation,
 )
@@ -35,7 +35,7 @@ from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveSim, TouchCounter, oblivious_match_slots
 from hsbt.leakage import AccessTrace, PageLayout, audit_query, leak_hw_nodes, leak_hw_pages
 from hsbt.server import search_resident, search_streamed
-from hsbt.tamper import KINDS, Outcome, TamperScript, run_with_tamper
+from hsbt.tamper import KINDS, Outcome, run_with_tamper
 
 
 def _report(criterion, detail):
@@ -184,7 +184,7 @@ def test_criterion_6_tamper_suite_full_detection():
         for _ in range(50):
             start = rng.randrange(0, len(sorted_keys) - 30)
             token = make_token(dep.sk.tree_key, sorted_keys[start], sorted_keys[start + 24])
-            report = run_with_tamper(dep, token, TamperScript(kind), rng)
+            report = run_with_tamper(dep, token, kind, rng)
             if report.outcome not in (Outcome.ENCLAVE_ABORT, Outcome.CLIENT_REJECT):
                 missed[kind] += 1
     assert not missed, f"undetected deviations: {dict(missed)}"
@@ -193,7 +193,7 @@ def test_criterion_6_tamper_suite_full_detection():
     for _ in range(50):
         start = rng.randrange(0, len(sorted_keys) - 30)
         token = make_token(dep.sk.tree_key, sorted_keys[start], sorted_keys[start + 24])
-        report = run_with_tamper(dep, token, TamperScript("replay-token"), rng)
+        report = run_with_tamper(dep, token, "replay-token", rng)
         assert report.outcome == Outcome.ACCEPTED, report.detail
         replays_consistent += 1
     _report(
@@ -243,7 +243,7 @@ def test_criterion_7_simulatability_and_injected_fetch():
     search_streamed(index, enclave, token, trace=trace)
     access, pattern = leak_hw_nodes(tree, a, b, position_map=pm)
     outsider = next(s for s in range(index.node_count) if s not in access.vertices)
-    trace.node_fetch(outsider)
+    trace.node_fetches([outsider])
     assert not audit_query(trace, access, pattern).passed
     _report(7, f"{passes} honest queries reconstructible from leakage; injected fetch FAILs")
 
@@ -295,7 +295,7 @@ def test_criterion_9_primitive_sweeps():
     # AEAD: 10^4 random single-bit flips, zero acceptances.
     aead_key = generate_key()
     rng = random.Random(909)
-    wire = encrypt_wire(aead_key, bytes(range(64)), b"aad")
+    wire = encrypt_wires(aead_key, [bytes(range(64))], [b"aad"])[0]
     accepted = 0
     for _ in range(10_000):
         flipped = bytearray(wire)

@@ -56,7 +56,9 @@ def test_build_then_query_matches_oracle(tmp_path, dataset, capsys):
             f"record-{i:05d}" for i, k in enumerate(keys) if lo <= k <= hi
         )
         assert got == want
-        assert captured.err.splitlines()[0].startswith("construction,")
+        header, row = captured.err.splitlines()
+        assert header.startswith("construction,")
+        assert row.split(",")[3] == str(hi - lo + 1)  # range_size
 
 
 def test_open_range_query(tmp_path, dataset, capsys):
@@ -387,3 +389,51 @@ def test_malformed_key_sidecar_fails_closed(tmp_path, dataset, capsys, damage):
         argv += ["--range", "1:99"] if command == "query" else ["--input", str(dataset[0])]
         assert main(argv) == 1, (command, damage)
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_build_missing_input_is_usage_error(tmp_path, capsys):
+    argv = ["build", "--input", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "x.hsbt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_audit_rejects_a_build_without_seed(tmp_path, dataset, capsys):
+    # Without a seed the build drew its value order afresh, so the auditor's
+    # rebuilt tree could never match; it must say so before any query runs.
+    path, _ = dataset
+    out = tmp_path / "u.hsbt"
+    assert main(["build", "--input", str(path), "--b", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    argv = ["audit", "--index", str(out), "--key", str(out) + ".key", "--input", str(path)]
+    assert main(argv + ["--queries", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tamper", "--n", "10"],
+        ["tamper", "--n", "50", "--b", "100"],
+        ["tamper", "--b", "2"],
+        ["tamper", "--n", "0"],
+        ["tamper", "--n", "16"],
+        ["tamper", "--n", "22", "--b", "5"],
+        ["bench", "--result-size", "0"],
+        ["bench", "--reps", "0"],
+        ["bench", "--n", "0"],
+    ],
+    ids="".join,
+)
+def test_out_of_range_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("b,n", [(5, 23), (40, 93)])
+def test_tamper_runs_every_script_at_the_smallest_allowed_n(b, n, capsys):
+    argv = ["tamper", "--targets", "3", "--b", str(b), "--n", str(n), "--seed", "2"]
+    assert main(argv) == 0
+    assert "0 undetected deviations" in capsys.readouterr().out

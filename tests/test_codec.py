@@ -94,6 +94,9 @@ def test_node_records_share_one_size_across_kinds():
     plain = node_plain_size(6, True)
     assert {node.is_leaf for node in tree.nodes} == {True, False}
     assert index.node_record_size == plain + NONCE_BYTES + TAG_BYTES
+    # The record size follows from the fields, so a rewritten header carries its own.
+    cleared = dataclasses.replace(index, integrity=False)
+    assert cleared.node_record_size == node_plain_size(6, False) + NONCE_BYTES + TAG_BYTES
     sizes = {
         len(decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot)))
         for slot in range(index.node_count)
@@ -316,6 +319,7 @@ def _with_header_field(data: bytes, field: int, value: int) -> bytes:
         pytest.param(_VALID + b"\0", id="trailing-bytes"),
         pytest.param(_with_header_field(_VALID, 4, 2), id="branching-below-minimum"),
         pytest.param(_with_header_field(_VALID, 2, 0), id="integrity-flag-cleared"),
+        pytest.param(_with_header_field(_VALID, 3, 8), id="key-width-not-4"),
         pytest.param(_with_header_field(_VALID, 7, 999), id="record-size-mismatch"),
         pytest.param(_with_header_field(_VALID, 6, 10**6), id="value-count-beyond-data"),
     ],

@@ -36,6 +36,18 @@ def test_build_and_attach_answer_both_constructions():
             assert stats.construction == construction
 
 
+def test_query_stats_carry_the_range_size():
+    # Open sides count from KEY_NEG_INFINITY (0) or to KEY_INFINITY (2^32 - 1).
+    pairs, rng = _pairs()
+    dep = Deployment.build(pairs, 5, rng=rng)
+    for construction in (1, 2):
+        sizes = [
+            dep.query(r_start, r_end, construction)[1].range_size
+            for r_start, r_end in [(1000, 200000), (None, 9), (KEY_MAX, None), (None, None)]
+        ]
+        assert sizes == [199001, 10, 2, 2**32]
+
+
 def test_client_requires_tag_when_header_flag_is_cleared():
     pairs, rng = _pairs(seed=1)
     dep = Deployment.build(pairs, 5, integrity=True, rng=rng)

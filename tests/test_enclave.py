@@ -164,18 +164,15 @@ def test_load_aborts_when_root_slot_holds_another_node():
     # only a holder of the tree key can re-seal them under the new header.
     with pytest.raises(EnclaveAbort, match="node at position 0 failed authentication"):
         enclave.load_tree(shrunk)
-    from hsbt.crypto import decrypt_wire, encrypt_wire
+    from hsbt.crypto import decrypt_wire, encrypt_wires
 
+    plains = [
+        decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
+        for slot in range(fewer)
+    ]
     resealed = dataclasses.replace(
         shrunk,
-        node_region=b"".join(
-            encrypt_wire(
-                sk.tree_key,
-                decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot)),
-                shrunk.record_aad(slot),
-            )
-            for slot in range(fewer)
-        ),
+        node_region=b"".join(encrypt_wires(sk.tree_key, plains, shrunk.record_aads(range(fewer)))),
     )
     with pytest.raises(EnclaveAbort, match="root id not at the container's root slot"):
         enclave.load_tree(resealed)

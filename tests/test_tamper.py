@@ -8,7 +8,7 @@ import pytest
 from hsbt.bptree import KEY_MAX
 from hsbt.codec import make_token
 from hsbt.deploy import Deployment
-from hsbt.tamper import KINDS, Outcome, TamperScript, run_with_tamper
+from hsbt.tamper import KINDS, Outcome, run_with_tamper
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def test_each_deviation_detected(setup, kind, expected):
     pairs, sorted_keys, dep = setup
     rng = random.Random(hash(kind) & 0xFFFF)
     for _ in range(5):
-        report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), TamperScript(kind), rng)
+        report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), kind, rng)
         assert report.outcome == expected, (kind, report.detail)
 
 
@@ -56,32 +56,31 @@ def test_reshape_header_aborts_at_the_first_record(setup):
     rng = random.Random(4)
     rewritten = set()
     for _ in range(12):
-        report = run_with_tamper(
-            dep, _token(dep.sk, sorted_keys, rng), TamperScript("reshape-header"), rng
-        )
+        report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), "reshape-header", rng)
         assert report.outcome == Outcome.ENCLAVE_ABORT
         assert report.detail.endswith(f"node at position {root} failed authentication")
         rewritten.add(report.detail.split(":")[0])
     assert len(rewritten) == 3, rewritten
     # The genuine container is attached again afterwards.
     assert dep.enclave.root_slot() == root
-    assert run_with_tamper(
-        dep, _token(dep.sk, sorted_keys, rng), TamperScript("replay-token"), rng
-    ).outcome == Outcome.ACCEPTED
+    report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), "replay-token", rng)
+    assert report.outcome == Outcome.ACCEPTED
 
 
 def test_replay_token_accepted_with_identical_sets(setup):
     pairs, sorted_keys, dep = setup
     rng = random.Random(1)
     token = _token(dep.sk, sorted_keys, rng)
-    report = run_with_tamper(dep, token, TamperScript("replay-token"), rng)
+    report = run_with_tamper(dep, token, "replay-token", rng)
     assert report.outcome == Outcome.ACCEPTED
     assert "True" in report.detail
 
 
-def test_unknown_script_rejected():
-    with pytest.raises(ValueError):
-        TamperScript("refuse-to-answer")
+def test_unknown_script_rejected(setup):
+    pairs, sorted_keys, dep = setup
+    rng = random.Random(5)
+    with pytest.raises(ValueError, match="unknown tamper script"):
+        run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), "refuse-to-answer", rng)
 
 
 def test_non_replay_scripts_need_integrity_container(setup):
@@ -89,7 +88,7 @@ def test_non_replay_scripts_need_integrity_container(setup):
     rng = random.Random(2)
     plain = Deployment.build(pairs[:50], 5, sk=dep.sk, rng=random.Random(0))
     with pytest.raises(ValueError):
-        run_with_tamper(plain, _token(dep.sk, sorted_keys, rng), TamperScript("modify-node"), rng)
+        run_with_tamper(plain, _token(dep.sk, sorted_keys, rng), "modify-node", rng)
 
 
 def test_all_kinds_enumerated():
