@@ -32,7 +32,15 @@ import sys
 from pathlib import Path
 
 from hsbt import bench as bench_mod
-from hsbt.bptree import KEY_INFINITY, KEY_NEG_INFINITY, MIN_BRANCHING, BuildError, build_tree
+from hsbt.bptree import (
+    KEY_INFINITY,
+    KEY_MAX,
+    KEY_MIN,
+    KEY_NEG_INFINITY,
+    MIN_BRANCHING,
+    BuildError,
+    build_tree,
+)
 from hsbt.codec import EncryptedIndex, make_token, node_plain_size
 from hsbt.crypto import AuthenticationError, SecretKey, prp_permutation
 from hsbt.deploy import Deployment
@@ -162,6 +170,14 @@ def _check_at_least(flag: str, value: int, minimum: int) -> None:
         raise CliError(f"{flag} must be at least {minimum}, got {value}", EXIT_USAGE)
 
 
+def _check_pair_count(flag: str, value: int) -> None:
+    # `bench.make_dataset` draws distinct keys from [KEY_MIN, KEY_MAX].
+    keys = KEY_MAX - KEY_MIN + 1
+    if value > keys:
+        message = f"{flag} must be at most {keys}, the keys in the key space, got {value}"
+        raise CliError(message, EXIT_USAGE)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -223,6 +239,7 @@ def cmd_query(args) -> int:
 
 def cmd_bench(args) -> int:
     _check_at_least("--n", min(args.n), 1)
+    _check_pair_count("--n", max(args.n))
     _check_at_least("--b", min(args.b), MIN_BRANCHING)
     _check_at_least("--result-size", min(args.result_size), 1)
     _check_at_least("--reps", args.reps, 1)
@@ -299,6 +316,7 @@ def cmd_tamper(args) -> int:
     # A 16-key window spans leaves holding at most 16 + 2 (b - 2) keys; one
     # more leaves swap-nodes an unfetched node, substitute-value an outsider.
     _check_at_least("--n", args.n, 2 * args.b + 13)
+    _check_pair_count("--n", args.n)
     rng = random.Random(args.seed)
     pairs = bench_mod.make_dataset(args.n, rng)
     enclave = EnclaveSim(reserved_space=args.reserved_space)

@@ -50,9 +50,9 @@ from hsbt.crypto import (
     NONCE_BYTES,
     SecretKey,
     TAG_BYTES,
-    decrypt_wires,
     encrypt,
     encrypt_wires,
+    open_wires,
     prp_permutation,
     result_mac,
 )
@@ -338,21 +338,23 @@ def unpack_range(plain: bytes) -> tuple[int, int]:
 
 
 class Results(list):
-    """Decrypted result values, in order, and the blobs they came from.
+    """Decrypted result values, in order, and the tags that authenticated
+    them.
 
     A read-only `list` of the plaintexts, so `==`, `Counter` and iteration
-    work as on a plain list; `blobs` holds the ciphertexts they were
-    authenticated from.  Only `decrypt_results` makes one, and
-    `verify_result_mac` accepts nothing else, so no path can check a result
-    tag over plaintexts it did not authenticate (its docstring gives why
-    folding the blobs' tags suffices).
+    work as on a plain list; `tags` is the concatenation of the 16-byte
+    AES-GCM tags of their blobs, in the same order, as the open that
+    authenticated them returned it (`crypto.open_wires`).  Only
+    `decrypt_results` makes one, and `verify_result_mac` accepts nothing
+    else, so no path can check a result tag over plaintexts it did not
+    authenticate (its docstring gives why folding the tags suffices).
     """
 
-    __slots__ = ("blobs",)
+    __slots__ = ("tags",)
 
-    def __init__(self, plains, blobs: tuple[bytes, ...]):
+    def __init__(self, plains, tags: bytes):
         super().__init__(plains)
-        self.blobs = blobs
+        self.tags = tags
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("Results are read-only: they must stay the decryptions of their blobs")
@@ -362,10 +364,10 @@ class Results(list):
 
 
 def decrypt_results(value_key: bytes, blobs) -> Results:
-    """Decrypt fetched result blobs, in order.  Any authentication failure
-    aborts the whole result: partial output would mask tampering."""
-    blobs = tuple(blobs)
-    return Results(decrypt_wires(value_key, blobs), blobs)
+    """Decrypt fetched result blobs, in order, keeping the tags that
+    authenticated them.  Any authentication failure aborts the whole
+    result: partial output would mask tampering."""
+    return Results(*open_wires(value_key, blobs))
 
 
 def verify_result_mac(tree_key: bytes, results: Results, mac: bytes) -> bool:
@@ -373,8 +375,9 @@ def verify_result_mac(tree_key: bytes, results: Results, mac: bytes) -> bool:
 
     Each live leaf slot commits to the AES-GCM tag of its value blob, and the
     enclave folds the tags of the slots a query matched.  The client folds
-    the tags of the blobs it decrypted, with one `MultisetHash.add_all`, and
-    compares the two result MACs; no value is hashed here.
+    the tags of the blobs it decrypted (`Results.tags`), with one
+    `MultisetHash.add_all`, and compares the two result MACs; no value is
+    hashed here.
 
     Why that suffices: `decrypt_results` already authenticated every blob
     under `value_key`, which only the client holds.  A host that passes off
@@ -391,6 +394,5 @@ def verify_result_mac(tree_key: bytes, results: Results, mac: bytes) -> bool:
     """
     if not isinstance(results, Results):
         raise TypeError("verify_result_mac needs the Results of decrypt_results")
-    tags = b"".join(map(_tag_of, results.blobs))
-    state = MultisetHash.empty(tree_key).add_all(tags)
+    state = MultisetHash.empty(tree_key).add_all(results.tags)
     return hmac.compare_digest(result_mac(tree_key, state), mac)

@@ -6,16 +6,31 @@ AES), an incremental multiset hash over 16-byte elements (XOR accumulator over
 AES-128 used as a PRF under a subkey derived from the caller's key, plus an
 explicit element counter), and an HMAC tag.
 
+A large batch of wires opens in bulk (`open_wires`, `decrypt_wires`): one
+AEAD call per wire costs ~1 us, nearly all of it per-call overhead, so from
+`_BULK_MIN_WIRES` wires of one length with a body of at most
+`_BULK_MAX_BLOCKS` 16-byte blocks and no associated data, GCM is evaluated
+for the whole batch with array operations.  One ECB call makes every
+counter block, GHASH is a gather from per-key tables of byte multiples of
+the powers of H, and every tag is checked in one constant-time compare; any
+mismatch rejects the whole batch, as the per-wire path does.  The GHASH
+tables are indexed by ciphertext bytes, which the untrusted host already
+sees, so the pass makes no memory access that depends on a secret.  The
+wire format is unchanged; every other batch opens one AEAD call per wire.
+
 All operations are pure given their key material, so they are safe for
-unrestricted concurrent use.  `MultisetHash` values are immutable snapshots;
-`add_all` returns a new state.
+unrestricted concurrent use; the cipher contexts they cache are per thread.
+`MultisetHash` values are immutable snapshots; `add_all` returns a new
+state.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import itertools
+import operator
 import secrets
 import struct
 import threading
@@ -142,16 +157,191 @@ def decrypt_wire(key: bytes, wire: bytes, aad: bytes = b"") -> bytes:
 
 _nonce_of = itemgetter(slice(None, NONCE_BYTES))
 _body_of = itemgetter(slice(NONCE_BYTES, None))
+_tag_of = itemgetter(slice(-TAG_BYTES, None))
 
 
 def decrypt_wires(key: bytes, wires, aad: bytes = b"") -> list[bytes]:
-    """Bulk `decrypt_wire` over a sequence of wires, in order, in one `map`;
-    any failure aborts the whole batch."""
-    bound = itertools.repeat(aad or None)
+    """Bulk `decrypt_wire` over a sequence of wires, in order; any failure
+    aborts the whole batch.  Without `aad` this is `open_wires`, bulk open
+    included; with it, one `map` of the AEAD."""
+    if not aad:
+        return open_wires(key, wires)[0]
     try:
-        return list(map(_aead(key).decrypt, map(_nonce_of, wires), map(_body_of, wires), bound))
+        return _map_open(key, wires, aad)
     except (InvalidTag, ValueError):
         raise AuthenticationError("ciphertext rejected") from None
+
+
+def open_wires(key: bytes, wires) -> tuple[list[bytes], bytes]:
+    """Open a sequence of wires sealed without associated data: their
+    plaintexts, in order, and the concatenation of the 16-byte tags that
+    authenticated them.  Any failure aborts the whole batch.
+
+    At least `_BULK_MIN_WIRES` wires of one length, with a body of 1 to
+    `_BULK_MAX_BLOCKS` blocks, open in array passes of up to
+    `_BULK_CHUNK_WIRES` wires each (`_open_bulk`); any other batch opens in
+    one `map` of the AEAD."""
+    widths = set(map(len, wires)) if len(wires) >= _BULK_MIN_WIRES else ()
+    if len(widths) == 1:
+        (width,) = widths
+        if 0 < width - NONCE_BYTES - TAG_BYTES <= 16 * _BULK_MAX_BLOCKS:
+            state = _bulk_state(key)
+            plains: list[bytes] = []
+            tags = []
+            for at in range(0, len(wires), _BULK_CHUNK_WIRES):
+                chunk = wires[at : at + _BULK_CHUNK_WIRES]
+                chunk_plains, chunk_tags = _open_bulk(state, chunk, width)
+                plains += chunk_plains
+                tags.append(chunk_tags)
+            return plains, b"".join(tags)
+    try:
+        return _map_open(key, wires, None), b"".join(map(_tag_of, wires))
+    except (InvalidTag, ValueError):
+        raise AuthenticationError("ciphertext rejected") from None
+
+
+def _map_open(key: bytes, wires, aad: bytes | None) -> list[bytes]:
+    bound = itertools.repeat(aad)
+    return list(map(_aead(key).decrypt, map(_nonce_of, wires), map(_body_of, wires), bound))
+
+
+# Bulk open.  A batch opens in array passes (`_open_bulk`) from
+# _BULK_MIN_WIRES wires up: an AEAD call costs ~1 us a wire, nearly all of
+# it per-call overhead, against ~0.3 us a wire for the array pass plus
+# ~20 us of numpy calls per pass; they break even near 32 wires of one
+# block and 48 of four.  It takes bodies of up to _BULK_MAX_BLOCKS 16-byte
+# blocks: GHASH costs 16 table gathers per block per wire, and at 5 blocks
+# the array pass was slower at every batch size tried.  A pass covers at
+# most _BULK_CHUNK_WIRES wires, which keeps its temporaries (16 bytes per
+# gather) small: one pass over 4,096 one-block wires page-faulted ~500
+# times and took twice as long as eight passes.  Measured on a 2-core Xeon
+# VM against a `map` of the AEAD, at 1 to 8 blocks and 32 to 4,096 wires.
+_BULK_MIN_WIRES = 64
+_BULK_MAX_BLOCKS = 4
+_BULK_CHUNK_WIRES = 512
+# Bulk-open state (`_BulkGcm`), one per thread (an ECB context must not be
+# shared across threads) and key, for at most _BULK_STATE_CAP keys per
+# thread; each holds 64 KiB of GHASH tables per power of H it has used, at
+# most `_BULK_MAX_BLOCKS + 1` powers.
+_bulk_states = threading.local()
+_BULK_STATE_CAP = 16
+_GCM_R = 0xE1 << 120  # x^128 = 1 + x + x^2 + x^7, in GCM's reflected bit order
+_COUNTER = np.dtype([("nonce", f"V{NONCE_BYTES}"), ("count", ">u4")])
+
+
+def _x_multiples(h: int) -> list[int]:
+    """h·x^p in GF(2^128) for p = 0..127.  GCM reads a block as a 128-bit
+    big-endian integer whose most significant bit is the coefficient of
+    x^0, so multiplying by x is a right shift, reduced by `_GCM_R`."""
+    out = []
+    for _ in range(128):
+        out.append(h)
+        h = (h >> 1) ^ (_GCM_R if h & 1 else 0)
+    return out
+
+
+class _BulkGcm:
+    """One key's state for `_open_bulk`: an AES-ECB context and the GHASH
+    tables for the powers of H = AES_k(0^128) used so far.
+
+    `tables[k - 1, j, v]` is the product (v at byte j)·H^k as two uint64
+    words, so a block times H^k is the XOR of its 16 bytes' entries.  The
+    tables are indexed by ciphertext bytes only, which the host already
+    holds, so no memory access depends on a secret."""
+
+    def __init__(self, key: bytes):
+        self.ecb = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        self.h = int.from_bytes(self.ecb.update(bytes(16)), "big")
+        self.tables = np.zeros((0, 16, 256, 2), np.uint64)
+
+    def powers(self, count: int) -> np.ndarray:
+        """The tables of at least H^1 .. H^count, built on first use."""
+        if len(self.tables) < count:
+            h_multiples = _x_multiples(self.h)
+            multiples = []
+            power = self.h
+            for _ in range(count):
+                multiples += _x_multiples(power)
+                # power·H: the x-multiples of H picked by the bits of power.
+                power = functools.reduce(
+                    operator.xor, itertools.compress(h_multiples, map(int, f"{power:0128b}")), 0
+                )
+            # basis[k, j, q]: (bit 0x80 >> q of byte j)·H^(k+1).
+            basis = np.frombuffer(b"".join(v.to_bytes(16, "big") for v in multiples), np.uint8)
+            basis = basis.reshape(count, 16, 8, 16)
+            tables = np.zeros((count, 16, 256, 16), np.uint8)
+            for bit in range(8):
+                low = 1 << bit
+                tables[:, :, low : 2 * low] = tables[:, :, :low] ^ basis[:, :, 7 - bit, None]
+            self.tables = tables.view(np.uint64)
+        return self.tables
+
+
+def _per_thread(store: threading.local, cap: int, key: bytes, make):
+    """`make(key)`, kept in this thread's table in `store`, which holds at
+    most `cap` keys; a full table is emptied."""
+    table = getattr(store, "by_key", None)
+    if table is None:
+        table = store.by_key = {}
+    item = table.get(key)
+    if item is None:
+        if len(table) >= cap:
+            table.clear()
+        item = table[key] = make(key)
+    return item
+
+
+def _bulk_state(key: bytes) -> _BulkGcm:
+    return _per_thread(_bulk_states, _BULK_STATE_CAP, key, _BulkGcm)
+
+
+@functools.lru_cache(maxsize=None)
+def _table_rows(blocks: int) -> np.ndarray:
+    """Row offsets into the flattened GHASH tables for the bytes of a body
+    of `blocks` blocks, one per byte: byte j of block i (from 0) reads the
+    table of byte j for H^(blocks+1-i)."""
+    power_index = np.repeat(np.arange(blocks, 0, -1), 16)
+    rows = ((power_index * 16 + np.tile(np.arange(16), blocks)) * 256).reshape(-1, 1)
+    rows.flags.writeable = False
+    return rows
+
+
+def _open_bulk(state: _BulkGcm, wires, width: int) -> tuple[list[bytes], bytes]:
+    """`open_wires` of wires of one `width` with array operations (GCM with
+    a 96-bit nonce, NIST SP 800-38D; McGrew-Viega 2004).
+
+    A body of m blocks takes counter blocks J0 = nonce‖1, the tag mask, and
+    nonce‖2 .. nonce‖m+1, the keystream, all in one ECB call.  GHASH with
+    no associated data is the XOR over blocks i = 1..m of C_i·H^(m+2-i),
+    the last block zero-padded, and L·H, L the length block.  All tags are
+    checked in one constant-time compare."""
+    n = len(wires)
+    body = width - NONCE_BYTES - TAG_BYTES
+    blocks = -(-body // 16)
+    wire = np.frombuffer(b"".join(wires), np.uint8).reshape(n, width)
+    counters = np.empty((n, blocks + 1), _COUNTER)
+    counters["nonce"] = wire[:, :NONCE_BYTES].copy().view(_COUNTER["nonce"])
+    counters["count"] = np.arange(1, blocks + 2)
+    stream = np.frombuffer(state.ecb.update(counters.tobytes()), np.uint8)
+    stream = stream.reshape(n, blocks + 1, 16)
+
+    cipher = wire[:, NONCE_BYTES:-TAG_BYTES]
+    rows = np.zeros((16 * blocks, n), np.intp)
+    rows[:body] = cipher.T
+    rows += _table_rows(blocks)
+    tables = state.powers(blocks + 1)
+    ghash = np.bitwise_xor.reduce(np.take(tables.reshape(-1, 2), rows, axis=0), axis=0)
+    # L is 0^64 ‖ 8·body, whose only nonzero bytes are its last two.
+    length = (8 * body).to_bytes(2, "big")
+    ghash ^= tables[0, 14, length[0]] ^ tables[0, 15, length[1]]
+    ghash ^= stream[:, 0].view(np.uint64)
+    tags = wire[:, -TAG_BYTES:].tobytes()
+    if not hmac.compare_digest(ghash.tobytes(), tags):
+        raise AuthenticationError("ciphertext rejected")
+    plains = cipher ^ stream[:, 1:].reshape(n, 16 * blocks)[:, :body]
+    # A void row converts to bytes of its full width; an "S" row would drop
+    # trailing zero bytes.
+    return plains.view(f"V{body}").ravel().tolist(), tags
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +442,11 @@ def mset_subkey(key: bytes) -> bytes:
 
 
 def _mset_prf(key: bytes):
-    contexts = getattr(_mset_contexts, "by_key", None)
-    if contexts is None:
-        contexts = _mset_contexts.by_key = {}
-    prf = contexts.get(key)
-    if prf is None:
-        if len(contexts) >= _MSET_CONTEXT_CAP:
-            contexts.clear()
-        prf = contexts[key] = Cipher(algorithms.AES(mset_subkey(key)), modes.ECB()).encryptor()
-    return prf
+    return _per_thread(_mset_contexts, _MSET_CONTEXT_CAP, key, _mset_context)
+
+
+def _mset_context(key: bytes):
+    return Cipher(algorithms.AES(mset_subkey(key)), modes.ECB()).encryptor()
 
 
 @dataclass(frozen=True)

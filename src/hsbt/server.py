@@ -58,20 +58,25 @@ def fetch_values(index: EncryptedIndex, pointers) -> list[bytes]:
     """Dereference a sequence of value pointers into the value region, in
     pointer order, as a new list.
 
-    One min/max bound check covers the whole sequence; an out-of-range
-    pointer means the enclave output was corrupted in transit, and the error
-    names the first one, since surfacing it beats returning garbage.  The
-    blobs are then gathered by one `operator.itemgetter` call.
+    The blobs are gathered by one `operator.itemgetter` call.  An
+    out-of-range pointer means the enclave output was corrupted in transit,
+    and surfacing it beats returning garbage: the gather itself rejects a
+    pointer past the region, and one `min` the negative ones it would wrap
+    around.  Only then does a second pass find the first bad pointer for
+    the error.
     """
-    n = index.n_values
-    if pointers and not (0 <= min(pointers) and max(pointers) < n):
-        bad = next(p for p in pointers if not 0 <= p < n)
-        raise ValueError(f"value pointer {bad} outside [0, {n})")
     region = index.value_blobs
-    if len(pointers) < 2:
-        # An itemgetter of one item returns it bare, not in a tuple.
-        return [region[p] for p in pointers]
-    return list(itemgetter(*pointers)(region))
+    try:
+        if pointers and min(pointers) < 0:
+            raise IndexError
+        if len(pointers) < 2:
+            # An itemgetter of one item returns it bare, not in a tuple.
+            return [region[p] for p in pointers]
+        return list(itemgetter(*pointers)(region))
+    except IndexError:
+        n = index.n_values
+        bad = next(p for p in pointers if not 0 <= p < n)
+        raise ValueError(f"value pointer {bad} outside [0, {n})") from None
 
 
 def search_resident(

@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from hsbt import bench as bench_mod
 from hsbt.cli import CliError, main, read_pairs_binary, read_pairs_text
 from hsbt.codec import EncryptedIndex
 
@@ -430,6 +431,20 @@ def test_out_of_range_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["bench", "tamper"])
+def test_n_beyond_the_key_space_is_a_usage_error_before_any_build(command, capsys, monkeypatch):
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("a dataset was built")
+
+    monkeypatch.setattr(bench_mod, "make_dataset", no_dataset)
+    assert main([command, "--n", "4294967295"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --n must be at most 4294967294, the keys in the key space, got 4294967295\n"
+    )
 
 
 @pytest.mark.parametrize("b,n", [(5, 23), (40, 93)])

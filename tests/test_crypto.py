@@ -3,6 +3,7 @@ bijectivity, multiset-hash order independence, MAC determinism."""
 
 import random
 import secrets
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -145,6 +146,129 @@ def test_aead_fuzz_bit_flips_never_accepted():
         flipped[rng.randrange(len(wire))] ^= 1 << rng.randrange(8)
         with pytest.raises(AuthenticationError):
             decrypt_wire(key, bytes(flipped), b"p")
+
+
+# -- bulk open ---------------------------------------------------------------
+
+CUT = crypto._BULK_MIN_WIRES
+MAX_BODY = 16 * crypto._BULK_MAX_BLOCKS
+
+
+@pytest.fixture
+def bulk_passes(monkeypatch):
+    """Counts the wires `open_wires` hands to the array pass."""
+    opened = []
+    real = crypto._open_bulk
+
+    def spy(state, wires, width):
+        opened.append(len(wires))
+        return real(state, wires, width)
+
+    monkeypatch.setattr(crypto, "_open_bulk", spy)
+    return opened
+
+
+def _flip(wire: bytes, bit: int) -> bytes:
+    flipped = bytearray(wire)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+def test_bulk_open_matches_per_wire_decrypt_at_every_body_length(bulk_passes):
+    key = generate_key()
+    rng = random.Random(11)
+    for length in range(1, MAX_BODY + 1):
+        # Zero-ended values too: no trailing byte may be lost.
+        plains = [rng.randbytes(length - 1) + bytes([i % 2]) for i in range(4096)]
+        wires = encrypt_wires(key, plains)
+        for count in (CUT - 1, CUT, 4096):
+            del bulk_passes[:]
+            chunk = wires[:count]
+            got, tags = crypto.open_wires(key, chunk)
+            assert sum(bulk_passes) == (count if count >= CUT else 0)
+            assert got == [decrypt_wire(key, wire) for wire in chunk] == plains[:count]
+            assert tags == b"".join(wire[-16:] for wire in chunk)
+            assert decrypt_wires(key, chunk) == got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    length=st.integers(1, MAX_BODY),
+    count=st.integers(CUT, CUT + 40),
+    data=st.data(),
+)
+def test_bulk_open_rejects_any_single_bit_flip(length, count, data):
+    key = generate_key()
+    wires = encrypt_wires(key, [secrets.token_bytes(length) for _ in range(count)])
+    victim = data.draw(st.integers(0, count - 1), label="wire")
+    bit = data.draw(st.integers(0, 8 * len(wires[0]) - 1), label="bit")  # nonce, body or tag
+    wires[victim] = _flip(wires[victim], bit)
+    with pytest.raises(AuthenticationError):
+        crypto.open_wires(key, wires)
+
+
+def test_bulk_open_rejects_every_bit_flip_of_one_wire(bulk_passes):
+    key = generate_key()
+    wires = encrypt_wires(key, [secrets.token_bytes(17) for _ in range(CUT)])
+    for bit in range(8 * len(wires[0])):
+        with pytest.raises(AuthenticationError):
+            crypto.open_wires(key, wires[:5] + [_flip(wires[5], bit)] + wires[6:])
+    assert set(bulk_passes) == {CUT}
+
+
+def test_bulk_open_batches_it_does_not_take_behave_as_per_wire(bulk_passes):
+    key = generate_key()
+    # Mixed lengths open one AEAD call at a time.
+    plains = [secrets.token_bytes(1 + i % MAX_BODY) for i in range(2 * CUT)]
+    wires = encrypt_wires(key, plains)
+    assert crypto.open_wires(key, wires)[0] == plains
+    # Moving one byte across a wire boundary keeps the joined bytes, and
+    # every wire length but two; each of the two fails on its own.
+    same = encrypt_wires(key, [secrets.token_bytes(16) for _ in range(CUT)])
+    shifted = same[:3] + [same[3][:-1], same[3][-1:] + same[4]] + same[5:]
+    assert b"".join(shifted) == b"".join(same)
+    with pytest.raises(AuthenticationError):
+        crypto.open_wires(key, shifted)
+    # Empty bodies (28-byte wires) and bodies over the block limit.
+    for length in (0, MAX_BODY + 1, 200):
+        plains = [secrets.token_bytes(length) for _ in range(CUT)]
+        wires = encrypt_wires(key, plains)
+        assert crypto.open_wires(key, wires) == (plains, b"".join(w[-16:] for w in wires))
+        with pytest.raises(AuthenticationError):
+            crypto.open_wires(key, wires[:-1] + [_flip(wires[-1], 0)])
+    assert bulk_passes == []
+    # Truncated wires of one length, a batch of them or one among good ones;
+    # only the 43-byte batch, a 15-byte body, is long enough to open in bulk.
+    good = encrypt_wires(key, [b"x" * 16 for _ in range(CUT)])
+    for length in (0, 7, 12, 27, 43):
+        truncated = [wire[:length] for wire in good]
+        with pytest.raises(AuthenticationError):
+            crypto.open_wires(key, truncated)
+        with pytest.raises(AuthenticationError):
+            crypto.open_wires(key, good[:-1] + truncated[-1:])
+    assert bulk_passes == [CUT]
+    assert crypto.open_wires(key, []) == ([], b"")
+
+
+def test_bulk_open_under_two_keys_in_two_threads_at_once():
+    keys = [generate_key(), generate_key()]
+    batches = [
+        encrypt_wires(key, [b"%016d" % (i + 10**6 * k) for i in range(3 * CUT)])
+        for k, key in enumerate(keys)
+    ]
+    want = [[decrypt_wire(key, w) for w in batch] for key, batch in zip(keys, batches)]
+
+    def opens(k):
+        return all(crypto.open_wires(keys[k], batches[k])[0] == want[k] for _ in range(200))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(opens, k) for k in (0, 1, 0, 1)]
+            assert [f.result(timeout=60) for f in futures] == [True] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- PRP ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from hsbt import crypto
 from hsbt.bptree import KEY_MAX, scan_oracle
 from hsbt.codec import make_token
 from hsbt.crypto import AuthenticationError
@@ -73,3 +74,37 @@ def test_wrong_tag_rejected():
     dep.enclave.finalize_session = lambda nonce: bytes(len(real(nonce)))
     with pytest.raises(AuthenticationError):
         dep.query(None, None)
+
+
+@pytest.mark.parametrize("construction", [1, 2])
+def test_a_bulk_opened_result_fails_closed_on_one_bad_blob(construction):
+    pairs, rng = _pairs(n=600, seed=3)
+    dep = Deployment.build(pairs, 5, integrity=True, rng=rng)
+    keys = sorted(k for k, _ in pairs)
+    lo, hi = keys[100], keys[100 + crypto._BULK_MIN_WIRES]
+    values, _ = dep.query(lo, hi, construction)
+    assert len(values) > crypto._BULK_MIN_WIRES
+    assert Counter(values) == Counter(scan_oracle(pairs, lo, hi))
+
+    def position(key):
+        return dep.tree.value_positions[next(i for i, (k, _) in enumerate(pairs) if k == key)]
+
+    def hosting(blob):
+        blobs = list(dep.index.value_blobs)
+        blobs[position(keys[150])] = blob
+        hosted = dataclasses.replace(dep.index, value_blobs=tuple(blobs))
+        return dataclasses.replace(dep, index=hosted)
+
+    genuine = dep.index.value_blobs[position(keys[150])]
+    flipped = genuine[:20] + bytes([genuine[20] ^ 1]) + genuine[21:]
+    other = Deployment.build(pairs, 5, integrity=True, rng=random.Random(4))
+    foreign = other.index.value_blobs[0]  # sealed under another value key
+    for blob in (flipped, foreign):
+        with pytest.raises(AuthenticationError):
+            hosting(blob).query(lo, hi, construction)
+    if construction == 2:
+        # A genuine blob from outside the range decrypts; the result tag
+        # catches it.  Construction 1 issues no result tag.
+        outsider = dep.index.value_blobs[position(keys[0])]
+        with pytest.raises(AuthenticationError, match="result tag"):
+            hosting(outsider).query(lo, hi, construction)
