@@ -17,6 +17,10 @@ mismatch rejects the whole batch, as the per-wire path does.  The GHASH
 tables are indexed by ciphertext bytes, which the untrusted host already
 sees, so the pass makes no memory access that depends on a secret.  The
 wire format is unchanged; every other batch opens one AEAD call per wire.
+A batch may also arrive as a ``(k, width)`` uint8 matrix, one wire per row,
+the form in which the server gathers a large result from a value region of
+one width; the array pass reads it as it is, with no join and no per-wire
+length check, and every tag is still compared.
 
 All operations are pure given their key material, so they are safe for
 unrestricted concurrent use; the cipher contexts they cache are per thread.
@@ -173,31 +177,45 @@ def decrypt_wires(key: bytes, wires, aad: bytes = b"") -> list[bytes]:
 
 
 def open_wires(key: bytes, wires) -> tuple[list[bytes], bytes]:
-    """Open a sequence of wires sealed without associated data: their
-    plaintexts, in order, and the concatenation of the 16-byte tags that
-    authenticated them.  Any failure aborts the whole batch.
+    """Open wires sealed without associated data: their plaintexts, in
+    order, and the concatenation of the 16-byte tags that authenticated
+    them.  Any failure aborts the whole batch.
 
-    At least `_BULK_MIN_WIRES` wires of one length, with a body of 1 to
+    `wires` is a sequence of wires or a ``(k, width)`` uint8 matrix holding
+    one wire per row, as `server.fetch_values` gathers a large result.  At
+    least `_BULK_MIN_WIRES` wires of one width, with a body of 1 to
     `_BULK_MAX_BLOCKS` blocks, open in array passes of up to
-    `_BULK_CHUNK_WIRES` wires each (`_open_bulk`); any other batch opens in
-    one `map` of the AEAD."""
-    widths = set(map(len, wires)) if len(wires) >= _BULK_MIN_WIRES else ()
-    if len(widths) == 1:
-        (width,) = widths
-        if 0 < width - NONCE_BYTES - TAG_BYTES <= 16 * _BULK_MAX_BLOCKS:
-            state = _bulk_state(key)
-            plains: list[bytes] = []
-            tags = []
-            for at in range(0, len(wires), _BULK_CHUNK_WIRES):
-                chunk = wires[at : at + _BULK_CHUNK_WIRES]
-                chunk_plains, chunk_tags = _open_bulk(state, chunk, width)
-                plains += chunk_plains
-                tags.append(chunk_tags)
-            return plains, b"".join(tags)
+    `_BULK_CHUNK_WIRES` wires each (`_open_bulk`); a matrix is read as it
+    is, a sequence is joined into one first.  Any other batch opens in one
+    `map` of the AEAD."""
+    rows = _bulk_rows(wires)
+    if rows is not None:
+        state = _bulk_state(key)
+        plains: list[bytes] = []
+        tags = []
+        for at in range(0, len(rows), _BULK_CHUNK_WIRES):
+            chunk_plains, chunk_tags = _open_bulk(state, rows[at : at + _BULK_CHUNK_WIRES])
+            plains += chunk_plains
+            tags.append(chunk_tags)
+        return plains, b"".join(tags)
+    if isinstance(wires, np.ndarray):
+        wires = list(map(bytes, wires))
     try:
         return _map_open(key, wires, None), b"".join(map(_tag_of, wires))
     except (InvalidTag, ValueError):
         raise AuthenticationError("ciphertext rejected") from None
+
+
+def _bulk_rows(wires) -> np.ndarray | None:
+    """`wires` as a ``(k, width)`` uint8 matrix if the array pass takes
+    them, else None."""
+    if len(wires) < _BULK_MIN_WIRES:
+        return None
+    if not isinstance(wires, np.ndarray):
+        if len(set(map(len, wires))) != 1:
+            return None
+        wires = np.frombuffer(b"".join(wires), np.uint8).reshape(len(wires), -1)
+    return wires if 0 < wires.shape[1] - NONCE_BYTES - TAG_BYTES <= 16 * _BULK_MAX_BLOCKS else None
 
 
 def _map_open(key: bytes, wires, aad: bytes | None) -> list[bytes]:
@@ -306,19 +324,19 @@ def _table_rows(blocks: int) -> np.ndarray:
     return rows
 
 
-def _open_bulk(state: _BulkGcm, wires, width: int) -> tuple[list[bytes], bytes]:
-    """`open_wires` of wires of one `width` with array operations (GCM with
-    a 96-bit nonce, NIST SP 800-38D; McGrew-Viega 2004).
+def _open_bulk(state: _BulkGcm, wire: np.ndarray) -> tuple[list[bytes], bytes]:
+    """`open_wires` of the rows of a ``(n, width)`` uint8 matrix of wires
+    with array operations (GCM with a 96-bit nonce, NIST SP 800-38D;
+    McGrew-Viega 2004).
 
     A body of m blocks takes counter blocks J0 = nonce‖1, the tag mask, and
     nonce‖2 .. nonce‖m+1, the keystream, all in one ECB call.  GHASH with
     no associated data is the XOR over blocks i = 1..m of C_i·H^(m+2-i),
     the last block zero-padded, and L·H, L the length block.  All tags are
     checked in one constant-time compare."""
-    n = len(wires)
+    n, width = wire.shape
     body = width - NONCE_BYTES - TAG_BYTES
     blocks = -(-body // 16)
-    wire = np.frombuffer(b"".join(wires), np.uint8).reshape(n, width)
     counters = np.empty((n, blocks + 1), _COUNTER)
     counters["nonce"] = wire[:, :NONCE_BYTES].copy().view(_COUNTER["nonce"])
     counters["count"] = np.arange(1, blocks + 2)

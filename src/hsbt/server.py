@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import itemgetter
+
+import numpy as np
 
 from hsbt.codec import EncryptedIndex, RangeToken
+from hsbt.crypto import _BULK_MIN_WIRES
 from hsbt.enclave import EnclaveSim
 
 CSV_HEADER = "construction,b,n,range_size,result_size,crossings,nodes,bytes_in,bytes_out,micros"
@@ -54,35 +56,40 @@ class QueryStats:
         )
 
 
-def fetch_values(index: EncryptedIndex, pointers) -> list[bytes]:
+def fetch_values(index: EncryptedIndex, pointers):
     """Dereference a sequence of value pointers into the value region, in
-    pointer order, as a new list.
+    pointer order.
 
-    The blobs are gathered by one `operator.itemgetter` call.  An
-    out-of-range pointer means the enclave output was corrupted in transit,
-    and surfacing it beats returning garbage: the gather itself rejects a
-    pointer past the region, and one `min` the negative ones it would wrap
-    around.  Only then does a second pass find the first bad pointer for
+    A result of at least `crypto._BULK_MIN_WIRES` blobs from a region of one
+    blob width comes back as a new ``(k, width)`` uint8 matrix, one blob per
+    row, gathered from `index.value_rows` by one `np.take`: the form the
+    client's bulk AES-GCM open reads as it is.  A smaller result, or any
+    from a region of mixed widths, comes back as a new list of `bytes`, one
+    slice of the region per pointer, the form the per-wire open takes, with
+    no numpy round trip.
+
+    An out-of-range pointer means the enclave output was corrupted in
+    transit, and surfacing it beats returning garbage: one bound check over
+    all pointers runs before the gather, so a negative pointer never wraps
+    around, and only then does a second pass find the first bad pointer for
     the error.
     """
-    region = index.value_blobs
-    try:
-        if pointers and min(pointers) < 0:
-            raise IndexError
-        if len(pointers) < 2:
-            # An itemgetter of one item returns it bare, not in a tuple.
-            return [region[p] for p in pointers]
-        return list(itemgetter(*pointers)(region))
-    except IndexError:
-        n = index.n_values
-        bad = next(p for p in pointers if not 0 <= p < n)
-        raise ValueError(f"value pointer {bad} outside [0, {n})") from None
+    n = len(index.value_offsets) - 1
+    if index.value_rows is not None and len(pointers) >= _BULK_MIN_WIRES:
+        at = np.fromiter(pointers, np.intp, len(pointers))
+        if at.min() >= 0 and at.max() < n:
+            return np.take(index.value_rows, at, axis=0)
+    elif not pointers or (min(pointers) >= 0 and max(pointers) < n):
+        return index.value_slices(pointers)
+    bad = next(p for p in pointers if not 0 <= p < n)
+    raise ValueError(f"value pointer {bad} outside [0, {n})")
 
 
 def search_resident(
     index: EncryptedIndex, enclave: EnclaveSim, token: RangeToken, trace=None
-) -> tuple[list[bytes], QueryStats]:
-    """Resident-tree query: one trusted call, then dereference the pointers.
+):
+    """Resident-tree query: one trusted call, then dereference the pointers;
+    returns (blobs as `fetch_values` shapes them, stats).
 
     Steady state moves nothing but the token in and the pointer list out, so
     the crossing count is always two.
@@ -108,8 +115,10 @@ def search_resident(
 
 def search_streamed(
     index: EncryptedIndex, enclave: EnclaveSim, token: RangeToken, trace=None
-) -> tuple[list[bytes], bytes | None, QueryStats]:
-    """Streamed query: FIFO node queue, batched trusted calls, pointer routing.
+):
+    """Streamed query: FIFO node queue, batched trusted calls, pointer
+    routing; returns (blobs as `fetch_values` shapes them, result tag or
+    None, stats).
 
     Seeds the queue with the root position, drains up to the enclave's batch
     ceiling per crossing, re-queues node pointers, and accumulates value

@@ -36,6 +36,8 @@ import enum
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from hsbt.bptree import KEY_MAX, KEY_MIN
 from hsbt.codec import RangeToken, make_token
 from hsbt.crypto import AuthenticationError
@@ -107,6 +109,15 @@ def _client_receive(dep: Deployment, blobs, mac) -> TamperReport:
     return TamperReport(Outcome.ACCEPTED, "result verified")
 
 
+def _edited(blobs, at: int, blob: bytes | None):
+    """A copy of `blobs`, a list of wires or a matrix of them, one per row,
+    with the wire at `at` replaced by `blob`, or dropped if `blob` is None."""
+    if isinstance(blobs, np.ndarray):
+        edited = np.delete(blobs, at, axis=0)
+        return edited if blob is None else np.insert(edited, at, np.frombuffer(blob, np.uint8), 0)
+    return blobs[:at] + ([] if blob is None else [blob]) + blobs[at + 1 :]
+
+
 def _serve_copy(dep: Deployment, copy, token: RangeToken, what: str) -> TamperReport:
     """Run the query against `copy`, a doctored container, in place of the
     genuine one, which is attached again afterwards; `what` names the change."""
@@ -140,7 +151,7 @@ def run_with_tamper(
     if kind == "replay-token":
         first, _, _ = search_streamed(index, enclave, token)
         second, _, _ = search_streamed(index, enclave, token)
-        same = set(first) == set(second)
+        same = set(map(bytes, first)) == set(map(bytes, second))
         outcome = Outcome.ACCEPTED if same else Outcome.CLIENT_REJECT
         return TamperReport(outcome, f"replay result sets identical: {same}")
 
@@ -203,26 +214,25 @@ def run_with_tamper(
         return report
 
     # modify-value / withhold-results / substitute-value: the traversal
-    # itself stays honest.
+    # itself stays honest, and the blobs are edited in the form the driver
+    # returns them (`server.fetch_values`).
     blobs, mac, _ = search_streamed(index, enclave, token)
+    at = rng.randrange(len(blobs))
 
     if kind == "modify-value":
-        at = rng.randrange(len(blobs))
         broken = bytearray(blobs[at])
         broken[rng.randrange(len(broken))] ^= 1 << rng.randrange(8)
-        blobs[at] = bytes(broken)
-        return _client_receive(dep, blobs, mac)
+        return _client_receive(dep, _edited(blobs, at, bytes(broken)), mac)
 
     if kind == "withhold-results":
-        del blobs[rng.randrange(len(blobs))]
-        return _client_receive(dep, blobs, mac)
+        return _client_receive(dep, _edited(blobs, at, None), mac)
 
     if kind == "substitute-value":
-        result = set(blobs)
-        outside = [p for p, blob in enumerate(index.value_blobs) if blob not in result]
-        at, target = rng.randrange(len(blobs)), rng.choice(outside)
-        blobs[at] = index.value_blob(target)
-        report = _client_receive(dep, blobs, mac)
+        result = set(map(bytes, blobs))
+        every = index.value_slices(range(index.n_values))
+        outside = [p for p, blob in enumerate(every) if blob not in result]
+        target = rng.choice(outside)
+        report = _client_receive(dep, _edited(blobs, at, index.value_blob(target)), mac)
         report.detail = f"{kind} with value {target}: " + report.detail
         return report
 

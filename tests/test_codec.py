@@ -67,7 +67,9 @@ def test_single_node_tree_container_shape():
     pairs, tree, sk, index = _dataset(3, 5, 0)
     assert index.node_count == 1
     assert index.n_values == 3
-    assert len(index.value_blobs) == 3
+    width = len(b"value-00000000") + NONCE_BYTES + TAG_BYTES
+    assert index.value_offsets.tolist() == [0, width, 2 * width, 3 * width]
+    assert index.value_rows.shape == (3, width)
 
 
 def test_slots_occupied_by_prp_permutation():
@@ -222,7 +224,7 @@ def _golden_digest(integrity):
         stand_in[:, :4] = pointers.astype("<u4").view(np.uint8).reshape(-1, 4)
         records["value_tags"][rows, cols - 1] = stand_in
     digest.update(records.tobytes())
-    for blob in index.value_blobs:
+    for blob in index.value_slices(range(index.n_values)):
         digest.update(decrypt_wire(sk.value_key, blob))
     return digest.hexdigest()
 
@@ -354,6 +356,69 @@ def test_arbitrary_bytes_parse_exactly_or_raise_value_error(data):
         return
     # Whatever parses is a well-formed container: it re-serializes byte-exact.
     assert index.to_bytes() == data
+
+
+# The header and node region of `_VALID`, to put any value region behind.
+_NODES = _VALID[: _HEADER.size + len(EncryptedIndex.from_bytes(_VALID).node_region)]
+
+
+def _walk_values(data: bytes, start: int, n: int):
+    """Reference parse of a value region, one length prefix at a time: the
+    `n` blobs from byte `start` to the end of `data`, or None if they do not
+    fill it exactly."""
+    blobs, off = [], start
+    for _ in range(n):
+        if off + 4 > len(data):
+            return None
+        (length,) = struct.unpack_from("<I", data, off)
+        blobs.append(data[off + 4 : off + 4 + length])
+        off += 4 + length
+    return blobs if off == len(data) else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    widths=st.one_of(
+        st.tuples(st.integers(0, 60), st.integers(0, 80)).map(lambda wn: [wn[0]] * wn[1]),
+        st.lists(st.integers(0, 60), max_size=80),
+    ),
+    rewrite=st.none()
+    | st.tuples(st.integers(0, 79), st.integers(0, 100) | st.integers(0, 2**32 - 1)),
+    count_delta=st.sampled_from([0, 0, 0, -1, 1]),
+)
+def test_value_region_parse_matches_a_per_blob_walk(widths, rewrite, count_delta):
+    # Uniform and mixed widths, one length prefix possibly rewritten, and a
+    # header value count possibly off by one: the parse accepts exactly what
+    # the walk accepts, with the same blobs.
+    blobs = [bytes([i % 251]) * width for i, width in enumerate(widths)]
+    region = bytearray(b"".join(struct.pack("<I", len(blob)) + blob for blob in blobs))
+    if rewrite is not None and blobs:
+        i = rewrite[0] % len(blobs)
+        at = sum(4 + width for width in widths[:i])
+        region[at : at + 4] = struct.pack("<I", rewrite[1])
+    n = max(len(blobs) + count_delta, 0)
+    data = _with_header_field(_NODES, 6, n) + bytes(region)
+    want = _walk_values(data, len(_NODES), n)
+    try:
+        index = EncryptedIndex.from_bytes(data)
+    except ValueError:
+        assert want is None
+        return
+    assert want is not None
+    assert index.value_slices(range(n)) == want
+    assert (index.value_rows is not None) == (len(set(map(len, want))) == 1)
+    assert index.to_bytes() == data
+    # A rewritten header value count leaves the region as it is.
+    assert dataclasses.replace(index, n_values=n + 1).value_slices(range(n)) == want
+
+
+def test_value_count_rewrite_keeps_the_region():
+    pairs, tree, sk, index = _dataset(80, 5, 13)
+    for n in (0, 79, 81, 10**6):
+        reshaped = dataclasses.replace(index, n_values=n)
+        assert reshaped.header != index.header
+        assert reshaped.value_rows.shape == index.value_rows.shape
+        assert reshaped.value_region is index.value_region
 
 
 # -- tokens -------------------------------------------------------------------

@@ -160,9 +160,9 @@ def bulk_passes(monkeypatch):
     opened = []
     real = crypto._open_bulk
 
-    def spy(state, wires, width):
-        opened.append(len(wires))
-        return real(state, wires, width)
+    def spy(state, rows):
+        opened.append(len(rows))
+        return real(state, rows)
 
     monkeypatch.setattr(crypto, "_open_bulk", spy)
     return opened

@@ -9,7 +9,7 @@ import pytest
 
 from hsbt import crypto
 from hsbt.bptree import KEY_MAX, scan_oracle
-from hsbt.codec import make_token
+from hsbt.codec import decrypt_results, make_token, verify_result_mac
 from hsbt.crypto import AuthenticationError
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveAbort, EnclaveSim
@@ -77,6 +77,32 @@ def test_wrong_tag_rejected():
 
 
 @pytest.mark.parametrize("construction", [1, 2])
+def test_values_of_several_lengths_answer_large_results(monkeypatch, construction):
+    # A container of mixed value widths has no row matrix: every result takes
+    # the per-wire path, whatever its size, and the C2 tag still verifies.
+    rng = random.Random(5)
+    keys = rng.sample(range(1, KEY_MAX), 400)
+    pairs = [(k, b"x" * (i % 23) + b"%d" % i) for i, k in enumerate(keys)]
+    dep = Deployment.build(pairs, 5, integrity=True, rng=rng)
+    assert dep.index.value_rows is None
+    bulk = []
+    real = crypto._open_bulk
+    monkeypatch.setattr(
+        crypto, "_open_bulk", lambda state, rows: bulk.append(rows) or real(state, rows)
+    )
+    keys.sort()
+    for lo, hi in [(keys[10], keys[10 + 3 * crypto._BULK_MIN_WIRES]), (None, None)]:
+        values, stats = dep.query(lo, hi, construction)
+        assert stats.result_size >= crypto._BULK_MIN_WIRES
+        assert Counter(values) == Counter(scan_oracle(pairs, lo or 0, hi or KEY_MAX))
+    assert bulk == []
+    if construction == 2:
+        token = make_token(dep.sk.tree_key, None, None)
+        blobs, mac, _ = search_streamed(dep.index, dep.enclave, token)
+        assert verify_result_mac(dep.sk.tree_key, decrypt_results(dep.sk.value_key, blobs), mac)
+
+
+@pytest.mark.parametrize("construction", [1, 2])
 def test_a_bulk_opened_result_fails_closed_on_one_bad_blob(construction):
     pairs, rng = _pairs(n=600, seed=3)
     dep = Deployment.build(pairs, 5, integrity=True, rng=rng)
@@ -90,21 +116,24 @@ def test_a_bulk_opened_result_fails_closed_on_one_bad_blob(construction):
         return dep.tree.value_positions[next(i for i, (k, _) in enumerate(pairs) if k == key)]
 
     def hosting(blob):
-        blobs = list(dep.index.value_blobs)
-        blobs[position(keys[150])] = blob
-        hosted = dataclasses.replace(dep.index, value_blobs=tuple(blobs))
+        # Every blob has one width, so the swap keeps every offset.
+        region = bytearray(dep.index.value_region)
+        start = dep.index.value_offsets[position(keys[150])]
+        region[start : start + len(blob)] = blob
+        hosted = dataclasses.replace(dep.index, value_region=bytes(region))
+        assert hosted.value_rows is not None
         return dataclasses.replace(dep, index=hosted)
 
-    genuine = dep.index.value_blobs[position(keys[150])]
+    genuine = dep.index.value_blob(position(keys[150]))
     flipped = genuine[:20] + bytes([genuine[20] ^ 1]) + genuine[21:]
     other = Deployment.build(pairs, 5, integrity=True, rng=random.Random(4))
-    foreign = other.index.value_blobs[0]  # sealed under another value key
+    foreign = other.index.value_blob(0)  # sealed under another value key
     for blob in (flipped, foreign):
         with pytest.raises(AuthenticationError):
             hosting(blob).query(lo, hi, construction)
     if construction == 2:
         # A genuine blob from outside the range decrypts; the result tag
         # catches it.  Construction 1 issues no result tag.
-        outsider = dep.index.value_blobs[position(keys[0])]
+        outsider = dep.index.value_blob(position(keys[0]))
         with pytest.raises(AuthenticationError, match="result tag"):
             hosting(outsider).query(lo, hi, construction)

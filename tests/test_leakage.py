@@ -4,6 +4,8 @@ the real pipeline."""
 
 import random
 
+import numpy as np
+
 import pytest
 
 from hsbt.bptree import DUMMY_POINTER as D
@@ -84,8 +86,8 @@ def test_leak_enc_fields():
     index = encrypt_index(SecretKey.generate(), tree, [v for _, v in pairs])
     assert (index.n_values, index.node_count) == (static.n_values, static.node_count)
     overhead = NONCE_BYTES + TAG_BYTES
-    blob_sizes = sorted(len(b) - overhead for b in index.value_blobs)
-    assert blob_sizes == sorted(static.value_sizes)
+    blob_sizes = np.diff(index.value_offsets) - overhead
+    assert sorted(blob_sizes.tolist()) == sorted(static.value_sizes)
 
 
 def test_desk_example_mid_range_enumerated(desk_tree):

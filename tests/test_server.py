@@ -5,10 +5,12 @@ import dataclasses
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hsbt.bptree import KEY_MAX, scan_oracle
 from hsbt.codec import decrypt_results, make_token, verify_result_mac
+from hsbt.crypto import _BULK_MIN_WIRES as CUT
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveAbort, EnclaveSim
 from hsbt.leakage import AccessTrace
@@ -50,9 +52,9 @@ def test_fetch_values_names_the_first_bad_pointer():
 
 
 def test_fetch_values_returns_a_list_in_pointer_order_for_any_sequence():
+    # Below the bulk open's cut-over a result is a list of bytes slices.
     pairs, tree, sk, index, _ = _fixture(20)
     blob = index.value_blob
-    # One pointer is the itemgetter trap: a bare item, not a 1-tuple.
     for one in ([7], (7,), range(7, 8)):
         got = fetch_values(index, one)
         assert type(got) is list and got == [blob(7)]
@@ -66,6 +68,40 @@ def test_fetch_values_returns_a_list_in_pointer_order_for_any_sequence():
     # A fresh list every time: the caller may edit it.
     got.append(b"x")
     assert fetch_values(index, order) == [blob(p) for p in order]
+
+
+def test_fetch_values_gathers_a_large_result_as_rows():
+    pairs, tree, sk, index, _ = _fixture(300)
+    width = index.value_rows.shape[1]
+    rng = random.Random(2)
+    order = [rng.randrange(300) for _ in range(CUT)]
+    for pointers in (order, tuple(order), range(299, 299 - 2 * CUT, -2)):
+        got = fetch_values(index, pointers)
+        assert isinstance(got, np.ndarray) and got.shape == (len(pointers), width)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert [bytes(row) for row in got] == [index.value_blob(p) for p in pointers]
+    # A fresh matrix every time: the caller may edit it.
+    got[0, 0] ^= 1
+    assert bytes(fetch_values(index, range(299, 299 - 2 * CUT, -2))[0]) == index.value_blob(299)
+    # One fewer pointer stays a list; a negative or too-large pointer in a
+    # large result is named, never wrapped around.
+    assert type(fetch_values(index, order[:-1])) is list
+    for bad in (-1, -300, 300):
+        with pytest.raises(ValueError, match=rf"value pointer {bad} outside \[0, 300\)"):
+            fetch_values(index, order[:10] + [bad] + order[10:])
+
+
+def test_fetch_values_of_mixed_widths_is_a_list_at_any_size():
+    values = [b"v" * (1 + i % 40) for i in range(300)]
+    pairs, tree, sk, index, _ = _fixture(300, values=values)
+    assert index.value_rows is None
+    pointers = list(range(0, 300, 2))
+    got = fetch_values(index, pointers)
+    assert type(got) is list and got == [index.value_blob(p) for p in pointers]
+    want = [pairs[tree.value_positions.index(p)][1] for p in pointers]
+    assert decrypt_results(sk.value_key, got) == want
+    with pytest.raises(ValueError, match=r"value pointer -1 outside"):
+        fetch_values(index, pointers + [-1])
 
 
 def test_resident_driver_crossings_and_results():
@@ -156,7 +192,7 @@ def test_no_plaintext_sentinels_on_untrusted_surfaces():
     # Every byte surface the untrusted side handles: container regions, the
     # token wire, and the returned blobs.
     key_bytes_le = sentinel_key.to_bytes(4, "little")
-    surfaces = [index.node_region, *index.value_blobs, token.ciphertext.to_bytes(), *blobs]
+    surfaces = [index.node_region, index.value_region, token.ciphertext.to_bytes(), *blobs]
     for surface in surfaces:
         assert sentinel_value not in surface
     assert key_bytes_le not in index.node_region

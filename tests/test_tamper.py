@@ -3,8 +3,10 @@ harmless and consistent."""
 
 import random
 
+import numpy as np
 import pytest
 
+from hsbt import crypto
 from hsbt.bptree import KEY_MAX
 from hsbt.codec import make_token
 from hsbt.deploy import Deployment
@@ -45,6 +47,41 @@ def test_each_deviation_detected(setup, kind, expected):
     for _ in range(5):
         report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), kind, rng)
         assert report.outcome == expected, (kind, report.detail)
+
+
+@pytest.mark.parametrize("kind", ["modify-value", "withhold-results", "substitute-value"])
+def test_value_deviations_over_a_bulk_sized_result_rejected_by_the_bulk_open(
+    setup, monkeypatch, kind
+):
+    # A window of more than _BULK_MIN_WIRES values: the driver gathers the
+    # blobs as one matrix, the script edits that matrix, and the client's
+    # bulk AES-GCM open reads it (one value fewer still reaches the cut-over).
+    pairs, sorted_keys, dep = setup
+    size = crypto._BULK_MIN_WIRES + 16
+    received, bulk_rows = [], []
+    real_open, real_receive = crypto._open_bulk, dep.receive
+
+    def open_spy(state, rows):
+        bulk_rows.append(len(rows))
+        return real_open(state, rows)
+
+    def receive_spy(blobs, mac):
+        received.append(blobs)
+        return real_receive(blobs, mac)
+
+    monkeypatch.setattr(crypto, "_open_bulk", open_spy)
+    monkeypatch.setattr(dep, "receive", receive_spy)
+    rng = random.Random(hash(kind) & 0xFFFF)
+    for _ in range(3):
+        i = rng.randrange(0, len(sorted_keys) - size)
+        token = make_token(dep.sk.tree_key, sorted_keys[i], sorted_keys[i + size - 1])
+        del received[:], bulk_rows[:]
+        report = run_with_tamper(dep, token, kind, rng)
+        assert report.outcome == Outcome.CLIENT_REJECT, report.detail
+        (blobs,) = received
+        assert isinstance(blobs, np.ndarray)
+        want = size - 1 if kind == "withhold-results" else size
+        assert len(blobs) == want and bulk_rows == [want]
 
 
 def test_reshape_header_aborts_at_the_first_record(setup):
