@@ -33,7 +33,10 @@ dep = Deployment.build(
 tree, index = dep.tree, dep.index
 
 static = leak_enc(pairs, tree)
-print(f"static leakage: n={static.n_values}, node count={static.node_count}, value sizes visible\n")
+print(
+    f"static leakage: n={static.n_values}, node count={static.node_count}, "
+    f"one value width of {static.value_width} bytes\n"
+)
 
 perm = prp_permutation(dep.sk.tree_key, index.node_count)
 position_map = lambda nid: int(perm[nid])

@@ -10,6 +10,11 @@ Subcommands:
 * ``tamper`` - run scripted active-attacker behaviours against a fresh
   deployment and report detection
 
+A container holds values of one length, so ``build`` pads every value to
+one byte more than the longest, with ISO/IEC 7816-4 padding (0x80, then
+zeros), and ``query`` strips that padding from each result value before it
+prints it.
+
 Exit codes: 0 ok, 1 verification/authentication failure or malformed input
 data (pairs, container, key sidecar), 2 usage error (a bad flag value, a
 malformed or empty range, a path that cannot be opened).  Past argument
@@ -93,6 +98,22 @@ def read_pairs_binary(path: Path):
     if off != len(data):
         raise CliError(f"{path}: pair stream is {len(data)} bytes, its entries need {off}")
     return pairs
+
+
+def pad_values(pairs):
+    """`pairs` with every value padded to one width, one byte more than the
+    longest value: the value, 0x80, then zeros (ISO/IEC 7816-4)."""
+    width = max(len(v) for _, v in pairs) + 1
+    return [(k, (v + b"\x80").ljust(width, b"\0")) for k, v in pairs]
+
+
+def unpad(value: bytes) -> bytes:
+    """Invert `pad_values` for one value: cut it at its last 0x80 byte,
+    which only zeros may follow."""
+    body = value.rstrip(b"\0")
+    if not body.endswith(b"\x80"):
+        raise CliError("a result value carries no 0x80 padding byte")
+    return body[:-1]
 
 
 def _derived_secret_key(seed: int) -> SecretKey:
@@ -187,6 +208,7 @@ def cmd_build(args) -> int:
     pairs = read_pairs_binary(path) if args.format == "binary" else read_pairs_text(path)
     if not pairs:
         raise CliError(f"{path}: no key-value pairs to index")
+    pairs = pad_values(pairs)
 
     integrity = args.integrity == "on"
     sk = _derived_secret_key(args.seed) if args.seed is not None else SecretKey.generate()
@@ -217,7 +239,7 @@ def cmd_build(args) -> int:
     print(f"container written to {out} ({size} bytes), key material in {keyfile}")
     print(
         f"static leakage: n={static.n_values} nodes={static.node_count} "
-        f"value_bytes={sum(static.value_sizes)}"
+        f"value_width={static.value_width}"
     )
     return EXIT_OK
 
@@ -230,7 +252,7 @@ def cmd_query(args) -> int:
     except (EnclaveError, AuthenticationError) as exc:
         raise CliError(f"query rejected: {exc}")
 
-    for value in values:
+    for value in list(map(unpad, values)):
         sys.stdout.buffer.write(value + b"\n")
     print(CSV_HEADER, file=sys.stderr)
     print(stats.csv_row(), file=sys.stderr)

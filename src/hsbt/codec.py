@@ -6,22 +6,21 @@ The container holds two regions behind a small header:
   node ``x`` stored at slot ``PRP(tree_key, node_count, x.id)``.  Every record
   has the same size whether it came from the root, an inner node, or a leaf,
   so the ciphertexts expose nothing about node fullness.  Each record's
-  AEAD associated data is the 26-byte packed header followed by its 4-byte
+  AEAD associated data is the 30-byte packed header followed by its 4-byte
   slot (`EncryptedIndex.record_aad`), so relocating a record, or rewriting
   any header field, is detected at the first record decrypted.
-* value region: ``n`` length-prefixed encrypted blobs in the random order
-  chosen at build time, decryptable only with the value key.
+* value region: ``n`` encrypted blobs of one width, back to back with no
+  framing, in the random order chosen at build time, decryptable only with
+  the value key.  The header carries that width, so the region is exactly
+  ``n x width`` bytes and every record's associated data binds the width.
 
-In memory the value region is one contiguous buffer of the blob bodies,
-without their prefixes, plus ``n + 1`` offsets into it; no per-blob object
-is kept.  When every blob has one width, which is checked once per
-container, the buffer is also seen as an ``(n, width)`` uint8 matrix
-(`EncryptedIndex.value_rows`): a large result is gathered from it as rows
-with one `np.take` and opened by the client's bulk AES-GCM pass as it is.
-`from_bytes` checks every length prefix of such a container in one
-vectorised pass and `to_bytes` writes them back in one; a container of mixed
-widths (values of several lengths) is walked blob by blob, and its results
-take the per-wire path.
+Every value of a container has one length: `encrypt_index` rejects values of
+several lengths, and `hsbt build` pads variable-length input to one width
+before it gets here.  One width also hides each value's length from the host.
+In memory the value region is one contiguous buffer, seen as an
+``(n, width)`` uint8 matrix (`EncryptedIndex.value_rows`): a large result is
+gathered from it as rows with one `np.take` and opened by the client's bulk
+AES-GCM pass as it is.
 
 Node record plaintext, all integers little-endian::
 
@@ -46,13 +45,11 @@ from __future__ import annotations
 
 import functools
 import hmac
-import io
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from hsbt.bptree import KEY_INFINITY, KEY_NEG_INFINITY, MIN_BRANCHING, PlainTree
 from hsbt.crypto import (
@@ -68,17 +65,13 @@ from hsbt.crypto import (
     result_mac,
 )
 
-HEADER_MAGIC = b"HSBT2"
-HEADER_VERSION = 2
+HEADER_MAGIC = b"HSBT3"
+HEADER_VERSION = 3
 KEY_WIDTH = 4  # bytes per key, packed into the header
-_HEADER = struct.Struct("<5sBBBHIQI")  # magic, version, integrity, key width, b, #nodes, n, record size
+# magic, version, integrity, key width, b, #nodes, n, record size, value blob width
+_HEADER = struct.Struct("<5sBBBHIQII")
 # A node record's associated data: the packed header, then its slot.
 _RECORD_AAD = struct.Struct(f"<{_HEADER.size}sI")
-_LENGTH = struct.Struct("<I")  # a value blob's length prefix
-# `to_bytes` frames value rows this many at a time.  Framing all 100k rows of
-# a container at once raised the peak RSS of a build-serialize-parse cycle by
-# 9 MB, where writing blob by blob had reused memory the build freed.
-_FRAME_ROWS = 4096
 
 _NODE_FIXED = struct.Struct("<IBH")
 FLAG_LEAF = 0x01
@@ -146,13 +139,11 @@ class EncryptedIndex:
     Immutable after creation; concurrent readers need no coordination.  The
     node region is a single byte blob sliced by slot, which doubles as the
     shared host-memory region the enclave fetches records from.  The value
-    region is `value_region`, the blob bodies back to back, and
-    `value_offsets`, ``n + 1`` int64 offsets into it (blob ``i`` is
-    ``value_region[offsets[i]:offsets[i + 1]]``); when every blob has one
-    width, `value_rows` views the region as an ``(n, width)`` uint8 matrix,
-    and is None otherwise.  `node_record_size`, `header`, the packed
-    container header, and `value_rows` follow from the other fields and are
-    computed once; every node record is bound to the header (`record_aad`).
+    region is `value_region`, the blobs of `value_width` bytes each back to
+    back; `value_rows` views it as an ``(n, value_width)`` uint8 matrix.
+    `node_record_size`, `header`, the packed container header, and
+    `value_rows` follow from the other fields and are computed once; every
+    node record is bound to the header (`record_aad`).
     """
 
     branching: int
@@ -161,10 +152,10 @@ class EncryptedIndex:
     integrity: bool
     node_region: bytes
     value_region: bytes = field(repr=False)
-    value_offsets: np.ndarray = field(repr=False, compare=False)
+    value_width: int
     node_record_size: int = field(init=False, compare=False)
     header: bytes = field(init=False, repr=False, compare=False)
-    value_rows: np.ndarray | None = field(init=False, repr=False, compare=False)
+    value_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         plain_size = node_plain_size(self.branching, self.integrity)
@@ -178,14 +169,12 @@ class EncryptedIndex:
             self.node_count,
             self.n_values,
             self.node_record_size,
+            self.value_width,
         )
-        # The region's own blob count, not the header's `n_values`, which a
+        # The region's own row count, not the header's `n_values`, which a
         # reshaped header may contradict.
-        widths = np.diff(self.value_offsets)
-        self.value_rows = None
-        if len(widths) and (widths == widths[0]).all():
-            region = np.frombuffer(self.value_region, np.uint8)
-            self.value_rows = region.reshape(len(widths), int(widths[0]))
+        region = np.frombuffer(self.value_region, np.uint8)
+        self.value_rows = region.reshape(-1, self.value_width)
 
     def record_aad(self, slot: int) -> bytes:
         """Associated data of the node record at `slot`: the packed header,
@@ -205,39 +194,18 @@ class EncryptedIndex:
 
     def value_slices(self, pointers) -> list[bytes]:
         """The blobs at `pointers`, which the caller has checked lie in
-        ``[0, len(value_offsets) - 1)``, as one `bytes` slice of the value
-        region each, in pointer order."""
-        region = self.value_region
-        if self.value_rows is not None:
-            width = self.value_rows.shape[1]
-            return [region[p * width : (p + 1) * width] for p in pointers]
-        bounds = self.value_offsets
-        return [region[bounds[p] : bounds[p + 1]] for p in pointers]
+        ``[0, len(value_rows))``, as one `bytes` slice of the value region
+        each, in pointer order."""
+        region, width = self.value_region, self.value_width
+        return [region[p * width : (p + 1) * width] for p in pointers]
 
     def value_blob(self, index: int) -> bytes:
-        if not 0 <= index < len(self.value_offsets) - 1:
+        if not 0 <= index < len(self.value_rows):
             raise IndexError(f"value index {index} outside [0, {self.n_values})")
         return self.value_slices([index])[0]
 
     def to_bytes(self) -> bytes:
-        out = io.BytesIO()
-        out.write(self.header)
-        out.write(self.node_region)
-        rows = self.value_rows
-        if rows is not None:
-            # One width: every prefix is the same 4 bytes.  Rows are framed
-            # _FRAME_ROWS at a time, so the copy stays small next to `out`.
-            framed = np.empty((min(len(rows), _FRAME_ROWS), 4 + rows.shape[1]), np.uint8)
-            framed[:, :4] = np.frombuffer(_LENGTH.pack(rows.shape[1]), np.uint8)
-            for at in range(0, len(rows), _FRAME_ROWS):
-                part = rows[at : at + _FRAME_ROWS]
-                framed[: len(part), 4:] = part
-                out.write(framed[: len(part)])
-        else:
-            for blob in self.value_slices(range(len(self.value_offsets) - 1)):
-                out.write(_LENGTH.pack(len(blob)))
-                out.write(blob)
-        return out.getvalue()
+        return b"".join((self.header, self.node_region, self.value_region))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncryptedIndex":
@@ -245,9 +213,8 @@ class EncryptedIndex:
         `ValueError`, trailing bytes included."""
         if len(data) < _HEADER.size:
             raise ValueError("container shorter than its header")
-        magic, version, integrity, key_width, b, node_count, n, record_size = _HEADER.unpack_from(
-            data, 0
-        )
+        fields = _HEADER.unpack_from(data, 0)
+        magic, version, integrity, key_width, b, node_count, n, record_size, width = fields
         if magic[:4] != HEADER_MAGIC[:4]:
             raise ValueError("not an index container")
         if (magic, version) != (HEADER_MAGIC, HEADER_VERSION):
@@ -256,10 +223,14 @@ class EncryptedIndex:
             raise ValueError("malformed container header")
         if record_size != node_plain_size(b, bool(integrity)) + NONCE_BYTES + TAG_BYTES:
             raise ValueError(f"node record size {record_size} does not fit b={b}")
+        if width < NONCE_BYTES + TAG_BYTES:
+            raise ValueError(f"value blob width {width} is below a nonce and a tag")
         region_end = _HEADER.size + node_count * record_size
-        value_region, offsets = _parse_values(data, region_end, n)
+        size = region_end + n * width
+        if len(data) != size:
+            raise ValueError(f"container is {len(data)} bytes, its header implies {size}")
         region = data[_HEADER.size : region_end]
-        return cls(b, n, node_count, bool(integrity), region, value_region, offsets)
+        return cls(b, n, node_count, bool(integrity), region, data[region_end:], width)
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -271,40 +242,14 @@ class EncryptedIndex:
             return cls.from_bytes(fh.read())
 
 
-def _parse_values(data: bytes, start: int, n: int) -> tuple[bytes, np.ndarray]:
-    """The value region of a container, the `n` length-prefixed blobs from
-    byte `start` of `data` to its end, as (blob bodies back to back, ``n + 1``
-    offsets into them).  Raises `ValueError` if the blobs do not fill the rest
-    of `data` exactly.
-
-    Blobs of one width fill it as an ``(n, 4 + width)`` matrix whose prefix
-    columns all hold `width`: checked in one pass.  Anything else, mixed
-    widths or malformed input, is walked prefix by prefix."""
-    tail = len(data) - start
-    if n and tail % n == 0 and tail >= 4 * n:
-        width = tail // n - 4
-        framed = np.frombuffer(data, np.uint8, offset=start).reshape(n, 4 + width)
-        if (framed[:, :4] == np.frombuffer(_LENGTH.pack(width), np.uint8)).all():
-            return framed[:, 4:].tobytes(), np.arange(n + 1, dtype=np.int64) * width
-    bodies = []
-    off = start
-    try:
-        for _ in range(n):
-            (length,) = _LENGTH.unpack_from(data, off)
-            bodies.append(data[off + 4 : off + 4 + length])
-            off += 4 + length
-    except struct.error:
-        raise ValueError("container truncated") from None
-    if off != len(data):
-        raise ValueError(f"container is {len(data)} bytes, its header implies {off}")
-    return _joined(bodies)
-
-
-def _joined(blobs) -> tuple[bytes, np.ndarray]:
-    """A list of blobs as (their bodies back to back, ``n + 1`` offsets)."""
-    offsets = np.zeros(len(blobs) + 1, np.int64)
-    np.cumsum(np.fromiter(map(len, blobs), np.int64, len(blobs)), out=offsets[1:])
-    return b"".join(blobs), offsets
+def value_width(values) -> int:
+    """The blob width of a container holding `values`: their one length
+    plus a nonce and a tag.  Raises `ValueError` unless they all have one
+    length."""
+    lengths = set(map(len, values))
+    if len(lengths) != 1:
+        raise ValueError(f"values must have one length, got lengths {sorted(lengths)}")
+    return lengths.pop() + NONCE_BYTES + TAG_BYTES
 
 
 def encrypt_index(
@@ -313,8 +258,9 @@ def encrypt_index(
     """Encrypt a built tree and its values into a container.
 
     `values` must align with the pair order given to the build; the tree's
-    value permutation decides where each encrypted blob lands.  The values
-    are sealed first, in one bulk call in value-region order; in integrity
+    value permutation decides where each encrypted blob lands, and they
+    must all have one length (`ValueError` otherwise).  The values are
+    sealed first, in one bulk call in value-region order; in integrity
     mode leaf slot j then carries the GCM tag of the blob behind pointer j.
     Node records are filled as one `node_dtype` array and sealed in one bulk
     call, each under `EncryptedIndex.record_aad` of its slot.
@@ -322,8 +268,9 @@ def encrypt_index(
     n_values = tree.n_values
     if len(values) != n_values:
         raise ValueError("value count does not match the built tree")
+    width = value_width(values)
     # Sealed in value-region order, the order `to_bytes` writes them.
-    value_region, offsets = _joined(
+    value_region = b"".join(
         encrypt_wires(sk.value_key, [values[i] for i in np.argsort(tree.value_positions).tolist()])
     )
 
@@ -347,9 +294,7 @@ def encrypt_index(
         # leaf slot j carries the tag of the blob behind pointer j.
         by_id["child_ids"][~leaf] = pointers[~leaf]
         rows, cols = np.nonzero(live & leaf[:, None] & (slots > 0))
-        # A blob's tag is its last TAG_BYTES bytes: one gather of windows.
-        windows = sliding_window_view(np.frombuffer(value_region, np.uint8), TAG_BYTES)
-        tags = windows[offsets[1:] - TAG_BYTES]
+        tags = np.frombuffer(value_region, np.uint8).reshape(-1, width)[:, -TAG_BYTES:]
         by_id["value_tags"][rows, cols - 1] = tags[pointers[rows, cols]]
     inner = live & ~leaf[:, None]
     pointers[inner] = slot_of_id[pointers[inner]]
@@ -358,7 +303,7 @@ def encrypt_index(
     records = np.zeros_like(by_id)
     records[slot_of_id] = by_id
     size = records.itemsize
-    index = EncryptedIndex(branching, n_values, node_count, integrity, b"", value_region, offsets)
+    index = EncryptedIndex(branching, n_values, node_count, integrity, b"", value_region, width)
     sealed = encrypt_wires(
         sk.tree_key,
         records.view(np.uint8).reshape(node_count, size),

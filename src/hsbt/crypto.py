@@ -6,21 +6,19 @@ AES), an incremental multiset hash over 16-byte elements (XOR accumulator over
 AES-128 used as a PRF under a subkey derived from the caller's key, plus an
 explicit element counter), and an HMAC tag.
 
-A large batch of wires opens in bulk (`open_wires`, `decrypt_wires`): one
-AEAD call per wire costs ~1 us, nearly all of it per-call overhead, so from
-`_BULK_MIN_WIRES` wires of one length with a body of at most
-`_BULK_MAX_BLOCKS` 16-byte blocks and no associated data, GCM is evaluated
-for the whole batch with array operations.  One ECB call makes every
-counter block, GHASH is a gather from per-key tables of byte multiples of
-the powers of H, and every tag is checked in one constant-time compare; any
-mismatch rejects the whole batch, as the per-wire path does.  The GHASH
-tables are indexed by ciphertext bytes, which the untrusted host already
-sees, so the pass makes no memory access that depends on a secret.  The
-wire format is unchanged; every other batch opens one AEAD call per wire.
-A batch may also arrive as a ``(k, width)`` uint8 matrix, one wire per row,
-the form in which the server gathers a large result from a value region of
-one width; the array pass reads it as it is, with no join and no per-wire
-length check, and every tag is still compared.
+A large result opens in bulk (`open_wires`): one AEAD call per wire costs
+~1 us, nearly all of it per-call overhead, so a ``(k, width)`` uint8 matrix
+of at least `_BULK_MIN_WIRES` wires, one per row, with a body of at most
+`_BULK_MAX_BLOCKS` 16-byte blocks and no associated data, is opened with
+array operations.  That matrix is the form in which the server gathers a
+large result from a container's value region, whose blobs all have one
+width.  One ECB call makes every counter block, GHASH is a gather from
+per-key tables of byte multiples of the powers of H, and every tag is
+checked in one constant-time compare; any mismatch rejects the whole batch,
+as the per-wire path does.  The GHASH tables are indexed by ciphertext
+bytes, which the untrusted host already sees, so the pass makes no memory
+access that depends on a secret.  The wire format is unchanged; every other
+batch, a list of wires included, opens one AEAD call per wire.
 
 All operations are pure given their key material, so they are safe for
 unrestricted concurrent use; the cipher contexts they cache are per thread.
@@ -164,63 +162,41 @@ _body_of = itemgetter(slice(NONCE_BYTES, None))
 _tag_of = itemgetter(slice(-TAG_BYTES, None))
 
 
-def decrypt_wires(key: bytes, wires, aad: bytes = b"") -> list[bytes]:
-    """Bulk `decrypt_wire` over a sequence of wires, in order; any failure
-    aborts the whole batch.  Without `aad` this is `open_wires`, bulk open
-    included; with it, one `map` of the AEAD."""
-    if not aad:
-        return open_wires(key, wires)[0]
-    try:
-        return _map_open(key, wires, aad)
-    except (InvalidTag, ValueError):
-        raise AuthenticationError("ciphertext rejected") from None
-
-
 def open_wires(key: bytes, wires) -> tuple[list[bytes], bytes]:
     """Open wires sealed without associated data: their plaintexts, in
     order, and the concatenation of the 16-byte tags that authenticated
     them.  Any failure aborts the whole batch.
 
     `wires` is a sequence of wires or a ``(k, width)`` uint8 matrix holding
-    one wire per row, as `server.fetch_values` gathers a large result.  At
-    least `_BULK_MIN_WIRES` wires of one width, with a body of 1 to
-    `_BULK_MAX_BLOCKS` blocks, open in array passes of up to
-    `_BULK_CHUNK_WIRES` wires each (`_open_bulk`); a matrix is read as it
-    is, a sequence is joined into one first.  Any other batch opens in one
-    `map` of the AEAD."""
-    rows = _bulk_rows(wires)
-    if rows is not None:
+    one wire per row, as `server.fetch_values` gathers a large result.  A
+    matrix of at least `_BULK_MIN_WIRES` rows, with a body of 1 to
+    `_BULK_MAX_BLOCKS` blocks, opens in array passes of up to
+    `_BULK_CHUNK_WIRES` wires each (`_open_bulk`), read as it is.  Any other
+    batch opens in one `map` of the AEAD."""
+    if _opens_in_bulk(wires):
         state = _bulk_state(key)
         plains: list[bytes] = []
         tags = []
-        for at in range(0, len(rows), _BULK_CHUNK_WIRES):
-            chunk_plains, chunk_tags = _open_bulk(state, rows[at : at + _BULK_CHUNK_WIRES])
+        for at in range(0, len(wires), _BULK_CHUNK_WIRES):
+            chunk_plains, chunk_tags = _open_bulk(state, wires[at : at + _BULK_CHUNK_WIRES])
             plains += chunk_plains
             tags.append(chunk_tags)
         return plains, b"".join(tags)
     if isinstance(wires, np.ndarray):
         wires = list(map(bytes, wires))
+    nonces, bodies = map(_nonce_of, wires), map(_body_of, wires)
     try:
-        return _map_open(key, wires, None), b"".join(map(_tag_of, wires))
+        opened = map(_aead(key).decrypt, nonces, bodies, itertools.repeat(None))
+        return list(opened), b"".join(map(_tag_of, wires))
     except (InvalidTag, ValueError):
         raise AuthenticationError("ciphertext rejected") from None
 
 
-def _bulk_rows(wires) -> np.ndarray | None:
-    """`wires` as a ``(k, width)`` uint8 matrix if the array pass takes
-    them, else None."""
-    if len(wires) < _BULK_MIN_WIRES:
-        return None
-    if not isinstance(wires, np.ndarray):
-        if len(set(map(len, wires))) != 1:
-            return None
-        wires = np.frombuffer(b"".join(wires), np.uint8).reshape(len(wires), -1)
-    return wires if 0 < wires.shape[1] - NONCE_BYTES - TAG_BYTES <= 16 * _BULK_MAX_BLOCKS else None
-
-
-def _map_open(key: bytes, wires, aad: bytes | None) -> list[bytes]:
-    bound = itertools.repeat(aad)
-    return list(map(_aead(key).decrypt, map(_nonce_of, wires), map(_body_of, wires), bound))
+def _opens_in_bulk(wires) -> bool:
+    """Whether `wires` is a matrix the array pass takes."""
+    if not isinstance(wires, np.ndarray) or len(wires) < _BULK_MIN_WIRES:
+        return False
+    return 0 < wires.shape[1] - NONCE_BYTES - TAG_BYTES <= 16 * _BULK_MAX_BLOCKS
 
 
 # Bulk open.  A batch opens in array passes (`_open_bulk`) from

@@ -4,8 +4,9 @@ The auditor is omniscient: it sees the plaintext tree and the queried range,
 computes what a query is *allowed* to reveal, and checks that a recorded
 boundary trace reveals nothing more.  Three leakage objects exist:
 
-* static leakage: value count, value sizes, node count (container header
-  facts);
+* static leakage: value count, the one value width, node count (container
+  header facts; every value of a container has one length, so no value's
+  own length shows);
 * the access tree: storage positions (node granularity) or 4 KiB page ids
   (page granularity) of every node the traversal touches, with parent->child
   edges;
@@ -35,21 +36,26 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from hsbt.bptree import PlainTree
+from hsbt.codec import value_width
 
 _KEY_SPACE_END = 2**32  # exclusive upper routing bound
 
 
 @dataclass(frozen=True)
 class LeakEnc:
-    """Static leakage of the encrypted container."""
+    """Static leakage of the encrypted container: the header's value count,
+    value blob width (one value length plus a nonce and a tag) and node
+    count."""
 
     n_values: int
-    value_sizes: tuple[int, ...]
+    value_width: int
     node_count: int
 
 
 def leak_enc(pairs, tree: PlainTree) -> LeakEnc:
-    return LeakEnc(len(pairs), tuple(len(v) for _, v in pairs), len(tree.nodes))
+    """Raises `ValueError` when the values have several lengths, which no
+    container holds."""
+    return LeakEnc(len(pairs), value_width([v for _, v in pairs]), len(tree.nodes))
 
 
 @dataclass

@@ -60,13 +60,12 @@ def fetch_values(index: EncryptedIndex, pointers):
     """Dereference a sequence of value pointers into the value region, in
     pointer order.
 
-    A result of at least `crypto._BULK_MIN_WIRES` blobs from a region of one
-    blob width comes back as a new ``(k, width)`` uint8 matrix, one blob per
-    row, gathered from `index.value_rows` by one `np.take`: the form the
-    client's bulk AES-GCM open reads as it is.  A smaller result, or any
-    from a region of mixed widths, comes back as a new list of `bytes`, one
-    slice of the region per pointer, the form the per-wire open takes, with
-    no numpy round trip.
+    A result of at least `crypto._BULK_MIN_WIRES` blobs comes back as a new
+    ``(k, width)`` uint8 matrix, one blob per row, gathered from
+    `index.value_rows` by one `np.take`: the form the client's bulk AES-GCM
+    open reads as it is.  A smaller result comes back as a new list of
+    `bytes`, one slice of the region per pointer, the form the per-wire open
+    takes, with no numpy round trip.
 
     An out-of-range pointer means the enclave output was corrupted in
     transit, and surfacing it beats returning garbage: one bound check over
@@ -74,8 +73,8 @@ def fetch_values(index: EncryptedIndex, pointers):
     around, and only then does a second pass find the first bad pointer for
     the error.
     """
-    n = len(index.value_offsets) - 1
-    if index.value_rows is not None and len(pointers) >= _BULK_MIN_WIRES:
+    n = len(index.value_rows)
+    if len(pointers) >= _BULK_MIN_WIRES:
         at = np.fromiter(pointers, np.intp, len(pointers))
         if at.min() >= 0 and at.max() < n:
             return np.take(index.value_rows, at, axis=0)

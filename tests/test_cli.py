@@ -9,6 +9,7 @@ import pytest
 from hsbt import bench as bench_mod
 from hsbt.cli import CliError, main, read_pairs_binary, read_pairs_text
 from hsbt.codec import EncryptedIndex
+from hsbt.deploy import Deployment
 
 
 @pytest.fixture
@@ -220,8 +221,17 @@ def test_bench_command_csv(tmp_path, capsys):
     assert len(lines) == 3  # header + one row per construction
 
 
-def test_binary_pair_format(tmp_path, capsys):
-    pairs = [(5, b"five"), (9, b"nine")]
+def test_binary_pair_format(tmp_path, capsysbinary):
+    # `build` pads every value to one width and `query` strips the padding:
+    # empty values, 0x80 bytes and zero bytes come back byte-exact.
+    pairs = [
+        (5, b"five"),
+        (9, b"nine"),
+        (11, b""),
+        (12, b"\x80"),
+        (13, b"\x00"),
+        (14, b"a\x80\x00\x00"),
+    ]
     blob = struct.pack("<I", len(pairs))
     for k, v in pairs:
         blob += struct.pack("<II", k, len(v)) + v
@@ -233,9 +243,60 @@ def test_binary_pair_format(tmp_path, capsys):
         ["build", "--input", str(path), "--format", "binary", "--b", "4", "--seed", "1", "--out", str(out)]
     )
     assert code == 0
-    code = main(["query", "--index", str(out), "--key", str(out) + ".key", "--range", ":7"])
+    query = ["query", "--index", str(out), "--key", str(out) + ".key"]
+    code = main(query + ["--range", ":7"])
     assert code == 0
-    assert capsys.readouterr().out.strip().splitlines()[-1] == "five"
+    assert capsysbinary.readouterr().out.strip().splitlines()[-1] == b"five"
+    for construction in ("1", "2"):
+        for k, v in pairs:
+            code = main(query + ["--construction", construction, "--range", f"{k}:{k}"])
+            assert code == 0
+            assert capsysbinary.readouterr().out == v + b"\n"
+
+
+def test_text_values_of_several_lengths_round_trip(tmp_path, capsys):
+    rng = random.Random(4)
+    keys = rng.sample(range(1, 2**31), 300)
+    values = {k: f"v{'x' * (i % 17)} {i}" for i, k in enumerate(keys)}
+    path = tmp_path / "pairs.txt"
+    path.write_text("".join(f"{k} {v}\n" for k, v in values.items()))
+    out = tmp_path / "store.hsbt"
+    argv = ["build", "--input", str(path), "--b", "5", "--integrity", "on", "--out", str(out)]
+    assert main(argv) == 0
+    width = max(len(v) for v in values.values()) + 1 + 28  # padding byte, nonce, tag
+    assert f"value_width={width}" in capsys.readouterr().out
+    assert EncryptedIndex.load(out).value_width == width
+    ranked = sorted(keys)
+    query = ["query", "--index", str(out), "--key", str(out) + ".key"]
+    # 5 values open per wire, 101 in bulk.
+    for lo, hi in [(ranked[5], ranked[9]), (ranked[20], ranked[120])]:
+        want = sorted(values[k] for k in keys if lo <= k <= hi)
+        for construction in ("1", "2"):
+            assert main(query + ["--construction", construction, "--range", f"{lo}:{hi}"]) == 0
+            assert sorted(capsys.readouterr().out.splitlines()) == want
+
+
+def test_query_of_an_unpadded_value_exits_one(tmp_path, capsys):
+    # A container built through the library, not by `build`, holds values
+    # without the 0x80 padding byte that `query` strips.
+    pairs = [(k, b"v%02d" % k) for k in range(1, 13)]
+    dep = Deployment.build(pairs, 4, rng=random.Random(0))
+    out = tmp_path / "lib.hsbt"
+    dep.index.save(out)
+    sidecar = {
+        "tree_key": dep.sk.tree_key.hex(),
+        "value_key": dep.sk.value_key.hex(),
+        "root_id": dep.tree.root_id,
+        "b": 4,
+        "seed": None,
+        "integrity": False,
+    }
+    (tmp_path / "lib.hsbt.key").write_text(json.dumps(sidecar))
+    argv = ["query", "--index", str(out), "--key", str(out) + ".key", "--range", "3:5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "padding" in captured.err
 
 
 def test_text_parser_rejects_bad_keys(tmp_path):
@@ -295,7 +356,7 @@ def test_query_rejects_reshaped_header(tmp_path, capsys, construction):
     assert captured.err.startswith("error:") and "failed authentication" in captured.err
 
 
-@pytest.mark.parametrize("cut", [0, 10, 25, 26, 100, -1, "trailing"])
+@pytest.mark.parametrize("cut", [0, 10, 25, 26, 29, 30, 100, -1, "trailing"])
 def test_malformed_container_exits_one_without_traceback(tmp_path, dataset, capsys, cut):
     out, keys = _build(tmp_path, dataset, extra=("--integrity", "on"))
     data = out.read_bytes()

@@ -20,7 +20,6 @@ from hsbt.crypto import (
     SecretKey,
     decrypt,
     decrypt_wire,
-    decrypt_wires,
     encrypt,
     encrypt_wires,
     generate_key,
@@ -109,7 +108,7 @@ def test_bulk_encrypt_matches_wire_helpers():
     assert [decrypt_wire(key, wire) for wire in wires] == plains
     assert len({wire[:12] for wire in wires}) == 3  # a nonce per plaintext
     bound = encrypt_wires(key, plains, [b"x", b"y", b"z"])
-    assert decrypt_wires(key, bound[1:2], b"y") == [b"a"]
+    assert decrypt_wire(key, bound[1], b"y") == b"a"
     with pytest.raises(AuthenticationError):
         decrypt_wire(key, bound[0], b"y")
     assert encrypt_wires(key, []) == []
@@ -119,21 +118,18 @@ def test_bulk_encrypt_matches_wire_helpers():
 def test_short_wires_raise_authentication_error_only(length):
     # No length check runs in Python: the AEAD rejects a nonce under 8 bytes
     # with ValueError and a missing or partial tag with InvalidTag, and both
-    # helpers must turn either into AuthenticationError.
+    # `decrypt_wire` and `open_wires` must turn either into AuthenticationError.
     key = generate_key()
     wire = secrets.token_bytes(length)
-    good = encrypt_wires(key, [b"fine"], [b"ad"])[0]
+    good = encrypt_wires(key, [b"fine"])[0]
     for aad in (b"", b"ad"):
         with pytest.raises(AuthenticationError):
             decrypt_wire(key, wire, aad)
+    for batch in ([wire], [good, wire, good], (good, wire)):
         with pytest.raises(AuthenticationError):
-            decrypt_wires(key, [wire], aad)
-    with pytest.raises(AuthenticationError):
-        decrypt_wires(key, [good, wire, good], b"ad")
-    with pytest.raises(AuthenticationError):
-        decrypt_wires(key, (good, wire), b"ad")
-    assert decrypt_wires(key, (good, good), b"ad") == [b"fine", b"fine"]
-    assert decrypt_wires(key, []) == []
+            crypto.open_wires(key, batch)
+    assert crypto.open_wires(key, (good, good)) == ([b"fine", b"fine"], 2 * good[-16:])
+    assert crypto.open_wires(key, []) == ([], b"")
 
 
 def test_aead_fuzz_bit_flips_never_accepted():
@@ -152,6 +148,12 @@ def test_aead_fuzz_bit_flips_never_accepted():
 
 CUT = crypto._BULK_MIN_WIRES
 MAX_BODY = 16 * crypto._BULK_MAX_BLOCKS
+
+
+def _rows(wires) -> np.ndarray:
+    """Wires of one length as a matrix, one per row, the form in which the
+    server gathers a large result."""
+    return np.frombuffer(b"".join(wires), np.uint8).reshape(len(wires), len(wires[0]))
 
 
 @pytest.fixture
@@ -184,11 +186,10 @@ def test_bulk_open_matches_per_wire_decrypt_at_every_body_length(bulk_passes):
         for count in (CUT - 1, CUT, 4096):
             del bulk_passes[:]
             chunk = wires[:count]
-            got, tags = crypto.open_wires(key, chunk)
+            got, tags = crypto.open_wires(key, _rows(chunk))
             assert sum(bulk_passes) == (count if count >= CUT else 0)
             assert got == [decrypt_wire(key, wire) for wire in chunk] == plains[:count]
             assert tags == b"".join(wire[-16:] for wire in chunk)
-            assert decrypt_wires(key, chunk) == got
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,7 +205,7 @@ def test_bulk_open_rejects_any_single_bit_flip(length, count, data):
     bit = data.draw(st.integers(0, 8 * len(wires[0]) - 1), label="bit")  # nonce, body or tag
     wires[victim] = _flip(wires[victim], bit)
     with pytest.raises(AuthenticationError):
-        crypto.open_wires(key, wires)
+        crypto.open_wires(key, _rows(wires))
 
 
 def test_bulk_open_rejects_every_bit_flip_of_one_wire(bulk_passes):
@@ -212,16 +213,19 @@ def test_bulk_open_rejects_every_bit_flip_of_one_wire(bulk_passes):
     wires = encrypt_wires(key, [secrets.token_bytes(17) for _ in range(CUT)])
     for bit in range(8 * len(wires[0])):
         with pytest.raises(AuthenticationError):
-            crypto.open_wires(key, wires[:5] + [_flip(wires[5], bit)] + wires[6:])
+            crypto.open_wires(key, _rows(wires[:5] + [_flip(wires[5], bit)] + wires[6:]))
     assert set(bulk_passes) == {CUT}
 
 
 def test_bulk_open_batches_it_does_not_take_behave_as_per_wire(bulk_passes):
     key = generate_key()
-    # Mixed lengths open one AEAD call at a time.
+    # A list opens one AEAD call at a time, whether its wires have one
+    # length or several.
     plains = [secrets.token_bytes(1 + i % MAX_BODY) for i in range(2 * CUT)]
     wires = encrypt_wires(key, plains)
     assert crypto.open_wires(key, wires)[0] == plains
+    same_plains = [secrets.token_bytes(16) for _ in range(2 * CUT)]
+    assert crypto.open_wires(key, encrypt_wires(key, same_plains))[0] == same_plains
     # Moving one byte across a wire boundary keeps the joined bytes, and
     # every wire length but two; each of the two fails on its own.
     same = encrypt_wires(key, [secrets.token_bytes(16) for _ in range(CUT)])
@@ -229,21 +233,22 @@ def test_bulk_open_batches_it_does_not_take_behave_as_per_wire(bulk_passes):
     assert b"".join(shifted) == b"".join(same)
     with pytest.raises(AuthenticationError):
         crypto.open_wires(key, shifted)
-    # Empty bodies (28-byte wires) and bodies over the block limit.
+    # Matrices of empty bodies (28-byte wires) and of bodies over the block
+    # limit.
     for length in (0, MAX_BODY + 1, 200):
         plains = [secrets.token_bytes(length) for _ in range(CUT)]
         wires = encrypt_wires(key, plains)
-        assert crypto.open_wires(key, wires) == (plains, b"".join(w[-16:] for w in wires))
+        assert crypto.open_wires(key, _rows(wires)) == (plains, b"".join(w[-16:] for w in wires))
         with pytest.raises(AuthenticationError):
-            crypto.open_wires(key, wires[:-1] + [_flip(wires[-1], 0)])
+            crypto.open_wires(key, _rows(wires[:-1] + [_flip(wires[-1], 0)]))
     assert bulk_passes == []
-    # Truncated wires of one length, a batch of them or one among good ones;
-    # only the 43-byte batch, a 15-byte body, is long enough to open in bulk.
+    # Truncated wires of one length, a matrix of them or one among good ones
+    # in a list; only the 43-byte matrix, a 15-byte body, opens in bulk.
     good = encrypt_wires(key, [b"x" * 16 for _ in range(CUT)])
     for length in (0, 7, 12, 27, 43):
         truncated = [wire[:length] for wire in good]
         with pytest.raises(AuthenticationError):
-            crypto.open_wires(key, truncated)
+            crypto.open_wires(key, _rows(truncated))
         with pytest.raises(AuthenticationError):
             crypto.open_wires(key, good[:-1] + truncated[-1:])
     assert bulk_passes == [CUT]
@@ -253,10 +258,10 @@ def test_bulk_open_batches_it_does_not_take_behave_as_per_wire(bulk_passes):
 def test_bulk_open_under_two_keys_in_two_threads_at_once():
     keys = [generate_key(), generate_key()]
     batches = [
-        encrypt_wires(key, [b"%016d" % (i + 10**6 * k) for i in range(3 * CUT)])
+        _rows(encrypt_wires(key, [b"%016d" % (i + 10**6 * k) for i in range(3 * CUT)]))
         for k, key in enumerate(keys)
     ]
-    want = [[decrypt_wire(key, w) for w in batch] for key, batch in zip(keys, batches)]
+    want = [[decrypt_wire(key, bytes(w)) for w in batch] for key, batch in zip(keys, batches)]
 
     def opens(k):
         return all(crypto.open_wires(keys[k], batches[k])[0] == want[k] for _ in range(200))

@@ -9,6 +9,7 @@ import pytest
 
 from hsbt import crypto
 from hsbt.bptree import KEY_MAX, scan_oracle
+from hsbt.cli import pad_values, unpad
 from hsbt.codec import decrypt_results, make_token, verify_result_mac
 from hsbt.crypto import AuthenticationError
 from hsbt.deploy import Deployment
@@ -78,24 +79,28 @@ def test_wrong_tag_rejected():
 
 @pytest.mark.parametrize("construction", [1, 2])
 def test_values_of_several_lengths_answer_large_results(monkeypatch, construction):
-    # A container of mixed value widths has no row matrix: every result takes
-    # the per-wire path, whatever its size, and the C2 tag still verifies.
+    # A container holds values of one length.  Values of several lengths go
+    # in padded to one width, as `hsbt build` pads them: a large result then
+    # takes the bulk open, the C2 tag verifies, and the values unpad exactly.
     rng = random.Random(5)
     keys = rng.sample(range(1, KEY_MAX), 400)
     pairs = [(k, b"x" * (i % 23) + b"%d" % i) for i, k in enumerate(keys)]
-    dep = Deployment.build(pairs, 5, integrity=True, rng=rng)
-    assert dep.index.value_rows is None
+    with pytest.raises(ValueError, match="one length"):
+        Deployment.build(pairs, 5, integrity=True, rng=random.Random(6))
+    dep = Deployment.build(pad_values(pairs), 5, integrity=True, rng=rng)
     bulk = []
     real = crypto._open_bulk
     monkeypatch.setattr(
-        crypto, "_open_bulk", lambda state, rows: bulk.append(rows) or real(state, rows)
+        crypto, "_open_bulk", lambda state, rows: bulk.append(len(rows)) or real(state, rows)
     )
     keys.sort()
+    sizes = 0
     for lo, hi in [(keys[10], keys[10 + 3 * crypto._BULK_MIN_WIRES]), (None, None)]:
         values, stats = dep.query(lo, hi, construction)
         assert stats.result_size >= crypto._BULK_MIN_WIRES
-        assert Counter(values) == Counter(scan_oracle(pairs, lo or 0, hi or KEY_MAX))
-    assert bulk == []
+        assert Counter(map(unpad, values)) == Counter(scan_oracle(pairs, lo or 0, hi or KEY_MAX))
+        sizes += stats.result_size
+    assert sum(bulk) == sizes
     if construction == 2:
         token = make_token(dep.sk.tree_key, None, None)
         blobs, mac, _ = search_streamed(dep.index, dep.enclave, token)
@@ -116,12 +121,12 @@ def test_a_bulk_opened_result_fails_closed_on_one_bad_blob(construction):
         return dep.tree.value_positions[next(i for i, (k, _) in enumerate(pairs) if k == key)]
 
     def hosting(blob):
-        # Every blob has one width, so the swap keeps every offset.
+        # Every blob has one width, so the swap keeps every row in place.
         region = bytearray(dep.index.value_region)
-        start = dep.index.value_offsets[position(keys[150])]
+        start = position(keys[150]) * dep.index.value_width
         region[start : start + len(blob)] = blob
         hosted = dataclasses.replace(dep.index, value_region=bytes(region))
-        assert hosted.value_rows is not None
+        assert hosted.value_rows.shape == dep.index.value_rows.shape
         return dataclasses.replace(dep, index=hosted)
 
     genuine = dep.index.value_blob(position(keys[150]))

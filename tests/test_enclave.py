@@ -839,7 +839,7 @@ def test_streamed_query_calls_decrypt_wire_once_per_node_decryption(monkeypatch,
 
     monkeypatch.setattr(hsbt.enclave, "decrypt_wire", counting)
     rng = random.Random(22)
-    pairs = [(k, b"v%d" % k) for k in rng.sample(range(1, KEY_MAX), 2000)]
+    pairs = [(k, b"v%010d" % k) for k in rng.sample(range(1, KEY_MAX), 2000)]
     dep = Deployment.build(
         pairs, 6, integrity=True, rng=rng, enclave=EnclaveSim(reserved_space=reserved_space)
     )

@@ -4,15 +4,13 @@ the real pipeline."""
 
 import random
 
-import numpy as np
-
 import pytest
 
 from hsbt.bptree import DUMMY_POINTER as D
 from hsbt.bptree import KEY_INFINITY as INF
 from hsbt.bptree import KEY_MAX, PlainNode, PlainTree, build_tree
 from hsbt.codec import encrypt_index, make_token, node_plain_size
-from hsbt.crypto import SecretKey, prp_permutation
+from hsbt.crypto import NONCE_BYTES, TAG_BYTES, SecretKey, prp_permutation
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveSim
 from hsbt.leakage import (
@@ -69,25 +67,24 @@ def test_leak_enc_fields():
     pairs = [(5, b"abc")]
     tree = build_tree(pairs, 4, rng=random.Random(0))
     static = leak_enc(pairs, tree)
-    assert (static.n_values, static.value_sizes, static.node_count) == (1, (3,), 1)
+    overhead = NONCE_BYTES + TAG_BYTES
+    assert (static.n_values, static.value_width, static.node_count) == (1, 3 + overhead, 1)
 
     rng = random.Random(1)
-    pairs = [(k, b"x" * (k % 7 + 1)) for k in rng.sample(range(1, 10_000), 9)]
+    pairs = [(k, b"x%06d" % k) for k in rng.sample(range(1, 10_000), 9)]
     tree = build_tree(pairs, 4, rng=rng)
     static = leak_enc(pairs, tree)
     assert static.node_count == len(tree.nodes)
-    assert static.value_sizes == tuple(len(v) for _, v in pairs)
+    assert static.value_width == 7 + overhead
+    with pytest.raises(ValueError, match=r"one length, got lengths \[3, 7\]"):
+        leak_enc(pairs + [(10_001, b"abc")], tree)
 
-    # The encrypted container echoes exactly these facts: blob sizes are the
-    # value sizes plus the constant sealing overhead, counts match the header.
-    from hsbt.codec import encrypt_index
-    from hsbt.crypto import NONCE_BYTES, SecretKey, TAG_BYTES
-
+    # The encrypted container echoes exactly these facts: every blob has the
+    # one value width, counts match the header.
     index = encrypt_index(SecretKey.generate(), tree, [v for _, v in pairs])
     assert (index.n_values, index.node_count) == (static.n_values, static.node_count)
-    overhead = NONCE_BYTES + TAG_BYTES
-    blob_sizes = np.diff(index.value_offsets) - overhead
-    assert sorted(blob_sizes.tolist()) == sorted(static.value_sizes)
+    assert index.value_width == static.value_width
+    assert index.value_rows.shape == (static.n_values, static.value_width)
 
 
 def test_desk_example_mid_range_enumerated(desk_tree):
