@@ -13,7 +13,8 @@ Subcommands:
 A container holds values of one length, so ``build`` pads every value to
 one byte more than the longest, with ISO/IEC 7816-4 padding (0x80, then
 zeros), and ``query`` strips that padding from each result value before it
-prints it.
+prints it, one value per line.  A value holding a newline byte would read as
+two, so such a result prints nothing and exits 1.
 
 Exit codes: 0 ok, 1 verification/authentication failure or malformed input
 data (pairs, container, key sidecar), 2 usage error (a bad flag value, a
@@ -252,8 +253,10 @@ def cmd_query(args) -> int:
     except (EnclaveError, AuthenticationError) as exc:
         raise CliError(f"query rejected: {exc}")
 
-    for value in list(map(unpad, values)):
-        sys.stdout.buffer.write(value + b"\n")
+    values = list(map(unpad, values))
+    if any(b"\n" in value for value in values):
+        raise CliError("a result value holds a newline byte; one value per line cannot show it")
+    sys.stdout.buffer.writelines(value + b"\n" for value in values)
     print(CSV_HEADER, file=sys.stderr)
     print(stats.csv_row(), file=sys.stderr)
     return EXIT_OK

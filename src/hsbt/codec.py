@@ -18,9 +18,9 @@ Every value of a container has one length: `encrypt_index` rejects values of
 several lengths, and `hsbt build` pads variable-length input to one width
 before it gets here.  One width also hides each value's length from the host.
 In memory the value region is one contiguous buffer, seen as an
-``(n, width)`` uint8 matrix (`EncryptedIndex.value_rows`): a large result is
-gathered from it as rows with one `np.take` and opened by the client's bulk
-AES-GCM pass as it is.
+``(n, width)`` uint8 matrix (`EncryptedIndex.value_rows`): every result, of
+any size, is gathered from it as rows with one `np.take`, and the client
+opens those rows as they are (`decrypt_results`).
 
 Node record plaintext, all integers little-endian::
 
@@ -192,17 +192,11 @@ class EncryptedIndex:
         start = slot * self.node_record_size
         return self.node_region[start : start + self.node_record_size]
 
-    def value_slices(self, pointers) -> list[bytes]:
-        """The blobs at `pointers`, which the caller has checked lie in
-        ``[0, len(value_rows))``, as one `bytes` slice of the value region
-        each, in pointer order."""
-        region, width = self.value_region, self.value_width
-        return [region[p * width : (p + 1) * width] for p in pointers]
-
     def value_blob(self, index: int) -> bytes:
-        if not 0 <= index < len(self.value_rows):
-            raise IndexError(f"value index {index} outside [0, {self.n_values})")
-        return self.value_slices([index])[0]
+        n = len(self.value_rows)
+        if not 0 <= index < n:
+            raise IndexError(f"value index {index} outside [0, {n})")
+        return bytes(self.value_rows[index])
 
     def to_bytes(self) -> bytes:
         return b"".join((self.header, self.node_region, self.value_region))
@@ -385,9 +379,9 @@ class Results(list):
     append = extend = insert = pop = remove = clear = sort = reverse = _read_only
 
 
-def decrypt_results(value_key: bytes, blobs) -> Results:
+def decrypt_results(value_key: bytes, blobs: np.ndarray) -> Results:
     """Decrypt fetched result blobs, in order, keeping the tags that
-    authenticated them; `blobs` is a list of wires or the row matrix
+    authenticated them; `blobs` is the ``(k, width)`` row matrix
     `server.fetch_values` gathers (`crypto.open_wires`).  Any authentication
     failure aborts the whole result: partial output would mask tampering."""
     return Results(*open_wires(value_key, blobs))

@@ -6,22 +6,23 @@ AES), an incremental multiset hash over 16-byte elements (XOR accumulator over
 AES-128 used as a PRF under a subkey derived from the caller's key, plus an
 explicit element counter), and an HMAC tag.
 
-A large result opens in bulk (`open_wires`): one AEAD call per wire costs
-~1 us, nearly all of it per-call overhead, so a ``(k, width)`` uint8 matrix
-of at least `_BULK_MIN_WIRES` wires, one per row, with a body of at most
+A result arrives as a ``(k, width)`` uint8 matrix, one wire per row: the
+form in which the server gathers it from a container's value region, whose
+blobs all have one width.  `open_wires` alone decides how it opens.  One
+AEAD call per wire costs ~1 us, nearly all of it per-call overhead, so a
+matrix of at least `_BULK_MIN_WIRES` rows, with a body of at most
 `_BULK_MAX_BLOCKS` 16-byte blocks and no associated data, is opened with
-array operations.  That matrix is the form in which the server gathers a
-large result from a container's value region, whose blobs all have one
-width.  One ECB call makes every counter block, GHASH is a gather from
-per-key tables of byte multiples of the powers of H, and every tag is
-checked in one constant-time compare; any mismatch rejects the whole batch,
-as the per-wire path does.  The GHASH tables are indexed by ciphertext
-bytes, which the untrusted host already sees, so the pass makes no memory
-access that depends on a secret.  The wire format is unchanged; every other
-batch, a list of wires included, opens one AEAD call per wire.
+array operations.  One ECB call makes every counter block, GHASH is a
+gather from per-key tables of byte multiples of the powers of H, and every
+tag is checked in one constant-time compare; any mismatch rejects the whole
+batch, as the per-wire path does.  The GHASH tables are indexed by
+ciphertext bytes, which the untrusted host already sees, so the pass makes
+no memory access that depends on a secret.  The wire format is unchanged;
+every other matrix opens one AEAD call per wire.
 
 All operations are pure given their key material, so they are safe for
-unrestricted concurrent use; the cipher contexts they cache are per thread.
+unrestricted concurrent use; the cipher contexts they cache are per thread,
+and each cache holds a bounded number of keys.
 `MultisetHash` values are immutable snapshots; `add_all` returns a new
 state.
 """
@@ -101,14 +102,29 @@ class Ciphertext:
         return self.nonce + self.body + self.tag
 
 
-_aead_cache: dict[bytes, AESGCM] = {}
+def _per_thread(store: threading.local, cap: int, key: bytes, make):
+    """`make(key)`, kept in this thread's table in `store`, which holds at
+    most `cap` keys; a full table is emptied."""
+    try:
+        return store.by_key[key]
+    except AttributeError:
+        table = store.by_key = {}
+    except KeyError:
+        table = store.by_key
+        if len(table) >= cap:
+            table.clear()
+    item = table[key] = make(key)
+    return item
+
+
+# AEAD objects, one dict per thread, keyed by their key, for at most
+# _AEAD_CAP keys per thread.
+_aeads = threading.local()
+_AEAD_CAP = 64
 
 
 def _aead(key: bytes) -> AESGCM:
-    inst = _aead_cache.get(key)
-    if inst is None:
-        inst = _aead_cache[key] = AESGCM(key)
-    return inst
+    return _per_thread(_aeads, _AEAD_CAP, key, AESGCM)
 
 
 def encrypt(key: bytes, plaintext: bytes, aad: bytes = b"") -> Ciphertext:
@@ -162,41 +178,33 @@ _body_of = itemgetter(slice(NONCE_BYTES, None))
 _tag_of = itemgetter(slice(-TAG_BYTES, None))
 
 
-def open_wires(key: bytes, wires) -> tuple[list[bytes], bytes]:
-    """Open wires sealed without associated data: their plaintexts, in
-    order, and the concatenation of the 16-byte tags that authenticated
-    them.  Any failure aborts the whole batch.
+def open_wires(key: bytes, wires: np.ndarray) -> tuple[list[bytes], bytes]:
+    """Open the rows of a ``(k, width)`` uint8 matrix of wires sealed without
+    associated data, as `server.fetch_values` gathers a result: their
+    plaintexts, in order, and the concatenation of the 16-byte tags that
+    authenticated them.  Any failure aborts the whole batch.
 
-    `wires` is a sequence of wires or a ``(k, width)`` uint8 matrix holding
-    one wire per row, as `server.fetch_values` gathers a large result.  A
-    matrix of at least `_BULK_MIN_WIRES` rows, with a body of 1 to
-    `_BULK_MAX_BLOCKS` blocks, opens in array passes of up to
-    `_BULK_CHUNK_WIRES` wires each (`_open_bulk`), read as it is.  Any other
-    batch opens in one `map` of the AEAD."""
-    if _opens_in_bulk(wires):
+    At least `_BULK_MIN_WIRES` rows, with a body of 1 to `_BULK_MAX_BLOCKS`
+    blocks, open in array passes of up to `_BULK_CHUNK_WIRES` wires each
+    (`_open_bulk`), read as they are.  Any other matrix opens in one `map` of
+    the AEAD over its rows."""
+    k, width = wires.shape
+    if k >= _BULK_MIN_WIRES and 0 < width - NONCE_BYTES - TAG_BYTES <= 16 * _BULK_MAX_BLOCKS:
         state = _bulk_state(key)
         plains: list[bytes] = []
         tags = []
-        for at in range(0, len(wires), _BULK_CHUNK_WIRES):
+        for at in range(0, k, _BULK_CHUNK_WIRES):
             chunk_plains, chunk_tags = _open_bulk(state, wires[at : at + _BULK_CHUNK_WIRES])
             plains += chunk_plains
             tags.append(chunk_tags)
         return plains, b"".join(tags)
-    if isinstance(wires, np.ndarray):
-        wires = list(map(bytes, wires))
-    nonces, bodies = map(_nonce_of, wires), map(_body_of, wires)
+    rows = [row.tobytes() for row in wires]
+    nonces, bodies = map(_nonce_of, rows), map(_body_of, rows)
     try:
         opened = map(_aead(key).decrypt, nonces, bodies, itertools.repeat(None))
-        return list(opened), b"".join(map(_tag_of, wires))
+        return list(opened), b"".join(map(_tag_of, rows))
     except (InvalidTag, ValueError):
         raise AuthenticationError("ciphertext rejected") from None
-
-
-def _opens_in_bulk(wires) -> bool:
-    """Whether `wires` is a matrix the array pass takes."""
-    if not isinstance(wires, np.ndarray) or len(wires) < _BULK_MIN_WIRES:
-        return False
-    return 0 < wires.shape[1] - NONCE_BYTES - TAG_BYTES <= 16 * _BULK_MAX_BLOCKS
 
 
 # Bulk open.  A batch opens in array passes (`_open_bulk`) from
@@ -269,20 +277,6 @@ class _BulkGcm:
                 tables[:, :, low : 2 * low] = tables[:, :, :low] ^ basis[:, :, 7 - bit, None]
             self.tables = tables.view(np.uint64)
         return self.tables
-
-
-def _per_thread(store: threading.local, cap: int, key: bytes, make):
-    """`make(key)`, kept in this thread's table in `store`, which holds at
-    most `cap` keys; a full table is emptied."""
-    table = getattr(store, "by_key", None)
-    if table is None:
-        table = store.by_key = {}
-    item = table.get(key)
-    if item is None:
-        if len(table) >= cap:
-            table.clear()
-        item = table[key] = make(key)
-    return item
 
 
 def _bulk_state(key: bytes) -> _BulkGcm:

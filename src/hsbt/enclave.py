@@ -28,9 +28,11 @@ resident walk, in one vectorised comparison; a resident level too small to
 repay numpy's per-call cost is scanned node by node with the same per-slot
 formula.
 
-A batch answer is two plain int lists, value pointers and node pointers,
-each shuffled on its own; the driver routes them with one list operation
-apiece.
+Value pointers leave the enclave as shuffled `uint32` arrays, from both
+entry points, and the driver dereferences them without a conversion.  A
+batch also answers with node pointers, shuffled on their own, as a plain int
+list: the driver slices its queue from them, and `_open_records` slices one
+record per position in Python.
 
 In integrity mode `search_batch` additionally runs a per-query session bound
 to the token that opened it.  It counts the nodes it asked for a batch at a
@@ -46,7 +48,7 @@ every requested node arrived, nothing else arrived, and the first node of
 the query was the root.  At most `MAX_OPEN_SESSIONS` sessions stay open;
 opening one more evicts the oldest.
 
-Every pointer list leaving the enclave is freshly shuffled, and in-node
+Every pointer sequence leaving the enclave is freshly shuffled, and in-node
 matching touches every key and pointer slot whether it matches or not, so
 neither output order nor intra-node access reveals key positions.  The
 shuffles draw from one PCG64 generator per thread, reseeded from each call's
@@ -150,17 +152,21 @@ def oblivious_match_slots(
     """Matching pointer slots of every node in a `node_dtype` record array,
     as a boolean array of shape ``(len(nodes), b)``.
 
-    Slot ``j`` of an inner node matches when its child's key window
-    ``[lo, hi) = [keys[j-1], keys[j])`` meets [r_start, r_end]:
-    ``(lo <= rs < hi) | (lo <= re < hi) | (rs <= lo & hi <= re)``, where
-    slot 0 opens at -inf and slot b-1 closes at +inf.  Slot ``j`` of a leaf
-    matches when ``rs <= lo <= re`` (slot 0, at -inf, never does).  With
-    rs <= re, which the enclave demands of every token, the infinite ends
-    reduce slot 0 to ``rs < keys[0]`` and slot b-1 to ``keys[b-2] <= re``.
-    Both formulas are evaluated for every key and pointer slot of every
-    node, live or padded, leaf or inner, matching or not, with whole-array
-    comparisons; the node kind and the liveness term ``j <= key_count``
-    then select bits, never control flow.
+    Slot ``j`` of a leaf matches when ``rs <= lo <= re``, where
+    ``lo = keys[j-1]`` (slot 0, at -inf, never does).  Slot ``j`` of an
+    inner node matches when its child's key window
+    ``[lo, hi) = [keys[j-1], keys[j])`` meets [r_start, r_end], where slot 0
+    opens at -inf and slot b-1 closes at +inf.  With rs <= re, which the
+    enclave demands of every token, that is ``(lo <= re) & (rs < hi)``.  The
+    leaf bit is OR-ed in too: it adds nothing to a window with lo < hi, and
+    on an empty window [k, k), which a built tree's strict separators never
+    make, it keeps the rule equal to the three-term test (rs or re in the
+    window, or the window in the range) on any sorted keys.  The infinite
+    ends reduce slot 0 to ``rs < keys[0]`` and slot b-1 to
+    ``keys[b-2] <= re``.  Both formulas are evaluated for every key and
+    pointer slot of every node, live or padded, leaf or inner, matching or
+    not, with whole-array comparisons; the node kind and the liveness term
+    ``j <= key_count`` then select bits, never control flow.
     """
     keys = nodes["keys"]
     n, width = keys.shape
@@ -170,14 +176,9 @@ def oblivious_match_slots(
     edges[:, -1] = 1 << 32
     le_start = edges <= r_start
     le_end = edges <= r_end
-    ge_start = edges >= r_start
-    # On booleans, `x > y` is `x & ~y`: lo <= r < hi.
-    inner = (
-        (le_start[:, :-1] > le_start[:, 1:])
-        | (le_end[:, :-1] > le_end[:, 1:])
-        | (ge_start[:, :-1] & le_end[:, 1:])
-    )
-    leaf = ge_start[:, :-1] & le_end[:, :-1]
+    leaf = (edges[:, :-1] >= r_start) & le_end[:, :-1]
+    # On booleans, `x > y` is `x & ~y`: lo <= re and rs < hi.
+    inner = (le_end[:, :-1] > le_start[:, 1:]) | leaf
     live = np.arange(width + 1) <= nodes["key_count"][:, None]
     if counter is not None:
         counter.add(n, width + 1)
@@ -200,9 +201,7 @@ def _scan_record(record: tuple, branching: int, r_start: int, r_end: int) -> lis
         bits = [(r_start <= lo) & (lo <= r_end) for lo in edges[:-1]]
     else:
         bits = [
-            ((lo <= r_start) & (r_start < hi))
-            | ((lo <= r_end) & (r_end < hi))
-            | ((r_start <= lo) & (hi <= r_end))
+            (lo <= r_end) & ((r_start < hi) | (r_start <= lo))
             for lo, hi in zip(edges, edges[1:])
         ]
     return [j for j, bit in enumerate(bits) if bit & (j <= key_count)]
@@ -344,15 +343,18 @@ class EnclaveSim:
             raise EnclaveAbort("provisioned root id not at the container's root slot")
         self._resident = resident
 
-    def search_resident(self, token: RangeToken, trace=None) -> list[int]:
-        """Range search over the resident tree; returns value pointers.
+    def search_resident(self, token: RangeToken, trace=None) -> np.ndarray:
+        """Range search over the resident tree; returns the value pointers as
+        a `uint32` array.
 
         Level-synchronous walk: each level's frontier is shuffled, which
         orders its page touches, then matched; every parent level is touched
         before its children.  A level of at least `_VECTOR_MIN_SLOTS` slots
         is matched in one `oblivious_match_slots` call, a smaller one node by
         node with `_scan_record`, read straight from the record array.  The
-        pointer list is shuffled once more on the way out.
+        value pointers of matched levels stay arrays, those of scanned levels
+        are converted once, and all of them are shuffled once more on the way
+        out.
         """
         resident = self._resident
         if resident is None:
@@ -362,7 +364,8 @@ class EnclaveSim:
         branching = resident["ptrs"].shape[1]
         unpack = node_struct(branching).unpack_from
         frontier = [self._find_root_slot()]
-        pointers: list[int] = []
+        scanned: list[int] = []
+        matched: list[np.ndarray] = []
         visited = 0
         while frontier:
             if len(frontier) > 1:
@@ -377,18 +380,19 @@ class EnclaveSim:
                 children: list[int] = []
                 for slot in frontier:
                     record = unpack(resident, slot * resident.itemsize)
-                    out = pointers if record[1] & FLAG_LEAF else children
+                    out = scanned if record[1] & FLAG_LEAF else children
                     slots = _scan_record(record, branching, rs, re_)
                     out.extend(record[branching + 2 + j] for j in slots)
                 frontier = children
             else:
                 is_value, found, _, _ = _expand(resident[frontier], rs, re_)
-                pointers += found[is_value].tolist()
+                matched.append(found[is_value])
                 frontier = found[~is_value].tolist()
         self._tally(0, visited, branching)
+        pointers = np.concatenate([np.array(scanned, np.uint32), *matched])
         rng.shuffle(pointers)
         if trace is not None:
-            trace.pointers_out(pointers)
+            trace.pointers_out(pointers.tolist())
         return pointers
 
     # -- construction 2: streamed batches ------------------------------------
@@ -399,15 +403,16 @@ class EnclaveSim:
         positions,
         session: bytes | None = None,
         trace=None,
-    ) -> tuple[tuple[list[int], list[int]], bytes | None]:
+    ) -> tuple[tuple[np.ndarray, list[int]], bytes | None]:
         """Process one batch of node positions for a range query.
 
         Returns ``((value_ptrs, node_ptrs), nonce)``: value pointers come
-        from leaves and index the value region, node pointers name storage
-        positions still to traverse.  Each list is a fresh permutation drawn
-        from the call's seeded generator.  `nonce` continues the integrity
-        session (None outside integrity mode); a continuing batch must carry
-        the token that opened the session.
+        from leaves and index the value region, as a `uint32` array; node
+        pointers name storage positions still to traverse, as an int list.
+        Each is a fresh permutation drawn from the call's seeded generator.
+        `nonce` continues the integrity session (None outside integrity
+        mode); a continuing batch must carry the token that opened the
+        session.
 
         Each record is sliced from the shared node region and authenticated
         on its own; the batch is then decoded and matched at once, and each
@@ -469,9 +474,8 @@ class EnclaveSim:
         node_ptrs = pointers[inner]
         rng.shuffle(value_ptrs)
         rng.shuffle(node_ptrs)
-        value_ptrs = value_ptrs.tolist()
         if trace is not None:
-            trace.pointers_out(value_ptrs)
+            trace.pointers_out(value_ptrs.tolist())
         return (value_ptrs, node_ptrs.tolist()), (sess.nonce if sess is not None else None)
 
     def finalize_session(self, nonce: bytes) -> bytes:

@@ -2,7 +2,7 @@
 
 Code here stands in for the server software outside the trust boundary: it
 never sees key material or plaintext, only ciphertext records, encrypted
-tokens, and the pointer lists the enclave emits.  It moves bytes, batches
+tokens, and the pointers the enclave emits.  It moves bytes, batches
 node positions, and accounts for boundary crossings.
 
 Both drivers fail closed: any enclave rejection propagates and no partial
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from hsbt.codec import EncryptedIndex, RangeToken
-from hsbt.crypto import _BULK_MIN_WIRES
 from hsbt.enclave import EnclaveSim
 
 CSV_HEADER = "construction,b,n,range_size,result_size,crossings,nodes,bytes_in,bytes_out,micros"
@@ -56,41 +55,32 @@ class QueryStats:
         )
 
 
-def fetch_values(index: EncryptedIndex, pointers):
+def fetch_values(index: EncryptedIndex, pointers) -> np.ndarray:
     """Dereference a sequence of value pointers into the value region, in
-    pointer order.
-
-    A result of at least `crypto._BULK_MIN_WIRES` blobs comes back as a new
-    ``(k, width)`` uint8 matrix, one blob per row, gathered from
-    `index.value_rows` by one `np.take`: the form the client's bulk AES-GCM
-    open reads as it is.  A smaller result comes back as a new list of
-    `bytes`, one slice of the region per pointer, the form the per-wire open
-    takes, with no numpy round trip.
+    pointer order: a new ``(k, width)`` uint8 matrix, one blob per row,
+    gathered from `index.value_rows` by one `np.take`, for every ``k``
+    including 0.  The client opens it as it is (`crypto.open_wires`).
 
     An out-of-range pointer means the enclave output was corrupted in
-    transit, and surfacing it beats returning garbage: one bound check over
-    all pointers runs before the gather, so a negative pointer never wraps
-    around, and only then does a second pass find the first bad pointer for
-    the error.
+    transit, and surfacing it beats returning garbage.  One bound check
+    covers all pointers before the gather: viewed as unsigned, a negative
+    pointer is above every valid one, so it is named, never wrapped around.
     """
+    at = np.asarray(pointers, np.intp)
     n = len(index.value_rows)
-    if len(pointers) >= _BULK_MIN_WIRES:
-        at = np.fromiter(pointers, np.intp, len(pointers))
-        if at.min() >= 0 and at.max() < n:
-            return np.take(index.value_rows, at, axis=0)
-    elif not pointers or (min(pointers) >= 0 and max(pointers) < n):
-        return index.value_slices(pointers)
-    bad = next(p for p in pointers if not 0 <= p < n)
-    raise ValueError(f"value pointer {bad} outside [0, {n})")
+    if len(at) and at.view(np.uintp).max() >= n:
+        bad = at[np.argmax(at.view(np.uintp) >= n)]
+        raise ValueError(f"value pointer {bad} outside [0, {n})")
+    return index.value_rows.take(at, axis=0)
 
 
 def search_resident(
     index: EncryptedIndex, enclave: EnclaveSim, token: RangeToken, trace=None
 ):
     """Resident-tree query: one trusted call, then dereference the pointers;
-    returns (blobs as `fetch_values` shapes them, stats).
+    returns (blob rows from `fetch_values`, stats).
 
-    Steady state moves nothing but the token in and the pointer list out, so
+    Steady state moves nothing but the token in and the pointers out, so
     the crossing count is always two.
     """
     t0 = time.perf_counter()
@@ -116,18 +106,19 @@ def search_streamed(
     index: EncryptedIndex, enclave: EnclaveSim, token: RangeToken, trace=None
 ):
     """Streamed query: FIFO node queue, batched trusted calls, pointer
-    routing; returns (blobs as `fetch_values` shapes them, result tag or
-    None, stats).
+    routing; returns (blob rows from `fetch_values`, result tag or None,
+    stats).
 
     Seeds the queue with the root position, drains up to the enclave's batch
-    ceiling per crossing, re-queues node pointers, and accumulates value
-    pointers.  In integrity mode the session is finalized afterwards (one
-    more crossing) and the result tag returned for the client to check.
+    ceiling per crossing, re-queues node pointers, and collects the value
+    pointer arrays, joined once for the fetch.  In integrity mode the
+    session is finalized afterwards (one more crossing) and the result tag
+    returned for the client to check.
     """
     t0 = time.perf_counter()
     max_batch = enclave.max_batch_nodes(index.node_record_size)
     queue = [enclave.root_slot()]
-    value_pointers: list[int] = []
+    value_pointers: list[np.ndarray] = []
     nonce: bytes | None = None
     crossings = 0
     nodes_moved = 0
@@ -144,7 +135,7 @@ def search_streamed(
         # still charged as boundary input alongside the token.
         bytes_in += token.wire_size + len(batch) * index.node_record_size
         bytes_out += 5 * (len(values) + len(nodes)) + (len(nonce) if nonce else 0)
-        value_pointers += values
+        value_pointers.append(values)
         queue += nodes
 
     mac: bytes | None = None
@@ -154,7 +145,7 @@ def search_streamed(
         bytes_in += len(nonce)
         bytes_out += len(mac)
 
-    blobs = fetch_values(index, value_pointers)
+    blobs = fetch_values(index, np.concatenate(value_pointers))
     micros = (time.perf_counter() - t0) * 1e6
     stats = QueryStats(
         construction=2,

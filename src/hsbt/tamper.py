@@ -109,13 +109,11 @@ def _client_receive(dep: Deployment, blobs, mac) -> TamperReport:
     return TamperReport(Outcome.ACCEPTED, "result verified")
 
 
-def _edited(blobs, at: int, blob: bytes | None):
-    """A copy of `blobs`, a list of wires or a matrix of them, one per row,
-    with the wire at `at` replaced by `blob`, or dropped if `blob` is None."""
-    if isinstance(blobs, np.ndarray):
-        edited = np.delete(blobs, at, axis=0)
-        return edited if blob is None else np.insert(edited, at, np.frombuffer(blob, np.uint8), 0)
-    return blobs[:at] + ([] if blob is None else [blob]) + blobs[at + 1 :]
+def _edited(blobs: np.ndarray, at: int, blob: bytes | None) -> np.ndarray:
+    """A copy of `blobs`, a matrix of wires, one per row, with the wire at
+    `at` replaced by `blob`, or dropped if `blob` is None."""
+    edited = np.delete(blobs, at, axis=0)
+    return edited if blob is None else np.insert(edited, at, np.frombuffer(blob, np.uint8), 0)
 
 
 def _serve_copy(dep: Deployment, copy, token: RangeToken, what: str) -> TamperReport:
@@ -229,8 +227,7 @@ def run_with_tamper(
 
     if kind == "substitute-value":
         result = set(map(bytes, blobs))
-        every = index.value_slices(range(index.n_values))
-        outside = [p for p, blob in enumerate(every) if blob not in result]
+        outside = [p for p, row in enumerate(index.value_rows) if bytes(row) not in result]
         target = rng.choice(outside)
         report = _client_receive(dep, _edited(blobs, at, index.value_blob(target)), mac)
         report.detail = f"{kind} with value {target}: " + report.detail

@@ -299,6 +299,33 @@ def test_query_of_an_unpadded_value_exits_one(tmp_path, capsys):
     assert captured.err.startswith("error:") and "padding" in captured.err
 
 
+@pytest.mark.parametrize("construction", ["1", "2"])
+def test_query_of_a_value_holding_a_newline_exits_one(tmp_path, capsysbinary, construction):
+    # `query` prints one value per line, so a value holding a newline byte
+    # would read as two values: the query prints nothing and fails instead.
+    pairs = [(5, b"a\nb"), (9, b"c")]
+    blob = struct.pack("<I", len(pairs))
+    for k, v in pairs:
+        blob += struct.pack("<II", k, len(v)) + v
+    path = tmp_path / "pairs.bin"
+    path.write_bytes(blob)
+    out = tmp_path / "nl.hsbt"
+    code = main(
+        ["build", "--input", str(path), "--format", "binary", "--b", "4", "--seed", "1", "--out", str(out)]
+    )
+    assert code == 0
+    capsysbinary.readouterr()
+    query = ["query", "--index", str(out), "--key", str(out) + ".key", "--construction", construction]
+    assert main(query + ["--range", "1:10"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.startswith(b"error:") and captured.err.count(b"\n") == 1
+    assert b"newline" in captured.err
+    # A result without such a value still prints.
+    assert main(query + ["--range", "9:9"]) == 0
+    assert capsysbinary.readouterr().out == b"c\n"
+
+
 def test_text_parser_rejects_bad_keys(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("notanumber hello\n")

@@ -44,6 +44,12 @@ from hsbt.crypto import (
 )
 
 
+def _rows(wires) -> np.ndarray:
+    """Wires of one length as a matrix, one per row, as the server gathers
+    a result."""
+    return np.frombuffer(b"".join(wires), np.uint8).reshape(len(wires), -1)
+
+
 def _dataset(n, b, seed, integrity=False):
     rng = random.Random(seed)
     keys = rng.sample(range(1, KEY_MAX), n)
@@ -224,8 +230,8 @@ def _golden_digest(integrity):
         stand_in[:, :4] = pointers.astype("<u4").view(np.uint8).reshape(-1, 4)
         records["value_tags"][rows, cols - 1] = stand_in
     digest.update(records.tobytes())
-    for blob in index.value_slices(range(index.n_values)):
-        digest.update(decrypt_wire(sk.value_key, blob))
+    for blob in index.value_rows:
+        digest.update(decrypt_wire(sk.value_key, bytes(blob)))
     return digest.hexdigest()
 
 
@@ -399,10 +405,14 @@ def test_value_region_parse_takes_exactly_n_rows_of_one_width(n, width, delta):
     assert tail == n * width and width >= NONCE_BYTES + TAG_BYTES
     assert index.value_rows.shape == (n, width)
     want = [region[i * width : (i + 1) * width] for i in range(n)]
-    assert index.value_slices(range(n)) == want
+    assert list(map(bytes, index.value_rows)) == want
+    assert [index.value_blob(i) for i in range(n)] == want
     assert index.to_bytes() == data
     # A rewritten header value count leaves the region as it is.
-    assert dataclasses.replace(index, n_values=n + 1).value_slices(range(n)) == want
+    reshaped = dataclasses.replace(index, n_values=n + 1)
+    assert list(map(bytes, reshaped.value_rows)) == want
+    with pytest.raises(IndexError, match=rf"value index {n} outside \[0, {n}\)"):
+        reshaped.value_blob(n)
 
 
 def test_value_count_rewrite_keeps_the_region():
@@ -458,16 +468,16 @@ def test_decrypt_results_roundtrip_and_order():
     # Blob at value position p holds the value of the pair that mapped to p.
     want = {tree.value_positions[i]: pairs[i][1] for i in range(len(pairs))}
     picks = random.Random(0).sample(range(100), 30)
-    got = decrypt_results(sk.value_key, [index.value_blob(p) for p in picks])
+    got = decrypt_results(sk.value_key, index.value_rows[picks])
     assert got == [want[p] for p in picks]
 
 
 def test_decrypt_results_aborts_wholesale_on_tamper():
     pairs, tree, sk, index = _dataset(10, 5, 8)
-    blobs = [bytearray(index.value_blob(i)) for i in range(3)]
-    blobs[1][-1] ^= 0x80
+    blobs = index.value_rows[:3].copy()
+    blobs[1, -1] ^= 0x80
     with pytest.raises(AuthenticationError):
-        decrypt_results(sk.value_key, [bytes(b) for b in blobs])
+        decrypt_results(sk.value_key, blobs)
 
 
 def test_verify_result_mac_roundtrip():
@@ -477,7 +487,7 @@ def test_verify_result_mac_roundtrip():
     mac = result_mac(sk.tree_key, state)
 
     def check(chosen):
-        return verify_result_mac(sk.tree_key, decrypt_results(sk.value_key, chosen), mac)
+        return verify_result_mac(sk.tree_key, decrypt_results(sk.value_key, _rows(chosen)), mac)
 
     assert check(blobs)
     assert check(blobs[::-1])  # order-free
@@ -485,7 +495,7 @@ def test_verify_result_mac_roundtrip():
     assert not check(blobs + [index.value_blob(0)])
     assert not check(blobs[:-1] + [index.value_blob(0)])
     # Only plaintexts decrypt_results authenticated can be checked.
-    results = decrypt_results(sk.value_key, blobs)
+    results = decrypt_results(sk.value_key, _rows(blobs))
     for unauthenticated in (list(results), results[:], tuple(results)):
         with pytest.raises(TypeError):
             verify_result_mac(sk.tree_key, unauthenticated, mac)
@@ -498,26 +508,27 @@ def test_verify_result_mac_roundtrip():
 
 def test_verify_result_mac_folds_the_last_16_bytes_of_blobs_of_mixed_lengths():
     sk = SecretKey.generate()
-    values = [b"", b"a", b"x" * 15, b"y" * 16, b"z" * 333]
-    blobs = encrypt_wires(sk.value_key, values)
-    assert len({len(blob) for blob in blobs}) == len(values)
-    results = decrypt_results(sk.value_key, blobs)
-    assert results == values
 
     def mac_over(chunks):
         return result_mac(sk.tree_key, MultisetHash.empty(sk.tree_key).add_all(b"".join(chunks)))
 
-    assert verify_result_mac(sk.tree_key, results, mac_over(b[-TAG_BYTES:] for b in blobs))
-    # Any other 16 bytes of each blob (its first 16, or the 16 before its
-    # last byte) make a different multiset.
-    for other in (
-        [b[:TAG_BYTES] for b in blobs],
-        [b[-TAG_BYTES - 1 : -1] for b in blobs],
-    ):
-        assert not verify_result_mac(sk.tree_key, results, mac_over(other))
+    # A result's blobs share one width; each width here is its own result.
+    for length in (0, 1, 15, 16, 333):
+        values = [bytes([i]) * length for i in range(3)]
+        blobs = encrypt_wires(sk.value_key, values)
+        results = decrypt_results(sk.value_key, _rows(blobs))
+        assert results == values
+        assert verify_result_mac(sk.tree_key, results, mac_over(b[-TAG_BYTES:] for b in blobs))
+        # Any other 16 bytes of each blob (its first 16, or the 16 before its
+        # last byte) make a different multiset.
+        for other in (
+            [b[:TAG_BYTES] for b in blobs],
+            [b[-TAG_BYTES - 1 : -1] for b in blobs],
+        ):
+            assert not verify_result_mac(sk.tree_key, results, mac_over(other))
 
 
 def test_all_hundred_random_blobs_match_build_input():
     pairs, tree, sk, index = _dataset(100, 6, 9)
-    got = decrypt_results(sk.value_key, [index.value_blob(p) for p in range(100)])
+    got = decrypt_results(sk.value_key, index.value_rows)
     assert Counter(got) == Counter(v for _, v in pairs)

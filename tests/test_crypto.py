@@ -125,11 +125,23 @@ def test_short_wires_raise_authentication_error_only(length):
     for aad in (b"", b"ad"):
         with pytest.raises(AuthenticationError):
             decrypt_wire(key, wire, aad)
-    for batch in ([wire], [good, wire, good], (good, wire)):
+    for batch in ([wire], [wire] * 3, [good[:length]] * 2):
         with pytest.raises(AuthenticationError):
-            crypto.open_wires(key, batch)
-    assert crypto.open_wires(key, (good, good)) == ([b"fine", b"fine"], 2 * good[-16:])
-    assert crypto.open_wires(key, []) == ([], b"")
+            crypto.open_wires(key, _rows(batch))
+    assert crypto.open_wires(key, _rows([good, good])) == ([b"fine", b"fine"], 2 * good[-16:])
+    assert crypto.open_wires(key, _rows([])) == ([], b"")
+
+
+def test_aead_table_holds_at_most_its_cap_of_keys():
+    cap = crypto._AEAD_CAP
+    keys = [generate_key() for _ in range(cap + 5)]
+    plains = [b"value %d" % i for i in range(len(keys))]
+    wires = [encrypt_wires(key, [plain])[0] for key, plain in zip(keys, plains)]
+    for _ in range(2):
+        for key, wire, plain in zip(keys, wires, plains):
+            assert decrypt_wire(key, wire) == plain
+            assert crypto.open_wires(key, _rows([wire])) == ([plain], wire[-16:])
+            assert len(crypto._aeads.by_key) <= cap
 
 
 def test_aead_fuzz_bit_flips_never_accepted():
@@ -152,8 +164,9 @@ MAX_BODY = 16 * crypto._BULK_MAX_BLOCKS
 
 def _rows(wires) -> np.ndarray:
     """Wires of one length as a matrix, one per row, the form in which the
-    server gathers a large result."""
-    return np.frombuffer(b"".join(wires), np.uint8).reshape(len(wires), len(wires[0]))
+    server gathers a result."""
+    width = len(wires[0]) if wires else crypto.NONCE_BYTES + crypto.TAG_BYTES
+    return np.frombuffer(b"".join(wires), np.uint8).reshape(len(wires), width)
 
 
 @pytest.fixture
@@ -219,20 +232,19 @@ def test_bulk_open_rejects_every_bit_flip_of_one_wire(bulk_passes):
 
 def test_bulk_open_batches_it_does_not_take_behave_as_per_wire(bulk_passes):
     key = generate_key()
-    # A list opens one AEAD call at a time, whether its wires have one
-    # length or several.
-    plains = [secrets.token_bytes(1 + i % MAX_BODY) for i in range(2 * CUT)]
-    wires = encrypt_wires(key, plains)
-    assert crypto.open_wires(key, wires)[0] == plains
-    same_plains = [secrets.token_bytes(16) for _ in range(2 * CUT)]
-    assert crypto.open_wires(key, encrypt_wires(key, same_plains))[0] == same_plains
-    # Moving one byte across a wire boundary keeps the joined bytes, and
-    # every wire length but two; each of the two fails on its own.
+    # Below the cut-over a matrix opens one AEAD call per row, at any body
+    # length, and one flipped bit rejects the batch.
+    for length in (1, 16, MAX_BODY, 200):
+        plains = [secrets.token_bytes(length) for _ in range(CUT - 1)]
+        wires = encrypt_wires(key, plains)
+        assert crypto.open_wires(key, _rows(wires)) == (plains, b"".join(w[-16:] for w in wires))
+        with pytest.raises(AuthenticationError):
+            crypto.open_wires(key, _rows(wires[:3] + [_flip(wires[3], 100)] + wires[4:]))
+    # The same bytes read at twice the width keep the joined bytes, and
+    # fail: the rows are the wires.
     same = encrypt_wires(key, [secrets.token_bytes(16) for _ in range(CUT)])
-    shifted = same[:3] + [same[3][:-1], same[3][-1:] + same[4]] + same[5:]
-    assert b"".join(shifted) == b"".join(same)
     with pytest.raises(AuthenticationError):
-        crypto.open_wires(key, shifted)
+        crypto.open_wires(key, _rows(same).reshape(CUT // 2, -1))
     # Matrices of empty bodies (28-byte wires) and of bodies over the block
     # limit.
     for length in (0, MAX_BODY + 1, 200):
@@ -242,17 +254,14 @@ def test_bulk_open_batches_it_does_not_take_behave_as_per_wire(bulk_passes):
         with pytest.raises(AuthenticationError):
             crypto.open_wires(key, _rows(wires[:-1] + [_flip(wires[-1], 0)]))
     assert bulk_passes == []
-    # Truncated wires of one length, a matrix of them or one among good ones
-    # in a list; only the 43-byte matrix, a 15-byte body, opens in bulk.
+    # Matrices of truncated wires; only the 43-byte one, a 15-byte body,
+    # opens in bulk.
     good = encrypt_wires(key, [b"x" * 16 for _ in range(CUT)])
     for length in (0, 7, 12, 27, 43):
-        truncated = [wire[:length] for wire in good]
         with pytest.raises(AuthenticationError):
-            crypto.open_wires(key, _rows(truncated))
-        with pytest.raises(AuthenticationError):
-            crypto.open_wires(key, good[:-1] + truncated[-1:])
+            crypto.open_wires(key, _rows([wire[:length] for wire in good]))
     assert bulk_passes == [CUT]
-    assert crypto.open_wires(key, []) == ([], b"")
+    assert crypto.open_wires(key, _rows([])) == ([], b"")
 
 
 def test_bulk_open_under_two_keys_in_two_threads_at_once():

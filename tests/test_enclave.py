@@ -54,7 +54,8 @@ def _oracle_pointer_set(pairs, tree, rs, re):
 
 
 def _drive_batches(index, enclave, token, max_batch=None):
-    """Minimal honest driver used for enclave-level tests."""
+    """Minimal honest driver used for enclave-level tests; returns the value
+    pointers as an int list."""
     from collections import deque
 
     max_batch = max_batch or enclave.max_batch_nodes(index.node_record_size)
@@ -63,7 +64,8 @@ def _drive_batches(index, enclave, token, max_batch=None):
     while queue:
         batch = [queue.popleft() for _ in range(min(len(queue), max_batch))]
         (found, children), nonce = enclave.search_batch(token, batch, session=nonce)
-        values += found
+        assert isinstance(found, np.ndarray) and found.dtype == np.uint32
+        values += found.tolist()
         queue.extend(children)
     return values, nonce
 
@@ -222,9 +224,12 @@ def test_resident_search_empty_and_full_ranges():
     enclave.load_tree(index)
     keys = sorted(k for k, _ in pairs)
     gap = next(k for k in range(keys[0] + 1, KEY_MAX) if k not in set(keys))
-    assert enclave.search_resident(make_token(sk.tree_key, gap, gap)) == []
+    empty = enclave.search_resident(make_token(sk.tree_key, gap, gap))
     full = enclave.search_resident(make_token(sk.tree_key, None, None))
-    assert sorted(full) == list(range(200))
+    for got in (empty, full):
+        assert isinstance(got, np.ndarray) and got.dtype == np.uint32
+    assert len(empty) == 0
+    assert sorted(full.tolist()) == list(range(200))
 
 
 def test_repeated_query_same_set_fresh_orders():
@@ -253,7 +258,7 @@ def test_two_level_tree_root_batch_emits_all_children():
     (values, children), _ = enclave.search_batch(token, [root_slot])
     # The root is inner: every emitted pointer names a child node still to
     # traverse, none is a value pointer yet.
-    assert values == []
+    assert isinstance(values, np.ndarray) and values.dtype == np.uint32 and len(values) == 0
     child_slots = set(children)
     assert len(children) == len(child_slots) == 4 and root_slot not in child_slots
     assert all(type(p) is int for p in children)
@@ -261,8 +266,8 @@ def test_two_level_tree_root_batch_emits_all_children():
     # Feeding those children (the leaves) emits exactly the value pointers.
     (values2, children2), _ = enclave.search_batch(token, sorted(child_slots))
     assert children2 == []
-    assert sorted(values2) == list(range(9))
-    assert all(type(p) is int for p in values2)
+    assert isinstance(values2, np.ndarray) and values2.dtype == np.uint32
+    assert sorted(values2.tolist()) == list(range(9))
 
 
 def test_batch_search_matches_oracle():
@@ -305,9 +310,10 @@ def test_batch_pointer_lists_are_the_matched_slots(data):
     )
     assert nonce is None
     is_value, pointers, _, _ = _expand(_decoded(sk, index, positions), r_start, r_end)
-    assert Counter(values) == Counter(pointers[is_value].tolist())
+    assert isinstance(values, np.ndarray) and values.dtype == np.uint32
+    assert Counter(values.tolist()) == Counter(pointers[is_value].tolist())
     assert Counter(children) == Counter(pointers[~is_value].tolist())
-    assert all(type(p) is int for p in values + children)
+    assert all(type(p) is int for p in children)
 
 
 def _seeded_outputs(index, sk, root_id, tokens):
@@ -321,7 +327,7 @@ def _seeded_outputs(index, sk, root_id, tokens):
         queue = [dep.enclave.root_slot()]
         while queue:
             (values, children), _ = dep.enclave.search_batch(token, queue)
-            answers.append((values, children))
+            answers.append((values.tolist(), children))
             queue = children
     return answers
 
@@ -441,7 +447,7 @@ def test_extra_node_beyond_outstanding_requests_aborts_immediately():
     sk, enclave = dep.sk, dep.enclave
     token = make_token(sk.tree_key, None, None)
     (values, children), nonce = enclave.search_batch(token, [enclave.root_slot()])
-    assert values == [0] and children == []
+    assert values.tolist() == [0] and children == []
     with pytest.raises(EnclaveAbort):
         enclave.search_batch(token, [0], session=nonce)
 

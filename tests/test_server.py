@@ -27,15 +27,28 @@ def _fixture(n=400, b=5, seed=0, integrity=False, reserved_space=64 * 1024):
     return pairs, dep.tree, dep.sk, dep.index, dep.enclave
 
 
-def test_fetch_values_basics():
-    pairs, tree, sk, index, _ = _fixture(20)
-    assert fetch_values(index, [0]) == [index.value_blob(0)]
-    assert fetch_values(index, []) == []
-    shuffled = list(range(20))
-    random.Random(1).shuffle(shuffled)
-    assert Counter(fetch_values(index, shuffled)) == Counter(fetch_values(index, range(20)))
-    with pytest.raises(ValueError):
-        fetch_values(index, [20])
+@pytest.mark.parametrize("k", [0, 1, CUT - 1, CUT, 300])
+def test_fetch_values_gathers_rows_in_pointer_order(k):
+    # One form at every size: a new (k, width) uint8 matrix, one blob per
+    # row, in pointer order, from any integer sequence of pointers.
+    pairs, tree, sk, index, _ = _fixture(300)
+    width = index.value_width
+    rng = random.Random(k)
+    order = [rng.randrange(300) for _ in range(k)]
+    backwards = range(299, 299 - k, -1)
+    for pointers in (order, tuple(order), np.array(order, np.uint32), backwards):
+        got = fetch_values(index, pointers)
+        assert isinstance(got, np.ndarray) and got.shape == (k, width)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert [bytes(row) for row in got] == [index.value_blob(p) for p in pointers]
+    # The rows open, in order, to the values behind the pointers.
+    value_at = {p: v for (_, v), p in zip(pairs, tree.value_positions)}
+    opened = decrypt_results(sk.value_key, fetch_values(index, order))
+    assert opened == [value_at[p] for p in order]
+    if k:
+        # A fresh matrix every time: the caller may edit it.
+        got[0, 0] ^= 1
+        assert bytes(fetch_values(index, backwards)[0]) == index.value_blob(299)
 
 
 def test_fetch_values_names_the_first_bad_pointer():
@@ -48,47 +61,19 @@ def test_fetch_values_names_the_first_bad_pointer():
         fetch_values(index, range(15, 25))
     with pytest.raises(ValueError, match=r"value pointer -2 outside"):
         fetch_values(index, range(-2, 5))
-    assert fetch_values(index, range(5, 5)) == []
-
-
-def test_fetch_values_returns_a_list_in_pointer_order_for_any_sequence():
-    # Below the bulk open's cut-over a result is a list of bytes slices.
-    pairs, tree, sk, index, _ = _fixture(20)
-    blob = index.value_blob
-    for one in ([7], (7,), range(7, 8)):
-        got = fetch_values(index, one)
-        assert type(got) is list and got == [blob(7)]
-    for none in ([], (), range(3, 3)):
-        got = fetch_values(index, none)
-        assert type(got) is list and got == []
-    order = [5, 0, 19, 5, 3]
-    for pointers in (order, tuple(order), range(19, 2, -4)):
-        got = fetch_values(index, pointers)
-        assert type(got) is list and got == [blob(p) for p in pointers]
-    # A fresh list every time: the caller may edit it.
-    got.append(b"x")
-    assert fetch_values(index, order) == [blob(p) for p in order]
-
-
-def test_fetch_values_gathers_a_large_result_as_rows():
-    pairs, tree, sk, index, _ = _fixture(300)
-    width = index.value_rows.shape[1]
-    rng = random.Random(2)
-    order = [rng.randrange(300) for _ in range(CUT)]
-    for pointers in (order, tuple(order), range(299, 299 - 2 * CUT, -2)):
-        got = fetch_values(index, pointers)
-        assert isinstance(got, np.ndarray) and got.shape == (len(pointers), width)
-        assert got.dtype == np.uint8 and got.flags.c_contiguous
-        assert [bytes(row) for row in got] == [index.value_blob(p) for p in pointers]
-    # A fresh matrix every time: the caller may edit it.
-    got[0, 0] ^= 1
-    assert bytes(fetch_values(index, range(299, 299 - 2 * CUT, -2))[0]) == index.value_blob(299)
-    # One fewer pointer stays a list; a negative or too-large pointer in a
-    # large result is named, never wrapped around.
-    assert type(fetch_values(index, order[:-1])) is list
+    with pytest.raises(ValueError, match=r"value pointer 20 outside"):
+        fetch_values(index, np.array([20], np.uint32))
+    assert fetch_values(index, range(5, 5)).shape == (0, index.value_width)
+    # In a result of any size, a negative or too-large pointer is named,
+    # never wrapped around.
+    big = _fixture(300)[3]
+    order = [random.Random(2).randrange(300) for _ in range(CUT)]
     for bad in (-1, -300, 300):
+        for at in (0, 10, CUT):
+            with pytest.raises(ValueError, match=rf"value pointer {bad} outside \[0, 300\)"):
+                fetch_values(big, order[:at] + [bad] + order[at:])
         with pytest.raises(ValueError, match=rf"value pointer {bad} outside \[0, 300\)"):
-            fetch_values(index, order[:10] + [bad] + order[10:])
+            fetch_values(big, [bad])
 
 
 def test_resident_driver_crossings_and_results():
@@ -103,7 +88,8 @@ def test_resident_driver_crossings_and_results():
     blobs, stats = search_resident(
         index, enclave, make_token(sk.tree_key, keys[-1] + 1, None)
     )
-    assert blobs == [] and stats.crossings == 2 and stats.result_size == 0
+    assert blobs.shape == (0, index.value_width)
+    assert stats.crossings == 2 and stats.result_size == 0
 
 
 def test_streamed_driver_matches_oracle_and_mac_verifies():
