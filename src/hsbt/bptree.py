@@ -1,30 +1,33 @@
 """Client-side plaintext B+-tree.
 
-The tree is built by repeated textbook insertion and is static afterwards:
-no deletes, no sibling links between leaves (an unchained tree, so following
-links can never betray key order at query time).  Every node is padded to the
-same shape before it leaves this module: `branching - 1` key slots and
-`branching` pointer slots, unused key slots holding the infinity pad and
-unused pointer slots a recognizable dummy.
+The tree is bulk-loaded bottom-up from the pairs sorted by key and is static
+afterwards: no inserts or deletes, no sibling links between leaves (an
+unchained tree, so following links can never betray key order at query
+time).  Every node is padded to the same shape before it leaves this module:
+`branching - 1` key slots and `branching` pointer slots, unused key slots
+holding the infinity pad and unused pointer slots a recognizable dummy.
 
-Node ids follow creation order, starting at 0 for the very first leaf; splits
-and new roots take the next free id.  Inner-node pointer slots hold child
+Node ids follow creation order: the leaves left to right from id 0, then each
+inner level left to right, the root last.  Inner-node pointer slots hold child
 *ids* at this layer; the codec rewrites them to permuted storage positions
 when the tree is encrypted.  The tree carries no value commitments: the
 codec copies the value blobs' GCM tags into the leaf records as it writes
 them.
 
 Separator invariant: every key in subtree ``i`` is >= separator ``i`` and
-strictly below separator ``i + 1``.  Splits shift their split point to the
-nearest boundary between distinct keys so duplicate runs never straddle a
-separator; a run of more than ``branching - 1`` equal keys cannot satisfy the
-invariant in a fixed-fanout unchained tree and is rejected at build time.
+strictly below separator ``i + 1``; each separator is the smallest key under
+its child.  Leaves are cut at ``branching - 1`` keys, except that a cut which
+would split a run of equal keys moves back to the start of that run, so
+every leaf is full but the last and those cut before a run, and duplicate
+runs never straddle a separator.  A run of more than ``branching - 1`` equal
+keys cannot satisfy the invariant in a fixed-fanout unchained tree and is
+rejected at build time.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -103,39 +106,12 @@ class PlainTree:
                 stack.extend(reversed(self.children(node)))
 
 
-class _Leaf:
-    __slots__ = ("node_id", "keys", "pair_indices")
-
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        self.keys: list[int] = []
-        self.pair_indices: list[int] = []
-
-
-class _Inner:
-    __slots__ = ("node_id", "keys", "children")
-
-    def __init__(self, node_id: int, keys: list[int], children: list):
-        self.node_id = node_id
-        self.keys = keys
-        self.children = children
-
-
-def _split_point(keys: Sequence[int]) -> int | None:
-    # Nearest index to the middle where the neighbouring keys differ.
-    mid = len(keys) // 2
-    for offset in range(len(keys)):
-        for s in (mid - offset, mid + offset):
-            if 1 <= s <= len(keys) - 1 and keys[s - 1] < keys[s]:
-                return s
-    return None
-
-
 def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | None = None) -> PlainTree:
-    """Insert `pairs` one by one into a fresh tree and pad the result.
+    """Bulk-load `pairs` bottom-up into full nodes and pad the result.
 
-    Deterministic given the pair order, the branching factor, and the state
-    of `rng`, which only decides the random storage order of the values.
+    The shape depends only on the multiset of keys and the branching factor,
+    not on the pair order; `rng` only decides the random storage order of the
+    values, drawn as one shuffle of ``range(len(pairs))``.
     """
     if branching < MIN_BRANCHING:
         raise BuildError(f"branching factor must be at least {MIN_BRANCHING}")
@@ -146,90 +122,52 @@ def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | No
             raise BuildError(f"key {key} outside [{KEY_MIN}, {KEY_MAX}]")
 
     rng = rng or random.Random()
-    next_id = 0
-
-    def take_id() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    root: _Leaf | _Inner = _Leaf(take_id())
-    max_keys = branching - 1
-
-    def insert(key: int, pair_index: int) -> None:
-        nonlocal root
-        path: list[_Inner] = []
-        node = root
-        while isinstance(node, _Inner):
-            path.append(node)
-            node = node.children[bisect_right(node.keys, key)]
-
-        pos = bisect_right(node.keys, key)
-        node.keys.insert(pos, key)
-        node.pair_indices.insert(pos, pair_index)
-        if len(node.keys) <= max_keys:
-            return
-
-        # Leaf split: left keeps keys strictly below the new separator.
-        s = _split_point(node.keys)
-        if s is None:
-            raise BuildError(
-                f"more than {max_keys} equal copies of key {key}: duplicate run "
-                "cannot keep separators strict in an unchained tree"
-            )
-        sibling = _Leaf(take_id())
-        sibling.keys = node.keys[s:]
-        sibling.pair_indices = node.pair_indices[s:]
-        del node.keys[s:], node.pair_indices[s:]
-        separator = sibling.keys[0]
-        child: _Leaf | _Inner = node
-        new_child: _Leaf | _Inner = sibling
-
-        while True:
-            if not path:
-                root = _Inner(take_id(), [separator], [child, new_child])
-                return
-            parent = path.pop()
-            # Separators are strictly increasing and the new one falls strictly
-            # inside the split child's span, so bisect lands exactly at the
-            # split child's key window.
-            at = bisect_right(parent.keys, separator)
-            assert parent.children[at] is child
-            parent.keys.insert(at, separator)
-            parent.children.insert(at + 1, new_child)
-            if len(parent.keys) <= max_keys:
-                return
-            mid = len(parent.keys) // 2
-            up = parent.keys[mid]
-            sibling_inner = _Inner(take_id(), parent.keys[mid + 1 :], parent.children[mid + 1 :])
-            del parent.keys[mid:], parent.children[mid + 1 :]
-            separator, child, new_child = up, parent, sibling_inner
-
-    for pair_index, (key, _value) in enumerate(pairs):
-        insert(key, pair_index)
-
     value_positions = list(range(len(pairs)))
     rng.shuffle(value_positions)
 
-    padded: dict[int, PlainNode] = {}
+    max_keys = branching - 1
+    order = sorted(range(len(pairs)), key=lambda i: pairs[i][0])
+    keys = [pairs[i][0] for i in order]
+    nodes: list[PlainNode] = []
 
-    def pad(node: _Leaf | _Inner) -> None:
-        count = len(node.keys)
-        keys = tuple(node.keys) + (KEY_INFINITY,) * (max_keys - count)
-        if isinstance(node, _Leaf):
-            live = tuple(value_positions[i] for i in node.pair_indices)
-            pointers = (DUMMY_POINTER,) + live + (DUMMY_POINTER,) * (max_keys - count)
-            padded[node.node_id] = PlainNode(node.node_id, True, count, keys, pointers)
-        else:
-            live = tuple(child.node_id for child in node.children)
-            pointers = live + (DUMMY_POINTER,) * (branching - len(live))
-            padded[node.node_id] = PlainNode(node.node_id, False, count, keys, pointers)
-            for child in node.children:
-                pad(child)
+    def emit(is_leaf: bool, live_keys: tuple[int, ...], pointers: tuple[int, ...]) -> int:
+        count = len(live_keys)
+        padded_keys = live_keys + (KEY_INFINITY,) * (max_keys - count)
+        padded_pointers = pointers + (DUMMY_POINTER,) * (branching - len(pointers))
+        nodes.append(PlainNode(len(nodes), is_leaf, count, padded_keys, padded_pointers))
+        return len(nodes) - 1
 
-    pad(root)
-    nodes = tuple(padded[i] for i in range(next_id))
-    return PlainTree(branching, len(pairs), nodes, root.node_id, tuple(value_positions))
+    # Leaves, left to right: `level` holds (node id, smallest key beneath it).
+    level: list[tuple[int, int]] = []
+    start = 0
+    while start < len(keys):
+        end = min(start + max_keys, len(keys))
+        if end < len(keys) and keys[end - 1] == keys[end]:
+            end = bisect_left(keys, keys[end], start, end)
+            if end == start:
+                raise BuildError(
+                    f"more than {max_keys} equal copies of key {keys[start]}: duplicate run "
+                    "cannot keep separators strict in an unchained tree"
+                )
+        live = tuple(value_positions[i] for i in order[start:end])
+        level.append((emit(True, tuple(keys[start:end]), (DUMMY_POINTER, *live)), keys[start]))
+        start = end
+
+    # Inner levels: ceil(m / branching) groups whose sizes differ by at most
+    # one, so every inner node has at least two children.
+    while len(level) > 1:
+        groups = -(-len(level) // branching)
+        size, extra = divmod(len(level), groups)
+        upper: list[tuple[int, int]] = []
+        at = 0
+        for g in range(groups):
+            children = level[at : at + size + (g < extra)]
+            at += len(children)
+            separators = tuple(low for _, low in children[1:])
+            upper.append((emit(False, separators, tuple(child for child, _ in children)), children[0][1]))
+        level = upper
+
+    return PlainTree(branching, len(pairs), tuple(nodes), level[0][0], tuple(value_positions))
 
 
 def scan_oracle(pairs: Sequence[Pair], r_start: int, r_end: int) -> list[bytes]:

@@ -54,7 +54,11 @@ class LeakEnc:
 
 def leak_enc(pairs, tree: PlainTree) -> LeakEnc:
     """Raises `ValueError` when the values have several lengths, which no
-    container holds."""
+    container holds.
+
+    The node count follows from `n`, the branching factor and where the
+    duplicate runs of keys fall in sorted order (`build_tree` bulk-loads),
+    not from the order of the input pairs."""
     return LeakEnc(len(pairs), value_width([v for _, v in pairs]), len(tree.nodes))
 
 

@@ -1,9 +1,12 @@
 """Tree construction contracts, cross-checked against an independent
-reference insertion written here (sorted-list node model, no shared code)."""
+reference bulk load written here (sorted-list leaves, `numpy.array_split`
+grouping, no shared code)."""
 
+import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,83 +21,28 @@ from hsbt.bptree import (
 )
 
 
-# --- independent reference: counts nodes/levels of textbook insertion -------
+# --- independent reference: node count, height and leaves of a bulk load ---
 
 
-class _RefTree:
-    """Minimal reference B+-tree used only as a structural oracle."""
-
-    def __init__(self, branching):
-        self.b = branching
-        self.root = ("leaf", [])
-
-    def insert(self, key):
-        grown = self._insert(self.root, key)
-        if grown is not None:
-            sep, right = grown
-            self.root = ("inner", [sep], [self.root, right])
-
-    def _insert(self, node, key):
-        if node[0] == "leaf":
-            keys = node[1]
-            lo, hi = 0, len(keys)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if keys[mid] <= key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            keys.insert(lo, key)
-            if len(keys) <= self.b - 1:
-                return None
-            mid = len(keys) // 2
-            for off in range(len(keys)):
-                for s in (mid - off, mid + off):
-                    if 1 <= s < len(keys) and keys[s - 1] < keys[s]:
-                        right = ("leaf", keys[s:])
-                        del keys[s:]
-                        return right[1][0], right
-            raise AssertionError("reference split failed")
-        _, keys, children = node
-        idx = 0
-        while idx < len(keys) and keys[idx] <= key:
-            idx += 1
-        grown = self._insert(children[idx], key)
-        if grown is None:
-            return None
-        sep, right = grown
-        keys.insert(idx, sep)
-        children.insert(idx + 1, right)
-        if len(keys) <= self.b - 1:
-            return None
-        mid = len(keys) // 2
-        up = keys[mid]
-        sibling = ("inner", keys[mid + 1 :], children[mid + 1 :])
-        del keys[mid:], children[mid + 1 :]
-        return up, sibling
-
-    def stats(self):
-        count = 0
-        height = 0
-        stack = [(self.root, 1)]
-        while stack:
-            node, depth = stack.pop()
-            count += 1
-            height = max(height, depth)
-            if node[0] == "inner":
-                stack.extend((c, depth + 1) for c in node[2])
-        return count, height
-
-    def leaf_keys(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop(0)
-            if node[0] == "leaf":
-                out.extend(node[1])
-            else:
-                stack = node[2] + stack
-        return out
+def _ref_bulk_load(keys, b):
+    """Return (node count, height, leaf key lists) of the bulk-loaded tree."""
+    ordered = sorted(keys)
+    leaves = []
+    while ordered:
+        cut = min(b - 1, len(ordered))
+        # Step back over the run that the cut would split.
+        while cut < len(ordered) and ordered[cut] == ordered[cut - 1]:
+            cut -= 1
+            if cut == 0:
+                raise AssertionError("reference: run longer than a leaf")
+        leaves.append(ordered[:cut])
+        ordered = ordered[cut:]
+    count, height, width = len(leaves), 1, len(leaves)
+    while width > 1:
+        groups = np.array_split(np.arange(width), math.ceil(width / b))
+        assert all(2 <= len(g) <= b for g in groups)
+        count, height, width = count + len(groups), height + 1, len(groups)
+    return count, height, leaves
 
 
 def _pairs(keys):
@@ -135,17 +83,14 @@ def test_singleton_pair_builds_single_root_leaf():
     assert root.pointers[1] == 0 and root.pointers[0] == DUMMY_POINTER
 
 
-def test_nine_keys_b4_matches_reference_insertion():
-    pairs = _pairs(range(1, 10))
-    tree = build_tree(pairs, 4)
-    ref = _RefTree(4)
-    for k in range(1, 10):
-        ref.insert(k)
-    count, height = ref.stats()
-    assert len(tree.nodes) == count == 5
-    assert tree.height == height == 2
+def test_nine_keys_b4_fill_three_leaves():
+    tree = build_tree(_pairs(range(1, 10)), 4)
+    assert len(tree.nodes) == 4 and tree.height == 2
     leaf_keys = [list(n.keys[: n.key_count]) for n in tree.iter_leaves()]
-    assert leaf_keys == [[1, 2], [3, 4], [5, 6], [7, 8, 9]]
+    assert leaf_keys == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    # Leaves take ids 0..2 left to right, the root comes last.
+    assert tree.root_id == 3 and tree.root.keys == (4, 7, KEY_INFINITY)
+    assert tree.root.pointers == (0, 1, 2, DUMMY_POINTER)
 
 
 @pytest.mark.parametrize("b,n,seed", [(4, 200, 1), (7, 999, 2), (10, 3000, 3)])
@@ -153,13 +98,11 @@ def test_random_trees_match_reference_structure(b, n, seed):
     rng = random.Random(seed)
     keys = [rng.randrange(1, KEY_MAX) for _ in range(n)]
     tree = build_tree(_pairs(keys), b, rng=random.Random(0))
-    ref = _RefTree(b)
-    for k in keys:
-        ref.insert(k)
-    count, height = ref.stats()
+    count, height, leaves = _ref_bulk_load(keys, b)
     assert len(tree.nodes) == count
     assert tree.height == height
-    assert _walk_check(tree) == ref.leaf_keys()
+    assert _walk_check(tree) == sorted(keys)
+    assert [list(n.keys[: n.key_count]) for n in tree.iter_leaves()] == leaves
 
 
 def test_ten_thousand_random_keys_all_reachable():
@@ -177,8 +120,6 @@ def test_height_bound():
     for b, n in ((4, 500), (10, 10_000)):
         keys = rng.sample(range(1, KEY_MAX), n)
         tree = build_tree(_pairs(keys), b, rng=random.Random(0))
-        import math
-
         assert tree.height <= math.ceil(math.log(n, math.ceil(b / 2))) + 1
 
 
@@ -237,3 +178,72 @@ def test_property_leaf_multiset_equals_input(keys, b):
             return
     tree = build_tree(_pairs(keys), b, rng=random.Random(0))
     assert Counter(_walk_check(tree)) == Counter(keys)
+
+
+def _subtree_min(tree, node):
+    while not node.is_leaf:
+        node = tree.nodes[node.pointers[0]]
+    return node.keys[0]
+
+
+@st.composite
+def _keys_with_runs(draw):
+    """A branching factor and a shuffled key multiset whose runs of equal keys
+    hold 1 to b - 1 copies each."""
+    b = draw(st.integers(min_value=3, max_value=12))
+    distinct = draw(st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=120, unique=True))
+    copies = draw(st.lists(st.integers(1, b - 1), min_size=len(distinct), max_size=len(distinct)))
+    keys = [k for k, c in zip(distinct, copies) for _ in range(c)]
+    draw(st.randoms(use_true_random=False)).shuffle(keys)
+    return b, keys
+
+
+def _check_bulk_load_shape(tree, keys):
+    b = tree.branching
+    for node in tree.nodes:
+        if not node.is_leaf:
+            separators = list(node.keys[: node.key_count])
+            assert all(x < y for x, y in zip(separators, separators[1:]))
+            children = tree.children(node)
+            assert separators == [_subtree_min(tree, child) for child in children[1:]]
+            assert len(children) >= 2
+    copies = Counter(keys)
+    leaves = [list(n.keys[: n.key_count]) for n in tree.iter_leaves()]
+    for leaf, after in zip(leaves, leaves[1:]):
+        # Short only when the next leaf's run would not have fit behind it.
+        assert len(leaf) == b - 1 or len(leaf) + copies[after[0]] > b - 1
+    assert sum(leaves, []) == sorted(keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_keys_with_runs())
+def test_property_bulk_load_fills_leaves_and_keeps_separators_minimal(drawn):
+    b, keys = drawn
+    tree = build_tree(_pairs(keys), b, rng=random.Random(0))
+    _check_bulk_load_shape(tree, keys)
+    # A run of exactly b - 1 copies builds wherever it falls; one of b does not.
+    run_key = keys[0]
+    at_capacity = [k for k in keys if k != run_key] + [run_key] * (b - 1)
+    _check_bulk_load_shape(build_tree(_pairs(at_capacity), b, rng=random.Random(0)), at_capacity)
+    with pytest.raises(BuildError):
+        build_tree(_pairs(at_capacity + [run_key]), b)
+
+
+def test_permuting_the_pairs_leaves_the_shape_unchanged():
+    rng = random.Random(17)
+    keys = [k for k in rng.sample(range(1, 10_000), 700) for _ in range(rng.randint(1, 5))]
+    pairs = _pairs(keys)
+    base = build_tree(pairs, 6, rng=random.Random(0))
+    for _ in range(5):
+        shuffled = list(pairs)
+        rng.shuffle(shuffled)
+        tree = build_tree(shuffled, 6, rng=random.Random(0))
+        assert len(tree.nodes) == len(base.nodes) and tree.height == base.height
+        assert [n.keys for n in tree.nodes] == [n.keys for n in base.nodes]
+
+
+def test_value_positions_are_one_shuffle_of_the_region():
+    pairs = _pairs(range(1, 301))
+    want = list(range(300))
+    random.Random(3).shuffle(want)
+    assert build_tree(pairs, 5, rng=random.Random(3)).value_positions == tuple(want)

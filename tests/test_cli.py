@@ -326,6 +326,19 @@ def test_query_of_a_value_holding_a_newline_exits_one(tmp_path, capsysbinary, co
     assert capsysbinary.readouterr().out == b"c\n"
 
 
+def test_build_of_a_duplicate_run_longer_than_a_leaf_exits_one(tmp_path, capsys):
+    # Ten copies of one key cannot share a leaf of nine slots at b=10.
+    path = tmp_path / "run.txt"
+    path.write_text("".join(f"7 copy-{i}\n" for i in range(10)))
+    out = tmp_path / "run.hsbt"
+    code = main(["build", "--input", str(path), "--b", "10", "--seed", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err and "equal copies of key 7" in captured.err
+    assert not out.exists()
+
+
 def test_text_parser_rejects_bad_keys(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("notanumber hello\n")

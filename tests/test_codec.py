@@ -204,10 +204,11 @@ def test_leaf_entries_are_the_tags_of_their_value_blobs(count):
 # plaintext in region order, for the build in `_golden_digest`.  A change to
 # any byte of the format changes it.  Nonces are random and stay out, and so
 # do the leaves' value tags, which depend on them: each is checked against its
-# blob's tag and hashed as the blob's position instead.
+# blob's tag and hashed as the blob's position instead.  The node records
+# also pin the tree shape that `build_tree`'s bulk load gives.
 _GOLDEN_HSBT3 = {
-    False: "9bf8e7b1fc5f0394c5d194d763a978e60c4bbbb77731c334c30d466c306f1f19",
-    True: "784d8a7c97a36c1f7c4a47d03a080f62d299535df3e568f6f2f353de95364a37",
+    False: "0c099c3ae2cecba82125ecf3d0f2573c9242203d13dda1aa31077f71003b962d",
+    True: "6c5882c936fb05c33729eb326406bdf6a6022fe8ab7f3515c7701e3ece61a8e0",
 }
 
 

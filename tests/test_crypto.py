@@ -419,6 +419,22 @@ def test_mset_prf_is_keyed_by_a_subkey_not_the_tree_key():
     assert folded == sub
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 257, 4096])
+def test_mset_add_all_matches_an_integer_xor_reference(k):
+    # Reference fold: each element's AES-ECB image under the subkey, read as
+    # one 128-bit integer and XOR-ed in Python, onto a nonzero start state.
+    key = generate_key()
+    elements = random.Random(k).randbytes(16 * k)
+    images = Cipher(algorithms.AES(crypto.mset_subkey(key)), modes.ECB()).encryptor().update(elements)
+    start = MultisetHash.empty(key).add(b"s" * 16)
+    want = int.from_bytes(start.digest, "little")
+    for i in range(0, len(images), 16):
+        want ^= int.from_bytes(images[i : i + 16], "little")
+    got = start.add_all(elements)
+    assert got.digest == want.to_bytes(16, "little")
+    assert got.count == k + 1
+
+
 def test_mset_folds_agree_across_threads():
     key = generate_key()
     items = b"".join(secrets.token_bytes(16) for _ in range(64))

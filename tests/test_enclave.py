@@ -247,8 +247,8 @@ def test_repeated_query_same_set_fresh_orders():
 
 
 def test_two_level_tree_root_batch_emits_all_children():
-    # 9 sequential keys at b=4 give one root over four leaves.
-    pairs = [(k, b"v%d" % k) for k in range(1, 10)]
+    # 12 sequential keys at b=4 give one root over four full leaves.
+    pairs = [(k, b"v%02d" % k) for k in range(1, 13)]
     dep = Deployment.build(pairs, 4, rng=random.Random(0))
     assert dep.tree.height == 2
     sk, index, enclave = dep.sk, dep.index, dep.enclave
@@ -267,7 +267,7 @@ def test_two_level_tree_root_batch_emits_all_children():
     (values2, children2), _ = enclave.search_batch(token, sorted(child_slots))
     assert children2 == []
     assert isinstance(values2, np.ndarray) and values2.dtype == np.uint32
-    assert sorted(values2.tolist()) == list(range(9))
+    assert sorted(values2.tolist()) == list(range(12))
 
 
 def test_batch_search_matches_oracle():
