@@ -24,7 +24,10 @@ parsing, every failure prints one ``error: ...`` line to stderr.
 ``--seed`` makes everything reproducible except AEAD nonces and wall times;
 in particular ``build --seed`` derives the key material deterministically so
 two builds of the same input agree structurally (reproducible-build mode).
-Key material lands in a ``<out>.key`` sidecar the server never reads.
+Key material lands in a ``<out>.key`` sidecar the server never reads: the
+two keys, the root id, the build seed and the integrity flag.  The branching
+factor is the container header's, which every node record authenticates;
+other sidecar fields (older builds wrote ``b``) are ignored.
 """
 
 from __future__ import annotations
@@ -128,7 +131,6 @@ _SIDECAR_FIELDS = {
     "tree_key": str,
     "value_key": str,
     "root_id": int,
-    "b": int,
     "seed": (int, type(None)),
     "integrity": bool,
 }
@@ -228,7 +230,6 @@ def cmd_build(args) -> int:
                 "tree_key": sk.tree_key.hex(),
                 "value_key": sk.value_key.hex(),
                 "root_id": dep.tree.root_id,
-                "b": args.b,
                 "seed": args.seed,
                 "integrity": integrity,
             },
@@ -310,7 +311,7 @@ def cmd_audit(args) -> int:
     if not pairs:
         raise CliError(f"{path}: no key-value pairs to audit")
     try:
-        tree = build_tree(pairs, meta["b"], rng=random.Random(meta["seed"]))
+        tree = build_tree(pairs, dep.index.branching, rng=random.Random(meta["seed"]))
     except BuildError as exc:
         raise CliError(f"{path}: {exc}") from None
     perm = prp_permutation(dep.sk.tree_key, dep.index.node_count)

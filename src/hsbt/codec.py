@@ -30,7 +30,8 @@ Node record plaintext, all integers little-endian::
 Records are array-shaped on both sides: `encrypt_index` writes them through
 one numpy structured dtype, `node_dtype`, and the enclave decodes a batch of
 plaintexts, or the whole node region, into a record array of it with a
-single `np.frombuffer` (`deserialize_node`).
+single `np.frombuffer` (`deserialize_node`).  Every record authenticates
+under the header that fixes its size, so the dtype has one item size.
 
 The integrity region is ``max(4 b, 16 (b-1))`` bytes: inner nodes lay out one
 child id per pointer slot, leaves one 16-byte value tag per key slot; the
@@ -94,15 +95,14 @@ def node_struct(branching: int) -> struct.Struct:
 
 
 @functools.lru_cache(maxsize=None)
-def node_dtype(branching: int, integrity: bool, stride: int | None = None) -> np.dtype:
+def node_dtype(branching: int, integrity: bool) -> np.dtype:
     """Structured numpy dtype of one node record plaintext, laid out as in
-    the module docstring.
+    the module docstring; its item size is `node_plain_size`.
 
     Fields: `id`, `flags`, `key_count`, `keys[b-1]`, `ptrs[b]` and, with
     `integrity`, the integrity region seen two ways over the same bytes:
     `child_ids[b]` (inner nodes) and `value_tags[b-1, 16]` (leaves, the GCM
-    tag of the value blob behind each live pointer slot).  `stride` is the
-    distance between records; it defaults to the plaintext size."""
+    tag of the value blob behind each live pointer slot)."""
     keys_at = _NODE_FIXED.size
     ptrs_at = keys_at + 4 * (branching - 1)
     region_at = ptrs_at + 4 * branching
@@ -113,18 +113,19 @@ def node_dtype(branching: int, integrity: bool, stride: int | None = None) -> np
         names += ["child_ids", "value_tags"]
         formats += [("<u4", (branching,)), ("u1", (branching - 1, 16))]
         offsets += [region_at, region_at]
-    itemsize = stride if stride is not None else node_plain_size(branching, integrity)
+    itemsize = node_plain_size(branching, integrity)
     return np.dtype({"names": names, "formats": formats, "offsets": offsets, "itemsize": itemsize})
 
 
 def deserialize_node(plains, branching: int, integrity: bool) -> np.ndarray:
-    """Decode node plaintexts of one common length into a `node_dtype` record
-    array, one record per plaintext, with one `np.frombuffer` over their
-    concatenation.  The stride is the plaintexts' own length, so a record
-    that carries an integrity region the caller does not read (a cleared
-    header flag) decodes like any other."""
-    stride = len(plains[0]) if plains else None
-    return np.frombuffer(b"".join(plains), dtype=node_dtype(branching, integrity, stride))
+    """Decode node plaintexts into a `node_dtype` record array, one record
+    per plaintext, with one `np.frombuffer` over their concatenation.
+
+    Every plaintext is `node_plain_size` bytes: a record that opened under
+    the container header (`EncryptedIndex.record_aad`) was sealed at the
+    size that header's `b` and integrity flag give, and a header rewritten
+    to other values fails authentication at the first record."""
+    return np.frombuffer(b"".join(plains), dtype=node_dtype(branching, integrity))
 
 
 def leaf_mask(nodes: np.ndarray) -> np.ndarray:

@@ -375,18 +375,13 @@ def _prp_encryptor(key: bytes):
     return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
 
 
-def prp_permutation(key: bytes, domain_size: int) -> np.ndarray:
-    """Evaluate the keyed permutation on the whole domain [0, domain_size).
-
-    Returns an array `p` with ``p[x] == prp_apply(key, domain_size, x)``.
-    """
-    if domain_size < 1:
-        raise ValueError("domain size must be positive")
-    if domain_size == 1:
-        return np.zeros(1, dtype=np.uint64)
+def _prp(key: bytes, domain_size: int, xs: np.ndarray) -> np.ndarray:
+    """The keyed permutation of [0, domain_size) at each point of `xs`
+    (uint64, all in the domain): one Feistel pass, then cycle-walking of
+    the outputs that left the domain until none is outside."""
     enc = _prp_encryptor(key)
     width = _feistel_width(domain_size)
-    ys = _feistel(enc, width, np.arange(domain_size, dtype=np.uint64))
+    ys = _feistel(enc, width, xs)
     bad = ys >= domain_size
     while bad.any():
         ys[bad] = _feistel(enc, width, ys[bad])
@@ -394,18 +389,21 @@ def prp_permutation(key: bytes, domain_size: int) -> np.ndarray:
     return ys
 
 
+def prp_permutation(key: bytes, domain_size: int) -> np.ndarray:
+    """Evaluate the keyed permutation on the whole domain [0, domain_size).
+
+    Returns an array `p` with ``p[x] == prp_apply(key, domain_size, x)``.
+    """
+    if domain_size < 1:
+        raise ValueError("domain size must be positive")
+    return _prp(key, domain_size, np.arange(domain_size, dtype=np.uint64))
+
+
 def prp_apply(key: bytes, domain_size: int, x: int) -> int:
     """Apply the keyed permutation to one point of [0, domain_size)."""
     if not 0 <= x < domain_size:
         raise ValueError(f"point {x} outside domain [0, {domain_size})")
-    if domain_size == 1:
-        return 0
-    enc = _prp_encryptor(key)
-    width = _feistel_width(domain_size)
-    y = _feistel(enc, width, np.array([x], dtype=np.uint64))
-    while y[0] >= domain_size:
-        y = _feistel(enc, width, y)
-    return int(y[0])
+    return int(_prp(key, domain_size, np.array([x], dtype=np.uint64))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,11 @@ def oblivious_match_slots(
     inner node matches when its child's key window
     ``[lo, hi) = [keys[j-1], keys[j])`` meets [r_start, r_end], where slot 0
     opens at -inf and slot b-1 closes at +inf.  With rs <= re, which the
-    enclave demands of every token, that is ``(lo <= re) & (rs < hi)``.  The
-    leaf bit is OR-ed in too: it adds nothing to a window with lo < hi, and
-    on an empty window [k, k), which a built tree's strict separators never
-    make, it keeps the rule equal to the three-term test (rs or re in the
-    window, or the window in the range) on any sorted keys.  The infinite
-    ends reduce slot 0 to ``rs < keys[0]`` and slot b-1 to
+    enclave demands of every token, that is ``(lo <= re) & (rs < hi)``.
+    This relies on every live window being non-empty: a built tree's inner
+    separators strictly increase, and every record the enclave matches
+    authenticated under the container key, so no other node reaches it.
+    The infinite ends reduce slot 0 to ``rs < keys[0]`` and slot b-1 to
     ``keys[b-2] <= re``.  Both formulas are evaluated for every key and
     pointer slot of every node, live or padded, leaf or inner, matching or
     not, with whole-array comparisons; the node kind and the liveness term
@@ -178,7 +177,7 @@ def oblivious_match_slots(
     le_end = edges <= r_end
     leaf = (edges[:, :-1] >= r_start) & le_end[:, :-1]
     # On booleans, `x > y` is `x & ~y`: lo <= re and rs < hi.
-    inner = (le_end[:, :-1] > le_start[:, 1:]) | leaf
+    inner = le_end[:, :-1] > le_start[:, 1:]
     live = np.arange(width + 1) <= nodes["key_count"][:, None]
     if counter is not None:
         counter.add(n, width + 1)
@@ -200,10 +199,7 @@ def _scan_record(record: tuple, branching: int, r_start: int, r_end: int) -> lis
     if record[1] & FLAG_LEAF:
         bits = [(r_start <= lo) & (lo <= r_end) for lo in edges[:-1]]
     else:
-        bits = [
-            (lo <= r_end) & ((r_start < hi) | (r_start <= lo))
-            for lo, hi in zip(edges, edges[1:])
-        ]
+        bits = [(lo <= r_end) & (r_start < hi) for lo, hi in zip(edges, edges[1:])]
     return [j for j, bit in enumerate(bits) if bit & (j <= key_count)]
 
 

@@ -37,6 +37,7 @@ from itertools import repeat
 
 from hsbt.bptree import PlainTree
 from hsbt.codec import value_width
+from hsbt.enclave import PAGE_SIZE
 
 _KEY_SPACE_END = 2**32  # exclusive upper routing bound
 
@@ -117,12 +118,6 @@ class AccessTree:
     root: int
     granularity: str
 
-    def to_lines(self) -> list[str]:
-        lines = [f"root {self.root}"]
-        lines += [f"vertex {v}" for v in sorted(self.vertices)]
-        lines += [f"edge {a} {b}" for a, b in sorted(self.edges)]
-        return lines
-
 
 @dataclass(frozen=True)
 class ValueAccessPattern:
@@ -133,19 +128,17 @@ class ValueAccessPattern:
     def pointer_union(self) -> list[int]:
         return [p for _, ptrs in self.entries for p in ptrs]
 
-    def to_lines(self) -> list[str]:
-        return [f"leaf {loc} ptrs " + ",".join(map(str, ptrs)) for loc, ptrs in self.entries]
-
 
 @dataclass(frozen=True)
 class PageLayout:
-    """Byte layout of the resident node array, for the page-granular channel."""
+    """Byte layout of the resident node array, for the page-granular channel:
+    records of `record_size` bytes back to back in slot order, observed in
+    pages of the enclave's `PAGE_SIZE`, the granule its page touches use."""
 
     record_size: int
-    page_size: int = 4096
 
     def page_of(self, slot: int) -> int:
-        return slot * self.record_size // self.page_size
+        return slot * self.record_size // PAGE_SIZE
 
 
 def _walk_reachable(tree: PlainTree, r_start: int, r_end: int):

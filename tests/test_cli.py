@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import struct
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from hsbt import bench as bench_mod
 from hsbt.cli import CliError, main, read_pairs_binary, read_pairs_text
 from hsbt.codec import EncryptedIndex
+from hsbt.crypto import NONCE_BYTES
 from hsbt.deploy import Deployment
 
 
@@ -287,7 +289,6 @@ def test_query_of_an_unpadded_value_exits_one(tmp_path, capsys):
         "tree_key": dep.sk.tree_key.hex(),
         "value_key": dep.sk.value_key.hex(),
         "root_id": dep.tree.root_id,
-        "b": 4,
         "seed": None,
         "integrity": False,
     }
@@ -337,6 +338,71 @@ def test_build_of_a_duplicate_run_longer_than_a_leaf_exits_one(tmp_path, capsys)
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err and "equal copies of key 7" in captured.err
     assert not out.exists()
+
+
+def _audit_argv(out, pairs_path, construction="2", key=None):
+    key = key if key is not None else str(out) + ".key"
+    argv = ["audit", "--index", str(out), "--key", key, "--input", str(pairs_path)]
+    return argv + ["--construction", construction, "--queries", "5"]
+
+
+@pytest.mark.parametrize("construction", ["1", "2"])
+def test_corrupted_node_records_exit_one(tmp_path, dataset, capsys, construction):
+    out, keys = _build(tmp_path, dataset, extra=("--integrity", "on"))
+    data = bytearray(out.read_bytes())
+    index = EncryptedIndex.from_bytes(bytes(data))
+    for slot in range(index.node_count):
+        data[len(index.header) + slot * index.node_record_size + NONCE_BYTES] ^= 0x01
+    out.write_bytes(bytes(data))
+    capsys.readouterr()
+    # `audit` lets the enclave's abort reach `main`, `query` wraps it.
+    assert main(_audit_argv(out, dataset[0], construction)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: node at position \d+ failed authentication\n", captured.err)
+    argv = ["query", "--index", str(out), "--key", str(out) + ".key"]
+    assert main(argv + ["--construction", construction, "--range", "1:99"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert re.match(r"error: query rejected: node at position \d+ failed", captured.err)
+
+
+@pytest.mark.parametrize("pairs", ["", "# a comment only\n", "run"])
+def test_audit_of_pairs_that_build_no_tree_exits_one(tmp_path, dataset, capsys, pairs):
+    # No pairs at all, or five copies of one key where a b=5 leaf holds four.
+    out, _ = _build(tmp_path, dataset)
+    path = tmp_path / "audit.txt"
+    path.write_text("".join(f"7 copy-{i}\n" for i in range(5)) if pairs == "run" else pairs)
+    capsys.readouterr()
+    assert main(_audit_argv(out, path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    want = "equal copies of key 7" if pairs == "run" else "no key-value pairs to audit"
+    assert want in captured.err
+
+
+def test_build_sidecar_holds_no_branching_factor(tmp_path, dataset):
+    out, _ = _build(tmp_path, dataset)
+    meta = json.loads((tmp_path / "store.hsbt.key").read_text())
+    assert sorted(meta) == ["integrity", "root_id", "seed", "tree_key", "value_key"]
+
+
+@pytest.mark.parametrize("construction", ["1", "2"])
+def test_sidecar_with_a_stale_b_field_still_loads(tmp_path, dataset, capsys, construction):
+    # Older builds wrote `b` into the sidecar; it is ignored, even when wrong,
+    # because the branching factor comes from the authenticated header.
+    out, keys = _build(tmp_path, dataset, extra=("--integrity", "on"))
+    meta = json.loads((tmp_path / "store.hsbt.key").read_text())
+    old = tmp_path / "old.key"
+    old.write_text(json.dumps({**meta, "b": 9}))
+    capsys.readouterr()
+    lo, hi = sorted(keys)[10], sorted(keys)[19]
+    argv = ["query", "--index", str(out), "--key", str(old), "--construction", construction]
+    assert main(argv + ["--range", f"{lo}:{hi}"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert main(_audit_argv(out, dataset[0], construction, key=str(old))) == 0
+    assert "audited 5 queries, 0 failures" in capsys.readouterr().out
 
 
 def test_text_parser_rejects_bad_keys(tmp_path):
@@ -442,7 +508,7 @@ def test_build_rejects_branching_below_minimum(tmp_path, dataset, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("spec", ["9:5", "x:5", "1:y", "1:4294967296"])
+@pytest.mark.parametrize("spec", ["9:5", "x:5", "1:y", "1:4294967296", "5"])
 def test_query_rejects_malformed_range_as_usage_error(tmp_path, dataset, capsys, spec):
     out, _ = _build(tmp_path, dataset)
     capsys.readouterr()

@@ -255,6 +255,23 @@ def test_encrypt_index_rejects_values_of_several_lengths():
         encrypt_index(SecretKey.generate(), tree, [v for _, v in pairs])
 
 
+def test_encrypt_index_rejects_a_value_count_that_differs_from_the_tree():
+    pairs = [(k, b"v%02d" % k) for k in range(1, 13)]
+    tree = build_tree(pairs, 4, rng=random.Random(0))
+    values = [v for _, v in pairs]
+    for wrong in (values[:-1], values + [b"v13"]):
+        with pytest.raises(ValueError, match="value count does not match the built tree"):
+            encrypt_index(SecretKey.generate(), tree, wrong)
+
+
+@pytest.mark.parametrize("slot", [-1, "count"])
+def test_node_record_outside_the_node_region_raises_index_error(slot):
+    pairs, tree, sk, index = _dataset(40, 4, 3)
+    slot = index.node_count if slot == "count" else slot
+    with pytest.raises(IndexError, match=f"node slot {slot} outside"):
+        index.node_record(slot)
+
+
 def test_batch_decode_matches_record_by_record_decode():
     pairs, tree, sk, index = _dataset(200, 6, 11, integrity=True)
     plains = [
@@ -267,22 +284,6 @@ def test_batch_decode_matches_record_by_record_decode():
         alone = deserialize_node([plain], index.branching, True)
         assert batch[slot].tobytes() == alone[0].tobytes()
     assert len(deserialize_node([], index.branching, True)) == 0
-
-
-def test_decode_strides_by_plaintext_length_under_cleared_flag():
-    # Records carry an integrity region that a caller told "no integrity"
-    # does not read: the stride follows the plaintext, so every node still
-    # decodes to the same fields.
-    pairs, tree, sk, index = _dataset(150, 5, 12, integrity=True)
-    plains = [
-        decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
-        for slot in range(index.node_count)
-    ]
-    full = deserialize_node(plains, index.branching, True)
-    cleared = deserialize_node(plains, index.branching, False)
-    assert cleared.dtype.itemsize == node_plain_size(index.branching, True)
-    for name in ("id", "flags", "key_count", "keys", "ptrs"):
-        assert np.array_equal(full[name], cleared[name]), name
 
 
 def test_relocated_record_rejected_by_slot_binding():
@@ -452,6 +453,18 @@ def test_token_rejects_inverted_range():
     sk = SecretKey.generate()
     with pytest.raises(ValueError):
         make_token(sk.tree_key, 9, 3)
+
+
+@pytest.mark.parametrize("r_start,r_end", [(-1, 5), (0, 2**32), (2**32, 2**32 + 1)])
+def test_token_rejects_an_endpoint_outside_32_bits(r_start, r_end):
+    with pytest.raises(ValueError, match="outside the 32-bit key space"):
+        make_token(SecretKey.generate().tree_key, r_start, r_end)
+
+
+@pytest.mark.parametrize("length", [0, 7, 9, 16])
+def test_unpack_range_rejects_a_plaintext_that_is_not_8_bytes(length):
+    with pytest.raises(ValueError, match="token plaintext must be 8 bytes"):
+        unpack_range(bytes(length))
 
 
 def test_token_plaintext_is_8_byte_le_pair():

@@ -48,6 +48,12 @@ def test_secret_key_halves_must_differ():
     assert sk.tree_key != sk.value_key
 
 
+@pytest.mark.parametrize("tree_len,value_len", [(15, 16), (16, 17), (0, 16)])
+def test_secret_key_rejects_a_key_of_the_wrong_length(tree_len, value_len):
+    with pytest.raises(ValueError, match="keys must be 16 bytes"):
+        SecretKey(b"\x01" * tree_len, b"\x02" * value_len)
+
+
 def test_encrypt_decrypt_roundtrip_with_aad():
     key = generate_key()
     ct = encrypt(key, b"payload", b"slot-7")
@@ -320,6 +326,11 @@ def test_prp_deterministic_per_key_and_key_sensitive():
     p2 = prp_permutation(k2, 512)
     assert np.array_equal(p1a, p1b)
     assert not np.array_equal(p1a, p2)
+
+
+def test_prp_permutation_rejects_an_empty_domain():
+    with pytest.raises(ValueError, match="domain size must be positive"):
+        prp_permutation(generate_key(), 0)
 
 
 def test_prp_rejects_out_of_domain_point():

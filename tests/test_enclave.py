@@ -3,6 +3,7 @@ against the scan oracle, the integrity session machine, oblivious scanning."""
 
 import functools
 import random
+import struct
 import sys
 from collections import Counter
 
@@ -20,8 +21,16 @@ from hsbt.bptree import (
     PlainNode,
     scan_oracle,
 )
-from hsbt.codec import FLAG_LEAF, deserialize_node, leaf_mask, make_token, node_dtype, node_struct
-from hsbt.crypto import SecretKey
+from hsbt.codec import (
+    FLAG_LEAF,
+    RangeToken,
+    deserialize_node,
+    leaf_mask,
+    make_token,
+    node_dtype,
+    node_struct,
+)
+from hsbt.crypto import SecretKey, encrypt
 from hsbt.deploy import Deployment
 from hsbt.enclave import (
     DEFAULT_CLIENT,
@@ -86,6 +95,41 @@ def test_search_before_provision_rejected():
     detached.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
     with pytest.raises(EnclaveError, match="no container attached"):
         detached.root_slot()
+
+
+def test_calls_before_their_set_up_step_fail_closed():
+    pairs, tree, sk, index, _ = _fixture(50)
+    token = make_token(sk.tree_key, 1, KEY_MAX)
+    with pytest.raises(NoKeyError, match="enclave not provisioned"):
+        EnclaveSim().load_tree(index)
+    provisioned = EnclaveSim()
+    provisioned.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
+    with pytest.raises(EnclaveError, match="no container attached"):
+        provisioned.search_batch(token, [0])
+    provisioned.attach_container(index)
+    with pytest.raises(EnclaveError, match="no resident tree loaded"):
+        provisioned.search_resident(token)
+
+
+def test_token_of_an_unprovisioned_client_rejected():
+    pairs, tree, sk, index, enclave = _fixture(50)
+    enclave.load_tree(index)
+    token = make_token(sk.tree_key, 1, KEY_MAX, client_id="client-9")
+    with pytest.raises(NoKeyError, match="no key provisioned for 'client-9'"):
+        enclave.search_batch(token, [enclave.root_slot()])
+    with pytest.raises(NoKeyError, match="no key provisioned for 'client-9'"):
+        enclave.search_resident(token)
+
+
+def test_token_naming_an_empty_range_aborts():
+    # `make_token` refuses to mint an inverted range, so seal one directly.
+    pairs, tree, sk, index, enclave = _fixture(50)
+    enclave.load_tree(index)
+    token = RangeToken(encrypt(sk.tree_key, struct.pack("<II", 9, 3)))
+    with pytest.raises(EnclaveAbort, match="token names an empty range"):
+        enclave.search_batch(token, [enclave.root_slot()])
+    with pytest.raises(EnclaveAbort, match="token names an empty range"):
+        enclave.search_resident(token)
 
 
 def test_provision_then_search_succeeds():
@@ -639,15 +683,16 @@ _RANGE_EDGES = st.sampled_from([KEY_NEG_INFINITY, KEY_MIN, KEY_MAX, KEY_INFINITY
 def _node_batches(draw):
     """A batch of padded nodes of one branching factor (leaves and inner
     nodes, every key count from 0 to b-1), plus a range over their keys,
-    the key-space edges and the open sentinels."""
+    the key-space edges and the open sentinels.  Inner keys are distinct,
+    as a built tree's separators are; leaf keys may repeat."""
     branching = draw(st.integers(MIN_BRANCHING, 12))
     keys_st = st.one_of(st.integers(KEY_MIN, KEY_MAX), _KEY_EDGES)
     nodes = []
     for node_id in range(draw(st.integers(1, 6))):
         key_count = draw(st.integers(0, branching - 1))
-        keys = sorted(draw(st.lists(keys_st, min_size=key_count, max_size=key_count)))
-        keys += [KEY_INFINITY] * (branching - 1 - key_count)
         is_leaf = draw(st.booleans())
+        keys = draw(st.lists(keys_st, min_size=key_count, max_size=key_count, unique=not is_leaf))
+        keys = sorted(keys) + [KEY_INFINITY] * (branching - 1 - key_count)
         pointers = tuple(range(100 * node_id, 100 * node_id + branching))
         nodes.append(PlainNode(node_id, is_leaf, key_count, tuple(keys), pointers))
     ends = st.one_of(st.integers(0, KEY_INFINITY), _RANGE_EDGES, st.sampled_from(

@@ -15,6 +15,7 @@ from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveSim
 from hsbt.leakage import (
     AccessTrace,
+    AccessTree,
     PageLayout,
     audit_query,
     formal_vertex_ids,
@@ -167,7 +168,7 @@ def test_single_page_layout_collapses_to_one_vertex(desk_tree):
 def test_two_page_layout_split_at_level_boundary(desk_tree):
     # Place the two top levels on page 0 and all leaves on page 1.
     placement = {6: 0, 2: 1, 5: 2, 0: 4, 1: 5, 3: 6, 4: 7}
-    layout = PageLayout(record_size=1024, page_size=4096)
+    layout = PageLayout(record_size=1024)  # four records per 4 KiB page
     page_tree, _ = leak_hw_pages(
         desk_tree, 0, 2**32 - 1, layout, position_map=placement.__getitem__
     )
@@ -278,6 +279,33 @@ def test_child_before_parent_fails_audit(desk_tree):
     assert not verdict.passed and verdict.failed_event == 0
 
 
+def test_node_without_a_declared_parent_fails_audit(desk_tree):
+    access, pattern = leak_hw_nodes(desk_tree, 20, 45)
+    orphaned = AccessTree(access.vertices, access.edges - {(6, 5)}, access.root, "node")
+    trace = AccessTrace()
+    trace.node_fetches((6, 2, 5, 1, 3))
+    trace.pointers_out((2, 3, 4))
+    assert audit_query(trace, access, pattern).passed
+    verdict = audit_query(trace, orphaned, pattern)
+    assert not verdict.passed and verdict.failed_event == 2
+    assert verdict.detail == "node 5 has no parent in declared leakage"
+
+
+def test_declared_page_never_touched_fails_page_audit(desk_tree):
+    # The two-page layout: inner nodes on page 0, leaves on page 1.
+    placement = {6: 0, 2: 1, 5: 2, 0: 4, 1: 5, 3: 6, 4: 7}
+    layout = PageLayout(record_size=1024)
+    access, pattern = leak_hw_pages(
+        desk_tree, 0, 2**32 - 1, layout, position_map=placement.__getitem__
+    )
+    trace = AccessTrace()
+    trace.page_touch(0)
+    trace.pointers_out(range(8))
+    verdict = audit_query(trace, access, pattern)
+    assert not verdict.passed
+    assert verdict.detail == "declared pages never touched: [1]"
+
+
 def test_trace_line_format():
     trace = AccessTrace()
     trace.order_seeds.append(12345)
@@ -287,15 +315,3 @@ def test_trace_line_format():
     trace.pointers_out(())
     assert trace.to_lines() == ["seed 12345", "node 7", "node 8", "page 3", "ptrs 9,1,4", "ptrs "]
 
-
-def test_access_tree_line_format(desk_tree):
-    access, _ = leak_hw_nodes(desk_tree, 12, 18)
-    lines = access.to_lines()
-    assert lines[0] == "root 6"
-    assert "vertex 0" in lines and "edge 2 0" in lines
-
-
-def test_value_pattern_line_format(desk_tree):
-    _, pattern = leak_hw_nodes(desk_tree, 20, 45)
-    lines = pattern.to_lines()
-    assert "leaf 1 ptrs 2,3" in lines and "leaf 3 ptrs 4" in lines
