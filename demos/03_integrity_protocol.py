@@ -2,12 +2,14 @@
 
 In integrity mode the enclave tracks, per query, the token that opened the
 query, how many nodes it asked for, one balance multiset hash into which
-the ids it asked for and the ids it received both fold (it must end at
-zero), and a multiset hash of the matched leaf value tags (each leaf slot
-holds the AES-GCM tag of the value blob it points to); the client folds the
-tags of the blobs it actually received and decrypted, and checks the
-enclave's tag.  This script runs every scripted deviation and
-shows where each one gets caught.
+the storage slots it asked for and the slots it received both fold (it must
+end at zero; a record opens only at the slot it was sealed for, so a slot
+names its node), and a multiset hash of the matched leaf value tags (each
+leaf slot holds the AES-GCM tag of the value blob it points to); the client
+folds the tags of the blobs it actually received and decrypted, and checks
+the enclave's tag.  A query must open at the root, the container's last
+node.  This script runs every scripted deviation and shows where each one
+gets caught.
 """
 
 import random

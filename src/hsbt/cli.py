@@ -162,8 +162,6 @@ def _attach(args, enclave: EnclaveSim):
     except ValueError as exc:
         raise CliError(f"{args.index}: {exc}")
     sk, meta = _read_sidecar(Path(args.key))
-    if not 0 <= meta["root_id"] < index.node_count:
-        raise CliError(f"{args.key}: root id {meta['root_id']} is not a node of {args.index}")
     dep = Deployment.attach(
         index, sk, meta["root_id"], integrity=meta["integrity"], enclave=enclave
     )
@@ -426,6 +424,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("queries", "targets", "reserved_space"):  # counts, wherever taken
+            _check_at_least(f"--{name.replace('_', '-')}", getattr(args, name, 1), 1)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,20 @@
 """Serialization and encryption of the index container.
 
-The container holds two regions behind a small header:
+The container holds two regions behind a 25-byte header (magic, version,
+integrity flag, branching factor ``b``, node count, value count, value blob
+width):
 
 * node region: one fixed-size encrypted record per tree node, the record of
   node ``x`` stored at slot ``PRP(tree_key, node_count, x.id)``.  Every record
   has the same size whether it came from the root, an inner node, or a leaf,
-  so the ciphertexts expose nothing about node fullness.  Each record's
-  AEAD associated data is the 30-byte packed header followed by its 4-byte
-  slot (`EncryptedIndex.record_aad`), so relocating a record, or rewriting
-  any header field, is detected at the first record decrypted.
+  so the ciphertexts expose nothing about node fullness; that size follows
+  from ``b`` and the integrity flag.  Each record's AEAD associated data is
+  the packed header followed by its 4-byte slot (`EncryptedIndex.record_aad`),
+  so a record opens only at the slot it was sealed for: the slot is the
+  node's identity, and no record repeats it.  Relocating a record, or
+  rewriting any header field, is detected at the first record decrypted.
+  The bulk load emits the root last, so the root is node ``node_count - 1``,
+  a fact every record binds through the header's node count.
 * value region: ``n`` encrypted blobs of one width, back to back with no
   framing, in the random order chosen at build time, decryptable only with
   the value key.  The header carries that width, so the region is exactly
@@ -24,8 +30,8 @@ opens those rows as they are (`decrypt_results`).
 
 Node record plaintext, all integers little-endian::
 
-    id(4) | flags(1, bit0 = leaf) | key_count(2) | keys[(b-1) x 4] |
-    pointers[b x 4] | integrity region (only when the integrity flag is set)
+    flags(1, bit0 = leaf) | key_count(2) | keys[(b-1) x 4] | pointers[b x 4] |
+    value_tags[(b-1) x 16] (only when the integrity flag is set)
 
 Records are array-shaped on both sides: `encrypt_index` writes them through
 one numpy structured dtype, `node_dtype`, and the enclave decodes a batch of
@@ -33,13 +39,12 @@ plaintexts, or the whole node region, into a record array of it with a
 single `np.frombuffer` (`deserialize_node`).  Every record authenticates
 under the header that fixes its size, so the dtype has one item size.
 
-The integrity region is ``max(4 b, 16 (b-1))`` bytes: inner nodes lay out one
-child id per pointer slot, leaves one 16-byte value tag per key slot; the
-shared size keeps records shape-identical.  A value tag is the AES-GCM tag
-(the last `TAG_BYTES` bytes) of the blob behind that pointer: the codec seals
-the values first and copies their tags into the leaves, so no value is ever
-hashed.  Inner pointer slots hold child storage positions on disk (the
-build-side child ids are rewritten here).
+In a leaf, value tag j is the AES-GCM tag (the last `TAG_BYTES` bytes) of
+the blob behind pointer j: the codec seals the values first and copies their
+tags into the leaves, so no value is ever hashed.  Inner records keep the
+region zeroed, only so that every record has one shape.  Inner pointer slots
+hold child storage slots on disk (the build-side child ids are rewritten
+here).
 """
 
 from __future__ import annotations
@@ -66,20 +71,18 @@ from hsbt.crypto import (
     result_mac,
 )
 
-HEADER_MAGIC = b"HSBT3"
-HEADER_VERSION = 3
-KEY_WIDTH = 4  # bytes per key, packed into the header
-# magic, version, integrity, key width, b, #nodes, n, record size, value blob width
-_HEADER = struct.Struct("<5sBBBHIQII")
+HEADER_MAGIC = b"HSBT4"
+HEADER_VERSION = 4
+# magic, version, integrity, b, #nodes, n, value blob width
+_HEADER = struct.Struct("<5sBBHIQI")
 # A node record's associated data: the packed header, then its slot.
 _RECORD_AAD = struct.Struct(f"<{_HEADER.size}sI")
 
-_NODE_FIXED = struct.Struct("<IBH")
 FLAG_LEAF = 0x01
 
 
 def integrity_region_size(branching: int) -> int:
-    return max(4 * branching, 16 * (branching - 1))
+    return 16 * (branching - 1)
 
 
 def node_plain_size(branching: int, integrity: bool) -> int:
@@ -90,8 +93,8 @@ def node_plain_size(branching: int, integrity: bool) -> int:
 @functools.lru_cache(maxsize=None)
 def node_struct(branching: int) -> struct.Struct:
     """A record's fixed part as one struct:
-    ``(id, flags, key_count, keys..., pointers...)``."""
-    return struct.Struct(f"<IBH{branching - 1}I{branching}I")
+    ``(flags, key_count, keys..., pointers...)``."""
+    return struct.Struct(f"<BH{branching - 1}I{branching}I")
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,22 +102,18 @@ def node_dtype(branching: int, integrity: bool) -> np.dtype:
     """Structured numpy dtype of one node record plaintext, laid out as in
     the module docstring; its item size is `node_plain_size`.
 
-    Fields: `id`, `flags`, `key_count`, `keys[b-1]`, `ptrs[b]` and, with
-    `integrity`, the integrity region seen two ways over the same bytes:
-    `child_ids[b]` (inner nodes) and `value_tags[b-1, 16]` (leaves, the GCM
-    tag of the value blob behind each live pointer slot)."""
-    keys_at = _NODE_FIXED.size
-    ptrs_at = keys_at + 4 * (branching - 1)
-    region_at = ptrs_at + 4 * branching
-    names = ["id", "flags", "key_count", "keys", "ptrs"]
-    formats = ["<u4", "u1", "<u2", ("<u4", (branching - 1,)), ("<u4", (branching,))]
-    offsets = [0, 4, 5, keys_at, ptrs_at]
+    Fields: `flags`, `key_count`, `keys[b-1]`, `ptrs[b]` and, with
+    `integrity`, `value_tags[b-1, 16]`: in a leaf the GCM tag of the value
+    blob behind each live pointer slot, in an inner node zeros.  No field
+    names the node: its storage slot, bound into the record's associated
+    data, does."""
+    names = ["flags", "key_count", "keys", "ptrs"]
+    formats = ["u1", "<u2", ("<u4", (branching - 1,)), ("<u4", (branching,))]
     if integrity:
-        names += ["child_ids", "value_tags"]
-        formats += [("<u4", (branching,)), ("u1", (branching - 1, 16))]
-        offsets += [region_at, region_at]
-    itemsize = node_plain_size(branching, integrity)
-    return np.dtype({"names": names, "formats": formats, "offsets": offsets, "itemsize": itemsize})
+        names.append("value_tags")
+        formats.append(("u1", (branching - 1, 16)))
+    # Unaligned, so the fields sit back to back as in the record.
+    return np.dtype({"names": names, "formats": formats})
 
 
 def deserialize_node(plains, branching: int, integrity: bool) -> np.ndarray:
@@ -144,7 +143,8 @@ class EncryptedIndex:
     back; `value_rows` views it as an ``(n, value_width)`` uint8 matrix.
     `node_record_size`, `header`, the packed container header, and
     `value_rows` follow from the other fields and are computed once; every
-    node record is bound to the header (`record_aad`).
+    node record is bound to the header (`record_aad`), whose node count also
+    names the root, node ``node_count - 1``.
     """
 
     branching: int
@@ -165,11 +165,9 @@ class EncryptedIndex:
             HEADER_MAGIC,
             HEADER_VERSION,
             1 if self.integrity else 0,
-            KEY_WIDTH,
             self.branching,
             self.node_count,
             self.n_values,
-            self.node_record_size,
             self.value_width,
         )
         # The region's own row count, not the header's `n_values`, which a
@@ -208,16 +206,14 @@ class EncryptedIndex:
         `ValueError`, trailing bytes included."""
         if len(data) < _HEADER.size:
             raise ValueError("container shorter than its header")
-        fields = _HEADER.unpack_from(data, 0)
-        magic, version, integrity, key_width, b, node_count, n, record_size, width = fields
+        magic, version, integrity, b, node_count, n, width = _HEADER.unpack_from(data, 0)
         if magic[:4] != HEADER_MAGIC[:4]:
             raise ValueError("not an index container")
         if (magic, version) != (HEADER_MAGIC, HEADER_VERSION):
             raise ValueError(f"unsupported container version {version}")
-        if integrity not in (0, 1) or key_width != KEY_WIDTH or b < MIN_BRANCHING or node_count < 1:
+        if integrity not in (0, 1) or b < MIN_BRANCHING or node_count < 1:
             raise ValueError("malformed container header")
-        if record_size != node_plain_size(b, bool(integrity)) + NONCE_BYTES + TAG_BYTES:
-            raise ValueError(f"node record size {record_size} does not fit b={b}")
+        record_size = node_plain_size(b, bool(integrity)) + NONCE_BYTES + TAG_BYTES
         if width < NONCE_BYTES + TAG_BYTES:
             raise ValueError(f"value blob width {width} is below a nonce and a tag")
         region_end = _HEADER.size + node_count * record_size
@@ -278,16 +274,13 @@ def encrypt_index(
     leaf = np.array([node.is_leaf for node in nodes])
     key_count = np.array([node.key_count for node in nodes])
     pointers = np.array([node.pointers for node in nodes], dtype=np.int64)
-    by_id["id"] = np.arange(node_count)
     by_id["flags"] = leaf * FLAG_LEAF
     by_id["key_count"] = key_count
     by_id["keys"] = [node.keys for node in nodes]
     slots = np.arange(branching)
     live = slots <= key_count[:, None]
     if integrity:
-        # Inner records keep their child ids, dummy-padded like the pointers;
-        # leaf slot j carries the tag of the blob behind pointer j.
-        by_id["child_ids"][~leaf] = pointers[~leaf]
+        # Leaf slot j carries the tag of the blob behind pointer j.
         rows, cols = np.nonzero(live & leaf[:, None] & (slots > 0))
         tags = np.frombuffer(value_region, np.uint8).reshape(-1, width)[:, -TAG_BYTES:]
         by_id["value_tags"][rows, cols - 1] = tags[pointers[rows, cols]]

@@ -423,7 +423,7 @@ def mset_subkey(key: bytes) -> bytes:
     """The AES key of the multiset PRF: derived from `key`, never `key`
     itself.  The tree key also keys the node AEAD and the Feistel PRP, and
     the GHASH key of AES-GCM is AES_k(0^128), which would be the image of
-    node id 0 under the raw key."""
+    storage slot 0 under the raw key."""
     return mac_tag(key, b"hsbt-mset-prf")[:KEY_BYTES]
 
 

@@ -38,15 +38,16 @@ In integrity mode `search_batch` additionally runs a per-query session bound
 to the token that opened it.  It counts the nodes it asked for a batch at a
 time (a cumulative sum over the per-node request counts checks each arrival
 when a batch holds more nodes than were outstanding), and keeps two
-multiset hashes: a balance accumulator into which both the requested child
-ids and the received node ids fold, and the matched leaf value tags (the
-GCM tags of the value blobs, copied blindly from the leaves); each is
-folded once per call.  Under MSet-XOR-Hash two accumulators are equal exactly
+multiset hashes: a balance accumulator into which both the requested and
+the received storage slots fold, and the matched leaf value tags (the GCM
+tags of the value blobs, copied blindly from the leaves); each is folded
+once per call.  A record opens only at the slot it was sealed for, so a slot
+names its node.  Under MSet-XOR-Hash two accumulators are equal exactly
 when their XOR is zero, so one accumulator over both multisets proves what
 two compared for equality did.  A session only ever yields a result tag when
 every requested node arrived, nothing else arrived, and the first node of
-the query was the root.  At most `MAX_OPEN_SESSIONS` sessions stay open;
-opening one more evicts the oldest.
+the query was the root, the container's last node.  At most
+`MAX_OPEN_SESSIONS` sessions stay open; opening one more evicts the oldest.
 
 Every pointer sequence leaving the enclave is freshly shuffled, and in-node
 matching touches every key and pointer slot whether it matches or not, so
@@ -118,7 +119,7 @@ class IntegritySession:
     `token` is ``(client_id, GCM tag)`` of the token that opened the session;
     every later batch must carry that token.  `expected_amount` counts
     requested nodes not yet received.  `balance_hash` folds every requested
-    child id and every received node id (the root, which opens the session
+    slot and every received slot (the root's, which opens the session
     unrequested, excepted); requests and deliveries agree as multisets
     exactly when the count is zero and the accumulator is 16 zero bytes,
     because MSet-XOR-Hash accumulators of two multisets are equal exactly
@@ -194,19 +195,19 @@ def _scan_record(record: tuple, branching: int, r_start: int, r_end: int) -> lis
     """`oblivious_match_slots` for one record unpacked by `node_struct`:
     the same bit for every pointer slot, live or padded, matching or not,
     with non-short-circuiting operators; returns the matching slots."""
-    key_count = record[2]
-    edges = (-1, *record[3 : branching + 2], 1 << 32)
-    if record[1] & FLAG_LEAF:
+    key_count = record[1]
+    edges = (-1, *record[2 : branching + 1], 1 << 32)
+    if record[0] & FLAG_LEAF:
         bits = [(r_start <= lo) & (lo <= r_end) for lo in edges[:-1]]
     else:
         bits = [(lo <= r_end) & (r_start < hi) for lo, hi in zip(edges, edges[1:])]
     return [j for j, bit in enumerate(bits) if bit & (j <= key_count)]
 
 
-def _id_elements(node_ids: np.ndarray) -> bytes:
-    """Node ids as multiset elements: ``id(4, little-endian) || 0^12`` each."""
-    blocks = np.zeros((len(node_ids), 4), dtype="<u4")
-    blocks[:, 0] = node_ids
+def _slot_elements(slots: np.ndarray) -> bytes:
+    """Slots as multiset elements: ``slot(4, little-endian) || 0^12`` each."""
+    blocks = np.zeros((len(slots), 4), dtype="<u4")
+    blocks[:, 0] = slots
     return blocks.tobytes()
 
 
@@ -295,7 +296,8 @@ class EnclaveSim:
 
     def _find_root_slot(self) -> int:
         # `root_slot` without its public name: the resident walk starts here,
-        # and only the driver's own lookups count as root-slot calls.
+        # and only the driver's own lookups count as root-slot calls.  The
+        # root is the last node, which every record binds via the node count.
         slot = self._root_slot
         if slot is None:
             if self._tree_key is None or self._root_id is None:
@@ -303,8 +305,8 @@ class EnclaveSim:
             if self._container is None:
                 raise EnclaveError("no container attached")
             node_count = self._container.node_count
-            if self._root_id >= node_count:
-                raise EnclaveAbort("provisioned root id not present in the container")
+            if self._root_id != node_count - 1:
+                raise EnclaveAbort("provisioned root id is not the container's root")
             slot = prp_apply(self._tree_key, node_count, self._root_id)
             self._root_slot = slot
         return slot
@@ -335,8 +337,7 @@ class EnclaveSim:
         if failure is not None:
             raise EnclaveAbort(failure)
         self.attach_container(index)
-        if resident["id"][self._find_root_slot()] != self._root_id:
-            raise EnclaveAbort("provisioned root id not at the container's root slot")
+        self._find_root_slot()  # aborts unless the root id is the last node's
         self._resident = resident
 
     def search_resident(self, token: RangeToken, trace=None) -> np.ndarray:
@@ -376,9 +377,9 @@ class EnclaveSim:
                 children: list[int] = []
                 for slot in frontier:
                     record = unpack(resident, slot * resident.itemsize)
-                    out = scanned if record[1] & FLAG_LEAF else children
+                    out = scanned if record[0] & FLAG_LEAF else children
                     slots = _scan_record(record, branching, rs, re_)
-                    out.extend(record[branching + 2 + j] for j in slots)
+                    out.extend(record[branching + 1 + j] for j in slots)
                 frontier = children
             else:
                 is_value, found, _, _ = _expand(resident[frontier], rs, re_)
@@ -440,11 +441,13 @@ class EnclaveSim:
         self._tally(len(nodes), len(nodes), branching)
         is_value, pointers, rows, cols = _expand(nodes, rs, re_)
         inner = ~is_value
+        value_ptrs = pointers[is_value]
+        node_ptrs = pointers[inner]
 
         if integrity and len(nodes):
             fresh = sess is None
             if fresh:
-                if nodes["id"][0] != self._root_id:
+                if positions[0] != self._find_root_slot():
                     raise EnclaveAbort("protocol violation: first node is not the root")
                 sess = self._new_session(opener)
             try:
@@ -454,10 +457,10 @@ class EnclaveSim:
             except EnclaveAbort:
                 self._drop_session(sess)
                 raise
-            received = nodes["id"][int(fresh) :]
-            requested_ids = nodes["child_ids"][rows[inner], cols[inner]]
+            # Received records opened at their slots; node pointers are requests.
+            received = np.asarray(positions[fresh : len(nodes)], dtype=np.uint32)
             sess.balance_hash = sess.balance_hash.add_all(
-                _id_elements(np.concatenate((received, requested_ids)))
+                _slot_elements(np.concatenate((received, node_ptrs)))
             )
             sess.result_hash = sess.result_hash.add_all(
                 nodes["value_tags"][rows[is_value], cols[is_value] - 1].tobytes()
@@ -466,8 +469,6 @@ class EnclaveSim:
             self._drop_session(sess)
             raise EnclaveAbort(failure)
 
-        value_ptrs = pointers[is_value]
-        node_ptrs = pointers[inner]
         rng.shuffle(value_ptrs)
         rng.shuffle(node_ptrs)
         if trace is not None:

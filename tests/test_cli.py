@@ -450,7 +450,7 @@ def test_query_rejects_reshaped_header(tmp_path, capsys, construction):
     assert main(argv) == 0
     data = bytearray(out.read_bytes())
     data[6] = 0  # integrity flag
-    data[8:10] = struct.pack("<H", 28)  # branching
+    data[7:9] = struct.pack("<H", 28)  # branching
     out.write_bytes(bytes(data))
     EncryptedIndex.load(out)  # still well-formed
     capsys.readouterr()
@@ -462,7 +462,9 @@ def test_query_rejects_reshaped_header(tmp_path, capsys, construction):
     assert captured.err.startswith("error:") and "failed authentication" in captured.err
 
 
-@pytest.mark.parametrize("cut", [0, 10, 25, 26, 29, 30, 100, -1, "trailing"])
+# Cuts inside the 25-byte header, at its end, one byte past it, inside the
+# first record, and inside the value region.
+@pytest.mark.parametrize("cut", [0, 10, 24, 25, 26, 29, 30, 100, -1, "trailing"])
 def test_malformed_container_exits_one_without_traceback(tmp_path, dataset, capsys, cut):
     out, keys = _build(tmp_path, dataset, extra=("--integrity", "on"))
     data = out.read_bytes()
@@ -473,6 +475,31 @@ def test_malformed_container_exits_one_without_traceback(tmp_path, dataset, caps
         argv += ["--range", "1:99"] if command == "query" else ["--input", str(dataset[0])]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("construction", ["1", "2"])
+def test_query_rejects_a_sidecar_root_id_other_than_the_last_node(tmp_path, capsys, construction):
+    # The bulk load emits the root last, and every record binds the node
+    # count, so a sidecar naming leaf 5 as the root of a 3,000-pair b=10
+    # build (whose root is node 372) must not answer from that leaf.
+    path = tmp_path / "pairs.txt"
+    path.write_text("".join(f"{k} record-{k:05d}\n" for k in range(1, 3001)))
+    out = tmp_path / "store.hsbt"
+    argv = ["build", "--input", str(path), "--b", "10", "--integrity", "on", "--seed", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "store.hsbt.key").read_text())
+    assert meta["root_id"] == EncryptedIndex.load(out).node_count - 1 == 372
+    meta["root_id"] = 5
+    key = tmp_path / "wrong-root.key"
+    key.write_text(json.dumps(meta))
+    capsys.readouterr()
+    argv = ["query", "--index", str(out), "--key", str(key), "--construction", construction]
+    assert main(argv + ["--range", "100:199"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: query rejected: provisioned root id is not the container's root"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -598,6 +625,34 @@ def test_out_of_range_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("audit", "--queries", "-3"),
+        ("audit", "--queries", "0"),
+        ("audit", "--reserved-space", "0"),
+        ("query", "--reserved-space", "-7"),
+        ("tamper", "--targets", "-2"),
+        ("tamper", "--reserved-space", "0"),
+        ("bench", "--reserved-space", "-1"),
+    ],
+)
+def test_count_flags_below_one_are_usage_errors(tmp_path, dataset, capsys, command, flag, value):
+    # Real inputs, so that only the flag can make the command a usage error.
+    out, _ = _build(tmp_path, dataset)
+    inputs = {
+        "audit": ["--index", str(out), "--key", f"{out}.key", "--input", str(dataset[0])],
+        "query": ["--index", str(out), "--key", f"{out}.key", "--range", "1:99"],
+        "tamper": ["--n", "100"],
+        "bench": ["--n", "100", "--result-size", "1", "--reps", "1"],
+    }
+    capsys.readouterr()
+    assert main([command, *inputs[command], flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {flag} must be at least 1, got {value}"]
 
 
 @pytest.mark.parametrize("command", ["bench", "tamper"])

@@ -79,11 +79,16 @@ def test_single_node_tree_container_shape():
 
 
 def test_slots_occupied_by_prp_permutation():
+    # A record names no node: the slot it opens at does.
     pairs, tree, sk, index = _dataset(40, 4, 1)
     nodes = _decrypt_all_nodes(index, sk)
-    assert sorted(nodes["id"].tolist()) == list(range(index.node_count))
-    for slot, node_id in enumerate(nodes["id"].tolist()):
-        assert slot == prp_apply(sk.tree_key, index.node_count, node_id)
+    slot_of = prp_permutation(sk.tree_key, index.node_count)
+    assert sorted(slot_of.tolist()) == list(range(index.node_count))
+    for node in tree.nodes:
+        slot = slot_of[node.node_id]
+        assert slot == prp_apply(sk.tree_key, index.node_count, node.node_id)
+        assert nodes["key_count"][slot] == node.key_count
+        assert tuple(nodes["keys"][slot].tolist()) == node.keys
 
 
 def test_two_encryptions_differ_bytewise():
@@ -110,14 +115,14 @@ def test_node_records_share_one_size_across_kinds():
         for slot in range(index.node_count)
     }
     assert sizes == {plain}
-    assert integrity_region_size(6) == max(24, 80)
+    assert integrity_region_size(6) == 16 * 5
 
 
 def test_decrypted_tree_preserves_logical_structure():
     pairs, tree, sk, index = _dataset(300, 5, 4, integrity=True)
     nodes = _decrypt_all_nodes(index, sk)
     leaves = leaf_mask(nodes)
-    slot_of = {node_id: slot for slot, node_id in enumerate(nodes["id"].tolist())}
+    slot_of = prp_permutation(sk.tree_key, index.node_count)
     for node in tree.nodes:
         got = nodes[slot_of[node.node_id]]
         assert leaves[slot_of[node.node_id]] == node.is_leaf
@@ -130,10 +135,11 @@ def test_decrypted_tree_preserves_logical_structure():
                 tag = index.value_blob(pointers[j])[-TAG_BYTES:]
                 assert got["value_tags"][j - 1].tobytes() == tag
         else:
-            # Inner pointers were rewritten from child ids to storage slots.
+            # Inner pointers were rewritten from child ids to storage slots,
+            # and the integrity region is zero, kept only for the shape.
             for i in range(node.key_count + 1):
                 assert pointers[i] == slot_of[node.pointers[i]]
-                assert got["child_ids"][i] == node.pointers[i]
+            assert not got["value_tags"].any()
 
 
 @st.composite
@@ -166,7 +172,6 @@ def test_encoder_round_trip_matches_plain_tree(build, integrity):
     for node in tree.nodes:
         got = records[slot_of[node.node_id]]
         live = node.key_count + 1
-        assert got["id"] == node.node_id
         assert got["flags"] == (FLAG_LEAF if node.is_leaf else 0)
         assert got["key_count"] == node.key_count
         assert tuple(got["keys"].tolist()) == node.keys
@@ -182,9 +187,7 @@ def test_encoder_round_trip_matches_plain_tree(build, integrity):
                 want = index.value_blob(node.pointers[j])[-TAG_BYTES:] if j < live else bytes(16)
                 assert got["value_tags"][j - 1].tobytes() == want
         else:
-            ids = list(node.pointers[:live]) + [DUMMY_POINTER] * (branching - live)
-            assert got["child_ids"].tolist() == ids
-            assert not got["value_tags"].tobytes()[4 * branching :].strip(b"\0")
+            assert not got["value_tags"].any()
 
 
 @pytest.mark.parametrize("count", [1, 7, 300])
@@ -206,9 +209,9 @@ def test_leaf_entries_are_the_tags_of_their_value_blobs(count):
 # do the leaves' value tags, which depend on them: each is checked against its
 # blob's tag and hashed as the blob's position instead.  The node records
 # also pin the tree shape that `build_tree`'s bulk load gives.
-_GOLDEN_HSBT3 = {
-    False: "0c099c3ae2cecba82125ecf3d0f2573c9242203d13dda1aa31077f71003b962d",
-    True: "6c5882c936fb05c33729eb326406bdf6a6022fe8ab7f3515c7701e3ece61a8e0",
+_GOLDEN_HSBT4 = {
+    False: "1cb44ca2422fbc0b1d0ebb15f68939fc662076d759210d0b8d6d08d71995e8a7",
+    True: "bcc3b4268c96eb232cf7ddd90031c055de6df8fbff0f694362d9eb20cae65fe5",
 }
 
 
@@ -238,10 +241,10 @@ def _golden_digest(integrity):
 
 @pytest.mark.parametrize("integrity", [False, True])
 def test_container_bytes_match_the_pinned_format(integrity):
-    assert _golden_digest(integrity) == _GOLDEN_HSBT3[integrity]
+    assert _golden_digest(integrity) == _GOLDEN_HSBT4[integrity]
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_older_container_versions_rejected_as_unsupported(version):
     older = _with_header_field(_with_header_field(_VALID, 0, b"HSBT%d" % version), 1, version)
     with pytest.raises(ValueError, match=f"unsupported container version {version}"):
@@ -322,7 +325,7 @@ def _small_container() -> bytes:
 _VALID = _small_container()
 # The header and node region of `_VALID`, to put any value region behind.
 _NODES = _VALID[: _HEADER.size + len(EncryptedIndex.from_bytes(_VALID).node_region)]
-_N, _WIDTH = _HEADER.unpack_from(_VALID, 0)[6::2]
+_N, _WIDTH = _HEADER.unpack_from(_VALID, 0)[5:]
 
 
 def _with_header_field(data: bytes, field: int, value: int) -> bytes:
@@ -338,18 +341,18 @@ def _with_header_field(data: bytes, field: int, value: int) -> bytes:
         pytest.param(_VALID[:100], id="truncated-node-region"),
         pytest.param(_VALID[:-1], id="truncated-value-blob"),
         pytest.param(_VALID + b"\0", id="trailing-bytes"),
-        pytest.param(_with_header_field(_VALID, 4, 2), id="branching-below-minimum"),
+        pytest.param(_with_header_field(_VALID, 3, 2), id="branching-below-minimum"),
         pytest.param(_with_header_field(_VALID, 2, 0), id="integrity-flag-cleared"),
-        pytest.param(_with_header_field(_VALID, 3, 8), id="key-width-not-4"),
-        pytest.param(_with_header_field(_VALID, 7, 999), id="record-size-mismatch"),
-        pytest.param(_with_header_field(_VALID, 6, 10**6), id="value-count-beyond-data"),
-        pytest.param(_with_header_field(_VALID, 6, _N + 1), id="value-count-one-more"),
-        pytest.param(_with_header_field(_VALID, 6, _N - 1), id="value-count-one-less"),
-        pytest.param(_with_header_field(_VALID, 8, _WIDTH + 1), id="value-width-one-more"),
-        pytest.param(_with_header_field(_VALID, 8, _WIDTH - 1), id="value-width-one-less"),
+        # The record size follows from b: at b=5 the node region is too short.
+        pytest.param(_with_header_field(_VALID, 3, 5), id="record-size-mismatch"),
+        pytest.param(_with_header_field(_VALID, 5, 10**6), id="value-count-beyond-data"),
+        pytest.param(_with_header_field(_VALID, 5, _N + 1), id="value-count-one-more"),
+        pytest.param(_with_header_field(_VALID, 5, _N - 1), id="value-count-one-less"),
+        pytest.param(_with_header_field(_VALID, 6, _WIDTH + 1), id="value-width-one-more"),
+        pytest.param(_with_header_field(_VALID, 6, _WIDTH - 1), id="value-width-one-less"),
         # 12 bytes a blob fill the region exactly, but hold no nonce and tag.
         pytest.param(
-            _with_header_field(_with_header_field(_VALID, 8, 12), 6, _N * _WIDTH // 12),
+            _with_header_field(_with_header_field(_VALID, 6, 12), 5, _N * _WIDTH // 12),
             id="value-width-below-28",
         ),
     ],
@@ -398,7 +401,7 @@ def test_value_region_parse_takes_exactly_n_rows_of_one_width(n, width, delta):
     # that can hold a nonce and a tag, and sees them as n rows.
     tail = max(n * width + delta, 0)
     region = bytes(i % 251 for i in range(tail))
-    data = _with_header_field(_with_header_field(_NODES, 6, n), 8, width) + region
+    data = _with_header_field(_with_header_field(_NODES, 5, n), 6, width) + region
     try:
         index = EncryptedIndex.from_bytes(data)
     except ValueError:

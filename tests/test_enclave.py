@@ -187,49 +187,37 @@ def test_tampered_node_aborts_load():
 
 
 def test_load_aborts_when_root_slot_holds_another_node():
-    # A host that drops records and lowers the header's node count changes
-    # the permutation's domain, so a provisioned id's slot can hold another
-    # node.  Sixteen records narrow the Feistel width, which makes that so
-    # for some id below sixteen.
-    from hsbt.crypto import prp_apply
-
-    pairs, tree, sk, index, enclave = _fixture(300, b=4, seed=2)
-    fewer = 16
-    root = next(
-        r
-        for r in range(fewer)
-        if prp_apply(sk.tree_key, fewer, r) != prp_apply(sk.tree_key, index.node_count, r)
-    )
+    # The root is the container's last node, `node_count - 1`, which the
+    # header states and every record binds; a provisioned root id naming any
+    # other node, or none, aborts before a walk starts, on both paths.
     import dataclasses
 
+    from hsbt.crypto import prp_apply
+
+    pairs, tree, sk, index, enclave = _fixture(300, b=4, seed=2, integrity=True)
+    assert tree.root_id == index.node_count - 1
+    fewer = 16
     shrunk = dataclasses.replace(
         index, node_count=fewer, node_region=index.node_region[: fewer * index.node_record_size]
     )
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=root)
-    # The records are bound to the header, so a host's shrink fails at once;
-    # only a holder of the tree key can re-seal them under the new header.
+    # The records are bound to the header, so a host's shrink fails at once.
     with pytest.raises(EnclaveAbort, match="node at position 0 failed authentication"):
         enclave.load_tree(shrunk)
-    from hsbt.crypto import decrypt_wire, encrypt_wires
-
-    plains = [
-        decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
-        for slot in range(fewer)
-    ]
-    resealed = dataclasses.replace(
-        shrunk,
-        node_region=b"".join(encrypt_wires(sk.tree_key, plains, shrunk.record_aads(range(fewer)))),
-    )
-    with pytest.raises(EnclaveAbort, match="root id not at the container's root slot"):
-        enclave.load_tree(resealed)
-    assert not enclave.tree_loaded
-    # A root id beyond the node count has no slot at all.
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=index.node_count)
-    enclave.attach_container(index)
-    with pytest.raises(EnclaveAbort, match="root id not present"):
-        enclave.root_slot()
-    with pytest.raises(EnclaveAbort, match="root id not present"):
-        enclave.load_tree(index)
+    enclave.load_tree(index)
+    token = make_token(sk.tree_key, 1, KEY_MAX)
+    root_slot = prp_apply(sk.tree_key, index.node_count, tree.root_id)
+    smaller = _fixture(40, b=4, seed=3)[1].root_id
+    for root in (index.node_count - 2, index.node_count, smaller):
+        enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=root)
+        calls = (
+            enclave.root_slot,
+            lambda: enclave.load_tree(index),
+            lambda: enclave.search_batch(token, [root_slot]),
+            lambda: enclave.search_resident(token),
+        )
+        for call in calls:
+            with pytest.raises(EnclaveAbort, match="provisioned root id is not the container's root"):
+                call()
 
 
 def test_attaching_another_container_drops_the_resident_tree():
@@ -707,7 +695,6 @@ def _node_batches(draw):
 def test_vectorised_match_agrees_with_scalar_formula(batch, integrity):
     branching, plain_nodes, r_start, r_end = batch
     nodes = np.zeros(len(plain_nodes), dtype=node_dtype(branching, integrity))
-    nodes["id"] = [node.node_id for node in plain_nodes]
     nodes["flags"] = [FLAG_LEAF if node.is_leaf else 0 for node in plain_nodes]
     nodes["key_count"] = [node.key_count for node in plain_nodes]
     nodes["keys"] = [node.keys for node in plain_nodes]
