@@ -26,7 +26,7 @@ pairs = [(k, f"record-{i:05d}".encode()) for i, k in enumerate(keys)]
 # provisioned enclave with the container attached.
 dep = Deployment.build(pairs, 10, integrity=True, rng=rng)
 index = dep.index
-print(f"plaintext tree: {len(dep.tree.nodes)} nodes, height {dep.tree.height}")
+print(f"plaintext tree: {dep.tree.node_count} nodes, height {dep.tree.height}")
 print(
     f"container: {index.node_count} fixed-size node records of "
     f"{index.node_record_size} bytes + {index.n_values} value blobs\n"

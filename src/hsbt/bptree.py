@@ -3,9 +3,10 @@
 The tree is bulk-loaded bottom-up from the pairs sorted by key and is static
 afterwards: no inserts or deletes, no sibling links between leaves (an
 unchained tree, so following links can never betray key order at query
-time).  Every node is padded to the same shape before it leaves this module:
-`branching - 1` key slots and `branching` pointer slots, unused key slots
-holding the infinity pad and unused pointer slots a recognizable dummy.
+time).  It is held as arrays with one row per node id, every row padded to
+the same shape before it leaves this module: `branching - 1` key slots and
+`branching` pointer slots, unused key slots holding the infinity pad and
+unused pointer slots a recognizable dummy.
 
 Node ids follow creation order: the leaves left to right from id 0, then each
 inner level left to right, the root last.  Inner-node pointer slots hold child
@@ -29,7 +30,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 KEY_MIN = 1
 KEY_MAX = 2**32 - 2
@@ -45,65 +48,51 @@ class BuildError(ValueError):
     """Input cannot be arranged into a valid tree."""
 
 
-@dataclass(frozen=True)
-class PlainNode:
-    """One padded node.
-
-    `keys` has ``branching - 1`` entries, nondecreasing, exactly `key_count`
-    of them real and the rest KEY_INFINITY.  `pointers` has ``branching``
-    entries: for an inner node, slots ``0..key_count`` hold child ids; for a
-    leaf, slots ``1..key_count`` hold value-region indices and slot 0 is
-    always unused.
-    """
-
-    node_id: int
-    is_leaf: bool
-    key_count: int
-    keys: tuple[int, ...]
-    pointers: tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlainTree:
-    """Build output: padded nodes (indexable by id), the root id, and the
-    random storage order assigned to the values.
+    """Build output: the padded nodes as arrays indexed by node id, the root
+    id, and the random storage order assigned to the values.
 
-    ``value_positions[i]`` is the value-region slot of input pair ``i``; leaf
-    pointers already refer to those slots.
+    Row ``x`` of `keys` (``uint32``, ``(m, branching - 1)``) is node ``x``'s
+    keys, nondecreasing, exactly ``key_count[x]`` of them real and the rest
+    KEY_INFINITY.  Row ``x`` of `ptrs` (``uint32``, ``(m, branching)``) is its
+    pointers: for an inner node, slots ``0..key_count[x]`` hold child ids; for
+    a leaf (``leaf[x]``), slots ``1..key_count[x]`` hold value-region slots
+    and slot 0 is always the dummy.  ``value_positions[i]`` is the
+    value-region slot of input pair ``i``.
     """
 
     branching: int
     n_values: int
-    nodes: tuple[PlainNode, ...]
+    keys: np.ndarray
+    ptrs: np.ndarray
+    key_count: np.ndarray
+    leaf: np.ndarray
     root_id: int
     value_positions: tuple[int, ...]
 
     @property
-    def root(self) -> PlainNode:
-        return self.nodes[self.root_id]
+    def node_count(self) -> int:
+        return len(self.leaf)
 
     @property
     def height(self) -> int:
-        levels = 1
-        node = self.root
-        while not node.is_leaf:
-            node = self.nodes[node.pointers[0]]
+        levels, node = 1, self.root_id
+        while not self.leaf[node]:
+            node = self.ptrs[node, 0]
             levels += 1
         return levels
 
-    def children(self, node: PlainNode) -> list[PlainNode]:
-        if node.is_leaf:
-            return []
-        return [self.nodes[node.pointers[i]] for i in range(node.key_count + 1)]
 
-    def iter_leaves(self) -> Iterable[PlainNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield node
-            else:
-                stack.extend(reversed(self.children(node)))
+def _rows(sizes: np.ndarray, values: np.ndarray, width: int, pad: int, first: int = 0) -> np.ndarray:
+    """`values` cut into consecutive runs of `sizes`, run ``i`` written into
+    row ``i`` from column `first` on, of ``len(sizes)`` rows of `width`
+    slots that start out as `pad`."""
+    row = np.repeat(np.arange(len(sizes)), sizes)
+    column = np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + first
+    out = np.full((len(sizes), width), pad, np.uint32)
+    out[row, column] = values
+    return out
 
 
 def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | None = None) -> PlainTree:
@@ -125,49 +114,47 @@ def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | No
     value_positions = list(range(len(pairs)))
     rng.shuffle(value_positions)
 
-    max_keys = branching - 1
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i][0])
-    keys = [pairs[i][0] for i in order]
-    nodes: list[PlainNode] = []
+    n, max_keys = len(pairs), branching - 1
+    keys = np.fromiter((key for key, _ in pairs), np.uint32, n)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
 
-    def emit(is_leaf: bool, live_keys: tuple[int, ...], pointers: tuple[int, ...]) -> int:
-        count = len(live_keys)
-        padded_keys = live_keys + (KEY_INFINITY,) * (max_keys - count)
-        padded_pointers = pointers + (DUMMY_POINTER,) * (branching - len(pointers))
-        nodes.append(PlainNode(len(nodes), is_leaf, count, padded_keys, padded_pointers))
-        return len(nodes) - 1
-
-    # Leaves, left to right: `level` holds (node id, smallest key beneath it).
-    level: list[tuple[int, int]] = []
-    start = 0
-    while start < len(keys):
-        end = min(start + max_keys, len(keys))
-        if end < len(keys) and keys[end - 1] == keys[end]:
+    # Leaves, left to right: the index of each one's first key in `keys`.
+    starts, start = [], 0
+    while start < n:
+        end = min(start + max_keys, n)
+        if end < n and keys[end - 1] == keys[end]:
             end = bisect_left(keys, keys[end], start, end)
             if end == start:
                 raise BuildError(
                     f"more than {max_keys} equal copies of key {keys[start]}: duplicate run "
                     "cannot keep separators strict in an unchained tree"
                 )
-        live = tuple(value_positions[i] for i in order[start:end])
-        level.append((emit(True, tuple(keys[start:end]), (DUMMY_POINTER, *live)), keys[start]))
+        starts.append(start)
         start = end
+    counts = np.diff(starts, append=n)
+    key_rows = [_rows(counts, keys, max_keys, KEY_INFINITY)]
+    ptr_rows = [_rows(counts, np.asarray(value_positions)[order], branching, DUMMY_POINTER, 1)]
+    key_count = [counts]
 
     # Inner levels: ceil(m / branching) groups whose sizes differ by at most
-    # one, so every inner node has at least two children.
-    while len(level) > 1:
-        groups = -(-len(level) // branching)
-        size, extra = divmod(len(level), groups)
-        upper: list[tuple[int, int]] = []
-        at = 0
-        for g in range(groups):
-            children = level[at : at + size + (g < extra)]
-            at += len(children)
-            separators = tuple(low for _, low in children[1:])
-            upper.append((emit(False, separators, tuple(child for child, _ in children)), children[0][1]))
-        level = upper
+    # one, so every inner node has at least two children.  `low` is the
+    # smallest key beneath each node of the level below, whose first id is
+    # `first`.
+    low, first = keys[starts], 0
+    while len(low) > 1:
+        groups = -(-len(low) // branching)
+        size, extra = divmod(len(low), groups)
+        fanout = np.repeat([size + 1, size], [extra, groups - extra])
+        heads = np.cumsum(fanout) - fanout
+        key_rows.append(_rows(fanout - 1, np.delete(low, heads), max_keys, KEY_INFINITY))
+        ptr_rows.append(_rows(fanout, np.arange(first, first + len(low)), branching, DUMMY_POINTER))
+        key_count.append(fanout - 1)
+        low, first = low[heads], first + len(low)
 
-    return PlainTree(branching, len(pairs), tuple(nodes), level[0][0], tuple(value_positions))
+    keys, ptrs, key_count = map(np.concatenate, (key_rows, ptr_rows, key_count))
+    leaf = np.arange(first + 1) < len(counts)
+    return PlainTree(branching, n, keys, ptrs, key_count, leaf, first, tuple(value_positions))
 
 
 def scan_oracle(pairs: Sequence[Pair], r_start: int, r_end: int) -> list[bytes]:

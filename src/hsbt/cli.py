@@ -282,6 +282,8 @@ def cmd_bench(args) -> int:
         for c in args.construction
         if r <= n
     ]
+    if not cells:
+        raise CliError("every --result-size exceeds every --n: no cell to run", EXIT_USAGE)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         print(bench_mod.BENCH_CSV_HEADER, file=out)

@@ -5,7 +5,7 @@ integrity flag, branching factor ``b``, node count, value count, value blob
 width):
 
 * node region: one fixed-size encrypted record per tree node, the record of
-  node ``x`` stored at slot ``PRP(tree_key, node_count, x.id)``.  Every record
+  node id ``x`` stored at slot ``PRP(tree_key, node_count, x)``.  Every record
   has the same size whether it came from the root, an inner node, or a leaf,
   so the ciphertexts expose nothing about node fullness; that size follows
   from ``b`` and the integrity flag.  Each record's AEAD associated data is
@@ -33,11 +33,12 @@ Node record plaintext, all integers little-endian::
     flags(1, bit0 = leaf) | key_count(2) | keys[(b-1) x 4] | pointers[b x 4] |
     value_tags[(b-1) x 16] (only when the integrity flag is set)
 
-Records are array-shaped on both sides: `encrypt_index` writes them through
-one numpy structured dtype, `node_dtype`, and the enclave decodes a batch of
-plaintexts, or the whole node region, into a record array of it with a
-single `np.frombuffer` (`deserialize_node`).  Every record authenticates
-under the header that fixes its size, so the dtype has one item size.
+Records are array-shaped on both sides: `encrypt_index` assigns the built
+tree's row arrays (`bptree.PlainTree`) into one numpy structured dtype,
+`node_dtype`, and the enclave decodes a batch of plaintexts, or the whole
+node region, into a record array of it with a single `np.frombuffer`
+(`deserialize_node`).  Every record authenticates under the header that
+fixes its size, so the dtype has one item size.
 
 In a leaf, value tag j is the AES-GCM tag (the last `TAG_BYTES` bytes) of
 the blob behind pointer j: the codec seals the values first and copies their
@@ -253,7 +254,8 @@ def encrypt_index(
     must all have one length (`ValueError` otherwise).  The values are
     sealed first, in one bulk call in value-region order; in integrity
     mode leaf slot j then carries the GCM tag of the blob behind pointer j.
-    Node records are filled as one `node_dtype` array and sealed in one bulk
+    The tree's row arrays are assigned into one `node_dtype` array, inner
+    child ids rewritten to slots, and the records are sealed in one bulk
     call, each under `EncryptedIndex.record_aad` of its slot.
     """
     n_values = tree.n_values
@@ -266,27 +268,23 @@ def encrypt_index(
     )
 
     branching = tree.branching
-    nodes = tree.nodes
-    node_count = len(nodes)
+    node_count = tree.node_count
     slot_of_id = prp_permutation(sk.tree_key, node_count)
 
     by_id = np.zeros(node_count, dtype=node_dtype(branching, integrity))
-    leaf = np.array([node.is_leaf for node in nodes])
-    key_count = np.array([node.key_count for node in nodes])
-    pointers = np.array([node.pointers for node in nodes], dtype=np.int64)
-    by_id["flags"] = leaf * FLAG_LEAF
-    by_id["key_count"] = key_count
-    by_id["keys"] = [node.keys for node in nodes]
+    by_id["flags"] = tree.leaf * FLAG_LEAF
+    by_id["key_count"] = tree.key_count
+    by_id["keys"] = tree.keys
+    by_id["ptrs"] = tree.ptrs
     slots = np.arange(branching)
-    live = slots <= key_count[:, None]
+    live = slots <= tree.key_count[:, None]
     if integrity:
         # Leaf slot j carries the tag of the blob behind pointer j.
-        rows, cols = np.nonzero(live & leaf[:, None] & (slots > 0))
+        rows, cols = np.nonzero(live & tree.leaf[:, None] & (slots > 0))
         tags = np.frombuffer(value_region, np.uint8).reshape(-1, width)[:, -TAG_BYTES:]
-        by_id["value_tags"][rows, cols - 1] = tags[pointers[rows, cols]]
-    inner = live & ~leaf[:, None]
-    pointers[inner] = slot_of_id[pointers[inner]]
-    by_id["ptrs"] = pointers
+        by_id["value_tags"][rows, cols - 1] = tags[tree.ptrs[rows, cols]]
+    inner = live & ~tree.leaf[:, None]
+    by_id["ptrs"][inner] = slot_of_id[tree.ptrs[inner]]
 
     records = np.zeros_like(by_id)
     records[slot_of_id] = by_id

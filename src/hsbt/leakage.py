@@ -35,6 +35,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 
+import numpy as np
+
 from hsbt.bptree import PlainTree
 from hsbt.codec import value_width
 from hsbt.enclave import PAGE_SIZE
@@ -60,7 +62,7 @@ def leak_enc(pairs, tree: PlainTree) -> LeakEnc:
     The node count follows from `n`, the branching factor and where the
     duplicate runs of keys fall in sorted order (`build_tree` bulk-loads),
     not from the order of the input pairs."""
-    return LeakEnc(len(pairs), value_width([v for _, v in pairs]), len(tree.nodes))
+    return LeakEnc(len(pairs), value_width([v for _, v in pairs]), tree.node_count)
 
 
 @dataclass
@@ -142,18 +144,18 @@ class PageLayout:
 
 
 def _walk_reachable(tree: PlainTree, r_start: int, r_end: int):
-    """Yield (node, parent_or_None) for every node whose routing interval
-    intersects [r_start, r_end].  Routing intervals are half-open [lo, hi)
-    windows induced by the separators on the path from the root."""
-    stack = [(tree.root, None, 0, _KEY_SPACE_END)]
+    """Yield (node id, parent id or None) for every node whose routing
+    interval intersects [r_start, r_end].  Routing intervals are half-open
+    [lo, hi) windows induced by the separators on the path from the root."""
+    stack = [(tree.root_id, None, 0, _KEY_SPACE_END)]
     while stack:
         node, parent, lo, hi = stack.pop()
         yield node, parent
-        if node.is_leaf:
+        if tree.leaf[node]:
             continue
-        live = list(node.keys[: node.key_count])
-        bounds = [lo] + live + [hi]
-        for i, child in enumerate(tree.children(node)):
+        count = tree.key_count[node]
+        bounds = [lo, *tree.keys[node, :count].tolist(), hi]
+        for i, child in enumerate(tree.ptrs[node, : count + 1].tolist()):
             a, b = bounds[i], bounds[i + 1]
             if a <= r_end and r_start < b:  # [a, b) meets [r_start, r_end]
                 stack.append((child, node, a, b))
@@ -162,29 +164,21 @@ def _walk_reachable(tree: PlainTree, r_start: int, r_end: int):
 def matched_leaf_pointers(tree: PlainTree, r_start: int, r_end: int):
     """Per leaf with keys in range: the value pointers of the matching keys.
     Computed from plaintext key membership, independent of the search path."""
-    out = []
-    for leaf in tree.iter_leaves():
-        ptrs = tuple(
-            leaf.pointers[j + 1]
-            for j in range(leaf.key_count)
-            if r_start <= leaf.keys[j] <= r_end
-        )
-        if ptrs:
-            out.append((leaf.node_id, ptrs))
-    return out
+    live = np.arange(tree.branching - 1) < tree.key_count[:, None]
+    hit = live & tree.leaf[:, None] & (tree.keys >= r_start) & (tree.keys <= r_end)
+    return [
+        (leaf, tuple(tree.ptrs[leaf, 1:][hit[leaf]].tolist()))
+        for leaf in np.flatnonzero(hit.any(axis=1)).tolist()
+    ]
 
 
 def formal_vertex_ids(tree: PlainTree, r_start: int, r_end: int) -> frozenset[int]:
     """The textbook access set: leaves holding keys in range plus all their
     ancestors.  Subset of the reachable set; equal when both range endpoints
     are stored keys."""
-    parent = {}
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        for child in tree.children(node):
-            parent[child.node_id] = node.node_id
-            stack.append(child)
+    live = np.arange(tree.branching) <= tree.key_count[:, None]
+    rows, cols = np.nonzero(live & ~tree.leaf[:, None])
+    parent = dict(zip(tree.ptrs[rows, cols].tolist(), rows.tolist()))
     matched = {leaf_id for leaf_id, _ in matched_leaf_pointers(tree, r_start, r_end)}
     out = set(matched)
     for leaf_id in matched:
@@ -206,9 +200,9 @@ def leak_hw_nodes(
     vertices = set()
     edges = set()
     for node, parent in _walk_reachable(tree, r_start, r_end):
-        vertices.add(pm(node.node_id))
+        vertices.add(pm(node))
         if parent is not None:
-            edges.add((pm(parent.node_id), pm(node.node_id)))
+            edges.add((pm(parent), pm(node)))
     pattern = ValueAccessPattern(
         tuple((pm(leaf_id), ptrs) for leaf_id, ptrs in matched_leaf_pointers(tree, r_start, r_end))
     )

@@ -2,6 +2,7 @@
 reference bulk load written here (sorted-list leaves, `numpy.array_split`
 grouping, no shared code)."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -16,6 +17,7 @@ from hsbt.bptree import (
     KEY_INFINITY,
     KEY_MAX,
     BuildError,
+    PlainTree,
     build_tree,
     scan_oracle,
 )
@@ -51,46 +53,59 @@ def _pairs(keys):
 
 def _walk_check(tree):
     """Full traversal: padding shape, separator bounds, leaf key collection."""
+    assert tree.keys.shape == (tree.node_count, tree.branching - 1)
+    assert tree.ptrs.shape == (tree.node_count, tree.branching)
     collected = []
-    stack = [(tree.root, 0, 2**32)]
+    stack = [(tree.root_id, 0, 2**32)]
     while stack:
         node, lo, hi = stack.pop()
-        assert len(node.keys) == tree.branching - 1
-        assert len(node.pointers) == tree.branching
-        live = list(node.keys[: node.key_count])
+        keys, pointers, count = tree.keys[node].tolist(), tree.ptrs[node].tolist(), int(tree.key_count[node])
+        live = keys[:count]
         assert live == sorted(live)
-        assert all(k == KEY_INFINITY for k in node.keys[node.key_count :])
+        assert all(k == KEY_INFINITY for k in keys[count:])
         assert all(lo <= k < hi for k in live)
-        if node.is_leaf:
-            assert node.pointers[0] == DUMMY_POINTER
-            assert all(p == DUMMY_POINTER for p in node.pointers[node.key_count + 1 :])
+        if tree.leaf[node]:
+            assert pointers[0] == DUMMY_POINTER
+            assert all(p == DUMMY_POINTER for p in pointers[count + 1 :])
             collected.extend(live)
         else:
-            assert all(p == DUMMY_POINTER for p in node.pointers[node.key_count + 1 :])
+            assert all(p == DUMMY_POINTER for p in pointers[count + 1 :])
             bounds = [lo] + live + [hi]
-            children = tree.children(node)
-            for i in reversed(range(len(children))):
-                stack.append((children[i], bounds[i], bounds[i + 1]))
+            for i in reversed(range(count + 1)):
+                stack.append((pointers[i], bounds[i], bounds[i + 1]))
     return collected
+
+
+def _leaves(tree):
+    """Leaf ids left to right, by a walk down from the root."""
+    stack = [tree.root_id]
+    while stack:
+        node = stack.pop()
+        if tree.leaf[node]:
+            yield node
+        else:
+            stack.extend(reversed(tree.ptrs[node, : tree.key_count[node] + 1].tolist()))
+
+
+def _leaf_keys(tree):
+    return [tree.keys[leaf, : tree.key_count[leaf]].tolist() for leaf in _leaves(tree)]
 
 
 def test_singleton_pair_builds_single_root_leaf():
     tree = build_tree([(5, b"v")], 4)
-    assert len(tree.nodes) == 1
-    root = tree.root
-    assert root.is_leaf and root.node_id == 0 == tree.root_id
-    assert root.keys == (5, KEY_INFINITY, KEY_INFINITY)
-    assert root.pointers[1] == 0 and root.pointers[0] == DUMMY_POINTER
+    assert tree.node_count == 1
+    assert tree.leaf[0] and tree.root_id == 0
+    assert tree.keys[0].tolist() == [5, KEY_INFINITY, KEY_INFINITY]
+    assert tree.ptrs[0, 1] == 0 and tree.ptrs[0, 0] == DUMMY_POINTER
 
 
 def test_nine_keys_b4_fill_three_leaves():
     tree = build_tree(_pairs(range(1, 10)), 4)
-    assert len(tree.nodes) == 4 and tree.height == 2
-    leaf_keys = [list(n.keys[: n.key_count]) for n in tree.iter_leaves()]
-    assert leaf_keys == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    assert tree.node_count == 4 and tree.height == 2
+    assert _leaf_keys(tree) == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     # Leaves take ids 0..2 left to right, the root comes last.
-    assert tree.root_id == 3 and tree.root.keys == (4, 7, KEY_INFINITY)
-    assert tree.root.pointers == (0, 1, 2, DUMMY_POINTER)
+    assert tree.root_id == 3 and tree.keys[3].tolist() == [4, 7, KEY_INFINITY]
+    assert tree.ptrs[3].tolist() == [0, 1, 2, DUMMY_POINTER]
 
 
 @pytest.mark.parametrize("b,n,seed", [(4, 200, 1), (7, 999, 2), (10, 3000, 3)])
@@ -99,10 +114,10 @@ def test_random_trees_match_reference_structure(b, n, seed):
     keys = [rng.randrange(1, KEY_MAX) for _ in range(n)]
     tree = build_tree(_pairs(keys), b, rng=random.Random(0))
     count, height, leaves = _ref_bulk_load(keys, b)
-    assert len(tree.nodes) == count
+    assert tree.node_count == count
     assert tree.height == height
     assert _walk_check(tree) == sorted(keys)
-    assert [list(n.keys[: n.key_count]) for n in tree.iter_leaves()] == leaves
+    assert _leaf_keys(tree) == leaves
 
 
 def test_ten_thousand_random_keys_all_reachable():
@@ -111,7 +126,7 @@ def test_ten_thousand_random_keys_all_reachable():
     tree = build_tree(_pairs(keys), 10, rng=random.Random(7))
     assert Counter(_walk_check(tree)) == Counter(keys)
     # Value pointers form a permutation of the value region.
-    ptrs = [p for leaf in tree.iter_leaves() for p in leaf.pointers[1 : leaf.key_count + 1]]
+    ptrs = [p for leaf in _leaves(tree) for p in tree.ptrs[leaf, 1 : tree.key_count[leaf] + 1].tolist()]
     assert sorted(ptrs) == list(range(10_000))
 
 
@@ -128,7 +143,8 @@ def test_build_deterministic_given_seed():
     pairs = _pairs([key_rng.randrange(1, KEY_MAX) for _ in range(500)])
     t1 = build_tree(pairs, 6, rng=random.Random(99))
     t2 = build_tree(pairs, 6, rng=random.Random(99))
-    assert t1 == t2
+    for field in dataclasses.fields(PlainTree):
+        assert np.array_equal(getattr(t1, field.name), getattr(t2, field.name)), field.name
     t3 = build_tree(pairs, 6, rng=random.Random(100))
     assert t1.value_positions != t3.value_positions
 
@@ -147,10 +163,13 @@ def test_duplicate_run_beyond_node_capacity_rejected():
 
 
 def test_domain_validation():
-    with pytest.raises(BuildError):
-        build_tree([(0, b"v")], 4)
-    with pytest.raises(BuildError):
-        build_tree([(KEY_MAX + 1, b"v")], 4)
+    # Keys outside the 64-bit range too, and after a valid key: the range
+    # check comes before any conversion to a fixed-width integer.
+    for key in (0, KEY_MAX + 1, 2**64, -(2**70)):
+        with pytest.raises(BuildError, match="outside"):
+            build_tree([(key, b"v")], 4)
+        with pytest.raises(BuildError, match="outside"):
+            build_tree([(1, b"v"), (key, b"w")], 4)
     with pytest.raises(BuildError):
         build_tree([], 4)
     with pytest.raises(BuildError):
@@ -181,9 +200,9 @@ def test_property_leaf_multiset_equals_input(keys, b):
 
 
 def _subtree_min(tree, node):
-    while not node.is_leaf:
-        node = tree.nodes[node.pointers[0]]
-    return node.keys[0]
+    while not tree.leaf[node]:
+        node = tree.ptrs[node, 0]
+    return int(tree.keys[node, 0])
 
 
 @st.composite
@@ -200,15 +219,15 @@ def _keys_with_runs(draw):
 
 def _check_bulk_load_shape(tree, keys):
     b = tree.branching
-    for node in tree.nodes:
-        if not node.is_leaf:
-            separators = list(node.keys[: node.key_count])
+    for node in range(tree.node_count):
+        if not tree.leaf[node]:
+            separators = tree.keys[node, : tree.key_count[node]].tolist()
             assert all(x < y for x, y in zip(separators, separators[1:]))
-            children = tree.children(node)
+            children = tree.ptrs[node, : tree.key_count[node] + 1].tolist()
             assert separators == [_subtree_min(tree, child) for child in children[1:]]
             assert len(children) >= 2
     copies = Counter(keys)
-    leaves = [list(n.keys[: n.key_count]) for n in tree.iter_leaves()]
+    leaves = _leaf_keys(tree)
     for leaf, after in zip(leaves, leaves[1:]):
         # Short only when the next leaf's run would not have fit behind it.
         assert len(leaf) == b - 1 or len(leaf) + copies[after[0]] > b - 1
@@ -238,8 +257,8 @@ def test_permuting_the_pairs_leaves_the_shape_unchanged():
         shuffled = list(pairs)
         rng.shuffle(shuffled)
         tree = build_tree(shuffled, 6, rng=random.Random(0))
-        assert len(tree.nodes) == len(base.nodes) and tree.height == base.height
-        assert [n.keys for n in tree.nodes] == [n.keys for n in base.nodes]
+        assert tree.node_count == base.node_count and tree.height == base.height
+        assert np.array_equal(tree.keys, base.keys)
 
 
 def test_value_positions_are_one_shuffle_of_the_region():

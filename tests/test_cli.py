@@ -655,6 +655,17 @@ def test_count_flags_below_one_are_usage_errors(tmp_path, dataset, capsys, comma
     assert captured.err.splitlines() == [f"error: {flag} must be at least 1, got {value}"]
 
 
+def test_bench_with_every_cell_skipped_is_a_usage_error(tmp_path, capsys):
+    # A cell whose result size exceeds its n is skipped; with none left the
+    # run would print only the header and look like a success.
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--n", "100", "--b", "10", "--result-size", "200", "--reps", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == ["error: every --result-size exceeds every --n: no cell to run"]
+
+
 @pytest.mark.parametrize("command", ["bench", "tamper"])
 def test_n_beyond_the_key_space_is_a_usage_error_before_any_build(command, capsys, monkeypatch):
     def no_dataset(*args, **kwargs):

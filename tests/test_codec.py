@@ -60,6 +60,18 @@ def _dataset(n, b, seed, integrity=False):
     return pairs, tree, sk, index
 
 
+def _plain_rows(tree):
+    """Each node of a built tree as Python values: (id, leaf, key count,
+    keys, pointers)."""
+    return zip(
+        range(tree.node_count),
+        tree.leaf.tolist(),
+        tree.key_count.tolist(),
+        tree.keys.tolist(),
+        tree.ptrs.tolist(),
+    )
+
+
 def _decrypt_all_nodes(index, sk):
     """Every node as one record array, indexed by storage slot."""
     plains = [
@@ -84,11 +96,11 @@ def test_slots_occupied_by_prp_permutation():
     nodes = _decrypt_all_nodes(index, sk)
     slot_of = prp_permutation(sk.tree_key, index.node_count)
     assert sorted(slot_of.tolist()) == list(range(index.node_count))
-    for node in tree.nodes:
-        slot = slot_of[node.node_id]
-        assert slot == prp_apply(sk.tree_key, index.node_count, node.node_id)
-        assert nodes["key_count"][slot] == node.key_count
-        assert tuple(nodes["keys"][slot].tolist()) == node.keys
+    for node_id, _, key_count, keys, _ in _plain_rows(tree):
+        slot = slot_of[node_id]
+        assert slot == prp_apply(sk.tree_key, index.node_count, node_id)
+        assert nodes["key_count"][slot] == key_count
+        assert nodes["keys"][slot].tolist() == keys
 
 
 def test_two_encryptions_differ_bytewise():
@@ -105,7 +117,7 @@ def test_two_encryptions_differ_bytewise():
 def test_node_records_share_one_size_across_kinds():
     pairs, tree, sk, index = _dataset(200, 6, 3, integrity=True)
     plain = node_plain_size(6, True)
-    assert {node.is_leaf for node in tree.nodes} == {True, False}
+    assert set(tree.leaf.tolist()) == {True, False}
     assert index.node_record_size == plain + NONCE_BYTES + TAG_BYTES
     # The record size follows from the fields, so a rewritten header carries its own.
     cleared = dataclasses.replace(index, integrity=False)
@@ -123,22 +135,22 @@ def test_decrypted_tree_preserves_logical_structure():
     nodes = _decrypt_all_nodes(index, sk)
     leaves = leaf_mask(nodes)
     slot_of = prp_permutation(sk.tree_key, index.node_count)
-    for node in tree.nodes:
-        got = nodes[slot_of[node.node_id]]
-        assert leaves[slot_of[node.node_id]] == node.is_leaf
-        assert got["key_count"] == node.key_count
-        assert tuple(got["keys"].tolist()) == node.keys
+    for node_id, is_leaf, key_count, keys, plain_pointers in _plain_rows(tree):
+        got = nodes[slot_of[node_id]]
+        assert leaves[slot_of[node_id]] == is_leaf
+        assert got["key_count"] == key_count
+        assert got["keys"].tolist() == keys
         pointers = got["ptrs"].tolist()
-        if node.is_leaf:
-            assert tuple(pointers[1 : node.key_count + 1]) == node.pointers[1 : node.key_count + 1]
-            for j in range(1, node.key_count + 1):
+        if is_leaf:
+            assert pointers[1 : key_count + 1] == plain_pointers[1 : key_count + 1]
+            for j in range(1, key_count + 1):
                 tag = index.value_blob(pointers[j])[-TAG_BYTES:]
                 assert got["value_tags"][j - 1].tobytes() == tag
         else:
             # Inner pointers were rewritten from child ids to storage slots,
             # and the integrity region is zero, kept only for the shape.
-            for i in range(node.key_count + 1):
-                assert pointers[i] == slot_of[node.pointers[i]]
+            for i in range(key_count + 1):
+                assert pointers[i] == slot_of[plain_pointers[i]]
             assert not got["value_tags"].any()
 
 
@@ -169,22 +181,22 @@ def test_encoder_round_trip_matches_plain_tree(build, integrity):
     index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=integrity)
     records = _decrypt_all_nodes(index, sk)
     slot_of = prp_permutation(sk.tree_key, index.node_count)
-    for node in tree.nodes:
-        got = records[slot_of[node.node_id]]
-        live = node.key_count + 1
-        assert got["flags"] == (FLAG_LEAF if node.is_leaf else 0)
-        assert got["key_count"] == node.key_count
-        assert tuple(got["keys"].tolist()) == node.keys
-        if node.is_leaf:
-            assert tuple(got["ptrs"].tolist()) == node.pointers
+    for node_id, is_leaf, key_count, keys, pointers in _plain_rows(tree):
+        got = records[slot_of[node_id]]
+        live = key_count + 1
+        assert got["flags"] == (FLAG_LEAF if is_leaf else 0)
+        assert got["key_count"] == key_count
+        assert got["keys"].tolist() == keys
+        if is_leaf:
+            assert got["ptrs"].tolist() == pointers
         else:
-            slots = [int(slot_of[child]) for child in node.pointers[:live]]
+            slots = [int(slot_of[child]) for child in pointers[:live]]
             assert got["ptrs"].tolist() == slots + [DUMMY_POINTER] * (branching - live)
         if not integrity:
             continue
-        if node.is_leaf:
+        if is_leaf:
             for j in range(1, branching):
-                want = index.value_blob(node.pointers[j])[-TAG_BYTES:] if j < live else bytes(16)
+                want = index.value_blob(pointers[j])[-TAG_BYTES:] if j < live else bytes(16)
                 assert got["value_tags"][j - 1].tobytes() == want
         else:
             assert not got["value_tags"].any()

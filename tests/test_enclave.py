@@ -18,7 +18,6 @@ from hsbt.bptree import (
     KEY_MIN,
     KEY_NEG_INFINITY,
     MIN_BRANCHING,
-    PlainNode,
     scan_oracle,
 )
 from hsbt.codec import (
@@ -669,10 +668,11 @@ _RANGE_EDGES = st.sampled_from([KEY_NEG_INFINITY, KEY_MIN, KEY_MAX, KEY_INFINITY
 
 @st.composite
 def _node_batches(draw):
-    """A batch of padded nodes of one branching factor (leaves and inner
-    nodes, every key count from 0 to b-1), plus a range over their keys,
-    the key-space edges and the open sentinels.  Inner keys are distinct,
-    as a built tree's separators are; leaf keys may repeat."""
+    """A batch of padded nodes of one branching factor, each a (leaf, key
+    count, keys, pointers) tuple (leaves and inner nodes, every key count
+    from 0 to b-1), plus a range over their keys, the key-space edges and
+    the open sentinels.  Inner keys are distinct, as a built tree's
+    separators are; leaf keys may repeat."""
     branching = draw(st.integers(MIN_BRANCHING, 12))
     keys_st = st.one_of(st.integers(KEY_MIN, KEY_MAX), _KEY_EDGES)
     nodes = []
@@ -682,9 +682,9 @@ def _node_batches(draw):
         keys = draw(st.lists(keys_st, min_size=key_count, max_size=key_count, unique=not is_leaf))
         keys = sorted(keys) + [KEY_INFINITY] * (branching - 1 - key_count)
         pointers = tuple(range(100 * node_id, 100 * node_id + branching))
-        nodes.append(PlainNode(node_id, is_leaf, key_count, tuple(keys), pointers))
+        nodes.append((is_leaf, key_count, tuple(keys), pointers))
     ends = st.one_of(st.integers(0, KEY_INFINITY), _RANGE_EDGES, st.sampled_from(
-        [k for node in nodes for k in node.keys] or [KEY_MIN]
+        [k for _, _, keys, _ in nodes for k in keys] or [KEY_MIN]
     ))
     r_start, r_end = sorted((draw(ends), draw(ends)))
     return branching, nodes, r_start, r_end
@@ -695,15 +695,14 @@ def _node_batches(draw):
 def test_vectorised_match_agrees_with_scalar_formula(batch, integrity):
     branching, plain_nodes, r_start, r_end = batch
     nodes = np.zeros(len(plain_nodes), dtype=node_dtype(branching, integrity))
-    nodes["flags"] = [FLAG_LEAF if node.is_leaf else 0 for node in plain_nodes]
-    nodes["key_count"] = [node.key_count for node in plain_nodes]
-    nodes["keys"] = [node.keys for node in plain_nodes]
-    nodes["ptrs"] = [node.pointers for node in plain_nodes]
+    leaf, nodes["key_count"], nodes["keys"], nodes["ptrs"] = zip(*plain_nodes)
+    nodes["flags"] = [FLAG_LEAF if is_leaf else 0 for is_leaf in leaf]
     bits = oblivious_match_slots(nodes, r_start, r_end)
     assert bits.shape == (len(plain_nodes), branching)
     unpack = node_struct(branching).unpack_from
     for i, (node, row) in enumerate(zip(plain_nodes, bits)):
-        want = _scalar_match_slots(node.keys, node.key_count, node.is_leaf, r_start, r_end)
+        is_leaf, key_count, keys, _ = node
+        want = _scalar_match_slots(keys, key_count, is_leaf, r_start, r_end)
         assert np.flatnonzero(row).tolist() == want, (node, r_start, r_end)
         # The node-by-node scan of small resident levels agrees too.
         record = unpack(nodes, i * nodes.itemsize)

@@ -3,12 +3,16 @@ page collapse, monotonicity, and PASS/FAIL behaviour of the auditor against
 the real pipeline."""
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsbt.bptree import DUMMY_POINTER as D
 from hsbt.bptree import KEY_INFINITY as INF
-from hsbt.bptree import KEY_MAX, PlainNode, PlainTree, build_tree
+from hsbt.bptree import KEY_MAX, MIN_BRANCHING, PlainTree, build_tree
 from hsbt.codec import encrypt_index, make_token, node_plain_size
 from hsbt.crypto import NONCE_BYTES, TAG_BYTES, SecretKey, prp_permutation
 from hsbt.deploy import Deployment
@@ -26,42 +30,29 @@ from hsbt.leakage import (
 from hsbt.server import search_resident, search_streamed
 
 
-def _leaf(nid, keys, first_value):
-    count = len(keys)
-    return PlainNode(
-        nid,
-        True,
-        count,
-        tuple(keys) + (INF,) * (3 - count),
-        (D,) + tuple(range(first_value, first_value + count)) + (D,) * (3 - count),
-    )
-
-
-def _inner(nid, keys, children):
-    count = len(keys)
-    return PlainNode(
-        nid,
-        False,
-        count,
-        tuple(keys) + (INF,) * (3 - count),
-        tuple(children) + (D,) * (4 - len(children)),
-    )
-
-
 @pytest.fixture
 def desk_tree():
     """Three levels, branching 4: root{40} over A{20}->(L1{5,10}, L2{20,30})
     and B{60}->(L3{40,50}, L4{60,70}); value pointers 0..7 left to right."""
-    nodes = (
-        _leaf(0, [5, 10], 0),
-        _leaf(1, [20, 30], 2),
-        _inner(2, [20], [0, 1]),
-        _leaf(3, [40, 50], 4),
-        _leaf(4, [60, 70], 6),
-        _inner(5, [60], [3, 4]),
-        _inner(6, [40], [2, 5]),
+    rows = [  # one per node id: leaf, live keys, live pointers
+        (True, [5, 10], [D, 0, 1]),
+        (True, [20, 30], [D, 2, 3]),
+        (False, [20], [0, 1]),
+        (True, [40, 50], [D, 4, 5]),
+        (True, [60, 70], [D, 6, 7]),
+        (False, [60], [3, 4]),
+        (False, [40], [2, 5]),
+    ]
+    return PlainTree(
+        branching=4,
+        n_values=8,
+        keys=np.array([keys + [INF] * (3 - len(keys)) for _, keys, _ in rows], np.uint32),
+        ptrs=np.array([ptrs + [D] * (4 - len(ptrs)) for _, _, ptrs in rows], np.uint32),
+        key_count=np.array([len(keys) for _, keys, _ in rows]),
+        leaf=np.array([leaf for leaf, _, _ in rows]),
+        root_id=6,
+        value_positions=tuple(range(8)),
     )
-    return PlainTree(4, 8, nodes, 6, tuple(range(8)))
 
 
 def test_leak_enc_fields():
@@ -75,7 +66,7 @@ def test_leak_enc_fields():
     pairs = [(k, b"x%06d" % k) for k in rng.sample(range(1, 10_000), 9)]
     tree = build_tree(pairs, 4, rng=rng)
     static = leak_enc(pairs, tree)
-    assert static.node_count == len(tree.nodes)
+    assert static.node_count == tree.node_count
     assert static.value_width == 7 + overhead
     with pytest.raises(ValueError, match=r"one length, got lengths \[3, 7\]"):
         leak_enc(pairs + [(10_001, b"abc")], tree)
@@ -142,6 +133,39 @@ def test_monotonicity_of_access_tree():
         inner_tree, _ = leak_hw_nodes(tree, a, b)
         outer_tree, _ = leak_hw_nodes(tree, wider_a, wider_b)
         assert inner_tree.vertices <= outer_tree.vertices
+
+
+@st.composite
+def _built_with_runs(draw):
+    """Pairs with runs of 1 to b-1 equal keys in a drawn order, b from 3 to
+    12, the seed of the value shuffle, and a range whose ends are stored
+    keys, keys between them, or the open sentinels."""
+    branching = draw(st.integers(MIN_BRANCHING, 12))
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(1, 3000), st.integers(1, branching - 1)),
+            min_size=1,
+            max_size=60,
+            unique_by=lambda run: run[0],
+        )
+    )
+    keys = draw(st.permutations([key for key, count in runs for _ in range(count)]))
+    ends = st.one_of(st.sampled_from(keys), st.integers(1, 3001), st.sampled_from([0, INF]))
+    r_start, r_end = sorted((draw(ends), draw(ends)))
+    return branching, [(key, b"v") for key in keys], draw(st.integers(0, 2**32)), r_start, r_end
+
+
+@settings(max_examples=150, deadline=None)
+@given(_built_with_runs())
+def test_declared_value_pointers_are_the_pairs_in_range(drawn):
+    # The expected pointers come from the pairs and the value shuffle alone,
+    # never from a walk of the tree.
+    branching, pairs, seed, r_start, r_end = drawn
+    tree = build_tree(pairs, branching, rng=random.Random(seed))
+    access, pattern = leak_hw_nodes(tree, r_start, r_end)
+    want = [tree.value_positions[i] for i, (key, _) in enumerate(pairs) if r_start <= key <= r_end]
+    assert Counter(pattern.pointer_union()) == Counter(want)
+    assert formal_vertex_ids(tree, r_start, r_end) <= access.vertices
 
 
 def test_page_tree_is_image_of_node_tree():
