@@ -1,14 +1,16 @@
 """An actively malicious server against the integrity protocol.
 
 In integrity mode the enclave tracks, per query, the token that opened the
-query, how many nodes it asked for, one balance multiset hash into which
-the storage slots it asked for and the slots it received both fold (it must
-end at zero; a record opens only at the slot it was sealed for, so a slot
-names its node), and a multiset hash of the matched leaf value tags (each
+query, how many requested nodes are outstanding (no batch may deliver more),
+one balance multiset hash that adds the storage slots it asked for and
+subtracts the slots it received (it must end at zero; a record opens only at
+the slot it was sealed for, so a slot names its node), and a multiset hash of the matched leaf value tags (each
 leaf slot holds the AES-GCM tag of the value blob it points to); the client
 folds the tags of the blobs it actually received and decrypted, and checks
 the enclave's tag.  A query must open at the root, the container's last
-node.  This script runs every scripted deviation and shows where each one
+node.  The hash is a sum mod 2^128 (MSet-Add-Hash), so ``duplicate-node`` -
+one node delivered three times, one of its children once in three - does
+not balance, as it would under an XOR fold.  This script runs every scripted deviation and shows where each one
 gets caught.
 """
 

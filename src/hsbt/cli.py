@@ -284,6 +284,8 @@ def cmd_bench(args) -> int:
     ]
     if not cells:
         raise CliError("every --result-size exceeds every --n: no cell to run", EXIT_USAGE)
+    for n, r in dict.fromkeys((n, r) for n in args.n for r in args.result_size if r > n):
+        print(f"skipped: --result-size {r} exceeds --n {n}", file=sys.stderr)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         print(bench_mod.BENCH_CSV_HEADER, file=out)

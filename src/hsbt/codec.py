@@ -394,8 +394,9 @@ def verify_result_mac(tree_key: bytes, results: Results, mac: bytes) -> bool:
     has forged an AES-GCM ciphertext, which INT-CTXT of AES-GCM rules out
     (Bellare-Namprempre, ASIACRYPT 2000; McGrew-Viega 2004).  A genuine blob
     from outside the result, or a dropped or repeated one, changes the
-    folded multiset (MSet-XOR-Hash with an element count, Clarke et al.,
-    ASIACRYPT 2003).  AES-GCM does not commit to its key (Dodis et al.,
+    folded multiset, and MSet-Add-Hash is multiset collision resistant
+    (Clarke et al., ASIACRYPT 2003), however often a blob repeats.
+    AES-GCM does not commit to its key (Dodis et al.,
     CRYPTO 2018), so this is no commitment against a holder of `value_key`;
     that is the client itself, outside this threat model.
 

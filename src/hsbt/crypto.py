@@ -2,9 +2,9 @@
 
 Four primitives live here: authenticated probabilistic encryption (AES-128-GCM),
 a small-domain pseudorandom permutation (cycle-walking Feistel network keyed by
-AES), an incremental multiset hash over 16-byte elements (XOR accumulator over
-AES-128 used as a PRF under a subkey derived from the caller's key, plus an
-explicit element counter), and an HMAC tag.
+AES), an incremental multiset hash over 16-byte elements (the sum mod 2^128 of
+AES-128, used as a PRF under a subkey derived from the caller's key), and an
+HMAC tag.
 
 A result arrives as a ``(k, width)`` uint8 matrix, one wire per row: the
 form in which the server gathers it from a container's value region, whose
@@ -35,7 +35,6 @@ import hmac
 import itertools
 import operator
 import secrets
-import struct
 import threading
 from dataclasses import dataclass
 from operator import itemgetter
@@ -438,38 +437,50 @@ def _mset_context(key: bytes):
 @dataclass(frozen=True)
 class MultisetHash:
     """Order-independent incremental digest of a multiset of 16-byte elements
-    (MSet-XOR-Hash, Clarke et al., ASIACRYPT 2003).
-
-    The accumulator XORs AES under `mset_subkey(key)` of each element, and the
-    explicit element counter keeps repeated elements from cancelling out.
-    Equality compares both accumulator and count.
+    (MSet-Add-Hash, Clarke et al., ASIACRYPT 2003): the sum mod 2^128, as
+    16 little-endian bytes, of the AES images of the elements under
+    `mset_subkey(key)`.  Unlike an XOR, which sees each multiplicity only
+    mod 2, the sum is multiset collision resistant: while the digest stays
+    hidden (a session balance never leaves the enclave, a result digest
+    leaves only under `result_mac`), two multisets whose multiplicities
+    differ by less than 2^32 hash alike with probability at most 2^-96.
     """
 
     digest: bytes
-    count: int
     key: bytes
 
     @classmethod
     def empty(cls, key: bytes) -> "MultisetHash":
-        return cls(bytes(MSET_DIGEST_BYTES), 0, key)
+        return cls(bytes(MSET_DIGEST_BYTES), key)
 
     def add(self, element: bytes) -> "MultisetHash":
         """Fold one 16-byte element; `add_all` of that element."""
         return self.add_all(element)
 
-    def add_all(self, elements: bytes) -> "MultisetHash":
-        """Fold the concatenation of any number of 16-byte elements, all in
-        one PRF call; raises `ValueError` on a ragged length."""
-        if len(elements) % MSET_DIGEST_BYTES:
-            raise ValueError(f"multiset input of {len(elements)} bytes is not 16-byte elements")
-        if not elements:
+    def add_all(self, elements: bytes, removed: bytes = b"") -> "MultisetHash":
+        """Fold in the concatenation of any number of 16-byte `elements` and
+        fold out those of `removed`, all in one PRF call; raises
+        `ValueError` on a ragged length."""
+        if len(elements) % MSET_DIGEST_BYTES or len(removed) % MSET_DIGEST_BYTES:
+            raise ValueError("multiset input is not 16-byte elements")
+        if not elements and not removed:
             return self
-        images = np.frombuffer(_mset_prf(self.key).update(elements), dtype="<u8")
-        # Reducing along contiguous rows is ~3x faster than across a 2-word axis.
-        acc = np.bitwise_xor.reduce(images.reshape(-1, 2).T.copy(), axis=1)
-        acc ^= np.frombuffer(self.digest, dtype="<u8")
-        count = self.count + len(elements) // MSET_DIGEST_BYTES
-        return MultisetHash(acc.tobytes(), count, self.key)
+        data = elements + removed if removed else elements
+        # The AES images land in a writable array (ECB asks for 15 spare
+        # bytes), so `removed` is negated in place: -x = ~x + 1 mod 2^128.
+        out = np.empty(len(data) + 15, np.uint8)
+        _mset_prf(self.key).update_into(data, out)
+        images = out[: len(data)].view("<u4")
+        gone = len(removed) // MSET_DIGEST_BYTES
+        if gone:
+            tail = images[len(elements) // 4 :]
+            np.invert(tail, out=tail)
+        # Each image as four 32-bit limbs, one contiguous row per limb: summing
+        # rows is several times faster than summing across a 4-word axis.
+        s0, s1, s2, s3 = images.reshape(-1, 4).T.copy().sum(axis=1, dtype=np.uint64).tolist()
+        total = int.from_bytes(self.digest, "little") + gone
+        total += s0 + (s1 << 32) + (s2 << 64) + (s3 << 96)
+        return MultisetHash((total % 2**128).to_bytes(MSET_DIGEST_BYTES, "little"), self.key)
 
 
 def mac_tag(key: bytes, message: bytes) -> bytes:
@@ -478,7 +489,6 @@ def mac_tag(key: bytes, message: bytes) -> bytes:
 
 
 def result_mac(tree_key: bytes, state: MultisetHash) -> bytes:
-    """Tag over a result-multiset state, issued at session finalization and
+    """Tag over a result-multiset digest, issued at session finalization and
     recomputed by the client over the values it actually received."""
-    msg = b"hsbt-results\x00" + state.digest + struct.pack("<Q", state.count)
-    return mac_tag(tree_key, msg)
+    return mac_tag(tree_key, b"hsbt-results\x00" + state.digest)

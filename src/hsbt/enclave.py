@@ -35,18 +35,17 @@ list: the driver slices its queue from them, and `_open_records` slices one
 record per position in Python.
 
 In integrity mode `search_batch` additionally runs a per-query session bound
-to the token that opened it.  It counts the nodes it asked for a batch at a
-time (a cumulative sum over the per-node request counts checks each arrival
-when a batch holds more nodes than were outstanding), and keeps two
-multiset hashes: a balance accumulator into which both the requested and
-the received storage slots fold, and the matched leaf value tags (the GCM
-tags of the value blobs, copied blindly from the leaves); each is folded
-once per call.  A record opens only at the slot it was sealed for, so a slot
-names its node.  Under MSet-XOR-Hash two accumulators are equal exactly
-when their XOR is zero, so one accumulator over both multisets proves what
-two compared for equality did.  A session only ever yields a result tag when
-every requested node arrived, nothing else arrived, and the first node of
-the query was the root, the container's last node.  At most
+to the token that opened it.  It counts the requested nodes still
+outstanding, and a batch may deliver no more nodes than that; an honest
+driver only ever sends pointers it was already given.  It keeps two
+multiset hashes, each folded once per call: a balance that adds the
+requested storage slots and subtracts the received ones, and the matched
+leaf value tags (the GCM tags of the value blobs, copied blindly from the
+leaves).  A record opens only at the slot it was sealed for, so a slot names
+its node.  A session only ever yields a result tag when nothing is
+outstanding and the balance is zero, so every requested node arrived as
+often as it was requested and nothing else arrived, and when the first node
+of the query was the root, the container's last node.  At most
 `MAX_OPEN_SESSIONS` sessions stay open; opening one more evicts the oldest.
 
 Every pointer sequence leaving the enclave is freshly shuffled, and in-node
@@ -117,19 +116,17 @@ class IntegritySession:
     """Per-query integrity state, keyed by a single-use nonce.
 
     `token` is ``(client_id, GCM tag)`` of the token that opened the session;
-    every later batch must carry that token.  `expected_amount` counts
-    requested nodes not yet received.  `balance_hash` folds every requested
-    slot and every received slot (the root's, which opens the session
-    unrequested, excepted); requests and deliveries agree as multisets
-    exactly when the count is zero and the accumulator is 16 zero bytes,
-    because MSet-XOR-Hash accumulators of two multisets are equal exactly
-    when their XOR is zero, and a zero count means equal sizes.
+    every later batch must carry that token.  `outstanding` counts requested
+    nodes not yet received, the root included from the start.  `balance`
+    adds every requested slot and subtracts every received slot (the root's,
+    which opens the session unrequested, excepted); requests and deliveries
+    agree as multisets when its digest is zero (`crypto.MultisetHash`).
     """
 
     nonce: bytes
     token: tuple[str | None, bytes]
-    expected_amount: int
-    balance_hash: MultisetHash
+    outstanding: int
+    balance: MultisetHash
     result_hash: MultisetHash
 
 
@@ -204,7 +201,7 @@ def _scan_record(record: tuple, branching: int, r_start: int, r_end: int) -> lis
     return [j for j, bit in enumerate(bits) if bit & (j <= key_count)]
 
 
-def _slot_elements(slots: np.ndarray) -> bytes:
+def _slot_elements(slots) -> bytes:
     """Slots as multiset elements: ``slot(4, little-endian) || 0^12`` each."""
     blocks = np.zeros((len(slots), 4), dtype="<u4")
     blocks[:, 0] = slots
@@ -413,8 +410,8 @@ class EnclaveSim:
 
         Each record is sliced from the shared node region and authenticated
         on its own; the batch is then decoded and matched at once, and each
-        session accumulator is folded once.  A failure aborts at the same
-        node, with the same message, as a node-by-node walk would.
+        session accumulator is folded once.  A record that fails aborts the
+        batch at that record, with the same message as a node-by-node walk.
         """
         if self._container is None:
             raise EnclaveError("no container attached")
@@ -440,9 +437,8 @@ class EnclaveSim:
         branching = container.branching
         self._tally(len(nodes), len(nodes), branching)
         is_value, pointers, rows, cols = _expand(nodes, rs, re_)
-        inner = ~is_value
         value_ptrs = pointers[is_value]
-        node_ptrs = pointers[inner]
+        node_ptrs = pointers[~is_value]
 
         if integrity and len(nodes):
             fresh = sess is None
@@ -450,17 +446,13 @@ class EnclaveSim:
                 if positions[0] != self._find_root_slot():
                     raise EnclaveAbort("protocol violation: first node is not the root")
                 sess = self._new_session(opener)
-            try:
-                sess.expected_amount = _settle_requests(
-                    sess.expected_amount + fresh, rows[inner], len(nodes)
-                )
-            except EnclaveAbort:
+            if len(nodes) > sess.outstanding:
                 self._drop_session(sess)
-                raise
+                raise EnclaveAbort("protocol violation: more nodes than requested")
+            sess.outstanding += len(node_ptrs) - len(nodes)
             # Received records opened at their slots; node pointers are requests.
-            received = np.asarray(positions[fresh : len(nodes)], dtype=np.uint32)
-            sess.balance_hash = sess.balance_hash.add_all(
-                _slot_elements(np.concatenate((received, node_ptrs)))
+            sess.balance = sess.balance.add_all(
+                _slot_elements(node_ptrs), removed=_slot_elements(positions[fresh : len(nodes)])
             )
             sess.result_hash = sess.result_hash.add_all(
                 nodes["value_tags"][rows[is_value], cols[is_value] - 1].tobytes()
@@ -479,20 +471,18 @@ class EnclaveSim:
         """Close an integrity session and issue the result tag.
 
         Only succeeds when no requested node is outstanding and the received
-        node multiset matches the requested one: a zero count and an
-        all-zero balance accumulator, the same decision as comparing two
-        accumulators.  Any other state aborts, and the nonce is consumed
-        either way.
+        node multiset matches the requested one, a zero balance.  Any other
+        state aborts, and the nonce is consumed either way.
         """
         with self._lock:
             sess = self._sessions.pop(nonce, None)
         if sess is None:
             raise EnclaveAbort("unknown or expired session nonce")
-        if sess.expected_amount != 0:
+        if sess.outstanding != 0:
             raise EnclaveAbort(
-                f"protocol violation: {sess.expected_amount} requested nodes never arrived"
+                f"protocol violation: {sess.outstanding} requested nodes never arrived"
             )
-        if sess.balance_hash.digest != bytes(MSET_DIGEST_BYTES):
+        if sess.balance.digest != bytes(MSET_DIGEST_BYTES):
             raise EnclaveAbort("protocol violation: received nodes differ from requested nodes")
         return result_mac(self._tree_key, sess.result_hash)
 
@@ -573,7 +563,8 @@ class EnclaveSim:
 
     def _new_session(self, opener: tuple[str | None, bytes]) -> IntegritySession:
         empty = MultisetHash.empty(self._tree_key)
-        sess = IntegritySession(secrets.token_bytes(16), opener, 0, empty, empty)
+        # The root counts as requested: the opening batch delivers it.
+        sess = IntegritySession(secrets.token_bytes(16), opener, 1, empty, empty)
         with self._lock:
             while len(self._sessions) >= MAX_OPEN_SESSIONS:
                 del self._sessions[next(iter(self._sessions))]
@@ -585,27 +576,6 @@ class EnclaveSim:
         if sess is not None:
             with self._lock:
                 self._sessions.pop(sess.nonce, None)
-
-
-def _settle_requests(outstanding: int, parents: np.ndarray, arrivals: int) -> int:
-    """Requests still outstanding after a batch of `arrivals` nodes, where
-    `parents` names, in node order, the node making each of the batch's
-    requests.
-
-    Node ``i`` arrives, settles one of the `outstanding` requests, then adds
-    its own; the opening root, which nobody requested, is counted in
-    `outstanding` by the caller.  Raises `EnclaveAbort` when some arrival
-    finds nothing outstanding, the same decision as a node-by-node count.
-    That can only happen when the batch holds more nodes than were
-    outstanding, and then one cumulative sum over the per-node request
-    counts checks every arrival at once: the count is lowest just before
-    some node's requests are added."""
-    if arrivals > outstanding:
-        requested = np.bincount(parents, minlength=arrivals)
-        balance = np.cumsum(requested - 1)
-        if outstanding + int((balance - requested).min()) < 0:
-            raise EnclaveAbort("protocol violation: more nodes than requested")
-    return outstanding - arrivals + len(parents)
 
 
 def _expand(nodes: np.ndarray, r_start: int, r_end: int):

@@ -19,6 +19,10 @@ query and reports how the pipeline reacted:
 * ``reshape-header`` - serve a copy of the container with one header field
   rewritten (the integrity flag, the branching factor or the value count);
   every record's associated data holds the header, so the first record fails
+* ``duplicate-node`` - deliver one fetched inner node three times, and of the
+  three copies of one of its children the enclave then asks for, deliver
+  only the first: the tripled node and the thinned child are each off by
+  two, which a parity-only (XOR) balance would not see
 
 Denial-of-service behaviours (just refusing to answer) are out of scope: the
 driver can always stall, and no response is its own signal.
@@ -43,7 +47,6 @@ from hsbt.codec import RangeToken, make_token
 from hsbt.crypto import AuthenticationError
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveError, EnclaveSim
-from hsbt.leakage import AccessTrace
 from hsbt.server import search_streamed
 
 KINDS = (
@@ -57,6 +60,7 @@ KINDS = (
     "mix-tokens",
     "substitute-value",
     "reshape-header",
+    "duplicate-node",
 )
 
 
@@ -74,18 +78,19 @@ class TamperReport:
 
 class _BatchRewriter:
     """Interposer between the driver and the enclave: forwards everything,
-    but rewrites positions in each batch.  A position maps to another slot,
-    or to None to drop it; each rewrite fires once.  With `second_token`,
-    the second batch carries that token instead of the driver's."""
+    but rewrites positions in each batch.  A position maps to the slots
+    delivered in its place at each of its next deliveries in turn, none to
+    drop it; later deliveries pass unchanged.  With `second_token`, the
+    second batch carries that token instead of the driver's."""
 
     def __init__(
         self,
         enclave: EnclaveSim,
-        rewrites: dict[int, int | None],
+        rewrites: dict[int, list[tuple[int, ...]]],
         second_token: RangeToken | None = None,
     ):
         self._enclave = enclave
-        self._rewrites = dict(rewrites)
+        self._rewrites = rewrites
         self._second_token = second_token
         self._batches = 0
 
@@ -96,9 +101,12 @@ class _BatchRewriter:
         self._batches += 1
         if self._batches == 2 and self._second_token is not None:
             token = self._second_token
-        batch = [self._rewrites.pop(p, p) for p in positions]
-        batch = [p for p in batch if p is not None]
+        batch = [q for p in positions for q in self._rewrite(p)]
         return self._enclave.search_batch(token, batch, session=session, trace=trace)
+
+    def _rewrite(self, position: int) -> tuple[int, ...]:
+        turns = self._rewrites.get(position)
+        return turns.pop(0) if turns else (position,)
 
 
 def _client_receive(dep: Deployment, blobs, mac) -> TamperReport:
@@ -165,67 +173,17 @@ def run_with_tamper(
         reshaped = dataclasses.replace(index, **{rewritten: value})
         return _serve_copy(dep, reshaped, token, f"{kind} of {rewritten}")
 
-    # Honest dry run to learn which slots the query fetches, root first.  The
-    # rest follow the enclave's shuffles, so targets come from sorted slots.
-    trace = AccessTrace()
-    search_streamed(index, enclave, token, trace=trace)
-    touched = trace.touched("node")
-    root_slot = touched[0]
-    touched = sorted(touched)
-
-    if kind == "modify-node":
-        target = rng.choice(touched)
-        region = bytearray(index.node_region)
-        offset = target * index.node_record_size + rng.randrange(index.node_record_size)
-        region[offset] ^= 1 << rng.randrange(8)
-        broken = dataclasses.replace(index, node_region=bytes(region))
-        return _serve_copy(dep, broken, token, f"{kind} on {target}")
-
-    if kind in ("wrong-first-node", "swap-nodes", "drop-requested-node", "mix-tokens"):
-        rewrites: dict[int, int | None] = {}
-        second_token = None
-        if kind == "mix-tokens":
-            # A valid token of the same client for another range, as a host
-            # sees when it serves that client's other queries.
-            r_start, r_end = sorted(rng.randrange(KEY_MIN, KEY_MAX + 1) for _ in range(2))
-            second_token = make_token(dep.sk.tree_key, r_start, r_end, token.client_id)
-            target = f"[{r_start}, {r_end}]"
-        elif kind == "wrong-first-node":
-            target = root_slot
-            rewrites[target] = rng.choice([s for s in range(index.node_count) if s != root_slot])
-        else:
-            target = rng.choice([s for s in touched if s != root_slot])
-            if kind == "swap-nodes":
-                fetched = set(touched)
-                rewrites[target] = rng.choice(
-                    [s for s in range(index.node_count) if s not in fetched]
-                )
-            else:
-                rewrites[target] = None
-        try:
-            interposed = _BatchRewriter(enclave, rewrites, second_token)
-            blobs, mac, _ = search_streamed(index, interposed, token)
-        except EnclaveError as exc:
-            return TamperReport(Outcome.ENCLAVE_ABORT, str(exc))
-        report = _client_receive(dep, blobs, mac)
-        report.detail = f"{kind} on {target}: " + report.detail
-        return report
-
-    # modify-value / withhold-results / substitute-value: the traversal
-    # itself stays honest, and the blobs are edited in the form the driver
-    # returns them (`server.fetch_values`).
-    blobs, mac, _ = search_streamed(index, enclave, token)
-    at = rng.randrange(len(blobs))
-
-    if kind == "modify-value":
-        broken = bytearray(blobs[at])
-        broken[rng.randrange(len(broken))] ^= 1 << rng.randrange(8)
-        return _client_receive(dep, _edited(blobs, at, bytes(broken)), mac)
-
-    if kind == "withhold-results":
-        return _client_receive(dep, _edited(blobs, at, None), mac)
-
-    if kind == "substitute-value":
+    if kind in ("modify-value", "withhold-results", "substitute-value"):
+        # The traversal itself stays honest, and the blobs are edited in the
+        # form the driver returns them (`server.fetch_values`).
+        blobs, mac, _ = search_streamed(index, enclave, token)
+        at = rng.randrange(len(blobs))
+        if kind == "modify-value":
+            broken = bytearray(blobs[at])
+            broken[rng.randrange(len(broken))] ^= 1 << rng.randrange(8)
+            return _client_receive(dep, _edited(blobs, at, bytes(broken)), mac)
+        if kind == "withhold-results":
+            return _client_receive(dep, _edited(blobs, at, None), mac)
         result = set(map(bytes, blobs))
         outside = [p for p, row in enumerate(index.value_rows) if bytes(row) not in result]
         target = rng.choice(outside)
@@ -233,4 +191,54 @@ def run_with_tamper(
         report.detail = f"{kind} with value {target}: " + report.detail
         return report
 
-    raise AssertionError(f"unhandled script {kind!r}")
+    # Honest dry run, one node per batch, to learn the node pointers each
+    # slot the query fetches returns.  Past the root, fetches follow the
+    # enclave's shuffles, so targets come from sorted slots.
+    root_slot = enclave.root_slot()
+    children: dict[int, list[int]] = {}
+    queue, nonce = [root_slot], None
+    while queue:
+        slot = queue.pop(0)
+        (_, children[slot]), nonce = enclave.search_batch(token, [slot], session=nonce)
+        queue += children[slot]
+    enclave.finalize_session(nonce)
+
+    if kind == "modify-node":
+        target = rng.choice(sorted(children))
+        region = bytearray(index.node_region)
+        offset = target * index.node_record_size + rng.randrange(index.node_record_size)
+        region[offset] ^= 1 << rng.randrange(8)
+        broken = dataclasses.replace(index, node_region=bytes(region))
+        return _serve_copy(dep, broken, token, f"{kind} on {target}")
+
+    # The rest run the driver behind an interposer.
+    rewrites: dict[int, list[tuple[int, ...]]] = {}
+    second_token = None
+    if kind == "mix-tokens":
+        # A valid token of the same client for another range, as a host
+        # sees when it serves that client's other queries.
+        r_start, r_end = sorted(rng.randrange(KEY_MIN, KEY_MAX + 1) for _ in range(2))
+        second_token = make_token(dep.sk.tree_key, r_start, r_end, token.client_id)
+        target = f"[{r_start}, {r_end}]"
+    elif kind == "duplicate-node":
+        target = rng.choice([s for s in sorted(children) if children[s]])
+        thinned = rng.choice(sorted(children[target]))
+        rewrites = {target: [(target,) * 3], thinned: [(thinned,), (), ()]}
+    elif kind == "wrong-first-node":
+        target = root_slot
+        rewrites[target] = [(rng.choice([s for s in range(index.node_count) if s != root_slot]),)]
+    else:
+        target = rng.choice([s for s in sorted(children) if s != root_slot])
+        if kind == "swap-nodes":
+            outside = [s for s in range(index.node_count) if s not in children]
+            rewrites[target] = [(rng.choice(outside),)]
+        else:
+            rewrites[target] = [()]
+    try:
+        interposed = _BatchRewriter(enclave, rewrites, second_token)
+        blobs, mac, _ = search_streamed(index, interposed, token)
+    except EnclaveError as exc:
+        return TamperReport(Outcome.ENCLAVE_ABORT, str(exc))
+    report = _client_receive(dep, blobs, mac)
+    report.detail = f"{kind} on {target}: " + report.detail
+    return report

@@ -666,6 +666,17 @@ def test_bench_with_every_cell_skipped_is_a_usage_error(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: every --result-size exceeds every --n: no cell to run"]
 
 
+def test_bench_names_each_skipped_cell_on_stderr(capsys):
+    # The r=200 cells cannot run at n=100; the r=50 rows still print.
+    argv = ["bench", "--n", "100", "--b", "10", "--result-size", "50", "200", "--reps", "2"]
+    assert main([*argv, "--construction", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["skipped: --result-size 200 exceeds --n 100"]
+    rows = captured.out.splitlines()
+    assert rows[0].startswith("construction,") and len(rows) == 2
+    assert rows[1].split(",")[4] == "50"
+
+
 @pytest.mark.parametrize("command", ["bench", "tamper"])
 def test_n_beyond_the_key_space_is_a_usage_error_before_any_build(command, capsys, monkeypatch):
     def no_dataset(*args, **kwargs):

@@ -362,10 +362,27 @@ def test_mset_nondegenerate_and_count_sensitive():
     h1 = h0.add(b"a" * 16)
     assert h1 != h0
     h2 = h1.add(b"a" * 16)
-    # XOR cancels the accumulator but the element counter keeps them apart.
-    assert h2.digest == h0.digest
-    assert (h2.digest, h2.count) != (h0.digest, h0.count)
-    assert (h2.digest, h2.count) != (h1.digest, h1.count)
+    # A repeated element does not cancel: every multiplicity counts.
+    assert h2 != h0 and h2 != h1
+
+
+def test_mset_tells_multisets_apart_that_agree_in_size_and_parities():
+    # {a,a,a,b} and {a,b,b,b}: the same size, and every multiplicity odd.
+    h0 = MultisetHash.empty(generate_key())
+    a, b = b"a" * 16, b"b" * 16
+    assert h0.add_all(a * 3 + b) != h0.add_all(a + b * 3)
+
+
+def test_mset_removed_elements_fold_out():
+    key = generate_key()
+    h0 = MultisetHash.empty(key)
+    a, b, c = b"a" * 16, b"b" * 16, b"c" * 16
+    assert h0.add_all(a + b, removed=a + b) == h0
+    assert h0.add_all(a * 3 + b).add_all(b"", removed=a) == h0.add_all(a * 2 + b)
+    assert h0.add_all(c, removed=a) == h0.add_all(c).add_all(b"", removed=a)
+    # Folding out what was never folded in leaves a nonzero balance.
+    assert h0.add_all(b"", removed=a) != h0
+    assert h0.add_all(b"", removed=a).add(a) == h0
 
 
 def test_mset_add_all_matches_repeated_add():
@@ -375,7 +392,7 @@ def test_mset_add_all_matches_repeated_add():
     for item in items:
         one_by_one = one_by_one.add(item)
     assert one_by_one == MultisetHash.empty(key).add_all(b"".join(items))
-    assert one_by_one.count == 20
+    assert one_by_one != MultisetHash.empty(key).add_all(b"".join(items[:19]))
     # Folding in pieces is folding at once.
     split = MultisetHash.empty(key).add_all(b"".join(items[:7])).add_all(b"".join(items[7:]))
     assert split == one_by_one
@@ -389,7 +406,7 @@ def test_mset_invariant_under_shuffle(items, rng):
     shuffled = list(items)
     rng.shuffle(shuffled)
     again = MultisetHash.empty(key).add_all(b"".join(shuffled))
-    assert (again.digest, again.count) == (base.digest, base.count)
+    assert again == base
 
 
 def test_mset_shuffle_invariance_50_elements_100_shuffles():
@@ -400,7 +417,7 @@ def test_mset_shuffle_invariance_50_elements_100_shuffles():
     for _ in range(100):
         rng.shuffle(items)
         again = MultisetHash.empty(key).add_all(b"".join(items))
-        assert (again.digest, again.count) == (reference.digest, reference.count)
+        assert again == reference
 
 
 @pytest.mark.parametrize("length", [1, 9, 15, 17, 31])
@@ -410,11 +427,14 @@ def test_mset_rejects_input_that_is_not_16_byte_elements(length):
         h0.add_all(bytes(length))
     with pytest.raises(ValueError):
         h0.add(bytes(length))
+    with pytest.raises(ValueError):
+        h0.add_all(bytes(16), removed=bytes(length))
 
 
 def test_mset_empty_input_leaves_state_unchanged():
     h1 = MultisetHash.empty(generate_key()).add(b"z" * 16)
     assert h1.add_all(b"") == h1
+    assert h1.add_all(b"", removed=b"") == h1
 
 
 def test_mset_prf_is_keyed_by_a_subkey_not_the_tree_key():
@@ -433,17 +453,24 @@ def test_mset_prf_is_keyed_by_a_subkey_not_the_tree_key():
 @pytest.mark.parametrize("k", [1, 2, 3, 257, 4096])
 def test_mset_add_all_matches_an_integer_xor_reference(k):
     # Reference fold: each element's AES-ECB image under the subkey, read as
-    # one 128-bit integer and XOR-ed in Python, onto a nonzero start state.
+    # one 128-bit little-endian integer and summed mod 2^128 in Python, onto
+    # a nonzero start state; a removed element's image is subtracted.
     key = generate_key()
-    elements = random.Random(k).randbytes(16 * k)
-    images = Cipher(algorithms.AES(crypto.mset_subkey(key)), modes.ECB()).encryptor().update(elements)
+    source = random.Random(k)
+    elements = source.randbytes(16 * k)
+    removed = source.randbytes(16 * (k // 2 + 1))
+    aes = Cipher(algorithms.AES(crypto.mset_subkey(key)), modes.ECB()).encryptor()
+
+    def images(blob):
+        out = aes.update(blob)
+        return [int.from_bytes(out[i : i + 16], "little") for i in range(0, len(out), 16)]
+
     start = MultisetHash.empty(key).add(b"s" * 16)
-    want = int.from_bytes(start.digest, "little")
-    for i in range(0, len(images), 16):
-        want ^= int.from_bytes(images[i : i + 16], "little")
-    got = start.add_all(elements)
-    assert got.digest == want.to_bytes(16, "little")
-    assert got.count == k + 1
+    want = int.from_bytes(start.digest, "little") + sum(images(elements))
+    assert start.add_all(elements).digest == (want % 2**128).to_bytes(16, "little")
+    want -= sum(images(removed))
+    got = start.add_all(elements, removed=removed)
+    assert got.digest == (want % 2**128).to_bytes(16, "little")
 
 
 def test_mset_folds_agree_across_threads():
@@ -474,7 +501,9 @@ def test_mac_message_bit_sensitivity():
 
 
 def test_result_mac_binds_count_and_digest():
+    # The digest alone carries the multiplicities.
     key = generate_key()
     a = MultisetHash.empty(key).add(b"x" * 16)
     b = a.add(b"x" * 16)
     assert crypto.result_mac(key, a) != crypto.result_mac(key, b)
+    assert crypto.result_mac(key, a) == crypto.mac_tag(key, b"hsbt-results\x00" + a.digest)

@@ -42,7 +42,6 @@ from hsbt.enclave import (
     TouchCounter,
     _expand,
     _scan_record,
-    _settle_requests,
     oblivious_match_slots,
 )
 from hsbt.leakage import AccessTrace
@@ -509,6 +508,47 @@ def test_extra_node_mid_query_caught_at_finalize():
         enclave.finalize_session(nonce)
 
 
+def test_node_delivered_with_a_child_it_requests_aborts():
+    # The root and one of its children in the opening batch: one node was
+    # outstanding, two arrive.
+    pairs, tree, sk, index, enclave = _integrity_fixture(seed=18)
+    token = make_token(sk.tree_key, None, None)
+    root = enclave.root_slot()
+    (_, children), _ = enclave.search_batch(token, [root])
+    with pytest.raises(EnclaveAbort, match="^protocol violation: more nodes than requested$"):
+        enclave.search_batch(token, [root, children[0]])
+    # A continuing batch: a child of the node, delivered with it.
+    (_, children), nonce = enclave.search_batch(token, [root])
+    (_, grandchildren), _ = enclave.search_batch(token, children[:1], session=nonce)
+    (_, children), nonce = enclave.search_batch(token, [root])
+    with pytest.raises(EnclaveAbort, match="more nodes than requested"):
+        enclave.search_batch(token, children + grandchildren[:1], session=nonce)
+    with pytest.raises(EnclaveAbort, match="unknown or expired session"):
+        enclave.finalize_session(nonce)
+
+
+def test_tripled_node_with_a_thinned_child_fails_the_balance():
+    # Deliver one inner node three times, then only one of the three copies
+    # of one of its children.  The tripled node is two deliveries over and
+    # the child two under, so the outstanding count ends at zero and no batch
+    # holds more nodes than were outstanding; every multiplicity is off by an
+    # even number, which a balance kept mod 2 (XOR) would miss.
+    pairs, tree, sk, index, enclave = _integrity_fixture(seed=19)
+    token = make_token(sk.tree_key, None, None)
+    (_, children), nonce = enclave.search_batch(token, [enclave.root_slot()])
+    assert len(children) >= 3
+    target, rest = children[0], children[1:]
+    (_, tripled), nonce = enclave.search_batch(token, [target] * 3, session=nonce)
+    thinned = tripled[0]
+    assert tripled.count(thinned) == 3
+    queue = rest + [p for p in tripled if p != thinned] + [thinned]
+    while queue:
+        (_, nodes), nonce = enclave.search_batch(token, queue, session=nonce)
+        queue = nodes
+    with pytest.raises(EnclaveAbort, match="^protocol violation: received nodes differ from"):
+        enclave.finalize_session(nonce)
+
+
 def test_nonce_single_use():
     pairs, tree, sk, index, enclave = _integrity_fixture(seed=16)
     values, nonce = _drive_batches(index, enclave, make_token(sk.tree_key, None, None))
@@ -888,34 +928,3 @@ def test_streamed_query_calls_decrypt_wire_once_per_node_decryption(monkeypatch,
     assert len(blobs) == 801 and stats.crossings > 2
     assert len(calls) == dep.enclave.node_decryptions - before == stats.nodes_transferred
     assert len(set(calls)) == len(calls)
-
-
-def _settle_node_by_node(outstanding, requested):
-    """Reference session count, one arrival at a time; None where an arrival
-    finds nothing outstanding."""
-    for count in requested:
-        outstanding -= 1
-        if outstanding < 0:
-            return None
-        outstanding += count
-    return outstanding
-
-
-@settings(max_examples=500, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=300),
-    st.integers(min_value=0, max_value=400),
-    st.booleans(),
-)
-def test_vectorised_session_count_agrees_with_node_by_node_count(requested, balance, fresh):
-    # A fresh session starts from nothing requested; its root settles nothing.
-    outstanding = (0 if fresh else balance) + fresh
-    want = _settle_node_by_node(outstanding, requested)
-    # The enclave names each request's node, in node order, as np.nonzero does.
-    parents = np.repeat(np.arange(len(requested)), requested)
-    if want is None:
-        with pytest.raises(EnclaveAbort, match="^protocol violation: more nodes than requested$"):
-            _settle_requests(outstanding, parents, len(requested))
-    else:
-        got = _settle_requests(outstanding, parents, len(requested))
-        assert got == want and type(got) is int

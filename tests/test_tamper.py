@@ -10,6 +10,7 @@ from hsbt import crypto
 from hsbt.bptree import KEY_MAX
 from hsbt.codec import make_token
 from hsbt.deploy import Deployment
+from hsbt.enclave import EnclaveSim
 from hsbt.tamper import KINDS, Outcome, run_with_tamper
 
 
@@ -39,6 +40,7 @@ def _token(sk, sorted_keys, rng):
         ("mix-tokens", Outcome.ENCLAVE_ABORT),
         ("substitute-value", Outcome.CLIENT_REJECT),
         ("reshape-header", Outcome.ENCLAVE_ABORT),
+        ("duplicate-node", Outcome.ENCLAVE_ABORT),
     ],
 )
 def test_each_deviation_detected(setup, kind, expected):
@@ -104,6 +106,29 @@ def test_reshape_header_aborts_at_the_first_record(setup):
     assert report.outcome == Outcome.ACCEPTED
 
 
+def test_duplicate_node_is_caught_by_the_session_count_or_balance(setup):
+    # Every record is genuine, and the tripled node and the thinned child
+    # cancel in the count, so only the per-batch count or the balance can
+    # catch it; a parity-only balance would not.  One node per batch leaves
+    # some tripled batches within the outstanding count, so the balance gets
+    # its turn.
+    pairs, sorted_keys, dep = setup
+    one_node = EnclaveSim(reserved_space=dep.index.node_record_size)
+    dep = Deployment.build(
+        pairs, 5, sk=dep.sk, integrity=True, rng=random.Random(3), enclave=one_node
+    )
+    rng = random.Random(6)
+    reasons = set()
+    for _ in range(30):
+        report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), "duplicate-node", rng)
+        assert report.outcome == Outcome.ENCLAVE_ABORT, report.detail
+        reasons.add(report.detail)
+    assert reasons == {
+        "protocol violation: more nodes than requested",
+        "protocol violation: received nodes differ from requested nodes",
+    }
+
+
 def test_replay_token_accepted_with_identical_sets(setup):
     pairs, sorted_keys, dep = setup
     rng = random.Random(1)
@@ -140,4 +165,5 @@ def test_all_kinds_enumerated():
         "mix-tokens",
         "substitute-value",
         "reshape-header",
+        "duplicate-node",
     }
