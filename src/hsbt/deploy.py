@@ -48,9 +48,12 @@ class Deployment:
 
         A `None` endpoint is an open side, counted from `KEY_NEG_INFINITY` or
         to `KEY_INFINITY` in `stats.range_size`.  Construction 1 loads the
-        resident tree on first use and issues no result tag.  Enclave
-        rejections propagate as `EnclaveError`.
+        resident tree on first use and issues no result tag; any other
+        construction than 1 or 2 raises `ValueError`.  Enclave rejections
+        propagate as `EnclaveError`.
         """
+        if construction not in (1, 2):
+            raise ValueError("construction must be 1 or 2")
         r_start = KEY_NEG_INFINITY if r_start is None else r_start
         r_end = KEY_INFINITY if r_end is None else r_end
         token = make_token(self.sk.tree_key, r_start, r_end)

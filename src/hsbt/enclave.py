@@ -34,8 +34,9 @@ batch also answers with node pointers, shuffled on their own, as a plain int
 list: the driver slices its queue from them, and `_open_records` slices one
 record per position in Python.
 
-In integrity mode `search_batch` additionally runs a per-query session bound
-to the token that opened it.  It counts the requested nodes still
+In integrity mode `search_batch` additionally runs a per-query session, keyed
+by the token that opened it: a batch continues the open session of its own
+token, or opens one at the root.  It counts the requested nodes still
 outstanding, and a batch may deliver no more nodes than that; an honest
 driver only ever sends pointers it was already given.  It keeps two
 multiset hashes, each folded once per call: a balance that adds the
@@ -113,18 +114,16 @@ class EnclaveAbort(EnclaveError):
 
 @dataclass
 class IntegritySession:
-    """Per-query integrity state, keyed by a single-use nonce.
+    """Per-query integrity state, keyed by the ``(client_id, GCM tag)`` of
+    the token that opened it (`_session_key`).
 
-    `token` is ``(client_id, GCM tag)`` of the token that opened the session;
-    every later batch must carry that token.  `outstanding` counts requested
-    nodes not yet received, the root included from the start.  `balance`
-    adds every requested slot and subtracts every received slot (the root's,
-    which opens the session unrequested, excepted); requests and deliveries
-    agree as multisets when its digest is zero (`crypto.MultisetHash`).
+    `outstanding` counts requested nodes not yet received, the root included
+    from the start.  `balance` adds every requested slot and subtracts every
+    received slot (the root's, which opens the session unrequested,
+    excepted); requests and deliveries agree as multisets when its digest is
+    zero (`crypto.MultisetHash`).
     """
 
-    nonce: bytes
-    token: tuple[str | None, bytes]
     outstanding: int
     balance: MultisetHash
     result_hash: MultisetHash
@@ -255,7 +254,7 @@ class EnclaveSim:
         self._root_slot: int | None = None
         self._container: EncryptedIndex | None = None
         self._resident: np.ndarray | None = None
-        self._sessions: dict[bytes, IntegritySession] = {}
+        self._sessions: dict[tuple[str | None, bytes], IntegritySession] = {}
         self.sessions_evicted = 0
         self._lock = threading.Lock()
 
@@ -391,47 +390,30 @@ class EnclaveSim:
 
     # -- construction 2: streamed batches ------------------------------------
 
-    def search_batch(
-        self,
-        token: RangeToken,
-        positions,
-        session: bytes | None = None,
-        trace=None,
-    ) -> tuple[tuple[np.ndarray, list[int]], bytes | None]:
+    def search_batch(self, token: RangeToken, positions, trace=None) -> tuple[np.ndarray, list[int]]:
         """Process one batch of node positions for a range query.
 
-        Returns ``((value_ptrs, node_ptrs), nonce)``: value pointers come
-        from leaves and index the value region, as a `uint32` array; node
-        pointers name storage positions still to traverse, as an int list.
-        Each is a fresh permutation drawn from the call's seeded generator.
-        `nonce` continues the integrity session (None outside integrity
-        mode); a continuing batch must carry the token that opened the
-        session.
+        Returns ``(value_ptrs, node_ptrs)``: value pointers come from leaves
+        and index the value region, as a `uint32` array; node pointers name
+        storage positions still to traverse, as an int list.  Each is a
+        fresh permutation drawn from the call's seeded generator.  In
+        integrity mode the batch continues its token's open session, or, if
+        that token has none, opens one and must start at the root.
 
         Each record is sliced from the shared node region and authenticated
         on its own; the batch is then decoded and matched at once, and each
         session accumulator is folded once.  A record that fails aborts the
-        batch at that record, with the same message as a node-by-node walk.
+        batch at that record, with the same message as a node-by-node walk,
+        and drops the token's session.
         """
         if self._container is None:
             raise EnclaveError("no container attached")
         if self._tree_key is None:
             raise NoKeyError("no node-decryption key provisioned")
         container = self._container
-        integrity = container.integrity
         rs, re_ = self._open_token(token)
         rng = self._fresh_order_rng(trace)
-        opener = (token.client_id, token.ciphertext.tag)
-
-        sess: IntegritySession | None = None
-        if integrity and session is not None:
-            with self._lock:
-                sess = self._sessions.get(session)
-            if sess is None:
-                raise EnclaveAbort("unknown or expired session nonce")
-            if sess.token != opener:
-                self._drop_session(sess)
-                raise EnclaveAbort("protocol violation: batch token differs from the session's")
+        key = _session_key(token)
 
         nodes, failure = self._open_records(container, positions, trace)
         branching = container.branching
@@ -440,44 +422,48 @@ class EnclaveSim:
         value_ptrs = pointers[is_value]
         node_ptrs = pointers[~is_value]
 
-        if integrity and len(nodes):
-            fresh = sess is None
-            if fresh:
-                if positions[0] != self._find_root_slot():
-                    raise EnclaveAbort("protocol violation: first node is not the root")
-                sess = self._new_session(opener)
-            if len(nodes) > sess.outstanding:
-                self._drop_session(sess)
-                raise EnclaveAbort("protocol violation: more nodes than requested")
-            sess.outstanding += len(node_ptrs) - len(nodes)
-            # Received records opened at their slots; node pointers are requests.
-            sess.balance = sess.balance.add_all(
-                _slot_elements(node_ptrs), removed=_slot_elements(positions[fresh : len(nodes)])
-            )
-            sess.result_hash = sess.result_hash.add_all(
-                nodes["value_tags"][rows[is_value], cols[is_value] - 1].tobytes()
-            )
+        if container.integrity and len(nodes):
+            # One locked step from lookup to the last fold: two opening
+            # batches of one token share one session, and concurrent batches
+            # of a session lose none of its updates.
+            with self._lock:
+                sess = self._sessions.get(key)
+                fresh = sess is None
+                if fresh:
+                    sess = self._open_session(key, positions[0])
+                if len(nodes) > sess.outstanding:
+                    del self._sessions[key]
+                    raise EnclaveAbort("protocol violation: more nodes than requested")
+                sess.outstanding += len(node_ptrs) - len(nodes)
+                # Received records opened at their slots; node pointers are requests.
+                sess.balance = sess.balance.add_all(
+                    _slot_elements(node_ptrs), removed=_slot_elements(positions[fresh : len(nodes)])
+                )
+                sess.result_hash = sess.result_hash.add_all(
+                    nodes["value_tags"][rows[is_value], cols[is_value] - 1].tobytes()
+                )
         if failure is not None:
-            self._drop_session(sess)
+            with self._lock:
+                self._sessions.pop(key, None)
             raise EnclaveAbort(failure)
 
         rng.shuffle(value_ptrs)
         rng.shuffle(node_ptrs)
         if trace is not None:
             trace.pointers_out(value_ptrs.tolist())
-        return (value_ptrs, node_ptrs.tolist()), (sess.nonce if sess is not None else None)
+        return value_ptrs, node_ptrs.tolist()
 
-    def finalize_session(self, nonce: bytes) -> bytes:
-        """Close an integrity session and issue the result tag.
+    def finalize_session(self, token: RangeToken) -> bytes:
+        """Close the token's integrity session and issue the result tag.
 
         Only succeeds when no requested node is outstanding and the received
         node multiset matches the requested one, a zero balance.  Any other
-        state aborts, and the nonce is consumed either way.
+        state aborts, and the session is closed either way.
         """
         with self._lock:
-            sess = self._sessions.pop(nonce, None)
+            sess = self._sessions.pop(_session_key(token), None)
         if sess is None:
-            raise EnclaveAbort("unknown or expired session nonce")
+            raise EnclaveAbort("no open session for this token")
         if sess.outstanding != 0:
             raise EnclaveAbort(
                 f"protocol violation: {sess.outstanding} requested nodes never arrived"
@@ -561,21 +547,23 @@ class EnclaveSim:
             self.node_decryptions += decrypted
             self.touch_counter.add(scanned, branching)
 
-    def _new_session(self, opener: tuple[str | None, bytes]) -> IntegritySession:
+    def _open_session(self, key, first: int) -> IntegritySession:
+        """A new session under `key` for a batch whose first node is at slot
+        `first`, which must be the root's; the caller holds the lock."""
+        if first != self._find_root_slot():
+            raise EnclaveAbort("protocol violation: first node is not the root")
+        while len(self._sessions) >= MAX_OPEN_SESSIONS:
+            del self._sessions[next(iter(self._sessions))]
+            self.sessions_evicted += 1
         empty = MultisetHash.empty(self._tree_key)
         # The root counts as requested: the opening batch delivers it.
-        sess = IntegritySession(secrets.token_bytes(16), opener, 1, empty, empty)
-        with self._lock:
-            while len(self._sessions) >= MAX_OPEN_SESSIONS:
-                del self._sessions[next(iter(self._sessions))]
-                self.sessions_evicted += 1
-            self._sessions[sess.nonce] = sess
+        sess = self._sessions[key] = IntegritySession(1, empty, empty)
         return sess
 
-    def _drop_session(self, sess: IntegritySession | None) -> None:
-        if sess is not None:
-            with self._lock:
-                self._sessions.pop(sess.nonce, None)
+
+def _session_key(token: RangeToken) -> tuple[str | None, bytes]:
+    """A token's name for its session: its client and its GCM tag."""
+    return token.client_id, token.ciphertext.tag
 
 
 def _expand(nodes: np.ndarray, r_start: int, r_end: int):

@@ -111,15 +111,15 @@ def search_streamed(
 
     Seeds the queue with the root position, drains up to the enclave's batch
     ceiling per crossing, re-queues node pointers, and collects the value
-    pointer arrays, joined once for the fetch.  In integrity mode the
-    session is finalized afterwards (one more crossing) and the result tag
-    returned for the client to check.
+    pointer arrays, joined once for the fetch.  Every batch carries the
+    token, which names the query's integrity session; in integrity mode the
+    session is finalized under the token afterwards (one more crossing) and
+    the result tag returned for the client to check.
     """
     t0 = time.perf_counter()
     max_batch = enclave.max_batch_nodes(index.node_record_size)
     queue = [enclave.root_slot()]
     value_pointers: list[np.ndarray] = []
-    nonce: bytes | None = None
     crossings = 0
     nodes_moved = 0
     bytes_in = 0
@@ -128,21 +128,21 @@ def search_streamed(
     while queue:
         batch = queue[:max_batch]
         del queue[:max_batch]
-        (values, nodes), nonce = enclave.search_batch(token, batch, session=nonce, trace=trace)
+        values, nodes = enclave.search_batch(token, batch, trace=trace)
         crossings += 1
         nodes_moved += len(batch)
         # Records move by reference out of shared memory, but their bytes are
         # still charged as boundary input alongside the token.
         bytes_in += token.wire_size + len(batch) * index.node_record_size
-        bytes_out += 5 * (len(values) + len(nodes)) + (len(nonce) if nonce else 0)
+        bytes_out += 5 * (len(values) + len(nodes))
         value_pointers.append(values)
         queue += nodes
 
     mac: bytes | None = None
     if index.integrity:
-        mac = enclave.finalize_session(nonce)
+        mac = enclave.finalize_session(token)
         crossings += 1
-        bytes_in += len(nonce)
+        bytes_in += token.wire_size
         bytes_out += len(mac)
 
     blobs = fetch_values(index, np.concatenate(value_pointers))

@@ -12,7 +12,8 @@ query and reports how the pipeline reacted:
 * ``replay-token``  - replay an old token unmodified (harmless: the tree is
   static, a replay reveals nothing new and must yield the same result set)
 * ``mix-tokens``    - present a second valid token, for another range, with
-  the query's second batch
+  the query's second batch: it names no open session, so the batch must
+  open one at the root
 * ``substitute-value`` - replace one result blob with a genuine blob from
   outside the result (it authenticates: only the leaves' tag commitment
   catches it)
@@ -97,12 +98,12 @@ class _BatchRewriter:
     def __getattr__(self, name):
         return getattr(self._enclave, name)
 
-    def search_batch(self, token, positions, session=None, trace=None):
+    def search_batch(self, token, positions, trace=None):
         self._batches += 1
         if self._batches == 2 and self._second_token is not None:
             token = self._second_token
         batch = [q for p in positions for q in self._rewrite(p)]
-        return self._enclave.search_batch(token, batch, session=session, trace=trace)
+        return self._enclave.search_batch(token, batch, trace=trace)
 
     def _rewrite(self, position: int) -> tuple[int, ...]:
         turns = self._rewrites.get(position)
@@ -196,12 +197,12 @@ def run_with_tamper(
     # enclave's shuffles, so targets come from sorted slots.
     root_slot = enclave.root_slot()
     children: dict[int, list[int]] = {}
-    queue, nonce = [root_slot], None
+    queue = [root_slot]
     while queue:
         slot = queue.pop(0)
-        (_, children[slot]), nonce = enclave.search_batch(token, [slot], session=nonce)
+        _, children[slot] = enclave.search_batch(token, [slot])
         queue += children[slot]
-    enclave.finalize_session(nonce)
+    enclave.finalize_session(token)
 
     if kind == "modify-node":
         target = rng.choice(sorted(children))

@@ -38,6 +38,15 @@ def test_build_and_attach_answer_both_constructions():
             assert stats.construction == construction
 
 
+def test_query_rejects_an_unknown_construction():
+    pairs, rng = _pairs()
+    dep = Deployment.build(pairs, 5, integrity=True, rng=rng)
+    for construction in (0, 3, 7):
+        with pytest.raises(ValueError, match="^construction must be 1 or 2$"):
+            dep.query(1, KEY_MAX, construction=construction)
+    assert len(dep.enclave._sessions) == 0 and not dep.enclave.tree_loaded
+
+
 def test_query_stats_carry_the_range_size():
     # Open sides count from KEY_NEG_INFINITY (0) or to KEY_INFINITY (2^32 - 1).
     pairs, rng = _pairs()
@@ -72,7 +81,7 @@ def test_wrong_tag_rejected():
     pairs, rng = _pairs(seed=2)
     dep = Deployment.build(pairs, 5, integrity=True, rng=rng)
     real = dep.enclave.finalize_session
-    dep.enclave.finalize_session = lambda nonce: bytes(len(real(nonce)))
+    dep.enclave.finalize_session = lambda token: bytes(len(real(token)))
     with pytest.raises(AuthenticationError):
         dep.query(None, None)
 

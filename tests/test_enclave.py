@@ -62,19 +62,20 @@ def _oracle_pointer_set(pairs, tree, rs, re):
 
 def _drive_batches(index, enclave, token, max_batch=None):
     """Minimal honest driver used for enclave-level tests; returns the value
-    pointers as an int list."""
+    pointers as an int list.  An integrity session stays open for the
+    caller to finalize under `token`."""
     from collections import deque
 
     max_batch = max_batch or enclave.max_batch_nodes(index.node_record_size)
     queue = deque([enclave.root_slot()])
-    nonce, values = None, []
+    values = []
     while queue:
         batch = [queue.popleft() for _ in range(min(len(queue), max_batch))]
-        (found, children), nonce = enclave.search_batch(token, batch, session=nonce)
+        found, children = enclave.search_batch(token, batch)
         assert isinstance(found, np.ndarray) and found.dtype == np.uint32
         values += found.tolist()
         queue.extend(children)
-    return values, nonce
+    return values
 
 
 # -- provisioning -------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_token_naming_an_empty_range_aborts():
 
 def test_provision_then_search_succeeds():
     pairs, tree, sk, index, enclave = _fixture(50)
-    values, _ = _drive_batches(index, enclave, make_token(sk.tree_key, None, None))
+    values = _drive_batches(index, enclave, make_token(sk.tree_key, None, None))
     assert len(values) == 50
 
 
@@ -146,7 +147,7 @@ def test_two_clients_tokens_do_not_cross_decrypt():
         enclave.search_batch(forged, [enclave.root_slot()])
     # client-b's own token works against the shared tree.
     ok = make_token(other.tree_key, None, None, client_id="client-b")
-    values, _ = _drive_batches(index, enclave, ok)
+    values = _drive_batches(index, enclave, ok)
     assert len(values) == 50
 
 
@@ -285,7 +286,7 @@ def test_two_level_tree_root_batch_emits_all_children():
 
     token = make_token(sk.tree_key, None, None)
     root_slot = enclave.root_slot()
-    (values, children), _ = enclave.search_batch(token, [root_slot])
+    values, children = enclave.search_batch(token, [root_slot])
     # The root is inner: every emitted pointer names a child node still to
     # traverse, none is a value pointer yet.
     assert isinstance(values, np.ndarray) and values.dtype == np.uint32 and len(values) == 0
@@ -294,7 +295,7 @@ def test_two_level_tree_root_batch_emits_all_children():
     assert all(type(p) is int for p in children)
 
     # Feeding those children (the leaves) emits exactly the value pointers.
-    (values2, children2), _ = enclave.search_batch(token, sorted(child_slots))
+    values2, children2 = enclave.search_batch(token, sorted(child_slots))
     assert children2 == []
     assert isinstance(values2, np.ndarray) and values2.dtype == np.uint32
     assert sorted(values2.tolist()) == list(range(12))
@@ -305,7 +306,7 @@ def test_batch_search_matches_oracle():
     rng = random.Random(9)
     for _ in range(40):
         a, b_ = sorted((rng.randrange(1, KEY_MAX), rng.randrange(1, KEY_MAX)))
-        got, _ = _drive_batches(index, enclave, make_token(sk.tree_key, a, b_))
+        got = _drive_batches(index, enclave, make_token(sk.tree_key, a, b_))
         assert set(got) == _oracle_pointer_set(pairs, tree, a, b_)
 
 
@@ -313,10 +314,10 @@ def test_empty_intersection_at_root_gives_empty_result():
     pairs = [(k, b"x") for k in range(100, 200)]
     dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
     sk, index, enclave = dep.sk, dep.index, dep.enclave
-    values, nonce = _drive_batches(index, enclave, make_token(sk.tree_key, 500, 900))
-    assert values == []
+    token = make_token(sk.tree_key, 500, 900)
+    assert _drive_batches(index, enclave, token) == []
     # Session still closes cleanly over the empty result.
-    assert enclave.finalize_session(nonce)
+    assert enclave.finalize_session(token)
 
 
 @functools.cache
@@ -335,10 +336,7 @@ def test_batch_pointer_lists_are_the_matched_slots(data):
     positions = data.draw(
         st.lists(st.integers(0, index.node_count - 1), min_size=0, max_size=20)
     )
-    (values, children), nonce = enclave.search_batch(
-        make_token(sk.tree_key, r_start, r_end), positions
-    )
-    assert nonce is None
+    values, children = enclave.search_batch(make_token(sk.tree_key, r_start, r_end), positions)
     is_value, pointers, _, _ = _expand(_decoded(sk, index, positions), r_start, r_end)
     assert isinstance(values, np.ndarray) and values.dtype == np.uint32
     assert Counter(values.tolist()) == Counter(pointers[is_value].tolist())
@@ -356,7 +354,7 @@ def _seeded_outputs(index, sk, root_id, tokens):
     for token in tokens:
         queue = [dep.enclave.root_slot()]
         while queue:
-            (values, children), _ = dep.enclave.search_batch(token, queue)
+            values, children = dep.enclave.search_batch(token, queue)
             answers.append((values.tolist(), children))
             queue = children
     return answers
@@ -398,8 +396,8 @@ def test_honest_run_finalizes_with_verifiable_mac():
     pairs, tree, sk, index, enclave = _integrity_fixture()
     keys = sorted(k for k, _ in pairs)
     token = make_token(sk.tree_key, keys[5], keys[60])
-    values_ptrs, nonce = _drive_batches(index, enclave, token)
-    mac = enclave.finalize_session(nonce)
+    values_ptrs = _drive_batches(index, enclave, token)
+    mac = enclave.finalize_session(token)
     from hsbt.codec import decrypt_results, verify_result_mac
     from hsbt.server import fetch_values
 
@@ -416,12 +414,17 @@ def test_non_root_first_node_aborts():
         enclave.search_batch(make_token(sk.tree_key, 1, 5), [wrong])
 
 
-def test_unknown_session_nonce_rejected():
+def test_finalize_without_an_open_session_aborts():
     pairs, tree, sk, index, enclave = _integrity_fixture(seed=12)
-    with pytest.raises(EnclaveAbort):
-        enclave.search_batch(make_token(sk.tree_key, 1, 5), [0], session=b"\x00" * 16)
-    with pytest.raises(EnclaveAbort):
-        enclave.finalize_session(b"\x00" * 16)
+    token = make_token(sk.tree_key, 1, 5)
+    with pytest.raises(EnclaveAbort, match="^no open session for this token$"):
+        enclave.finalize_session(token)
+    # A batch refused at the root check opens no session.
+    wrong = (enclave.root_slot() + 1) % index.node_count
+    with pytest.raises(EnclaveAbort, match="first node is not the root"):
+        enclave.search_batch(token, [wrong])
+    with pytest.raises(EnclaveAbort, match="^no open session for this token$"):
+        enclave.finalize_session(token)
 
 
 def test_withheld_node_blocks_finalize():
@@ -430,18 +433,17 @@ def test_withheld_node_blocks_finalize():
     from collections import deque
 
     queue = deque([enclave.root_slot()])
-    nonce = None
     dropped = False
     while queue:
         batch = [queue.popleft() for _ in range(len(queue))]
-        (_, children), nonce = enclave.search_batch(token, batch, session=nonce)
+        _, children = enclave.search_batch(token, batch)
         if children and not dropped:
             dropped = True  # withhold exactly one requested node
             children = children[1:]
         queue.extend(children)
     assert dropped
     with pytest.raises(EnclaveAbort):
-        enclave.finalize_session(nonce)
+        enclave.finalize_session(token)
 
 
 def test_substituted_node_fails_hash_check():
@@ -452,7 +454,6 @@ def test_substituted_node_fails_hash_check():
     root_slot = enclave.root_slot()
     queue = deque([root_slot])
     requested = {root_slot}
-    nonce = None
     swapped = False
     while queue:
         batch = [queue.popleft() for _ in range(len(queue))]
@@ -461,12 +462,12 @@ def test_substituted_node_fails_hash_check():
             outsider = next(s for s in range(index.node_count) if s not in requested)
             batch[0] = outsider
             swapped = True
-        (_, children), nonce = enclave.search_batch(token, batch, session=nonce)
+        _, children = enclave.search_batch(token, batch)
         queue.extend(children)
         requested.update(children)
     assert swapped
     with pytest.raises(EnclaveAbort):
-        enclave.finalize_session(nonce)
+        enclave.finalize_session(token)
 
 
 def test_extra_node_beyond_outstanding_requests_aborts_immediately():
@@ -476,10 +477,10 @@ def test_extra_node_beyond_outstanding_requests_aborts_immediately():
     dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
     sk, enclave = dep.sk, dep.enclave
     token = make_token(sk.tree_key, None, None)
-    (values, children), nonce = enclave.search_batch(token, [enclave.root_slot()])
+    values, children = enclave.search_batch(token, [enclave.root_slot()])
     assert values.tolist() == [0] and children == []
     with pytest.raises(EnclaveAbort):
-        enclave.search_batch(token, [0], session=nonce)
+        enclave.search_batch(token, [0])
 
 
 def test_extra_node_mid_query_caught_at_finalize():
@@ -490,7 +491,6 @@ def test_extra_node_mid_query_caught_at_finalize():
     root_slot = enclave.root_slot()
     queue = deque([root_slot])
     requested = {root_slot}
-    nonce = None
     injected = False
     # Detection may fire mid-run (outstanding counter dips negative) or at
     # finalize (multiset mismatch); either way the query must abort.
@@ -501,30 +501,30 @@ def test_extra_node_mid_query_caught_at_finalize():
                 outsider = next(s for s in range(index.node_count) if s not in requested)
                 batch.append(outsider)  # deliver one node that was never asked for
                 injected = True
-            (_, children), nonce = enclave.search_batch(token, batch, session=nonce)
+            _, children = enclave.search_batch(token, batch)
             queue.extend(children)
             requested.update(children)
         assert injected
-        enclave.finalize_session(nonce)
+        enclave.finalize_session(token)
 
 
 def test_node_delivered_with_a_child_it_requests_aborts():
+    pairs, tree, sk, index, enclave = _integrity_fixture(seed=18)
+    probe, token = (make_token(sk.tree_key, None, None) for _ in range(2))
+    root = enclave.root_slot()
+    _, children = enclave.search_batch(probe, [root])
+    _, grandchildren = enclave.search_batch(probe, children[:1])
     # The root and one of its children in the opening batch: one node was
     # outstanding, two arrive.
-    pairs, tree, sk, index, enclave = _integrity_fixture(seed=18)
-    token = make_token(sk.tree_key, None, None)
-    root = enclave.root_slot()
-    (_, children), _ = enclave.search_batch(token, [root])
     with pytest.raises(EnclaveAbort, match="^protocol violation: more nodes than requested$"):
         enclave.search_batch(token, [root, children[0]])
-    # A continuing batch: a child of the node, delivered with it.
-    (_, children), nonce = enclave.search_batch(token, [root])
-    (_, grandchildren), _ = enclave.search_batch(token, children[:1], session=nonce)
-    (_, children), nonce = enclave.search_batch(token, [root])
+    # The abort closed the session, so the root opens a new one.  A
+    # continuing batch: a child of the node, delivered with it.
+    _, children = enclave.search_batch(token, [root])
     with pytest.raises(EnclaveAbort, match="more nodes than requested"):
-        enclave.search_batch(token, children + grandchildren[:1], session=nonce)
-    with pytest.raises(EnclaveAbort, match="unknown or expired session"):
-        enclave.finalize_session(nonce)
+        enclave.search_batch(token, children + grandchildren[:1])
+    with pytest.raises(EnclaveAbort, match="^no open session for this token$"):
+        enclave.finalize_session(token)
 
 
 def test_tripled_node_with_a_thinned_child_fails_the_balance():
@@ -535,66 +535,164 @@ def test_tripled_node_with_a_thinned_child_fails_the_balance():
     # even number, which a balance kept mod 2 (XOR) would miss.
     pairs, tree, sk, index, enclave = _integrity_fixture(seed=19)
     token = make_token(sk.tree_key, None, None)
-    (_, children), nonce = enclave.search_batch(token, [enclave.root_slot()])
+    _, children = enclave.search_batch(token, [enclave.root_slot()])
     assert len(children) >= 3
     target, rest = children[0], children[1:]
-    (_, tripled), nonce = enclave.search_batch(token, [target] * 3, session=nonce)
+    _, tripled = enclave.search_batch(token, [target] * 3)
     thinned = tripled[0]
     assert tripled.count(thinned) == 3
     queue = rest + [p for p in tripled if p != thinned] + [thinned]
     while queue:
-        (_, nodes), nonce = enclave.search_batch(token, queue, session=nonce)
-        queue = nodes
+        _, queue = enclave.search_batch(token, queue)
     with pytest.raises(EnclaveAbort, match="^protocol violation: received nodes differ from"):
-        enclave.finalize_session(nonce)
+        enclave.finalize_session(token)
 
 
-def test_nonce_single_use():
+def test_two_opening_batches_of_one_token_share_one_session():
+    # The second delivery of the root joins the session the first opened,
+    # where the root was never requested.  The driver queues the children of
+    # both, one more node than the session counts outstanding; drained to
+    # the last queued node, nothing is outstanding, and the balance is one
+    # root over and that node short.
+    pairs, tree, sk, index, enclave = _integrity_fixture(seed=20)
+    token = make_token(sk.tree_key, None, None)
+    root = enclave.root_slot()
+    queue = []
+    for _ in range(2):
+        _, children = enclave.search_batch(token, [root])
+        queue += children
+    assert len(enclave._sessions) == 1
+    while len(queue) > 1:
+        _, children = enclave.search_batch(token, queue[:1])
+        queue = queue[1:] + children
+    with pytest.raises(
+        EnclaveAbort, match="^protocol violation: received nodes differ from requested nodes$"
+    ):
+        enclave.finalize_session(token)
+
+
+def test_finalize_closes_the_session():
     pairs, tree, sk, index, enclave = _integrity_fixture(seed=16)
-    values, nonce = _drive_batches(index, enclave, make_token(sk.tree_key, None, None))
-    assert enclave.finalize_session(nonce)
-    with pytest.raises(EnclaveAbort):
-        enclave.finalize_session(nonce)
+    token = make_token(sk.tree_key, None, None)
+    _drive_batches(index, enclave, token)
+    mac = enclave.finalize_session(token)
+    with pytest.raises(EnclaveAbort, match="^no open session for this token$"):
+        enclave.finalize_session(token)
+    # A replayed token opens a fresh session and earns the same tag.
+    _drive_batches(index, enclave, token)
+    assert enclave.finalize_session(token) == mac
 
 
-def test_continuing_batch_with_another_token_aborts_and_drops_the_session():
+def test_batch_under_another_token_aborts_and_leaves_the_session_open():
+    from hsbt.codec import decrypt_results, verify_result_mac
+    from hsbt.server import fetch_values
+
     pairs, tree, sk, index, enclave = _integrity_fixture(seed=17)
     keys = sorted(k for k, _ in pairs)
     token = make_token(sk.tree_key, keys[5], keys[60])
-    root = [enclave.root_slot()]
     others = [
         make_token(sk.tree_key, keys[100], keys[160]),  # another range
         make_token(sk.tree_key, keys[5], keys[60]),  # the same range, minted again
     ]
+    found, children = enclave.search_batch(token, [enclave.root_slot()])
+    assert children
     for other in others:
-        (_, children), nonce = enclave.search_batch(token, root)
-        assert children
-        with pytest.raises(EnclaveAbort, match="token differs"):
-            enclave.search_batch(other, children, session=nonce)
-        with pytest.raises(EnclaveAbort, match="unknown or expired session"):
-            enclave.search_batch(token, children, session=nonce)
-    # The opening token itself carries the session through.
-    values, nonce = _drive_batches(index, enclave, token)
-    assert len(values) == 56 and enclave.finalize_session(nonce)
+        # `other` has no session, so its batch must open one at the root.
+        with pytest.raises(EnclaveAbort, match="^protocol violation: first node is not the root$"):
+            enclave.search_batch(other, children)
+    assert len(enclave._sessions) == 1
+    # The opening token's session carries the query through.
+    pointers, queue = found.tolist(), children
+    while queue:
+        found, queue = enclave.search_batch(token, queue)
+        pointers += found.tolist()
+    mac = enclave.finalize_session(token)
+    values = decrypt_results(sk.value_key, fetch_values(index, pointers))
+    assert verify_result_mac(sk.tree_key, values, mac)
+    assert Counter(values) == Counter(scan_oracle(pairs, keys[5], keys[60]))
 
 
 def test_open_session_table_is_capped_oldest_first():
-    # Root-only tree: every session opens with nothing outstanding.
+    # Root-only tree: every session opens with nothing outstanding; one
+    # token per session.
     dep = Deployment.build([(7, b"only")], 4, integrity=True, rng=random.Random(0))
     enclave = dep.enclave
-    token = make_token(dep.sk.tree_key, None, None)
-    nonces = [enclave.search_batch(token, [0])[1] for _ in range(MAX_OPEN_SESSIONS + 5)]
-    assert len(set(nonces)) == MAX_OPEN_SESSIONS + 5
+    tokens = [make_token(dep.sk.tree_key, None, None) for _ in range(MAX_OPEN_SESSIONS + 5)]
+    for token in tokens:
+        enclave.search_batch(token, [0])
     assert len(enclave._sessions) == MAX_OPEN_SESSIONS
     assert enclave.sessions_evicted == 5
-    assert list(enclave._sessions) == nonces[5:]
-    with pytest.raises(EnclaveAbort, match="unknown or expired session"):
-        enclave.search_batch(token, [0], session=nonces[0])
-    with pytest.raises(EnclaveAbort, match="unknown or expired session"):
-        enclave.finalize_session(nonces[4])
-    assert enclave.finalize_session(nonces[5])
-    assert enclave.finalize_session(nonces[-1])
+    assert list(enclave._sessions) == [(None, t.ciphertext.tag) for t in tokens[5:]]
+    with pytest.raises(EnclaveAbort, match="^no open session for this token$"):
+        enclave.finalize_session(tokens[4])
+    assert enclave.finalize_session(tokens[5])
+    assert enclave.finalize_session(tokens[-1])
     assert enclave.sessions_evicted == 5
+
+
+def test_concurrent_batches_of_one_token_share_one_session_and_lose_no_update():
+    import threading
+
+    pairs, tree, sk, index, enclave = _integrity_fixture(seed=22, n=600, b=4)
+    keys = sorted(k for k, _ in pairs)
+    root = enclave.root_slot()
+    workers = 4
+
+    def run(tasks):
+        """Each task in its own thread, all started at once."""
+        start = threading.Barrier(len(tasks))
+        failures = []
+
+        def work(task):
+            start.wait()
+            try:
+                task()
+            except Exception as exc:  # pragma: no cover - surfaced via failures
+                failures.append(exc)
+
+        threads = [threading.Thread(target=work, args=(task,)) for task in tasks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update shows
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+
+    # Opening batches of one token, sent at once, open one session.
+    token = make_token(sk.tree_key, None, None)
+    run([lambda: enclave.search_batch(token, [root])] * workers)
+    assert len(enclave._sessions) == 1
+    children = tree.key_count[tree.root_id] + 1
+    assert enclave._sessions[(None, token.ciphertext.tag)].outstanding == workers * (children - 1) + 1
+
+    # An honest query whose every level is sent one node per batch, the
+    # nodes split among the threads, earns a tag that verifies.
+    from hsbt.codec import decrypt_results, verify_result_mac
+    from hsbt.server import fetch_values
+
+    for lo in range(0, 400, 50):
+        token = make_token(sk.tree_key, keys[lo], keys[lo + 200])
+        found, level = enclave.search_batch(token, [root])
+        pointers = found.tolist()
+        while level:
+            below = []
+
+            def send(share):
+                for slot in share:
+                    values, nodes = enclave.search_batch(token, [slot])
+                    pointers.extend(values.tolist())
+                    below.extend(nodes)
+
+            run([functools.partial(send, level[t::workers]) for t in range(workers)])
+            level = below
+        values = decrypt_results(sk.value_key, fetch_values(index, pointers))
+        assert verify_result_mac(sk.tree_key, values, enclave.finalize_session(token))
+        assert Counter(values) == Counter(scan_oracle(pairs, keys[lo], keys[lo + 200]))
 
 
 # -- oblivious in-node scan ------------------------------------------------------
@@ -842,18 +940,15 @@ def test_batch_abort_lands_on_the_first_failing_node():
     root = enclave.root_slot()
     nowhere = index.node_count + 5
 
-    def leaves():
-        (_, children), nonce = enclave.search_batch(token, [root])
-        return children, nonce
-
+    # Each abort closes the token's session, so the root opens a new one.
     # A fifth node overflows the requests before the missing record is reached.
-    children, nonce = leaves()
+    _, children = enclave.search_batch(token, [root])
     with pytest.raises(EnclaveAbort, match="more nodes than requested"):
-        enclave.search_batch(token, children + children[:1] + [nowhere], session=nonce)
+        enclave.search_batch(token, children + children[:1] + [nowhere])
     # The missing record comes first: it is what the batch dies on.
-    children, nonce = leaves()
+    _, children = enclave.search_batch(token, [root])
     with pytest.raises(EnclaveAbort, match=f"no node record at position {nowhere}"):
-        enclave.search_batch(token, [nowhere] + children + children[:1], session=nonce)
+        enclave.search_batch(token, [nowhere] + children + children[:1])
     # A wrong first node is caught before a later missing record.
     with pytest.raises(EnclaveAbort, match="first node is not the root"):
         enclave.search_batch(token, children[:1] + [nowhere])

@@ -124,6 +124,31 @@ def test_batch_ceiling_one_gives_crossings_touched_plus_finalize():
     assert verify_result_mac(sk.tree_key, decrypt_results(sk.value_key, blobs), mac)
 
 
+def test_streamed_integrity_query_byte_accounting():
+    # Every batch carries the token and its records in, and 5 bytes per
+    # pointer out; the finalize crossing carries the token in and the 32-byte
+    # tag out.
+    pairs, tree, sk, index, enclave = _fixture(400, b=5, seed=8, integrity=True, reserved_space=2048)
+    keys = sorted(k for k, _ in pairs)
+    token = make_token(sk.tree_key, keys[30], keys[150])
+    batches = []
+    search_batch = enclave.search_batch
+
+    def counted(token, positions, trace=None):
+        values, nodes = search_batch(token, positions, trace=trace)
+        batches.append((len(positions), len(values) + len(nodes)))
+        return values, nodes
+
+    enclave.search_batch = counted
+    blobs, mac, stats = search_streamed(index, enclave, token)
+    assert len(batches) > 1 and stats.crossings == len(batches) + 1
+    nodes = sum(n for n, _ in batches)
+    pointers = sum(p for _, p in batches)
+    assert stats.nodes_transferred == nodes and pointers > stats.result_size == 121
+    assert stats.bytes_in == (len(batches) + 1) * token.wire_size + nodes * index.node_record_size
+    assert stats.bytes_out == 5 * pointers + 32 == 5 * pointers + len(mac)
+
+
 def test_crossings_match_trace_accounting():
     pairs, tree, sk, index, enclave = _fixture(400, b=5, seed=5, integrity=True)
     keys = sorted(k for k, _ in pairs)
