@@ -72,10 +72,12 @@ class CliError(Exception):
 
 
 def read_pairs_text(path: Path):
-    """Lines of ``<key> <value...>``; the value is the rest of the line."""
+    """Lines of ``<key> <value...>``; the value is the rest of the line,
+    every byte of it, trailing spaces included.  Whitespace ahead of the key
+    is skipped; blank lines and lines starting with ``#`` are not pairs."""
     pairs = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        line = line.strip()
+        line = line.lstrip()
         if not line or line.startswith("#"):
             continue
         key_part, _, value_part = line.partition(" ")

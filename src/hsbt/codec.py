@@ -60,12 +60,10 @@ import numpy as np
 
 from hsbt.bptree import KEY_INFINITY, KEY_NEG_INFINITY, MIN_BRANCHING, PlainTree
 from hsbt.crypto import (
-    Ciphertext,
     MultisetHash,
     NONCE_BYTES,
     SecretKey,
     TAG_BYTES,
-    encrypt,
     encrypt_wires,
     open_wires,
     prp_permutation,
@@ -305,20 +303,22 @@ def encrypt_index(
 
 @dataclass(frozen=True)
 class RangeToken:
-    """Authenticated encryption of the queried range endpoints.
+    """The queried range endpoints, ``<II`` little-endian, sealed under the
+    tree key as one wire (`crypto.encrypt_wires`, no associated data).
 
-    Randomized: two tokens for the same range are distinct ciphertexts.  In
+    Randomized: two tokens for the same range are distinct wires.  In
     multi-user mode the client id rides alongside in the clear so the enclave
-    can pick the right key.
+    can pick the right key.  Frozen, so a token is hashable: the enclave
+    keys a query's integrity session by the token itself.
     """
 
-    ciphertext: Ciphertext
+    wire: bytes
     client_id: str | None = None
 
     @property
     def wire_size(self) -> int:
         prefix = len(self.client_id.encode()) + 1 if self.client_id else 0
-        return prefix + NONCE_BYTES + 8 + TAG_BYTES
+        return prefix + len(self.wire)
 
 
 def make_token(
@@ -335,7 +335,7 @@ def make_token(
         raise ValueError("range endpoint outside the 32-bit key space")
     if rs > re_:
         raise ValueError(f"empty range: {rs} > {re_}")
-    return RangeToken(encrypt(tree_key, struct.pack("<II", rs, re_)), client_id)
+    return RangeToken(encrypt_wires(tree_key, [struct.pack("<II", rs, re_)])[0], client_id)
 
 
 def unpack_range(plain: bytes) -> tuple[int, int]:

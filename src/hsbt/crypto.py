@@ -6,6 +6,11 @@ AES), an incremental multiset hash over 16-byte elements (the sum mod 2^128 of
 AES-128, used as a PRF under a subkey derived from the caller's key), and an
 HMAC tag.
 
+Every ciphertext is wire bytes, ``nonce(12) || body || tag(16)``: a query
+token, a node record and a value blob alike.  `encrypt_wires` seals them,
+`decrypt_wire` opens one (a token or a node record), and `open_wires` opens
+a result.
+
 A result arrives as a ``(k, width)`` uint8 matrix, one wire per row: the
 form in which the server gathers it from a container's value region, whose
 blobs all have one width.  `open_wires` alone decides how it opens.  One
@@ -85,22 +90,6 @@ class SecretKey:
         return cls(generate_key(), generate_key())
 
 
-@dataclass(frozen=True)
-class Ciphertext:
-    """One authenticated ciphertext.
-
-    Wire layout is ``nonce(12) || body || tag(16)``, bit-exact, the layout
-    `decrypt_wire` opens.
-    """
-
-    nonce: bytes
-    body: bytes
-    tag: bytes
-
-    def to_bytes(self) -> bytes:
-        return self.nonce + self.body + self.tag
-
-
 def _per_thread(store: threading.local, cap: int, key: bytes, make):
     """`make(key)`, kept in this thread's table in `store`, which holds at
     most `cap` keys; a full table is emptied."""
@@ -126,28 +115,12 @@ def _aead(key: bytes) -> AESGCM:
     return _per_thread(_aeads, _AEAD_CAP, key, AESGCM)
 
 
-def encrypt(key: bytes, plaintext: bytes, aad: bytes = b"") -> Ciphertext:
-    """Probabilistic authenticated encryption; a fresh nonce is drawn per call."""
-    nonce = secrets.token_bytes(NONCE_BYTES)
-    sealed = _aead(key).encrypt(nonce, plaintext, aad or None)
-    return Ciphertext(nonce, sealed[:-TAG_BYTES], sealed[-TAG_BYTES:])
-
-
-def decrypt(key: bytes, ciphertext: Ciphertext, aad: bytes = b"") -> bytes:
-    """Invert `encrypt`; raises AuthenticationError unless (key, aad, c) is authentic."""
-    try:
-        return _aead(key).decrypt(
-            ciphertext.nonce, ciphertext.body + ciphertext.tag, aad or None
-        )
-    except InvalidTag:
-        raise AuthenticationError("ciphertext rejected") from None
-
-
 def encrypt_wires(key: bytes, plaintexts, aads=None) -> list[bytes]:
-    """`encrypt` of each plaintext straight to wire bytes, with one nonce
-    draw and one AEAD object for the whole batch.  `plaintexts` is a sized
-    sequence of bytes-like items (numpy rows included); `aads`, any iterable
-    when given, binds each plaintext to its own associated data."""
+    """Probabilistic authenticated encryption of each plaintext to wire
+    bytes, ``nonce(12) || body || tag(16)``, under a fresh random nonce, with
+    one nonce draw and one AEAD object for the whole batch.  `plaintexts` is
+    a sized sequence of bytes-like items (numpy rows included); `aads`, any
+    iterable when given, binds each plaintext to its own associated data."""
     seal = _aead(key).encrypt
     drawn = secrets.token_bytes(NONCE_BYTES * len(plaintexts))
     starts = range(0, len(drawn), NONCE_BYTES)

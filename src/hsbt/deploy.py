@@ -48,9 +48,10 @@ class Deployment:
 
         A `None` endpoint is an open side, counted from `KEY_NEG_INFINITY` or
         to `KEY_INFINITY` in `stats.range_size`.  Construction 1 loads the
-        resident tree on first use and issues no result tag; any other
-        construction than 1 or 2 raises `ValueError`.  Enclave rejections
-        propagate as `EnclaveError`.
+        resident tree on first use, and its answers carry no result tag,
+        even over an integrity container: only a streamed query runs an
+        integrity session.  Any other construction than 1 or 2 raises
+        `ValueError`.  Enclave rejections propagate as `EnclaveError`.
         """
         if construction not in (1, 2):
             raise ValueError("construction must be 1 or 2")

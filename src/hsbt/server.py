@@ -134,7 +134,7 @@ def search_streamed(
         # Records move by reference out of shared memory, but their bytes are
         # still charged as boundary input alongside the token.
         bytes_in += token.wire_size + len(batch) * index.node_record_size
-        bytes_out += 5 * (len(values) + len(nodes))
+        bytes_out += 4 * (len(values) + len(nodes))
         value_pointers.append(values)
         queue += nodes
 

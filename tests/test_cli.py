@@ -278,6 +278,22 @@ def test_text_values_of_several_lengths_round_trip(tmp_path, capsys):
             assert sorted(capsys.readouterr().out.splitlines()) == want
 
 
+def test_text_values_keep_trailing_spaces(tmp_path, capsys):
+    # The value is every byte after the first space that follows the key:
+    # trailing spaces stay, as leading ones do.
+    path = tmp_path / "spaces.txt"
+    path.write_text("# comment\n\n  5 a  \n6  b\n7 c \n   \n8 d\n")
+    want = [(5, b"a  "), (6, b" b"), (7, b"c "), (8, b"d")]
+    assert read_pairs_text(path) == want
+    out = tmp_path / "spaces.hsbt"
+    assert main(["build", "--input", str(path), "--b", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    query = ["query", "--index", str(out), "--key", str(out) + ".key", "--range", "5:8"]
+    for construction in ("1", "2"):
+        assert main(query + ["--construction", construction]) == 0
+        assert sorted(capsys.readouterr().out.split("\n")[:-1]) == [" b", "a  ", "c ", "d"]
+
+
 def test_query_of_an_unpadded_value_exits_one(tmp_path, capsys):
     # A container built through the library, not by `build`, holds values
     # without the 0x80 padding byte that `query` strips.

@@ -35,7 +35,6 @@ from hsbt.crypto import (
     AuthenticationError,
     MultisetHash,
     SecretKey,
-    decrypt,
     decrypt_wire,
     encrypt_wires,
     prp_apply,
@@ -447,21 +446,34 @@ def test_value_count_rewrite_keeps_the_region():
 def test_token_roundtrip():
     sk = SecretKey.generate()
     tok = make_token(sk.tree_key, 3, 5)
-    assert unpack_range(decrypt(sk.tree_key, tok.ciphertext)) == (3, 5)
+    assert unpack_range(decrypt_wire(sk.tree_key, tok.wire)) == (3, 5)
 
 
 def test_token_open_range_sentinels():
     sk = SecretKey.generate()
     below = make_token(sk.tree_key, None, 7)
-    assert unpack_range(decrypt(sk.tree_key, below.ciphertext)) == (0, 7)
+    assert unpack_range(decrypt_wire(sk.tree_key, below.wire)) == (0, 7)
     above = make_token(sk.tree_key, 7, None)
-    assert unpack_range(decrypt(sk.tree_key, above.ciphertext)) == (7, KEY_INFINITY)
+    assert unpack_range(decrypt_wire(sk.tree_key, above.wire)) == (7, KEY_INFINITY)
 
 
 def test_equal_ranges_give_distinct_tokens():
     sk = SecretKey.generate()
     a, b = make_token(sk.tree_key, 3, 5), make_token(sk.tree_key, 3, 5)
-    assert a.ciphertext.to_bytes() != b.ciphertext.to_bytes()
+    assert a.wire != b.wire
+
+
+def test_token_wire_and_wire_size():
+    # A token is one wire: nonce(12) || the 8-byte range || tag(16).  A named
+    # client adds its id and one separator byte; the driver charges exactly
+    # this to `bytes_in` per crossing.
+    key = SecretKey.generate().tree_key
+    plain = make_token(key, 3, 5)
+    assert len(plain.wire) == NONCE_BYTES + 8 + TAG_BYTES == 36
+    assert plain.wire_size == 36
+    named = make_token(key, 3, 5, client_id="client-7")
+    assert len(named.wire) == 36
+    assert named.wire_size == len("client-7") + 1 + 36 == 45
 
 
 def test_token_rejects_inverted_range():
@@ -485,7 +497,7 @@ def test_unpack_range_rejects_a_plaintext_that_is_not_8_bytes(length):
 def test_token_plaintext_is_8_byte_le_pair():
     sk = SecretKey.generate()
     tok = make_token(sk.tree_key, 0x01020304, 0x0A0B0C0D)
-    plain = decrypt(sk.tree_key, tok.ciphertext)
+    plain = decrypt_wire(sk.tree_key, tok.wire)
     assert plain == struct.pack("<II", 0x01020304, 0x0A0B0C0D)
 
 

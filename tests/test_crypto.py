@@ -9,18 +9,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsbt import crypto
 from hsbt.crypto import (
     AuthenticationError,
-    Ciphertext,
     MultisetHash,
     SecretKey,
-    decrypt,
     decrypt_wire,
-    encrypt,
     encrypt_wires,
     generate_key,
     mac_tag,
@@ -54,57 +52,45 @@ def test_secret_key_rejects_a_key_of_the_wrong_length(tree_len, value_len):
         SecretKey(b"\x01" * tree_len, b"\x02" * value_len)
 
 
-def test_encrypt_decrypt_roundtrip_with_aad():
-    key = generate_key()
-    ct = encrypt(key, b"payload", b"slot-7")
-    assert decrypt(key, ct, b"slot-7") == b"payload"
-
-
 def test_encrypt_is_probabilistic():
     key = generate_key()
-    a = encrypt(key, b"same message", b"")
-    b = encrypt(key, b"same message", b"")
-    assert a.to_bytes() != b.to_bytes()
+    a, b = encrypt_wires(key, [b"same message", b"same message"])
+    c = encrypt_wires(key, [b"same message"])[0]
+    assert len({a, b, c}) == 3
 
 
 def test_decrypt_rejects_wrong_key_and_wrong_aad():
     key, other = generate_key(), generate_key()
-    ct = encrypt(key, b"m", b"a")
+    wire = encrypt_wires(key, [b"m"], [b"a"])[0]
+    assert decrypt_wire(key, wire, b"a") == b"m"
     with pytest.raises(AuthenticationError):
-        decrypt(other, ct, b"a")
+        decrypt_wire(other, wire, b"a")
     with pytest.raises(AuthenticationError):
-        decrypt(key, ct, b"b")
+        decrypt_wire(key, wire, b"b")
 
 
 def test_decrypt_rejects_single_bit_flip():
+    # One bit flipped in the nonce, the body or the tag.
     key = generate_key()
-    ct = encrypt(key, b"twelve bytes!", b"")
-    body = bytearray(ct.body)
-    body[2] ^= 0x01  # wire byte 14
-    with pytest.raises(AuthenticationError):
-        decrypt(key, Ciphertext(ct.nonce, bytes(body), ct.tag), b"")
+    wire = encrypt_wires(key, [b"thirteen byte"])[0]
+    for at in (0, 14, len(wire) - 1):
+        flipped = bytearray(wire)
+        flipped[at] ^= 0x01
+        with pytest.raises(AuthenticationError):
+            decrypt_wire(key, bytes(flipped))
 
 
 def test_wire_layout_is_nonce_body_tag():
+    # The wire is AES-GCM's output under its own nonce, the nonce prepended:
+    # nonce(12) || body || tag(16), checked against the AEAD directly.
     key = generate_key()
-    ct = encrypt(key, b"\x00" * 20, b"")
-    wire = ct.to_bytes()
+    plain = bytes(range(20))
+    wire = encrypt_wires(key, [plain], [b"ad"])[0]
     assert len(wire) == 12 + 20 + 16
-    assert wire[:12] == ct.nonce and wire[-16:] == ct.tag
-    assert wire[12:-16] == ct.body
-    # The wire form is the one the wire helpers open.
-    assert decrypt_wire(key, wire) == b"\x00" * 20
-
-
-def test_wire_helpers_match_object_api():
-    key = generate_key()
-    wire = encrypt_wires(key, [b"abc"], [b"ad"])[0]
-    assert decrypt_wire(key, wire, b"ad") == b"abc"
-    ct = Ciphertext(wire[:12], wire[12:-16], wire[-16:])
-    assert decrypt(key, ct, b"ad") == b"abc"
-    assert decrypt_wire(key, encrypt(key, b"abc", b"ad").to_bytes(), b"ad") == b"abc"
-    with pytest.raises(AuthenticationError):
-        decrypt_wire(key, wire, b"xx")
+    nonce, sealed = wire[:12], wire[12:]
+    assert sealed == AESGCM(key).encrypt(nonce, plain, b"ad")
+    assert AESGCM(key).decrypt(nonce, sealed, b"ad") == plain
+    assert decrypt_wire(key, wire, b"ad") == plain
 
 
 def test_bulk_encrypt_matches_wire_helpers():

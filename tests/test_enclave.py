@@ -29,7 +29,7 @@ from hsbt.codec import (
     node_dtype,
     node_struct,
 )
-from hsbt.crypto import SecretKey, encrypt
+from hsbt.crypto import SecretKey, encrypt_wires
 from hsbt.deploy import Deployment
 from hsbt.enclave import (
     DEFAULT_CLIENT,
@@ -124,11 +124,32 @@ def test_token_naming_an_empty_range_aborts():
     # `make_token` refuses to mint an inverted range, so seal one directly.
     pairs, tree, sk, index, enclave = _fixture(50)
     enclave.load_tree(index)
-    token = RangeToken(encrypt(sk.tree_key, struct.pack("<II", 9, 3)))
+    token = RangeToken(encrypt_wires(sk.tree_key, [struct.pack("<II", 9, 3)])[0])
     with pytest.raises(EnclaveAbort, match="token names an empty range"):
         enclave.search_batch(token, [enclave.root_slot()])
     with pytest.raises(EnclaveAbort, match="token names an empty range"):
         enclave.search_resident(token)
+
+
+@pytest.mark.parametrize("bit", [0, 12 * 8 + 3, 36 * 8 - 1])
+def test_token_with_a_flipped_bit_aborts_and_leaves_sessions_alone(bit):
+    # One bit flipped in the nonce, the sealed range or the tag of an open
+    # session's token: both entry points refuse it before any session is
+    # looked up, and the open session stays as it was.
+    pairs, tree, sk, index, enclave = _integrity_fixture()
+    enclave.load_tree(index)
+    token = make_token(sk.tree_key, None, None)
+    enclave.search_batch(token, [enclave.root_slot()])
+    before = {t: (s.outstanding, s.balance, s.result_hash) for t, s in enclave._sessions.items()}
+    wire = bytearray(token.wire)
+    wire[bit // 8] ^= 1 << bit % 8
+    forged = RangeToken(bytes(wire))
+    with pytest.raises(EnclaveAbort, match="^token failed authentication$"):
+        enclave.search_batch(forged, [enclave.root_slot()])
+    with pytest.raises(EnclaveAbort, match="^token failed authentication$"):
+        enclave.search_resident(forged)
+    after = {t: (s.outstanding, s.balance, s.result_hash) for t, s in enclave._sessions.items()}
+    assert after == before and list(after) == [token]
 
 
 def test_provision_then_search_succeeds():
@@ -622,7 +643,7 @@ def test_open_session_table_is_capped_oldest_first():
         enclave.search_batch(token, [0])
     assert len(enclave._sessions) == MAX_OPEN_SESSIONS
     assert enclave.sessions_evicted == 5
-    assert list(enclave._sessions) == [(None, t.ciphertext.tag) for t in tokens[5:]]
+    assert list(enclave._sessions) == tokens[5:]
     with pytest.raises(EnclaveAbort, match="^no open session for this token$"):
         enclave.finalize_session(tokens[4])
     assert enclave.finalize_session(tokens[5])
@@ -668,7 +689,7 @@ def test_concurrent_batches_of_one_token_share_one_session_and_lose_no_update():
     run([lambda: enclave.search_batch(token, [root])] * workers)
     assert len(enclave._sessions) == 1
     children = tree.key_count[tree.root_id] + 1
-    assert enclave._sessions[(None, token.ciphertext.tag)].outstanding == workers * (children - 1) + 1
+    assert enclave._sessions[token].outstanding == workers * (children - 1) + 1
 
     # An honest query whose every level is sent one node per batch, the
     # nodes split among the threads, earns a tag that verifies.

@@ -125,8 +125,8 @@ def test_batch_ceiling_one_gives_crossings_touched_plus_finalize():
 
 
 def test_streamed_integrity_query_byte_accounting():
-    # Every batch carries the token and its records in, and 5 bytes per
-    # pointer out; the finalize crossing carries the token in and the 32-byte
+    # Every batch carries the token and its records in, and 4 bytes per
+    # pointer out (a uint32 each); the finalize crossing carries the token in and the 32-byte
     # tag out.
     pairs, tree, sk, index, enclave = _fixture(400, b=5, seed=8, integrity=True, reserved_space=2048)
     keys = sorted(k for k, _ in pairs)
@@ -146,7 +146,7 @@ def test_streamed_integrity_query_byte_accounting():
     pointers = sum(p for _, p in batches)
     assert stats.nodes_transferred == nodes and pointers > stats.result_size == 121
     assert stats.bytes_in == (len(batches) + 1) * token.wire_size + nodes * index.node_record_size
-    assert stats.bytes_out == 5 * pointers + 32 == 5 * pointers + len(mac)
+    assert stats.bytes_out == 4 * pointers + 32 == 4 * pointers + len(mac)
 
 
 def test_crossings_match_trace_accounting():
@@ -190,11 +190,11 @@ def test_no_plaintext_sentinels_on_untrusted_surfaces():
     # Every byte surface the untrusted side handles: container regions, the
     # token wire, and the returned blobs.
     key_bytes_le = sentinel_key.to_bytes(4, "little")
-    surfaces = [index.node_region, index.value_region, token.ciphertext.to_bytes(), *blobs]
+    surfaces = [index.node_region, index.value_region, token.wire, *blobs]
     for surface in surfaces:
         assert sentinel_value not in surface
     assert key_bytes_le not in index.node_region
-    assert key_bytes_le not in token.ciphertext.to_bytes()
+    assert key_bytes_le not in token.wire
     # And yet the client can still recover the value.
     assert decrypt_results(sk.value_key, blobs) == [sentinel_value]
 
