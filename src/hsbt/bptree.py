@@ -51,14 +51,16 @@ class BuildError(ValueError):
 @dataclass(frozen=True, eq=False)
 class PlainTree:
     """Build output: the padded nodes as arrays indexed by node id, the root
-    id, and the random storage order assigned to the values.
+    id, and the random storage order assigned to the values, one numpy
+    permutation.
 
     Row ``x`` of `keys` (``uint32``, ``(m, branching - 1)``) is node ``x``'s
     keys, nondecreasing, exactly ``key_count[x]`` of them real and the rest
     KEY_INFINITY.  Row ``x`` of `ptrs` (``uint32``, ``(m, branching)``) is its
     pointers: for an inner node, slots ``0..key_count[x]`` hold child ids; for
     a leaf (``leaf[x]``), slots ``1..key_count[x]`` hold value-region slots
-    and slot 0 is always the dummy.  ``value_positions[i]`` is the
+    and slot 0 is always the dummy.  ``value_positions[i]`` (``uint32``,
+    ``(n_values,)``, a permutation of ``range(n_values)``) is the
     value-region slot of input pair ``i``.
     """
 
@@ -69,7 +71,7 @@ class PlainTree:
     key_count: np.ndarray
     leaf: np.ndarray
     root_id: int
-    value_positions: tuple[int, ...]
+    value_positions: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -100,7 +102,8 @@ def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | No
 
     The shape depends only on the multiset of keys and the branching factor,
     not on the pair order; `rng` only decides the random storage order of the
-    values, drawn as one shuffle of ``range(len(pairs))``.
+    values: one numpy permutation of ``range(len(pairs))``, seeded by one
+    128-bit draw from `rng`.
     """
     if branching < MIN_BRANCHING:
         raise BuildError(f"branching factor must be at least {MIN_BRANCHING}")
@@ -111,10 +114,8 @@ def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | No
             raise BuildError(f"key {key} outside [{KEY_MIN}, {KEY_MAX}]")
 
     rng = rng or random.Random()
-    value_positions = list(range(len(pairs)))
-    rng.shuffle(value_positions)
-
     n, max_keys = len(pairs), branching - 1
+    value_positions = np.random.default_rng(rng.getrandbits(128)).permutation(n).astype(np.uint32)
     keys = np.fromiter((key for key, _ in pairs), np.uint32, n)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -134,7 +135,7 @@ def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | No
         start = end
     counts = np.diff(starts, append=n)
     key_rows = [_rows(counts, keys, max_keys, KEY_INFINITY)]
-    ptr_rows = [_rows(counts, np.asarray(value_positions)[order], branching, DUMMY_POINTER, 1)]
+    ptr_rows = [_rows(counts, value_positions[order], branching, DUMMY_POINTER, 1)]
     key_count = [counts]
 
     # Inner levels: ceil(m / branching) groups whose sizes differ by at most
@@ -154,7 +155,7 @@ def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | No
 
     keys, ptrs, key_count = map(np.concatenate, (key_rows, ptr_rows, key_count))
     leaf = np.arange(first + 1) < len(counts)
-    return PlainTree(branching, n, keys, ptrs, key_count, leaf, first, tuple(value_positions))
+    return PlainTree(branching, n, keys, ptrs, key_count, leaf, first, value_positions)
 
 
 def scan_oracle(pairs: Sequence[Pair], r_start: int, r_end: int) -> list[bytes]:

@@ -51,7 +51,7 @@ from hsbt.bptree import (
     build_tree,
 )
 from hsbt.codec import EncryptedIndex, make_token, node_plain_size
-from hsbt.crypto import AuthenticationError, SecretKey, prp_permutation
+from hsbt.crypto import AuthenticationError, SecretKey, decrypt_wire, prp_permutation
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveError, EnclaveSim
 from hsbt.leakage import AccessTrace, PageLayout, audit_query, leak_enc, leak_hw_nodes, leak_hw_pages
@@ -72,20 +72,23 @@ class CliError(Exception):
 
 
 def read_pairs_text(path: Path):
-    """Lines of ``<key> <value...>``; the value is the rest of the line,
-    every byte of it, trailing spaces included.  Whitespace ahead of the key
-    is skipped; blank lines and lines starting with ``#`` are not pairs."""
+    """Lines of ``<key> <value...>``, read as bytes and split at newline
+    bytes only; one carriage return before a newline is dropped, so CRLF
+    files read the same.  The value is the rest of the line, every byte of
+    it: trailing spaces, form feeds and bytes that are not UTF-8 included.
+    Whitespace ahead of the key is skipped; blank lines and lines starting
+    with ``#`` are not pairs."""
     pairs = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(path.read_bytes().replace(b"\r\n", b"\n").split(b"\n"), 1):
         line = line.lstrip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith(b"#"):
             continue
-        key_part, _, value_part = line.partition(" ")
+        key_part, _, value = line.partition(b" ")
         try:
             key = int(key_part)
         except ValueError:
             raise CliError(f"{path}:{lineno}: key {key_part!r} is not an integer")
-        pairs.append((key, value_part.encode()))
+        pairs.append((key, value))
     return pairs
 
 
@@ -318,6 +321,13 @@ def cmd_audit(args) -> int:
         tree = build_tree(pairs, dep.index.branching, rng=random.Random(meta["seed"]))
     except BuildError as exc:
         raise CliError(f"{path}: {exc}") from None
+    # The rebuild must be the container's: its node and value counts, and the
+    # first pair's padded value in the blob at its rebuilt slot.
+    if (tree.node_count, tree.n_values) != (dep.index.node_count, dep.index.n_values):
+        raise CliError(f"{path}: the pairs do not rebuild the container's node and value counts")
+    first = decrypt_wire(dep.sk.value_key, dep.index.value_blob(int(tree.value_positions[0])))
+    if first != pad_values(pairs)[0][1]:
+        raise CliError(f"{path}: the pairs do not rebuild the container's value order")
     perm = prp_permutation(dep.sk.tree_key, dep.index.node_count)
     pm = lambda nid: int(perm[nid])
     layout = PageLayout(record_size=node_plain_size(dep.index.branching, dep.index.integrity))

@@ -80,15 +80,6 @@ _RECORD_AAD = struct.Struct(f"<{_HEADER.size}sI")
 FLAG_LEAF = 0x01
 
 
-def integrity_region_size(branching: int) -> int:
-    return 16 * (branching - 1)
-
-
-def node_plain_size(branching: int, integrity: bool) -> int:
-    size = node_struct(branching).size
-    return size + (integrity_region_size(branching) if integrity else 0)
-
-
 @functools.lru_cache(maxsize=None)
 def node_struct(branching: int) -> struct.Struct:
     """A record's fixed part as one struct:
@@ -113,6 +104,11 @@ def node_dtype(branching: int, integrity: bool) -> np.dtype:
         formats.append(("u1", (branching - 1, 16)))
     # Unaligned, so the fields sit back to back as in the record.
     return np.dtype({"names": names, "formats": formats})
+
+
+def node_plain_size(branching: int, integrity: bool) -> int:
+    """Byte size of one node record plaintext: `node_dtype`'s item size."""
+    return node_dtype(branching, integrity).itemsize
 
 
 def deserialize_node(plains, branching: int, integrity: bool) -> np.ndarray:

@@ -53,7 +53,6 @@ KEY_BYTES = 16
 NONCE_BYTES = 12
 TAG_BYTES = 16
 MSET_DIGEST_BYTES = 16
-MAC_BYTES = 32
 
 _FEISTEL_ROUNDS = 4
 

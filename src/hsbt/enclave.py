@@ -235,9 +235,10 @@ class EnclaveSim:
     serialized internally.  `sessions_evicted` counts open sessions dropped to
     keep the table at `MAX_OPEN_SESSIONS`.
 
-    `order_seed_source` is a test-only hook: when set, per-query shuffle seeds
-    are drawn from it (and recorded on the trace) so an auditor can replay
-    output orders.  Production use leaves it unset and seeds from the CSPRNG.
+    Every traced call records its output-order shuffle seed on the trace.
+    `order_seed_source`, when set, is where those seeds come from, so an
+    auditor can replay output orders (`hsbt audit`, the tests and demo 02
+    set it); a deployment leaves it unset and seeds from the CSPRNG.
     """
 
     def __init__(

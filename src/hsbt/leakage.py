@@ -69,9 +69,10 @@ def leak_enc(pairs, tree: PlainTree) -> LeakEnc:
 class AccessTrace:
     """Ordered boundary events recorded during one query, append-only.
 
-    `order_seeds` collects the enclave's per-call shuffle seeds when the
-    replayable-order hook is active (the frozen-randomness snapshot of the
-    leakage definition).
+    `order_seeds` collects the enclave's output-order shuffle seed of every
+    traced call (the frozen-randomness snapshot of the leakage definition);
+    they are replayable when the enclave draws them from its
+    `order_seed_source`.
     """
 
     events: list[tuple[str, object]] = field(default_factory=list)

@@ -146,7 +146,7 @@ def test_build_deterministic_given_seed():
     for field in dataclasses.fields(PlainTree):
         assert np.array_equal(getattr(t1, field.name), getattr(t2, field.name)), field.name
     t3 = build_tree(pairs, 6, rng=random.Random(100))
-    assert t1.value_positions != t3.value_positions
+    assert not np.array_equal(t1.value_positions, t3.value_positions)
 
 
 def test_duplicate_keys_all_stored_and_returned():
@@ -262,7 +262,11 @@ def test_permuting_the_pairs_leaves_the_shape_unchanged():
 
 
 def test_value_positions_are_one_shuffle_of_the_region():
-    pairs = _pairs(range(1, 301))
-    want = list(range(300))
-    random.Random(3).shuffle(want)
-    assert build_tree(pairs, 5, rng=random.Random(3)).value_positions == tuple(want)
+    # One numpy permutation of the value region, seeded by one 128-bit draw
+    # from the caller's rng.
+    for n in (1, 2, 300):
+        want = np.random.default_rng(random.Random(3).getrandbits(128)).permutation(n)
+        got = build_tree(_pairs(range(1, n + 1)), 5, rng=random.Random(3)).value_positions
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, want)
+        assert sorted(got.tolist()) == list(range(n))

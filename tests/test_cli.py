@@ -294,6 +294,65 @@ def test_text_values_keep_trailing_spaces(tmp_path, capsys):
         assert sorted(capsys.readouterr().out.split("\n")[:-1]) == [" b", "a  ", "c ", "d"]
 
 
+@pytest.mark.parametrize("construction", ["1", "2"])
+def test_text_values_keep_every_byte_but_the_line_end(tmp_path, capsysbinary, construction):
+    # Lines end at a newline byte alone, one carriage return before it
+    # dropped: a form feed, `\x85`, U+2028 or a byte that is not UTF-8 stays
+    # in the value, and a CRLF file reads as an LF one.
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"5 a\x0c6 b\r\n7 c\r\r\n8 \xc2\x85d\xe2\x80\xa8e\n9 \xff\xfe\n")
+    want = [(5, b"a\x0c6 b"), (7, b"c\r"), (8, b"\xc2\x85d\xe2\x80\xa8e"), (9, b"\xff\xfe")]
+    assert read_pairs_text(path) == want
+    out = tmp_path / "bytes.hsbt"
+    assert main(["build", "--input", str(path), "--b", "3", "--seed", "1", "--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    query = ["query", "--index", str(out), "--key", str(out) + ".key", "--range", "1:10"]
+    assert main(query + ["--construction", construction]) == 0
+    lines = capsysbinary.readouterr().out.split(b"\n")
+    assert lines[-1] == b"" and sorted(lines[:-1]) == sorted(v for _, v in want)
+
+
+def test_text_key_that_is_not_an_integer_exits_one_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 ok\n\xff2 value\n")
+    argv = ["build", "--input", str(path), "--seed", "1", "--out", str(tmp_path / "bad.hsbt")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {path}:2: key ") and "not an integer" in captured.err
+
+
+@pytest.mark.parametrize("mismatch", ["more-pairs", "other-values", "other-seed"])
+def test_audit_of_a_rebuild_that_is_not_the_containers_exits_one(tmp_path, capsys, mismatch):
+    # The rebuilt tree must have the container's node and value counts, and
+    # the first pair's value must sit at its rebuilt slot; otherwise the
+    # audit fails closed before any query runs.
+    built = tmp_path / "built.txt"
+    built.write_text("".join(f"{k} audit-{k:06d}\n" for k in range(1, 501)))
+    out = tmp_path / "audit.hsbt"
+    argv = ["build", "--input", str(built), "--integrity", "on", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    key = tmp_path / "audit.hsbt.key"
+    audited = tmp_path / "audited.txt"
+    if mismatch == "more-pairs":
+        audited.write_text("".join(f"{k} audit-{k:06d}\n" for k in range(1, 2001)))
+    elif mismatch == "other-values":
+        audited.write_text("".join(f"{k} other-{k:06d}\n" for k in range(1, 501)))
+    else:
+        # The seed decides the value order, so another seed stands in for a
+        # container whose order an older build drew.
+        audited = built
+        meta = json.loads(key.read_text())
+        key = tmp_path / "other-seed.key"
+        key.write_text(json.dumps({**meta, "seed": 2}))
+    capsys.readouterr()
+    assert main(_audit_argv(out, audited, key=str(key))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    want = "node and value counts" if mismatch == "more-pairs" else "value order"
+    assert captured.err.startswith("error:") and want in captured.err
+
+
 def test_query_of_an_unpadded_value_exits_one(tmp_path, capsys):
     # A container built through the library, not by `build`, holds values
     # without the 0x80 padding byte that `query` strips.

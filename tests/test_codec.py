@@ -21,7 +21,6 @@ from hsbt.codec import (
     decrypt_results,
     deserialize_node,
     encrypt_index,
-    integrity_region_size,
     leaf_mask,
     make_token,
     node_dtype,
@@ -126,7 +125,12 @@ def test_node_records_share_one_size_across_kinds():
         for slot in range(index.node_count)
     }
     assert sizes == {plain}
-    assert integrity_region_size(6) == 16 * 5
+    assert node_plain_size(6, True) - node_plain_size(6, False) == 16 * 5
+    # The record layout of the module docstring, for b from 3 to 299.
+    for b in range(MIN_BRANCHING, 300):
+        fixed = 1 + 2 + 4 * (b - 1) + 4 * b
+        assert node_plain_size(b, False) == fixed
+        assert node_plain_size(b, True) == fixed + 16 * (b - 1)
 
 
 def test_decrypted_tree_preserves_logical_structure():
@@ -219,10 +223,11 @@ def test_leaf_entries_are_the_tags_of_their_value_blobs(count):
 # any byte of the format changes it.  Nonces are random and stay out, and so
 # do the leaves' value tags, which depend on them: each is checked against its
 # blob's tag and hashed as the blob's position instead.  The node records
-# also pin the tree shape that `build_tree`'s bulk load gives.
+# also pin the tree shape that `build_tree`'s bulk load gives, and the value
+# region order pins its one numpy permutation.
 _GOLDEN_HSBT4 = {
-    False: "1cb44ca2422fbc0b1d0ebb15f68939fc662076d759210d0b8d6d08d71995e8a7",
-    True: "bcc3b4268c96eb232cf7ddd90031c055de6df8fbff0f694362d9eb20cae65fe5",
+    False: "b7723cf69b4594b797c33c8b0072d07ca647f65d84a6bfd92e1f94daa8dd9f50",
+    True: "d274ed412a6b2feed3d7e6996cdbb71f4bd55a6ced804267650d9f75b5a28225",
 }
 
 
@@ -544,7 +549,8 @@ def test_verify_result_mac_roundtrip():
         results[0] = b"forged"
     with pytest.raises(TypeError):
         results.append(b"forged")
-    assert results == [pairs[tree.value_positions.index(p)][1] for p in (3, 17, 42)]
+    positions = tree.value_positions.tolist()
+    assert results == [pairs[positions.index(p)][1] for p in (3, 17, 42)]
 
 
 def test_verify_result_mac_folds_the_last_16_bytes_of_blobs_of_mixed_lengths():

@@ -51,7 +51,7 @@ def desk_tree():
         key_count=np.array([len(keys) for _, keys, _ in rows]),
         leaf=np.array([leaf for leaf, _, _ in rows]),
         root_id=6,
-        value_positions=tuple(range(8)),
+        value_positions=np.arange(8, dtype=np.uint32),
     )
 
 
