@@ -1,7 +1,8 @@
 """An actively malicious server against the integrity protocol.
 
 In integrity mode the enclave tracks, per query, the token that opened the
-query, how many requested nodes are outstanding (no batch may deliver more),
+query, how many requested nodes are outstanding (no batch may deliver more,
+nor more than the reserved space holds: ``oversize-batch``),
 one balance multiset hash that adds the storage slots it asked for and
 subtracts the slots it received (it must end at zero; a record opens only at
 the slot it was sealed for, so a slot names its node), and a multiset hash of the matched leaf value tags (each

@@ -68,6 +68,7 @@ from hsbt.crypto import (
     open_wires,
     prp_permutation,
     result_mac,
+    seal_wires,
 )
 
 HEADER_MAGIC = b"HSBT4"
@@ -246,20 +247,26 @@ def encrypt_index(
     `values` must align with the pair order given to the build; the tree's
     value permutation decides where each encrypted blob lands, and they
     must all have one length (`ValueError` otherwise).  The values are
-    sealed first, in one bulk call in value-region order; in integrity
-    mode leaf slot j then carries the GCM tag of the blob behind pointer j.
+    sealed first: joined into one ``(n, length)`` matrix, put in
+    value-region order by one gather, and sealed by one `seal_wires` call,
+    in array passes when they are 1 to 64 bytes long; in integrity mode
+    leaf slot j then carries the GCM tag of the blob behind pointer j.
     The tree's row arrays are assigned into one `node_dtype` array, inner
-    child ids rewritten to slots, and the records are sealed in one bulk
-    call, each under `EncryptedIndex.record_aad` of its slot.
+    child ids rewritten to slots, and the records are sealed in one
+    `encrypt_wires` call, each under `EncryptedIndex.record_aad` of its
+    slot.
     """
     n_values = tree.n_values
     if len(values) != n_values:
         raise ValueError("value count does not match the built tree")
     width = value_width(values)
-    # Sealed in value-region order, the order `to_bytes` writes them.
-    value_region = b"".join(
-        encrypt_wires(sk.value_key, [values[i] for i in np.argsort(tree.value_positions).tolist()])
-    )
+    body = width - NONCE_BYTES - TAG_BYTES
+    plains = np.frombuffer(b"".join(values), np.uint8).reshape(n_values, body)
+    # Sealed in value-region order, the order `to_bytes` writes them.  No
+    # value temporary outlives the seal: the records built below add to the
+    # set-up's peak memory.
+    value_region = seal_wires(sk.value_key, plains[np.argsort(tree.value_positions)]).tobytes()
+    del plains
 
     branching = tree.branching
     node_count = tree.node_count

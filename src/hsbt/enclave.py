@@ -12,17 +12,21 @@ query entry points mirror the two deployment modes:
 * `search_batch`: nodes stay encrypted in the shared host region; the
   untrusted driver passes storage positions batch by batch and routes the
   returned pointers.  The observable channel is the node-granular fetch
-  pattern.
+  pattern.  A batch that would open more records than the reserved space
+  holds (`max_batch_nodes`), or in integrity mode than its session has
+  outstanding, is refused before any record opens, so trusted memory per
+  call is bounded whatever the driver sends.
 
 Nodes are array-shaped: the resident tree is one `node_dtype` record array
 indexed by slot, and a streamed batch decodes into one with a single
 `deserialize_node`.  The resident load and a streamed batch open records in
 one place, `_open_records`, which authenticates each against the container
 header and its slot and names the first that fails.  It does so in one
-C-level pass: a single bound check for the batch, then one `decrypt_wire`
-call per record mapped over plain-bytes slices of the node region and their
-associated data, with the trace's fetch events recorded afterwards for the
-records opened.  The AES-GCM calls are most of that pass.
+C-level pass, one `decrypt_wire` call per record mapped over plain-bytes
+slices of the node region and their associated data, with the trace's fetch
+events recorded afterwards for the records opened; a streamed batch has
+already had one bound check (`_in_region`) and its budget check.  The
+AES-GCM calls are most of that pass.
 `oblivious_match_slots` matches a whole batch, or a whole level of the
 resident walk, in one vectorised comparison; a resident level too small to
 repay numpy's per-call cost is scanned node by node with the same per-slot
@@ -405,11 +409,13 @@ class EnclaveSim:
         integrity mode the batch continues its token's open session, or, if
         that token has none, opens one and must start at the root.
 
-        Each record is sliced from the shared node region and authenticated
-        on its own; the batch is then decoded and matched at once, and each
-        session accumulator is folded once.  A record that fails aborts the
-        batch at that record, with the same message as a node-by-node walk,
-        and drops the token's session.
+        Before any record opens, the batch is cut at its first position
+        with no record, and what is left must fit the budget
+        (`_check_budget`).  Each record is then sliced from the shared node
+        region and authenticated on its own; the batch is decoded and
+        matched at once, and each session accumulator is folded once.  A
+        record that fails aborts the batch at that record, with the same
+        message as a node-by-node walk, and drops the token's session.
         """
         if self._container is None:
             raise EnclaveError("no container attached")
@@ -419,7 +425,10 @@ class EnclaveSim:
         rs, re_ = self._open_token(token)
         rng = self._fresh_order_rng(trace)
 
+        positions, missing = _in_region(positions, container.node_count)
+        self._check_budget(container, token, len(positions))
         nodes, failure = self._open_records(container, positions, trace)
+        failure = failure or missing
         branching = container.branching
         self._tally(len(nodes), len(nodes), branching)
         is_value, pointers, rows, cols = _expand(nodes, rs, re_)
@@ -491,26 +500,39 @@ class EnclaveSim:
             raise EnclaveAbort("token names an empty range")
         return r_start, r_end
 
+    def _check_budget(self, container: EncryptedIndex, token: RangeToken, count: int) -> None:
+        """Abort, dropping the token's session, unless a batch that opens
+        `count` records fits the enclave's budget: the batch ceiling
+        (`max_batch_nodes`) and, in integrity mode, the nodes its session
+        has outstanding, one for a session yet to open.  Nothing is locked:
+        the count is read as it stands, and checked again under the lock
+        once the records are open."""
+        ceiling = self.max_batch_nodes(container.node_record_size)
+        sess = self._sessions.get(token) if container.integrity else None
+        if count > ceiling:
+            reason = f"protocol violation: batch of {count} nodes exceeds the ceiling of {ceiling}"
+        elif container.integrity and count > (1 if sess is None else sess.outstanding):
+            reason = "protocol violation: more nodes than requested"
+        else:
+            return
+        with self._lock:
+            self._sessions.pop(token, None)
+        raise EnclaveAbort(reason)
+
     def _open_records(
         self, container: EncryptedIndex, positions, trace=None
     ) -> tuple[np.ndarray, str | None]:
-        """Authenticate the records at `positions`, in order, and decode them
-        as one record array.
+        """Authenticate the records at `positions`, all in the node region,
+        in order, and decode them as one record array.
 
-        One bound check covers the whole batch.  Each record is sliced from
-        the shared node region as plain bytes and opened by its own
-        `decrypt_wire` call under `record_aads`, the container header
-        followed by its slot, in one `map`.  Stops at the first position with
-        no record or whose record fails authentication, and returns the
-        records before it with the abort message (None when every record
-        opened); the trace records a fetch for exactly those records, in
-        order, once the pass is over."""
+        Each record is sliced from the shared node region as plain bytes and
+        opened by its own `decrypt_wire` call under `record_aads`, the
+        container header followed by its slot, in one `map`.  Stops at the
+        first record that fails authentication, and returns the records
+        before it with the abort message (None when every record opened);
+        the trace records a fetch for exactly those records, in order, once
+        the pass is over."""
         failure = None
-        node_count = container.node_count
-        if positions and not (0 <= min(positions) and max(positions) < node_count):
-            end = next(i for i, p in enumerate(positions) if not 0 <= p < node_count)
-            failure = f"no node record at position {positions[end]}"
-            positions = positions[:end]
         region = container.node_region
         size = container.node_record_size
         records = [region[p * size : (p + 1) * size] for p in positions]
@@ -563,6 +585,16 @@ class EnclaveSim:
         # The root counts as requested: the opening batch delivers it.
         sess = self._sessions[token] = IntegritySession(1, empty, empty)
         return sess
+
+
+def _in_region(positions, node_count: int) -> tuple[list[int], str | None]:
+    """`positions` up to its first position with no node record, and the
+    abort message for that position (None when every position has one),
+    with one bound check for the whole batch."""
+    if positions and not (0 <= min(positions) and max(positions) < node_count):
+        end = next(i for i, p in enumerate(positions) if not 0 <= p < node_count)
+        return positions[:end], f"no node record at position {positions[end]}"
+    return positions, None
 
 
 def _expand(nodes: np.ndarray, r_start: int, r_end: int):

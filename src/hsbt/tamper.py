@@ -24,6 +24,9 @@ query and reports how the pipeline reacted:
   three copies of one of its children the enclave then asks for, deliver
   only the first: the tripled node and the thinned child are each off by
   two, which a parity-only (XOR) balance would not see
+* ``oversize-batch`` - open the query with a batch of the root and as many
+  genuine records again as the enclave's batch ceiling: the enclave must
+  refuse it before it opens a single record
 
 Denial-of-service behaviours (just refusing to answer) are out of scope: the
 driver can always stall, and no response is its own signal.
@@ -62,6 +65,7 @@ KINDS = (
     "substitute-value",
     "reshape-header",
     "duplicate-node",
+    "oversize-batch",
 )
 
 
@@ -225,6 +229,10 @@ def run_with_tamper(
         target = rng.choice([s for s in sorted(children) if children[s]])
         thinned = rng.choice(sorted(children[target]))
         rewrites = {target: [(target,) * 3], thinned: [(thinned,), (), ()]}
+    elif kind == "oversize-batch":
+        target = root_slot
+        ceiling = enclave.max_batch_nodes(index.node_record_size)
+        rewrites[target] = [(target, *(s % index.node_count for s in range(ceiling)))]
     elif kind == "wrong-first-node":
         target = root_slot
         rewrites[target] = [(rng.choice([s for s in range(index.node_count) if s != root_slot]),)]

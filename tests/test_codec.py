@@ -13,7 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsbt.bptree import DUMMY_POINTER, KEY_INFINITY, KEY_MAX, KEY_MIN, MIN_BRANCHING, build_tree
+from hsbt import crypto
+from hsbt.bptree import (
+    DUMMY_POINTER,
+    KEY_INFINITY,
+    KEY_MAX,
+    KEY_MIN,
+    MIN_BRANCHING,
+    build_tree,
+    scan_oracle,
+)
 from hsbt.codec import (
     _HEADER,
     FLAG_LEAF,
@@ -40,6 +49,7 @@ from hsbt.crypto import (
     prp_permutation,
     result_mac,
 )
+from hsbt.deploy import Deployment
 
 
 def _rows(wires) -> np.ndarray:
@@ -265,6 +275,31 @@ def test_older_container_versions_rejected_as_unsupported(version):
     older = _with_header_field(_with_header_field(_VALID, 0, b"HSBT%d" % version), 1, version)
     with pytest.raises(ValueError, match=f"unsupported container version {version}"):
         EncryptedIndex.from_bytes(older)
+
+
+@pytest.mark.parametrize("length", [0, 64, 65, 80])
+def test_values_on_both_sides_of_the_bulk_seal_round_trip_end_to_end(monkeypatch, length):
+    # Values of 1 to 64 bytes are sealed in array passes, longer and empty
+    # ones one AEAD call each; both must answer queries on both
+    # constructions, result tag checked.
+    passes = []
+    real = crypto._seal_bulk
+
+    def spy(state, plains, wires):
+        passes.append(len(plains))
+        return real(state, plains, wires)
+
+    monkeypatch.setattr(crypto, "_seal_bulk", spy)
+    rng = random.Random(length)
+    keys = rng.sample(range(1, KEY_MAX), 300)
+    pairs = [(k, rng.randbytes(length)) for k in keys]
+    dep = Deployment.build(pairs, 6, integrity=True, rng=rng)
+    assert sum(passes) == (300 if 0 < length <= 64 else 0)
+    keys.sort()
+    want = Counter(scan_oracle(pairs, keys[20], keys[219]))
+    for construction in (1, 2):
+        values, stats = dep.query(keys[20], keys[219], construction)
+        assert stats.result_size == 200 and Counter(values) == want
 
 
 def test_encrypt_index_rejects_values_of_several_lengths():

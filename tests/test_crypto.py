@@ -256,6 +256,43 @@ def test_bulk_open_batches_it_does_not_take_behave_as_per_wire(bulk_passes):
     assert crypto.open_wires(key, _rows([])) == ([], b"")
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    body=st.integers(0, 80),
+    count=st.sampled_from([1, 63, 64, 512, 513, 1100]),
+    data=st.data(),
+)
+def test_seal_wires_opens_row_by_row_and_as_a_matrix(body, count, data):
+    key = generate_key()
+    plains = np.frombuffer(secrets.token_bytes(body * count), np.uint8).reshape(count, body)
+    passes = []
+    real = crypto._seal_bulk
+
+    def spy(state, rows, wires):
+        passes.append(len(rows))
+        return real(state, rows, wires)
+
+    crypto._seal_bulk = spy
+    try:
+        wires = crypto.seal_wires(key, plains)
+    finally:
+        crypto._seal_bulk = real
+    bulk = count >= CUT and 0 < body <= MAX_BODY
+    chunk = crypto._BULK_CHUNK_WIRES
+    assert passes == ([min(chunk, count - at) for at in range(0, count, chunk)] if bulk else [])
+    assert wires.shape == (count, crypto.NONCE_BYTES + body + crypto.TAG_BYTES)
+    want = [row.tobytes() for row in plains]
+    assert [decrypt_wire(key, row.tobytes()) for row in wires] == want
+    assert crypto.open_wires(key, wires) == (want, wires[:, -crypto.TAG_BYTES :].tobytes())
+    assert len({row.tobytes() for row in wires[:, : crypto.NONCE_BYTES]}) == count
+    victim = data.draw(st.integers(0, count - 1), label="row")
+    at = data.draw(st.integers(0, wires.shape[1] - 1), label="byte")  # nonce, body or tag
+    flipped = wires.copy()
+    flipped[victim, at] ^= data.draw(st.integers(1, 255), label="mask")
+    with pytest.raises(AuthenticationError):
+        crypto.open_wires(key, flipped)
+
+
 def test_bulk_open_under_two_keys_in_two_threads_at_once():
     keys = [generate_key(), generate_key()]
     batches = [

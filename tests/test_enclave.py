@@ -1044,3 +1044,45 @@ def test_streamed_query_calls_decrypt_wire_once_per_node_decryption(monkeypatch,
     assert len(blobs) == 801 and stats.crossings > 2
     assert len(calls) == dep.enclave.node_decryptions - before == stats.nodes_transferred
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("integrity", [False, True])
+@pytest.mark.parametrize("n", [300, 3000])
+def test_oversize_batch_aborts_before_it_opens_a_record(monkeypatch, integrity, n):
+    # The batch ceiling bounds the records one call opens, whatever the tree
+    # size, and in integrity mode so does the session's outstanding count.
+    import hsbt.enclave
+
+    opened = []
+    real = hsbt.enclave.decrypt_wire
+
+    def counting(*args):
+        opened.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(hsbt.enclave, "decrypt_wire", counting)
+    rng = random.Random(n)
+    pairs = [(k, b"v%010d" % k) for k in rng.sample(range(1, KEY_MAX), n)]
+    enclave = EnclaveSim(reserved_space=4096)
+    dep = Deployment.build(pairs, 5, integrity=integrity, rng=rng, enclave=enclave)
+    index = dep.index
+    ceiling = enclave.max_batch_nodes(index.node_record_size)
+    root = enclave.root_slot()
+    assert index.node_count > ceiling
+    every_slot = [root] + [s for s in range(index.node_count) if s != root]
+    token = make_token(dep.sk.tree_key, None, None)
+    before = enclave.node_decryptions
+    for batch in (every_slot, [root] * (ceiling + 1)):
+        message = f"^protocol violation: batch of {len(batch)} nodes exceeds the ceiling of"
+        with pytest.raises(EnclaveAbort, match=message):
+            enclave.search_batch(token, batch)
+    if integrity:
+        # A fresh session has the root alone outstanding.
+        with pytest.raises(EnclaveAbort, match="^protocol violation: more nodes than requested$"):
+            enclave.search_batch(token, every_slot[:ceiling])
+        assert token not in enclave._sessions
+    assert enclave.node_decryptions == before and opened == []
+    # The enclave still serves an honest query.
+    keys = sorted(k for k, _ in pairs)
+    values, _ = dep.query(keys[10], keys[60])
+    assert Counter(values) == Counter(scan_oracle(pairs, keys[10], keys[60]))

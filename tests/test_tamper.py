@@ -41,6 +41,7 @@ def _token(sk, sorted_keys, rng):
         ("substitute-value", Outcome.CLIENT_REJECT),
         ("reshape-header", Outcome.ENCLAVE_ABORT),
         ("duplicate-node", Outcome.ENCLAVE_ABORT),
+        ("oversize-batch", Outcome.ENCLAVE_ABORT),
     ],
 )
 def test_each_deviation_detected(setup, kind, expected):
@@ -106,16 +107,31 @@ def test_reshape_header_aborts_at_the_first_record(setup):
     assert report.outcome == Outcome.ACCEPTED
 
 
+class _OneNodeBatches:
+    """The enclave as seen by a driver that sends one node per batch, below
+    the enclave's own batch ceiling; every other attribute is the enclave's."""
+
+    def __init__(self, enclave: EnclaveSim):
+        self._enclave = enclave
+
+    def __getattr__(self, name):
+        return getattr(self._enclave, name)
+
+    def max_batch_nodes(self, record_size: int) -> int:
+        return 1
+
+
 def test_duplicate_node_is_caught_by_the_session_count_or_balance(setup):
     # Every record is genuine, and the tripled node and the thinned child
     # cancel in the count, so only the per-batch count or the balance can
     # catch it; a parity-only balance would not.  One node per batch leaves
     # some tripled batches within the outstanding count, so the balance gets
-    # its turn.
+    # its turn; the enclave admits three records a batch, so a tripled node
+    # fits its ceiling.
     pairs, sorted_keys, dep = setup
-    one_node = EnclaveSim(reserved_space=dep.index.node_record_size)
+    three = EnclaveSim(reserved_space=3 * dep.index.node_record_size)
     dep = Deployment.build(
-        pairs, 5, sk=dep.sk, integrity=True, rng=random.Random(3), enclave=one_node
+        pairs, 5, sk=dep.sk, integrity=True, rng=random.Random(3), enclave=_OneNodeBatches(three)
     )
     rng = random.Random(6)
     reasons = set()
@@ -166,4 +182,5 @@ def test_all_kinds_enumerated():
         "substitute-value",
         "reshape-header",
         "duplicate-node",
+        "oversize-batch",
     }
