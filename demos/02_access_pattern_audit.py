@@ -61,7 +61,7 @@ print(f"audit: {'PASS' if verdict.passed else 'FAIL'} - {verdict.detail}\n")
 # -- resident construction: page-granular channel -------------------------------
 
 print("== same range, resident tree: page-granular trace ==")
-layout = PageLayout(record_size=node_plain_size(index.branching, index.integrity))
+layout = PageLayout(record_size=node_plain_size(index.branching))
 trace = AccessTrace()
 dep.query(lo, hi, construction=1, trace=trace)
 access_p, pattern_p = leak_hw_pages(tree, lo, hi, layout, position_map=position_map)

@@ -5,10 +5,11 @@ query, how many requested nodes are outstanding (no batch may deliver more,
 nor more than the reserved space holds: ``oversize-batch``),
 one balance multiset hash that adds the storage slots it asked for and
 subtracts the slots it received (it must end at zero; a record opens only at
-the slot it was sealed for, so a slot names its node), and a multiset hash of the matched leaf value tags (each
-leaf slot holds the AES-GCM tag of the value blob it points to); the client
-folds the tags of the blobs it actually received and decrypted, and checks
-the enclave's tag.  A query must open at the root, the container's last
+the slot it was sealed for, so a slot names its node), and a result digest of
+the matched value slots (each value blob is sealed under the nonce
+``salt || slot``, so it opens only at its own slot in its own container); the
+client opens each blob at the slot it is handed with, folds those slots, and
+checks the enclave's tag.  A query must open at the root, the container's last
 node.  The hash is a sum mod 2^128 (MSet-Add-Hash), so ``duplicate-node`` -
 one node delivered three times, one of its children once in three - does
 not balance, as it would under an XOR fold.  This script runs every scripted deviation and shows where each one
@@ -39,7 +40,8 @@ for kind in KINDS:
 print(
     "\nEverything except the replay is detected: static tampering dies at\n"
     "authenticated decryption, protocol deviations at the session checks,\n"
-    "and withheld or substituted results at the client's tag verification.\n"
+    "withheld or substituted results at the client's tag verification, and\n"
+    "blobs relabelled to other slots at the client's decryption.\n"
     "Replaying a token is harmless by design - the tree is static, so a\n"
     "replay repeats exactly the old answer and the old leakage."
 )

@@ -12,8 +12,8 @@ Node ids follow creation order: the leaves left to right from id 0, then each
 inner level left to right, the root last.  Inner-node pointer slots hold child
 *ids* at this layer; the codec rewrites them to permuted storage positions
 when the tree is encrypted.  The tree carries no value commitments: the
-codec copies the value blobs' GCM tags into the leaf records as it writes
-them.
+codec seals each value blob at its slot, so a leaf pointer alone names its
+blob.
 
 Separator invariant: every key in subtree ``i`` is >= separator ``i`` and
 strictly below separator ``i + 1``; each separator is the smallest key under

@@ -21,9 +21,10 @@ data (pairs, container, key sidecar), 2 usage error (a bad flag value, a
 malformed or empty range, a path that cannot be opened).  Past argument
 parsing, every failure prints one ``error: ...`` line to stderr.
 
-``--seed`` makes everything reproducible except AEAD nonces and wall times;
-in particular ``build --seed`` derives the key material deterministically so
-two builds of the same input agree structurally (reproducible-build mode).
+``--seed`` makes everything reproducible except AEAD nonces, the value salt
+and wall times; in particular ``build --seed`` derives the key material
+deterministically so two builds of the same input agree structurally
+(reproducible-build mode).
 Key material lands in a ``<out>.key`` sidecar the server never reads: the
 two keys, the root id, the build seed and the integrity flag.  The branching
 factor is the container header's, which every node record authenticates;
@@ -50,12 +51,12 @@ from hsbt.bptree import (
     BuildError,
     build_tree,
 )
-from hsbt.codec import EncryptedIndex, make_token, node_plain_size
-from hsbt.crypto import AuthenticationError, SecretKey, decrypt_wire, prp_permutation
+from hsbt.codec import EncryptedIndex, decrypt_results, make_token, node_plain_size
+from hsbt.crypto import AuthenticationError, SecretKey, prp_permutation
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveError, EnclaveSim
 from hsbt.leakage import AccessTrace, PageLayout, audit_query, leak_enc, leak_hw_nodes, leak_hw_pages
-from hsbt.server import CSV_HEADER
+from hsbt.server import CSV_HEADER, fetch_values
 from hsbt.tamper import KINDS, Outcome, run_with_tamper
 
 EXIT_OK = 0
@@ -322,15 +323,20 @@ def cmd_audit(args) -> int:
     except BuildError as exc:
         raise CliError(f"{path}: {exc}") from None
     # The rebuild must be the container's: its node and value counts, and the
-    # first pair's padded value in the blob at its rebuilt slot.
+    # first pair's padded value in the blob at its rebuilt slot, opened there
+    # as a query's values are.
     if (tree.node_count, tree.n_values) != (dep.index.node_count, dep.index.n_values):
         raise CliError(f"{path}: the pairs do not rebuild the container's node and value counts")
-    first = decrypt_wire(dep.sk.value_key, dep.index.value_blob(int(tree.value_positions[0])))
+    slot = int(tree.value_positions[0])
+    try:
+        (first,) = decrypt_results(dep.sk.value_key, fetch_values(dep.index, [slot]))
+    except AuthenticationError:
+        raise CliError(f"{args.index}: the value blob at slot {slot} does not open there") from None
     if first != pad_values(pairs)[0][1]:
         raise CliError(f"{path}: the pairs do not rebuild the container's value order")
     perm = prp_permutation(dep.sk.tree_key, dep.index.node_count)
     pm = lambda nid: int(perm[nid])
-    layout = PageLayout(record_size=node_plain_size(dep.index.branching, dep.index.integrity))
+    layout = PageLayout(record_size=node_plain_size(dep.index.branching))
 
     keys = sorted(k for k, _ in pairs)
     rng = random.Random(args.seed)

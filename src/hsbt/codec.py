@@ -1,57 +1,59 @@
 """Serialization and encryption of the index container.
 
-The container holds two regions behind a 25-byte header (magic, version,
+The container holds two regions behind a 33-byte header (magic, version,
 integrity flag, branching factor ``b``, node count, value count, value blob
-width):
+width, value salt):
 
 * node region: one fixed-size encrypted record per tree node, the record of
   node id ``x`` stored at slot ``PRP(tree_key, node_count, x)``.  Every record
   has the same size whether it came from the root, an inner node, or a leaf,
   so the ciphertexts expose nothing about node fullness; that size follows
-  from ``b`` and the integrity flag.  Each record's AEAD associated data is
-  the packed header followed by its 4-byte slot (`EncryptedIndex.record_aad`),
-  so a record opens only at the slot it was sealed for: the slot is the
-  node's identity, and no record repeats it.  Relocating a record, or
-  rewriting any header field, is detected at the first record decrypted.
+  from ``b`` alone.  A record is wire bytes, ``nonce || body || tag``.  Each
+  record's AEAD associated data is the packed header followed by its 4-byte
+  slot (`EncryptedIndex.record_aad`), so a record opens only at the slot it
+  was sealed for: the slot is the node's identity, and no record repeats
+  it.  Relocating a record, or rewriting any header field, the salt
+  included, is detected at the first record decrypted.
   The bulk load emits the root last, so the root is node ``node_count - 1``,
   a fact every record binds through the header's node count.
 * value region: ``n`` encrypted blobs of one width, back to back with no
   framing, in the random order chosen at build time, decryptable only with
-  the value key.  The header carries that width, so the region is exactly
-  ``n x width`` bytes and every record's associated data binds the width.
+  the value key.  A blob is ``body || tag`` at an implied nonce: the blob at
+  region slot ``s`` is sealed under ``salt || s`` (`crypto.value_elements`),
+  the 8-byte salt `encrypt_index` draws for the container, so it opens only
+  at its own slot and in its own container.  The header carries the width,
+  ``len(value) + 16``, so the region is exactly ``n x width`` bytes and every
+  record's associated data binds the width and the salt.
 
 Every value of a container has one length: `encrypt_index` rejects values of
 several lengths, and `hsbt build` pads variable-length input to one width
 before it gets here.  One width also hides each value's length from the host.
 In memory the value region is one contiguous buffer, seen as an
 ``(n, width)`` uint8 matrix (`EncryptedIndex.value_rows`): every result, of
-any size, is gathered from it as rows with one `np.take`, and the client
-opens those rows as they are (`decrypt_results`).
+any size, is gathered from it as rows with one `np.take`, with the slots it
+was read from and the salt (`SealedValues`), and the client opens each row
+at its slot (`decrypt_results`).
 
-Node record plaintext, all integers little-endian::
+Node record plaintext, all integers little-endian, one layout whatever the
+integrity flag::
 
-    flags(1, bit0 = leaf) | key_count(2) | keys[(b-1) x 4] | pointers[b x 4] |
-    value_tags[(b-1) x 16] (only when the integrity flag is set)
+    flags(1, bit0 = leaf) | key_count(2) | keys[(b-1) x 4] | pointers[b x 4]
 
 Records are array-shaped on both sides: `encrypt_index` assigns the built
 tree's row arrays (`bptree.PlainTree`) into one numpy structured dtype,
 `node_dtype`, and the enclave decodes a batch of plaintexts, or the whole
 node region, into a record array of it with a single `np.frombuffer`
 (`deserialize_node`).  Every record authenticates under the header that
-fixes its size, so the dtype has one item size.
-
-In a leaf, value tag j is the AES-GCM tag (the last `TAG_BYTES` bytes) of
-the blob behind pointer j: the codec seals the values first and copies their
-tags into the leaves, so no value is ever hashed.  Inner records keep the
-region zeroed, only so that every record has one shape.  Inner pointer slots
-hold child storage slots on disk (the build-side child ids are rewritten
-here).
+fixes its size, so the dtype has one item size.  Inner pointer slots hold
+child storage slots on disk (the build-side child ids are rewritten here);
+leaf pointer slots hold value-region slots.
 """
 
 from __future__ import annotations
 
 import functools
 import hmac
+import secrets
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -60,21 +62,23 @@ import numpy as np
 
 from hsbt.bptree import KEY_INFINITY, KEY_NEG_INFINITY, MIN_BRANCHING, PlainTree
 from hsbt.crypto import (
-    MultisetHash,
     NONCE_BYTES,
-    SecretKey,
     TAG_BYTES,
+    VALUE_SALT_BYTES,
+    MultisetHash,
+    SecretKey,
     encrypt_wires,
     open_wires,
     prp_permutation,
     result_mac,
     seal_wires,
+    value_elements,
 )
 
-HEADER_MAGIC = b"HSBT4"
-HEADER_VERSION = 4
-# magic, version, integrity, b, #nodes, n, value blob width
-_HEADER = struct.Struct("<5sBBHIQI")
+HEADER_MAGIC = b"HSBT5"
+HEADER_VERSION = 5
+# magic, version, integrity, b, #nodes, n, value blob width, value salt
+_HEADER = struct.Struct(f"<5sBBHIQI{VALUE_SALT_BYTES}s")
 # A node record's associated data: the packed header, then its slot.
 _RECORD_AAD = struct.Struct(f"<{_HEADER.size}sI")
 
@@ -89,38 +93,38 @@ def node_struct(branching: int) -> struct.Struct:
 
 
 @functools.lru_cache(maxsize=None)
-def node_dtype(branching: int, integrity: bool) -> np.dtype:
+def node_dtype(branching: int) -> np.dtype:
     """Structured numpy dtype of one node record plaintext, laid out as in
     the module docstring; its item size is `node_plain_size`.
 
-    Fields: `flags`, `key_count`, `keys[b-1]`, `ptrs[b]` and, with
-    `integrity`, `value_tags[b-1, 16]`: in a leaf the GCM tag of the value
-    blob behind each live pointer slot, in an inner node zeros.  No field
-    names the node: its storage slot, bound into the record's associated
-    data, does."""
-    names = ["flags", "key_count", "keys", "ptrs"]
-    formats = ["u1", "<u2", ("<u4", (branching - 1,)), ("<u4", (branching,))]
-    if integrity:
-        names.append("value_tags")
-        formats.append(("u1", (branching - 1, 16)))
+    Fields: `flags`, `key_count`, `keys[b-1]` and `ptrs[b]`.  No field names
+    the node: its storage slot, bound into the record's associated data,
+    does."""
     # Unaligned, so the fields sit back to back as in the record.
-    return np.dtype({"names": names, "formats": formats})
+    return np.dtype(
+        {
+            "names": ["flags", "key_count", "keys", "ptrs"],
+            "formats": ["u1", "<u2", ("<u4", (branching - 1,)), ("<u4", (branching,))],
+        }
+    )
 
 
-def node_plain_size(branching: int, integrity: bool) -> int:
-    """Byte size of one node record plaintext: `node_dtype`'s item size."""
-    return node_dtype(branching, integrity).itemsize
+def node_plain_size(branching: int, integrity: bool = False) -> int:
+    """Byte size of one node record plaintext: `node_dtype`'s item size.
+    The integrity flag no longer changes it; the parameter is accepted, and
+    ignored, for callers that still pass it."""
+    return node_dtype(branching).itemsize
 
 
-def deserialize_node(plains, branching: int, integrity: bool) -> np.ndarray:
+def deserialize_node(plains, branching: int) -> np.ndarray:
     """Decode node plaintexts into a `node_dtype` record array, one record
     per plaintext, with one `np.frombuffer` over their concatenation.
 
     Every plaintext is `node_plain_size` bytes: a record that opened under
     the container header (`EncryptedIndex.record_aad`) was sealed at the
-    size that header's `b` and integrity flag give, and a header rewritten
-    to other values fails authentication at the first record."""
-    return np.frombuffer(b"".join(plains), dtype=node_dtype(branching, integrity))
+    size that header's `b` gives, and a header rewritten to another `b`
+    fails authentication at the first record."""
+    return np.frombuffer(b"".join(plains), dtype=node_dtype(branching))
 
 
 def leaf_mask(nodes: np.ndarray) -> np.ndarray:
@@ -136,7 +140,8 @@ class EncryptedIndex:
     node region is a single byte blob sliced by slot, which doubles as the
     shared host-memory region the enclave fetches records from.  The value
     region is `value_region`, the blobs of `value_width` bytes each back to
-    back; `value_rows` views it as an ``(n, value_width)`` uint8 matrix.
+    back, each sealed at its slot under `salt`; `value_rows` views it as an
+    ``(n, value_width)`` uint8 matrix.
     `node_record_size`, `header`, the packed container header, and
     `value_rows` follow from the other fields and are computed once; every
     node record is bound to the header (`record_aad`), whose node count also
@@ -150,13 +155,15 @@ class EncryptedIndex:
     node_region: bytes
     value_region: bytes = field(repr=False)
     value_width: int
+    salt: bytes
     node_record_size: int = field(init=False, compare=False)
     header: bytes = field(init=False, repr=False, compare=False)
     value_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        plain_size = node_plain_size(self.branching, self.integrity)
-        self.node_record_size = plain_size + NONCE_BYTES + TAG_BYTES
+        if len(self.salt) != VALUE_SALT_BYTES:
+            raise ValueError(f"value salt must be {VALUE_SALT_BYTES} bytes")
+        self.node_record_size = node_plain_size(self.branching) + NONCE_BYTES + TAG_BYTES
         self.header = _HEADER.pack(
             HEADER_MAGIC,
             HEADER_VERSION,
@@ -165,6 +172,7 @@ class EncryptedIndex:
             self.node_count,
             self.n_values,
             self.value_width,
+            self.salt,
         )
         # The region's own row count, not the header's `n_values`, which a
         # reshaped header may contradict.
@@ -202,22 +210,22 @@ class EncryptedIndex:
         `ValueError`, trailing bytes included."""
         if len(data) < _HEADER.size:
             raise ValueError("container shorter than its header")
-        magic, version, integrity, b, node_count, n, width = _HEADER.unpack_from(data, 0)
+        magic, version, integrity, b, node_count, n, width, salt = _HEADER.unpack_from(data, 0)
         if magic[:4] != HEADER_MAGIC[:4]:
             raise ValueError("not an index container")
         if (magic, version) != (HEADER_MAGIC, HEADER_VERSION):
             raise ValueError(f"unsupported container version {version}")
         if integrity not in (0, 1) or b < MIN_BRANCHING or node_count < 1:
             raise ValueError("malformed container header")
-        record_size = node_plain_size(b, bool(integrity)) + NONCE_BYTES + TAG_BYTES
-        if width < NONCE_BYTES + TAG_BYTES:
-            raise ValueError(f"value blob width {width} is below a nonce and a tag")
+        record_size = node_plain_size(b) + NONCE_BYTES + TAG_BYTES
+        if width < TAG_BYTES:
+            raise ValueError(f"value blob width {width} is below a tag")
         region_end = _HEADER.size + node_count * record_size
         size = region_end + n * width
         if len(data) != size:
             raise ValueError(f"container is {len(data)} bytes, its header implies {size}")
         region = data[_HEADER.size : region_end]
-        return cls(b, n, node_count, bool(integrity), region, data[region_end:], width)
+        return cls(b, n, node_count, bool(integrity), region, data[region_end:], width, salt)
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -231,12 +239,11 @@ class EncryptedIndex:
 
 def value_width(values) -> int:
     """The blob width of a container holding `values`: their one length
-    plus a nonce and a tag.  Raises `ValueError` unless they all have one
-    length."""
+    plus a tag.  Raises `ValueError` unless they all have one length."""
     lengths = set(map(len, values))
     if len(lengths) != 1:
         raise ValueError(f"values must have one length, got lengths {sorted(lengths)}")
-    return lengths.pop() + NONCE_BYTES + TAG_BYTES
+    return lengths.pop() + TAG_BYTES
 
 
 def encrypt_index(
@@ -246,51 +253,48 @@ def encrypt_index(
 
     `values` must align with the pair order given to the build; the tree's
     value permutation decides where each encrypted blob lands, and they
-    must all have one length (`ValueError` otherwise).  The values are
-    sealed first: joined into one ``(n, length)`` matrix, put in
-    value-region order by one gather, and sealed by one `seal_wires` call,
-    in array passes when they are 1 to 64 bytes long; in integrity mode
-    leaf slot j then carries the GCM tag of the blob behind pointer j.
-    The tree's row arrays are assigned into one `node_dtype` array, inner
-    child ids rewritten to slots, and the records are sealed in one
-    `encrypt_wires` call, each under `EncryptedIndex.record_aad` of its
-    slot.
+    must all have one length (`ValueError` otherwise).  One 8-byte value
+    salt is drawn for the container from the OS CSPRNG.  The values are
+    joined into one ``(n, length)`` matrix, put in value-region order by one
+    gather, and sealed by one `seal_wires` call, the value at slot ``s``
+    under the nonce ``salt || s``, in array passes when they are 1 to 64
+    bytes long.  The tree's row arrays are assigned into one `node_dtype`
+    array, inner child ids rewritten to slots, and the records are sealed
+    in one `encrypt_wires` call, each under `EncryptedIndex.record_aad` of
+    its slot, which binds the salt.
     """
     n_values = tree.n_values
     if len(values) != n_values:
         raise ValueError("value count does not match the built tree")
     width = value_width(values)
-    body = width - NONCE_BYTES - TAG_BYTES
-    plains = np.frombuffer(b"".join(values), np.uint8).reshape(n_values, body)
+    salt = secrets.token_bytes(VALUE_SALT_BYTES)
+    plains = np.frombuffer(b"".join(values), np.uint8).reshape(n_values, width - TAG_BYTES)
     # Sealed in value-region order, the order `to_bytes` writes them.  No
     # value temporary outlives the seal: the records built below add to the
     # set-up's peak memory.
-    value_region = seal_wires(sk.value_key, plains[np.argsort(tree.value_positions)]).tobytes()
+    in_region = plains[np.argsort(tree.value_positions)]
     del plains
+    value_region = seal_wires(sk.value_key, in_region, salt, np.arange(n_values)).tobytes()
+    del in_region
 
     branching = tree.branching
     node_count = tree.node_count
     slot_of_id = prp_permutation(sk.tree_key, node_count)
 
-    by_id = np.zeros(node_count, dtype=node_dtype(branching, integrity))
+    by_id = np.zeros(node_count, dtype=node_dtype(branching))
     by_id["flags"] = tree.leaf * FLAG_LEAF
     by_id["key_count"] = tree.key_count
     by_id["keys"] = tree.keys
     by_id["ptrs"] = tree.ptrs
-    slots = np.arange(branching)
-    live = slots <= tree.key_count[:, None]
-    if integrity:
-        # Leaf slot j carries the tag of the blob behind pointer j.
-        rows, cols = np.nonzero(live & tree.leaf[:, None] & (slots > 0))
-        tags = np.frombuffer(value_region, np.uint8).reshape(-1, width)[:, -TAG_BYTES:]
-        by_id["value_tags"][rows, cols - 1] = tags[tree.ptrs[rows, cols]]
-    inner = live & ~tree.leaf[:, None]
+    inner = (np.arange(branching) <= tree.key_count[:, None]) & ~tree.leaf[:, None]
     by_id["ptrs"][inner] = slot_of_id[tree.ptrs[inner]]
 
     records = np.zeros_like(by_id)
     records[slot_of_id] = by_id
     size = records.itemsize
-    index = EncryptedIndex(branching, n_values, node_count, integrity, b"", value_region, width)
+    index = EncryptedIndex(
+        branching, n_values, node_count, integrity, b"", value_region, width, salt
+    )
     sealed = encrypt_wires(
         sk.tree_key,
         records.view(np.uint8).reshape(node_count, size),
@@ -348,24 +352,40 @@ def unpack_range(plain: bytes) -> tuple[int, int]:
     return rs, re_
 
 
+@dataclass(frozen=True, eq=False)
+class SealedValues:
+    """A result as the host hands it to the client (`server.fetch_values`):
+    `rows`, the ``(k, width)`` uint8 matrix of ``body || tag`` blobs gathered
+    from a container's value region, `slots`, the region slot each row was
+    read from, and `salt`, the container's value salt.  Nothing in it is
+    trusted: a row opens only at the slot and under the salt it was sealed
+    with (`decrypt_results`), and the result tag covers the salt and the
+    slots (`verify_result_mac`)."""
+
+    rows: np.ndarray
+    slots: np.ndarray
+    salt: bytes
+
+
 class Results(list):
-    """Decrypted result values, in order, and the tags that authenticated
-    them.
+    """Decrypted result values, in order, and the value salt and slots at
+    which they opened.
 
     A read-only `list` of the plaintexts, so `==`, `Counter` and iteration
-    work as on a plain list; `tags` is the concatenation of the 16-byte
-    AES-GCM tags of their blobs, in the same order, as the open that
-    authenticated them returned it (`crypto.open_wires`).  Only
-    `decrypt_results` makes one, and `verify_result_mac` accepts nothing
-    else, so no path can check a result tag over plaintexts it did not
-    authenticate (its docstring gives why folding the tags suffices).
+    work as on a plain list; `salt` and `slots` (a read-only ``uint32``
+    array, one slot per value, in order) are the ones `crypto.open_wires`
+    authenticated them under.  Only `decrypt_results` makes one, and
+    `verify_result_mac` accepts nothing else, so no path can check a result
+    tag over slots other than those the values opened at (its docstring
+    gives why folding the slots suffices).
     """
 
-    __slots__ = ("tags",)
+    __slots__ = ("salt", "slots")
 
-    def __init__(self, plains, tags: bytes):
+    def __init__(self, plains, salt: bytes, slots: np.ndarray):
         super().__init__(plains)
-        self.tags = tags
+        self.salt = salt
+        self.slots = slots
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("Results are read-only: they must stay the decryptions of their blobs")
@@ -374,38 +394,47 @@ class Results(list):
     append = extend = insert = pop = remove = clear = sort = reverse = _read_only
 
 
-def decrypt_results(value_key: bytes, blobs: np.ndarray) -> Results:
-    """Decrypt fetched result blobs, in order, keeping the tags that
-    authenticated them; `blobs` is the ``(k, width)`` row matrix
-    `server.fetch_values` gathers (`crypto.open_wires`).  Any authentication
-    failure aborts the whole result: partial output would mask tampering."""
-    return Results(*open_wires(value_key, blobs))
+def decrypt_results(value_key: bytes, blobs: SealedValues) -> Results:
+    """Decrypt fetched result blobs, in order, each at its own slot under
+    the result's salt (`crypto.open_wires`); `blobs` is what
+    `server.fetch_values` gathers.  The slots are copied once, so the slots
+    the values opened at are the slots `verify_result_mac` folds.  Any
+    authentication failure aborts the whole result: partial output would
+    mask tampering."""
+    salt = bytes(blobs.salt)
+    slots = np.asarray(blobs.slots).astype(np.uint32).ravel()
+    slots.flags.writeable = False
+    return Results(open_wires(value_key, blobs.rows, salt, slots), salt, slots)
 
 
 def verify_result_mac(tree_key: bytes, results: Results, mac: bytes) -> bool:
     """Check the enclave-issued result tag against the results received.
 
-    Each live leaf slot commits to the AES-GCM tag of its value blob, and the
-    enclave folds the tags of the slots a query matched.  The client folds
-    the tags of the blobs it decrypted (`Results.tags`), with one
-    `MultisetHash.add_all`, and compares the two result MACs; no value is
-    hashed here.
+    The enclave folds the element ``salt || slot || 0^4`` of each value
+    pointer a query matched (`crypto.value_elements`), the salt being the
+    attached container's, which every node record binds.  The client folds
+    the same elements for the salt and the slots its values opened at
+    (`Results.salt`, `Results.slots`), with one `MultisetHash.add_all`, and
+    compares the two result MACs; no value is hashed here.
 
     Why that suffices: `decrypt_results` already authenticated every blob
-    under `value_key`, which only the client holds.  A host that passes off
-    any blob under a committed tag, other than the one the build sealed,
-    has forged an AES-GCM ciphertext, which INT-CTXT of AES-GCM rules out
-    (Bellare-Namprempre, ASIACRYPT 2000; McGrew-Viega 2004).  A genuine blob
-    from outside the result, or a dropped or repeated one, changes the
-    folded multiset, and MSet-Add-Hash is multiset collision resistant
-    (Clarke et al., ASIACRYPT 2003), however often a blob repeats.
-    AES-GCM does not commit to its key (Dodis et al.,
-    CRYPTO 2018), so this is no commitment against a holder of `value_key`;
-    that is the client itself, outside this threat model.
+    at its slot under `value_key`, which only the client holds, and a blob
+    opens only at the nonce ``salt || slot`` it was sealed under.  A host
+    that passes off any blob at a folded slot, other than the one the build
+    sealed there, has forged an AES-GCM ciphertext, which INT-CTXT of
+    AES-GCM rules out (Bellare-Namprempre, ASIACRYPT 2000; McGrew-Viega
+    2004).  A genuine blob from outside the result, from another container
+    under the same key (another salt), or a dropped or repeated one,
+    changes the folded multiset, and MSet-Add-Hash is multiset collision
+    resistant (Clarke et al., ASIACRYPT 2003), however often a slot repeats.
+    AES-GCM does not commit to its key (Dodis et al., CRYPTO 2018), so this
+    is no commitment against a holder of `value_key`; that is the client
+    itself, outside this threat model.
 
     Raises `TypeError` for anything but a `Results` from `decrypt_results`.
     """
     if not isinstance(results, Results):
         raise TypeError("verify_result_mac needs the Results of decrypt_results")
-    state = MultisetHash.empty(tree_key).add_all(results.tags)
+    elements = value_elements(results.salt, results.slots)
+    state = MultisetHash.empty(tree_key).add_all(elements)
     return hmac.compare_digest(result_mac(tree_key, state), mac)

@@ -44,13 +44,18 @@ token, or opens one at the root.  It counts the requested nodes still
 outstanding, and a batch may deliver no more nodes than that; an honest
 driver only ever sends pointers it was already given.  It keeps two
 multiset hashes, each folded once per call: a balance that adds the
-requested storage slots and subtracts the received ones, and the matched
-leaf value tags (the GCM tags of the value blobs, copied blindly from the
-leaves).  A record opens only at the slot it was sealed for, so a slot names
-its node.  A session only ever yields a result tag when nothing is
-outstanding and the balance is zero, so every requested node arrived as
-often as it was requested and nothing else arrived, and when the first node
-of the query was the root, the container's last node.  At most
+requested storage slots and subtracts the received ones, and the result
+digest, which folds the element ``salt || slot || 0^4`` of each matched
+value pointer (`crypto.value_elements`), the salt being the attached
+container's value salt, bound into every record.  A value blob opens only at
+the nonce ``salt || slot`` it was sealed under, so the client, which folds
+the same elements for the slots its values opened at, checks both which
+blobs it got and that they came from this container.  A record opens only
+at the slot it was sealed for, so a slot names its node.  A session only
+ever yields a result tag when nothing is outstanding and the balance is
+zero, so every requested node arrived as often as it was requested and
+nothing else arrived, and when the first node of the query was the root,
+the container's last node.  At most
 `MAX_OPEN_SESSIONS` sessions stay open; opening one more evicts the oldest.
 
 Every pointer sequence leaving the enclave is freshly shuffled, and in-node
@@ -87,6 +92,7 @@ from hsbt.crypto import (
     decrypt_wire,
     prp_apply,
     result_mac,
+    value_elements,
 )
 
 # Token opens go through this name, record opens through `decrypt_wire`:
@@ -331,7 +337,7 @@ class EnclaveSim:
         decoded into one record array indexed by slot."""
         if self._tree_key is None:
             raise NoKeyError("enclave not provisioned")
-        plain_size = node_plain_size(index.branching, index.integrity)
+        plain_size = node_plain_size(index.branching)
         if plain_size * index.node_count > self.capacity:
             raise CapacityExceededError(
                 f"resident tree needs {plain_size * index.node_count} bytes, "
@@ -387,7 +393,7 @@ class EnclaveSim:
                     out.extend(record[branching + 1 + j] for j in slots)
                 frontier = children
             else:
-                is_value, found, _, _ = _expand(resident[frontier], rs, re_)
+                is_value, found = _expand(resident[frontier], rs, re_)
                 matched.append(found[is_value])
                 frontier = found[~is_value].tolist()
         self._tally(0, visited, branching)
@@ -431,11 +437,12 @@ class EnclaveSim:
         failure = failure or missing
         branching = container.branching
         self._tally(len(nodes), len(nodes), branching)
-        is_value, pointers, rows, cols = _expand(nodes, rs, re_)
+        is_value, pointers = _expand(nodes, rs, re_)
         value_ptrs = pointers[is_value]
         node_ptrs = pointers[~is_value]
 
         if container.integrity and len(nodes):
+            matched = value_elements(container.salt, value_ptrs)
             # One locked step from lookup to the last fold: two opening
             # batches of one token share one session, and concurrent batches
             # of a session lose none of its updates.
@@ -452,9 +459,7 @@ class EnclaveSim:
                 sess.balance = sess.balance.add_all(
                     _slot_elements(node_ptrs), removed=_slot_elements(positions[fresh : len(nodes)])
                 )
-                sess.result_hash = sess.result_hash.add_all(
-                    nodes["value_tags"][rows[is_value], cols[is_value] - 1].tobytes()
-                )
+                sess.result_hash = sess.result_hash.add_all(matched)
         if failure is not None:
             with self._lock:
                 self._sessions.pop(token, None)
@@ -546,7 +551,7 @@ class EnclaveSim:
             failure = f"node at position {positions[len(plains)]} failed authentication"
         if trace is not None:
             trace.node_fetches(positions[: len(plains)])
-        return deserialize_node(plains, container.branching, container.integrity), failure
+        return deserialize_node(plains, container.branching), failure
 
     def _fresh_order_rng(self, trace) -> np.random.Generator:
         seed = (
@@ -599,7 +604,7 @@ def _in_region(positions, node_count: int) -> tuple[list[int], str | None]:
 
 def _expand(nodes: np.ndarray, r_start: int, r_end: int):
     """Match a record array and list its matching slots in node order, slot
-    order within a node: ``(is_value, pointers, rows, cols)``, where a
-    value pointer comes from a leaf and the others name child nodes."""
+    order within a node: ``(is_value, pointers)``, where a value pointer
+    comes from a leaf and the others name child nodes."""
     rows, cols = np.nonzero(oblivious_match_slots(nodes, r_start, r_end))
-    return leaf_mask(nodes)[rows], nodes["ptrs"][rows, cols], rows, cols
+    return leaf_mask(nodes)[rows], nodes["ptrs"][rows, cols]

@@ -47,8 +47,7 @@ _KEY_SPACE_END = 2**32  # exclusive upper routing bound
 @dataclass(frozen=True)
 class LeakEnc:
     """Static leakage of the encrypted container: the header's value count,
-    value blob width (one value length plus a nonce and a tag) and node
-    count."""
+    value blob width (one value length plus a tag) and node count."""
 
     n_values: int
     value_width: int

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hsbt.codec import EncryptedIndex, RangeToken
+from hsbt.codec import EncryptedIndex, RangeToken, SealedValues
 from hsbt.enclave import EnclaveSim
 
 CSV_HEADER = "construction,b,n,range_size,result_size,crossings,nodes,bytes_in,bytes_out,micros"
@@ -55,11 +55,13 @@ class QueryStats:
         )
 
 
-def fetch_values(index: EncryptedIndex, pointers) -> np.ndarray:
+def fetch_values(index: EncryptedIndex, pointers) -> SealedValues:
     """Dereference a sequence of value pointers into the value region, in
     pointer order: a new ``(k, width)`` uint8 matrix, one blob per row,
     gathered from `index.value_rows` by one `np.take`, for every ``k``
-    including 0.  The client opens it as it is (`crypto.open_wires`).
+    including 0, with the pointers as the rows' slots and the container's
+    value salt.  The client opens each row at its slot
+    (`codec.decrypt_results`).
 
     An out-of-range pointer means the enclave output was corrupted in
     transit, and surfacing it beats returning garbage.  One bound check
@@ -71,14 +73,14 @@ def fetch_values(index: EncryptedIndex, pointers) -> np.ndarray:
     if len(at) and at.view(np.uintp).max() >= n:
         bad = at[np.argmax(at.view(np.uintp) >= n)]
         raise ValueError(f"value pointer {bad} outside [0, {n})")
-    return index.value_rows.take(at, axis=0)
+    return SealedValues(index.value_rows.take(at, axis=0), at, index.salt)
 
 
 def search_resident(
     index: EncryptedIndex, enclave: EnclaveSim, token: RangeToken, trace=None
 ):
     """Resident-tree query: one trusted call, then dereference the pointers;
-    returns (blob rows from `fetch_values`, stats).
+    returns (the `fetch_values` result, stats).
 
     Steady state moves nothing but the token in and the pointers out, so
     the crossing count is always two.
@@ -92,7 +94,7 @@ def search_resident(
         branching=index.branching,
         n_values=index.n_values,
         range_size=0,
-        result_size=len(blobs),
+        result_size=len(blobs.rows),
         crossings=2,
         nodes_transferred=0,
         bytes_in=token.wire_size,
@@ -106,7 +108,7 @@ def search_streamed(
     index: EncryptedIndex, enclave: EnclaveSim, token: RangeToken, trace=None
 ):
     """Streamed query: FIFO node queue, batched trusted calls, pointer
-    routing; returns (blob rows from `fetch_values`, result tag or None,
+    routing; returns (the `fetch_values` result, result tag or None,
     stats).
 
     Seeds the queue with the root position, drains up to the enclave's batch
@@ -152,7 +154,7 @@ def search_streamed(
         branching=index.branching,
         n_values=index.n_values,
         range_size=0,
-        result_size=len(blobs),
+        result_size=len(blobs.rows),
         crossings=crossings,
         nodes_transferred=nodes_moved,
         bytes_in=bytes_in,

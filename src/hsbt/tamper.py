@@ -15,8 +15,8 @@ query and reports how the pipeline reacted:
   the query's second batch: it names no open session, so the batch must
   open one at the root
 * ``substitute-value`` - replace one result blob with a genuine blob from
-  outside the result (it authenticates: only the leaves' tag commitment
-  catches it)
+  outside the result, labelled with that blob's own slot (it opens there:
+  only the result tag's fold of the slots catches it)
 * ``reshape-header`` - serve a copy of the container with one header field
   rewritten (the integrity flag, the branching factor or the value count);
   every record's associated data holds the header, so the first record fails
@@ -27,6 +27,9 @@ query and reports how the pipeline reacted:
 * ``oversize-batch`` - open the query with a batch of the root and as many
   genuine records again as the enclave's batch ceiling: the enclave must
   refuse it before it opens a single record
+* ``swap-value-slots`` - swap the slot labels of two result blobs: the slot
+  multiset, and so the result tag's fold, is unchanged, so only each blob's
+  binding to its slot (its nonce) can catch it
 
 Denial-of-service behaviours (just refusing to answer) are out of scope: the
 driver can always stall, and no response is its own signal.
@@ -66,6 +69,7 @@ KINDS = (
     "reshape-header",
     "duplicate-node",
     "oversize-batch",
+    "swap-value-slots",
 )
 
 
@@ -122,13 +126,6 @@ def _client_receive(dep: Deployment, blobs, mac) -> TamperReport:
     return TamperReport(Outcome.ACCEPTED, "result verified")
 
 
-def _edited(blobs: np.ndarray, at: int, blob: bytes | None) -> np.ndarray:
-    """A copy of `blobs`, a matrix of wires, one per row, with the wire at
-    `at` replaced by `blob`, or dropped if `blob` is None."""
-    edited = np.delete(blobs, at, axis=0)
-    return edited if blob is None else np.insert(edited, at, np.frombuffer(blob, np.uint8), 0)
-
-
 def _serve_copy(dep: Deployment, copy, token: RangeToken, what: str) -> TamperReport:
     """Run the query against `copy`, a doctored container, in place of the
     genuine one, which is attached again afterwards; `what` names the change."""
@@ -150,8 +147,8 @@ def run_with_tamper(
 
     Raises `ValueError` for an unknown kind.  Requires an integrity-mode
     deployment for every script except ``replay-token``; the caller supplies
-    a query whose traversal reaches below the root, returns at least one
-    value and leaves some node unfetched, so every script has a target.
+    a query whose traversal reaches below the root, returns at least two
+    values and leaves some node unfetched, so every script has a target.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown tamper script {kind!r}")
@@ -162,7 +159,7 @@ def run_with_tamper(
     if kind == "replay-token":
         first, _, _ = search_streamed(index, enclave, token)
         second, _, _ = search_streamed(index, enclave, token)
-        same = set(map(bytes, first)) == set(map(bytes, second))
+        same = set(map(bytes, first.rows)) == set(map(bytes, second.rows))
         outcome = Outcome.ACCEPTED if same else Outcome.CLIENT_REJECT
         return TamperReport(outcome, f"replay result sets identical: {same}")
 
@@ -178,22 +175,27 @@ def run_with_tamper(
         reshaped = dataclasses.replace(index, **{rewritten: value})
         return _serve_copy(dep, reshaped, token, f"{kind} of {rewritten}")
 
-    if kind in ("modify-value", "withhold-results", "substitute-value"):
+    if kind in ("modify-value", "withhold-results", "substitute-value", "swap-value-slots"):
         # The traversal itself stays honest, and the blobs are edited in the
         # form the driver returns them (`server.fetch_values`).
         blobs, mac, _ = search_streamed(index, enclave, token)
-        at = rng.randrange(len(blobs))
+        at = rng.randrange(len(blobs.rows))
+        rows, slots = blobs.rows.copy(), blobs.slots.copy()
+        prefix = ""
         if kind == "modify-value":
-            broken = bytearray(blobs[at])
-            broken[rng.randrange(len(broken))] ^= 1 << rng.randrange(8)
-            return _client_receive(dep, _edited(blobs, at, bytes(broken)), mac)
-        if kind == "withhold-results":
-            return _client_receive(dep, _edited(blobs, at, None), mac)
-        result = set(map(bytes, blobs))
-        outside = [p for p, row in enumerate(index.value_rows) if bytes(row) not in result]
-        target = rng.choice(outside)
-        report = _client_receive(dep, _edited(blobs, at, index.value_blob(target)), mac)
-        report.detail = f"{kind} with value {target}: " + report.detail
+            rows[at, rng.randrange(rows.shape[1])] ^= 1 << rng.randrange(8)
+        elif kind == "withhold-results":
+            rows, slots = np.delete(rows, at, axis=0), np.delete(slots, at)
+        elif kind == "swap-value-slots":
+            other = rng.choice([i for i in range(len(slots)) if i != at])
+            slots[[at, other]] = slots[[other, at]]
+            prefix = f"{kind} of rows {at} and {other}: "
+        else:
+            target = rng.choice(sorted(set(range(len(index.value_rows))) - set(slots.tolist())))
+            rows[at], slots[at] = index.value_rows[target], target
+            prefix = f"{kind} with value {target}: "
+        report = _client_receive(dep, dataclasses.replace(blobs, rows=rows, slots=slots), mac)
+        report.detail = prefix + report.detail
         return report
 
     # Honest dry run, one node per batch, to learn the node pointers each

@@ -218,7 +218,7 @@ def test_criterion_7_simulatability_and_injected_fetch():
     enclave.load_tree(index)
     perm = prp_permutation(sk.tree_key, index.node_count)
     pm = lambda nid: int(perm[nid])
-    layout = PageLayout(record_size=node_plain_size(index.branching, index.integrity))
+    layout = PageLayout(record_size=node_plain_size(index.branching))
 
     passes = 0
     for construction in (1, 2):
@@ -264,7 +264,7 @@ def test_criterion_8_touch_counts_exact_over_sweep():
         decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
         for slot in range(index.node_count)
     ]
-    nodes = deserialize_node(plains, index.branching, False)
+    nodes = deserialize_node(plains, index.branching)
 
     cases = 0
     counter = TouchCounter()

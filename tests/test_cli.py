@@ -5,6 +5,7 @@ import random
 import re
 import struct
 
+import numpy as np
 import pytest
 
 from hsbt import bench as bench_mod
@@ -265,7 +266,7 @@ def test_text_values_of_several_lengths_round_trip(tmp_path, capsys):
     out = tmp_path / "store.hsbt"
     argv = ["build", "--input", str(path), "--b", "5", "--integrity", "on", "--out", str(out)]
     assert main(argv) == 0
-    width = max(len(v) for v in values.values()) + 1 + 28  # padding byte, nonce, tag
+    width = max(len(v) for v in values.values()) + 1 + 16  # padding byte, tag
     assert f"value_width={width}" in capsys.readouterr().out
     assert EncryptedIndex.load(out).value_width == width
     ranked = sorted(keys)
@@ -351,6 +352,27 @@ def test_audit_of_a_rebuild_that_is_not_the_containers_exits_one(tmp_path, capsy
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     want = "node and value counts" if mismatch == "more-pairs" else "value order"
     assert captured.err.startswith("error:") and want in captured.err
+
+
+def test_audit_of_a_container_whose_value_region_is_rotated_exits_one(tmp_path, capsys):
+    # Every blob moves one row on: the region keeps its length and the header
+    # is untouched, but no blob opens at its new slot, so the audit's value
+    # check, which opens the first pair's blob as queries do, fails closed.
+    built = tmp_path / "built.txt"
+    built.write_text("".join(f"{k} audit-{k:06d}\n" for k in range(1, 501)))
+    out = tmp_path / "audit.hsbt"
+    argv = ["build", "--input", str(built), "--integrity", "on", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    index = EncryptedIndex.load(out)
+    rotated = np.roll(index.value_rows, 1, axis=0).tobytes()
+    out.write_bytes(index.to_bytes()[: -len(rotated)] + rotated)
+    assert EncryptedIndex.load(out).header == index.header
+    capsys.readouterr()
+    assert main(_audit_argv(out, built)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:") and "does not open there" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_query_of_an_unpadded_value_exits_one(tmp_path, capsys):
@@ -514,8 +536,8 @@ def test_query_rejects_header_integrity_downgrade(tmp_path, dataset, capsys):
 
 @pytest.mark.parametrize("construction", ["1", "2"])
 def test_query_rejects_reshaped_header(tmp_path, capsys, construction):
-    # A b=10 integrity record is as long as a b=28 plain one, so a header
-    # rewritten that way still parses; the records are bound to the header.
+    # A record is as long with the integrity flag as without it, so a header
+    # with the flag cleared still parses; the records are bound to the header.
     rng = random.Random(3)
     keys = rng.sample(range(1, 2**31), 3000)
     path = tmp_path / "pairs.txt"
@@ -525,7 +547,6 @@ def test_query_rejects_reshaped_header(tmp_path, capsys, construction):
     assert main(argv) == 0
     data = bytearray(out.read_bytes())
     data[6] = 0  # integrity flag
-    data[7:9] = struct.pack("<H", 28)  # branching
     out.write_bytes(bytes(data))
     EncryptedIndex.load(out)  # still well-formed
     capsys.readouterr()
@@ -537,9 +558,9 @@ def test_query_rejects_reshaped_header(tmp_path, capsys, construction):
     assert captured.err.startswith("error:") and "failed authentication" in captured.err
 
 
-# Cuts inside the 25-byte header, at its end, one byte past it, inside the
+# Cuts inside the 33-byte header, at its end, one byte past it, inside the
 # first record, and inside the value region.
-@pytest.mark.parametrize("cut", [0, 10, 24, 25, 26, 29, 30, 100, -1, "trailing"])
+@pytest.mark.parametrize("cut", [0, 10, 24, 25, 26, 29, 30, 32, 33, 34, 100, -1, "trailing"])
 def test_malformed_container_exits_one_without_traceback(tmp_path, dataset, capsys, cut):
     out, keys = _build(tmp_path, dataset, extra=("--integrity", "on"))
     data = out.read_bytes()

@@ -9,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from hsbt.codec import (
     _HEADER,
     FLAG_LEAF,
     EncryptedIndex,
+    SealedValues,
     decrypt_results,
     deserialize_node,
     encrypt_index,
@@ -40,22 +42,18 @@ from hsbt.codec import (
 from hsbt.crypto import (
     NONCE_BYTES,
     TAG_BYTES,
+    VALUE_SALT_BYTES,
     AuthenticationError,
     MultisetHash,
     SecretKey,
     decrypt_wire,
-    encrypt_wires,
     prp_apply,
     prp_permutation,
     result_mac,
+    value_elements,
 )
 from hsbt.deploy import Deployment
-
-
-def _rows(wires) -> np.ndarray:
-    """Wires of one length as a matrix, one per row, as the server gathers
-    a result."""
-    return np.frombuffer(b"".join(wires), np.uint8).reshape(len(wires), -1)
+from hsbt.server import fetch_values
 
 
 def _dataset(n, b, seed, integrity=False):
@@ -86,14 +84,14 @@ def _decrypt_all_nodes(index, sk):
         decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
         for slot in range(index.node_count)
     ]
-    return deserialize_node(plains, index.branching, index.integrity)
+    return deserialize_node(plains, index.branching)
 
 
 def test_single_node_tree_container_shape():
     pairs, tree, sk, index = _dataset(3, 5, 0)
     assert index.node_count == 1
     assert index.n_values == 3
-    width = len(b"value-00000000") + NONCE_BYTES + TAG_BYTES
+    width = len(b"value-00000000") + TAG_BYTES
     assert index.value_width == width and len(index.value_region) == 3 * width
     assert index.value_rows.shape == (3, width)
 
@@ -120,27 +118,58 @@ def test_two_encryptions_differ_bytewise():
     a = encrypt_index(sk, tree, [v for _, v in pairs])
     b = encrypt_index(sk, tree, [v for _, v in pairs])
     assert a.node_region != b.node_region
+    # Each container draws its own value salt, so no value nonce repeats
+    # under the key.
+    assert a.salt != b.salt and a.value_region != b.value_region
 
 
 def test_node_records_share_one_size_across_kinds():
     pairs, tree, sk, index = _dataset(200, 6, 3, integrity=True)
-    plain = node_plain_size(6, True)
+    plain = node_plain_size(6)
     assert set(tree.leaf.tolist()) == {True, False}
     assert index.node_record_size == plain + NONCE_BYTES + TAG_BYTES
-    # The record size follows from the fields, so a rewritten header carries its own.
+    # One record layout serves both integrity settings, so a header with the
+    # flag rewritten implies the same record size.
     cleared = dataclasses.replace(index, integrity=False)
-    assert cleared.node_record_size == node_plain_size(6, False) + NONCE_BYTES + TAG_BYTES
+    assert cleared.node_record_size == index.node_record_size
     sizes = {
         len(decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot)))
         for slot in range(index.node_count)
     }
     assert sizes == {plain}
-    assert node_plain_size(6, True) - node_plain_size(6, False) == 16 * 5
-    # The record layout of the module docstring, for b from 3 to 299.
+    # The record layout of the module docstring, for b from 3 to 299; the
+    # flag, still accepted, changes nothing.
     for b in range(MIN_BRANCHING, 300):
         fixed = 1 + 2 + 4 * (b - 1) + 4 * b
-        assert node_plain_size(b, False) == fixed
-        assert node_plain_size(b, True) == fixed + 16 * (b - 1)
+        assert node_plain_size(b) == node_plain_size(b, True) == node_plain_size(b, False) == fixed
+
+
+@pytest.mark.parametrize("branching", [3, 10, 100])
+@pytest.mark.parametrize("integrity", [False, True])
+def test_container_size_is_header_records_and_value_rows(branching, integrity):
+    # A 33-byte header, one wire per node (nonce and tag around the record),
+    # and one body-and-tag row per value: no nonce and no tag region
+    # anywhere else.
+    pairs, tree, sk, index = _dataset(700, branching, branching, integrity=integrity)
+    value = len(pairs[0][1])
+    size = 33 + index.node_count * (node_plain_size(branching) + 28) + len(pairs) * (value + 16)
+    assert _HEADER.size == 33 and len(index.to_bytes()) == size
+    assert index.node_record_size == node_plain_size(branching) + 28
+
+
+def test_every_value_is_sealed_at_its_own_slot_under_one_salt():
+    # The nonce of the blob at slot s is salt || s, so no two value nonces
+    # of a container are equal, and each blob is the AEAD's own sealing of
+    # its value at that nonce.
+    pairs, tree, sk, index = _dataset(300, 5, 12)
+    n = index.n_values
+    elements = value_elements(index.salt, range(n))
+    nonces = [elements[16 * s : 16 * s + NONCE_BYTES] for s in range(n)]
+    assert len(set(nonces)) == n
+    assert all(nonce == index.salt + s.to_bytes(4, "little") for s, nonce in enumerate(nonces))
+    value_at = {int(p): v for (_, v), p in zip(pairs, tree.value_positions)}
+    aead = AESGCM(sk.value_key)
+    assert all(index.value_blob(s) == aead.encrypt(nonces[s], value_at[s], None) for s in range(n))
 
 
 def test_decrypted_tree_preserves_logical_structure():
@@ -156,15 +185,10 @@ def test_decrypted_tree_preserves_logical_structure():
         pointers = got["ptrs"].tolist()
         if is_leaf:
             assert pointers[1 : key_count + 1] == plain_pointers[1 : key_count + 1]
-            for j in range(1, key_count + 1):
-                tag = index.value_blob(pointers[j])[-TAG_BYTES:]
-                assert got["value_tags"][j - 1].tobytes() == tag
         else:
-            # Inner pointers were rewritten from child ids to storage slots,
-            # and the integrity region is zero, kept only for the shape.
+            # Inner pointers were rewritten from child ids to storage slots.
             for i in range(key_count + 1):
                 assert pointers[i] == slot_of[plain_pointers[i]]
-            assert not got["value_tags"].any()
 
 
 @st.composite
@@ -193,6 +217,7 @@ def test_encoder_round_trip_matches_plain_tree(build, integrity):
     sk = SecretKey(bytes(range(16)), bytes(range(16, 32)))
     index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=integrity)
     records = _decrypt_all_nodes(index, sk)
+    assert records.dtype == node_dtype(branching)  # whatever the integrity flag
     slot_of = prp_permutation(sk.tree_key, index.node_count)
     for node_id, is_leaf, key_count, keys, pointers in _plain_rows(tree):
         got = records[slot_of[node_id]]
@@ -205,39 +230,34 @@ def test_encoder_round_trip_matches_plain_tree(build, integrity):
         else:
             slots = [int(slot_of[child]) for child in pointers[:live]]
             assert got["ptrs"].tolist() == slots + [DUMMY_POINTER] * (branching - live)
-        if not integrity:
-            continue
-        if is_leaf:
-            for j in range(1, branching):
-                want = index.value_blob(pointers[j])[-TAG_BYTES:] if j < live else bytes(16)
-                assert got["value_tags"][j - 1].tobytes() == want
-        else:
-            assert not got["value_tags"].any()
 
 
 @pytest.mark.parametrize("count", [1, 7, 300])
-def test_leaf_entries_are_the_tags_of_their_value_blobs(count):
+def test_leaf_entries_name_the_slots_their_values_open_at(count):
     pairs, tree, sk, index = _dataset(count, 5, count, integrity=True)
     nodes = _decrypt_all_nodes(index, sk)
     slots = np.arange(index.branching)
     live = (slots >= 1) & (slots <= nodes["key_count"][:, None]) & leaf_mask(nodes)[:, None]
     rows, cols = np.nonzero(live)
     pointers = nodes["ptrs"][rows, cols].tolist()
-    assert sorted(pointers) == list(range(count))  # each blob committed once
-    entries = nodes["value_tags"][rows, cols - 1]
-    assert [e.tobytes() for e in entries] == [index.value_blob(p)[-TAG_BYTES:] for p in pointers]
+    assert sorted(pointers) == list(range(count))  # each blob named once
+    # Each leaf entry's blob opens at the entry's slot, to the value of the
+    # pair whose key sits beside it.
+    values = dict(pairs)
+    keys = nodes["keys"][rows, cols - 1].tolist()
+    opened = decrypt_results(sk.value_key, fetch_values(index, pointers))
+    assert opened == [values[k] for k in keys]
 
 
-# SHA-256 over the header, every node plaintext in slot order and every value
-# plaintext in region order, for the build in `_golden_digest`.  A change to
-# any byte of the format changes it.  Nonces are random and stay out, and so
-# do the leaves' value tags, which depend on them: each is checked against its
-# blob's tag and hashed as the blob's position instead.  The node records
-# also pin the tree shape that `build_tree`'s bulk load gives, and the value
-# region order pins its one numpy permutation.
-_GOLDEN_HSBT4 = {
-    False: "b7723cf69b4594b797c33c8b0072d07ca647f65d84a6bfd92e1f94daa8dd9f50",
-    True: "d274ed412a6b2feed3d7e6996cdbb71f4bd55a6ced804267650d9f75b5a28225",
+# SHA-256 over the header without its salt, every node plaintext in slot
+# order and every value plaintext in region order, each opened at its slot,
+# for the build in `_golden_digest`.  A change to any byte of the format
+# changes it.  The record nonces and the value salt are random and stay out.
+# The node records also pin the tree shape that `build_tree`'s bulk load
+# gives, and the value region order pins its one numpy permutation.
+_GOLDEN_HSBT5 = {
+    False: "15cda4b91598a8654980e7ed980ce67a8dd3b4c635b736cf560327458ce3ea0d",
+    True: "58485d0d6152481a7ed0ebe07b8929c673fcb56fb5dbead3350827c0bf553287",
 }
 
 
@@ -247,30 +267,19 @@ def _golden_digest(integrity):
     tree = build_tree(pairs, 7, rng=random.Random(6))
     sk = SecretKey(bytes(range(16)), bytes(range(16, 32)))
     index = encrypt_index(sk, tree, [v for _, v in pairs], integrity=integrity)
-    digest = hashlib.sha256(index.to_bytes()[: _HEADER.size])
-    records = _decrypt_all_nodes(index, sk).copy()
-    if integrity:
-        slots = np.arange(index.branching)
-        live = (slots >= 1) & (slots <= records["key_count"][:, None]) & leaf_mask(records)[:, None]
-        rows, cols = np.nonzero(live)
-        pointers = records["ptrs"][rows, cols]
-        tags = [index.value_blob(p)[-TAG_BYTES:] for p in pointers.tolist()]
-        assert [t.tobytes() for t in records["value_tags"][rows, cols - 1]] == tags
-        stand_in = np.zeros((len(rows), TAG_BYTES), np.uint8)
-        stand_in[:, :4] = pointers.astype("<u4").view(np.uint8).reshape(-1, 4)
-        records["value_tags"][rows, cols - 1] = stand_in
-    digest.update(records.tobytes())
-    for blob in index.value_rows:
-        digest.update(decrypt_wire(sk.value_key, bytes(blob)))
+    digest = hashlib.sha256(index.to_bytes()[: _HEADER.size - VALUE_SALT_BYTES])
+    digest.update(_decrypt_all_nodes(index, sk).tobytes())
+    for value in decrypt_results(sk.value_key, fetch_values(index, range(index.n_values))):
+        digest.update(value)
     return digest.hexdigest()
 
 
 @pytest.mark.parametrize("integrity", [False, True])
 def test_container_bytes_match_the_pinned_format(integrity):
-    assert _golden_digest(integrity) == _GOLDEN_HSBT4[integrity]
+    assert _golden_digest(integrity) == _GOLDEN_HSBT5[integrity]
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_older_container_versions_rejected_as_unsupported(version):
     older = _with_header_field(_with_header_field(_VALID, 0, b"HSBT%d" % version), 1, version)
     with pytest.raises(ValueError, match=f"unsupported container version {version}"):
@@ -285,9 +294,9 @@ def test_values_on_both_sides_of_the_bulk_seal_round_trip_end_to_end(monkeypatch
     passes = []
     real = crypto._seal_bulk
 
-    def spy(state, plains, wires):
+    def spy(state, plains, wires, salt, slots):
         passes.append(len(plains))
-        return real(state, plains, wires)
+        return real(state, plains, wires, salt, slots)
 
     monkeypatch.setattr(crypto, "_seal_bulk", spy)
     rng = random.Random(length)
@@ -332,12 +341,12 @@ def test_batch_decode_matches_record_by_record_decode():
         decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
         for slot in range(index.node_count)
     ]
-    batch = deserialize_node(plains, index.branching, True)
-    assert batch.dtype == node_dtype(index.branching, True)
+    batch = deserialize_node(plains, index.branching)
+    assert batch.dtype == node_dtype(index.branching)
     for slot, plain in enumerate(plains):
-        alone = deserialize_node([plain], index.branching, True)
+        alone = deserialize_node([plain], index.branching)
         assert batch[slot].tobytes() == alone[0].tobytes()
-    assert len(deserialize_node([], index.branching, True)) == 0
+    assert len(deserialize_node([], index.branching)) == 0
 
 
 def test_relocated_record_rejected_by_slot_binding():
@@ -345,7 +354,12 @@ def test_relocated_record_rejected_by_slot_binding():
     with pytest.raises(AuthenticationError):
         decrypt_wire(sk.tree_key, index.node_record(0), index.record_aad(1))
     # The header is bound too: a record read under any other header fails.
-    for name, value in [("branching", 28), ("integrity", True), ("n_values", 49)]:
+    for name, value in [
+        ("branching", 28),
+        ("integrity", True),
+        ("n_values", 49),
+        ("salt", bytes(VALUE_SALT_BYTES)),
+    ]:
         reshaped = dataclasses.replace(index, **{name: value})
         assert reshaped.header != index.header
         with pytest.raises(AuthenticationError):
@@ -376,7 +390,7 @@ def _small_container() -> bytes:
 _VALID = _small_container()
 # The header and node region of `_VALID`, to put any value region behind.
 _NODES = _VALID[: _HEADER.size + len(EncryptedIndex.from_bytes(_VALID).node_region)]
-_N, _WIDTH = _HEADER.unpack_from(_VALID, 0)[5:]
+_N, _WIDTH = _HEADER.unpack_from(_VALID, 0)[5:7]
 
 
 def _with_header_field(data: bytes, field: int, value: int) -> bytes:
@@ -393,7 +407,7 @@ def _with_header_field(data: bytes, field: int, value: int) -> bytes:
         pytest.param(_VALID[:-1], id="truncated-value-blob"),
         pytest.param(_VALID + b"\0", id="trailing-bytes"),
         pytest.param(_with_header_field(_VALID, 3, 2), id="branching-below-minimum"),
-        pytest.param(_with_header_field(_VALID, 2, 0), id="integrity-flag-cleared"),
+        pytest.param(_with_header_field(_VALID, 2, 2), id="integrity-flag-two"),
         # The record size follows from b: at b=5 the node region is too short.
         pytest.param(_with_header_field(_VALID, 3, 5), id="record-size-mismatch"),
         pytest.param(_with_header_field(_VALID, 5, 10**6), id="value-count-beyond-data"),
@@ -401,10 +415,10 @@ def _with_header_field(data: bytes, field: int, value: int) -> bytes:
         pytest.param(_with_header_field(_VALID, 5, _N - 1), id="value-count-one-less"),
         pytest.param(_with_header_field(_VALID, 6, _WIDTH + 1), id="value-width-one-more"),
         pytest.param(_with_header_field(_VALID, 6, _WIDTH - 1), id="value-width-one-less"),
-        # 12 bytes a blob fill the region exactly, but hold no nonce and tag.
+        # 12 bytes a blob fill the region exactly, but hold no tag.
         pytest.param(
             _with_header_field(_with_header_field(_VALID, 6, 12), 5, _N * _WIDTH // 12),
-            id="value-width-below-28",
+            id="value-width-below-16",
         ),
     ],
 )
@@ -449,16 +463,16 @@ def test_arbitrary_bytes_parse_exactly_or_raise_value_error(data):
 def test_value_region_parse_takes_exactly_n_rows_of_one_width(n, width, delta):
     # A header value count and blob width over a value region of about
     # n x width bytes: the parse accepts exactly n x width bytes of blobs
-    # that can hold a nonce and a tag, and sees them as n rows.
+    # that can hold a tag, and sees them as n rows.
     tail = max(n * width + delta, 0)
     region = bytes(i % 251 for i in range(tail))
     data = _with_header_field(_with_header_field(_NODES, 5, n), 6, width) + region
     try:
         index = EncryptedIndex.from_bytes(data)
     except ValueError:
-        assert tail != n * width or width < NONCE_BYTES + TAG_BYTES
+        assert tail != n * width or width < TAG_BYTES
         return
-    assert tail == n * width and width >= NONCE_BYTES + TAG_BYTES
+    assert tail == n * width and width >= TAG_BYTES
     assert index.value_rows.shape == (n, width)
     want = [region[i * width : (i + 1) * width] for i in range(n)]
     assert list(map(bytes, index.value_rows)) == want
@@ -549,34 +563,45 @@ def test_decrypt_results_roundtrip_and_order():
     # Blob at value position p holds the value of the pair that mapped to p.
     want = {tree.value_positions[i]: pairs[i][1] for i in range(len(pairs))}
     picks = random.Random(0).sample(range(100), 30)
-    got = decrypt_results(sk.value_key, index.value_rows[picks])
+    got = decrypt_results(sk.value_key, fetch_values(index, picks))
     assert got == [want[p] for p in picks]
+    assert got.salt == index.salt and got.slots.tolist() == picks
 
 
 def test_decrypt_results_aborts_wholesale_on_tamper():
     pairs, tree, sk, index = _dataset(10, 5, 8)
-    blobs = index.value_rows[:3].copy()
-    blobs[1, -1] ^= 0x80
+    blobs = fetch_values(index, range(3))
+    assert len(decrypt_results(sk.value_key, blobs)) == 3
+    blobs.rows[1, -1] ^= 0x80
     with pytest.raises(AuthenticationError):
         decrypt_results(sk.value_key, blobs)
+    # Two rows whose slots are swapped, or one read under another salt, do
+    # not open either.
+    for swapped in (
+        SealedValues(index.value_rows[:3], np.array([1, 0, 2]), index.salt),
+        SealedValues(index.value_rows[:3], np.arange(3), bytes(VALUE_SALT_BYTES)),
+    ):
+        with pytest.raises(AuthenticationError):
+            decrypt_results(sk.value_key, swapped)
 
 
 def test_verify_result_mac_roundtrip():
     pairs, tree, sk, index = _dataset(50, 5, 10, integrity=True)
-    blobs = [index.value_blob(p) for p in (3, 17, 42)]
-    state = MultisetHash.empty(sk.tree_key).add_all(b"".join(b[-TAG_BYTES:] for b in blobs))
+    state = MultisetHash.empty(sk.tree_key).add_all(value_elements(index.salt, [3, 17, 42]))
     mac = result_mac(sk.tree_key, state)
 
     def check(chosen):
-        return verify_result_mac(sk.tree_key, decrypt_results(sk.value_key, _rows(chosen)), mac)
+        results = decrypt_results(sk.value_key, fetch_values(index, chosen))
+        return verify_result_mac(sk.tree_key, results, mac)
 
-    assert check(blobs)
-    assert check(blobs[::-1])  # order-free
-    assert not check(blobs[:-1])
-    assert not check(blobs + [index.value_blob(0)])
-    assert not check(blobs[:-1] + [index.value_blob(0)])
+    assert check([3, 17, 42])
+    assert check([42, 17, 3])  # order-free
+    assert not check([3, 17])
+    assert not check([3, 17, 42, 0])
+    assert not check([3, 17, 0])
+    assert not check([3, 17, 42, 42])
     # Only plaintexts decrypt_results authenticated can be checked.
-    results = decrypt_results(sk.value_key, _rows(blobs))
+    results = decrypt_results(sk.value_key, fetch_values(index, [3, 17, 42]))
     for unauthenticated in (list(results), results[:], tuple(results)):
         with pytest.raises(TypeError):
             verify_result_mac(sk.tree_key, unauthenticated, mac)
@@ -584,33 +609,32 @@ def test_verify_result_mac_roundtrip():
         results[0] = b"forged"
     with pytest.raises(TypeError):
         results.append(b"forged")
+    with pytest.raises(ValueError):
+        results.slots[0] = 0
     positions = tree.value_positions.tolist()
     assert results == [pairs[positions.index(p)][1] for p in (3, 17, 42)]
 
 
-def test_verify_result_mac_folds_the_last_16_bytes_of_blobs_of_mixed_lengths():
-    sk = SecretKey.generate()
+def test_verify_result_mac_folds_the_salt_and_slot_of_each_value():
+    pairs, tree, sk, index = _dataset(50, 5, 14, integrity=True)
+    slots = [4, 9, 33]
+    results = decrypt_results(sk.value_key, fetch_values(index, slots))
 
-    def mac_over(chunks):
-        return result_mac(sk.tree_key, MultisetHash.empty(sk.tree_key).add_all(b"".join(chunks)))
+    def mac_over(elements):
+        return result_mac(sk.tree_key, MultisetHash.empty(sk.tree_key).add_all(elements))
 
-    # A result's blobs share one width; each width here is its own result.
-    for length in (0, 1, 15, 16, 333):
-        values = [bytes([i]) * length for i in range(3)]
-        blobs = encrypt_wires(sk.value_key, values)
-        results = decrypt_results(sk.value_key, _rows(blobs))
-        assert results == values
-        assert verify_result_mac(sk.tree_key, results, mac_over(b[-TAG_BYTES:] for b in blobs))
-        # Any other 16 bytes of each blob (its first 16, or the 16 before its
-        # last byte) make a different multiset.
-        for other in (
-            [b[:TAG_BYTES] for b in blobs],
-            [b[-TAG_BYTES - 1 : -1] for b in blobs],
-        ):
-            assert not verify_result_mac(sk.tree_key, results, mac_over(other))
+    assert verify_result_mac(sk.tree_key, results, mac_over(value_elements(index.salt, slots)))
+    # Another salt, other slots, or the blobs' GCM tags make a different
+    # multiset.
+    for other in (
+        value_elements(bytes(VALUE_SALT_BYTES), slots),
+        value_elements(index.salt, [4, 9, 34]),
+        b"".join(index.value_blob(p)[-TAG_BYTES:] for p in slots),
+    ):
+        assert not verify_result_mac(sk.tree_key, results, mac_over(other))
 
 
 def test_all_hundred_random_blobs_match_build_input():
     pairs, tree, sk, index = _dataset(100, 6, 9)
-    got = decrypt_results(sk.value_key, index.value_rows)
+    got = decrypt_results(sk.value_key, fetch_values(index, range(100)))
     assert Counter(got) == Counter(v for _, v in pairs)

@@ -109,19 +109,21 @@ def test_bulk_encrypt_matches_wire_helpers():
 @pytest.mark.parametrize("length", [0, 7, 11, 12, 27])
 def test_short_wires_raise_authentication_error_only(length):
     # No length check runs in Python: the AEAD rejects a nonce under 8 bytes
-    # with ValueError and a missing or partial tag with InvalidTag, and both
-    # `decrypt_wire` and `open_wires` must turn either into AuthenticationError.
+    # with ValueError and a missing or partial tag with InvalidTag, and
+    # `decrypt_wire` must turn either into AuthenticationError; `open_wires`
+    # builds its own 12-byte nonces, so a value row too short for a tag is
+    # rejected as InvalidTag, and a short row in bulk fails its tag check.
     key = generate_key()
     wire = secrets.token_bytes(length)
-    good = encrypt_wires(key, [b"fine"])[0]
+    good = _blobs(key, [b"fine" * 8])[0]
     for aad in (b"", b"ad"):
         with pytest.raises(AuthenticationError):
             decrypt_wire(key, wire, aad)
-    for batch in ([wire], [wire] * 3, [good[:length]] * 2):
+    for batch in ([wire], [wire] * 3, [good[:length]] * 2, [good[:length]] * CUT):
         with pytest.raises(AuthenticationError):
-            crypto.open_wires(key, _rows(batch))
-    assert crypto.open_wires(key, _rows([good, good])) == ([b"fine", b"fine"], 2 * good[-16:])
-    assert crypto.open_wires(key, _rows([])) == ([], b"")
+            crypto.open_wires(key, _rows(batch), SALT, [0] * len(batch))
+    assert crypto.open_wires(key, _rows([good, good]), SALT, [0, 0]) == [b"fine" * 8] * 2
+    assert crypto.open_wires(key, _rows([]), SALT, []) == []
 
 
 def test_aead_table_holds_at_most_its_cap_of_keys():
@@ -129,10 +131,11 @@ def test_aead_table_holds_at_most_its_cap_of_keys():
     keys = [generate_key() for _ in range(cap + 5)]
     plains = [b"value %d" % i for i in range(len(keys))]
     wires = [encrypt_wires(key, [plain])[0] for key, plain in zip(keys, plains)]
+    blobs = [_blobs(key, [plain])[0] for key, plain in zip(keys, plains)]
     for _ in range(2):
-        for key, wire, plain in zip(keys, wires, plains):
+        for key, wire, blob, plain in zip(keys, wires, blobs, plains):
             assert decrypt_wire(key, wire) == plain
-            assert crypto.open_wires(key, _rows([wire])) == ([plain], wire[-16:])
+            assert crypto.open_wires(key, _rows([blob]), SALT, [0]) == [plain]
             assert len(crypto._aeads.by_key) <= cap
 
 
@@ -148,28 +151,39 @@ def test_aead_fuzz_bit_flips_never_accepted():
             decrypt_wire(key, bytes(flipped), b"p")
 
 
-# -- bulk open ---------------------------------------------------------------
+# -- value blobs: sealed at their slots, opened per blob or in bulk -----------
 
 CUT = crypto._BULK_MIN_WIRES
 MAX_BODY = 16 * crypto._BULK_MAX_BLOCKS
+SALT = bytes(range(8))
+
+
+def _nonce(slot: int, salt: bytes = SALT) -> bytes:
+    return salt + slot.to_bytes(4, "little")
+
+
+def _blobs(key: bytes, plains, first: int = 0) -> list[bytes]:
+    """Plaintext i sealed by the AEAD itself at slot ``first + i`` under
+    SALT: ``body || tag``, the reference every value path must match."""
+    return [AESGCM(key).encrypt(_nonce(first + i), p, None) for i, p in enumerate(plains)]
 
 
 def _rows(wires) -> np.ndarray:
-    """Wires of one length as a matrix, one per row, the form in which the
+    """Blobs of one length as a matrix, one per row, the form in which the
     server gathers a result."""
-    width = len(wires[0]) if wires else crypto.NONCE_BYTES + crypto.TAG_BYTES
+    width = len(wires[0]) if wires else crypto.TAG_BYTES
     return np.frombuffer(b"".join(wires), np.uint8).reshape(len(wires), width)
 
 
 @pytest.fixture
 def bulk_passes(monkeypatch):
-    """Counts the wires `open_wires` hands to the array pass."""
+    """Counts the rows `open_wires` hands to the array pass."""
     opened = []
     real = crypto._open_bulk
 
-    def spy(state, rows):
+    def spy(state, rows, salt, slots):
         opened.append(len(rows))
-        return real(state, rows)
+        return real(state, rows, salt, slots)
 
     monkeypatch.setattr(crypto, "_open_bulk", spy)
     return opened
@@ -181,20 +195,28 @@ def _flip(wire: bytes, bit: int) -> bytes:
     return bytes(flipped)
 
 
+def test_value_elements_are_the_nonce_then_four_zero_bytes():
+    slots = [0, 1, 0x01020304, 2**32 - 1]
+    elements = crypto.value_elements(SALT, slots)
+    assert elements == b"".join(_nonce(s) + bytes(4) for s in slots)
+    assert crypto.value_elements(SALT, []) == b""
+    for salt in (b"", SALT[:7], SALT + b"!"):
+        with pytest.raises(AuthenticationError, match="value salt"):
+            crypto.value_elements(salt, slots)
+
+
 def test_bulk_open_matches_per_wire_decrypt_at_every_body_length(bulk_passes):
     key = generate_key()
     rng = random.Random(11)
     for length in range(1, MAX_BODY + 1):
         # Zero-ended values too: no trailing byte may be lost.
         plains = [rng.randbytes(length - 1) + bytes([i % 2]) for i in range(4096)]
-        wires = encrypt_wires(key, plains)
+        blobs = _blobs(key, plains)
         for count in (CUT - 1, CUT, 4096):
             del bulk_passes[:]
-            chunk = wires[:count]
-            got, tags = crypto.open_wires(key, _rows(chunk))
+            got = crypto.open_wires(key, _rows(blobs[:count]), SALT, range(count))
             assert sum(bulk_passes) == (count if count >= CUT else 0)
-            assert got == [decrypt_wire(key, wire) for wire in chunk] == plains[:count]
-            assert tags == b"".join(wire[-16:] for wire in chunk)
+            assert got == plains[:count]
 
 
 @settings(max_examples=300, deadline=None)
@@ -205,55 +227,72 @@ def test_bulk_open_matches_per_wire_decrypt_at_every_body_length(bulk_passes):
 )
 def test_bulk_open_rejects_any_single_bit_flip(length, count, data):
     key = generate_key()
-    wires = encrypt_wires(key, [secrets.token_bytes(length) for _ in range(count)])
-    victim = data.draw(st.integers(0, count - 1), label="wire")
-    bit = data.draw(st.integers(0, 8 * len(wires[0]) - 1), label="bit")  # nonce, body or tag
-    wires[victim] = _flip(wires[victim], bit)
+    blobs = _blobs(key, [secrets.token_bytes(length) for _ in range(count)])
+    slots = list(range(count))
+    victim = data.draw(st.integers(0, count - 1), label="blob")
+    where = data.draw(st.sampled_from(["row", "slot", "salt"]), label="where")
+    salt = SALT
+    if where == "row":  # body or tag
+        bit = data.draw(st.integers(0, 8 * len(blobs[0]) - 1), label="bit")
+        blobs[victim] = _flip(blobs[victim], bit)
+    elif where == "slot":
+        slots[victim] ^= 1 << data.draw(st.integers(0, 31), label="bit")
+    else:
+        salt = _flip(SALT, data.draw(st.integers(0, 63), label="bit"))
     with pytest.raises(AuthenticationError):
-        crypto.open_wires(key, _rows(wires))
+        crypto.open_wires(key, _rows(blobs), salt, slots)
 
 
 def test_bulk_open_rejects_every_bit_flip_of_one_wire(bulk_passes):
     key = generate_key()
-    wires = encrypt_wires(key, [secrets.token_bytes(17) for _ in range(CUT)])
-    for bit in range(8 * len(wires[0])):
+    blobs = _blobs(key, [secrets.token_bytes(17) for _ in range(CUT)])
+    for bit in range(8 * len(blobs[0])):
+        rows = _rows(blobs[:5] + [_flip(blobs[5], bit)] + blobs[6:])
         with pytest.raises(AuthenticationError):
-            crypto.open_wires(key, _rows(wires[:5] + [_flip(wires[5], bit)] + wires[6:]))
+            crypto.open_wires(key, rows, SALT, range(CUT))
     assert set(bulk_passes) == {CUT}
 
 
 def test_bulk_open_batches_it_does_not_take_behave_as_per_wire(bulk_passes):
     key = generate_key()
     # Below the cut-over a matrix opens one AEAD call per row, at any body
-    # length, and one flipped bit rejects the batch.
+    # length, and one flipped bit, or one swapped slot, rejects the batch.
     for length in (1, 16, MAX_BODY, 200):
         plains = [secrets.token_bytes(length) for _ in range(CUT - 1)]
-        wires = encrypt_wires(key, plains)
-        assert crypto.open_wires(key, _rows(wires)) == (plains, b"".join(w[-16:] for w in wires))
+        blobs = _blobs(key, plains)
+        assert crypto.open_wires(key, _rows(blobs), SALT, range(CUT - 1)) == plains
+        flipped = _rows(blobs[:3] + [_flip(blobs[3], 100)] + blobs[4:])
         with pytest.raises(AuthenticationError):
-            crypto.open_wires(key, _rows(wires[:3] + [_flip(wires[3], 100)] + wires[4:]))
+            crypto.open_wires(key, flipped, SALT, range(CUT - 1))
+        with pytest.raises(AuthenticationError):
+            crypto.open_wires(key, _rows(blobs), SALT, [1, 0, *range(2, CUT - 1)])
     # The same bytes read at twice the width keep the joined bytes, and
-    # fail: the rows are the wires.
-    same = encrypt_wires(key, [secrets.token_bytes(16) for _ in range(CUT)])
+    # fail: the rows are the blobs.
+    same = _blobs(key, [secrets.token_bytes(16) for _ in range(CUT)])
     with pytest.raises(AuthenticationError):
-        crypto.open_wires(key, _rows(same).reshape(CUT // 2, -1))
-    # Matrices of empty bodies (28-byte wires) and of bodies over the block
+        crypto.open_wires(key, _rows(same).reshape(CUT // 2, -1), SALT, range(CUT // 2))
+    # Matrices of empty bodies (16-byte rows) and of bodies over the block
     # limit.
     for length in (0, MAX_BODY + 1, 200):
         plains = [secrets.token_bytes(length) for _ in range(CUT)]
-        wires = encrypt_wires(key, plains)
-        assert crypto.open_wires(key, _rows(wires)) == (plains, b"".join(w[-16:] for w in wires))
+        blobs = _blobs(key, plains)
+        assert crypto.open_wires(key, _rows(blobs), SALT, range(CUT)) == plains
         with pytest.raises(AuthenticationError):
-            crypto.open_wires(key, _rows(wires[:-1] + [_flip(wires[-1], 0)]))
+            crypto.open_wires(key, _rows(blobs[:-1] + [_flip(blobs[-1], 0)]), SALT, range(CUT))
     assert bulk_passes == []
-    # Matrices of truncated wires; only the 43-byte one, a 15-byte body,
-    # opens in bulk.
-    good = encrypt_wires(key, [b"x" * 16 for _ in range(CUT)])
-    for length in (0, 7, 12, 27, 43):
+    # Matrices of truncated blobs; only the 27- and 47-byte ones, bodies of
+    # 11 and 31 bytes, open in bulk.
+    good = _blobs(key, [b"x" * 32 for _ in range(CUT)])
+    for length in (0, 7, 15, 16, 27, 47):
         with pytest.raises(AuthenticationError):
-            crypto.open_wires(key, _rows([wire[:length] for wire in good]))
-    assert bulk_passes == [CUT]
-    assert crypto.open_wires(key, _rows([])) == ([], b"")
+            crypto.open_wires(key, _rows([blob[:length] for blob in good]), SALT, range(CUT))
+    assert bulk_passes == [CUT, CUT]
+    # A slot count other than the row count rejects the batch on both paths.
+    for count in (CUT - 1, CUT):
+        for slots in (range(count - 1), range(count + 1)):
+            with pytest.raises(AuthenticationError, match="value blobs come with"):
+                crypto.open_wires(key, _rows(good[:count]), SALT, slots)
+    assert crypto.open_wires(key, _rows([]), SALT, []) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -265,44 +304,64 @@ def test_bulk_open_batches_it_does_not_take_behave_as_per_wire(bulk_passes):
 def test_seal_wires_opens_row_by_row_and_as_a_matrix(body, count, data):
     key = generate_key()
     plains = np.frombuffer(secrets.token_bytes(body * count), np.uint8).reshape(count, body)
+    first = data.draw(st.integers(0, 2**32 - count), label="first slot")
+    slots = np.arange(first, first + count)
     passes = []
     real = crypto._seal_bulk
 
-    def spy(state, rows, wires):
+    def spy(state, rows, wires, salt, at):
         passes.append(len(rows))
-        return real(state, rows, wires)
+        return real(state, rows, wires, salt, at)
 
     crypto._seal_bulk = spy
     try:
-        wires = crypto.seal_wires(key, plains)
+        wires = crypto.seal_wires(key, plains, SALT, slots)
     finally:
         crypto._seal_bulk = real
     bulk = count >= CUT and 0 < body <= MAX_BODY
     chunk = crypto._BULK_CHUNK_WIRES
     assert passes == ([min(chunk, count - at) for at in range(0, count, chunk)] if bulk else [])
-    assert wires.shape == (count, crypto.NONCE_BYTES + body + crypto.TAG_BYTES)
+    assert wires.shape == (count, body + crypto.TAG_BYTES)
     want = [row.tobytes() for row in plains]
-    assert [decrypt_wire(key, row.tobytes()) for row in wires] == want
-    assert crypto.open_wires(key, wires) == (want, wires[:, -crypto.TAG_BYTES :].tobytes())
-    assert len({row.tobytes() for row in wires[:, : crypto.NONCE_BYTES]}) == count
+    # Either path gives the AEAD's own bytes at each slot's nonce.
+    assert [row.tobytes() for row in wires] == _blobs(key, want, first)
+    assert crypto.open_wires(key, wires, SALT, slots) == want
     victim = data.draw(st.integers(0, count - 1), label="row")
-    at = data.draw(st.integers(0, wires.shape[1] - 1), label="byte")  # nonce, body or tag
+    at = data.draw(st.integers(0, wires.shape[1] - 1), label="byte")  # body or tag
     flipped = wires.copy()
     flipped[victim, at] ^= data.draw(st.integers(1, 255), label="mask")
     with pytest.raises(AuthenticationError):
-        crypto.open_wires(key, flipped)
+        crypto.open_wires(key, flipped, SALT, slots)
+
+
+@pytest.mark.parametrize("body", [1, 16, MAX_BODY])
+def test_seal_wires_gives_the_same_rows_per_call_and_in_bulk(body):
+    # 63 rows are sealed one AEAD call each, 64 in one array pass; under one
+    # salt the shared rows are byte-identical, and so are their opens.
+    key = generate_key()
+    plains = np.frombuffer(secrets.token_bytes(body * CUT), np.uint8).reshape(CUT, body)
+    slots = np.random.default_rng(body).permutation(10 * CUT)[:CUT]
+    per_call = crypto.seal_wires(key, plains[: CUT - 1], SALT, slots[: CUT - 1])
+    in_bulk = crypto.seal_wires(key, plains, SALT, slots)
+    assert per_call.tobytes() == in_bulk[: CUT - 1].tobytes()
+    assert crypto.open_wires(key, in_bulk, SALT, slots)[:-1] == crypto.open_wires(
+        key, per_call, SALT, slots[: CUT - 1]
+    )
+    # Another salt or other slots give other rows.
+    assert not np.array_equal(crypto.seal_wires(key, plains, SALT[::-1], slots), in_bulk)
+    assert not np.array_equal(crypto.seal_wires(key, plains, SALT, slots + 1), in_bulk)
 
 
 def test_bulk_open_under_two_keys_in_two_threads_at_once():
     keys = [generate_key(), generate_key()]
-    batches = [
-        _rows(encrypt_wires(key, [b"%016d" % (i + 10**6 * k) for i in range(3 * CUT)]))
-        for k, key in enumerate(keys)
-    ]
-    want = [[decrypt_wire(key, bytes(w)) for w in batch] for key, batch in zip(keys, batches)]
+    plains = [[b"%016d" % (i + 10**6 * k) for i in range(3 * CUT)] for k in range(2)]
+    batches = [_rows(_blobs(key, want)) for key, want in zip(keys, plains)]
 
     def opens(k):
-        return all(crypto.open_wires(keys[k], batches[k])[0] == want[k] for _ in range(200))
+        return all(
+            crypto.open_wires(keys[k], batches[k], SALT, range(3 * CUT)) == plains[k]
+            for _ in range(200)
+        )
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

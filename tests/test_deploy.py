@@ -5,12 +5,13 @@ import dataclasses
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hsbt import crypto
 from hsbt.bptree import KEY_MAX, scan_oracle
 from hsbt.cli import pad_values, unpad
-from hsbt.codec import decrypt_results, make_token, verify_result_mac
+from hsbt.codec import SealedValues, decrypt_results, make_token, verify_result_mac
 from hsbt.crypto import AuthenticationError
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveAbort, EnclaveSim
@@ -99,9 +100,12 @@ def test_values_of_several_lengths_answer_large_results(monkeypatch, constructio
     dep = Deployment.build(pad_values(pairs), 5, integrity=True, rng=rng)
     bulk = []
     real = crypto._open_bulk
-    monkeypatch.setattr(
-        crypto, "_open_bulk", lambda state, rows: bulk.append(len(rows)) or real(state, rows)
-    )
+
+    def spy(state, rows, salt, slots):
+        bulk.append(len(rows))
+        return real(state, rows, salt, slots)
+
+    monkeypatch.setattr(crypto, "_open_bulk", spy)
     keys.sort()
     sizes = 0
     for lo, hi in [(keys[10], keys[10 + 3 * crypto._BULK_MIN_WIRES]), (None, None)]:
@@ -142,12 +146,32 @@ def test_a_bulk_opened_result_fails_closed_on_one_bad_blob(construction):
     flipped = genuine[:20] + bytes([genuine[20] ^ 1]) + genuine[21:]
     other = Deployment.build(pairs, 5, integrity=True, rng=random.Random(4))
     foreign = other.index.value_blob(0)  # sealed under another value key
-    for blob in (flipped, foreign):
-        with pytest.raises(AuthenticationError):
+    # A genuine blob from outside the range, moved into the slot: its nonce
+    # names its own slot, so it no longer opens, on either construction.
+    outsider = dep.index.value_blob(position(keys[0]))
+    for blob in (flipped, foreign, outsider):
+        with pytest.raises(AuthenticationError, match="ciphertext rejected"):
             hosting(blob).query(lo, hi, construction)
-    if construction == 2:
-        # A genuine blob from outside the range decrypts; the result tag
-        # catches it.  Construction 1 issues no result tag.
-        outsider = dep.index.value_blob(position(keys[0]))
-        with pytest.raises(AuthenticationError, match="result tag"):
-            hosting(outsider).query(lo, hi, construction)
+
+
+def test_rows_of_another_container_under_the_same_key_are_rejected():
+    # Two containers built under one SecretKey draw their own salts.  A host
+    # that answers a query on A with B's rows at A's matched slots must send
+    # them under B's salt, where they open, and the result tag then folds
+    # the wrong salt; under A's salt they do not open at all.
+    pairs, rng = _pairs(n=400, seed=6)
+    a = Deployment.build(pairs, 5, integrity=True, rng=rng)
+    b = Deployment.build(pairs, 5, integrity=True, sk=a.sk, rng=random.Random(7))
+    assert a.index.salt != b.index.salt
+    keys = sorted(k for k, _ in pairs)
+    token = make_token(a.sk.tree_key, keys[50], keys[90])
+    blobs, mac, _ = search_streamed(a.index, a.enclave, token)
+    assert Counter(a.receive(blobs, mac)) == Counter(scan_oracle(pairs, keys[50], keys[90]))
+    rows = b.index.value_rows[blobs.slots]
+    assert len(rows) == 41 and not np.array_equal(rows, blobs.rows)
+    under_b = SealedValues(rows, blobs.slots, b.index.salt)
+    assert len(decrypt_results(a.sk.value_key, under_b)) == 41  # they open
+    with pytest.raises(AuthenticationError, match="result tag verification failed"):
+        a.receive(under_b, mac)
+    with pytest.raises(AuthenticationError, match="ciphertext rejected"):
+        a.receive(SealedValues(rows, blobs.slots, a.index.salt), mac)

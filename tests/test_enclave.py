@@ -358,7 +358,7 @@ def test_batch_pointer_lists_are_the_matched_slots(data):
         st.lists(st.integers(0, index.node_count - 1), min_size=0, max_size=20)
     )
     values, children = enclave.search_batch(make_token(sk.tree_key, r_start, r_end), positions)
-    is_value, pointers, _, _ = _expand(_decoded(sk, index, positions), r_start, r_end)
+    is_value, pointers = _expand(_decoded(sk, index, positions), r_start, r_end)
     assert isinstance(values, np.ndarray) and values.dtype == np.uint32
     assert Counter(values.tolist()) == Counter(pointers[is_value].tolist())
     assert Counter(children) == Counter(pointers[~is_value].tolist())
@@ -724,7 +724,7 @@ def _decoded(sk, index, slots):
     from hsbt.crypto import decrypt_wire
 
     plains = [decrypt_wire(sk.tree_key, index.node_record(s), index.record_aad(s)) for s in slots]
-    return deserialize_node(plains, index.branching, index.integrity)
+    return deserialize_node(plains, index.branching)
 
 
 def _scalar_match_slots(keys, key_count, is_leaf, r_start, r_end):
@@ -850,10 +850,10 @@ def _node_batches(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_node_batches(), st.booleans())
-def test_vectorised_match_agrees_with_scalar_formula(batch, integrity):
+@given(_node_batches())
+def test_vectorised_match_agrees_with_scalar_formula(batch):
     branching, plain_nodes, r_start, r_end = batch
-    nodes = np.zeros(len(plain_nodes), dtype=node_dtype(branching, integrity))
+    nodes = np.zeros(len(plain_nodes), dtype=node_dtype(branching))
     leaf, nodes["key_count"], nodes["keys"], nodes["ptrs"] = zip(*plain_nodes)
     nodes["flags"] = [FLAG_LEAF if is_leaf else 0 for is_leaf in leaf]
     bits = oblivious_match_slots(nodes, r_start, r_end)
@@ -1041,7 +1041,7 @@ def test_streamed_query_calls_decrypt_wire_once_per_node_decryption(monkeypatch,
     blobs, mac, stats = search_streamed(
         dep.index, dep.enclave, make_token(dep.sk.tree_key, keys[100], keys[900])
     )
-    assert len(blobs) == 801 and stats.crossings > 2
+    assert len(blobs.rows) == 801 and stats.crossings > 2
     assert len(calls) == dep.enclave.node_decryptions - before == stats.nodes_transferred
     assert len(set(calls)) == len(calls)
 

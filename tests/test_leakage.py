@@ -14,7 +14,7 @@ from hsbt.bptree import DUMMY_POINTER as D
 from hsbt.bptree import KEY_INFINITY as INF
 from hsbt.bptree import KEY_MAX, MIN_BRANCHING, PlainTree, build_tree
 from hsbt.codec import encrypt_index, make_token, node_plain_size
-from hsbt.crypto import NONCE_BYTES, TAG_BYTES, SecretKey, prp_permutation
+from hsbt.crypto import TAG_BYTES, SecretKey, prp_permutation
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveSim
 from hsbt.leakage import (
@@ -59,7 +59,7 @@ def test_leak_enc_fields():
     pairs = [(5, b"abc")]
     tree = build_tree(pairs, 4, rng=random.Random(0))
     static = leak_enc(pairs, tree)
-    overhead = NONCE_BYTES + TAG_BYTES
+    overhead = TAG_BYTES  # a value blob is its body and a tag, at an implied nonce
     assert (static.n_values, static.value_width, static.node_count) == (1, 3 + overhead, 1)
 
     rng = random.Random(1)
@@ -172,7 +172,7 @@ def test_page_tree_is_image_of_node_tree():
     rng = random.Random(4)
     keys = rng.sample(range(1, KEY_MAX), 500)
     tree = build_tree([(k, b"v") for k in keys], 6, rng=rng)
-    layout = PageLayout(record_size=node_plain_size(6, False))
+    layout = PageLayout(record_size=node_plain_size(6))
     for _ in range(30):
         a, b = sorted((rng.randrange(1, KEY_MAX), rng.randrange(1, KEY_MAX)))
         node_tree, _ = leak_hw_nodes(tree, a, b)
@@ -237,7 +237,7 @@ def test_streamed_queries_audit_pass():
 def test_resident_queries_audit_pass_at_page_level():
     pairs, tree, sk, index, enclave, pm = _pipeline(seed=8)
     enclave.load_tree(index)
-    layout = PageLayout(record_size=node_plain_size(index.branching, index.integrity))
+    layout = PageLayout(record_size=node_plain_size(index.branching))
     rng = random.Random(9)
     for _ in range(30):
         a, b = sorted((rng.randrange(1, KEY_MAX), rng.randrange(1, KEY_MAX)))

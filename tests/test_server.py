@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hsbt.bptree import KEY_MAX, scan_oracle
-from hsbt.codec import decrypt_results, make_token, verify_result_mac
+from hsbt.codec import SealedValues, decrypt_results, make_token, verify_result_mac
 from hsbt.crypto import _BULK_MIN_WIRES as CUT
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveAbort, EnclaveSim
@@ -30,7 +30,8 @@ def _fixture(n=400, b=5, seed=0, integrity=False, reserved_space=64 * 1024):
 @pytest.mark.parametrize("k", [0, 1, CUT - 1, CUT, 300])
 def test_fetch_values_gathers_rows_in_pointer_order(k):
     # One form at every size: a new (k, width) uint8 matrix, one blob per
-    # row, in pointer order, from any integer sequence of pointers.
+    # row, in pointer order, from any integer sequence of pointers, with the
+    # pointers as its slots and the container's salt.
     pairs, tree, sk, index, _ = _fixture(300)
     width = index.value_width
     rng = random.Random(k)
@@ -38,17 +39,18 @@ def test_fetch_values_gathers_rows_in_pointer_order(k):
     backwards = range(299, 299 - k, -1)
     for pointers in (order, tuple(order), np.array(order, np.uint32), backwards):
         got = fetch_values(index, pointers)
-        assert isinstance(got, np.ndarray) and got.shape == (k, width)
-        assert got.dtype == np.uint8 and got.flags.c_contiguous
-        assert [bytes(row) for row in got] == [index.value_blob(p) for p in pointers]
+        assert isinstance(got, SealedValues) and got.rows.shape == (k, width)
+        assert got.rows.dtype == np.uint8 and got.rows.flags.c_contiguous
+        assert [bytes(row) for row in got.rows] == [index.value_blob(p) for p in pointers]
+        assert got.slots.tolist() == list(pointers) and got.salt == index.salt
     # The rows open, in order, to the values behind the pointers.
     value_at = {p: v for (_, v), p in zip(pairs, tree.value_positions)}
     opened = decrypt_results(sk.value_key, fetch_values(index, order))
     assert opened == [value_at[p] for p in order]
     if k:
         # A fresh matrix every time: the caller may edit it.
-        got[0, 0] ^= 1
-        assert bytes(fetch_values(index, backwards)[0]) == index.value_blob(299)
+        got.rows[0, 0] ^= 1
+        assert bytes(fetch_values(index, backwards).rows[0]) == index.value_blob(299)
 
 
 def test_fetch_values_names_the_first_bad_pointer():
@@ -63,7 +65,7 @@ def test_fetch_values_names_the_first_bad_pointer():
         fetch_values(index, range(-2, 5))
     with pytest.raises(ValueError, match=r"value pointer 20 outside"):
         fetch_values(index, np.array([20], np.uint32))
-    assert fetch_values(index, range(5, 5)).shape == (0, index.value_width)
+    assert fetch_values(index, range(5, 5)).rows.shape == (0, index.value_width)
     # In a result of any size, a negative or too-large pointer is named,
     # never wrapped around.
     big = _fixture(300)[3]
@@ -88,7 +90,7 @@ def test_resident_driver_crossings_and_results():
     blobs, stats = search_resident(
         index, enclave, make_token(sk.tree_key, keys[-1] + 1, None)
     )
-    assert blobs.shape == (0, index.value_width)
+    assert blobs.rows.shape == (0, index.value_width)
     assert stats.crossings == 2 and stats.result_size == 0
 
 
@@ -190,7 +192,7 @@ def test_no_plaintext_sentinels_on_untrusted_surfaces():
     # Every byte surface the untrusted side handles: container regions, the
     # token wire, and the returned blobs.
     key_bytes_le = sentinel_key.to_bytes(4, "little")
-    surfaces = [index.node_region, index.value_region, token.wire, *blobs]
+    surfaces = [index.node_region, index.value_region, token.wire, *blobs.rows]
     for surface in surfaces:
         assert sentinel_value not in surface
     assert key_bytes_le not in index.node_region

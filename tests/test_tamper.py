@@ -3,12 +3,11 @@ harmless and consistent."""
 
 import random
 
-import numpy as np
 import pytest
 
 from hsbt import crypto
 from hsbt.bptree import KEY_MAX
-from hsbt.codec import make_token
+from hsbt.codec import SealedValues, make_token
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveSim
 from hsbt.tamper import KINDS, Outcome, run_with_tamper
@@ -42,6 +41,7 @@ def _token(sk, sorted_keys, rng):
         ("reshape-header", Outcome.ENCLAVE_ABORT),
         ("duplicate-node", Outcome.ENCLAVE_ABORT),
         ("oversize-batch", Outcome.ENCLAVE_ABORT),
+        ("swap-value-slots", Outcome.CLIENT_REJECT),
     ],
 )
 def test_each_deviation_detected(setup, kind, expected):
@@ -52,7 +52,9 @@ def test_each_deviation_detected(setup, kind, expected):
         assert report.outcome == expected, (kind, report.detail)
 
 
-@pytest.mark.parametrize("kind", ["modify-value", "withhold-results", "substitute-value"])
+@pytest.mark.parametrize(
+    "kind", ["modify-value", "withhold-results", "substitute-value", "swap-value-slots"]
+)
 def test_value_deviations_over_a_bulk_sized_result_rejected_by_the_bulk_open(
     setup, monkeypatch, kind
 ):
@@ -64,9 +66,9 @@ def test_value_deviations_over_a_bulk_sized_result_rejected_by_the_bulk_open(
     received, bulk_rows = [], []
     real_open, real_receive = crypto._open_bulk, dep.receive
 
-    def open_spy(state, rows):
+    def open_spy(state, rows, salt, slots):
         bulk_rows.append(len(rows))
-        return real_open(state, rows)
+        return real_open(state, rows, salt, slots)
 
     def receive_spy(blobs, mac):
         received.append(blobs)
@@ -82,9 +84,29 @@ def test_value_deviations_over_a_bulk_sized_result_rejected_by_the_bulk_open(
         report = run_with_tamper(dep, token, kind, rng)
         assert report.outcome == Outcome.CLIENT_REJECT, report.detail
         (blobs,) = received
-        assert isinstance(blobs, np.ndarray)
+        assert isinstance(blobs, SealedValues)
         want = size - 1 if kind == "withhold-results" else size
-        assert len(blobs) == want and bulk_rows == [want]
+        assert len(blobs.rows) == len(blobs.slots) == want and bulk_rows == [want]
+
+
+@pytest.mark.parametrize(
+    "kind,reason",
+    [
+        # Every row opens at the slot it is labelled with: only the result
+        # tag's fold of the slots can catch the outsider.
+        ("substitute-value", "result tag verification failed"),
+        # The slot multiset, and so the fold, is unchanged: only the blobs'
+        # binding to their slots can catch the swap.
+        ("swap-value-slots", "ciphertext rejected"),
+    ],
+)
+def test_value_slot_deviations_are_caught_by_the_check_meant_for_them(setup, kind, reason):
+    pairs, sorted_keys, dep = setup
+    rng = random.Random(9)
+    for _ in range(5):
+        report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), kind, rng)
+        assert report.outcome == Outcome.CLIENT_REJECT
+        assert report.detail.endswith(reason), report.detail
 
 
 def test_reshape_header_aborts_at_the_first_record(setup):
@@ -183,4 +205,5 @@ def test_all_kinds_enumerated():
         "reshape-header",
         "duplicate-node",
         "oversize-batch",
+        "swap-value-slots",
     }
