@@ -22,7 +22,7 @@ malformed or empty range, a path that cannot be opened).  Past argument
 parsing, every failure prints one ``error: ...`` line to stderr.
 
 ``--seed`` makes everything reproducible except AEAD nonces, the value salt
-and wall times; in particular ``build --seed`` derives the key material
+and timings; in particular ``build --seed`` derives the key material
 deterministically so two builds of the same input agree structurally
 (reproducible-build mode).
 Key material lands in a ``<out>.key`` sidecar the server never reads: the

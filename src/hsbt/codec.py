@@ -2,11 +2,12 @@
 
 The container holds two regions behind a 33-byte header (magic, version,
 integrity flag, branching factor ``b``, node count, value count, value blob
-width, value salt):
+width, root slot, value salt):
 
-* node region: one fixed-size encrypted record per tree node, the record of
-  node id ``x`` stored at slot ``PRP(tree_key, node_count, x)``.  Every record
-  has the same size whether it came from the root, an inner node, or a leaf,
+* node region: one fixed-size encrypted record per tree node, placed by a
+  keyed sort: the record of node id ``x`` is stored at slot ``p[x]`` of
+  ``p = crypto.prp_permutation(tree_key, node_count)``.  Every record has
+  the same size whether it came from the root, an inner node, or a leaf,
   so the ciphertexts expose nothing about node fullness; that size follows
   from ``b`` alone.  A record is wire bytes, ``nonce || body || tag``.  Each
   record's AEAD associated data is the packed header followed by its 4-byte
@@ -15,7 +16,9 @@ width, value salt):
   it.  Relocating a record, or rewriting any header field, the salt
   included, is detected at the first record decrypted.
   The bulk load emits the root last, so the root is node ``node_count - 1``,
-  a fact every record binds through the header's node count.
+  a fact every record binds through the header's node count.  The header's
+  root slot, ``p[node_count - 1]``, which every record binds too, is where
+  the enclave starts a walk: it evaluates no permutation.
 * value region: ``n`` encrypted blobs of one width, back to back with no
   framing, in the random order chosen at build time, decryptable only with
   the value key.  A blob is ``body || tag`` at an implied nonce: the blob at
@@ -75,10 +78,11 @@ from hsbt.crypto import (
     value_elements,
 )
 
-HEADER_MAGIC = b"HSBT5"
-HEADER_VERSION = 5
-# magic, version, integrity, b, #nodes, n, value blob width, value salt
-_HEADER = struct.Struct(f"<5sBBHIQI{VALUE_SALT_BYTES}s")
+HEADER_MAGIC = b"HSBT6"
+HEADER_VERSION = 6
+# magic, version, integrity, b, #nodes, n, value blob width, root slot, value
+# salt.  The value count is 4 bytes, as wide as a value pointer.
+_HEADER = struct.Struct(f"<5sBBHIIII{VALUE_SALT_BYTES}s")
 # A node record's associated data: the packed header, then its slot.
 _RECORD_AAD = struct.Struct(f"<{_HEADER.size}sI")
 
@@ -145,7 +149,8 @@ class EncryptedIndex:
     `node_record_size`, `header`, the packed container header, and
     `value_rows` follow from the other fields and are computed once; every
     node record is bound to the header (`record_aad`), whose node count also
-    names the root, node ``node_count - 1``.
+    names the root, node ``node_count - 1``, and whose `root_slot` is the
+    slot of the root's record.
     """
 
     branching: int
@@ -155,6 +160,7 @@ class EncryptedIndex:
     node_region: bytes
     value_region: bytes = field(repr=False)
     value_width: int
+    root_slot: int
     salt: bytes
     node_record_size: int = field(init=False, compare=False)
     header: bytes = field(init=False, repr=False, compare=False)
@@ -172,6 +178,7 @@ class EncryptedIndex:
             self.node_count,
             self.n_values,
             self.value_width,
+            self.root_slot,
             self.salt,
         )
         # The region's own row count, not the header's `n_values`, which a
@@ -210,12 +217,14 @@ class EncryptedIndex:
         `ValueError`, trailing bytes included."""
         if len(data) < _HEADER.size:
             raise ValueError("container shorter than its header")
-        magic, version, integrity, b, node_count, n, width, salt = _HEADER.unpack_from(data, 0)
+        fields = _HEADER.unpack_from(data, 0)
+        magic, version, integrity, b, node_count, n, width, root_slot, salt = fields
         if magic[:4] != HEADER_MAGIC[:4]:
             raise ValueError("not an index container")
         if (magic, version) != (HEADER_MAGIC, HEADER_VERSION):
             raise ValueError(f"unsupported container version {version}")
-        if integrity not in (0, 1) or b < MIN_BRANCHING or node_count < 1:
+        # A root slot inside the node region implies at least one node.
+        if integrity not in (0, 1) or b < MIN_BRANCHING or root_slot >= node_count:
             raise ValueError("malformed container header")
         record_size = node_plain_size(b) + NONCE_BYTES + TAG_BYTES
         if width < TAG_BYTES:
@@ -225,7 +234,8 @@ class EncryptedIndex:
         if len(data) != size:
             raise ValueError(f"container is {len(data)} bytes, its header implies {size}")
         region = data[_HEADER.size : region_end]
-        return cls(b, n, node_count, bool(integrity), region, data[region_end:], width, salt)
+        tail = data[region_end:]
+        return cls(b, n, node_count, bool(integrity), region, tail, width, root_slot, salt)
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -261,7 +271,7 @@ def encrypt_index(
     bytes long.  The tree's row arrays are assigned into one `node_dtype`
     array, inner child ids rewritten to slots, and the records are sealed
     in one `encrypt_wires` call, each under `EncryptedIndex.record_aad` of
-    its slot, which binds the salt.
+    its slot, which binds the salt and the root's slot.
     """
     n_values = tree.n_values
     if len(values) != n_values:
@@ -292,8 +302,9 @@ def encrypt_index(
     records = np.zeros_like(by_id)
     records[slot_of_id] = by_id
     size = records.itemsize
+    root_slot = int(slot_of_id[node_count - 1])
     index = EncryptedIndex(
-        branching, n_values, node_count, integrity, b"", value_region, width, salt
+        branching, n_values, node_count, integrity, b"", value_region, width, root_slot, salt
     )
     sealed = encrypt_wires(
         sk.tree_key,

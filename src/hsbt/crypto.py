@@ -1,10 +1,10 @@
 """Cryptographic building blocks for the encrypted index.
 
 Four primitives live here: authenticated probabilistic encryption (AES-128-GCM),
-a small-domain pseudorandom permutation (cycle-walking Feistel network keyed by
-AES), an incremental multiset hash over 16-byte elements (the sum mod 2^128 of
-AES-128, used as a PRF under a subkey derived from the caller's key), and an
-HMAC tag.
+a small-domain pseudorandom permutation (the prefix cipher: the domain sorted
+by its AES images), an incremental multiset hash over 16-byte elements (the
+sum mod 2^128 of AES-128, used as a PRF under a subkey derived from the
+caller's key), and an HMAC tag.
 
 Tokens and node records are wire bytes, ``nonce(12) || body || tag(16)``,
 each under a fresh random nonce: `encrypt_wires` seals them and
@@ -64,8 +64,6 @@ VALUE_SALT_BYTES = 8
 # A value nonce: the container's value salt, then the blob's slot.
 _VALUE_NONCE = struct.Struct(f"<{VALUE_SALT_BYTES}sI")
 MSET_DIGEST_BYTES = 16
-
-_FEISTEL_ROUNDS = 4
 
 
 class AuthenticationError(Exception):
@@ -428,75 +426,34 @@ def _seal_bulk(
 # ---------------------------------------------------------------------------
 # Small-domain pseudorandom permutation
 # ---------------------------------------------------------------------------
-#
-# A 4-round balanced Feistel network over the smallest even bit-width covering
-# the domain, with AES-128 as the round function, restricted to [0, n) by
-# cycle-walking.  Walking terminates because the Feistel network permutes the
-# power-of-two superset, and costs < 4 expected iterations since the superset
-# is below 4n.
-
-
-def _feistel_width(domain_size: int) -> int:
-    bits = max((domain_size - 1).bit_length(), 2)
-    return bits + (bits & 1)
-
-
-def _round_values(encryptor, width: int, rnd: int, halves: np.ndarray) -> np.ndarray:
-    # One PRF evaluation per element: AES_k(width || round || half), bulk-encrypted.
-    m = halves.shape[0]
-    blocks = np.zeros((m, 16), dtype=np.uint8)
-    blocks[:, 0] = width
-    blocks[:, 1] = rnd
-    blocks[:, 8:16] = halves.astype("<u8").view(np.uint8).reshape(m, 8)
-    out = encryptor.update(blocks.tobytes())
-    return np.frombuffer(out, dtype=np.uint8).reshape(m, 16)[:, :8].copy().view("<u8").reshape(m)
-
-
-def _feistel(encryptor, width: int, xs: np.ndarray) -> np.ndarray:
-    half = width // 2
-    mask = np.uint64((1 << half) - 1)
-    left = xs >> np.uint64(half)
-    right = xs & mask
-    for rnd in range(_FEISTEL_ROUNDS):
-        f = _round_values(encryptor, width, rnd, right) & mask
-        left, right = right, left ^ f
-    return (left << np.uint64(half)) | right
-
-
-def _prp_encryptor(key: bytes):
-    # Raw AES block permutation used strictly as a PRF on distinct inputs.
-    return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-
-
-def _prp(key: bytes, domain_size: int, xs: np.ndarray) -> np.ndarray:
-    """The keyed permutation of [0, domain_size) at each point of `xs`
-    (uint64, all in the domain): one Feistel pass, then cycle-walking of
-    the outputs that left the domain until none is outside."""
-    enc = _prp_encryptor(key)
-    width = _feistel_width(domain_size)
-    ys = _feistel(enc, width, xs)
-    bad = ys >= domain_size
-    while bad.any():
-        ys[bad] = _feistel(enc, width, ys[bad])
-        bad = ys >= domain_size
-    return ys
 
 
 def prp_permutation(key: bytes, domain_size: int) -> np.ndarray:
-    """Evaluate the keyed permutation on the whole domain [0, domain_size).
+    """The keyed permutation of [0, domain_size), as a uint64 array `p`
+    whose entry ``p[x]`` is the image of x: Black and Rogaway's prefix
+    cipher (Ciphers with Arbitrary Finite Domains, CT-RSA 2002).
 
-    Returns an array `p` with ``p[x] == prp_apply(key, domain_size, x)``.
-    """
+    Every x is encrypted as the block ``domain_size || x`` (two
+    little-endian u64 words) in one AES-ECB call, under a subkey derived
+    from `key`, and ``p[x]`` is the rank of x's 128-bit image among all n
+    images.  AES images of distinct blocks are distinct, so the ranks form
+    a permutation for every domain size, and, AES being a PRP, one
+    indistinguishable from a uniformly random permutation.  The domain size
+    in every block makes the permutations of different domains
+    independent.  Raises `ValueError` for an empty domain."""
     if domain_size < 1:
         raise ValueError("domain size must be positive")
-    return _prp(key, domain_size, np.arange(domain_size, dtype=np.uint64))
-
-
-def prp_apply(key: bytes, domain_size: int, x: int) -> int:
-    """Apply the keyed permutation to one point of [0, domain_size)."""
-    if not 0 <= x < domain_size:
-        raise ValueError(f"point {x} outside domain [0, {domain_size})")
-    return int(_prp(key, domain_size, np.array([x], dtype=np.uint64))[0])
+    blocks = np.empty((domain_size, 2), "<u8")
+    blocks[:, 0] = domain_size
+    blocks[:, 1] = np.arange(domain_size)
+    subkey = mac_tag(key, b"hsbt-node-placement")[:KEY_BYTES]
+    ecb = Cipher(algorithms.AES(subkey), modes.ECB()).encryptor()
+    images = np.frombuffer(ecb.update(blocks.tobytes()), "<u8").reshape(domain_size, 2)
+    # Images compared as little-endian 128-bit integers: high word first.
+    ranked = np.lexsort((images[:, 0], images[:, 1]))
+    perm = np.empty(domain_size, np.uint64)
+    perm[ranked] = np.arange(domain_size, dtype=np.uint64)
+    return perm
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +471,10 @@ _MSET_CONTEXT_CAP = 64
 
 def mset_subkey(key: bytes) -> bytes:
     """The AES key of the multiset PRF: derived from `key`, never `key`
-    itself.  The tree key also keys the node AEAD and the Feistel PRP, and
-    the GHASH key of AES-GCM is AES_k(0^128), which would be the image of
-    storage slot 0 under the raw key."""
+    itself.  The tree key also keys the node AEAD, and the GHASH key of
+    AES-GCM is AES_k(0^128), which would be the image of storage slot 0
+    under the raw key.  The node placement (`prp_permutation`) derives a
+    subkey of its own in the same way."""
     return mac_tag(key, b"hsbt-mset-prf")[:KEY_BYTES]
 
 

@@ -55,7 +55,7 @@ at the slot it was sealed for, so a slot names its node.  A session only
 ever yields a result tag when nothing is outstanding and the balance is
 zero, so every requested node arrived as often as it was requested and
 nothing else arrived, and when the first node of the query was the root,
-the container's last node.  At most
+the container's last node, at the slot its header names.  At most
 `MAX_OPEN_SESSIONS` sessions stay open; opening one more evicts the oldest.
 
 Every pointer sequence leaving the enclave is freshly shuffled, and in-node
@@ -90,7 +90,6 @@ from hsbt.crypto import (
     AuthenticationError,
     MultisetHash,
     decrypt_wire,
-    prp_apply,
     result_mac,
     value_elements,
 )
@@ -266,9 +265,9 @@ class EnclaveSim:
         self._key_table: dict[str, bytes] = {}
         self._tree_key: bytes | None = None
         self._root_id: int | None = None
-        self._root_slot: int | None = None
         self._container: EncryptedIndex | None = None
-        self._resident: np.ndarray | None = None
+        # The resident record array and the container it was loaded from.
+        self._resident: tuple[EncryptedIndex, np.ndarray] | None = None
         self._sessions: dict[RangeToken, IntegritySession] = {}
         self.sessions_evicted = 0
         self._lock = threading.Lock()
@@ -286,7 +285,6 @@ class EnclaveSim:
             if root_id is not None:
                 self._tree_key = tree_key
                 self._root_id = root_id
-                self._root_slot = None
 
     def attach_container(self, index: EncryptedIndex) -> None:
         """Share the container with the enclave (host-memory mapping: records
@@ -295,32 +293,29 @@ class EnclaveSim:
         if index is not self._container:
             self._resident = None
         self._container = index
-        self._root_slot = None
 
     def root_slot(self) -> int:
         """Storage slot of the root node in the attached container.  Revealed
         to the driver at setup; the first fetch of any query discloses it
-        anyway.  The node count is the attached container's, never the
-        caller's.  The PRP runs once, and again after every
-        `attach_container` or `provision` with a root id."""
-        return self._find_root_slot()
+        anyway.  It is the attached container's header field, never the
+        caller's, and that header is bound into every record, so a root slot
+        the host rewrote fails at the first record opened."""
+        return self._find_root_slot(self._container)
 
-    def _find_root_slot(self) -> int:
-        # `root_slot` without its public name: the resident walk starts here,
-        # and only the driver's own lookups count as root-slot calls.  The
-        # root is the last node, which every record binds via the node count.
-        slot = self._root_slot
-        if slot is None:
-            if self._tree_key is None or self._root_id is None:
-                raise NoKeyError("enclave not provisioned")
-            if self._container is None:
-                raise EnclaveError("no container attached")
-            node_count = self._container.node_count
-            if self._root_id != node_count - 1:
-                raise EnclaveAbort("provisioned root id is not the container's root")
-            slot = prp_apply(self._tree_key, node_count, self._root_id)
-            self._root_slot = slot
-        return slot
+    def _find_root_slot(self, container: EncryptedIndex | None) -> int:
+        # `root_slot` without its public name: the resident walk and a new
+        # session start here, and only the driver's own lookups count as
+        # root-slot calls.  Each passes the container whose records it
+        # opened, never the one attached now: the host may attach a copy
+        # whose header names another slot at any moment.  The root is the
+        # last node, which every record binds via the node count.
+        if self._tree_key is None or self._root_id is None:
+            raise NoKeyError("enclave not provisioned")
+        if container is None:
+            raise EnclaveError("no container attached")
+        if self._root_id != container.node_count - 1:
+            raise EnclaveAbort("provisioned root id is not the container's root")
+        return container.root_slot
 
     def max_batch_nodes(self, record_size: int) -> int:
         """Batch ceiling: how many records fit in the reserved space."""
@@ -348,8 +343,8 @@ class EnclaveSim:
         if failure is not None:
             raise EnclaveAbort(failure)
         self.attach_container(index)
-        self._find_root_slot()  # aborts unless the root id is the last node's
-        self._resident = resident
+        self._find_root_slot(index)  # aborts unless the root id is the last node's
+        self._resident = index, resident
 
     def search_resident(self, token: RangeToken, trace=None) -> np.ndarray:
         """Range search over the resident tree; returns the value pointers as
@@ -364,14 +359,15 @@ class EnclaveSim:
         are converted once, and all of them are shuffled once more on the way
         out.
         """
-        resident = self._resident
-        if resident is None:
+        loaded = self._resident
+        if loaded is None:
             raise EnclaveError("no resident tree loaded")
+        index, resident = loaded
         rs, re_ = self._open_token(token)
         rng = self._fresh_order_rng(trace)
         branching = resident["ptrs"].shape[1]
         unpack = node_struct(branching).unpack_from
-        frontier = [self._find_root_slot()]
+        frontier = [self._find_root_slot(index)]
         scanned: list[int] = []
         matched: list[np.ndarray] = []
         visited = 0
@@ -450,7 +446,7 @@ class EnclaveSim:
                 sess = self._sessions.get(token)
                 fresh = sess is None
                 if fresh:
-                    sess = self._open_session(token, positions[0])
+                    sess = self._open_session(token, container, positions[0])
                 if len(nodes) > sess.outstanding:
                     del self._sessions[token]
                     raise EnclaveAbort("protocol violation: more nodes than requested")
@@ -578,10 +574,13 @@ class EnclaveSim:
             self.node_decryptions += decrypted
             self.touch_counter.add(scanned, branching)
 
-    def _open_session(self, token: RangeToken, first: int) -> IntegritySession:
+    def _open_session(
+        self, token: RangeToken, container: EncryptedIndex, first: int
+    ) -> IntegritySession:
         """A new session for `token`'s batch whose first node is at slot
-        `first`, which must be the root's; the caller holds the lock."""
-        if first != self._find_root_slot():
+        `first` of `container`, which must be the root's; the caller holds
+        the lock."""
+        if first != self._find_root_slot(container):
             raise EnclaveAbort("protocol violation: first node is not the root")
         while len(self._sessions) >= MAX_OPEN_SESSIONS:
             del self._sessions[next(iter(self._sessions))]

@@ -232,9 +232,6 @@ class AuditVerdict:
     detail: str = ""
     failed_event: int | None = None
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def audit_query(
     trace: AccessTrace,

@@ -47,7 +47,6 @@ from hsbt.crypto import (
     MultisetHash,
     SecretKey,
     decrypt_wire,
-    prp_apply,
     prp_permutation,
     result_mac,
     value_elements,
@@ -97,14 +96,17 @@ def test_single_node_tree_container_shape():
 
 
 def test_slots_occupied_by_prp_permutation():
-    # A record names no node: the slot it opens at does.
+    # A record names no node: the slot it opens at does.  The header names
+    # the root's slot, the slot of the last node.
     pairs, tree, sk, index = _dataset(40, 4, 1)
     nodes = _decrypt_all_nodes(index, sk)
     slot_of = prp_permutation(sk.tree_key, index.node_count)
     assert sorted(slot_of.tolist()) == list(range(index.node_count))
+    assert tree.root_id == index.node_count - 1
+    assert index.root_slot == slot_of[tree.root_id]
+    assert EncryptedIndex.from_bytes(index.to_bytes()).root_slot == index.root_slot
     for node_id, _, key_count, keys, _ in _plain_rows(tree):
         slot = slot_of[node_id]
-        assert slot == prp_apply(sk.tree_key, index.node_count, node_id)
         assert nodes["key_count"][slot] == key_count
         assert nodes["keys"][slot].tolist() == keys
 
@@ -254,10 +256,11 @@ def test_leaf_entries_name_the_slots_their_values_open_at(count):
 # for the build in `_golden_digest`.  A change to any byte of the format
 # changes it.  The record nonces and the value salt are random and stay out.
 # The node records also pin the tree shape that `build_tree`'s bulk load
-# gives, and the value region order pins its one numpy permutation.
-_GOLDEN_HSBT5 = {
-    False: "15cda4b91598a8654980e7ed980ce67a8dd3b4c635b736cf560327458ce3ea0d",
-    True: "58485d0d6152481a7ed0ebe07b8929c673fcb56fb5dbead3350827c0bf553287",
+# gives and the node placement, `prp_permutation`, as does the header's root
+# slot; the value region order pins the build's one numpy permutation.
+_GOLDEN_HSBT6 = {
+    False: "df656e09a87cecbfded3ab4b65fc527365a58f4713a4ba665eedbdbad25cb94d",
+    True: "ef9a6ac5496477d0d5abe5764448c5842b0d1ee2ccf6567df49df32540844f33",
 }
 
 
@@ -276,10 +279,10 @@ def _golden_digest(integrity):
 
 @pytest.mark.parametrize("integrity", [False, True])
 def test_container_bytes_match_the_pinned_format(integrity):
-    assert _golden_digest(integrity) == _GOLDEN_HSBT5[integrity]
+    assert _golden_digest(integrity) == _GOLDEN_HSBT6[integrity]
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_older_container_versions_rejected_as_unsupported(version):
     older = _with_header_field(_with_header_field(_VALID, 0, b"HSBT%d" % version), 1, version)
     with pytest.raises(ValueError, match=f"unsupported container version {version}"):
@@ -358,12 +361,20 @@ def test_relocated_record_rejected_by_slot_binding():
         ("branching", 28),
         ("integrity", True),
         ("n_values", 49),
+        ("root_slot", (index.root_slot + 1) % index.node_count),
         ("salt", bytes(VALUE_SALT_BYTES)),
     ]:
         reshaped = dataclasses.replace(index, **{name: value})
         assert reshaped.header != index.header
         with pytest.raises(AuthenticationError):
             decrypt_wire(sk.tree_key, index.node_record(0), reshaped.record_aad(0))
+
+
+def test_value_salt_of_another_length_rejected():
+    pairs, tree, sk, index = _dataset(20, 4, 7)
+    for length in (0, 7, 9):
+        with pytest.raises(ValueError, match="value salt must be 8 bytes"):
+            dataclasses.replace(index, salt=bytes(length))
 
 
 def test_container_file_roundtrip_byte_exact(tmp_path):
@@ -390,7 +401,7 @@ def _small_container() -> bytes:
 _VALID = _small_container()
 # The header and node region of `_VALID`, to put any value region behind.
 _NODES = _VALID[: _HEADER.size + len(EncryptedIndex.from_bytes(_VALID).node_region)]
-_N, _WIDTH = _HEADER.unpack_from(_VALID, 0)[5:7]
+_COUNT, _N, _WIDTH = _HEADER.unpack_from(_VALID, 0)[4:7]
 
 
 def _with_header_field(data: bytes, field: int, value: int) -> bytes:
@@ -419,6 +430,15 @@ def _with_header_field(data: bytes, field: int, value: int) -> bytes:
         pytest.param(
             _with_header_field(_with_header_field(_VALID, 6, 12), 5, _N * _WIDTH // 12),
             id="value-width-below-16",
+        ),
+        # The root slot must name a record of the node region.
+        pytest.param(_with_header_field(_VALID, 7, _COUNT), id="root-slot-at-node-count"),
+        pytest.param(_with_header_field(_VALID, 7, 2**32 - 1), id="root-slot-far-beyond"),
+        # No node record, so no slot for the root.
+        pytest.param(
+            _with_header_field(_with_header_field(_VALID[: _HEADER.size], 4, 0), 7, 0)
+            + _VALID[len(_NODES) :],
+            id="no-node-records",
         ),
     ],
 )

@@ -22,7 +22,6 @@ from hsbt.crypto import (
     encrypt_wires,
     generate_key,
     mac_tag,
-    prp_apply,
     prp_permutation,
 )
 
@@ -377,28 +376,42 @@ def test_bulk_open_under_two_keys_in_two_threads_at_once():
 
 
 def test_prp_singleton_domain():
-    assert prp_apply(generate_key(), 1, 0) == 0
+    assert prp_permutation(generate_key(), 1).tolist() == [0]
 
 
 def test_prp_domain_8_is_permutation():
     key = generate_key()
-    image = {prp_apply(key, 8, x) for x in range(8)}
-    assert image == set(range(8))
+    assert sorted(prp_permutation(key, 8).tolist()) == list(range(8))
 
 
 def test_prp_non_power_of_two_domain_is_permutation():
     key = generate_key()
-    image = sorted(prp_apply(key, 1000, x) for x in range(1000))
-    assert image == list(range(1000))
+    assert sorted(prp_permutation(key, 1000).tolist()) == list(range(1000))
 
 
-def test_prp_vectorized_matches_scalar():
+def _ranks_of_aes_images(aes_key, n):
+    """The prefix cipher computed the slow way: each x's rank among the AES
+    images of the blocks ``n || x``, compared as 128-bit integers."""
+    ecb = Cipher(algorithms.AES(aes_key), modes.ECB()).encryptor()
+    images = [
+        int.from_bytes(ecb.update(n.to_bytes(8, "little") + x.to_bytes(8, "little")), "little")
+        for x in range(n)
+    ]
+    order = sorted(range(n), key=images.__getitem__)
+    return [order.index(x) for x in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 100, 257])
+def test_prp_ranks_the_aes_images_of_the_domain_under_a_subkey(n):
+    # p[x] is x's rank among the images of n || x under a subkey of the
+    # key, never under the key itself, which also keys the node AEAD.
     key = generate_key()
-    for n in (1, 2, 3, 5, 17, 64, 100, 257):
-        perm = prp_permutation(key, n)
-        assert sorted(perm.tolist()) == list(range(n))
-        for x in range(0, n, max(1, n // 7)):
-            assert prp_apply(key, n, x) == perm[x]
+    subkey = mac_tag(key, b"hsbt-node-placement")[:16]
+    perm = prp_permutation(key, n)
+    assert perm.dtype == np.uint64
+    assert perm.tolist() == _ranks_of_aes_images(subkey, n)
+    if n >= 17:
+        assert perm.tolist() != _ranks_of_aes_images(key, n)
 
 
 def test_prp_deterministic_per_key_and_key_sensitive():
@@ -411,15 +424,9 @@ def test_prp_deterministic_per_key_and_key_sensitive():
 
 
 def test_prp_permutation_rejects_an_empty_domain():
-    with pytest.raises(ValueError, match="domain size must be positive"):
-        prp_permutation(generate_key(), 0)
-
-
-def test_prp_rejects_out_of_domain_point():
-    with pytest.raises(ValueError):
-        prp_apply(generate_key(), 10, 10)
-    with pytest.raises(ValueError):
-        prp_apply(generate_key(), 10, -1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="domain size must be positive"):
+            prp_permutation(generate_key(), n)
 
 
 @settings(max_examples=30, deadline=None)

@@ -212,8 +212,6 @@ def test_load_aborts_when_root_slot_holds_another_node():
     # other node, or none, aborts before a walk starts, on both paths.
     import dataclasses
 
-    from hsbt.crypto import prp_apply
-
     pairs, tree, sk, index, enclave = _fixture(300, b=4, seed=2, integrity=True)
     assert tree.root_id == index.node_count - 1
     fewer = 16
@@ -225,7 +223,7 @@ def test_load_aborts_when_root_slot_holds_another_node():
         enclave.load_tree(shrunk)
     enclave.load_tree(index)
     token = make_token(sk.tree_key, 1, KEY_MAX)
-    root_slot = prp_apply(sk.tree_key, index.node_count, tree.root_id)
+    root_slot = index.root_slot
     smaller = _fixture(40, b=4, seed=3)[1].root_id
     for root in (index.node_count - 2, index.node_count, smaller):
         enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=root)
@@ -871,35 +869,38 @@ def test_vectorised_match_agrees_with_scalar_formula(batch):
 # -- instrumentation and cached set-up ------------------------------------------
 
 
-def test_root_slot_prp_runs_once_per_attachment(monkeypatch):
+def test_the_enclave_evaluates_no_permutation(monkeypatch):
+    # The header names the root's slot: once a container is built, no
+    # enclave path, resident load and finalize included, places a node.
+    import hsbt
     import hsbt.enclave as enclave_mod
-    from hsbt.crypto import prp_apply
+    from hsbt import crypto
 
-    calls = []
-
-    def counting(key, domain_size, x):
-        calls.append((domain_size, x))
-        return prp_apply(key, domain_size, x)
-
-    monkeypatch.setattr(enclave_mod, "prp_apply", counting)
-    pairs, tree, sk, index, enclave = _fixture(300, b=5, seed=30)
-    dep = Deployment(sk, tree, index, enclave, integrity=False)
+    assert not [name for name in vars(enclave_mod) if "prp" in name.lower()]
+    deps = []
+    for flag in (False, True):
+        pairs, tree, sk, index, enclave = _fixture(300, b=5, seed=30, integrity=flag)
+        deps.append(Deployment(sk, tree, index, enclave, integrity=flag))
     keys = sorted(k for k, _ in pairs)
-    for i in range(5):
-        values, _ = dep.query(keys[i], keys[i + 20])
-        assert len(values) == 21
-    assert len(calls) == 1
-    want = prp_apply(sk.tree_key, index.node_count, tree.root_id)
-    assert enclave.root_slot() == want
-    assert len(calls) == 1
-    enclave.attach_container(index)  # a re-attach recomputes once
-    for i in range(3):
-        dep.query(keys[i], keys[i + 20])
-    assert len(calls) == 2
-    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
-    dep.query(keys[0], keys[20])
-    dep.query(keys[0], keys[20])
-    assert len(calls) == 3
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the node placement ran after the build")
+
+    placing = [name for name in vars(crypto) if "prp" in name or "feistel" in name.lower()]
+    assert placing == ["prp_permutation"]
+    original = crypto.prp_permutation
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "hsbt"]:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, refuse)
+    assert hsbt.codec.prp_permutation is refuse
+    for dep in deps:
+        dep.enclave.load_tree(dep.index)
+        for construction in (1, 2):
+            for i in range(3):
+                values, stats = dep.query(keys[i], keys[i + 20], construction)
+                assert len(values) == 21
+        assert dep.enclave.root_slot() == dep.index.root_slot
 
 
 def test_counters_under_concurrency_equal_sequential_totals():
@@ -953,7 +954,7 @@ def test_counters_under_concurrency_equal_sequential_totals():
 
 
 def test_batch_abort_lands_on_the_first_failing_node():
-    # Root over four leaves: the root batch requests exactly four nodes.
+    # Root over three leaves: the root batch requests exactly three nodes.
     pairs = [(k, b"v%d" % k) for k in range(1, 10)]
     dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
     index, enclave = dep.index, dep.enclave
@@ -962,7 +963,7 @@ def test_batch_abort_lands_on_the_first_failing_node():
     nowhere = index.node_count + 5
 
     # Each abort closes the token's session, so the root opens a new one.
-    # A fifth node overflows the requests before the missing record is reached.
+    # A fourth node overflows the requests before the missing record is reached.
     _, children = enclave.search_batch(token, [root])
     with pytest.raises(EnclaveAbort, match="more nodes than requested"):
         enclave.search_batch(token, children + children[:1] + [nowhere])
@@ -973,6 +974,74 @@ def test_batch_abort_lands_on_the_first_failing_node():
     # A wrong first node is caught before a later missing record.
     with pytest.raises(EnclaveAbort, match="first node is not the root"):
         enclave.search_batch(token, children[:1] + [nowhere])
+
+
+def test_a_batch_that_outgrows_its_session_while_its_records_open_aborts(monkeypatch):
+    # Batch B, the root's four children, passes the unlocked budget check.
+    # While B's first record opens, batch A, one of those children, runs
+    # whole: the session then has three nodes outstanding, and B's four
+    # must fail the locked re-check, which drops the session.
+    import hsbt.enclave as enclave_mod
+
+    pairs = [(k, b"v%02d" % k) for k in range(1, 13)]
+    dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
+    enclave = dep.enclave
+    token = make_token(dep.sk.tree_key, None, None)
+    _, children = enclave.search_batch(token, [enclave.root_slot()])
+    assert len(children) == 4
+    real = enclave_mod.decrypt_wire
+    raced = []
+
+    def open_after_batch_a(*args):
+        if not raced:
+            raced.append(None)
+            raced[0] = enclave.search_batch(token, children[:1])
+        return real(*args)
+
+    monkeypatch.setattr(enclave_mod, "decrypt_wire", open_after_batch_a)
+    with pytest.raises(EnclaveAbort, match="^protocol violation: more nodes than requested$"):
+        enclave.search_batch(token, children)
+    assert len(raced) == 1 and len(raced[0][0]) > 0
+    with pytest.raises(EnclaveAbort, match="no open session for this token"):
+        enclave.finalize_session(token)
+
+
+def test_a_copy_attached_mid_call_cannot_move_the_root(monkeypatch):
+    # The host attaches a copy of the container whose header names a child's
+    # slot as the root's while a call runs.  None of the copy's records
+    # opens, so its root slot is never authenticated: a batch whose records
+    # opened under the genuine header must still start at the genuine root,
+    # and a resident walk at the root of the tree it loaded.
+    import dataclasses
+
+    import hsbt.enclave as enclave_mod
+
+    pairs = [(k, b"v%03d" % k) for k in range(1, 301)]
+    dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
+    enclave, index = dep.enclave, dep.index
+    token = make_token(dep.sk.tree_key, None, None)
+    _, children = enclave.search_batch(token, [enclave.root_slot()])
+    forged = dataclasses.replace(index, root_slot=children[0])
+
+    def attaching_first(real):
+        def call(*args):
+            if enclave._container is index:
+                enclave.attach_container(forged)
+            return real(*args)
+
+        return call
+
+    fresh = make_token(dep.sk.tree_key, None, None)
+    monkeypatch.setattr(enclave_mod, "decrypt_wire", attaching_first(enclave_mod.decrypt_wire))
+    with pytest.raises(EnclaveAbort, match="first node is not the root"):
+        enclave.search_batch(fresh, [children[0]])
+    monkeypatch.undo()
+
+    enclave.attach_container(index)
+    enclave.load_tree(index)
+    monkeypatch.setattr(enclave_mod, "decrypt", attaching_first(enclave_mod.decrypt))
+    assert sorted(enclave.search_resident(token).tolist()) == list(range(len(pairs)))
+    assert enclave._container is forged
 
 
 def _broken_at(index, slot):

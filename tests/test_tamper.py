@@ -109,20 +109,45 @@ def test_value_slot_deviations_are_caught_by_the_check_meant_for_them(setup, kin
         assert report.detail.endswith(reason), report.detail
 
 
+class _PickField(random.Random):
+    """A generator whose `choice` among header rewrites takes the rewrite of
+    `field`; every other draw is its seeded own."""
+
+    def __init__(self, seed, field):
+        super().__init__(seed)
+        self.field = field
+
+    def choice(self, seq):
+        named = [item for item in seq if isinstance(item, tuple) and item[0] == self.field]
+        return named[0] if named else super().choice(seq)
+
+
+_HEADER_REWRITES = ("integrity", "branching", "n_values", "root_slot")
+
+
 def test_reshape_header_aborts_at_the_first_record(setup):
-    # Every record's associated data holds the header, so the root record,
-    # the first one fetched, already fails; no AAD cached from the genuine
-    # header may let it through.
+    # Every record's associated data holds the header, so the first record
+    # fetched already fails: the root's, or, with the root slot rewritten,
+    # the record at the slot the header now names.  No AAD cached from the
+    # genuine header may let it through.
     pairs, sorted_keys, dep = setup
     root = dep.enclave.root_slot()
+    for field in _HEADER_REWRITES:
+        first = (root + 1) % dep.index.node_count if field == "root_slot" else root
+        rng = _PickField(4, field)
+        for _ in range(3):
+            report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), "reshape-header", rng)
+            assert report.outcome == Outcome.ENCLAVE_ABORT
+            want = f"reshape-header of {field}: node at position {first} failed authentication"
+            assert report.detail == want
+    # Unforced, the script draws among the same four rewrites.
     rng = random.Random(4)
     rewritten = set()
-    for _ in range(12):
+    for _ in range(16):
         report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), "reshape-header", rng)
         assert report.outcome == Outcome.ENCLAVE_ABORT
-        assert report.detail.endswith(f"node at position {root} failed authentication")
         rewritten.add(report.detail.split(":")[0])
-    assert len(rewritten) == 3, rewritten
+    assert rewritten == {f"reshape-header of {field}" for field in _HEADER_REWRITES}
     # The genuine container is attached again afterwards.
     assert dep.enclave.root_slot() == root
     report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), "replay-token", rng)
