@@ -21,10 +21,11 @@ data (pairs, container, key sidecar), 2 usage error (a bad flag value, a
 malformed or empty range, a path that cannot be opened).  Past argument
 parsing, every failure prints one ``error: ...`` line to stderr.
 
-``--seed`` makes everything reproducible except AEAD nonces, the value salt
+``--seed`` makes everything reproducible except token nonces, the value salt
 and timings; in particular ``build --seed`` derives the key material
 deterministically so two builds of the same input agree structurally
-(reproducible-build mode).
+(reproducible-build mode): they differ only in the salt, and through it in
+every ciphertext byte.
 Key material lands in a ``<out>.key`` sidecar the server never reads: the
 two keys, the root id, the build seed and the integrity flag.  The branching
 factor is the container header's, which every node record authenticates;

@@ -9,12 +9,15 @@ width, root slot, value salt):
   ``p = crypto.prp_permutation(tree_key, node_count)``.  Every record has
   the same size whether it came from the root, an inner node, or a leaf,
   so the ciphertexts expose nothing about node fullness; that size follows
-  from ``b`` alone.  A record is wire bytes, ``nonce || body || tag``.  Each
-  record's AEAD associated data is the packed header followed by its 4-byte
-  slot (`EncryptedIndex.record_aad`), so a record opens only at the slot it
-  was sealed for: the slot is the node's identity, and no record repeats
-  it.  Relocating a record, or rewriting any header field, the salt
-  included, is detected at the first record decrypted.
+  from ``b`` alone.  A record is ``body || tag``, sealed as a value is, at
+  the nonce ``salt || slot``, under the record key
+  (`EncryptedIndex.record_key`): a `crypto.subkey` of the tree key and the
+  whole packed header.  The nonce binds a record to its slot, so a record
+  opens only at the slot it was sealed for: the slot is the node's
+  identity, and no record repeats it.  The key binds it to the header, so
+  rewriting any header field, the salt included, gives another key.
+  Relocating a record, or rewriting the header, is detected at the first
+  record decrypted.
   The bulk load emits the root last, so the root is node ``node_count - 1``,
   a fact every record binds through the header's node count.  The header's
   root slot, ``p[node_count - 1]``, which every record binds too, is where
@@ -26,16 +29,17 @@ width, root slot, value salt):
   the 8-byte salt `encrypt_index` draws for the container, so it opens only
   at its own slot and in its own container.  The header carries the width,
   ``len(value) + 16``, so the region is exactly ``n x width`` bytes and every
-  record's associated data binds the width and the salt.
+  record's key binds the width and the salt.
 
 Every value of a container has one length: `encrypt_index` rejects values of
 several lengths, and `hsbt build` pads variable-length input to one width
 before it gets here.  One width also hides each value's length from the host.
-In memory the value region is one contiguous buffer, seen as an
-``(n, width)`` uint8 matrix (`EncryptedIndex.value_rows`): every result, of
-any size, is gathered from it as rows with one `np.take`, with the slots it
-was read from and the salt (`SealedValues`), and the client opens each row
-at its slot (`decrypt_results`).
+In memory each region is one contiguous buffer, seen as a uint8 matrix of
+one row per record (`EncryptedIndex.node_rows`) or per value
+(`EncryptedIndex.value_rows`): every result, of any size, is gathered from
+the value rows with one `np.take`, with the slots it was read from and the
+salt (`SealedValues`), and the client opens each row at its slot
+(`decrypt_results`).
 
 Node record plaintext, all integers little-endian, one layout whatever the
 integrity flag::
@@ -46,10 +50,10 @@ Records are array-shaped on both sides: `encrypt_index` assigns the built
 tree's row arrays (`bptree.PlainTree`) into one numpy structured dtype,
 `node_dtype`, and the enclave decodes a batch of plaintexts, or the whole
 node region, into a record array of it with a single `np.frombuffer`
-(`deserialize_node`).  Every record authenticates under the header that
-fixes its size, so the dtype has one item size.  Inner pointer slots hold
-child storage slots on disk (the build-side child ids are rewritten here);
-leaf pointer slots hold value-region slots.
+(`deserialize_node`).  Every record authenticates under the key of the
+header that fixes its size, so the dtype has one item size.  Inner pointer
+slots hold child storage slots on disk (the build-side child ids are
+rewritten here); leaf pointer slots hold value-region slots.
 """
 
 from __future__ import annotations
@@ -59,13 +63,11 @@ import hmac
 import secrets
 import struct
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 
 import numpy as np
 
 from hsbt.bptree import KEY_INFINITY, KEY_NEG_INFINITY, MIN_BRANCHING, PlainTree
 from hsbt.crypto import (
-    NONCE_BYTES,
     TAG_BYTES,
     VALUE_SALT_BYTES,
     MultisetHash,
@@ -75,16 +77,17 @@ from hsbt.crypto import (
     prp_permutation,
     result_mac,
     seal_wires,
+    subkey,
     value_elements,
 )
 
-HEADER_MAGIC = b"HSBT6"
-HEADER_VERSION = 6
+HEADER_MAGIC = b"HSBT7"
+HEADER_VERSION = 7
 # magic, version, integrity, b, #nodes, n, value blob width, root slot, value
 # salt.  The value count is 4 bytes, as wide as a value pointer.
 _HEADER = struct.Struct(f"<5sBBHIIII{VALUE_SALT_BYTES}s")
-# A node record's associated data: the packed header, then its slot.
-_RECORD_AAD = struct.Struct(f"<{_HEADER.size}sI")
+# The label of the record key: this, then the packed header.
+_RECORD_LABEL = b"hsbt-node-records\x00"
 
 FLAG_LEAF = 0x01
 
@@ -102,8 +105,7 @@ def node_dtype(branching: int) -> np.dtype:
     the module docstring; its item size is `node_plain_size`.
 
     Fields: `flags`, `key_count`, `keys[b-1]` and `ptrs[b]`.  No field names
-    the node: its storage slot, bound into the record's associated data,
-    does."""
+    the node: its storage slot, bound into the record's nonce, does."""
     # Unaligned, so the fields sit back to back as in the record.
     return np.dtype(
         {
@@ -125,9 +127,9 @@ def deserialize_node(plains, branching: int) -> np.ndarray:
     per plaintext, with one `np.frombuffer` over their concatenation.
 
     Every plaintext is `node_plain_size` bytes: a record that opened under
-    the container header (`EncryptedIndex.record_aad`) was sealed at the
-    size that header's `b` gives, and a header rewritten to another `b`
-    fails authentication at the first record."""
+    the container's record key (`EncryptedIndex.record_key`) was sealed at
+    the size that header's `b` gives, and a header rewritten to another `b`
+    gives another key, under which no record opens."""
     return np.frombuffer(b"".join(plains), dtype=node_dtype(branching))
 
 
@@ -141,16 +143,21 @@ class EncryptedIndex:
     """The deployable container: header fields plus the two encrypted regions.
 
     Immutable after creation; concurrent readers need no coordination.  The
-    node region is a single byte blob sliced by slot, which doubles as the
-    shared host-memory region the enclave fetches records from.  The value
-    region is `value_region`, the blobs of `value_width` bytes each back to
-    back, each sealed at its slot under `salt`; `value_rows` views it as an
+    node region is a single byte blob, which doubles as the shared
+    host-memory region the enclave fetches records from; `node_rows` views
+    it as a ``(rows, node_record_size)`` uint8 matrix, one record per row,
+    each sealed at its slot under `salt` and `record_key`.  The value region
+    is `value_region`, the blobs of `value_width` bytes each back to back,
+    each sealed at its slot under `salt`; `value_rows` views it as an
     ``(n, value_width)`` uint8 matrix.
-    `node_record_size`, `header`, the packed container header, and
-    `value_rows` follow from the other fields and are computed once; every
-    node record is bound to the header (`record_aad`), whose node count also
-    names the root, node ``node_count - 1``, and whose `root_slot` is the
-    slot of the root's record.
+    `node_record_size`, `header`, the packed container header, and both row
+    views follow from the other fields and are computed once.  Each view
+    holds its region's own rows, not the header's count: `node_rows` its
+    whole rows at the header's record size, so a header rewritten in memory
+    that does not fit the node region still gives a matrix.  The record key
+    binds every node record to the header, whose node count also names the
+    root, node ``node_count - 1``, and whose `root_slot` is the slot of the
+    root's record.
     """
 
     branching: int
@@ -164,12 +171,13 @@ class EncryptedIndex:
     salt: bytes
     node_record_size: int = field(init=False, compare=False)
     header: bytes = field(init=False, repr=False, compare=False)
+    node_rows: np.ndarray = field(init=False, repr=False, compare=False)
     value_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.salt) != VALUE_SALT_BYTES:
             raise ValueError(f"value salt must be {VALUE_SALT_BYTES} bytes")
-        self.node_record_size = node_plain_size(self.branching) + NONCE_BYTES + TAG_BYTES
+        self.node_record_size = size = node_plain_size(self.branching) + TAG_BYTES
         self.header = _HEADER.pack(
             HEADER_MAGIC,
             HEADER_VERSION,
@@ -181,26 +189,18 @@ class EncryptedIndex:
             self.root_slot,
             self.salt,
         )
-        # The region's own row count, not the header's `n_values`, which a
+        # The regions' own row counts, not the header's counts, which a
         # reshaped header may contradict.
+        nodes = np.frombuffer(self.node_region, np.uint8)
+        self.node_rows = nodes[: len(nodes) - len(nodes) % size].reshape(-1, size)
         region = np.frombuffer(self.value_region, np.uint8)
         self.value_rows = region.reshape(-1, self.value_width)
 
-    def record_aad(self, slot: int) -> bytes:
-        """Associated data of the node record at `slot`: the packed header,
-        then the slot (4 bytes, little-endian)."""
-        return _RECORD_AAD.pack(self.header, slot)
-
-    def record_aads(self, slots):
-        """`record_aad` of each slot, in order, as an iterator: one `pack`
-        per slot from the current header, with no per-slot table kept."""
-        return map(_RECORD_AAD.pack, repeat(self.header), slots)
-
-    def node_record(self, slot: int) -> bytes:
-        if not 0 <= slot < self.node_count:
-            raise IndexError(f"node slot {slot} outside [0, {self.node_count})")
-        start = slot * self.node_record_size
-        return self.node_region[start : start + self.node_record_size]
+    def record_key(self, tree_key: bytes) -> bytes:
+        """The key the node records are sealed under: the `crypto.subkey`
+        of `tree_key` labelled by the packed header, so another header gives
+        another key."""
+        return subkey(tree_key, _RECORD_LABEL + self.header)
 
     def value_blob(self, index: int) -> bytes:
         n = len(self.value_rows)
@@ -226,7 +226,7 @@ class EncryptedIndex:
         # A root slot inside the node region implies at least one node.
         if integrity not in (0, 1) or b < MIN_BRANCHING or root_slot >= node_count:
             raise ValueError("malformed container header")
-        record_size = node_plain_size(b) + NONCE_BYTES + TAG_BYTES
+        record_size = node_plain_size(b) + TAG_BYTES
         if width < TAG_BYTES:
             raise ValueError(f"value blob width {width} is below a tag")
         region_end = _HEADER.size + node_count * record_size
@@ -270,8 +270,8 @@ def encrypt_index(
     under the nonce ``salt || s``, in array passes when they are 1 to 64
     bytes long.  The tree's row arrays are assigned into one `node_dtype`
     array, inner child ids rewritten to slots, and the records are sealed
-    in one `encrypt_wires` call, each under `EncryptedIndex.record_aad` of
-    its slot, which binds the salt and the root's slot.
+    the same way, by one `seal_wires` call under the record key
+    (`EncryptedIndex.record_key`), which binds the salt and the root's slot.
     """
     n_values = tree.n_values
     if len(values) != n_values:
@@ -301,17 +301,15 @@ def encrypt_index(
 
     records = np.zeros_like(by_id)
     records[slot_of_id] = by_id
-    size = records.itemsize
+    del by_id
     root_slot = int(slot_of_id[node_count - 1])
     index = EncryptedIndex(
         branching, n_values, node_count, integrity, b"", value_region, width, root_slot, salt
     )
-    sealed = encrypt_wires(
-        sk.tree_key,
-        records.view(np.uint8).reshape(node_count, size),
-        index.record_aads(range(node_count)),
-    )
-    return replace(index, node_region=b"".join(sealed))
+    plains = records.view(np.uint8).reshape(node_count, records.itemsize)
+    sealed = seal_wires(index.record_key(sk.tree_key), plains, salt, np.arange(node_count))
+    del records, plains
+    return replace(index, node_region=sealed.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,7 @@ def encrypt_index(
 @dataclass(frozen=True)
 class RangeToken:
     """The queried range endpoints, ``<II`` little-endian, sealed under the
-    tree key as one wire (`crypto.encrypt_wires`, no associated data).
+    tree key as one wire (`crypto.encrypt_wires`).
 
     Randomized: two tokens for the same range are distinct wires.  In
     multi-user mode the client id rides alongside in the clear so the enclave

@@ -6,20 +6,23 @@ by its AES images), an incremental multiset hash over 16-byte elements (the
 sum mod 2^128 of AES-128, used as a PRF under a subkey derived from the
 caller's key), and an HMAC tag.
 
-Tokens and node records are wire bytes, ``nonce(12) || body || tag(16)``,
-each under a fresh random nonce: `encrypt_wires` seals them and
-`decrypt_wire` opens one.  A value blob is ``body || tag(16)`` at an implied
-nonce: the blob at slot ``s`` of a container's value region is sealed under
-``salt(8) || s(4, little-endian)``, the container's value salt then its
-slot (`value_elements`), a deterministic nonce as in NIST SP 800-38D
-§8.2.1.  No slot repeats within a container and each container draws its
-own salt, so no nonce repeats under a value key, and a blob opens only at
-the slot, and in the container, it was sealed for.  `seal_wires` seals a
-value region and `open_wires` opens a result.
+A token is wire bytes, ``nonce(12) || body || tag(16)``, under a fresh
+random nonce: `encrypt_wires` seals tokens and `decrypt_wire` opens one.
+A node record and a value blob are ``body || tag(16)`` at an implied nonce:
+the blob at slot ``s`` of a container's region is sealed under
+``salt(8) || s(4, little-endian)``, the container's salt then its slot
+(`value_elements`), a deterministic nonce as in NIST SP 800-38D §8.2.1.
+No slot repeats within a region and each container draws its own salt, so
+no nonce repeats under a key, and a blob opens only at the slot, and in the
+container, it was sealed for.  The values are sealed under the value key;
+the node records under a record key, a `subkey` of the tree key and the
+container header.  No AEAD call takes associated data.  `seal_wires` seals
+a region and `open_wires` opens rows of one.
 
-A value region and a result are ``(k, width)`` uint8 matrices, one blob per
-row: the form in which the server gathers a result from a container's value
-region, whose blobs all have one width.  `seal_wires` and `open_wires` alone
+A region and a batch of its rows are ``(k, width)`` uint8 matrices, one
+blob per row: the form in which the server gathers a result from a
+container's value region, and the enclave a batch from its node region,
+whose blobs all have one width.  `seal_wires` and `open_wires` alone
 decide how they run, by one rule.  One AEAD call per blob costs ~1 us,
 nearly all of it per-call overhead, so a matrix of at least
 `_BULK_MIN_WIRES` rows, with a body of at most `_BULK_MAX_BLOCKS` 16-byte
@@ -61,7 +64,7 @@ KEY_BYTES = 16
 NONCE_BYTES = 12
 TAG_BYTES = 16
 VALUE_SALT_BYTES = 8
-# A value nonce: the container's value salt, then the blob's slot.
+# A blob's nonce: the container's salt, then the blob's slot.
 _VALUE_NONCE = struct.Struct(f"<{VALUE_SALT_BYTES}sI")
 MSET_DIGEST_BYTES = 16
 
@@ -69,8 +72,8 @@ MSET_DIGEST_BYTES = 16
 class AuthenticationError(Exception):
     """Decryption or tag verification failed.
 
-    Raised for a wrong key, wrong associated data, or a modified ciphertext;
-    callers use this to detect tampering.
+    Raised for a wrong key, a wrong nonce (another slot or salt), or a
+    modified ciphertext; callers use this to detect tampering.
     """
 
 
@@ -123,24 +126,21 @@ def _aead(key: bytes) -> AESGCM:
     return _per_thread(_aeads, _AEAD_CAP, key, AESGCM)
 
 
-def encrypt_wires(key: bytes, plaintexts, aads=None) -> list[bytes]:
+def encrypt_wires(key: bytes, plaintexts) -> list[bytes]:
     """Probabilistic authenticated encryption of each plaintext to wire
     bytes, ``nonce(12) || body || tag(16)``, under a fresh random nonce, with
     one nonce draw and one AEAD object for the whole batch.  `plaintexts` is
-    a sized sequence of bytes-like items (numpy rows included); `aads`, any
-    iterable when given, binds each plaintext to its own associated data."""
+    a sized sequence of bytes-like items."""
     seal = _aead(key).encrypt
     drawn = secrets.token_bytes(NONCE_BYTES * len(plaintexts))
     starts = range(0, len(drawn), NONCE_BYTES)
-    if aads is None:
-        aads = itertools.repeat(None)
     return [
-        (nonce := drawn[at : at + NONCE_BYTES]) + seal(nonce, plain, aad)
-        for at, plain, aad in zip(starts, plaintexts, aads)
+        (nonce := drawn[at : at + NONCE_BYTES]) + seal(nonce, plain, None)
+        for at, plain in zip(starts, plaintexts)
     ]
 
 
-def decrypt_wire(key: bytes, wire: bytes, aad: bytes = b"") -> bytes:
+def decrypt_wire(key: bytes, wire: bytes) -> bytes:
     """Invert one `encrypt_wires` item; raises AuthenticationError on any
     modification.
 
@@ -148,7 +148,7 @@ def decrypt_wire(key: bytes, wire: bytes, aad: bytes = b"") -> bytes:
     (`ValueError` for a nonce under 8 bytes, `InvalidTag` otherwise), so no
     length check runs in Python."""
     try:
-        return _aead(key).decrypt(wire[:NONCE_BYTES], wire[NONCE_BYTES:], aad or None)
+        return _aead(key).decrypt(wire[:NONCE_BYTES], wire[NONCE_BYTES:], None)
     except (InvalidTag, ValueError):
         raise AuthenticationError("ciphertext rejected") from None
 
@@ -170,13 +170,15 @@ def value_elements(salt: bytes, slots) -> bytes:
 
 
 def _value_nonces(salt: bytes, slots) -> list[bytes]:
-    """The 12-byte nonce ``salt || slot`` of the value blob at each of
-    `slots`, for one AEAD call each: packed one by one, which for the few
-    rows these calls take costs less than the numpy calls of
-    `value_elements` (0.6 against 1.3 us at one row on a 2-core Xeon VM,
-    best of nine), whose first 12 bytes a block it matches."""
-    slots = np.asarray(slots).astype(np.uint32, copy=False).tolist()
-    return list(map(_VALUE_NONCE.pack, itertools.repeat(salt), slots))
+    """The 12-byte nonce ``salt || slot`` of the blob at each of `slots`,
+    for one AEAD call each, packed one by one: for the few rows these calls
+    take that costs less than the numpy calls of `value_elements`, whose
+    first 12 bytes a block it matches (0.3 against 1.3 us at one row on a
+    2-core Xeon VM).  An int list or range is packed as it is; a slot
+    outside 32 bits raises `struct.error`."""
+    if isinstance(slots, np.ndarray):
+        slots = slots.astype(np.uint32, copy=False).tolist()
+    return [_VALUE_NONCE.pack(salt, slot) for slot in slots]
 
 
 def _check_salt(salt: bytes) -> None:
@@ -197,12 +199,13 @@ def _row_bytes(matrix: np.ndarray) -> list[bytes]:
 
 
 def open_wires(key: bytes, wires: np.ndarray, salt: bytes, slots) -> list[bytes]:
-    """Open the rows of a ``(k, width)`` uint8 matrix of value blobs, row i
-    at the nonce of `slots[i]` under `salt` (`value_elements`), as
-    `server.fetch_values` gathers a result: their plaintexts, in order.  A
-    row opens only at the slot and under the salt it was sealed with; any
-    failure, a salt of another length or a count of slots other than ``k``
-    included, aborts the whole batch with `AuthenticationError`.
+    """Open the rows of a ``(k, width)`` uint8 matrix of blobs, row i at
+    the nonce of `slots[i]` under `salt` (`value_elements`), as
+    `server.fetch_values` gathers a result and the enclave a batch of node
+    records: their plaintexts, in order.  A row opens only under the key,
+    at the slot and under the salt it was sealed with; any failure, a salt
+    of another length or a count of slots other than ``k`` included, aborts
+    the whole batch with `AuthenticationError`.
 
     At least `_BULK_MIN_WIRES` rows, with a body of 1 to `_BULK_MAX_BLOCKS`
     blocks, open in array passes of up to `_BULK_CHUNK_WIRES` rows each
@@ -220,17 +223,21 @@ def open_wires(key: bytes, wires: np.ndarray, salt: bytes, slots) -> list[bytes]
             chunk = slice(at, at + _BULK_CHUNK_WIRES)
             plains += _open_bulk(state, wires[chunk], salt, slots[chunk])
         return plains
-    nonces = _value_nonces(salt, slots)
+    decrypt = _aead(key).decrypt
     try:
-        return list(map(_aead(key).decrypt, nonces, _row_bytes(wires), itertools.repeat(None)))
-    except InvalidTag:
+        if k == 1:
+            # A streamed batch's usual size: one call, and no list to build.
+            return [decrypt(_VALUE_NONCE.pack(salt, slots[0]), wires.tobytes(), None)]
+        nonces = _value_nonces(salt, slots)
+        return list(map(decrypt, nonces, _row_bytes(wires), itertools.repeat(None)))
+    except (InvalidTag, struct.error):
         raise AuthenticationError("ciphertext rejected") from None
 
 
 def seal_wires(key: bytes, plains: np.ndarray, salt: bytes, slots) -> np.ndarray:
     """Seal the rows of a ``(k, body)`` uint8 matrix, row i at the nonce of
-    `slots[i]` under `salt` (`value_elements`), with no associated data,
-    into a ``(k, body + TAG_BYTES)`` uint8 matrix of ``body || tag`` rows, in
+    `slots[i]` under `salt` (`value_elements`), into a
+    ``(k, body + TAG_BYTES)`` uint8 matrix of ``body || tag`` rows, in
     order: `open_wires` opens it at the same salt and slots.  Sealing is
     deterministic in the key, the salt, the slots and the plaintexts, so
     the caller must never seal two plaintexts at one salt and slot.
@@ -273,8 +280,7 @@ def seal_wires(key: bytes, plains: np.ndarray, salt: bytes, slots) -> np.ndarray
 # A seal (`_seal_bulk`) takes the same matrices.  Against `encrypt_wires`
 # it broke even between 16 and 32 wires at 1 to 8 blocks, and took 38 us
 # against 66 for 64 one-block wires and 281 against 809 for 512 four-block
-# ones (same VM, best of five).  Node records keep per-call seals: the pass
-# takes no associated data and derives its nonces from slots.
+# ones (same VM, best of five).
 _BULK_MIN_WIRES = 64
 _BULK_MAX_BLOCKS = 4
 _BULK_CHUNK_WIRES = 512
@@ -446,8 +452,7 @@ def prp_permutation(key: bytes, domain_size: int) -> np.ndarray:
     blocks = np.empty((domain_size, 2), "<u8")
     blocks[:, 0] = domain_size
     blocks[:, 1] = np.arange(domain_size)
-    subkey = mac_tag(key, b"hsbt-node-placement")[:KEY_BYTES]
-    ecb = Cipher(algorithms.AES(subkey), modes.ECB()).encryptor()
+    ecb = Cipher(algorithms.AES(subkey(key, b"hsbt-node-placement")), modes.ECB()).encryptor()
     images = np.frombuffer(ecb.update(blocks.tobytes()), "<u8").reshape(domain_size, 2)
     # Images compared as little-endian 128-bit integers: high word first.
     ranked = np.lexsort((images[:, 0], images[:, 1]))
@@ -469,21 +474,12 @@ _mset_contexts = threading.local()
 _MSET_CONTEXT_CAP = 64
 
 
-def mset_subkey(key: bytes) -> bytes:
-    """The AES key of the multiset PRF: derived from `key`, never `key`
-    itself.  The tree key also keys the node AEAD, and the GHASH key of
-    AES-GCM is AES_k(0^128), which would be the image of storage slot 0
-    under the raw key.  The node placement (`prp_permutation`) derives a
-    subkey of its own in the same way."""
-    return mac_tag(key, b"hsbt-mset-prf")[:KEY_BYTES]
-
-
 def _mset_prf(key: bytes):
     return _per_thread(_mset_contexts, _MSET_CONTEXT_CAP, key, _mset_context)
 
 
 def _mset_context(key: bytes):
-    return Cipher(algorithms.AES(mset_subkey(key)), modes.ECB()).encryptor()
+    return Cipher(algorithms.AES(subkey(key, b"hsbt-mset-prf")), modes.ECB()).encryptor()
 
 
 @dataclass(frozen=True)
@@ -491,11 +487,12 @@ class MultisetHash:
     """Order-independent incremental digest of a multiset of 16-byte elements
     (MSet-Add-Hash, Clarke et al., ASIACRYPT 2003): the sum mod 2^128, as
     16 little-endian bytes, of the AES images of the elements under
-    `mset_subkey(key)`.  Unlike an XOR, which sees each multiplicity only
-    mod 2, the sum is multiset collision resistant: while the digest stays
-    hidden (a session balance never leaves the enclave, a result digest
-    leaves only under `result_mac`), two multisets whose multiplicities
-    differ by less than 2^32 hash alike with probability at most 2^-96.
+    ``subkey(key, b"hsbt-mset-prf")``.  Unlike an XOR, which sees each
+    multiplicity only mod 2, the sum is multiset collision resistant: while
+    the digest stays hidden (a session balance never leaves the enclave, a
+    result digest leaves only under `result_mac`), two multisets whose
+    multiplicities differ by less than 2^32 hash alike with probability at
+    most 2^-96.
     """
 
     digest: bytes
@@ -538,6 +535,19 @@ class MultisetHash:
 def mac_tag(key: bytes, message: bytes) -> bytes:
     """Deterministic 256-bit keyed tag (HMAC-SHA256)."""
     return hmac.new(key, message, hashlib.sha256).digest()
+
+
+@functools.lru_cache(maxsize=256)
+def subkey(key: bytes, label: bytes) -> bytes:
+    """The AES key `label` names under `key`: its HMAC tag, cut to
+    `KEY_BYTES` (a one-call KDF in the sense of NIST SP 800-108).  Three AES
+    uses take their key from the tree key through it: the node records
+    (`codec.EncryptedIndex.record_key`), the node placement
+    (`prp_permutation`) and the multiset PRF.  The tree key itself keys only
+    the token AEAD, whose GHASH key, AES_k(0^128), the PRF under the raw key
+    would give as the image of slot 0.  The last 256 subkeys are kept, so a
+    batch runs no HMAC."""
+    return mac_tag(key, label)[:KEY_BYTES]
 
 
 def result_mac(tree_key: bytes, state: MultisetHash) -> bytes:

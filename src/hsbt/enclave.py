@@ -20,13 +20,16 @@ query entry points mirror the two deployment modes:
 Nodes are array-shaped: the resident tree is one `node_dtype` record array
 indexed by slot, and a streamed batch decodes into one with a single
 `deserialize_node`.  The resident load and a streamed batch open records in
-one place, `_open_records`, which authenticates each against the container
-header and its slot and names the first that fails.  It does so in one
-C-level pass, one `decrypt_wire` call per record mapped over plain-bytes
-slices of the node region and their associated data, with the trace's fetch
-events recorded afterwards for the records opened; a streamed batch has
-already had one bound check (`_in_region`) and its budget check.  The
-AES-GCM calls are most of that pass.
+one place, `_open_records`.  A batch's rows are gathered from the node
+region with one `take`, the load's are the whole region, and they open in
+one `decrypt_wire` call under the container's record key, each at the
+nonce of its slot: a record opens only under the header it was sealed
+with, and at its own slot.  A rejected batch opens again row by row to
+name its first failing record, and the trace's fetch events are recorded
+for the records before it.  A streamed batch has already had one bound
+check (`_in_region`) and its budget check.  The AES-GCM open is most of
+the call; 64 or more records of at most 64 bytes (b <= 8) take its array
+passes.
 `oblivious_match_slots` matches a whole batch, or a whole level of the
 resident walk, in one vectorised comparison; a resident level too small to
 repay numpy's per-call cost is scanned node by node with the same per-slot
@@ -35,8 +38,8 @@ formula.
 Value pointers leave the enclave as shuffled `uint32` arrays, from both
 entry points, and the driver dereferences them without a conversion.  A
 batch also answers with node pointers, shuffled on their own, as a plain int
-list: the driver slices its queue from them, and `_open_records` slices one
-record per position in Python.
+list: the driver slices its queue from them, and `_open_records` gathers
+the rows they name.
 
 In integrity mode `search_batch` additionally runs a per-query session, keyed
 by the token that opened it: a batch continues the open session of its own
@@ -47,16 +50,17 @@ multiset hashes, each folded once per call: a balance that adds the
 requested storage slots and subtracts the received ones, and the result
 digest, which folds the element ``salt || slot || 0^4`` of each matched
 value pointer (`crypto.value_elements`), the salt being the attached
-container's value salt, bound into every record.  A value blob opens only at
-the nonce ``salt || slot`` it was sealed under, so the client, which folds
-the same elements for the slots its values opened at, checks both which
-blobs it got and that they came from this container.  A record opens only
-at the slot it was sealed for, so a slot names its node.  A session only
-ever yields a result tag when nothing is outstanding and the balance is
-zero, so every requested node arrived as often as it was requested and
-nothing else arrived, and when the first node of the query was the root,
-the container's last node, at the slot its header names.  At most
-`MAX_OPEN_SESSIONS` sessions stay open; opening one more evicts the oldest.
+container's value salt, bound into every record's key and nonce.  A value
+blob opens only at the nonce ``salt || slot`` it was sealed under, so the
+client, which folds the same elements for the slots its values opened at,
+checks both which blobs it got and that they came from this container.  A
+record opens only at the slot it was sealed for, so a slot names its node.
+A session only ever yields a result tag when nothing is outstanding and
+the balance is zero, so every requested node arrived as often as it was
+requested and nothing else arrived, and when the first node of the query
+was the root, the container's last node, at the slot its header names.  At
+most `MAX_OPEN_SESSIONS` sessions stay open; opening one more evicts the
+oldest.
 
 Every pointer sequence leaving the enclave is freshly shuffled, and in-node
 matching touches every key and pointer slot whether it matches or not, so
@@ -71,7 +75,6 @@ import random
 import secrets
 import threading
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -89,15 +92,17 @@ from hsbt.crypto import (
     MSET_DIGEST_BYTES,
     AuthenticationError,
     MultisetHash,
-    decrypt_wire,
+    open_wires,
     result_mac,
     value_elements,
 )
+from hsbt.crypto import decrypt_wire as decrypt
 
-# Token opens go through this name, record opens through `decrypt_wire`:
-# the traced benchmark (perfbench/run.py) wraps each module name as its own
-# layer, `crypto.token_open` and `crypto.node_decrypt`.
-decrypt = decrypt_wire
+# Token opens go through `decrypt`, record opens through `decrypt_wire`, one
+# call per batch: the traced benchmark (perfbench/run.py) wraps each module
+# name as its own layer, `crypto.token_open` and `crypto.node_decrypt`.
+# ROADMAP item 1 drops both aliases.
+decrypt_wire = open_wires
 
 PAGE_SIZE = 4096
 
@@ -338,7 +343,9 @@ class EnclaveSim:
                 f"resident tree needs {plain_size * index.node_count} bytes, "
                 f"budget is {self.capacity}"
             )
-        resident, failure = self._open_records(index, range(index.node_count))
+        # A region of other than `node_count` rows fails the one call, and
+        # row by row its first missing record fails.
+        resident, failure = self._open_records(index, range(index.node_count), index.node_rows)
         self._tally(len(resident), 0, index.branching)
         if failure is not None:
             raise EnclaveAbort(failure)
@@ -413,8 +420,8 @@ class EnclaveSim:
 
         Before any record opens, the batch is cut at its first position
         with no record, and what is left must fit the budget
-        (`_check_budget`).  Each record is then sliced from the shared node
-        region and authenticated on its own; the batch is decoded and
+        (`_check_budget`).  Its records are then gathered from the shared
+        node region and opened in one call; the batch is decoded and
         matched at once, and each session accumulator is folded once.  A
         record that fails aborts the batch at that record, with the same
         message as a node-by-node walk, and drops the token's session.
@@ -427,9 +434,10 @@ class EnclaveSim:
         rs, re_ = self._open_token(token)
         rng = self._fresh_order_rng(trace)
 
-        positions, missing = _in_region(positions, container.node_count)
+        positions, missing = _in_region(positions, len(container.node_rows))
         self._check_budget(container, token, len(positions))
-        nodes, failure = self._open_records(container, positions, trace)
+        rows = container.node_rows.take(positions, axis=0)
+        nodes, failure = self._open_records(container, positions, rows, trace)
         failure = failure or missing
         branching = container.branching
         self._tally(len(nodes), len(nodes), branching)
@@ -521,30 +529,29 @@ class EnclaveSim:
         raise EnclaveAbort(reason)
 
     def _open_records(
-        self, container: EncryptedIndex, positions, trace=None
+        self, container: EncryptedIndex, positions, rows: np.ndarray, trace=None
     ) -> tuple[np.ndarray, str | None]:
-        """Authenticate the records at `positions`, all in the node region,
-        in order, and decode them as one record array.
+        """Authenticate `rows`, the node records at `positions` of
+        `container`, in order, and decode them as one record array.
 
-        Each record is sliced from the shared node region as plain bytes and
-        opened by its own `decrypt_wire` call under `record_aads`, the
-        container header followed by its slot, in one `map`.  Stops at the
-        first record that fails authentication, and returns the records
-        before it with the abort message (None when every record opened);
-        the trace records a fetch for exactly those records, in order, once
-        the pass is over."""
+        The rows open in one `decrypt_wire` call under the container's
+        record key, each at the nonce of its slot.  A rejected batch opens
+        again row by row up to its first failing record, and the records
+        before it are returned with the abort message (None when every
+        record opened); the trace records a fetch for exactly those
+        records, in order."""
+        key = container.record_key(self._tree_key)
         failure = None
-        region = container.node_region
-        size = container.node_record_size
-        records = [region[p * size : (p + 1) * size] for p in positions]
-        plains: list[bytes] = []
         try:
-            # `extend` keeps the plaintexts opened before a failure.
-            plains.extend(
-                map(decrypt_wire, repeat(self._tree_key), records, container.record_aads(positions))
-            )
+            plains = decrypt_wire(key, rows, container.salt, positions)
         except AuthenticationError:
-            failure = f"node at position {positions[len(plains)]} failed authentication"
+            plains = []
+            for at, position in enumerate(positions):
+                try:
+                    plains += open_wires(key, rows[at : at + 1], container.salt, [position])
+                except AuthenticationError:
+                    failure = f"node at position {position} failed authentication"
+                    break
         if trace is not None:
             trace.node_fetches(positions[: len(plains)])
         return deserialize_node(plains, container.branching), failure
@@ -591,12 +598,12 @@ class EnclaveSim:
         return sess
 
 
-def _in_region(positions, node_count: int) -> tuple[list[int], str | None]:
-    """`positions` up to its first position with no node record, and the
-    abort message for that position (None when every position has one),
-    with one bound check for the whole batch."""
-    if positions and not (0 <= min(positions) and max(positions) < node_count):
-        end = next(i for i, p in enumerate(positions) if not 0 <= p < node_count)
+def _in_region(positions, rows: int) -> tuple[list[int], str | None]:
+    """`positions` up to its first position with no node record among the
+    region's `rows`, and the abort message for that position (None when
+    every position has one), with one bound check for the whole batch."""
+    if positions and not (0 <= min(positions) and max(positions) < rows):
+        end = next(i for i, p in enumerate(positions) if not 0 <= p < rows)
         return positions[:end], f"no node record at position {positions[end]}"
     return positions, None
 

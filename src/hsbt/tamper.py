@@ -19,7 +19,7 @@ query and reports how the pipeline reacted:
   only the result tag's fold of the slots catches it)
 * ``reshape-header`` - serve a copy of the container with one header field
   rewritten (the integrity flag, the branching factor, the value count or
-  the root slot); every record's associated data holds the header, so the
+  the root slot); every record's key is derived from the header, so the
   first record fails: the root's, or the record at the rewritten root slot
 * ``duplicate-node`` - deliver one fetched inner node three times, and of the
   three copies of one of its children the enclave then asks for, deliver
@@ -173,7 +173,7 @@ def run_with_tamper(
                 ("root_slot", (index.root_slot + 1) % index.node_count),
             ]
         )
-        # `replace` packs the header afresh, so every record AAD changes.
+        # `replace` packs the header afresh, so the record key changes.
         reshaped = dataclasses.replace(index, **{rewritten: value})
         return _serve_copy(dep, reshaped, token, f"{kind} of {rewritten}")
 

@@ -29,6 +29,7 @@ from hsbt.crypto import (
     decrypt_wire,
     encrypt_wires,
     generate_key,
+    open_wires,
     prp_permutation,
 )
 from hsbt.deploy import Deployment
@@ -260,10 +261,8 @@ def test_criterion_8_touch_counts_exact_over_sweep():
     index = encrypt_index(sk, tree, [v for _, v in pairs])
     from hsbt.codec import deserialize_node
 
-    plains = [
-        decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
-        for slot in range(index.node_count)
-    ]
+    slots = range(index.node_count)
+    plains = open_wires(index.record_key(sk.tree_key), index.node_rows, index.salt, slots)
     nodes = deserialize_node(plains, index.branching)
 
     cases = 0
@@ -287,21 +286,38 @@ def test_criterion_8_touch_counts_exact_over_sweep():
 def test_criterion_9_primitive_sweeps():
     # PRP bijectivity, exhaustive over every domain size up to 4096.
     key = generate_key()
+    pairs = [(k, b"v%03d" % k) for k in range(1, 401)]
+    sk = SecretKey.generate()
+    index = encrypt_index(sk, build_tree(pairs, 10, rng=random.Random(9)), [v for _, v in pairs])
     for n in range(1, 4097):
         perm = prp_permutation(key, n)
         counts = np.bincount(perm.astype(np.int64), minlength=n)
         assert counts.shape[0] == n and (counts == 1).all(), f"not a bijection at n={n}"
 
-    # AEAD: 10^4 random single-bit flips, zero acceptances.
+    # AEAD: 10^4 random single-bit flips of a token wire, and 10^4 of a node
+    # record opened at its slot under its record key, zero acceptances.
     aead_key = generate_key()
     rng = random.Random(909)
-    wire = encrypt_wires(aead_key, [bytes(range(64))], [b"aad"])[0]
+    wire = encrypt_wires(aead_key, [bytes(range(64))])[0]
     accepted = 0
     for _ in range(10_000):
         flipped = bytearray(wire)
         flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
         try:
-            decrypt_wire(aead_key, bytes(flipped), b"aad")
+            decrypt_wire(aead_key, bytes(flipped))
+            accepted += 1
+        except AuthenticationError:
+            pass
+    assert accepted == 0
+    slot = index.root_slot
+    record_key = index.record_key(sk.tree_key)
+    record = index.node_rows[slot : slot + 1]
+    assert open_wires(record_key, record, index.salt, [slot])
+    for _ in range(10_000):
+        flipped = record.copy()
+        flipped[0, rng.randrange(flipped.shape[1])] ^= 1 << rng.randrange(8)
+        try:
+            open_wires(record_key, flipped, index.salt, [slot])
             accepted += 1
         except AuthenticationError:
             pass
@@ -319,6 +335,7 @@ def test_criterion_9_primitive_sweeps():
 
     _report(
         9,
-        "PRP bijective on all domains 1..4096; 10^4 AEAD bit-flips rejected; "
+        "PRP bijective on all domains 1..4096; 10^4 token and 10^4 node-record "
+        "AEAD bit-flips rejected; "
         "100 multiset shuffles invariant",
     )

@@ -11,7 +11,6 @@ import pytest
 from hsbt import bench as bench_mod
 from hsbt.cli import CliError, main, read_pairs_binary, read_pairs_text
 from hsbt.codec import EncryptedIndex
-from hsbt.crypto import NONCE_BYTES
 from hsbt.deploy import Deployment
 
 
@@ -118,8 +117,8 @@ def test_same_seed_builds_structurally_identical_containers(tmp_path, dataset):
     assert main(["build", "--input", str(path), "--seed", "3", "--out", str(out1)]) == 0
     assert main(["build", "--input", str(path), "--seed", "3", "--out", str(out2)]) == 0
     a, b = EncryptedIndex.load(out1), EncryptedIndex.load(out2)
-    # Same keys, same permutation, same shapes; only nonces (and hence the
-    # ciphertext bytes) differ.
+    # Same keys, same permutation, same shapes; only the value salt differs,
+    # and through it, every record's key and nonce, every ciphertext byte.
     assert (tmp_path / "a.hsbt.key").read_text() == (tmp_path / "b.hsbt.key").read_text()
     assert (a.branching, a.node_count, a.n_values, a.node_record_size) == (
         b.branching,
@@ -127,15 +126,17 @@ def test_same_seed_builds_structurally_identical_containers(tmp_path, dataset):
         b.n_values,
         b.node_record_size,
     )
-    assert a.node_region != b.node_region
+    assert a.salt != b.salt and a.header[:-8] == b.header[:-8]
+    assert a.record_key(b"\0" * 16) != b.record_key(b"\0" * 16)
+    assert all((a.node_rows != b.node_rows).any(axis=1))
     meta = json.loads((tmp_path / "a.hsbt.key").read_text())
-    from hsbt.crypto import decrypt_wire
+    from hsbt.crypto import open_wires
 
     tree_key = bytes.fromhex(meta["tree_key"])
-    for slot in range(a.node_count):
-        pa = decrypt_wire(tree_key, a.node_record(slot), a.record_aad(slot))
-        pb = decrypt_wire(tree_key, b.node_record(slot), b.record_aad(slot))
-        assert pa == pb  # identical plaintext structure at every slot
+    slots = range(a.node_count)
+    pa = open_wires(a.record_key(tree_key), a.node_rows, a.salt, slots)
+    pb = open_wires(b.record_key(tree_key), b.node_rows, b.salt, slots)
+    assert pa == pb  # identical plaintext structure at every slot
 
 
 def test_audit_command_passes_and_detects(tmp_path, dataset, capsys):
@@ -449,7 +450,7 @@ def test_corrupted_node_records_exit_one(tmp_path, dataset, capsys, construction
     data = bytearray(out.read_bytes())
     index = EncryptedIndex.from_bytes(bytes(data))
     for slot in range(index.node_count):
-        data[len(index.header) + slot * index.node_record_size + NONCE_BYTES] ^= 0x01
+        data[len(index.header) + slot * index.node_record_size] ^= 0x01
     out.write_bytes(bytes(data))
     capsys.readouterr()
     # `audit` lets the enclave's abort reach `main`, `query` wraps it.

@@ -77,13 +77,17 @@ def _plain_rows(tree):
     )
 
 
+def _open_records(index, sk, slots=None):
+    """The plaintexts of the node records at `slots`, every slot by
+    default, each opened at its slot under the container's record key."""
+    slots = range(index.node_count) if slots is None else slots
+    rows = index.node_rows[list(slots)]
+    return crypto.open_wires(index.record_key(sk.tree_key), rows, index.salt, slots)
+
+
 def _decrypt_all_nodes(index, sk):
     """Every node as one record array, indexed by storage slot."""
-    plains = [
-        decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
-        for slot in range(index.node_count)
-    ]
-    return deserialize_node(plains, index.branching)
+    return deserialize_node(_open_records(index, sk), index.branching)
 
 
 def test_single_node_tree_container_shape():
@@ -129,16 +133,12 @@ def test_node_records_share_one_size_across_kinds():
     pairs, tree, sk, index = _dataset(200, 6, 3, integrity=True)
     plain = node_plain_size(6)
     assert set(tree.leaf.tolist()) == {True, False}
-    assert index.node_record_size == plain + NONCE_BYTES + TAG_BYTES
+    assert index.node_record_size == plain + TAG_BYTES
     # One record layout serves both integrity settings, so a header with the
     # flag rewritten implies the same record size.
     cleared = dataclasses.replace(index, integrity=False)
     assert cleared.node_record_size == index.node_record_size
-    sizes = {
-        len(decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot)))
-        for slot in range(index.node_count)
-    }
-    assert sizes == {plain}
+    assert set(map(len, _open_records(index, sk))) == {plain}
     # The record layout of the module docstring, for b from 3 to 299; the
     # flag, still accepted, changes nothing.
     for b in range(MIN_BRANCHING, 300):
@@ -149,14 +149,14 @@ def test_node_records_share_one_size_across_kinds():
 @pytest.mark.parametrize("branching", [3, 10, 100])
 @pytest.mark.parametrize("integrity", [False, True])
 def test_container_size_is_header_records_and_value_rows(branching, integrity):
-    # A 33-byte header, one wire per node (nonce and tag around the record),
-    # and one body-and-tag row per value: no nonce and no tag region
-    # anywhere else.
+    # A 33-byte header, one body-and-tag row per node and one per value: no
+    # nonce and no tag region anywhere.
     pairs, tree, sk, index = _dataset(700, branching, branching, integrity=integrity)
     value = len(pairs[0][1])
-    size = 33 + index.node_count * (node_plain_size(branching) + 28) + len(pairs) * (value + 16)
+    size = 33 + index.node_count * (node_plain_size(branching) + 16) + len(pairs) * (value + 16)
     assert _HEADER.size == 33 and len(index.to_bytes()) == size
-    assert index.node_record_size == node_plain_size(branching) + 28
+    assert index.node_record_size == node_plain_size(branching) + 16
+    assert index.node_rows.shape == (index.node_count, index.node_record_size)
 
 
 def test_every_value_is_sealed_at_its_own_slot_under_one_salt():
@@ -172,6 +172,20 @@ def test_every_value_is_sealed_at_its_own_slot_under_one_salt():
     value_at = {int(p): v for (_, v), p in zip(pairs, tree.value_positions)}
     aead = AESGCM(sk.value_key)
     assert all(index.value_blob(s) == aead.encrypt(nonces[s], value_at[s], None) for s in range(n))
+
+
+@pytest.mark.parametrize("branching", [5, 10])
+def test_every_node_record_is_sealed_at_its_slot_under_the_record_key(branching):
+    # A record is sealed as a value is, ``body || tag`` at the nonce
+    # salt || slot, with no associated data, under the record key: the AEAD's
+    # own sealing of its plaintext, whether the records took the array pass
+    # (b=5, 39-byte bodies) or one call each (b=10).
+    pairs, tree, sk, index = _dataset(600, branching, 14, integrity=True)
+    assert index.node_count >= crypto._BULK_MIN_WIRES
+    aead = AESGCM(index.record_key(sk.tree_key))
+    for slot, plain in enumerate(_open_records(index, sk)):
+        nonce = index.salt + slot.to_bytes(4, "little")
+        assert bytes(index.node_rows[slot]) == aead.encrypt(nonce, plain, None)
 
 
 def test_decrypted_tree_preserves_logical_structure():
@@ -254,13 +268,14 @@ def test_leaf_entries_name_the_slots_their_values_open_at(count):
 # SHA-256 over the header without its salt, every node plaintext in slot
 # order and every value plaintext in region order, each opened at its slot,
 # for the build in `_golden_digest`.  A change to any byte of the format
-# changes it.  The record nonces and the value salt are random and stay out.
+# changes it.  The value salt is random and stays out, and with it every
+# ciphertext byte, since it is in every record's key and nonce.
 # The node records also pin the tree shape that `build_tree`'s bulk load
 # gives and the node placement, `prp_permutation`, as does the header's root
 # slot; the value region order pins the build's one numpy permutation.
-_GOLDEN_HSBT6 = {
-    False: "df656e09a87cecbfded3ab4b65fc527365a58f4713a4ba665eedbdbad25cb94d",
-    True: "ef9a6ac5496477d0d5abe5764448c5842b0d1ee2ccf6567df49df32540844f33",
+_GOLDEN_HSBT7 = {
+    False: "991be265800afba7dbce048e4d55490e96db84e09222d1dda91eb28a825f5e04",
+    True: "9d3adca5210d8dcd09bf8e0b738973d2794f5a4c5a6ae5a202e9eb60cec9e6ea",
 }
 
 
@@ -279,10 +294,10 @@ def _golden_digest(integrity):
 
 @pytest.mark.parametrize("integrity", [False, True])
 def test_container_bytes_match_the_pinned_format(integrity):
-    assert _golden_digest(integrity) == _GOLDEN_HSBT6[integrity]
+    assert _golden_digest(integrity) == _GOLDEN_HSBT7[integrity]
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_older_container_versions_rejected_as_unsupported(version):
     older = _with_header_field(_with_header_field(_VALID, 0, b"HSBT%d" % version), 1, version)
     with pytest.raises(ValueError, match=f"unsupported container version {version}"):
@@ -293,12 +308,13 @@ def test_older_container_versions_rejected_as_unsupported(version):
 def test_values_on_both_sides_of_the_bulk_seal_round_trip_end_to_end(monkeypatch, length):
     # Values of 1 to 64 bytes are sealed in array passes, longer and empty
     # ones one AEAD call each; both must answer queries on both
-    # constructions, result tag checked.
-    passes = []
+    # constructions, result tag checked.  The node records, 47 bytes at
+    # b=6, take array passes too.
+    passes = {}
     real = crypto._seal_bulk
 
     def spy(state, plains, wires, salt, slots):
-        passes.append(len(plains))
+        passes[plains.shape[1]] = passes.get(plains.shape[1], 0) + len(plains)
         return real(state, plains, wires, salt, slots)
 
     monkeypatch.setattr(crypto, "_seal_bulk", spy)
@@ -306,7 +322,9 @@ def test_values_on_both_sides_of_the_bulk_seal_round_trip_end_to_end(monkeypatch
     keys = rng.sample(range(1, KEY_MAX), 300)
     pairs = [(k, rng.randbytes(length)) for k in keys]
     dep = Deployment.build(pairs, 6, integrity=True, rng=rng)
-    assert sum(passes) == (300 if 0 < length <= 64 else 0)
+    assert dep.index.node_count >= crypto._BULK_MIN_WIRES
+    assert passes.pop(node_plain_size(6)) == dep.index.node_count
+    assert passes == ({length: 300} if 0 < length <= 64 else {})
     keys.sort()
     want = Counter(scan_oracle(pairs, keys[20], keys[219]))
     for construction in (1, 2):
@@ -330,20 +348,25 @@ def test_encrypt_index_rejects_a_value_count_that_differs_from_the_tree():
             encrypt_index(SecretKey.generate(), tree, wrong)
 
 
-@pytest.mark.parametrize("slot", [-1, "count"])
-def test_node_record_outside_the_node_region_raises_index_error(slot):
+def test_node_rows_hold_the_regions_whole_records():
+    # One row per record, in slot order, viewing the region itself.  A
+    # header rewritten in memory that does not fit the region still gives a
+    # matrix: the region's whole rows at the record size its `b` implies.
     pairs, tree, sk, index = _dataset(40, 4, 3)
-    slot = index.node_count if slot == "count" else slot
-    with pytest.raises(IndexError, match=f"node slot {slot} outside"):
-        index.node_record(slot)
+    size = index.node_record_size
+    assert index.node_rows.shape == (index.node_count, size)
+    assert index.node_rows.base is not None and not index.node_rows.flags.writeable
+    assert [bytes(row) for row in index.node_rows] == [
+        index.node_region[s * size : (s + 1) * size] for s in range(index.node_count)
+    ]
+    wider = dataclasses.replace(index, branching=5)
+    assert wider.node_rows.shape == (len(index.node_region) // (size + 8), size + 8)
+    assert dataclasses.replace(index, node_count=3).node_rows.shape == index.node_rows.shape
 
 
 def test_batch_decode_matches_record_by_record_decode():
     pairs, tree, sk, index = _dataset(200, 6, 11, integrity=True)
-    plains = [
-        decrypt_wire(sk.tree_key, index.node_record(slot), index.record_aad(slot))
-        for slot in range(index.node_count)
-    ]
+    plains = _open_records(index, sk)
     batch = deserialize_node(plains, index.branching)
     assert batch.dtype == node_dtype(index.branching)
     for slot, plain in enumerate(plains):
@@ -353,21 +376,56 @@ def test_batch_decode_matches_record_by_record_decode():
 
 
 def test_relocated_record_rejected_by_slot_binding():
+    # A record opens only at its own slot: its nonce is the salt, then the
+    # slot.
     pairs, tree, sk, index = _dataset(50, 4, 5)
+    key, count = index.record_key(sk.tree_key), index.node_count
+    for slot in range(count):
+        row = index.node_rows[slot : slot + 1]
+        assert crypto.open_wires(key, row, index.salt, [slot]) == _open_records(index, sk, [slot])
+        for other in ((slot + 1) % count, (slot + count // 2) % count):
+            with pytest.raises(AuthenticationError):
+                crypto.open_wires(key, row, index.salt, [other])
+    # Two records swapped between their slots fail as a batch.
+    swapped = index.node_rows[[1, 0, *range(2, count)]]
     with pytest.raises(AuthenticationError):
-        decrypt_wire(sk.tree_key, index.node_record(0), index.record_aad(1))
-    # The header is bound too: a record read under any other header fails.
-    for name, value in [
-        ("branching", 28),
-        ("integrity", True),
-        ("n_values", 49),
-        ("root_slot", (index.root_slot + 1) % index.node_count),
-        ("salt", bytes(VALUE_SALT_BYTES)),
-    ]:
-        reshaped = dataclasses.replace(index, **{name: value})
-        assert reshaped.header != index.header
+        crypto.open_wires(key, swapped, index.salt, range(count))
+
+
+_HEADER_FIELDS = (
+    "version",
+    "integrity",
+    "branching",
+    "node_count",
+    "n_values",
+    "value_width",
+    "root_slot",
+    "salt",
+)
+
+
+@pytest.mark.parametrize("name", _HEADER_FIELDS)
+def test_a_record_opens_only_under_the_header_it_was_sealed_with(name):
+    # The record key is the subkey of the tree key labelled by the whole
+    # packed header, so any one header field changed, the magic aside,
+    # gives another key, under which no record opens.
+    pairs, tree, sk, index = _dataset(60, 4, 9, integrity=True)
+    assert index.record_key(sk.tree_key) == crypto.subkey(
+        sk.tree_key, b"hsbt-node-records\x00" + index.header
+    )
+    fields = list(_HEADER.unpack(index.header))
+    at = 1 + _HEADER_FIELDS.index(name)
+    fields[at] = bytes(reversed(fields[at])) if name == "salt" else fields[at] ^ 1
+    other = _HEADER.pack(*fields)
+    assert other != index.header
+    key = crypto.subkey(sk.tree_key, b"hsbt-node-records\x00" + other)
+    if name not in ("version", "value_width"):
+        reshaped = dataclasses.replace(index, **{name: fields[at]})
+        assert reshaped.header == other and reshaped.record_key(sk.tree_key) == key
+    assert len(_open_records(index, sk)) == index.node_count
+    for slot in range(index.node_count):
         with pytest.raises(AuthenticationError):
-            decrypt_wire(sk.tree_key, index.node_record(0), reshaped.record_aad(0))
+            crypto.open_wires(key, index.node_rows[slot : slot + 1], index.salt, [slot])
 
 
 def test_value_salt_of_another_length_rejected():

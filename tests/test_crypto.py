@@ -59,13 +59,15 @@ def test_encrypt_is_probabilistic():
 
 
 def test_decrypt_rejects_wrong_key_and_wrong_aad():
+    # No AEAD call takes associated data: a wire sealed with any is rejected.
     key, other = generate_key(), generate_key()
-    wire = encrypt_wires(key, [b"m"], [b"a"])[0]
-    assert decrypt_wire(key, wire, b"a") == b"m"
+    wire = encrypt_wires(key, [b"m"])[0]
+    assert decrypt_wire(key, wire) == b"m"
     with pytest.raises(AuthenticationError):
-        decrypt_wire(other, wire, b"a")
+        decrypt_wire(other, wire)
+    nonce = wire[:12]
     with pytest.raises(AuthenticationError):
-        decrypt_wire(key, wire, b"b")
+        decrypt_wire(key, nonce + AESGCM(key).encrypt(nonce, b"m", b"a"))
 
 
 def test_decrypt_rejects_single_bit_flip():
@@ -84,12 +86,12 @@ def test_wire_layout_is_nonce_body_tag():
     # nonce(12) || body || tag(16), checked against the AEAD directly.
     key = generate_key()
     plain = bytes(range(20))
-    wire = encrypt_wires(key, [plain], [b"ad"])[0]
+    wire = encrypt_wires(key, [plain])[0]
     assert len(wire) == 12 + 20 + 16
     nonce, sealed = wire[:12], wire[12:]
-    assert sealed == AESGCM(key).encrypt(nonce, plain, b"ad")
-    assert AESGCM(key).decrypt(nonce, sealed, b"ad") == plain
-    assert decrypt_wire(key, wire, b"ad") == plain
+    assert sealed == AESGCM(key).encrypt(nonce, plain, None)
+    assert AESGCM(key).decrypt(nonce, sealed, None) == plain
+    assert decrypt_wire(key, wire) == plain
 
 
 def test_bulk_encrypt_matches_wire_helpers():
@@ -98,10 +100,6 @@ def test_bulk_encrypt_matches_wire_helpers():
     wires = encrypt_wires(key, plains)
     assert [decrypt_wire(key, wire) for wire in wires] == plains
     assert len({wire[:12] for wire in wires}) == 3  # a nonce per plaintext
-    bound = encrypt_wires(key, plains, [b"x", b"y", b"z"])
-    assert decrypt_wire(key, bound[1], b"y") == b"a"
-    with pytest.raises(AuthenticationError):
-        decrypt_wire(key, bound[0], b"y")
     assert encrypt_wires(key, []) == []
 
 
@@ -115,9 +113,8 @@ def test_short_wires_raise_authentication_error_only(length):
     key = generate_key()
     wire = secrets.token_bytes(length)
     good = _blobs(key, [b"fine" * 8])[0]
-    for aad in (b"", b"ad"):
-        with pytest.raises(AuthenticationError):
-            decrypt_wire(key, wire, aad)
+    with pytest.raises(AuthenticationError):
+        decrypt_wire(key, wire)
     for batch in ([wire], [wire] * 3, [good[:length]] * 2, [good[:length]] * CUT):
         with pytest.raises(AuthenticationError):
             crypto.open_wires(key, _rows(batch), SALT, [0] * len(batch))
@@ -142,12 +139,12 @@ def test_aead_fuzz_bit_flips_never_accepted():
     # Smaller sibling of the acceptance sweep; full 10^4 flips run there.
     key = generate_key()
     rng = random.Random(7)
-    wire = encrypt_wires(key, [secrets.token_bytes(64)], [b"p"])[0]
+    wire = encrypt_wires(key, [secrets.token_bytes(64)])[0]
     for _ in range(500):
         flipped = bytearray(wire)
         flipped[rng.randrange(len(wire))] ^= 1 << rng.randrange(8)
         with pytest.raises(AuthenticationError):
-            decrypt_wire(key, bytes(flipped), b"p")
+            decrypt_wire(key, bytes(flipped))
 
 
 # -- value blobs: sealed at their slots, opened per blob or in bulk -----------
@@ -534,9 +531,20 @@ def test_mset_prf_is_keyed_by_a_subkey_not_the_tree_key():
     raw = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(zero)
     folded = MultisetHash.empty(key).add_all(zero).digest
     assert folded != raw
-    assert crypto.mset_subkey(key) != key
-    sub = Cipher(algorithms.AES(crypto.mset_subkey(key)), modes.ECB()).encryptor().update(zero)
-    assert folded == sub
+    sub = crypto.subkey(key, b"hsbt-mset-prf")
+    assert sub != key
+    assert folded == Cipher(algorithms.AES(sub), modes.ECB()).encryptor().update(zero)
+
+
+def test_subkey_is_the_cut_hmac_tag_of_its_label():
+    # One derivation serves the multiset PRF, the placement and the record
+    # key; distinct labels, or keys, give distinct subkeys.
+    key, other = generate_key(), generate_key()
+    labels = [b"hsbt-mset-prf", b"hsbt-node-placement", b"hsbt-node-records\x00" + bytes(33)]
+    subkeys = {crypto.subkey(k, label) for k in (key, other) for label in labels}
+    assert len(subkeys) == 6 and all(len(sub) == 16 for sub in subkeys)
+    for label in labels:
+        assert crypto.subkey(key, label) == mac_tag(key, label)[:16]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 257, 4096])
@@ -548,7 +556,7 @@ def test_mset_add_all_matches_an_integer_xor_reference(k):
     source = random.Random(k)
     elements = source.randbytes(16 * k)
     removed = source.randbytes(16 * (k // 2 + 1))
-    aes = Cipher(algorithms.AES(crypto.mset_subkey(key)), modes.ECB()).encryptor()
+    aes = Cipher(algorithms.AES(crypto.subkey(key, b"hsbt-mset-prf")), modes.ECB()).encryptor()
 
     def images(blob):
         out = aes.update(blob)

@@ -102,7 +102,9 @@ def test_values_of_several_lengths_answer_large_results(monkeypatch, constructio
     real = crypto._open_bulk
 
     def spy(state, rows, salt, slots):
-        bulk.append(len(rows))
+        # Node records at b=5 (39-byte bodies) take the array pass too.
+        if rows.shape[1] == dep.index.value_width:
+            bulk.append(len(rows))
         return real(state, rows, salt, slots)
 
     monkeypatch.setattr(crypto, "_open_bulk", spy)

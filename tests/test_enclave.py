@@ -719,9 +719,10 @@ def test_concurrent_batches_of_one_token_share_one_session_and_lose_no_update():
 
 def _decoded(sk, index, slots):
     """Record array of the nodes at `slots`, in that order."""
-    from hsbt.crypto import decrypt_wire
+    from hsbt.crypto import open_wires
 
-    plains = [decrypt_wire(sk.tree_key, index.node_record(s), index.record_aad(s)) for s in slots]
+    rows = index.node_rows[list(slots)]
+    plains = open_wires(index.record_key(sk.tree_key), rows, index.salt, slots)
     return deserialize_node(plains, index.branching)
 
 
@@ -953,7 +954,7 @@ def test_counters_under_concurrency_equal_sequential_totals():
     assert sequential[0] > 0 and sequential[1] > 0
 
 
-def test_batch_abort_lands_on_the_first_failing_node():
+def test_batch_abort_lands_on_the_first_failing_node(monkeypatch):
     # Root over three leaves: the root batch requests exactly three nodes.
     pairs = [(k, b"v%d" % k) for k in range(1, 10)]
     dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
@@ -974,6 +975,32 @@ def test_batch_abort_lands_on_the_first_failing_node():
     # A wrong first node is caught before a later missing record.
     with pytest.raises(EnclaveAbort, match="first node is not the root"):
         enclave.search_batch(token, children[:1] + [nowhere])
+
+    # A requested batch with its k-th record corrupted aborts at that
+    # record, both when it opens one AEAD call per record (8 records) and
+    # when it opens in array passes (64 records of 39 bytes at b=5): the
+    # records before it are fetched and counted, and the session is gone.
+    passes = _bulk_open_spy(monkeypatch)
+    pairs = [(k, b"v%04d" % k) for k in range(1, 3001)]
+    dep = Deployment.build(pairs, 5, integrity=True, rng=random.Random(1))
+    enclave = dep.enclave
+    for size, k, bulk in ((8, 5, []), (64, 41, [64])):
+        token = make_token(dep.sk.tree_key, None, None)
+        level = [enclave.root_slot()]
+        while len(level) < size:
+            _, level = enclave.search_batch(token, level)
+        positions = level[:size]
+        enclave.attach_container(_broken_at(dep.index, positions[k]))
+        trace = AccessTrace()
+        before = enclave.node_decryptions
+        del passes[:]
+        with pytest.raises(EnclaveAbort, match=f"^node at position {positions[k]} failed auth"):
+            enclave.search_batch(token, positions, trace=trace)
+        assert passes == bulk
+        assert trace.touched("node") == positions[:k]
+        assert enclave.node_decryptions == before + k
+        assert token not in enclave._sessions
+        enclave.attach_container(dep.index)
 
 
 def test_a_batch_that_outgrows_its_session_while_its_records_open_aborts(monkeypatch):
@@ -1053,19 +1080,44 @@ def _broken_at(index, slot):
     return dataclasses.replace(index, node_region=bytes(region))
 
 
-@pytest.mark.parametrize("k", [0, 1, 4, 7])
-def test_traced_batch_records_exactly_the_records_opened(k):
+def _bulk_open_spy(monkeypatch) -> list[int]:
+    """The row counts `crypto.open_wires` hands to its array pass, in order."""
+    from hsbt import crypto
+
+    passes = []
+    real = crypto._open_bulk
+
+    def spy(state, rows, salt, slots):
+        passes.append(len(rows))
+        return real(state, rows, salt, slots)
+
+    monkeypatch.setattr(crypto, "_open_bulk", spy)
+    return passes
+
+
+# Batches of 8 records open one AEAD call per record, batches of 64 records
+# of 39 bytes (b=5) in one array pass; the per-call ids are the bare k.
+_FIRST_FAILING = [pytest.param(8, k, id=str(k)) for k in (0, 1, 4, 7)] + [
+    pytest.param(64, k, id=f"array-{k}") for k in (0, 1, 37, 63)
+]
+
+
+@pytest.mark.parametrize("size, k", _FIRST_FAILING)
+def test_traced_batch_records_exactly_the_records_opened(monkeypatch, size, k):
     # Integrity off: a batch may name any slots, so the failing one can sit
     # anywhere in it.
     pairs, tree, sk, index, enclave = _fixture(300, seed=21)
     token = make_token(sk.tree_key, None, None)
-    positions = random.Random(k).sample(range(index.node_count), 8)
+    positions = random.Random(k).sample(range(index.node_count), size)
+    passes = _bulk_open_spy(monkeypatch)
 
     enclave.attach_container(_broken_at(index, positions[k]))
     trace = AccessTrace()
+    before = enclave.node_decryptions
     with pytest.raises(EnclaveAbort, match=f"^node at position {positions[k]} failed auth"):
         enclave.search_batch(token, positions, trace=trace)
     assert trace.touched("node") == positions[:k]
+    assert enclave.node_decryptions == before + k
     # An earlier authentication failure wins over a later missing record.
     trace = AccessTrace()
     with pytest.raises(EnclaveAbort, match=f"^node at position {positions[k]} failed auth"):
@@ -1082,22 +1134,24 @@ def test_traced_batch_records_exactly_the_records_opened(k):
         assert trace.touched("node") == positions[:k]
     # And an intact batch records every fetch, in order.
     trace = AccessTrace()
+    del passes[:]
     enclave.search_batch(token, positions, trace=trace)
     assert trace.touched("node") == positions
+    assert passes == ([size] if size >= 64 else [])
 
 
 @pytest.mark.parametrize("reserved_space", [64 * 1024, 2048])
-def test_streamed_query_calls_decrypt_wire_once_per_node_decryption(monkeypatch, reserved_space):
+def test_streamed_query_calls_decrypt_wire_once_per_batch(monkeypatch, reserved_space):
     # `crypto.node_decrypt` is timed by wrapping `hsbt.enclave.decrypt_wire`:
-    # every record must still go through that name, once.
+    # every batch must open its records through that name, in one call.
     import hsbt.enclave
 
     calls = []
     real = hsbt.enclave.decrypt_wire
 
-    def counting(*args):
-        calls.append(args[1])
-        return real(*args)
+    def counting(key, rows, salt, slots):
+        calls.append(list(slots))
+        return real(key, rows, salt, slots)
 
     monkeypatch.setattr(hsbt.enclave, "decrypt_wire", counting)
     rng = random.Random(22)
@@ -1111,8 +1165,43 @@ def test_streamed_query_calls_decrypt_wire_once_per_node_decryption(monkeypatch,
         dep.index, dep.enclave, make_token(dep.sk.tree_key, keys[100], keys[900])
     )
     assert len(blobs.rows) == 801 and stats.crossings > 2
-    assert len(calls) == dep.enclave.node_decryptions - before == stats.nodes_transferred
-    assert len(set(calls)) == len(calls)
+    # One call per batch, the finalizing crossing aside.
+    assert len(calls) == stats.crossings - 1
+    opened = [slot for batch in calls for slot in batch]
+    assert len(opened) == dep.enclave.node_decryptions - before == stats.nodes_transferred
+    assert len(set(opened)) == len(opened)
+
+
+@pytest.mark.parametrize("construction", [1, 2])
+def test_a_header_that_does_not_fit_its_region_aborts(construction):
+    # Only memory reaches these copies: each header field is rewritten
+    # through `dataclasses.replace`, and the region stays as it is, so its
+    # rows no longer match the header.  Each ends in `EnclaveAbort`.
+    import dataclasses
+
+    pairs, tree, sk, index, enclave = _fixture(300, b=5, seed=4, integrity=True)
+    token = make_token(sk.tree_key, None, None)
+    count = index.node_count
+    changes = [
+        {"branching": 4},
+        {"branching": 6},
+        {"branching": 40},
+        {"node_count": count + 7},
+        {"node_count": count - 7},
+        {"root_slot": count + 3},
+        {"node_region": index.node_region[:-1]},
+        {"node_region": index.node_region[: -index.node_record_size]},
+    ]
+    for change in changes:
+        copy = dataclasses.replace(index, **change)
+        with pytest.raises(EnclaveAbort):
+            if construction == 1:
+                enclave.load_tree(copy)
+            else:
+                enclave.attach_container(copy)
+                search_streamed(copy, enclave, token)
+        enclave.attach_container(index)
+    assert sorted(search_streamed(index, enclave, token)[0].slots.tolist()) == list(range(300))
 
 
 @pytest.mark.parametrize("integrity", [False, True])
