@@ -152,9 +152,10 @@ class EncryptedIndex:
     ``(n, value_width)`` uint8 matrix.
     `node_record_size`, `header`, the packed container header, and both row
     views follow from the other fields and are computed once.  Each view
-    holds its region's own rows, not the header's count: `node_rows` its
-    whole rows at the header's record size, so a header rewritten in memory
-    that does not fit the node region still gives a matrix.  The record key
+    holds its region's own whole rows, not the header's count: `node_rows`
+    at the header's record size, `value_rows` at its value width, so a
+    header rewritten in memory that does not fit a region still gives a
+    matrix.  The record key
     binds every node record to the header, whose node count also names the
     root, node ``node_count - 1``, and whose `root_slot` is the slot of the
     root's record.
@@ -193,8 +194,9 @@ class EncryptedIndex:
         # reshaped header may contradict.
         nodes = np.frombuffer(self.node_region, np.uint8)
         self.node_rows = nodes[: len(nodes) - len(nodes) % size].reshape(-1, size)
-        region = np.frombuffer(self.value_region, np.uint8)
-        self.value_rows = region.reshape(-1, self.value_width)
+        values = np.frombuffer(self.value_region, np.uint8)
+        width = self.value_width
+        self.value_rows = values[: len(values) - len(values) % width].reshape(-1, width)
 
     def record_key(self, tree_key: bytes) -> bytes:
         """The key the node records are sealed under: the `crypto.subkey`

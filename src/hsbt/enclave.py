@@ -19,17 +19,19 @@ query entry points mirror the two deployment modes:
 
 Nodes are array-shaped: the resident tree is one `node_dtype` record array
 indexed by slot, and a streamed batch decodes into one with a single
-`deserialize_node`.  The resident load and a streamed batch open records in
-one place, `_open_records`.  A batch's rows are gathered from the node
-region with one `take`, the load's are the whole region, and they open in
-one `decrypt_wire` call under the container's record key, each at the
-nonce of its slot: a record opens only under the header it was sealed
-with, and at its own slot.  A rejected batch opens again row by row to
-name its first failing record, and the trace's fetch events are recorded
-for the records before it.  A streamed batch has already had one bound
-check (`_in_region`) and its budget check.  The AES-GCM open is most of
-the call; 64 or more records of at most 64 bytes (b <= 8) take its array
-passes.
+`deserialize_node`.  A streamed batch is the unit of work: before any of
+its rows is read it passes one check (`_admit`): the batch fits the
+ceiling, every position names a record of the region and, in integrity
+mode, the batch fits its session's outstanding count.  Its rows are then gathered from the node
+region with one `take` and recorded as fetched, once each.  The resident
+load and a streamed batch open records in one place, `_open_records`: one
+`decrypt_wire` call under the container's record key, each row at the
+nonce of its slot, so a record opens only under the header it was sealed
+with, and at its own slot.  Either every record opens or the call aborts
+with ``node record failed authentication``, naming no record; nothing of
+an aborted batch is decoded, matched, counted or folded.  The AES-GCM open
+is most of the call; 64 or more records of at most 64 bytes (b <= 8) take
+its array passes.
 `oblivious_match_slots` matches a whole batch, or a whole level of the
 resident walk, in one vectorised comparison; a resident level too small to
 repay numpy's per-call cost is scanned node by node with the same per-slot
@@ -46,7 +48,8 @@ by the token that opened it: a batch continues the open session of its own
 token, or opens one at the root.  It counts the requested nodes still
 outstanding, and a batch may deliver no more nodes than that; an honest
 driver only ever sends pointers it was already given.  It keeps two
-multiset hashes, each folded once per call: a balance that adds the
+multiset hashes, both keyed by the key that opened the token, as is the
+result tag, and each folded once per call: a balance that adds the
 requested storage slots and subtracts the received ones, and the result
 digest, which folds the element ``salt || slot || 0^4`` of each matched
 value pointer (`crypto.value_elements`), the salt being the attached
@@ -58,8 +61,9 @@ record opens only at the slot it was sealed for, so a slot names its node.
 A session only ever yields a result tag when nothing is outstanding and
 the balance is zero, so every requested node arrived as often as it was
 requested and nothing else arrived, and when the first node of the query
-was the root, the container's last node, at the slot its header names.  At
-most `MAX_OPEN_SESSIONS` sessions stay open; opening one more evicts the
+was the root, the container's last node, at the slot its header names.  An
+abort of a batch ends its token's session (`_abort`).  At most
+`MAX_OPEN_SESSIONS` sessions stay open; opening one more evicts the
 oldest.
 
 Every pointer sequence leaving the enclave is freshly shuffled, and in-node
@@ -75,6 +79,7 @@ import random
 import secrets
 import threading
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -275,7 +280,8 @@ class EnclaveSim:
         self._resident: tuple[EncryptedIndex, np.ndarray] | None = None
         self._sessions: dict[RangeToken, IntegritySession] = {}
         self.sessions_evicted = 0
-        self._lock = threading.Lock()
+        # Re-entrant: `_abort` ends a session from inside the locked fold too.
+        self._lock = threading.RLock()
 
     # -- provisioning and container wiring ---------------------------------
 
@@ -343,12 +349,9 @@ class EnclaveSim:
                 f"resident tree needs {plain_size * index.node_count} bytes, "
                 f"budget is {self.capacity}"
             )
-        # A region of other than `node_count` rows fails the one call, and
-        # row by row its first missing record fails.
-        resident, failure = self._open_records(index, range(index.node_count), index.node_rows)
+        # A region of other than `node_count` rows fails the one call.
+        resident = self._open_records(index, range(index.node_count), index.node_rows)
         self._tally(len(resident), 0, index.branching)
-        if failure is not None:
-            raise EnclaveAbort(failure)
         self.attach_container(index)
         self._find_root_slot(index)  # aborts unless the root id is the last node's
         self._resident = index, resident
@@ -370,7 +373,7 @@ class EnclaveSim:
         if loaded is None:
             raise EnclaveError("no resident tree loaded")
         index, resident = loaded
-        rs, re_ = self._open_token(token)
+        rs, re_, _ = self._open_token(token)
         rng = self._fresh_order_rng(trace)
         branching = resident["ptrs"].shape[1]
         unpack = node_struct(branching).unpack_from
@@ -418,34 +421,33 @@ class EnclaveSim:
         integrity mode the batch continues its token's open session, or, if
         that token has none, opens one and must start at the root.
 
-        Before any record opens, the batch is cut at its first position
-        with no record, and what is left must fit the budget
-        (`_check_budget`).  Its records are then gathered from the shared
-        node region and opened in one call; the batch is decoded and
-        matched at once, and each session accumulator is folded once.  A
-        record that fails aborts the batch at that record, with the same
-        message as a node-by-node walk, and drops the token's session.
+        A batch opens whole or aborts whole.  It passes one check before
+        any of its rows is read (`_admit`); its rows are then gathered from
+        the shared node region, recorded on the trace as fetched, and opened
+        in one call.  A record that fails aborts the whole batch, naming no
+        record.  An admitted batch is decoded and matched at once, and each
+        session accumulator is folded once.  Every abort ends the token's
+        session.
         """
         if self._container is None:
             raise EnclaveError("no container attached")
         if self._tree_key is None:
             raise NoKeyError("no node-decryption key provisioned")
         container = self._container
-        rs, re_ = self._open_token(token)
+        rs, re_, key = self._open_token(token)
         rng = self._fresh_order_rng(trace)
 
-        positions, missing = _in_region(positions, len(container.node_rows))
-        self._check_budget(container, token, len(positions))
+        self._admit(container, token, positions)
         rows = container.node_rows.take(positions, axis=0)
-        nodes, failure = self._open_records(container, positions, rows, trace)
-        failure = failure or missing
-        branching = container.branching
-        self._tally(len(nodes), len(nodes), branching)
+        if trace is not None:
+            trace.node_fetches(positions)
+        nodes = self._open_records(container, positions, rows, token)
+        self._tally(len(nodes), len(nodes), container.branching)
         is_value, pointers = _expand(nodes, rs, re_)
         value_ptrs = pointers[is_value]
         node_ptrs = pointers[~is_value]
 
-        if container.integrity and len(nodes):
+        if container.integrity and positions:
             matched = value_elements(container.salt, value_ptrs)
             # One locked step from lookup to the last fold: two opening
             # batches of one token share one session, and concurrent batches
@@ -454,20 +456,15 @@ class EnclaveSim:
                 sess = self._sessions.get(token)
                 fresh = sess is None
                 if fresh:
-                    sess = self._open_session(token, container, positions[0])
-                if len(nodes) > sess.outstanding:
-                    del self._sessions[token]
-                    raise EnclaveAbort("protocol violation: more nodes than requested")
-                sess.outstanding += len(node_ptrs) - len(nodes)
+                    sess = self._open_session(token, container, positions[0], key)
+                if len(positions) > sess.outstanding:
+                    self._abort(token, "protocol violation: more nodes than requested")
+                sess.outstanding += len(node_ptrs) - len(positions)
                 # Received records opened at their slots; node pointers are requests.
                 sess.balance = sess.balance.add_all(
-                    _slot_elements(node_ptrs), removed=_slot_elements(positions[fresh : len(nodes)])
+                    _slot_elements(node_ptrs), removed=_slot_elements(positions[fresh:])
                 )
                 sess.result_hash = sess.result_hash.add_all(matched)
-        if failure is not None:
-            with self._lock:
-                self._sessions.pop(token, None)
-            raise EnclaveAbort(failure)
 
         rng.shuffle(value_ptrs)
         rng.shuffle(node_ptrs)
@@ -492,11 +489,12 @@ class EnclaveSim:
             )
         if sess.balance.digest != bytes(MSET_DIGEST_BYTES):
             raise EnclaveAbort("protocol violation: received nodes differ from requested nodes")
-        return result_mac(self._tree_key, sess.result_hash)
+        return result_mac(sess.result_hash.key, sess.result_hash)
 
     # -- internals -----------------------------------------------------------
 
-    def _open_token(self, token: RangeToken) -> tuple[int, int]:
+    def _open_token(self, token: RangeToken) -> tuple[int, int, bytes]:
+        """The token's range and the key that opened it."""
         key = self._key_table.get(token.client_id or DEFAULT_CLIENT)
         if key is None:
             raise NoKeyError(f"no key provisioned for {token.client_id or DEFAULT_CLIENT!r}")
@@ -507,54 +505,50 @@ class EnclaveSim:
         r_start, r_end = unpack_range(plain)
         if r_start > r_end:
             raise EnclaveAbort("token names an empty range")
-        return r_start, r_end
+        return r_start, r_end, key
 
-    def _check_budget(self, container: EncryptedIndex, token: RangeToken, count: int) -> None:
-        """Abort, dropping the token's session, unless a batch that opens
-        `count` records fits the enclave's budget: the batch ceiling
-        (`max_batch_nodes`) and, in integrity mode, the nodes its session
-        has outstanding, one for a session yet to open.  Nothing is locked:
-        the count is read as it stands, and checked again under the lock
-        once the records are open."""
+    def _admit(self, container: EncryptedIndex, token: RangeToken, positions) -> None:
+        """Abort, ending the token's session, unless the batch at
+        `positions` fits: it fits the ceiling (`max_batch_nodes`), checked
+        first so that no longer batch is scanned, every position names a
+        record of the region and, in integrity mode, the batch fits the
+        nodes its session has outstanding, one for a session yet to open.
+        Nothing is locked: the count is read as it stands, and checked
+        again under the lock once the records are open."""
+        count, rows = len(positions), len(container.node_rows)
         ceiling = self.max_batch_nodes(container.node_record_size)
         sess = self._sessions.get(token) if container.integrity else None
         if count > ceiling:
             reason = f"protocol violation: batch of {count} nodes exceeds the ceiling of {ceiling}"
+        elif positions and not (0 <= min(positions) and max(positions) < rows):
+            outside = next(p for p in positions if not 0 <= p < rows)
+            reason = f"no node record at position {outside}"
         elif container.integrity and count > (1 if sess is None else sess.outstanding):
             reason = "protocol violation: more nodes than requested"
         else:
             return
-        with self._lock:
-            self._sessions.pop(token, None)
-        raise EnclaveAbort(reason)
+        self._abort(token, reason)
 
     def _open_records(
-        self, container: EncryptedIndex, positions, rows: np.ndarray, trace=None
-    ) -> tuple[np.ndarray, str | None]:
+        self, container: EncryptedIndex, positions, rows: np.ndarray, token=None
+    ) -> np.ndarray:
         """Authenticate `rows`, the node records at `positions` of
-        `container`, in order, and decode them as one record array.
-
-        The rows open in one `decrypt_wire` call under the container's
-        record key, each at the nonce of its slot.  A rejected batch opens
-        again row by row up to its first failing record, and the records
-        before it are returned with the abort message (None when every
-        record opened); the trace records a fetch for exactly those
-        records, in order."""
+        `container`, in one `decrypt_wire` call under the container's record
+        key, each at the nonce of its slot, and decode them as one record
+        array.  If any record fails, none opens: the call aborts, ending
+        `token`'s session."""
         key = container.record_key(self._tree_key)
-        failure = None
         try:
             plains = decrypt_wire(key, rows, container.salt, positions)
         except AuthenticationError:
-            plains = []
-            for at, position in enumerate(positions):
-                try:
-                    plains += open_wires(key, rows[at : at + 1], container.salt, [position])
-                except AuthenticationError:
-                    failure = f"node at position {position} failed authentication"
-                    break
-        if trace is not None:
-            trace.node_fetches(positions[: len(plains)])
-        return deserialize_node(plains, container.branching), failure
+            self._abort(token, "node record failed authentication")
+        return deserialize_node(plains, container.branching)
+
+    def _abort(self, token: RangeToken | None, reason: str) -> NoReturn:
+        """Raise `EnclaveAbort(reason)`, ending `token`'s session if it has one."""
+        with self._lock:
+            self._sessions.pop(token, None)
+        raise EnclaveAbort(reason) from None
 
     def _fresh_order_rng(self, trace) -> np.random.Generator:
         seed = (
@@ -582,30 +576,20 @@ class EnclaveSim:
             self.touch_counter.add(scanned, branching)
 
     def _open_session(
-        self, token: RangeToken, container: EncryptedIndex, first: int
+        self, token: RangeToken, container: EncryptedIndex, first: int, key: bytes
     ) -> IntegritySession:
         """A new session for `token`'s batch whose first node is at slot
-        `first` of `container`, which must be the root's; the caller holds
-        the lock."""
+        `first` of `container`, which must be the root's, keyed by `key`,
+        the key that opened the token; the caller holds the lock."""
         if first != self._find_root_slot(container):
             raise EnclaveAbort("protocol violation: first node is not the root")
         while len(self._sessions) >= MAX_OPEN_SESSIONS:
             del self._sessions[next(iter(self._sessions))]
             self.sessions_evicted += 1
-        empty = MultisetHash.empty(self._tree_key)
+        empty = MultisetHash.empty(key)
         # The root counts as requested: the opening batch delivers it.
         sess = self._sessions[token] = IntegritySession(1, empty, empty)
         return sess
-
-
-def _in_region(positions, rows: int) -> tuple[list[int], str | None]:
-    """`positions` up to its first position with no node record among the
-    region's `rows`, and the abort message for that position (None when
-    every position has one), with one bound check for the whole batch."""
-    if positions and not (0 <= min(positions) and max(positions) < rows):
-        end = next(i for i, p in enumerate(positions) if not 0 <= p < rows)
-        return positions[:end], f"no node record at position {positions[end]}"
-    return positions, None
 
 
 def _expand(nodes: np.ndarray, r_start: int, r_end: int):

@@ -18,9 +18,10 @@ query and reports how the pipeline reacted:
   outside the result, labelled with that blob's own slot (it opens there:
   only the result tag's fold of the slots catches it)
 * ``reshape-header`` - serve a copy of the container with one header field
-  rewritten (the integrity flag, the branching factor, the value count or
-  the root slot); every record's key is derived from the header, so the
-  first record fails: the root's, or the record at the rewritten root slot
+  rewritten (the integrity flag, the branching factor, the value count, the
+  value width, the value salt or the root slot); every record's key is
+  derived from the header, so the first batch fails: the root's record, or
+  the record at the rewritten root slot
 * ``duplicate-node`` - deliver one fetched inner node three times, and of the
   three copies of one of its children the enclave then asks for, deliver
   only the first: the tripled node and the thinned child are each off by
@@ -170,6 +171,8 @@ def run_with_tamper(
                 ("integrity", not index.integrity),
                 ("branching", index.branching + 1),
                 ("n_values", index.n_values - 1),
+                ("value_width", index.value_width + 1),
+                ("salt", bytes([index.salt[0] ^ 1]) + index.salt[1:]),
                 ("root_slot", (index.root_slot + 1) % index.node_count),
             ]
         )

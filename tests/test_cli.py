@@ -457,12 +457,52 @@ def test_corrupted_node_records_exit_one(tmp_path, dataset, capsys, construction
     assert main(_audit_argv(out, dataset[0], construction)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"error: node at position \d+ failed authentication\n", captured.err)
+    assert captured.err == "error: node record failed authentication\n"
     argv = ["query", "--index", str(out), "--key", str(out) + ".key"]
     assert main(argv + ["--construction", construction, "--range", "1:99"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
-    assert re.match(r"error: query rejected: node at position \d+ failed", captured.err)
+    assert captured.out == ""
+    assert captured.err == "error: query rejected: node record failed authentication\n"
+
+
+def test_one_bad_leaf_record_rejects_only_the_queries_that_reach_it(tmp_path, dataset, capsys):
+    # One leaf record in the middle of the key order has a bit flipped.  A
+    # streamed query whose range misses that leaf never fetches it and
+    # answers in full; one that reaches it aborts the whole batch, naming no
+    # record.  A resident load opens every record, so every range fails.
+    from hsbt import crypto
+    from hsbt.codec import deserialize_node, leaf_mask
+
+    out, keys = _build(tmp_path, dataset, extra=("--integrity", "on"))
+    meta = json.loads((tmp_path / "store.hsbt.key").read_text())
+    index = EncryptedIndex.load(out)
+    key = index.record_key(bytes.fromhex(meta["tree_key"]))
+    plains = crypto.open_wires(key, index.node_rows, index.salt, range(index.node_count))
+    nodes = deserialize_node(plains, index.branching)
+    leaves = sorted(
+        (int(nodes["keys"][slot, 0]), int(nodes["keys"][slot, nodes["key_count"][slot] - 1]), slot)
+        for slot in np.flatnonzero(leaf_mask(nodes))
+    )
+    low, high, slot = leaves[len(leaves) // 2]
+    data = bytearray(out.read_bytes())
+    data[len(index.header) + slot * index.node_record_size + 5] ^= 0x01
+    out.write_bytes(bytes(data))
+    lines = dataset[0].read_text().splitlines()
+    values = dict(line.split(" ", 1) for line in lines)
+    capsys.readouterr()
+
+    argv = ["query", "--index", str(out), "--key", str(out) + ".key", "--construction"]
+    below = leaves[len(leaves) // 4][1]
+    assert main(argv + ["2", "--range", f"1:{below}"]) == 0
+    captured = capsys.readouterr()
+    want = sorted(values[str(k)] for k in keys if k <= below)
+    assert sorted(captured.out.splitlines()) == want and len(want) > 0
+    reaching = (("2", f"{low}:{high}"), ("2", f"{low}:"), ("1", f"1:{below}"), ("1", f"{low}:"))
+    for construction, spec in reaching:
+        assert main(argv + [construction, "--range", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: query rejected: node record failed authentication\n"
 
 
 @pytest.mark.parametrize("pairs", ["", "# a comment only\n", "run"])

@@ -172,6 +172,25 @@ def test_two_clients_tokens_do_not_cross_decrypt():
     assert len(values) == 50
 
 
+def test_a_second_clients_result_tag_verifies_under_its_own_key():
+    # The session's multiset hashes and the result tag are keyed by the key
+    # that opened the token, never by the owner's tree key.
+    from hsbt.codec import decrypt_results, verify_result_mac
+
+    pairs, tree, sk, index, enclave = _fixture(300, integrity=True)
+    other = SecretKey.generate()
+    enclave.provision("client-b", other.tree_key)
+    keys = sorted(k for k, _ in pairs)
+    clients = ((other.tree_key, "client-b", sk.tree_key), (sk.tree_key, None, other.tree_key))
+    for key, client, foreign in clients:
+        token = make_token(key, keys[10], keys[40], client_id=client)
+        blobs, mac, _ = search_streamed(index, enclave, token)
+        results = decrypt_results(sk.value_key, blobs)
+        assert len(results) == 31
+        assert verify_result_mac(key, results, mac)
+        assert not verify_result_mac(foreign, results, mac)
+
+
 def test_reprovision_replaces_key():
     pairs, tree, sk, index, enclave = _fixture(30)
     fresh = SecretKey.generate()
@@ -219,8 +238,10 @@ def test_load_aborts_when_root_slot_holds_another_node():
         index, node_count=fewer, node_region=index.node_region[: fewer * index.node_record_size]
     )
     # The records are bound to the header, so a host's shrink fails at once.
-    with pytest.raises(EnclaveAbort, match="node at position 0 failed authentication"):
+    before = enclave.node_decryptions
+    with pytest.raises(EnclaveAbort, match="^node record failed authentication$"):
         enclave.load_tree(shrunk)
+    assert enclave.node_decryptions == before and not enclave.tree_loaded
     enclave.load_tree(index)
     token = make_token(sk.tree_key, 1, KEY_MAX)
     root_slot = index.root_slot
@@ -954,7 +975,7 @@ def test_counters_under_concurrency_equal_sequential_totals():
     assert sequential[0] > 0 and sequential[1] > 0
 
 
-def test_batch_abort_lands_on_the_first_failing_node(monkeypatch):
+def test_a_batch_aborts_whole_at_any_bad_record(monkeypatch):
     # Root over three leaves: the root batch requests exactly three nodes.
     pairs = [(k, b"v%d" % k) for k in range(1, 10)]
     dep = Deployment.build(pairs, 4, integrity=True, rng=random.Random(0))
@@ -962,45 +983,58 @@ def test_batch_abort_lands_on_the_first_failing_node(monkeypatch):
     token = make_token(dep.sk.tree_key, None, None)
     root = enclave.root_slot()
     nowhere = index.node_count + 5
+    opened = _decrypt_wire_spy(monkeypatch)
 
-    # Each abort closes the token's session, so the root opens a new one.
-    # A fourth node overflows the requests before the missing record is reached.
+    # Each abort ends the token's session, so the root opens a new one.  A
+    # position outside the region fails the batch before anything else is
+    # checked, wherever it sits, and nothing of the batch is fetched.
+    batches = (
+        lambda c: c + c[:1] + [nowhere],
+        lambda c: [nowhere] + c + c[:1],
+        lambda c: c[:1] + [nowhere],
+    )
+    for make in batches:
+        _, children = enclave.search_batch(token, [root])
+        trace = AccessTrace()
+        del opened[:]
+        with pytest.raises(EnclaveAbort, match=f"^no node record at position {nowhere}$"):
+            enclave.search_batch(token, make(children), trace=trace)
+        assert opened == [] and trace.touched("node") == []
+        assert token not in enclave._sessions
+    # Inside the region, a fourth node overflows the three requests.
     _, children = enclave.search_batch(token, [root])
-    with pytest.raises(EnclaveAbort, match="more nodes than requested"):
-        enclave.search_batch(token, children + children[:1] + [nowhere])
-    # The missing record comes first: it is what the batch dies on.
-    _, children = enclave.search_batch(token, [root])
-    with pytest.raises(EnclaveAbort, match=f"no node record at position {nowhere}"):
-        enclave.search_batch(token, [nowhere] + children + children[:1])
-    # A wrong first node is caught before a later missing record.
-    with pytest.raises(EnclaveAbort, match="first node is not the root"):
-        enclave.search_batch(token, children[:1] + [nowhere])
+    del opened[:]
+    with pytest.raises(EnclaveAbort, match="^protocol violation: more nodes than requested$"):
+        enclave.search_batch(token, children + children[:1])
+    assert opened == [] and token not in enclave._sessions
 
-    # A requested batch with its k-th record corrupted aborts at that
-    # record, both when it opens one AEAD call per record (8 records) and
-    # when it opens in array passes (64 records of 39 bytes at b=5): the
-    # records before it are fetched and counted, and the session is gone.
+    # A requested batch with one record corrupted, first, in the middle or
+    # last, aborts whole, both when it opens one AEAD call per record (8
+    # records) and when it opens in array passes (64 records of 39 bytes at
+    # b=5): the abort names no record, every position is fetched once, no
+    # record is counted as decrypted, and the session is gone.
     passes = _bulk_open_spy(monkeypatch)
     pairs = [(k, b"v%04d" % k) for k in range(1, 3001)]
     dep = Deployment.build(pairs, 5, integrity=True, rng=random.Random(1))
     enclave = dep.enclave
-    for size, k, bulk in ((8, 5, []), (64, 41, [64])):
-        token = make_token(dep.sk.tree_key, None, None)
-        level = [enclave.root_slot()]
-        while len(level) < size:
-            _, level = enclave.search_batch(token, level)
-        positions = level[:size]
-        enclave.attach_container(_broken_at(dep.index, positions[k]))
-        trace = AccessTrace()
-        before = enclave.node_decryptions
-        del passes[:]
-        with pytest.raises(EnclaveAbort, match=f"^node at position {positions[k]} failed auth"):
-            enclave.search_batch(token, positions, trace=trace)
-        assert passes == bulk
-        assert trace.touched("node") == positions[:k]
-        assert enclave.node_decryptions == before + k
-        assert token not in enclave._sessions
-        enclave.attach_container(dep.index)
+    for size, bulk in ((8, []), (64, [64])):
+        for k in (0, size // 2, size - 1):
+            token = make_token(dep.sk.tree_key, None, None)
+            level = [enclave.root_slot()]
+            while len(level) < size:
+                _, level = enclave.search_batch(token, level)
+            positions = level[:size]
+            enclave.attach_container(_broken_at(dep.index, positions[k]))
+            trace = AccessTrace()
+            before = enclave.node_decryptions, enclave.touch_counter.pointer_slots
+            del passes[:], opened[:]
+            with pytest.raises(EnclaveAbort, match="^node record failed authentication$"):
+                enclave.search_batch(token, positions, trace=trace)
+            assert passes == bulk and opened == [positions]
+            assert trace.touched("node") == positions
+            assert (enclave.node_decryptions, enclave.touch_counter.pointer_slots) == before
+            assert token not in enclave._sessions
+            enclave.attach_container(dep.index)
 
 
 def test_a_batch_that_outgrows_its_session_while_its_records_open_aborts(monkeypatch):
@@ -1095,6 +1129,21 @@ def _bulk_open_spy(monkeypatch) -> list[int]:
     return passes
 
 
+def _decrypt_wire_spy(monkeypatch) -> list[list[int]]:
+    """The slots of every `hsbt.enclave.decrypt_wire` call, in order."""
+    import hsbt.enclave
+
+    calls = []
+    real = hsbt.enclave.decrypt_wire
+
+    def spy(key, rows, salt, slots):
+        calls.append(list(slots))
+        return real(key, rows, salt, slots)
+
+    monkeypatch.setattr(hsbt.enclave, "decrypt_wire", spy)
+    return calls
+
+
 # Batches of 8 records open one AEAD call per record, batches of 64 records
 # of 39 bytes (b=5) in one array pass; the per-call ids are the bare k.
 _FIRST_FAILING = [pytest.param(8, k, id=str(k)) for k in (0, 1, 4, 7)] + [
@@ -1104,39 +1153,44 @@ _FIRST_FAILING = [pytest.param(8, k, id=str(k)) for k in (0, 1, 4, 7)] + [
 
 @pytest.mark.parametrize("size, k", _FIRST_FAILING)
 def test_traced_batch_records_exactly_the_records_opened(monkeypatch, size, k):
-    # Integrity off: a batch may name any slots, so the failing one can sit
-    # anywhere in it.
+    # Integrity off: a batch may name any slots, so the bad record, or the
+    # position outside the region, can sit anywhere in it.  The trace
+    # records what the gather reads: every position of an admitted batch,
+    # once, whether its records open or not, and nothing of a batch that
+    # names a position with no record.
     pairs, tree, sk, index, enclave = _fixture(300, seed=21)
     token = make_token(sk.tree_key, None, None)
     positions = random.Random(k).sample(range(index.node_count), size)
     passes = _bulk_open_spy(monkeypatch)
+    opened = _decrypt_wire_spy(monkeypatch)
 
     enclave.attach_container(_broken_at(index, positions[k]))
     trace = AccessTrace()
-    before = enclave.node_decryptions
-    with pytest.raises(EnclaveAbort, match=f"^node at position {positions[k]} failed auth"):
+    before = enclave.node_decryptions, enclave.touch_counter.key_slots
+    with pytest.raises(EnclaveAbort, match="^node record failed authentication$"):
         enclave.search_batch(token, positions, trace=trace)
-    assert trace.touched("node") == positions[:k]
-    assert enclave.node_decryptions == before + k
-    # An earlier authentication failure wins over a later missing record.
-    trace = AccessTrace()
-    with pytest.raises(EnclaveAbort, match=f"^node at position {positions[k]} failed auth"):
-        enclave.search_batch(token, positions + [index.node_count], trace=trace)
-    assert trace.touched("node") == positions[:k]
+    assert trace.touched("node") == positions and opened == [positions]
+    assert (enclave.node_decryptions, enclave.touch_counter.key_slots) == before
+    assert passes == ([size] if size >= 64 else [])
 
-    # A position outside the region stops the batch just the same.
-    enclave.attach_container(index)
-    for outside in (index.node_count, index.node_count + 9, -1):
-        batch = positions[:k] + [outside] + positions[k:]
-        trace = AccessTrace()
-        with pytest.raises(EnclaveAbort, match=f"^no node record at position {outside}$"):
-            enclave.search_batch(token, batch, trace=trace)
-        assert trace.touched("node") == positions[:k]
-    # And an intact batch records every fetch, in order.
+    # A position outside the region stops the batch before any row is read,
+    # on the bad copy and the genuine container alike.
+    for container in (enclave._container, index):
+        enclave.attach_container(container)
+        for outside in (index.node_count, index.node_count + 9, -1):
+            batch = positions[:k] + [outside] + positions[k:]
+            trace = AccessTrace()
+            del opened[:]
+            with pytest.raises(EnclaveAbort, match=f"^no node record at position {outside}$"):
+                enclave.search_batch(token, batch, trace=trace)
+            assert trace.touched("node") == [] and opened == []
+    assert enclave.node_decryptions == before[0]
+    # And an intact batch records every fetch, in order, and counts it.
     trace = AccessTrace()
-    del passes[:]
+    del passes[:], opened[:]
     enclave.search_batch(token, positions, trace=trace)
-    assert trace.touched("node") == positions
+    assert trace.touched("node") == positions and opened == [positions]
+    assert enclave.node_decryptions == before[0] + size
     assert passes == ([size] if size >= 64 else [])
 
 
@@ -1144,16 +1198,7 @@ def test_traced_batch_records_exactly_the_records_opened(monkeypatch, size, k):
 def test_streamed_query_calls_decrypt_wire_once_per_batch(monkeypatch, reserved_space):
     # `crypto.node_decrypt` is timed by wrapping `hsbt.enclave.decrypt_wire`:
     # every batch must open its records through that name, in one call.
-    import hsbt.enclave
-
-    calls = []
-    real = hsbt.enclave.decrypt_wire
-
-    def counting(key, rows, salt, slots):
-        calls.append(list(slots))
-        return real(key, rows, salt, slots)
-
-    monkeypatch.setattr(hsbt.enclave, "decrypt_wire", counting)
+    calls = _decrypt_wire_spy(monkeypatch)
     rng = random.Random(22)
     pairs = [(k, b"v%010d" % k) for k in rng.sample(range(1, KEY_MAX), 2000)]
     dep = Deployment.build(
@@ -1209,16 +1254,7 @@ def test_a_header_that_does_not_fit_its_region_aborts(construction):
 def test_oversize_batch_aborts_before_it_opens_a_record(monkeypatch, integrity, n):
     # The batch ceiling bounds the records one call opens, whatever the tree
     # size, and in integrity mode so does the session's outstanding count.
-    import hsbt.enclave
-
-    opened = []
-    real = hsbt.enclave.decrypt_wire
-
-    def counting(*args):
-        opened.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(hsbt.enclave, "decrypt_wire", counting)
+    opened = _decrypt_wire_spy(monkeypatch)
     rng = random.Random(n)
     pairs = [(k, b"v%010d" % k) for k in rng.sample(range(1, KEY_MAX), n)]
     enclave = EnclaveSim(reserved_space=4096)

@@ -122,28 +122,50 @@ class _PickField(random.Random):
         return named[0] if named else super().choice(seq)
 
 
-_HEADER_REWRITES = ("integrity", "branching", "n_values", "root_slot")
+_HEADER_REWRITES = ("integrity", "branching", "n_values", "value_width", "salt", "root_slot")
 
 
-def test_reshape_header_aborts_at_the_first_record(setup):
-    # Every record's associated data holds the header, so the first record
-    # fetched already fails: the root's, or, with the root slot rewritten,
-    # the record at the slot the header now names.  No AAD cached from the
-    # genuine header may let it through.
+def test_reshape_header_aborts_at_the_first_record(setup, monkeypatch):
+    # Every record's key is derived from the header, so the first batch
+    # fetched, the root's record alone, already fails to open, or, with the
+    # root slot rewritten, the record at the slot the header now names.  The
+    # abort names no record; no key cached from the genuine header may let
+    # the record through.  A larger branching factor means longer records,
+    # so the region holds fewer of them; the root's slot, drawn with the
+    # key, may then lie past the last, and that batch aborts before it opens.
+    import dataclasses
+
+    import hsbt.enclave
+
     pairs, sorted_keys, dep = setup
     root = dep.enclave.root_slot()
+    wider = len(dataclasses.replace(dep.index, branching=dep.index.branching + 1).node_rows)
+    opened = []
+    real = hsbt.enclave.decrypt_wire
+
+    def recording(key, rows, salt, slots):
+        opened.append(list(slots))
+        return real(key, rows, salt, slots)
+
+    monkeypatch.setattr(hsbt.enclave, "decrypt_wire", recording)
     for field in _HEADER_REWRITES:
         first = (root + 1) % dep.index.node_count if field == "root_slot" else root
         rng = _PickField(4, field)
         for _ in range(3):
+            del opened[:]
             report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), "reshape-header", rng)
             assert report.outcome == Outcome.ENCLAVE_ABORT
-            want = f"reshape-header of {field}: node at position {first} failed authentication"
-            assert report.detail == want
-    # Unforced, the script draws among the same four rewrites.
+            if field == "branching" and first >= wider:
+                reason, opens = f"no node record at position {first}", []
+            else:
+                reason, opens = "node record failed authentication", [[first]]
+            assert report.detail == f"reshape-header of {field}: {reason}"
+            assert opened == opens
+    monkeypatch.undo()
+    # Unforced, the script draws among the same rewrites.
     rng = random.Random(4)
     rewritten = set()
-    for _ in range(16):
+    for _ in range(24):
         report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), "reshape-header", rng)
         assert report.outcome == Outcome.ENCLAVE_ABORT
         rewritten.add(report.detail.split(":")[0])
