@@ -204,12 +204,6 @@ class EncryptedIndex:
         another key."""
         return subkey(tree_key, _RECORD_LABEL + self.header)
 
-    def value_blob(self, index: int) -> bytes:
-        n = len(self.value_rows)
-        if not 0 <= index < n:
-            raise IndexError(f"value index {index} outside [0, {n})")
-        return bytes(self.value_rows[index])
-
     def to_bytes(self) -> bytes:
         return b"".join((self.header, self.node_region, self.value_region))
 

@@ -23,18 +23,22 @@ A region and a batch of its rows are ``(k, width)`` uint8 matrices, one
 blob per row: the form in which the server gathers a result from a
 container's value region, and the enclave a batch from its node region,
 whose blobs all have one width.  `seal_wires` and `open_wires` alone
-decide how they run, by one rule.  One AEAD call per blob costs ~1 us,
+decide how they run, by one rule.  One AEAD call per blob costs ~0.5 us,
 nearly all of it per-call overhead, so a matrix of at least
 `_BULK_MIN_WIRES` rows, with a body of at most `_BULK_MAX_BLOCKS` 16-byte
-blocks, is sealed or opened with array operations.  One ECB call makes
-every counter block, from the salt and the slots (`_keystream`), and GHASH
-is a gather from per-key tables of byte multiples of the powers of H
-(`_tags`); a seal writes each tag into its row, an open checks every tag in
-one constant-time compare, and any mismatch rejects the whole batch, as the
-per-blob path does.  The GHASH tables are indexed by ciphertext bytes,
-which the untrusted host already sees, so neither pass makes a memory
-access that depends on a secret.  Both paths give the same bytes; every
-other matrix takes one AEAD call per blob.
+blocks, is sealed or opened in array passes of at most `_PASS_BYTES`.  One
+ECB call makes every counter block, from the salt and the slots
+(`_keystream`).  A seal computes each row's GHASH by gathers from per-key
+tables of byte multiples of the powers of H, indexed by ciphertext bytes,
+which the untrusted host already sees (`_tags`), and writes each tag into
+its row.  An open checks every tag of a pass at once, by one random
+linear combination of the rows under a GHASH key drawn fresh for that
+pass (`_open_pass`): a few C-speed GMAC calls over the pass's columns,
+whatever its row count, and one constant-time compare.  A pass with any
+bad row is accepted with probability at most (n + 1)/2^128 for n rows, and
+rejected whole, as the per-blob path rejects a batch; no plaintext is
+formed before the check.  Both paths give the same bytes; every other
+matrix takes one AEAD call per blob.
 
 All operations are pure given their key material, so they are safe for
 unrestricted concurrent use; the cipher contexts they cache are per thread,
@@ -208,8 +212,8 @@ def open_wires(key: bytes, wires: np.ndarray, salt: bytes, slots) -> list[bytes]
     the whole batch with `AuthenticationError`.
 
     At least `_BULK_MIN_WIRES` rows, with a body of 1 to `_BULK_MAX_BLOCKS`
-    blocks, open in array passes of up to `_BULK_CHUNK_WIRES` rows each
-    (`_open_bulk`), read as they are.  Any other matrix opens in one `map`
+    blocks, open in array passes of at most `_PASS_BYTES` each
+    (`_open_pass`), read as they are.  Any other matrix opens in one `map`
     of the AEAD over its rows."""
     k, width = wires.shape
     _check_salt(salt)
@@ -219,9 +223,8 @@ def open_wires(key: bytes, wires: np.ndarray, salt: bytes, slots) -> list[bytes]
         state = _bulk_state(key)
         slots = np.asarray(slots)
         plains: list[bytes] = []
-        for at in range(0, k, _BULK_CHUNK_WIRES):
-            chunk = slice(at, at + _BULK_CHUNK_WIRES)
-            plains += _open_bulk(state, wires[chunk], salt, slots[chunk])
+        for rows in _passes(k, width):
+            plains += _open_pass(state, wires[rows], salt, slots[rows])
         return plains
     decrypt = _aead(key).decrypt
     try:
@@ -243,22 +246,22 @@ def seal_wires(key: bytes, plains: np.ndarray, salt: bytes, slots) -> np.ndarray
     the caller must never seal two plaintexts at one salt and slot.
 
     The cut-over is `open_wires`'s: at least `_BULK_MIN_WIRES` rows, with a
-    body of 1 to `_BULK_MAX_BLOCKS` blocks, are sealed in array passes of up
-    to `_BULK_CHUNK_WIRES` rows each (`_seal_bulk`).  Any other matrix is
-    sealed one AEAD call per row; both give the same bytes."""
+    body of 1 to `_BULK_MAX_BLOCKS` blocks, are sealed in array passes of
+    at most `_PASS_BYTES` each (`_seal_pass`).  Any other matrix is sealed
+    one AEAD call per row; both give the same bytes."""
     k, body = plains.shape
     width = body + TAG_BYTES
     _check_salt(salt)
     if k >= _BULK_MIN_WIRES and 0 < body <= 16 * _BULK_MAX_BLOCKS:
         # Not the cached state: a container's values are sealed once, and
         # tables kept from amid the seal's temporaries held ~1 MB more peak
-        # RSS over ten builds of 100k values; a fresh state costs ~0.4 ms.
+        # RSS over ten builds of 100k values; a fresh state costs ~0.16 ms
+        # a power of H its tables hold, `body` blocks plus one.
         state = _BulkGcm(key)
         slots = np.asarray(slots)
         wires = np.empty((k, width), np.uint8)
-        for at in range(0, k, _BULK_CHUNK_WIRES):
-            chunk = slice(at, at + _BULK_CHUNK_WIRES)
-            _seal_bulk(state, plains[chunk], wires[chunk], salt, slots[chunk])
+        for rows in _passes(k, width):
+            _seal_pass(state, plains[rows], wires[rows], salt, slots[rows])
         return wires
     nonces = _value_nonces(salt, slots)
     seal = _aead(key).encrypt
@@ -266,34 +269,51 @@ def seal_wires(key: bytes, plains: np.ndarray, salt: bytes, slots) -> np.ndarray
     return np.frombuffer(sealed, np.uint8).reshape(k, width)
 
 
-# Bulk open and seal.  A batch opens in array passes (`_open_bulk`) from
-# _BULK_MIN_WIRES wires up: an AEAD call costs ~1 us a wire, nearly all of
-# it per-call overhead, against ~0.3 us a wire for the array pass plus
-# ~20 us of numpy calls per pass; they break even near 32 wires of one
-# block and 48 of four.  It takes bodies of up to _BULK_MAX_BLOCKS 16-byte
-# blocks: GHASH costs 16 table gathers per block per wire, and at 5 blocks
-# the array pass was slower at every batch size tried.  A pass covers at
-# most _BULK_CHUNK_WIRES wires, which keeps its temporaries (16 bytes per
-# gather) small: one pass over 4,096 one-block wires page-faulted ~500
-# times and took twice as long as eight passes.  Measured on a 2-core Xeon
-# VM against a `map` of the AEAD, at 1 to 8 blocks and 32 to 4,096 wires.
-# A seal (`_seal_bulk`) takes the same matrices.  Against `encrypt_wires`
-# it broke even between 16 and 32 wires at 1 to 8 blocks, and took 38 us
-# against 66 for 64 one-block wires and 281 against 809 for 512 four-block
-# ones (same VM, best of five).
+def _passes(rows: int, width: int) -> list[slice]:
+    """`rows` rows of `width` bytes split into the fewest array passes of at
+    most `_PASS_BYTES` each, of near-equal size, so that no pass is a short
+    remainder."""
+    count = -(-rows * width // _PASS_BYTES)
+    step = -(-rows // count)
+    return [slice(at, at + step) for at in range(0, rows, step)]
+
+
+# Array passes.  An AEAD call costs ~0.5 us a blob, nearly all of it
+# per-call overhead; an array pass ~25 us of numpy and AES calls, plus
+# ~1 us a body block and a few ns a byte.  So a matrix of at least
+# _BULK_MIN_WIRES rows, with a body of 1 to _BULK_MAX_BLOCKS 16-byte
+# blocks, takes array passes, each of at most _PASS_BYTES of rows
+# (`_passes`).  Measured on a 2-core Xeon VM against a `map` of the AEAD,
+# best of 21 interleaved runs:
+# - An open (`_open_pass`) checks all its tags with one random linear
+#   combination, m + 5 GMAC calls for m-block bodies, whatever the row
+#   count.  It won from 64 rows at one block, and broke even near 80 rows
+#   at five blocks and 100 at eight; at twelve blocks it tied at 2,048
+#   rows, and at sixteen it lost there.  100 one-block rows opened in 30 us
+#   (34 with a per-row GHASH gather, 56 per call), 4,096 in 252 (757,
+#   2,398), 456 rows of 79 bytes in 108 (253 per call) and 14,000 in 2.9 ms
+#   (8.0 per call).
+# - A seal (`_seal_pass`) gathers each row's tag from per-key tables, 16
+#   entries a block a row (`_tags`): 14,000 rows of 79 bytes in 8.5 ms
+#   (16.0 per call), of 128 bytes in 13.2 (17.5).
+# - Passes of 128 to 512 KiB opened 14,000 rows of 79 bytes in 2.9-3.0 ms,
+#   against 5.4 in 16 KiB passes and 4.7 in one whole pass.  A seal was
+#   fastest from 128 KiB too, where its gather's temporaries, 24 bytes an
+#   entry, stay under 3 MB.
 _BULK_MIN_WIRES = 64
-_BULK_MAX_BLOCKS = 4
-_BULK_CHUNK_WIRES = 512
-# Bulk-open state (`_BulkGcm`), one per thread (an ECB context must not be
+_BULK_MAX_BLOCKS = 8
+_PASS_BYTES = 1 << 17
+# Open state (`_BulkGcm`), one per thread (an ECB context must not be
 # shared across threads) and key, for at most _BULK_STATE_CAP keys per
-# thread; each holds 64 KiB of GHASH tables per power of H it has used, at
-# most `_BULK_MAX_BLOCKS + 1` powers.
+# thread; an open builds no GHASH tables, and a seal builds its own state.
 _bulk_states = threading.local()
 _BULK_STATE_CAP = 16
 _GCM_R = 0xE1 << 120  # x^128 = 1 + x + x^2 + x^7, in GCM's reflected bit order
 # Counters 0 .. _BULK_MAX_BLOCKS + 1 of a value's GCM counter blocks, each as
 # the second uint64 word of a block: its 4 big-endian bytes in bytes 12..15.
 _COUNTER_WORDS = np.arange(_BULK_MAX_BLOCKS + 2, dtype=">u4").view("<u4").astype("<u8") << 32
+# The nonce of every GMAC call of an open's tag check (`_open_pass`).
+_CHECK_NONCE = bytes(NONCE_BYTES)
 
 
 def _x_multiples(h: int) -> list[int]:
@@ -308,9 +328,10 @@ def _x_multiples(h: int) -> list[int]:
 
 
 class _BulkGcm:
-    """One key's state for `_open_bulk` and `_seal_bulk`: an AES-ECB
-    context and the GHASH tables for the powers of H = AES_k(0^128) used so
-    far.
+    """One key's state for the array passes: an AES-ECB context (the
+    keystream), the key's AEAD (an open's tag check) and the GHASH tables
+    for the powers of H = AES_k(0^128) used so far (a seal's tags; an open
+    builds none).
 
     `tables[k - 1, j, v]` is the product (v at byte j)·H^k as two uint64
     words, so a block times H^k is the XOR of its 16 bytes' entries.  The
@@ -319,6 +340,7 @@ class _BulkGcm:
 
     def __init__(self, key: bytes):
         self.ecb = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        self.aead = AESGCM(key)
         self.h = int.from_bytes(self.ecb.update(bytes(16)), "big")
         self.tables = np.zeros((0, 16, 256, 2), np.uint64)
 
@@ -362,18 +384,18 @@ def _table_rows(blocks: int) -> np.ndarray:
 
 def _keystream(state: _BulkGcm, salt: bytes, slots: np.ndarray, blocks: int) -> np.ndarray:
     """The GCM counter blocks of the value nonce of each slot, encrypted in
-    one ECB call, as an ``(n, blocks + 1, 16)`` uint8 array: block 0 is
-    E_K(J0), J0 = nonce‖1, the tag mask, and blocks 1..`blocks` are the
-    keystream, E_K(nonce‖2 .. nonce‖blocks+1).  A block is laid out as in
+    one ECB call, as a ``(blocks + 1, n, 16)`` uint8 array, one block of
+    every row after another: block 0 is E_K(J0), J0 = nonce‖1, each row's
+    tag mask, and blocks 1..`blocks` are the keystream,
+    E_K(nonce‖2 .. nonce‖blocks+1).  A counter block is laid out as in
     `value_elements`, with its counter, big-endian, in the high 32 bits of
-    its second little-endian word; built here in two array assignments,
-    ~5 us less than from `value_elements` at 64 slots."""
-    counters = np.empty((len(slots), blocks + 1, 2), "<u8")
-    counters[:, :, 0] = np.frombuffer(salt, "<u8")
-    slot = slots.astype(np.uint32, copy=False)[:, None]
-    counters[:, :, 1] = slot | _COUNTER_WORDS[1 : blocks + 2]
+    its second little-endian word."""
+    counters = np.empty((blocks + 1, len(slots), 2), "<u8")
+    counters[:, :, 0] = int.from_bytes(salt, "little")
+    slot = slots.astype(np.uint32, copy=False)
+    np.bitwise_or(slot, _COUNTER_WORDS[1 : blocks + 2, None], out=counters[:, :, 1])
     stream = np.frombuffer(state.ecb.update(counters.tobytes()), np.uint8)
-    return stream.reshape(len(slots), blocks + 1, 16)
+    return stream.reshape(blocks + 1, len(slots), 16)
 
 
 def _tags(state: _BulkGcm, cipher: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -398,35 +420,78 @@ def _tags(state: _BulkGcm, cipher: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return tags
 
 
-def _open_bulk(state: _BulkGcm, wire: np.ndarray, salt: bytes, slots: np.ndarray) -> list[bytes]:
+def _open_pass(state: _BulkGcm, wire: np.ndarray, salt: bytes, slots: np.ndarray) -> list[bytes]:
     """`open_wires` of the rows of an ``(n, width)`` uint8 matrix of value
     blobs with array operations (GCM with a 96-bit nonce, NIST SP 800-38D;
-    McGrew-Viega 2004): one `_keystream` call, one `_tags` call, and all
-    tags checked in one constant-time compare."""
+    McGrew-Viega 2004), every tag checked at once by one random linear
+    combination (batch verification: Bellare, Garay and Rabin, EUROCRYPT
+    1998).
+
+    Row i, with body blocks C_i1..C_im (the last zero-padded), tag T_i and
+    mask E_i = E_K(J0_i), is authentic iff its error
+    T_i ⊕ E_i ⊕ ⊕_j C_ij·H^(m+2-j) ⊕ L·H is zero, L the length block.
+    The error is linear in the blocks, so the pass weights row i by
+    ρ^(n+2-i), ρ a GHASH key drawn here, after the rows are fixed: ρ is
+    AES_K'(0) for a fresh key K' from `secrets`, never cached and never
+    drawn from anything the host has seen.  GMAC under K' of 16n bytes A
+    is ⊕_i A_i·ρ^(n+2-i) ⊕ c, c fixed by n, so W(A) = GMAC(A) ⊕ GMAC(0)
+    weights a column of the rows in one C-speed call: W(C_j) for each block
+    column, W(L) for the length blocks and W(T ⊕ E) for the tags.  Every
+    error is zero, but with probability at most (n + 1)/2^128 (the weighted
+    sum is a nonzero polynomial in ρ of degree at most n + 1 otherwise,
+    plus AES's advantage as a PRF), iff
+
+        ⊕_j W(C_j)·H^(m+2-j) ⊕ W(L)·H ⊕ W(T ⊕ E) = 0.
+
+    The left side times H^2 is GHASH_H of the m + 2 weighted blocks
+    W(C_1) .. W(C_m), W(L), W(T ⊕ E), less GHASH_H of as many zero blocks,
+    so the pass compares the GMACs under K of the two at one fixed nonce,
+    whose E_K term cancels; neither leaves the call, only whether they are
+    equal.  (Multiplying by the powers of H with the seal's GHASH tables
+    instead took ~6 us more numpy calls a pass, which made a 100-row open
+    slower than the per-row gather this check replaces.)  Any failure
+    rejects the whole pass, and no plaintext is formed before the check."""
     n, width = wire.shape
     body = width - TAG_BYTES
     blocks = -(-body // 16)
     stream = _keystream(state, salt, slots, blocks)
-    cipher = wire[:, :body]
-    tags = _tags(state, cipher, stream[:, 0])
-    if not hmac.compare_digest(tags.tobytes(), wire[:, body:].tobytes()):
+    # The bodies as columns: block j of every row, zero-padded, in a row.
+    columns = np.zeros((blocks, n, 16), np.uint8)
+    by_row = columns.transpose(1, 0, 2)
+    full = body // 16
+    by_row[:, :full] = wire[:, : 16 * full].reshape(n, full, 16)
+    if full < blocks:
+        by_row[:, full, : body - 16 * full] = wire[:, 16 * full : body]
+    gmac = AESGCM(secrets.token_bytes(KEY_BYTES)).encrypt
+    common = int.from_bytes(gmac(_CHECK_NONCE, b"", bytes(16 * n)), "big")
+    sums = [gmac(_CHECK_NONCE, b"", column) for column in columns]
+    sums.append(gmac(_CHECK_NONCE, b"", (8 * body).to_bytes(16, "big") * n))
+    sums.append(gmac(_CHECK_NONCE, b"", np.bitwise_xor(wire[:, body:], stream[0])))
+    weighted = b"".join([(int.from_bytes(s, "big") ^ common).to_bytes(16, "big") for s in sums])
+    check = state.aead.encrypt
+    if not hmac.compare_digest(
+        check(_CHECK_NONCE, b"", weighted), check(_CHECK_NONCE, b"", bytes(len(weighted)))
+    ):
         raise AuthenticationError("ciphertext rejected")
-    return _row_bytes(cipher ^ stream[:, 1:].reshape(n, 16 * blocks)[:, :body])
+    plains = np.empty((n, blocks, 16), np.uint8)
+    np.bitwise_xor(by_row, stream[1:].transpose(1, 0, 2), out=plains)
+    return _row_bytes(plains.reshape(n, 16 * blocks)[:, :body])
 
 
-def _seal_bulk(
+def _seal_pass(
     state: _BulkGcm, plains: np.ndarray, wire: np.ndarray, salt: bytes, slots: np.ndarray
 ) -> None:
     """`seal_wires` of the rows of an ``(n, body)`` uint8 matrix into `wire`,
     ``(n, body + TAG_BYTES)`` rows: each body is encrypted under its slot's
-    keystream, and its tag is computed over the ciphertext it now holds, as
-    `_open_bulk` checks it."""
+    keystream, and its tag is computed over the ciphertext it now holds
+    (`_tags`), as `_open_pass` checks it."""
     n, body = plains.shape
     blocks = -(-body // 16)
     stream = _keystream(state, salt, slots, blocks)
+    keystream = stream[1:].transpose(1, 0, 2).reshape(n, 16 * blocks)
     cipher = wire[:, :body]
-    np.bitwise_xor(plains, stream[:, 1:].reshape(n, 16 * blocks)[:, :body], out=cipher)
-    wire[:, body:] = _tags(state, cipher, stream[:, 0]).view(np.uint8)
+    np.bitwise_xor(plains, keystream[:, :body], out=cipher)
+    wire[:, body:] = _tags(state, cipher, stream[0]).view(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ nonce of its slot, so a record opens only under the header it was sealed
 with, and at its own slot.  Either every record opens or the call aborts
 with ``node record failed authentication``, naming no record; nothing of
 an aborted batch is decoded, matched, counted or folded.  The AES-GCM open
-is most of the call; 64 or more records of at most 64 bytes (b <= 8) take
-its array passes.
+is most of the call; 64 or more records of at most 128 bytes (b <= 16)
+take its array passes, which check a pass's tags together by one random
+linear combination under a key drawn for that pass (`crypto.open_wires`).
 `oblivious_match_slots` matches a whole batch, or a whole level of the
 resident walk, in one vectorised comparison; a resident level too small to
 repay numpy's per-call cost is scanned node by node with the same per-slot

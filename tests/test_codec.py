@@ -171,7 +171,9 @@ def test_every_value_is_sealed_at_its_own_slot_under_one_salt():
     assert all(nonce == index.salt + s.to_bytes(4, "little") for s, nonce in enumerate(nonces))
     value_at = {int(p): v for (_, v), p in zip(pairs, tree.value_positions)}
     aead = AESGCM(sk.value_key)
-    assert all(index.value_blob(s) == aead.encrypt(nonces[s], value_at[s], None) for s in range(n))
+    assert all(
+        bytes(index.value_rows[s]) == aead.encrypt(nonces[s], value_at[s], None) for s in range(n)
+    )
 
 
 @pytest.mark.parametrize("branching", [5, 10])
@@ -304,27 +306,27 @@ def test_older_container_versions_rejected_as_unsupported(version):
         EncryptedIndex.from_bytes(older)
 
 
-@pytest.mark.parametrize("length", [0, 64, 65, 80])
+@pytest.mark.parametrize("length", [0, 64, 65, 80, 128, 129])
 def test_values_on_both_sides_of_the_bulk_seal_round_trip_end_to_end(monkeypatch, length):
-    # Values of 1 to 64 bytes are sealed in array passes, longer and empty
+    # Values of 1 to 128 bytes are sealed in array passes, longer and empty
     # ones one AEAD call each; both must answer queries on both
     # constructions, result tag checked.  The node records, 47 bytes at
     # b=6, take array passes too.
     passes = {}
-    real = crypto._seal_bulk
+    real = crypto._seal_pass
 
     def spy(state, plains, wires, salt, slots):
         passes[plains.shape[1]] = passes.get(plains.shape[1], 0) + len(plains)
         return real(state, plains, wires, salt, slots)
 
-    monkeypatch.setattr(crypto, "_seal_bulk", spy)
+    monkeypatch.setattr(crypto, "_seal_pass", spy)
     rng = random.Random(length)
     keys = rng.sample(range(1, KEY_MAX), 300)
     pairs = [(k, rng.randbytes(length)) for k in keys]
     dep = Deployment.build(pairs, 6, integrity=True, rng=rng)
     assert dep.index.node_count >= crypto._BULK_MIN_WIRES
     assert passes.pop(node_plain_size(6)) == dep.index.node_count
-    assert passes == ({length: 300} if 0 < length <= 64 else {})
+    assert passes == ({length: 300} if 0 < length <= 16 * crypto._BULK_MAX_BLOCKS else {})
     keys.sort()
     want = Counter(scan_oracle(pairs, keys[20], keys[219]))
     for construction in (1, 2):
@@ -554,13 +556,11 @@ def test_value_region_parse_takes_exactly_n_rows_of_one_width(n, width, delta):
     assert index.value_rows.shape == (n, width)
     want = [region[i * width : (i + 1) * width] for i in range(n)]
     assert list(map(bytes, index.value_rows)) == want
-    assert [index.value_blob(i) for i in range(n)] == want
     assert index.to_bytes() == data
     # A rewritten header value count leaves the region as it is.
     reshaped = dataclasses.replace(index, n_values=n + 1)
     assert list(map(bytes, reshaped.value_rows)) == want
-    with pytest.raises(IndexError, match=rf"value index {n} outside \[0, {n}\)"):
-        reshaped.value_blob(n)
+    assert len(reshaped.value_rows) == n
 
 
 def test_value_count_rewrite_keeps_the_region():
@@ -707,7 +707,7 @@ def test_verify_result_mac_folds_the_salt_and_slot_of_each_value():
     for other in (
         value_elements(bytes(VALUE_SALT_BYTES), slots),
         value_elements(index.salt, [4, 9, 34]),
-        b"".join(index.value_blob(p)[-TAG_BYTES:] for p in slots),
+        b"".join(bytes(index.value_rows[p, -TAG_BYTES:]) for p in slots),
     ):
         assert not verify_result_mac(sk.tree_key, results, mac_over(other))
 

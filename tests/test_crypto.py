@@ -175,13 +175,13 @@ def _rows(wires) -> np.ndarray:
 def bulk_passes(monkeypatch):
     """Counts the rows `open_wires` hands to the array pass."""
     opened = []
-    real = crypto._open_bulk
+    real = crypto._open_pass
 
     def spy(state, rows, salt, slots):
         opened.append(len(rows))
         return real(state, rows, salt, slots)
 
-    monkeypatch.setattr(crypto, "_open_bulk", spy)
+    monkeypatch.setattr(crypto, "_open_pass", spy)
     return opened
 
 
@@ -293,7 +293,7 @@ def test_bulk_open_batches_it_does_not_take_behave_as_per_wire(bulk_passes):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    body=st.integers(0, 80),
+    body=st.integers(0, MAX_BODY + 16),
     count=st.sampled_from([1, 63, 64, 512, 513, 1100]),
     data=st.data(),
 )
@@ -303,20 +303,20 @@ def test_seal_wires_opens_row_by_row_and_as_a_matrix(body, count, data):
     first = data.draw(st.integers(0, 2**32 - count), label="first slot")
     slots = np.arange(first, first + count)
     passes = []
-    real = crypto._seal_bulk
+    real = crypto._seal_pass
 
     def spy(state, rows, wires, salt, at):
         passes.append(len(rows))
         return real(state, rows, wires, salt, at)
 
-    crypto._seal_bulk = spy
+    crypto._seal_pass = spy
     try:
         wires = crypto.seal_wires(key, plains, SALT, slots)
     finally:
-        crypto._seal_bulk = real
+        crypto._seal_pass = real
     bulk = count >= CUT and 0 < body <= MAX_BODY
-    chunk = crypto._BULK_CHUNK_WIRES
-    assert passes == ([min(chunk, count - at) for at in range(0, count, chunk)] if bulk else [])
+    split = crypto._passes(count, body + crypto.TAG_BYTES) if bulk else []
+    assert passes == [len(range(count)[rows]) for rows in split]
     assert wires.shape == (count, body + crypto.TAG_BYTES)
     want = [row.tobytes() for row in plains]
     # Either path gives the AEAD's own bytes at each slot's nonce.
@@ -330,7 +330,7 @@ def test_seal_wires_opens_row_by_row_and_as_a_matrix(body, count, data):
         crypto.open_wires(key, flipped, SALT, slots)
 
 
-@pytest.mark.parametrize("body", [1, 16, MAX_BODY])
+@pytest.mark.parametrize("body", [1, 16, 64, MAX_BODY])
 def test_seal_wires_gives_the_same_rows_per_call_and_in_bulk(body):
     # 63 rows are sealed one AEAD call each, 64 in one array pass; under one
     # salt the shared rows are byte-identical, and so are their opens.
@@ -367,6 +367,107 @@ def test_bulk_open_under_two_keys_in_two_threads_at_once():
             assert [f.result(timeout=60) for f in futures] == [True] * 4
     finally:
         sys.setswitchinterval(interval)
+
+
+
+# -- the batched tag check of an open pass ------------------------------------
+
+# Row counts across the cut-over, up to two passes of 79-byte bodies.
+PASS_COUNTS = [CUT, CUT + 1, 100, 255, 456, 600, 2 * crypto._PASS_BYTES // 95]
+
+
+def _sealed_rows(count: int, body: int):
+    key = generate_key()
+    plains = np.frombuffer(secrets.token_bytes(count * body), np.uint8).reshape(count, body)
+    return key, [row.tobytes() for row in plains], crypto.seal_wires(key, plains, SALT, range(count))
+
+
+@pytest.mark.parametrize("body", [16, 79])
+@pytest.mark.parametrize("count", PASS_COUNTS)
+def test_bulk_open_rejects_edits_of_two_rows_that_cancel_under_fixed_coefficients(
+    bulk_passes, body, count
+):
+    # Each edit leaves some combination of the rows with coefficients the
+    # host can know unchanged, so only a combination it cannot predict
+    # catches it.
+    key, want, wires = _sealed_rows(count, body)
+    slots = np.arange(count)
+    assert crypto.open_wires(key, wires, SALT, slots) == want
+    rng = random.Random(count * body)
+    i, j = rng.sample(range(count), 2)
+    # One nonzero delta in two tags: the XOR of all tags, a combination
+    # with every coefficient 1, is unchanged.
+    delta = np.frombuffer(rng.randbytes(15) + b"\x01", np.uint8)
+    in_tags = wires.copy()
+    in_tags[[i, j], body:] ^= delta
+    assert np.array_equal(
+        np.bitwise_xor.reduce(in_tags[:, body:]), np.bitwise_xor.reduce(wires[:, body:])
+    )
+    # The same bit flipped in two bodies: the XOR of the bodies and of the
+    # tags are unchanged.
+    in_bodies = wires.copy()
+    in_bodies[[i, j], rng.randrange(body)] ^= 1 << rng.randrange(8)
+    # Two rows, or two slots, swapped: every multiset of rows is unchanged.
+    rows_swapped = wires.copy()
+    rows_swapped[[i, j]] = wires[[j, i]]
+    slots_swapped = slots.copy()
+    slots_swapped[[i, j]] = slots[[j, i]]
+    for rows, at in [(in_tags, slots), (in_bodies, slots), (rows_swapped, slots), (wires, slots_swapped)]:
+        with pytest.raises(AuthenticationError, match="ciphertext rejected"):
+            crypto.open_wires(key, rows, SALT, at)
+    # Every open ran in array passes; a rejected pass stops the open.
+    assert len(bulk_passes) >= 5 and min(bulk_passes) >= count // 2
+
+
+@pytest.mark.parametrize("body", [16, 79])
+@pytest.mark.parametrize("count", PASS_COUNTS)
+def test_bulk_open_rejects_every_single_bit_flip_at_every_pass_size(bulk_passes, body, count):
+    key, want, wires = _sealed_rows(count, body)
+    slots = np.arange(count)
+    victim = random.Random(count + body).randrange(count)
+    for bit in range(8 * wires.shape[1]):  # body or tag
+        flipped = wires.copy()
+        flipped[victim, bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(AuthenticationError):
+            crypto.open_wires(key, flipped, SALT, slots)
+    for bit in range(32):
+        moved = slots.copy()
+        moved[victim] ^= 1 << bit
+        with pytest.raises(AuthenticationError):
+            crypto.open_wires(key, wires, SALT, moved)
+    for bit in range(64):
+        with pytest.raises(AuthenticationError):
+            crypto.open_wires(key, wires, _flip(SALT, bit), slots)
+    assert crypto.open_wires(key, wires, SALT, slots) == want
+    assert len(bulk_passes) >= 8 * wires.shape[1] + 32 + 64 + 1
+    assert min(bulk_passes) >= count // 2
+
+
+def test_each_bulk_open_pass_checks_under_a_key_drawn_for_it(monkeypatch):
+    # The check's GHASH key comes from a 16-byte `secrets` draw made inside
+    # the pass, one per pass, never from a cache or from the host's input.
+    key, want, wires = _sealed_rows(3000, 79)
+    draws = []
+    real = secrets.token_bytes
+
+    def spy(n):
+        draws.append(n)
+        return real(n)
+
+    monkeypatch.setattr(crypto.secrets, "token_bytes", spy)
+    assert crypto.open_wires(key, wires, SALT, range(3000)) == want
+    assert draws == [crypto.KEY_BYTES] * len(crypto._passes(3000, wires.shape[1]))
+
+
+@pytest.mark.parametrize("width", [17, 32, 95, 144])
+@pytest.mark.parametrize("rows", [1, CUT, 1379, 1380, 1381, 4096, 14000, 100_000])
+def test_array_passes_split_a_matrix_evenly_within_the_byte_budget(rows, width):
+    passes = crypto._passes(rows, width)
+    sizes = [len(range(rows)[span]) for span in passes]
+    assert [i for span in passes for i in range(rows)[span]] == list(range(rows))
+    assert max(sizes) * width <= crypto._PASS_BYTES
+    assert len(passes) == -(-rows * width // crypto._PASS_BYTES)
+    assert max(sizes) - min(sizes) < len(passes)
 
 
 # -- PRP ---------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_values_of_several_lengths_answer_large_results(monkeypatch, constructio
         Deployment.build(pairs, 5, integrity=True, rng=random.Random(6))
     dep = Deployment.build(pad_values(pairs), 5, integrity=True, rng=rng)
     bulk = []
-    real = crypto._open_bulk
+    real = crypto._open_pass
 
     def spy(state, rows, salt, slots):
         # Node records at b=5 (39-byte bodies) take the array pass too.
@@ -107,7 +107,7 @@ def test_values_of_several_lengths_answer_large_results(monkeypatch, constructio
             bulk.append(len(rows))
         return real(state, rows, salt, slots)
 
-    monkeypatch.setattr(crypto, "_open_bulk", spy)
+    monkeypatch.setattr(crypto, "_open_pass", spy)
     keys.sort()
     sizes = 0
     for lo, hi in [(keys[10], keys[10 + 3 * crypto._BULK_MIN_WIRES]), (None, None)]:
@@ -144,13 +144,13 @@ def test_a_bulk_opened_result_fails_closed_on_one_bad_blob(construction):
         assert hosted.value_rows.shape == dep.index.value_rows.shape
         return dataclasses.replace(dep, index=hosted)
 
-    genuine = dep.index.value_blob(position(keys[150]))
+    genuine = bytes(dep.index.value_rows[position(keys[150])])
     flipped = genuine[:20] + bytes([genuine[20] ^ 1]) + genuine[21:]
     other = Deployment.build(pairs, 5, integrity=True, rng=random.Random(4))
-    foreign = other.index.value_blob(0)  # sealed under another value key
+    foreign = bytes(other.index.value_rows[0])  # sealed under another value key
     # A genuine blob from outside the range, moved into the slot: its nonce
     # names its own slot, so it no longer opens, on either construction.
-    outsider = dep.index.value_blob(position(keys[0]))
+    outsider = bytes(dep.index.value_rows[position(keys[0])])
     for blob in (flipped, foreign, outsider):
         with pytest.raises(AuthenticationError, match="ciphertext rejected"):
             hosting(blob).query(lo, hi, construction)

@@ -1119,13 +1119,13 @@ def _bulk_open_spy(monkeypatch) -> list[int]:
     from hsbt import crypto
 
     passes = []
-    real = crypto._open_bulk
+    real = crypto._open_pass
 
     def spy(state, rows, salt, slots):
         passes.append(len(rows))
         return real(state, rows, salt, slots)
 
-    monkeypatch.setattr(crypto, "_open_bulk", spy)
+    monkeypatch.setattr(crypto, "_open_pass", spy)
     return passes
 
 

@@ -41,7 +41,7 @@ def test_fetch_values_gathers_rows_in_pointer_order(k):
         got = fetch_values(index, pointers)
         assert isinstance(got, SealedValues) and got.rows.shape == (k, width)
         assert got.rows.dtype == np.uint8 and got.rows.flags.c_contiguous
-        assert [bytes(row) for row in got.rows] == [index.value_blob(p) for p in pointers]
+        assert [bytes(row) for row in got.rows] == [bytes(index.value_rows[p]) for p in pointers]
         assert got.slots.tolist() == list(pointers) and got.salt == index.salt
     # The rows open, in order, to the values behind the pointers.
     value_at = {p: v for (_, v), p in zip(pairs, tree.value_positions)}
@@ -50,7 +50,7 @@ def test_fetch_values_gathers_rows_in_pointer_order(k):
     if k:
         # A fresh matrix every time: the caller may edit it.
         got.rows[0, 0] ^= 1
-        assert bytes(fetch_values(index, backwards).rows[0]) == index.value_blob(299)
+        assert bytes(fetch_values(index, backwards).rows[0]) == bytes(index.value_rows[299])
 
 
 def test_fetch_values_names_the_first_bad_pointer():

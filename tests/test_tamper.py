@@ -64,7 +64,7 @@ def test_value_deviations_over_a_bulk_sized_result_rejected_by_the_bulk_open(
     pairs, sorted_keys, dep = setup
     size = crypto._BULK_MIN_WIRES + 16
     received, bulk_rows = [], []
-    real_open, real_receive = crypto._open_bulk, dep.receive
+    real_open, real_receive = crypto._open_pass, dep.receive
 
     def open_spy(state, rows, salt, slots):
         bulk_rows.append(len(rows))
@@ -74,7 +74,7 @@ def test_value_deviations_over_a_bulk_sized_result_rejected_by_the_bulk_open(
         received.append(blobs)
         return real_receive(blobs, mac)
 
-    monkeypatch.setattr(crypto, "_open_bulk", open_spy)
+    monkeypatch.setattr(crypto, "_open_pass", open_spy)
     monkeypatch.setattr(dep, "receive", receive_spy)
     rng = random.Random(hash(kind) & 0xFFFF)
     for _ in range(3):
