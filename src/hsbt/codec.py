@@ -72,7 +72,7 @@ from hsbt.crypto import (
     VALUE_SALT_BYTES,
     MultisetHash,
     SecretKey,
-    encrypt_wires,
+    encrypt_wire,
     open_wires,
     prp_permutation,
     result_mac,
@@ -263,11 +263,12 @@ def encrypt_index(
     salt is drawn for the container from the OS CSPRNG.  The values are
     joined into one ``(n, length)`` matrix, put in value-region order by one
     gather, and sealed by one `seal_wires` call, the value at slot ``s``
-    under the nonce ``salt || s``, in array passes when they are 1 to 64
-    bytes long.  The tree's row arrays are assigned into one `node_dtype`
-    array, inner child ids rewritten to slots, and the records are sealed
-    the same way, by one `seal_wires` call under the record key
-    (`EncryptedIndex.record_key`), which binds the salt and the root's slot.
+    under the nonce ``salt || s``, in array passes when they are 1 to
+    `crypto._BULK_MAX_BLOCKS` 16-byte blocks long.  The tree's row arrays
+    are assigned into one `node_dtype` array, inner child ids rewritten to
+    slots, and the records are sealed the same way, by one `seal_wires`
+    call under the record key (`EncryptedIndex.record_key`), which binds
+    the salt and the root's slot.
     """
     n_values = tree.n_values
     if len(values) != n_values:
@@ -315,8 +316,9 @@ def encrypt_index(
 
 @dataclass(frozen=True)
 class RangeToken:
-    """The queried range endpoints, ``<II`` little-endian, sealed under the
-    tree key as one wire (`crypto.encrypt_wires`).
+    """The queried range endpoints, ``<II`` little-endian, sealed as one
+    wire (`crypto.encrypt_wire`) under the token key (`token_key`), a subkey
+    of the tree key, so the enclave that holds the tree key opens it.
 
     Randomized: two tokens for the same range are distinct wires.  In
     multi-user mode the client id rides alongside in the clear so the enclave
@@ -333,6 +335,12 @@ class RangeToken:
         return prefix + len(self.wire)
 
 
+def token_key(tree_key: bytes) -> bytes:
+    """The key tokens are sealed under by `make_token` and opened under by
+    the enclave: the tree key's `crypto.subkey` labelled ``hsbt-tokens``."""
+    return subkey(tree_key, b"hsbt-tokens")
+
+
 def make_token(
     tree_key: bytes,
     r_start: int | None,
@@ -347,7 +355,7 @@ def make_token(
         raise ValueError("range endpoint outside the 32-bit key space")
     if rs > re_:
         raise ValueError(f"empty range: {rs} > {re_}")
-    return RangeToken(encrypt_wires(tree_key, [struct.pack("<II", rs, re_)])[0], client_id)
+    return RangeToken(encrypt_wire(token_key(tree_key), struct.pack("<II", rs, re_)), client_id)
 
 
 def unpack_range(plain: bytes) -> tuple[int, int]:

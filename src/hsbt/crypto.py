@@ -7,7 +7,8 @@ sum mod 2^128 of AES-128, used as a PRF under a subkey derived from the
 caller's key), and an HMAC tag.
 
 A token is wire bytes, ``nonce(12) || body || tag(16)``, under a fresh
-random nonce: `encrypt_wires` seals tokens and `decrypt_wire` opens one.
+random nonce and the token key, a `subkey` of the tree key
+(`codec.token_key`): `encrypt_wire` seals one and `decrypt_wire` opens one.
 A node record and a value blob are ``body || tag(16)`` at an implied nonce:
 the blob at slot ``s`` of a container's region is sealed under
 ``salt(8) || s(4, little-endian)``, the container's salt then its slot
@@ -41,8 +42,9 @@ formed before the check.  Both paths give the same bytes; every other
 matrix takes one AEAD call per blob.
 
 All operations are pure given their key material, so they are safe for
-unrestricted concurrent use; the cipher contexts they cache are per thread,
-and each cache holds a bounded number of keys.
+unrestricted concurrent use.  Every AES use takes its cipher state, one
+AES-ECB context and one AEAD per key, from one table per thread (`_state`),
+which holds at most `_STATE_CAP` keys.
 `MultisetHash` values are immutable snapshots; `add_all` returns a new
 state.
 """
@@ -105,54 +107,54 @@ class SecretKey:
         return cls(generate_key(), generate_key())
 
 
-def _per_thread(store: threading.local, cap: int, key: bytes, make):
-    """`make(key)`, kept in this thread's table in `store`, which holds at
-    most `cap` keys; a full table is emptied."""
+class _CipherState:
+    """One key's cipher state: an AES-ECB context (the array passes'
+    keystream, the placement's images and the multiset PRF) and the key's
+    AEAD (per-row seals and opens, tokens and an open pass's tag check)."""
+
+    def __init__(self, key: bytes):
+        self.ecb = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        self.aead = AESGCM(key)
+
+
+# Cipher state, one table per thread (an ECB context must not be shared
+# across threads), keyed by its key, for at most _STATE_CAP keys per thread.
+# No state holds GHASH tables: a seal builds its own (`seal_wires`).
+_states = threading.local()
+_STATE_CAP = 64
+
+
+def _state(key: bytes) -> _CipherState:
+    """This thread's cipher state for `key`, built on first use; a full
+    table is emptied."""
     try:
-        return store.by_key[key]
+        return _states.by_key[key]
     except AttributeError:
-        table = store.by_key = {}
+        table = _states.by_key = {}
     except KeyError:
-        table = store.by_key
-        if len(table) >= cap:
+        table = _states.by_key
+        if len(table) >= _STATE_CAP:
             table.clear()
-    item = table[key] = make(key)
-    return item
+    state = table[key] = _CipherState(key)
+    return state
 
 
-# AEAD objects, one dict per thread, keyed by their key, for at most
-# _AEAD_CAP keys per thread.
-_aeads = threading.local()
-_AEAD_CAP = 64
-
-
-def _aead(key: bytes) -> AESGCM:
-    return _per_thread(_aeads, _AEAD_CAP, key, AESGCM)
-
-
-def encrypt_wires(key: bytes, plaintexts) -> list[bytes]:
-    """Probabilistic authenticated encryption of each plaintext to wire
-    bytes, ``nonce(12) || body || tag(16)``, under a fresh random nonce, with
-    one nonce draw and one AEAD object for the whole batch.  `plaintexts` is
-    a sized sequence of bytes-like items."""
-    seal = _aead(key).encrypt
-    drawn = secrets.token_bytes(NONCE_BYTES * len(plaintexts))
-    starts = range(0, len(drawn), NONCE_BYTES)
-    return [
-        (nonce := drawn[at : at + NONCE_BYTES]) + seal(nonce, plain, None)
-        for at, plain in zip(starts, plaintexts)
-    ]
+def encrypt_wire(key: bytes, plaintext: bytes) -> bytes:
+    """Probabilistic authenticated encryption of `plaintext` to wire bytes,
+    ``nonce(12) || body || tag(16)``, under a fresh random nonce."""
+    nonce = secrets.token_bytes(NONCE_BYTES)
+    return nonce + _state(key).aead.encrypt(nonce, plaintext, None)
 
 
 def decrypt_wire(key: bytes, wire: bytes) -> bytes:
-    """Invert one `encrypt_wires` item; raises AuthenticationError on any
+    """Invert `encrypt_wire`; raises AuthenticationError on any
     modification.
 
     A wire too short for a nonce and a tag is rejected by the AEAD itself
     (`ValueError` for a nonce under 8 bytes, `InvalidTag` otherwise), so no
     length check runs in Python."""
     try:
-        return _aead(key).decrypt(wire[:NONCE_BYTES], wire[NONCE_BYTES:], None)
+        return _state(key).aead.decrypt(wire[:NONCE_BYTES], wire[NONCE_BYTES:], None)
     except (InvalidTag, ValueError):
         raise AuthenticationError("ciphertext rejected") from None
 
@@ -219,14 +221,14 @@ def open_wires(key: bytes, wires: np.ndarray, salt: bytes, slots) -> list[bytes]
     _check_salt(salt)
     if len(slots) != k:
         raise AuthenticationError(f"{k} value blobs come with {len(slots)} slots")
+    state = _state(key)
     if k >= _BULK_MIN_WIRES and 0 < width - TAG_BYTES <= 16 * _BULK_MAX_BLOCKS:
-        state = _bulk_state(key)
         slots = np.asarray(slots)
         plains: list[bytes] = []
         for rows in _passes(k, width):
             plains += _open_pass(state, wires[rows], salt, slots[rows])
         return plains
-    decrypt = _aead(key).decrypt
+    decrypt = state.aead.decrypt
     try:
         if k == 1:
             # A streamed batch's usual size: one call, and no list to build.
@@ -252,19 +254,20 @@ def seal_wires(key: bytes, plains: np.ndarray, salt: bytes, slots) -> np.ndarray
     k, body = plains.shape
     width = body + TAG_BYTES
     _check_salt(salt)
+    state = _state(key)
     if k >= _BULK_MIN_WIRES and 0 < body <= 16 * _BULK_MAX_BLOCKS:
-        # Not the cached state: a container's values are sealed once, and
-        # tables kept from amid the seal's temporaries held ~1 MB more peak
-        # RSS over ten builds of 100k values; a fresh state costs ~0.16 ms
-        # a power of H its tables hold, `body` blocks plus one.
-        state = _BulkGcm(key)
+        # The GHASH tables are built here and never kept: a container's
+        # values are sealed once, and tables kept from amid the seal's
+        # temporaries held ~1 MB more peak RSS over ten builds of 100k
+        # values; they cost ~0.16 ms a power of H, `body` blocks plus one.
+        tables = _ghash_tables(state, -(-body // 16) + 1)
         slots = np.asarray(slots)
         wires = np.empty((k, width), np.uint8)
         for rows in _passes(k, width):
-            _seal_pass(state, plains[rows], wires[rows], salt, slots[rows])
+            _seal_pass(state, tables, plains[rows], wires[rows], salt, slots[rows])
         return wires
     nonces = _value_nonces(salt, slots)
-    seal = _aead(key).encrypt
+    seal = state.aead.encrypt
     sealed = b"".join(map(seal, nonces, _row_bytes(plains), itertools.repeat(None)))
     return np.frombuffer(sealed, np.uint8).reshape(k, width)
 
@@ -303,11 +306,6 @@ def _passes(rows: int, width: int) -> list[slice]:
 _BULK_MIN_WIRES = 64
 _BULK_MAX_BLOCKS = 8
 _PASS_BYTES = 1 << 17
-# Open state (`_BulkGcm`), one per thread (an ECB context must not be
-# shared across threads) and key, for at most _BULK_STATE_CAP keys per
-# thread; an open builds no GHASH tables, and a seal builds its own state.
-_bulk_states = threading.local()
-_BULK_STATE_CAP = 16
 _GCM_R = 0xE1 << 120  # x^128 = 1 + x + x^2 + x^7, in GCM's reflected bit order
 # Counters 0 .. _BULK_MAX_BLOCKS + 1 of a value's GCM counter blocks, each as
 # the second uint64 word of a block: its 4 big-endian bytes in bytes 12..15.
@@ -327,48 +325,30 @@ def _x_multiples(h: int) -> list[int]:
     return out
 
 
-class _BulkGcm:
-    """One key's state for the array passes: an AES-ECB context (the
-    keystream), the key's AEAD (an open's tag check) and the GHASH tables
-    for the powers of H = AES_k(0^128) used so far (a seal's tags; an open
-    builds none).
-
+def _ghash_tables(state: _CipherState, count: int) -> np.ndarray:
+    """A seal's GHASH tables for H^1 .. H^count, H = AES_k(0^128):
     `tables[k - 1, j, v]` is the product (v at byte j)·H^k as two uint64
     words, so a block times H^k is the XOR of its 16 bytes' entries.  The
     tables are indexed by ciphertext bytes only, which the host already
     holds, so no memory access depends on a secret."""
-
-    def __init__(self, key: bytes):
-        self.ecb = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-        self.aead = AESGCM(key)
-        self.h = int.from_bytes(self.ecb.update(bytes(16)), "big")
-        self.tables = np.zeros((0, 16, 256, 2), np.uint64)
-
-    def powers(self, count: int) -> np.ndarray:
-        """The tables of at least H^1 .. H^count, built on first use."""
-        if len(self.tables) < count:
-            h_multiples = _x_multiples(self.h)
-            multiples = []
-            power = self.h
-            for _ in range(count):
-                multiples += _x_multiples(power)
-                # power·H: the x-multiples of H picked by the bits of power.
-                power = functools.reduce(
-                    operator.xor, itertools.compress(h_multiples, map(int, f"{power:0128b}")), 0
-                )
-            # basis[k, j, q]: (bit 0x80 >> q of byte j)·H^(k+1).
-            basis = np.frombuffer(b"".join(v.to_bytes(16, "big") for v in multiples), np.uint8)
-            basis = basis.reshape(count, 16, 8, 16)
-            tables = np.zeros((count, 16, 256, 16), np.uint8)
-            for bit in range(8):
-                low = 1 << bit
-                tables[:, :, low : 2 * low] = tables[:, :, :low] ^ basis[:, :, 7 - bit, None]
-            self.tables = tables.view(np.uint64)
-        return self.tables
-
-
-def _bulk_state(key: bytes) -> _BulkGcm:
-    return _per_thread(_bulk_states, _BULK_STATE_CAP, key, _BulkGcm)
+    h = int.from_bytes(state.ecb.update(bytes(16)), "big")
+    h_multiples = _x_multiples(h)
+    multiples = []
+    power = h
+    for _ in range(count):
+        multiples += _x_multiples(power)
+        # power·H: the x-multiples of H picked by the bits of power.
+        power = functools.reduce(
+            operator.xor, itertools.compress(h_multiples, map(int, f"{power:0128b}")), 0
+        )
+    # basis[k, j, q]: (bit 0x80 >> q of byte j)·H^(k+1).
+    basis = np.frombuffer(b"".join(v.to_bytes(16, "big") for v in multiples), np.uint8)
+    basis = basis.reshape(count, 16, 8, 16)
+    tables = np.zeros((count, 16, 256, 16), np.uint8)
+    for bit in range(8):
+        low = 1 << bit
+        tables[:, :, low : 2 * low] = tables[:, :, :low] ^ basis[:, :, 7 - bit, None]
+    return tables.view(np.uint64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,7 +362,7 @@ def _table_rows(blocks: int) -> np.ndarray:
     return rows
 
 
-def _keystream(state: _BulkGcm, salt: bytes, slots: np.ndarray, blocks: int) -> np.ndarray:
+def _keystream(state: _CipherState, salt: bytes, slots: np.ndarray, blocks: int) -> np.ndarray:
     """The GCM counter blocks of the value nonce of each slot, encrypted in
     one ECB call, as a ``(blocks + 1, n, 16)`` uint8 array, one block of
     every row after another: block 0 is E_K(J0), J0 = nonce‖1, each row's
@@ -398,10 +378,10 @@ def _keystream(state: _BulkGcm, salt: bytes, slots: np.ndarray, blocks: int) -> 
     return stream.reshape(blocks + 1, len(slots), 16)
 
 
-def _tags(state: _BulkGcm, cipher: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _tags(tables: np.ndarray, cipher: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The GCM tag of each row of an ``(n, body)`` uint8 ciphertext matrix,
-    with no associated data, as ``(n, 2)`` uint64 words: GHASH xor `mask`,
-    the rows' E_K(J0).
+    with no associated data, as ``(n, 2)`` uint64 words: GHASH by
+    `_ghash_tables` xor `mask`, the rows' E_K(J0).
 
     GHASH is the XOR over blocks i = 1..m of C_i·H^(m+2-i), the last block
     zero-padded, and L·H, L the length block: one table gather per
@@ -411,7 +391,6 @@ def _tags(state: _BulkGcm, cipher: np.ndarray, mask: np.ndarray) -> np.ndarray:
     rows = np.zeros((16 * blocks, n), np.intp)
     rows[:body] = cipher.T
     rows += _table_rows(blocks)
-    tables = state.powers(blocks + 1)
     tags = np.bitwise_xor.reduce(np.take(tables.reshape(-1, 2), rows, axis=0), axis=0)
     # L is 0^64 ‖ 8·body, whose only nonzero bytes are its last two.
     length = (8 * body).to_bytes(2, "big")
@@ -420,7 +399,9 @@ def _tags(state: _BulkGcm, cipher: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return tags
 
 
-def _open_pass(state: _BulkGcm, wire: np.ndarray, salt: bytes, slots: np.ndarray) -> list[bytes]:
+def _open_pass(
+    state: _CipherState, wire: np.ndarray, salt: bytes, slots: np.ndarray
+) -> list[bytes]:
     """`open_wires` of the rows of an ``(n, width)`` uint8 matrix of value
     blobs with array operations (GCM with a 96-bit nonce, NIST SP 800-38D;
     McGrew-Viega 2004), every tag checked at once by one random linear
@@ -479,7 +460,12 @@ def _open_pass(state: _BulkGcm, wire: np.ndarray, salt: bytes, slots: np.ndarray
 
 
 def _seal_pass(
-    state: _BulkGcm, plains: np.ndarray, wire: np.ndarray, salt: bytes, slots: np.ndarray
+    state: _CipherState,
+    tables: np.ndarray,
+    plains: np.ndarray,
+    wire: np.ndarray,
+    salt: bytes,
+    slots: np.ndarray,
 ) -> None:
     """`seal_wires` of the rows of an ``(n, body)`` uint8 matrix into `wire`,
     ``(n, body + TAG_BYTES)`` rows: each body is encrypted under its slot's
@@ -491,7 +477,7 @@ def _seal_pass(
     keystream = stream[1:].transpose(1, 0, 2).reshape(n, 16 * blocks)
     cipher = wire[:, :body]
     np.bitwise_xor(plains, keystream[:, :body], out=cipher)
-    wire[:, body:] = _tags(state, cipher, stream[0]).view(np.uint8)
+    wire[:, body:] = _tags(tables, cipher, stream[0]).view(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +503,7 @@ def prp_permutation(key: bytes, domain_size: int) -> np.ndarray:
     blocks = np.empty((domain_size, 2), "<u8")
     blocks[:, 0] = domain_size
     blocks[:, 1] = np.arange(domain_size)
-    ecb = Cipher(algorithms.AES(subkey(key, b"hsbt-node-placement")), modes.ECB()).encryptor()
+    ecb = _state(subkey(key, b"hsbt-node-placement")).ecb
     images = np.frombuffer(ecb.update(blocks.tobytes()), "<u8").reshape(domain_size, 2)
     # Images compared as little-endian 128-bit integers: high word first.
     ranked = np.lexsort((images[:, 0], images[:, 1]))
@@ -529,22 +515,6 @@ def prp_permutation(key: bytes, domain_size: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Incremental multiset hash
 # ---------------------------------------------------------------------------
-
-
-# Multiset-PRF contexts, one dict per thread (a cipher context must not be
-# shared across threads), keyed by the caller's key.  Building one, subkey
-# included, costs about three small `add_all` calls, so they are kept; the
-# cap bounds the table.
-_mset_contexts = threading.local()
-_MSET_CONTEXT_CAP = 64
-
-
-def _mset_prf(key: bytes):
-    return _per_thread(_mset_contexts, _MSET_CONTEXT_CAP, key, _mset_context)
-
-
-def _mset_context(key: bytes):
-    return Cipher(algorithms.AES(subkey(key, b"hsbt-mset-prf")), modes.ECB()).encryptor()
 
 
 @dataclass(frozen=True)
@@ -583,7 +553,7 @@ class MultisetHash:
         # The AES images land in a writable array (ECB asks for 15 spare
         # bytes), so `removed` is negated in place: -x = ~x + 1 mod 2^128.
         out = np.empty(len(data) + 15, np.uint8)
-        _mset_prf(self.key).update_into(data, out)
+        _state(subkey(self.key, b"hsbt-mset-prf")).ecb.update_into(data, out)
         images = out[: len(data)].view("<u4")
         gone = len(removed) // MSET_DIGEST_BYTES
         if gone:
@@ -605,13 +575,15 @@ def mac_tag(key: bytes, message: bytes) -> bytes:
 @functools.lru_cache(maxsize=256)
 def subkey(key: bytes, label: bytes) -> bytes:
     """The AES key `label` names under `key`: its HMAC tag, cut to
-    `KEY_BYTES` (a one-call KDF in the sense of NIST SP 800-108).  Three AES
+    `KEY_BYTES` (a one-call KDF in the sense of NIST SP 800-108).  Four AES
     uses take their key from the tree key through it: the node records
     (`codec.EncryptedIndex.record_key`), the node placement
-    (`prp_permutation`) and the multiset PRF.  The tree key itself keys only
-    the token AEAD, whose GHASH key, AES_k(0^128), the PRF under the raw key
-    would give as the image of slot 0.  The last 256 subkeys are kept, so a
-    batch runs no HMAC."""
+    (`prp_permutation`), the multiset PRF and the tokens
+    (`codec.token_key`).  The tree key itself keys only HMAC, here and in
+    `result_mac`, never an AES context: two AES uses under one key would
+    share it, as a PRF under the key of an AEAD gives that AEAD's GHASH key,
+    AES_k(0^128), as the image of the zero block.  The last 256 subkeys are
+    kept, so a batch runs no HMAC."""
     return mac_tag(key, label)[:KEY_BYTES]
 
 

@@ -1,9 +1,10 @@
 """The simulated trusted component.
 
 Everything in this module models code running behind the hardware isolation
-boundary: it holds the tree key (never exported), decrypts tokens and node
-records, walks the tree, and hands only value pointers back out.  The two
-query entry points mirror the two deployment modes:
+boundary: it holds the tree key (never exported), decrypts tokens, under
+the tree key's `codec.token_key`, and node records, walks the tree, and
+hands only value pointers back out.  The two query entry points mirror the
+two deployment modes:
 
 * `search_resident`: the whole decrypted tree was loaded into trusted memory
   once (`load_tree`); queries then never decrypt another node and cross the
@@ -92,6 +93,7 @@ from hsbt.codec import (
     leaf_mask,
     node_plain_size,
     node_struct,
+    token_key,
     unpack_range,
 )
 from hsbt.crypto import (
@@ -287,7 +289,8 @@ class EnclaveSim:
     # -- provisioning and container wiring ---------------------------------
 
     def provision(self, client_id: str, tree_key: bytes, root_id: int | None = None) -> None:
-        """Install a client's token key over the (simulated) secure channel.
+        """Install a client's tree key over the (simulated) secure channel;
+        the client's tokens open under its `token_key`.
 
         The data owner's provisioning carries the root id and makes its key
         the node-decryption key; re-provisioning a client replaces its key.
@@ -495,12 +498,12 @@ class EnclaveSim:
     # -- internals -----------------------------------------------------------
 
     def _open_token(self, token: RangeToken) -> tuple[int, int, bytes]:
-        """The token's range and the key that opened it."""
+        """The token's range and the tree key whose `token_key` opened it."""
         key = self._key_table.get(token.client_id or DEFAULT_CLIENT)
         if key is None:
             raise NoKeyError(f"no key provisioned for {token.client_id or DEFAULT_CLIENT!r}")
         try:
-            plain = decrypt(key, token.wire)
+            plain = decrypt(token_key(key), token.wire)
         except AuthenticationError:
             raise EnclaveAbort("token failed authentication") from None
         r_start, r_end = unpack_range(plain)

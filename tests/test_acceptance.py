@@ -27,7 +27,7 @@ from hsbt.crypto import (
     MultisetHash,
     SecretKey,
     decrypt_wire,
-    encrypt_wires,
+    encrypt_wire,
     generate_key,
     open_wires,
     prp_permutation,
@@ -298,7 +298,7 @@ def test_criterion_9_primitive_sweeps():
     # record opened at its slot under its record key, zero acceptances.
     aead_key = generate_key()
     rng = random.Random(909)
-    wire = encrypt_wires(aead_key, [bytes(range(64))])[0]
+    wire = encrypt_wire(aead_key, bytes(range(64)))
     accepted = 0
     for _ in range(10_000):
         flipped = bytearray(wire)

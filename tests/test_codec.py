@@ -36,6 +36,7 @@ from hsbt.codec import (
     make_token,
     node_dtype,
     node_plain_size,
+    token_key,
     unpack_range,
     verify_result_mac,
 )
@@ -315,9 +316,9 @@ def test_values_on_both_sides_of_the_bulk_seal_round_trip_end_to_end(monkeypatch
     passes = {}
     real = crypto._seal_pass
 
-    def spy(state, plains, wires, salt, slots):
+    def spy(state, tables, plains, wires, salt, slots):
         passes[plains.shape[1]] = passes.get(plains.shape[1], 0) + len(plains)
-        return real(state, plains, wires, salt, slots)
+        return real(state, tables, plains, wires, salt, slots)
 
     monkeypatch.setattr(crypto, "_seal_pass", spy)
     rng = random.Random(length)
@@ -578,15 +579,19 @@ def test_value_count_rewrite_keeps_the_region():
 def test_token_roundtrip():
     sk = SecretKey.generate()
     tok = make_token(sk.tree_key, 3, 5)
-    assert unpack_range(decrypt_wire(sk.tree_key, tok.wire)) == (3, 5)
+    assert unpack_range(decrypt_wire(token_key(sk.tree_key), tok.wire)) == (3, 5)
+    # The token key is a subkey: the tree key itself opens no token.
+    assert token_key(sk.tree_key) == crypto.subkey(sk.tree_key, b"hsbt-tokens") != sk.tree_key
+    with pytest.raises(AuthenticationError):
+        decrypt_wire(sk.tree_key, tok.wire)
 
 
 def test_token_open_range_sentinels():
     sk = SecretKey.generate()
     below = make_token(sk.tree_key, None, 7)
-    assert unpack_range(decrypt_wire(sk.tree_key, below.wire)) == (0, 7)
+    assert unpack_range(decrypt_wire(token_key(sk.tree_key), below.wire)) == (0, 7)
     above = make_token(sk.tree_key, 7, None)
-    assert unpack_range(decrypt_wire(sk.tree_key, above.wire)) == (7, KEY_INFINITY)
+    assert unpack_range(decrypt_wire(token_key(sk.tree_key), above.wire)) == (7, KEY_INFINITY)
 
 
 def test_equal_ranges_give_distinct_tokens():
@@ -629,7 +634,7 @@ def test_unpack_range_rejects_a_plaintext_that_is_not_8_bytes(length):
 def test_token_plaintext_is_8_byte_le_pair():
     sk = SecretKey.generate()
     tok = make_token(sk.tree_key, 0x01020304, 0x0A0B0C0D)
-    plain = decrypt_wire(sk.tree_key, tok.wire)
+    plain = decrypt_wire(token_key(sk.tree_key), tok.wire)
     assert plain == struct.pack("<II", 0x01020304, 0x0A0B0C0D)
 
 

@@ -4,6 +4,7 @@ bijectivity, multiset-hash order independence, MAC determinism."""
 import random
 import secrets
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,7 +20,7 @@ from hsbt.crypto import (
     MultisetHash,
     SecretKey,
     decrypt_wire,
-    encrypt_wires,
+    encrypt_wire,
     generate_key,
     mac_tag,
     prp_permutation,
@@ -53,15 +54,14 @@ def test_secret_key_rejects_a_key_of_the_wrong_length(tree_len, value_len):
 
 def test_encrypt_is_probabilistic():
     key = generate_key()
-    a, b = encrypt_wires(key, [b"same message", b"same message"])
-    c = encrypt_wires(key, [b"same message"])[0]
-    assert len({a, b, c}) == 3
+    wires = {encrypt_wire(key, b"same message") for _ in range(3)}
+    assert len(wires) == 3
 
 
 def test_decrypt_rejects_wrong_key_and_wrong_aad():
     # No AEAD call takes associated data: a wire sealed with any is rejected.
     key, other = generate_key(), generate_key()
-    wire = encrypt_wires(key, [b"m"])[0]
+    wire = encrypt_wire(key, b"m")
     assert decrypt_wire(key, wire) == b"m"
     with pytest.raises(AuthenticationError):
         decrypt_wire(other, wire)
@@ -73,7 +73,7 @@ def test_decrypt_rejects_wrong_key_and_wrong_aad():
 def test_decrypt_rejects_single_bit_flip():
     # One bit flipped in the nonce, the body or the tag.
     key = generate_key()
-    wire = encrypt_wires(key, [b"thirteen byte"])[0]
+    wire = encrypt_wire(key, b"thirteen byte")
     for at in (0, 14, len(wire) - 1):
         flipped = bytearray(wire)
         flipped[at] ^= 0x01
@@ -86,7 +86,7 @@ def test_wire_layout_is_nonce_body_tag():
     # nonce(12) || body || tag(16), checked against the AEAD directly.
     key = generate_key()
     plain = bytes(range(20))
-    wire = encrypt_wires(key, [plain])[0]
+    wire = encrypt_wire(key, plain)
     assert len(wire) == 12 + 20 + 16
     nonce, sealed = wire[:12], wire[12:]
     assert sealed == AESGCM(key).encrypt(nonce, plain, None)
@@ -94,13 +94,12 @@ def test_wire_layout_is_nonce_body_tag():
     assert decrypt_wire(key, wire) == plain
 
 
-def test_bulk_encrypt_matches_wire_helpers():
+def test_wire_helpers_round_trip_with_a_nonce_per_call():
     key = generate_key()
     plains = [b"", b"a", b"bb" * 20]
-    wires = encrypt_wires(key, plains)
+    wires = [encrypt_wire(key, plain) for plain in plains]
     assert [decrypt_wire(key, wire) for wire in wires] == plains
-    assert len({wire[:12] for wire in wires}) == 3  # a nonce per plaintext
-    assert encrypt_wires(key, []) == []
+    assert len({wire[:12] for wire in wires}) == 3  # a nonce per call
 
 
 @pytest.mark.parametrize("length", [0, 7, 11, 12, 27])
@@ -122,24 +121,41 @@ def test_short_wires_raise_authentication_error_only(length):
     assert crypto.open_wires(key, _rows([]), SALT, []) == []
 
 
-def test_aead_table_holds_at_most_its_cap_of_keys():
-    cap = crypto._AEAD_CAP
+def _fold_reference(key: bytes, element: bytes) -> bytes:
+    """The digest of the multiset of one 16-byte `element` under `key`,
+    from a fresh AES context: its image under the multiset-PRF subkey."""
+    sub = crypto.subkey(key, b"hsbt-mset-prf")
+    return Cipher(algorithms.AES(sub), modes.ECB()).encryptor().update(element)
+
+
+def test_one_state_table_holds_at_most_its_cap_of_keys():
+    # Token wires, per-row opens, array opens and folds all take their state
+    # from one table, here under more keys than it holds, twice over: the
+    # table empties and refills between two uses of a key, and every result
+    # stays right.
+    cap = crypto._STATE_CAP
     keys = [generate_key() for _ in range(cap + 5)]
-    plains = [b"value %d" % i for i in range(len(keys))]
-    wires = [encrypt_wires(key, [plain])[0] for key, plain in zip(keys, plains)]
-    blobs = [_blobs(key, [plain])[0] for key, plain in zip(keys, plains)]
+    plains = [[b"value %06d" % (CUT * i + j) for j in range(CUT)] for i in range(len(keys))]
+    wires = [encrypt_wire(key, want[0]) for key, want in zip(keys, plains)]
+    arrays = [_rows(_blobs(key, want)) for key, want in zip(keys, plains)]
+    element = bytes(range(16))
+    sizes = []
     for _ in range(2):
-        for key, wire, blob, plain in zip(keys, wires, blobs, plains):
-            assert decrypt_wire(key, wire) == plain
-            assert crypto.open_wires(key, _rows([blob]), SALT, [0]) == [plain]
-            assert len(crypto._aeads.by_key) <= cap
+        for key, wire, rows, want in zip(keys, wires, arrays, plains):
+            assert decrypt_wire(key, wire) == want[0]
+            assert crypto.open_wires(key, rows[:1], SALT, [0]) == want[:1]
+            assert crypto.open_wires(key, rows, SALT, range(CUT)) == want
+            assert MultisetHash.empty(key).add_all(element).digest == _fold_reference(key, element)
+            sizes.append(len(crypto._states.by_key))
+            assert sizes[-1] <= cap
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
 
 def test_aead_fuzz_bit_flips_never_accepted():
     # Smaller sibling of the acceptance sweep; full 10^4 flips run there.
     key = generate_key()
     rng = random.Random(7)
-    wire = encrypt_wires(key, [secrets.token_bytes(64)])[0]
+    wire = encrypt_wire(key, secrets.token_bytes(64))
     for _ in range(500):
         flipped = bytearray(wire)
         flipped[rng.randrange(len(wire))] ^= 1 << rng.randrange(8)
@@ -305,9 +321,9 @@ def test_seal_wires_opens_row_by_row_and_as_a_matrix(body, count, data):
     passes = []
     real = crypto._seal_pass
 
-    def spy(state, rows, wires, salt, at):
+    def spy(state, tables, rows, wires, salt, at):
         passes.append(len(rows))
-        return real(state, rows, wires, salt, at)
+        return real(state, tables, rows, wires, salt, at)
 
     crypto._seal_pass = spy
     try:
@@ -349,24 +365,42 @@ def test_seal_wires_gives_the_same_rows_per_call_and_in_bulk(body):
 
 
 def test_bulk_open_under_two_keys_in_two_threads_at_once():
+    # Two threads at once, each alternating between the same two keys: a
+    # token open, a per-row open, an array open and a fold, every one right,
+    # and each thread on cipher state of its own.
     keys = [generate_key(), generate_key()]
     plains = [[b"%016d" % (i + 10**6 * k) for i in range(3 * CUT)] for k in range(2)]
     batches = [_rows(_blobs(key, want)) for key, want in zip(keys, plains)]
+    tokens = [encrypt_wire(key, want[0]) for key, want in zip(keys, plains)]
+    folds = [_fold_reference(key, plains[0][0]) for key in keys]
+    both_running = threading.Barrier(2)
 
-    def opens(k):
-        return all(
-            crypto.open_wires(keys[k], batches[k], SALT, range(3 * CUT)) == plains[k]
-            for _ in range(200)
-        )
+    def run(first):
+        both_running.wait(timeout=60)
+        for i in range(400):
+            k = (first + i) % 2
+            key, want = keys[k], plains[k]
+            if not (
+                decrypt_wire(key, tokens[k]) == want[0]
+                and crypto.open_wires(key, batches[k][:1], SALT, [0]) == want[:1]
+                and crypto.open_wires(key, batches[k], SALT, range(3 * CUT)) == want
+                and MultisetHash.empty(key).add_all(plains[0][0]).digest == folds[k]
+            ):
+                return None
+        subkeys = [crypto.subkey(key, b"hsbt-mset-prf") for key in keys]
+        return [crypto._states.by_key[key] for key in keys + subkeys]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(opens, k) for k in (0, 1, 0, 1)]
-            assert [f.result(timeout=60) for f in futures] == [True] * 4
+            futures = [pool.submit(run, first) for first in (0, 1)]
+            mine, theirs = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
+    assert mine is not None and theirs is not None
+    for a, b in zip(mine, theirs):
+        assert a is not b and a.ecb is not b.ecb and a.aead is not b.aead
 
 
 
@@ -638,12 +672,17 @@ def test_mset_prf_is_keyed_by_a_subkey_not_the_tree_key():
 
 
 def test_subkey_is_the_cut_hmac_tag_of_its_label():
-    # One derivation serves the multiset PRF, the placement and the record
-    # key; distinct labels, or keys, give distinct subkeys.
+    # One derivation serves the multiset PRF, the placement, the record key
+    # and the tokens; distinct labels, or keys, give distinct subkeys.
     key, other = generate_key(), generate_key()
-    labels = [b"hsbt-mset-prf", b"hsbt-node-placement", b"hsbt-node-records\x00" + bytes(33)]
+    labels = [
+        b"hsbt-mset-prf",
+        b"hsbt-node-placement",
+        b"hsbt-node-records\x00" + bytes(33),
+        b"hsbt-tokens",
+    ]
     subkeys = {crypto.subkey(k, label) for k in (key, other) for label in labels}
-    assert len(subkeys) == 6 and all(len(sub) == 16 for sub in subkeys)
+    assert len(subkeys) == 8 and all(len(sub) == 16 for sub in subkeys)
     for label in labels:
         assert crypto.subkey(key, label) == mac_tag(key, label)[:16]
 

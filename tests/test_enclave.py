@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsbt import crypto
 from hsbt.bptree import (
     KEY_INFINITY,
     KEY_MAX,
@@ -28,8 +29,9 @@ from hsbt.codec import (
     make_token,
     node_dtype,
     node_struct,
+    token_key,
 )
-from hsbt.crypto import SecretKey, encrypt_wires
+from hsbt.crypto import SecretKey, encrypt_wire
 from hsbt.deploy import Deployment
 from hsbt.enclave import (
     DEFAULT_CLIENT,
@@ -124,11 +126,41 @@ def test_token_naming_an_empty_range_aborts():
     # `make_token` refuses to mint an inverted range, so seal one directly.
     pairs, tree, sk, index, enclave = _fixture(50)
     enclave.load_tree(index)
-    token = RangeToken(encrypt_wires(sk.tree_key, [struct.pack("<II", 9, 3)])[0])
+    token = RangeToken(encrypt_wire(token_key(sk.tree_key), struct.pack("<II", 9, 3)))
     with pytest.raises(EnclaveAbort, match="token names an empty range"):
         enclave.search_batch(token, [enclave.root_slot()])
     with pytest.raises(EnclaveAbort, match="token names an empty range"):
         enclave.search_resident(token)
+
+
+def test_token_sealed_under_the_raw_tree_key_aborts():
+    # The old form of a token: the range sealed under the tree key itself.
+    pairs, tree, sk, index, enclave = _fixture(50)
+    enclave.load_tree(index)
+    old = RangeToken(encrypt_wire(sk.tree_key, struct.pack("<II", 1, KEY_MAX)))
+    with pytest.raises(EnclaveAbort, match="^token failed authentication$"):
+        enclave.search_batch(old, [enclave.root_slot()])
+    with pytest.raises(EnclaveAbort, match="^token failed authentication$"):
+        enclave.search_resident(old)
+
+
+def test_no_aes_context_runs_under_the_raw_tree_key(monkeypatch):
+    # A build, one streamed integrity query and one resident query fill this
+    # thread's cipher-state table with the tree key's subkeys, never the key.
+    monkeypatch.setattr(crypto._states, "by_key", {}, raising=False)
+    rng = random.Random(3)
+    pairs = [(k, b"v%010d" % k) for k in rng.sample(range(1, KEY_MAX), 300)]
+    dep = Deployment.build(pairs, 5, integrity=True, rng=rng)
+    lo, hi = sorted(k for k, _ in pairs)[10:12]
+    for construction in (2, 1):
+        values, _ = dep.query(lo, hi, construction=construction)
+        assert sorted(values) == sorted(v for k, v in pairs if lo <= k <= hi)
+    tree_key = dep.sk.tree_key
+    in_use = crypto._states.by_key
+    assert tree_key not in in_use
+    for label in (b"hsbt-tokens", b"hsbt-mset-prf", b"hsbt-node-placement"):
+        assert crypto.subkey(tree_key, label) in in_use
+    assert dep.index.record_key(tree_key) in in_use and dep.sk.value_key in in_use
 
 
 @pytest.mark.parametrize("bit", [0, 12 * 8 + 3, 36 * 8 - 1])
