@@ -27,8 +27,9 @@ rejected at build time.
 
 from __future__ import annotations
 
+import operator
 import random
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,11 +91,56 @@ def _rows(sizes: np.ndarray, values: np.ndarray, width: int, pad: int, first: in
     """`values` cut into consecutive runs of `sizes`, run ``i`` written into
     row ``i`` from column `first` on, of ``len(sizes)`` rows of `width`
     slots that start out as `pad`."""
-    row = np.repeat(np.arange(len(sizes)), sizes)
-    column = np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + first
     out = np.full((len(sizes), width), pad, np.uint32)
-    out[row, column] = values
+    # Value j of run i lands at flat slot i * width + first + (j - start of run i).
+    shift = np.arange(len(sizes)) * width + first - (np.cumsum(sizes) - sizes)
+    out.reshape(-1)[np.arange(len(values)) + np.repeat(shift, sizes)] = values
     return out
+
+
+def _keys(pairs: Sequence[Pair]) -> np.ndarray:
+    """The keys of `pairs` as one ``int64`` array, pulled out in one C-level
+    pass and checked by one ``min`` and one ``max``.  A key outside
+    [KEY_MIN, KEY_MAX] raises `BuildError` naming the first such key in
+    input order, and a key that does not compare with an int (``'5'``,
+    ``b'5'``) raises the comparison's `TypeError`, both found by a walk
+    over the pairs that runs only when the array pass fails; a number
+    inside the domain that is not an integer raises `TypeError` too."""
+    try:
+        keys = np.fromiter(map(operator.index, map(operator.itemgetter(0), pairs)), np.int64, len(pairs))
+    except (TypeError, OverflowError):  # a key that is no integer, or one past 64 bits
+        keys = None
+    if keys is not None and KEY_MIN <= keys.min() and keys.max() <= KEY_MAX:
+        return keys
+    for key, _value in pairs:
+        if not KEY_MIN <= key <= KEY_MAX:
+            raise BuildError(f"key {key} outside [{KEY_MIN}, {KEY_MAX}]")
+    raise TypeError("keys must be integers")
+
+
+def _leaf_starts(keys: np.ndarray, max_keys: int) -> np.ndarray:
+    """The index in the sorted `keys` of each leaf's first key, left to
+    right.  A leaf is cut after `max_keys` keys unless that cut would split
+    a run of equal keys, in which case it is cut at the start of the run.
+    When no natural cut (every `max_keys` keys) falls inside a run, as with
+    distinct keys, the starts are one ``arange``; otherwise the cuts are
+    walked greedily over Python ints, each cut moved back by a bisection of
+    the run starts."""
+    n = len(keys)
+    natural = np.arange(max_keys, n, max_keys)
+    if not np.any(keys[natural - 1] == keys[natural]):
+        return np.arange(0, n, max_keys)
+    run_starts = np.flatnonzero(np.diff(keys, prepend=KEY_NEG_INFINITY)).tolist()
+    starts = [0]
+    while starts[-1] + max_keys < n:
+        cut = run_starts[bisect_right(run_starts, starts[-1] + max_keys) - 1]
+        if cut == starts[-1]:
+            raise BuildError(
+                f"more than {max_keys} equal copies of key {keys[cut]}: duplicate run "
+                "cannot keep separators strict in an unchained tree"
+            )
+        starts.append(cut)
+    return np.array(starts)
 
 
 def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | None = None) -> PlainTree:
@@ -104,35 +150,29 @@ def build_tree(pairs: Sequence[Pair], branching: int, *, rng: random.Random | No
     not on the pair order; `rng` only decides the random storage order of the
     values: one numpy permutation of ``range(len(pairs))``, seeded by one
     128-bit draw from `rng`.
+
+    The pairs are put in key order, equal keys in input order, by one plain
+    in-place sort of distinct packed words ``key << 32 | input index``: a key
+    fits in 32 bits, and so does the index of any list that fits in memory.
+    The leaves are cut by `_leaf_starts`.
     """
     if branching < MIN_BRANCHING:
         raise BuildError(f"branching factor must be at least {MIN_BRANCHING}")
     if not pairs:
         raise BuildError("cannot build an index over zero pairs")
-    for key, _value in pairs:
-        if not KEY_MIN <= key <= KEY_MAX:
-            raise BuildError(f"key {key} outside [{KEY_MIN}, {KEY_MAX}]")
 
     rng = rng or random.Random()
     n, max_keys = len(pairs), branching - 1
+    words = _keys(pairs).view(np.uint64)
+    words <<= 32
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort()
+    keys, order = (words >> 32).astype(np.uint32), words.astype(np.uint32)
+    del words
     value_positions = np.random.default_rng(rng.getrandbits(128)).permutation(n).astype(np.uint32)
-    keys = np.fromiter((key for key, _ in pairs), np.uint32, n)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
 
-    # Leaves, left to right: the index of each one's first key in `keys`.
-    starts, start = [], 0
-    while start < n:
-        end = min(start + max_keys, n)
-        if end < n and keys[end - 1] == keys[end]:
-            end = bisect_left(keys, keys[end], start, end)
-            if end == start:
-                raise BuildError(
-                    f"more than {max_keys} equal copies of key {keys[start]}: duplicate run "
-                    "cannot keep separators strict in an unchained tree"
-                )
-        starts.append(start)
-        start = end
+    # Leaves, left to right.
+    starts = _leaf_starts(keys, max_keys)
     counts = np.diff(starts, append=n)
     key_rows = [_rows(counts, keys, max_keys, KEY_INFINITY)]
     ptr_rows = [_rows(counts, value_positions[order], branching, DUMMY_POINTER, 1)]

@@ -24,10 +24,11 @@ A region and a batch of its rows are ``(k, width)`` uint8 matrices, one
 blob per row: the form in which the server gathers a result from a
 container's value region, and the enclave a batch from its node region,
 whose blobs all have one width.  `seal_wires` and `open_wires` alone
-decide how they run, by one rule.  One AEAD call per blob costs ~0.5 us,
-nearly all of it per-call overhead, so a matrix of at least
-`_BULK_MIN_WIRES` rows, with a body of at most `_BULK_MAX_BLOCKS` 16-byte
-blocks, is sealed or opened in array passes of at most `_PASS_BYTES`.  One
+decide how they run.  One AEAD call per blob costs ~0.5 us, nearly all of
+it per-call overhead, so a matrix with a body of at most
+`_BULK_MAX_BLOCKS` 16-byte blocks is opened in array passes of at most
+`_PASS_BYTES` from `_BULK_MIN_WIRES` rows, and sealed so from
+`_SEAL_ROWS_PER_BLOCK` rows a block, where its per-seal tables pay.  One
 ECB call makes every counter block, from the salt and the slots
 (`_keystream`).  A seal computes each row's GHASH by gathers from per-key
 tables of byte multiples of the powers of H, indexed by ciphertext bytes,
@@ -247,20 +248,21 @@ def seal_wires(key: bytes, plains: np.ndarray, salt: bytes, slots) -> np.ndarray
     deterministic in the key, the salt, the slots and the plaintexts, so
     the caller must never seal two plaintexts at one salt and slot.
 
-    The cut-over is `open_wires`'s: at least `_BULK_MIN_WIRES` rows, with a
-    body of 1 to `_BULK_MAX_BLOCKS` blocks, are sealed in array passes of
-    at most `_PASS_BYTES` each (`_seal_pass`).  Any other matrix is sealed
-    one AEAD call per row; both give the same bytes."""
+    A body of 1 to `_BULK_MAX_BLOCKS` blocks, in at least
+    `_SEAL_ROWS_PER_BLOCK` rows a block, is sealed in array passes of at
+    most `_PASS_BYTES` each (`_seal_pass`).  Any other matrix is sealed one
+    AEAD call per row; both give the same bytes."""
     k, body = plains.shape
     width = body + TAG_BYTES
+    blocks = -(-body // 16)
     _check_salt(salt)
     state = _state(key)
-    if k >= _BULK_MIN_WIRES and 0 < body <= 16 * _BULK_MAX_BLOCKS:
+    if 0 < blocks <= _BULK_MAX_BLOCKS and k >= _SEAL_ROWS_PER_BLOCK * blocks:
         # The GHASH tables are built here and never kept: a container's
         # values are sealed once, and tables kept from amid the seal's
         # temporaries held ~1 MB more peak RSS over ten builds of 100k
         # values; they cost ~0.16 ms a power of H, `body` blocks plus one.
-        tables = _ghash_tables(state, -(-body // 16) + 1)
+        tables = _ghash_tables(state, blocks + 1)
         slots = np.asarray(slots)
         wires = np.empty((k, width), np.uint8)
         for rows in _passes(k, width):
@@ -283,11 +285,11 @@ def _passes(rows: int, width: int) -> list[slice]:
 
 # Array passes.  An AEAD call costs ~0.5 us a blob, nearly all of it
 # per-call overhead; an array pass ~25 us of numpy and AES calls, plus
-# ~1 us a body block and a few ns a byte.  So a matrix of at least
-# _BULK_MIN_WIRES rows, with a body of 1 to _BULK_MAX_BLOCKS 16-byte
-# blocks, takes array passes, each of at most _PASS_BYTES of rows
-# (`_passes`).  Measured on a 2-core Xeon VM against a `map` of the AEAD,
-# best of 21 interleaved runs:
+# ~1 us a body block and a few ns a byte.  So a matrix with a body of 1 to
+# _BULK_MAX_BLOCKS 16-byte blocks takes array passes, each of at most
+# _PASS_BYTES of rows (`_passes`), to open from _BULK_MIN_WIRES rows and
+# to seal from _SEAL_ROWS_PER_BLOCK rows a block.  Measured on a 2-core
+# Xeon VM against a `map` of the AEAD, best of 21 interleaved runs:
 # - An open (`_open_pass`) checks all its tags with one random linear
 #   combination, m + 5 GMAC calls for m-block bodies, whatever the row
 #   count.  It won from 64 rows at one block, and broke even near 80 rows
@@ -297,14 +299,21 @@ def _passes(rows: int, width: int) -> list[slice]:
 #   2,398), 456 rows of 79 bytes in 108 (253 per call) and 14,000 in 2.9 ms
 #   (8.0 per call).
 # - A seal (`_seal_pass`) gathers each row's tag from per-key tables, 16
-#   entries a block a row (`_tags`): 14,000 rows of 79 bytes in 8.5 ms
-#   (16.0 per call), of 128 bytes in 13.2 (17.5).
+#   entries a block a row (`_tags`), after it builds the tables, ~0.16 ms a
+#   power of H, blocks plus one.  A seal's AEAD call costs ~0.75 us a row,
+#   at one block as at eight, so the tables pay off only over
+#   _SEAL_ROWS_PER_BLOCK rows a block.  Medians of 21 interleaved runs:
+#   at one block array passes sealed 512 rows in 0.57 ms (0.65 per call),
+#   1,024 in 0.72 (1.36) and 100,000 in 11.0 (93.6); at five blocks 4,096
+#   rows in 4.0 (3.3 per call), 6,144 in 4.8 (5.5) and 12,350 in 8.7
+#   (12.9); at eight blocks 8,192 in 7.9 (7.9) and 12,288 in 10.5 (11.7).
 # - Passes of 128 to 512 KiB opened 14,000 rows of 79 bytes in 2.9-3.0 ms,
 #   against 5.4 in 16 KiB passes and 4.7 in one whole pass.  A seal was
 #   fastest from 128 KiB too, where its gather's temporaries, 24 bytes an
 #   entry, stay under 3 MB.
 _BULK_MIN_WIRES = 64
 _BULK_MAX_BLOCKS = 8
+_SEAL_ROWS_PER_BLOCK = 1024
 _PASS_BYTES = 1 << 17
 _GCM_R = 0xE1 << 120  # x^128 = 1 + x + x^2 + x^7, in GCM's reflected bit order
 # Counters 0 .. _BULK_MAX_BLOCKS + 1 of a value's GCM counter blocks, each as

@@ -108,16 +108,38 @@ def test_nine_keys_b4_fill_three_leaves():
     assert tree.ptrs[3].tolist() == [0, 1, 2, DUMMY_POINTER]
 
 
-@pytest.mark.parametrize("b,n,seed", [(4, 200, 1), (7, 999, 2), (10, 3000, 3)])
+def _reference_inputs(n, b, rng):
+    """Shuffled key lists of about `n` keys: random keys; runs of 1 to
+    b - 1 copies at both ends of the key domain around random keys; and one
+    key once, then every key twice, so that natural cuts (every b - 1 keys)
+    split runs and the build walks its cuts: at b=3 every natural cut, at
+    b=10 and b=100 every other one."""
+    random_keys = [rng.randrange(1, KEY_MAX) for _ in range(n)]
+    ends = [k for k in (1, 2, KEY_MAX - 1, KEY_MAX) for _ in range(rng.randint(1, b - 1))]
+    ends += [rng.randrange(3, KEY_MAX - 1) for _ in range(n)]
+    doubled = [1] + [k for k in range(2, n // 2 + 2) for _ in range(2)]
+    for keys in (random_keys, ends, doubled):
+        rng.shuffle(keys)
+    return random_keys, ends, doubled
+
+
+@pytest.mark.parametrize(
+    "b,n,seed", [(3, 600, 4), (4, 200, 1), (7, 999, 2), (10, 3000, 3), (100, 3000, 5)]
+)
 def test_random_trees_match_reference_structure(b, n, seed):
     rng = random.Random(seed)
-    keys = [rng.randrange(1, KEY_MAX) for _ in range(n)]
-    tree = build_tree(_pairs(keys), b, rng=random.Random(0))
-    count, height, leaves = _ref_bulk_load(keys, b)
-    assert tree.node_count == count
-    assert tree.height == height
-    assert _walk_check(tree) == sorted(keys)
-    assert _leaf_keys(tree) == leaves
+    for keys in _reference_inputs(n, b, rng):
+        tree = build_tree(_pairs(keys), b, rng=random.Random(0))
+        count, height, leaves = _ref_bulk_load(keys, b)
+        assert tree.node_count == count
+        assert tree.height == height
+        assert _walk_check(tree) == sorted(keys)
+        assert _leaf_keys(tree) == leaves
+        # Left to right, the leaves point at the value slots of the pairs in
+        # key order, each run of equal keys at its pairs' slots in input order.
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        pointers = [tree.ptrs[leaf, 1 : tree.key_count[leaf] + 1].tolist() for leaf in _leaves(tree)]
+        assert sum(pointers, []) == tree.value_positions[order].tolist()
 
 
 def test_ten_thousand_random_keys_all_reachable():
@@ -170,6 +192,16 @@ def test_domain_validation():
             build_tree([(key, b"v")], 4)
         with pytest.raises(BuildError, match="outside"):
             build_tree([(1, b"v"), (key, b"w")], 4)
+    # A key that is not a number fails its comparison with the domain,
+    # though numpy would parse it; a number in the domain that is not an
+    # integer is refused too.  A key outside the domain before it is named.
+    for key in ("5", b"5", 5.5):
+        with pytest.raises(TypeError):
+            build_tree([(key, b"v")], 4)
+        with pytest.raises(TypeError):
+            build_tree([(1, b"v"), (key, b"w")], 4)
+        with pytest.raises(BuildError, match="key 0 outside"):
+            build_tree([(0, b"v"), (key, b"w")], 4)
     with pytest.raises(BuildError):
         build_tree([], 4)
     with pytest.raises(BuildError):

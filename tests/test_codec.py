@@ -182,9 +182,10 @@ def test_every_node_record_is_sealed_at_its_slot_under_the_record_key(branching)
     # A record is sealed as a value is, ``body || tag`` at the nonce
     # salt || slot, with no associated data, under the record key: the AEAD's
     # own sealing of its plaintext, whether the records took the array pass
-    # (b=5, 39-byte bodies) or one call each (b=10).
-    pairs, tree, sk, index = _dataset(600, branching, 14, integrity=True)
-    assert index.node_count >= crypto._BULK_MIN_WIRES
+    # (b=5, 3,750 records of 39 bytes) or one call each (b=10, 1,485 of 79).
+    pairs, tree, sk, index = _dataset(12_000, branching, 14, integrity=True)
+    blocks = -(-node_plain_size(branching) // 16)
+    assert (index.node_count >= crypto._SEAL_ROWS_PER_BLOCK * blocks) == (branching == 5)
     aead = AESGCM(index.record_key(sk.tree_key))
     for slot, plain in enumerate(_open_records(index, sk)):
         nonce = index.salt + slot.to_bytes(4, "little")
@@ -309,10 +310,10 @@ def test_older_container_versions_rejected_as_unsupported(version):
 
 @pytest.mark.parametrize("length", [0, 64, 65, 80, 128, 129])
 def test_values_on_both_sides_of_the_bulk_seal_round_trip_end_to_end(monkeypatch, length):
-    # Values of 1 to 128 bytes are sealed in array passes, longer and empty
-    # ones one AEAD call each; both must answer queries on both
-    # constructions, result tag checked.  The node records, 47 bytes at
-    # b=6, take array passes too.
+    # 8,192 values of 1 to 128 bytes, 1,024 rows a block or more, are sealed
+    # in array passes, longer and empty ones one AEAD call each; both must
+    # answer queries on both constructions, result tag checked.  The node
+    # records, 31 bytes at b=4, take array passes too.
     passes = {}
     real = crypto._seal_pass
 
@@ -322,12 +323,13 @@ def test_values_on_both_sides_of_the_bulk_seal_round_trip_end_to_end(monkeypatch
 
     monkeypatch.setattr(crypto, "_seal_pass", spy)
     rng = random.Random(length)
-    keys = rng.sample(range(1, KEY_MAX), 300)
+    n = 8 * crypto._SEAL_ROWS_PER_BLOCK
+    keys = rng.sample(range(1, KEY_MAX), n)
     pairs = [(k, rng.randbytes(length)) for k in keys]
-    dep = Deployment.build(pairs, 6, integrity=True, rng=rng)
-    assert dep.index.node_count >= crypto._BULK_MIN_WIRES
-    assert passes.pop(node_plain_size(6)) == dep.index.node_count
-    assert passes == ({length: 300} if 0 < length <= 16 * crypto._BULK_MAX_BLOCKS else {})
+    dep = Deployment.build(pairs, 4, integrity=True, rng=rng)
+    assert dep.index.node_count >= 2 * crypto._SEAL_ROWS_PER_BLOCK
+    assert passes.pop(node_plain_size(4)) == dep.index.node_count
+    assert passes == ({length: n} if 0 < length <= 16 * crypto._BULK_MAX_BLOCKS else {})
     keys.sort()
     want = Counter(scan_oracle(pairs, keys[20], keys[219]))
     for construction in (1, 2):

@@ -166,6 +166,7 @@ def test_aead_fuzz_bit_flips_never_accepted():
 # -- value blobs: sealed at their slots, opened per blob or in bulk -----------
 
 CUT = crypto._BULK_MIN_WIRES
+SEAL_CUT = crypto._SEAL_ROWS_PER_BLOCK
 MAX_BODY = 16 * crypto._BULK_MAX_BLOCKS
 SALT = bytes(range(8))
 
@@ -310,7 +311,7 @@ def test_bulk_open_batches_it_does_not_take_behave_as_per_wire(bulk_passes):
 @settings(max_examples=100, deadline=None)
 @given(
     body=st.integers(0, MAX_BODY + 16),
-    count=st.sampled_from([1, 63, 64, 512, 513, 1100]),
+    count=st.sampled_from([1, 63, 64, 513, 1023, 1024, 3100]),
     data=st.data(),
 )
 def test_seal_wires_opens_row_by_row_and_as_a_matrix(body, count, data):
@@ -330,7 +331,7 @@ def test_seal_wires_opens_row_by_row_and_as_a_matrix(body, count, data):
         wires = crypto.seal_wires(key, plains, SALT, slots)
     finally:
         crypto._seal_pass = real
-    bulk = count >= CUT and 0 < body <= MAX_BODY
+    bulk = 0 < body <= MAX_BODY and count >= SEAL_CUT * -(-body // 16)
     split = crypto._passes(count, body + crypto.TAG_BYTES) if bulk else []
     assert passes == [len(range(count)[rows]) for rows in split]
     assert wires.shape == (count, body + crypto.TAG_BYTES)
@@ -346,18 +347,30 @@ def test_seal_wires_opens_row_by_row_and_as_a_matrix(body, count, data):
         crypto.open_wires(key, flipped, SALT, slots)
 
 
-@pytest.mark.parametrize("body", [1, 16, 64, MAX_BODY])
-def test_seal_wires_gives_the_same_rows_per_call_and_in_bulk(body):
-    # 63 rows are sealed one AEAD call each, 64 in one array pass; under one
-    # salt the shared rows are byte-identical, and so are their opens.
+@pytest.mark.parametrize("body", [1, 16, 17, 64, 79, MAX_BODY])
+def test_seal_wires_gives_the_same_rows_per_call_and_in_bulk(body, monkeypatch):
+    # One row short of SEAL_CUT rows a block, the rows are sealed one AEAD
+    # call each; at the cut-over, in array passes.  Under one salt the shared
+    # rows are byte-identical, and so are their opens.
+    cut = SEAL_CUT * -(-body // 16)
     key = generate_key()
-    plains = np.frombuffer(secrets.token_bytes(body * CUT), np.uint8).reshape(CUT, body)
-    slots = np.random.default_rng(body).permutation(10 * CUT)[:CUT]
-    per_call = crypto.seal_wires(key, plains[: CUT - 1], SALT, slots[: CUT - 1])
+    plains = np.frombuffer(secrets.token_bytes(body * cut), np.uint8).reshape(cut, body)
+    slots = np.random.default_rng(body).permutation(10 * cut)[:cut]
+    passes = []
+    real = crypto._seal_pass
+
+    def spy(state, tables, rows, wires, salt, at):
+        passes.append(len(rows))
+        return real(state, tables, rows, wires, salt, at)
+
+    monkeypatch.setattr(crypto, "_seal_pass", spy)
+    per_call = crypto.seal_wires(key, plains[: cut - 1], SALT, slots[: cut - 1])
+    assert passes == []
     in_bulk = crypto.seal_wires(key, plains, SALT, slots)
-    assert per_call.tobytes() == in_bulk[: CUT - 1].tobytes()
+    assert sum(passes) == cut
+    assert per_call.tobytes() == in_bulk[: cut - 1].tobytes()
     assert crypto.open_wires(key, in_bulk, SALT, slots)[:-1] == crypto.open_wires(
-        key, per_call, SALT, slots[: CUT - 1]
+        key, per_call, SALT, slots[: cut - 1]
     )
     # Another salt or other slots give other rows.
     assert not np.array_equal(crypto.seal_wires(key, plains, SALT[::-1], slots), in_bulk)
