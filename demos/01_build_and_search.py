@@ -58,5 +58,5 @@ print(f"\nopen query 'everything below {sorted_keys[9]}': {len(below)} values")
 
 # Equal queries produce different tokens and differently ordered answers.
 t1, t2 = make_token(dep.sk.tree_key, lo, hi), make_token(dep.sk.tree_key, lo, hi)
-assert t1.wire != t2.wire
+assert t1 != t2 and len(t1) == len(t2) == 36
 print("two tokens for the same range are distinct ciphertexts")

@@ -15,7 +15,7 @@ The package splits along the trust boundary of the deployment it models:
 
 from hsbt.crypto import AuthenticationError, SecretKey
 from hsbt.bptree import build_tree, scan_oracle
-from hsbt.codec import EncryptedIndex, RangeToken, decrypt_results, encrypt_index, make_token
+from hsbt.codec import EncryptedIndex, decrypt_results, encrypt_index, make_token
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveSim
 from hsbt.server import QueryStats, search_resident, search_streamed
@@ -26,7 +26,6 @@ __all__ = [
     "build_tree",
     "scan_oracle",
     "EncryptedIndex",
-    "RangeToken",
     "decrypt_results",
     "encrypt_index",
     "make_token",

@@ -41,6 +41,10 @@ the value rows with one `np.take`, with the slots it was read from and the
 salt (`SealedValues`), and the client opens each row at its slot
 (`decrypt_results`).
 
+A query token is plain `bytes`, its 36-byte wire (`make_token`): the range
+sealed under the token key, a subkey of the one tree key the enclave holds.
+Nothing rides beside it in the clear.
+
 Node record plaintext, all integers little-endian, one layout whatever the
 integrity flag::
 
@@ -317,48 +321,28 @@ def encrypt_index(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RangeToken:
-    """The queried range endpoints, ``<II`` little-endian, sealed as one
-    wire (`crypto.encrypt_wire`) under the token key (`token_key`), a subkey
-    of the tree key, so the enclave that holds the tree key opens it.
-
-    Randomized: two tokens for the same range are distinct wires.  In
-    multi-user mode the client id rides alongside in the clear so the enclave
-    can pick the right key.  Frozen, so a token is hashable: the enclave
-    keys a query's integrity session by the token itself.
-    """
-
-    wire: bytes
-    client_id: str | None = None
-
-    @property
-    def wire_size(self) -> int:
-        prefix = len(self.client_id.encode()) + 1 if self.client_id else 0
-        return prefix + len(self.wire)
-
-
 def token_key(tree_key: bytes) -> bytes:
     """The key tokens are sealed under by `make_token` and opened under by
     the enclave: the tree key's `crypto.subkey` labelled ``hsbt-tokens``."""
     return subkey(tree_key, b"hsbt-tokens")
 
 
-def make_token(
-    tree_key: bytes,
-    r_start: int | None,
-    r_end: int | None,
-    client_id: str | None = None,
-) -> RangeToken:
+def make_token(tree_key: bytes, r_start: int | None, r_end: int | None) -> bytes:
     """Mint a token for [r_start, r_end]; `None` endpoints encode the open
-    sides (below / above queries)."""
+    sides (below / above queries).
+
+    A token is its 36 wire bytes: the endpoints, ``<II`` little-endian,
+    sealed as one wire (`crypto.encrypt_wire`) under the token key
+    (`token_key`), so the enclave, which holds the tree key, opens it.
+    Randomized: two tokens for the same range are distinct wires.  The
+    enclave keys a query's integrity session by these bytes."""
     rs = KEY_NEG_INFINITY if r_start is None else int(r_start)
     re_ = KEY_INFINITY if r_end is None else int(r_end)
     if not 0 <= rs <= 0xFFFFFFFF or not 0 <= re_ <= 0xFFFFFFFF:
         raise ValueError("range endpoint outside the 32-bit key space")
     if rs > re_:
         raise ValueError(f"empty range: {rs} > {re_}")
-    return RangeToken(encrypt_wire(token_key(tree_key), struct.pack("<II", rs, re_)), client_id)
+    return encrypt_wire(token_key(tree_key), struct.pack("<II", rs, re_))
 
 
 def unpack_range(plain: bytes) -> tuple[int, int]:

@@ -1,10 +1,11 @@
 """The simulated trusted component.
 
 Everything in this module models code running behind the hardware isolation
-boundary: it holds the tree key (never exported), decrypts tokens, under
-the tree key's `codec.token_key`, and node records, walks the tree, and
-hands only value pointers back out.  The two query entry points mirror the
-two deployment modes:
+boundary: it serves one client, the data owner, and holds that owner's tree
+key (never exported).  It decrypts tokens, each its 36 wire bytes, under the
+tree key's `codec.token_key`, and node records, walks the tree, and hands
+only value pointers back out.  Nothing the host sends chooses a key.  The
+two query entry points mirror the two deployment modes:
 
 * `search_resident`: the whole decrypted tree was loaded into trusted memory
   once (`load_tree`); queries then never decrypt another node and cross the
@@ -46,16 +47,16 @@ list: the driver slices its queue from them, and `_open_records` gathers
 the rows they name.
 
 In integrity mode `search_batch` additionally runs a per-query session, keyed
-by the token that opened it: a batch continues the open session of its own
-token, or opens one at the root.  It counts the requested nodes still
-outstanding, and a batch may deliver no more nodes than that; an honest
-driver only ever sends pointers it was already given.  It keeps two
-multiset hashes, both keyed by the key that opened the token, as is the
-result tag, and each folded once per call: a balance that adds the
-requested storage slots and subtracts the received ones, and the result
-digest, which folds the element ``salt || slot || 0^4`` of each matched
-value pointer (`crypto.value_elements`), the salt being the attached
-container's value salt, bound into every record's key and nonce.  A value
+by the wire bytes of the token that opened it: a batch continues the open
+session of its own token, or opens one at the root.  It counts the
+requested nodes still outstanding, and a batch may deliver no more nodes
+than that; an honest driver only ever sends pointers it was already given.
+It keeps two multiset hashes, both keyed by the tree key, as is the result
+tag, and each folded once per call: a balance that adds the requested
+storage slots and subtracts the received ones, and the result digest,
+which folds the element ``salt || slot || 0^4`` of each matched value
+pointer (`crypto.value_elements`), the salt being the attached container's
+value salt, bound into every record's key and nonce.  A value
 blob opens only at the nonce ``salt || slot`` it was sealed under, so the
 client, which folds the same elements for the slots its values opened at,
 checks both which blobs it got and that they came from this container.  A
@@ -88,7 +89,6 @@ import numpy as np
 from hsbt.codec import (
     FLAG_LEAF,
     EncryptedIndex,
-    RangeToken,
     deserialize_node,
     leaf_mask,
     node_plain_size,
@@ -114,6 +114,8 @@ decrypt_wire = open_wires
 
 PAGE_SIZE = 4096
 
+# The one client's name, which `provision` still takes first so that
+# existing callers keep working; ROADMAP item 1 drops both.
 DEFAULT_CLIENT = "client-0"
 
 # Open integrity sessions an enclave keeps; opening one more evicts the
@@ -140,8 +142,8 @@ class EnclaveAbort(EnclaveError):
 
 @dataclass
 class IntegritySession:
-    """Per-query integrity state, keyed by the token that opened it: its
-    wire bytes and its client id.
+    """Per-query integrity state, keyed by the wire bytes of the token that
+    opened it; its hashes are keyed by the tree key.
 
     `outstanding` counts requested nodes not yet received, the root included
     from the start.  `balance` adds every requested slot and subtracts every
@@ -247,13 +249,14 @@ _ORDER_INCREMENT = 0xDA3E39CB94B95BDB5851F42D4C957F2D
 
 
 class EnclaveSim:
-    """Simulated enclave: key table, optional resident tree, session map.
+    """Simulated enclave: one client's tree key and root id, optional
+    resident tree, session map.
 
     `reserved_space` is the byte budget for streamed node batches and decides
     the batch ceiling; `capacity` is the budget for a resident tree (modelling
     the protected-memory limit).  Query paths are read-only and may run
-    concurrently; session and key-table mutation, and the instrumentation
-    counters (`node_decryptions`, `touch_counter`, folded once per call), are
+    concurrently; provisioning, session mutation and the instrumentation
+    counters (`node_decryptions`, `touch_counter`, folded once per call) are
     serialized internally.  `sessions_evicted` counts open sessions dropped to
     keep the table at `MAX_OPEN_SESSIONS`.
 
@@ -275,31 +278,34 @@ class EnclaveSim:
         self.node_decryptions = 0
         self.touch_counter = TouchCounter()
         self._order_seed_source = order_seed_source
-        self._key_table: dict[str, bytes] = {}
         self._tree_key: bytes | None = None
         self._root_id: int | None = None
         self._container: EncryptedIndex | None = None
         # The resident record array and the container it was loaded from.
         self._resident: tuple[EncryptedIndex, np.ndarray] | None = None
-        self._sessions: dict[RangeToken, IntegritySession] = {}
+        self._sessions: dict[bytes, IntegritySession] = {}
         self.sessions_evicted = 0
         # Re-entrant: `_abort` ends a session from inside the locked fold too.
         self._lock = threading.RLock()
 
     # -- provisioning and container wiring ---------------------------------
 
-    def provision(self, client_id: str, tree_key: bytes, root_id: int | None = None) -> None:
-        """Install a client's tree key over the (simulated) secure channel;
-        the client's tokens open under its `token_key`.
+    def provision(self, client_id: str, tree_key: bytes, *, root_id: int) -> None:
+        """Install the data owner's tree key and root id over the
+        (simulated) secure channel: node records and tokens open under
+        subkeys of that one key.
 
-        The data owner's provisioning carries the root id and makes its key
-        the node-decryption key; re-provisioning a client replaces its key.
+        The first argument must be `DEFAULT_CLIENT`; any other raises
+        `ValueError`.  Re-provisioning replaces the key and root id, and
+        drops the resident tree and every open session, all of which the
+        old key opened.
         """
+        if client_id != DEFAULT_CLIENT:
+            raise ValueError(f"the enclave serves one client, {DEFAULT_CLIENT!r}")
         with self._lock:
-            self._key_table[client_id] = tree_key
-            if root_id is not None:
-                self._tree_key = tree_key
-                self._root_id = root_id
+            self._tree_key, self._root_id = tree_key, root_id
+            self._resident = None
+            self._sessions.clear()
 
     def attach_container(self, index: EncryptedIndex) -> None:
         """Share the container with the enclave (host-memory mapping: records
@@ -324,7 +330,7 @@ class EnclaveSim:
         # opened, never the one attached now: the host may attach a copy
         # whose header names another slot at any moment.  The root is the
         # last node, which every record binds via the node count.
-        if self._tree_key is None or self._root_id is None:
+        if self._tree_key is None:
             raise NoKeyError("enclave not provisioned")
         if container is None:
             raise EnclaveError("no container attached")
@@ -360,7 +366,7 @@ class EnclaveSim:
         self._find_root_slot(index)  # aborts unless the root id is the last node's
         self._resident = index, resident
 
-    def search_resident(self, token: RangeToken, trace=None) -> np.ndarray:
+    def search_resident(self, token: bytes, trace=None) -> np.ndarray:
         """Range search over the resident tree; returns the value pointers as
         a `uint32` array.
 
@@ -377,7 +383,7 @@ class EnclaveSim:
         if loaded is None:
             raise EnclaveError("no resident tree loaded")
         index, resident = loaded
-        rs, re_, _ = self._open_token(token)
+        rs, re_ = self._open_token(token)
         rng = self._fresh_order_rng(trace)
         branching = resident["ptrs"].shape[1]
         unpack = node_struct(branching).unpack_from
@@ -415,7 +421,7 @@ class EnclaveSim:
 
     # -- construction 2: streamed batches ------------------------------------
 
-    def search_batch(self, token: RangeToken, positions, trace=None) -> tuple[np.ndarray, list[int]]:
+    def search_batch(self, token: bytes, positions, trace=None) -> tuple[np.ndarray, list[int]]:
         """Process one batch of node positions for a range query.
 
         Returns ``(value_ptrs, node_ptrs)``: value pointers come from leaves
@@ -436,9 +442,9 @@ class EnclaveSim:
         if self._container is None:
             raise EnclaveError("no container attached")
         if self._tree_key is None:
-            raise NoKeyError("no node-decryption key provisioned")
+            raise NoKeyError("enclave not provisioned")
         container = self._container
-        rs, re_, key = self._open_token(token)
+        rs, re_ = self._open_token(token)
         rng = self._fresh_order_rng(trace)
 
         self._admit(container, token, positions)
@@ -460,7 +466,7 @@ class EnclaveSim:
                 sess = self._sessions.get(token)
                 fresh = sess is None
                 if fresh:
-                    sess = self._open_session(token, container, positions[0], key)
+                    sess = self._open_session(token, container, positions[0])
                 if len(positions) > sess.outstanding:
                     self._abort(token, "protocol violation: more nodes than requested")
                 sess.outstanding += len(node_ptrs) - len(positions)
@@ -476,13 +482,14 @@ class EnclaveSim:
             trace.pointers_out(value_ptrs.tolist())
         return value_ptrs, node_ptrs.tolist()
 
-    def finalize_session(self, token: RangeToken) -> bytes:
+    def finalize_session(self, token: bytes) -> bytes:
         """Close the token's integrity session and issue the result tag.
 
         Only succeeds when no requested node is outstanding and the received
         node multiset matches the requested one, a zero balance.  Any other
         state aborts, and the session is closed either way.
         """
+        _check_token_type(token)
         with self._lock:
             sess = self._sessions.pop(token, None)
         if sess is None:
@@ -497,21 +504,19 @@ class EnclaveSim:
 
     # -- internals -----------------------------------------------------------
 
-    def _open_token(self, token: RangeToken) -> tuple[int, int, bytes]:
-        """The token's range and the tree key whose `token_key` opened it."""
-        key = self._key_table.get(token.client_id or DEFAULT_CLIENT)
-        if key is None:
-            raise NoKeyError(f"no key provisioned for {token.client_id or DEFAULT_CLIENT!r}")
+    def _open_token(self, token: bytes) -> tuple[int, int]:
+        """The range the token names, opened under the tree key's `token_key`."""
+        _check_token_type(token)
         try:
-            plain = decrypt(token_key(key), token.wire)
+            plain = decrypt(token_key(self._tree_key), token)
         except AuthenticationError:
             raise EnclaveAbort("token failed authentication") from None
         r_start, r_end = unpack_range(plain)
         if r_start > r_end:
             raise EnclaveAbort("token names an empty range")
-        return r_start, r_end, key
+        return r_start, r_end
 
-    def _admit(self, container: EncryptedIndex, token: RangeToken, positions) -> None:
+    def _admit(self, container: EncryptedIndex, token: bytes, positions) -> None:
         """Abort, ending the token's session, unless the batch at
         `positions` fits: it fits the ceiling (`max_batch_nodes`), checked
         first so that no longer batch is scanned, every position names a
@@ -548,7 +553,7 @@ class EnclaveSim:
             self._abort(token, "node record failed authentication")
         return deserialize_node(plains, container.branching)
 
-    def _abort(self, token: RangeToken | None, reason: str) -> NoReturn:
+    def _abort(self, token: bytes | None, reason: str) -> NoReturn:
         """Raise `EnclaveAbort(reason)`, ending `token`'s session if it has one."""
         with self._lock:
             self._sessions.pop(token, None)
@@ -580,20 +585,28 @@ class EnclaveSim:
             self.touch_counter.add(scanned, branching)
 
     def _open_session(
-        self, token: RangeToken, container: EncryptedIndex, first: int, key: bytes
+        self, token: bytes, container: EncryptedIndex, first: int
     ) -> IntegritySession:
         """A new session for `token`'s batch whose first node is at slot
-        `first` of `container`, which must be the root's, keyed by `key`,
-        the key that opened the token; the caller holds the lock."""
+        `first` of `container`, which must be the root's, keyed by the tree
+        key; the caller holds the lock."""
         if first != self._find_root_slot(container):
             raise EnclaveAbort("protocol violation: first node is not the root")
         while len(self._sessions) >= MAX_OPEN_SESSIONS:
             del self._sessions[next(iter(self._sessions))]
             self.sessions_evicted += 1
-        empty = MultisetHash.empty(key)
+        empty = MultisetHash.empty(self._tree_key)
         # The root counts as requested: the opening batch delivers it.
         sess = self._sessions[token] = IntegritySession(1, empty, empty)
         return sess
+
+
+def _check_token_type(token) -> None:
+    """Refuse a token that is not `bytes` as unauthentic, before it can
+    reach the session table: a minted token is `bytes`, and anything else
+    is either unhashable or not a wire."""
+    if type(token) is not bytes:
+        raise EnclaveAbort("token failed authentication")
 
 
 def _expand(nodes: np.ndarray, r_start: int, r_end: int):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hsbt.codec import EncryptedIndex, RangeToken, SealedValues
+from hsbt.codec import EncryptedIndex, SealedValues
 from hsbt.enclave import EnclaveSim
 
 CSV_HEADER = "construction,b,n,range_size,result_size,crossings,nodes,bytes_in,bytes_out,micros"
@@ -80,7 +80,7 @@ def fetch_values(index: EncryptedIndex, pointers) -> SealedValues:
 
 
 def search_resident(
-    index: EncryptedIndex, enclave: EnclaveSim, token: RangeToken, trace=None
+    index: EncryptedIndex, enclave: EnclaveSim, token: bytes, trace=None
 ):
     """Resident-tree query: one trusted call, then dereference the pointers;
     returns (the `fetch_values` result, stats).
@@ -100,7 +100,7 @@ def search_resident(
         result_size=len(blobs.rows),
         crossings=2,
         nodes_transferred=0,
-        bytes_in=token.wire_size,
+        bytes_in=len(token),
         bytes_out=4 * len(pointers),
         micros=micros,
     )
@@ -108,7 +108,7 @@ def search_resident(
 
 
 def search_streamed(
-    index: EncryptedIndex, enclave: EnclaveSim, token: RangeToken, trace=None
+    index: EncryptedIndex, enclave: EnclaveSim, token: bytes, trace=None
 ):
     """Streamed query: FIFO node queue, batched trusted calls, pointer
     routing; returns (the `fetch_values` result, result tag or None,
@@ -138,7 +138,7 @@ def search_streamed(
         nodes_moved += len(batch)
         # Records move by reference out of shared memory, but their bytes are
         # still charged as boundary input alongside the token.
-        bytes_in += token.wire_size + len(batch) * index.node_record_size
+        bytes_in += len(token) + len(batch) * index.node_record_size
         bytes_out += 4 * (len(values) + len(nodes))
         value_pointers.append(values)
         queue += nodes
@@ -147,7 +147,7 @@ def search_streamed(
     if index.integrity:
         mac = enclave.finalize_session(token)
         crossings += 1
-        bytes_in += token.wire_size
+        bytes_in += len(token)
         bytes_out += len(mac)
 
     blobs = fetch_values(index, np.concatenate(value_pointers))

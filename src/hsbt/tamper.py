@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hsbt.bptree import KEY_MAX, KEY_MIN
-from hsbt.codec import RangeToken, make_token
+from hsbt.codec import make_token
 from hsbt.crypto import AuthenticationError
 from hsbt.deploy import Deployment
 from hsbt.enclave import EnclaveError, EnclaveSim
@@ -98,7 +98,7 @@ class _BatchRewriter:
         self,
         enclave: EnclaveSim,
         rewrites: dict[int, list[tuple[int, ...]]],
-        second_token: RangeToken | None = None,
+        second_token: bytes | None = None,
     ):
         self._enclave = enclave
         self._rewrites = rewrites
@@ -128,7 +128,7 @@ def _client_receive(dep: Deployment, blobs, mac) -> TamperReport:
     return TamperReport(Outcome.ACCEPTED, "result verified")
 
 
-def _serve_copy(dep: Deployment, copy, token: RangeToken, what: str) -> TamperReport:
+def _serve_copy(dep: Deployment, copy, token: bytes, what: str) -> TamperReport:
     """Run the query against `copy`, a doctored container, in place of the
     genuine one, which is attached again afterwards; `what` names the change."""
     dep.enclave.attach_container(copy)
@@ -142,7 +142,7 @@ def _serve_copy(dep: Deployment, copy, token: RangeToken, what: str) -> TamperRe
 
 
 def run_with_tamper(
-    dep: Deployment, token: RangeToken, kind: str, rng: random.Random
+    dep: Deployment, token: bytes, kind: str, rng: random.Random
 ) -> TamperReport:
     """Execute the deviation `kind`, one of `KINDS`, against one query and
     classify the result; targets are drawn from `rng`.
@@ -227,10 +227,10 @@ def run_with_tamper(
     rewrites: dict[int, list[tuple[int, ...]]] = {}
     second_token = None
     if kind == "mix-tokens":
-        # A valid token of the same client for another range, as a host
-        # sees when it serves that client's other queries.
+        # A valid token for another range, as a host sees when it serves
+        # the client's other queries.
         r_start, r_end = sorted(rng.randrange(KEY_MIN, KEY_MAX + 1) for _ in range(2))
-        second_token = make_token(dep.sk.tree_key, r_start, r_end, token.client_id)
+        second_token = make_token(dep.sk.tree_key, r_start, r_end)
         target = f"[{r_start}, {r_end}]"
     elif kind == "duplicate-node":
         target = rng.choice([s for s in sorted(children) if children[s]])

@@ -581,38 +581,33 @@ def test_value_count_rewrite_keeps_the_region():
 def test_token_roundtrip():
     sk = SecretKey.generate()
     tok = make_token(sk.tree_key, 3, 5)
-    assert unpack_range(decrypt_wire(token_key(sk.tree_key), tok.wire)) == (3, 5)
+    assert unpack_range(decrypt_wire(token_key(sk.tree_key), tok)) == (3, 5)
     # The token key is a subkey: the tree key itself opens no token.
     assert token_key(sk.tree_key) == crypto.subkey(sk.tree_key, b"hsbt-tokens") != sk.tree_key
     with pytest.raises(AuthenticationError):
-        decrypt_wire(sk.tree_key, tok.wire)
+        decrypt_wire(sk.tree_key, tok)
 
 
 def test_token_open_range_sentinels():
     sk = SecretKey.generate()
     below = make_token(sk.tree_key, None, 7)
-    assert unpack_range(decrypt_wire(token_key(sk.tree_key), below.wire)) == (0, 7)
+    assert unpack_range(decrypt_wire(token_key(sk.tree_key), below)) == (0, 7)
     above = make_token(sk.tree_key, 7, None)
-    assert unpack_range(decrypt_wire(token_key(sk.tree_key), above.wire)) == (7, KEY_INFINITY)
+    assert unpack_range(decrypt_wire(token_key(sk.tree_key), above)) == (7, KEY_INFINITY)
 
 
 def test_equal_ranges_give_distinct_tokens():
     sk = SecretKey.generate()
     a, b = make_token(sk.tree_key, 3, 5), make_token(sk.tree_key, 3, 5)
-    assert a.wire != b.wire
+    assert a != b
 
 
 def test_token_wire_and_wire_size():
-    # A token is one wire: nonce(12) || the 8-byte range || tag(16).  A named
-    # client adds its id and one separator byte; the driver charges exactly
-    # this to `bytes_in` per crossing.
-    key = SecretKey.generate().tree_key
-    plain = make_token(key, 3, 5)
-    assert len(plain.wire) == NONCE_BYTES + 8 + TAG_BYTES == 36
-    assert plain.wire_size == 36
-    named = make_token(key, 3, 5, client_id="client-7")
-    assert len(named.wire) == 36
-    assert named.wire_size == len("client-7") + 1 + 36 == 45
+    # A token is its wire, `bytes`: nonce(12) || the 8-byte range || tag(16).
+    # The driver charges exactly its length to `bytes_in` per crossing.
+    token = make_token(SecretKey.generate().tree_key, 3, 5)
+    assert type(token) is bytes
+    assert len(token) == NONCE_BYTES + 8 + TAG_BYTES == 36
 
 
 def test_token_rejects_inverted_range():
@@ -636,7 +631,7 @@ def test_unpack_range_rejects_a_plaintext_that_is_not_8_bytes(length):
 def test_token_plaintext_is_8_byte_le_pair():
     sk = SecretKey.generate()
     tok = make_token(sk.tree_key, 0x01020304, 0x0A0B0C0D)
-    plain = decrypt_wire(token_key(sk.tree_key), tok.wire)
+    plain = decrypt_wire(token_key(sk.tree_key), tok)
     assert plain == struct.pack("<II", 0x01020304, 0x0A0B0C0D)
 
 

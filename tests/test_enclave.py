@@ -23,7 +23,6 @@ from hsbt.bptree import (
 )
 from hsbt.codec import (
     FLAG_LEAF,
-    RangeToken,
     deserialize_node,
     leaf_mask,
     make_token,
@@ -112,21 +111,11 @@ def test_calls_before_their_set_up_step_fail_closed():
         provisioned.search_resident(token)
 
 
-def test_token_of_an_unprovisioned_client_rejected():
-    pairs, tree, sk, index, enclave = _fixture(50)
-    enclave.load_tree(index)
-    token = make_token(sk.tree_key, 1, KEY_MAX, client_id="client-9")
-    with pytest.raises(NoKeyError, match="no key provisioned for 'client-9'"):
-        enclave.search_batch(token, [enclave.root_slot()])
-    with pytest.raises(NoKeyError, match="no key provisioned for 'client-9'"):
-        enclave.search_resident(token)
-
-
 def test_token_naming_an_empty_range_aborts():
     # `make_token` refuses to mint an inverted range, so seal one directly.
     pairs, tree, sk, index, enclave = _fixture(50)
     enclave.load_tree(index)
-    token = RangeToken(encrypt_wire(token_key(sk.tree_key), struct.pack("<II", 9, 3)))
+    token = encrypt_wire(token_key(sk.tree_key), struct.pack("<II", 9, 3))
     with pytest.raises(EnclaveAbort, match="token names an empty range"):
         enclave.search_batch(token, [enclave.root_slot()])
     with pytest.raises(EnclaveAbort, match="token names an empty range"):
@@ -137,7 +126,7 @@ def test_token_sealed_under_the_raw_tree_key_aborts():
     # The old form of a token: the range sealed under the tree key itself.
     pairs, tree, sk, index, enclave = _fixture(50)
     enclave.load_tree(index)
-    old = RangeToken(encrypt_wire(sk.tree_key, struct.pack("<II", 1, KEY_MAX)))
+    old = encrypt_wire(sk.tree_key, struct.pack("<II", 1, KEY_MAX))
     with pytest.raises(EnclaveAbort, match="^token failed authentication$"):
         enclave.search_batch(old, [enclave.root_slot()])
     with pytest.raises(EnclaveAbort, match="^token failed authentication$"):
@@ -173,9 +162,9 @@ def test_token_with_a_flipped_bit_aborts_and_leaves_sessions_alone(bit):
     token = make_token(sk.tree_key, None, None)
     enclave.search_batch(token, [enclave.root_slot()])
     before = {t: (s.outstanding, s.balance, s.result_hash) for t, s in enclave._sessions.items()}
-    wire = bytearray(token.wire)
+    wire = bytearray(token)
     wire[bit // 8] ^= 1 << bit % 8
-    forged = RangeToken(bytes(wire))
+    forged = bytes(wire)
     with pytest.raises(EnclaveAbort, match="^token failed authentication$"):
         enclave.search_batch(forged, [enclave.root_slot()])
     with pytest.raises(EnclaveAbort, match="^token failed authentication$"):
@@ -190,45 +179,89 @@ def test_provision_then_search_succeeds():
     assert len(values) == 50
 
 
-def test_two_clients_tokens_do_not_cross_decrypt():
+@pytest.mark.parametrize(
+    "retype",
+    [bytearray, memoryview, lambda wire: wire.decode("latin-1"), lambda wire: None],
+    ids=["bytearray", "memoryview", "str", "None"],
+)
+def test_a_token_that_is_not_bytes_fails_closed(retype):
+    # A minted token is `bytes`; the same wire in any other type, or no wire
+    # at all, is refused by all three entry points that take a token before
+    # any session is looked up, and the open session stays as it was.
+    pairs, tree, sk, index, enclave = _integrity_fixture()
+    enclave.load_tree(index)
+    token = make_token(sk.tree_key, None, None)
+    root = enclave.root_slot()
+    enclave.search_batch(token, [root])
+    opened = enclave.node_decryptions
+    other = retype(token)
+    calls = (
+        lambda: enclave.search_batch(other, [root]),
+        lambda: enclave.search_resident(other),
+        lambda: enclave.finalize_session(other),
+    )
+    for call in calls:
+        with pytest.raises(EnclaveAbort, match="^token failed authentication$"):
+            call()
+    assert list(enclave._sessions) == [token] and enclave._sessions[token].outstanding > 0
+    assert enclave.node_decryptions == opened
+
+
+def test_provision_serves_one_client_and_needs_the_root_id():
+    # `provision` takes the client name first, and only `DEFAULT_CLIENT`; the
+    # root id is a required keyword.  A refused call changes nothing.
     pairs, tree, sk, index, enclave = _fixture(50)
-    other = SecretKey.generate()
-    enclave.provision("client-b", other.tree_key)
-    # Token minted under the owner's key but presented as client-b.
-    forged = make_token(sk.tree_key, 1, KEY_MAX, client_id="client-b")
-    with pytest.raises(EnclaveAbort):
-        enclave.search_batch(forged, [enclave.root_slot()])
-    # client-b's own token works against the shared tree.
-    ok = make_token(other.tree_key, None, None, client_id="client-b")
-    values = _drive_batches(index, enclave, ok)
-    assert len(values) == 50
-
-
-def test_a_second_clients_result_tag_verifies_under_its_own_key():
-    # The session's multiset hashes and the result tag are keyed by the key
-    # that opened the token, never by the owner's tree key.
-    from hsbt.codec import decrypt_results, verify_result_mac
-
-    pairs, tree, sk, index, enclave = _fixture(300, integrity=True)
-    other = SecretKey.generate()
-    enclave.provision("client-b", other.tree_key)
-    keys = sorted(k for k, _ in pairs)
-    clients = ((other.tree_key, "client-b", sk.tree_key), (sk.tree_key, None, other.tree_key))
-    for key, client, foreign in clients:
-        token = make_token(key, keys[10], keys[40], client_id=client)
-        blobs, mac, _ = search_streamed(index, enclave, token)
-        results = decrypt_results(sk.value_key, blobs)
-        assert len(results) == 31
-        assert verify_result_mac(key, results, mac)
-        assert not verify_result_mac(foreign, results, mac)
+    enclave.load_tree(index)
+    other = SecretKey.generate().tree_key
+    for client in ("client-1", "", None):
+        with pytest.raises(ValueError, match="serves one client"):
+            enclave.provision(client, other, root_id=tree.root_id)
+    with pytest.raises(TypeError):
+        enclave.provision(DEFAULT_CLIENT, other)
+    with pytest.raises(TypeError):
+        enclave.provision(DEFAULT_CLIENT, other, tree.root_id)
+    assert enclave.tree_loaded
+    assert len(enclave.search_resident(make_token(sk.tree_key, None, None))) == 50
 
 
 def test_reprovision_replaces_key():
+    # The new key opens tokens and records alike: a token of the old key
+    # fails, and so does the old key's container under the new key.
     pairs, tree, sk, index, enclave = _fixture(30)
     fresh = SecretKey.generate()
-    enclave.provision(DEFAULT_CLIENT, fresh.tree_key)  # token key only
-    with pytest.raises(EnclaveAbort):
+    enclave.provision(DEFAULT_CLIENT, fresh.tree_key, root_id=tree.root_id)
+    with pytest.raises(EnclaveAbort, match="^token failed authentication$"):
         enclave.search_batch(make_token(sk.tree_key, 1, 9), [enclave.root_slot()])
+    with pytest.raises(EnclaveAbort, match="^node record failed authentication$"):
+        enclave.search_batch(make_token(fresh.tree_key, 1, 9), [enclave.root_slot()])
+
+
+def test_reprovisioning_drops_the_resident_tree_and_open_sessions():
+    # The resident tree and the open sessions were opened under the old key,
+    # so a new key must not reach them: a token of the new key gets no
+    # pointer from the old tree, and an old session cannot be continued.
+    pairs, tree, sk, index, enclave = _fixture(500, b=8, seed=11, integrity=True)
+    keys = sorted(k for k, _ in pairs)
+    old = make_token(sk.tree_key, keys[10], keys[40])
+    root = enclave.root_slot()
+    _, children = enclave.search_batch(old, [root])
+    enclave.load_tree(index)
+    assert len(enclave.search_resident(old)) == 31 and enclave._sessions
+    fresh = SecretKey.generate().tree_key
+    enclave.provision(DEFAULT_CLIENT, fresh, root_id=tree.root_id)
+    assert not enclave.tree_loaded and not enclave._sessions
+    token = make_token(fresh, keys[10], keys[40])
+    with pytest.raises(EnclaveError, match="^no resident tree loaded$"):
+        enclave.search_resident(token)
+    for call in (lambda: enclave.load_tree(index), lambda: enclave.search_batch(token, [root])):
+        with pytest.raises(EnclaveAbort, match="^node record failed authentication$"):
+            call()
+    assert not enclave.tree_loaded
+    # Back under the old key, the old token's session is gone: a batch that
+    # continues it opens a new one, which must start at the root.
+    enclave.provision(DEFAULT_CLIENT, sk.tree_key, root_id=tree.root_id)
+    with pytest.raises(EnclaveAbort, match="first node is not the root"):
+        enclave.search_batch(old, children[:1])
 
 
 # -- construction 1: resident tree ---------------------------------------------
@@ -260,7 +293,9 @@ def test_tampered_node_aborts_load():
 def test_load_aborts_when_root_slot_holds_another_node():
     # The root is the container's last node, `node_count - 1`, which the
     # header states and every record binds; a provisioned root id naming any
-    # other node, or none, aborts before a walk starts, on both paths.
+    # other node, or none, aborts before a walk starts, on both paths.  The
+    # provisioning itself drops the resident tree, and no load under a wrong
+    # root id brings it back.
     import dataclasses
 
     pairs, tree, sk, index, enclave = _fixture(300, b=4, seed=2, integrity=True)
@@ -284,11 +319,13 @@ def test_load_aborts_when_root_slot_holds_another_node():
             enclave.root_slot,
             lambda: enclave.load_tree(index),
             lambda: enclave.search_batch(token, [root_slot]),
-            lambda: enclave.search_resident(token),
         )
         for call in calls:
             with pytest.raises(EnclaveAbort, match="provisioned root id is not the container's root"):
                 call()
+        assert not enclave.tree_loaded
+        with pytest.raises(EnclaveError, match="^no resident tree loaded$"):
+            enclave.search_resident(token)
 
 
 def test_attaching_another_container_drops_the_resident_tree():

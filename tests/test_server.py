@@ -147,7 +147,7 @@ def test_streamed_integrity_query_byte_accounting():
     nodes = sum(n for n, _ in batches)
     pointers = sum(p for _, p in batches)
     assert stats.nodes_transferred == nodes and pointers > stats.result_size == 121
-    assert stats.bytes_in == (len(batches) + 1) * token.wire_size + nodes * index.node_record_size
+    assert stats.bytes_in == (len(batches) + 1) * 36 + nodes * index.node_record_size
     assert stats.bytes_out == 4 * pointers + 32 == 4 * pointers + len(mac)
 
 
@@ -192,11 +192,11 @@ def test_no_plaintext_sentinels_on_untrusted_surfaces():
     # Every byte surface the untrusted side handles: container regions, the
     # token wire, and the returned blobs.
     key_bytes_le = sentinel_key.to_bytes(4, "little")
-    surfaces = [index.node_region, index.value_region, token.wire, *blobs.rows]
+    surfaces = [index.node_region, index.value_region, token, *blobs.rows]
     for surface in surfaces:
         assert sentinel_value not in surface
     assert key_bytes_le not in index.node_region
-    assert key_bytes_le not in token.wire
+    assert key_bytes_le not in token
     # And yet the client can still recover the value.
     assert decrypt_results(sk.value_key, blobs) == [sentinel_value]
 
