@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from hsbt.bptree import KEY_MAX, scan_oracle
 from hsbt.deploy import Deployment
-from hsbt.enclave import EnclaveSim
 
 BENCH_CSV_HEADER = (
     "construction,b,n,integrity,result_size,reps,median_micros,"
@@ -57,10 +56,9 @@ def sample_result_window(sorted_keys, result_size: int, rng: random.Random):
 class DeploymentCache:
     """Builds (and reuses) one encrypted deployment per (n, b, integrity)."""
 
-    def __init__(self, seed: int, value_size: int = 16, reserved_space: int = 64 * 1024):
+    def __init__(self, seed: int, value_size: int = 16):
         self.seed = seed
         self.value_size = value_size
-        self.reserved_space = reserved_space
         self._cache: dict[tuple, tuple[list, list, Deployment]] = {}
 
     def get(self, n: int, branching: int, integrity: bool) -> tuple[list, list, Deployment]:
@@ -69,8 +67,7 @@ class DeploymentCache:
         if key not in self._cache:
             rng = random.Random(f"{self.seed}/{n}/{branching}/{integrity}")
             pairs = make_dataset(n, rng, self.value_size)
-            enclave = EnclaveSim(reserved_space=self.reserved_space)
-            dep = Deployment.build(pairs, branching, integrity=integrity, rng=rng, enclave=enclave)
+            dep = Deployment.build(pairs, branching, integrity=integrity, rng=rng)
             self._cache[key] = (pairs, sorted(k for k, _ in pairs), dep)
         return self._cache[key]
 
@@ -120,9 +117,9 @@ def row_to_csv(row: dict) -> str:
     )
 
 
-def run_workload(cells, seed: int, *, reserved_space: int = 64 * 1024, verify: bool = False):
+def run_workload(cells, seed: int):
     """Run every cell against a shared deployment cache; yields result rows."""
-    cache = DeploymentCache(seed, reserved_space=reserved_space)
+    cache = DeploymentCache(seed)
     rng = random.Random(seed ^ 0x5EED)
     for cell in cells:
-        yield run_cell(cell, cache, rng, verify=verify)
+        yield run_cell(cell, cache, rng)

@@ -161,9 +161,9 @@ def _read_sidecar(path: Path) -> tuple[SecretKey, dict]:
     return sk, meta
 
 
-def _attach(args, enclave: EnclaveSim):
-    """Load the container and its key sidecar into a deployment; returns
-    (deployment, sidecar fields)."""
+def _attach(args, enclave: EnclaveSim | None = None):
+    """Load the container and its key sidecar into a deployment, served by
+    `enclave` or by a default one; returns (deployment, sidecar fields)."""
     try:
         index = EncryptedIndex.load(Path(args.index))
     except ValueError as exc:
@@ -253,7 +253,7 @@ def cmd_build(args) -> int:
 
 def cmd_query(args) -> int:
     r_start, r_end = _parse_range(args.range)
-    dep, _ = _attach(args, EnclaveSim(reserved_space=args.reserved_space))
+    dep, _ = _attach(args)
     try:
         values, stats = dep.query(r_start, r_end, args.construction)
     except (EnclaveError, AuthenticationError) as exc:
@@ -296,7 +296,7 @@ def cmd_bench(args) -> int:
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         print(bench_mod.BENCH_CSV_HEADER, file=out)
-        for row in bench_mod.run_workload(cells, args.seed, reserved_space=args.reserved_space):
+        for row in bench_mod.run_workload(cells, args.seed):
             print(bench_mod.row_to_csv(row), file=out)
             out.flush()
     finally:
@@ -307,9 +307,7 @@ def cmd_bench(args) -> int:
 
 def cmd_audit(args) -> int:
     seed_rng = random.Random(args.seed)
-    enclave = EnclaveSim(
-        reserved_space=args.reserved_space, order_seed_source=lambda: seed_rng.getrandbits(64)
-    )
+    enclave = EnclaveSim(order_seed_source=lambda: seed_rng.getrandbits(64))
     dep, meta = _attach(args, enclave)
     if meta["seed"] is None:
         raise CliError(f"{args.key}: built without --seed, so no rebuilt tree matches", EXIT_USAGE)
@@ -366,9 +364,8 @@ def cmd_tamper(args) -> int:
     _check_pair_count("--n", args.n)
     rng = random.Random(args.seed)
     pairs = bench_mod.make_dataset(args.n, rng)
-    enclave = EnclaveSim(reserved_space=args.reserved_space)
     sk = _derived_secret_key(args.seed)
-    dep = Deployment.build(pairs, args.b, integrity=True, sk=sk, rng=rng, enclave=enclave)
+    dep = Deployment.build(pairs, args.b, integrity=True, sk=sk, rng=rng)
     sorted_keys = sorted(k for k, _ in pairs)
 
     kinds = list(KINDS) if args.script == "all" else [args.script]
@@ -405,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="key sidecar written by build")
     p.add_argument("--construction", type=int, choices=(1, 2), default=2)
     p.add_argument("--range", required=True, help="A:B (omit a side for open ranges)")
-    p.add_argument("--reserved-space", type=int, default=64 * 1024)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("bench", help="workload sweep, CSV of medians")
@@ -416,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--integrity", choices=("on", "off"), default="off")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reserved-space", type=int, default=64 * 1024)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_bench)
 
@@ -428,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", type=int, choices=(1, 2), default=2)
     p.add_argument("--queries", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reserved-space", type=int, default=64 * 1024)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("tamper", help="scripted active-attacker runs")
@@ -437,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--b", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reserved-space", type=int, default=64 * 1024)
     p.set_defaults(func=cmd_tamper)
 
     return parser
@@ -447,8 +440,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in ("queries", "targets", "reserved_space"):  # counts, wherever taken
-            _check_at_least(f"--{name.replace('_', '-')}", getattr(args, name, 1), 1)
+        for name in ("queries", "targets"):  # counts, wherever taken
+            _check_at_least(f"--{name}", getattr(args, name, 1), 1)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

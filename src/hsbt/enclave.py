@@ -16,29 +16,30 @@ two query entry points mirror the two deployment modes:
   returned pointers.  The observable channel is the node-granular fetch
   pattern.  A batch that would open more records than the reserved space
   holds (`max_batch_nodes`), or in integrity mode than its session has
-  outstanding, is refused before any record opens, so trusted memory per
+  outstanding, is refused before any record is read, so trusted memory per
   call is bounded whatever the driver sends.
 
 Nodes are array-shaped: the resident tree is one `node_dtype` record array
 indexed by slot, and a streamed batch decodes into one with a single
 `deserialize_node`.  A streamed batch is the unit of work: before any of
-its rows is read it passes one check (`_admit`): the batch fits the
-ceiling, every position names a record of the region and, in integrity
-mode, the batch fits its session's outstanding count.  Its rows are then gathered from the node
-region with one `take` and recorded as fetched, once each.  The resident
-load and a streamed batch open records in one place, `_open_records`: one
-`decrypt_wire` call under the container's record key, each row at the
-nonce of its slot, so a record opens only under the header it was sealed
-with, and at its own slot.  Either every record opens or the call aborts
-with ``node record failed authentication``, naming no record; nothing of
-an aborted batch is decoded, matched, counted or folded.  The AES-GCM open
-is most of the call; 64 or more records of at most 128 bytes (b <= 16)
-take its array passes, which check a pass's tags together by one random
-linear combination under a key drawn for that pass (`crypto.open_wires`).
-`oblivious_match_slots` matches a whole batch, or a whole level of the
-resident walk, in one vectorised comparison; a resident level too small to
-repay numpy's per-call cost is scanned node by node with the same per-slot
-formula.
+its rows is read it passes one check (`_admit`), which makes every refusal
+of a batch: the batch fits the ceiling, every position is an integer naming
+a record of the region and, in integrity mode, the batch fits its session's
+outstanding count and, when it opens a session, starts at the root.  Its
+rows are then gathered from the node region with one `take` and recorded as
+fetched, once each.  The resident load and a streamed batch open records in
+one place, `_open_records`: one `decrypt_wire` call under the container's
+record key, each row at the nonce of its slot, so a record opens only under
+the header it was sealed with, and at its own slot.  Either every record
+opens or the call aborts with ``node record failed authentication``, naming
+no record; nothing of an aborted batch is decoded, matched, counted or
+folded.  The AES-GCM open is most of the call; 64 or more records of at
+most 128 bytes (b <= 16) take its array passes, which check a pass's tags
+together by one random linear combination under a key drawn for that pass
+(`crypto.open_wires`).  `oblivious_match_slots` matches a whole batch, or a
+whole level of the resident walk, in one vectorised comparison; a resident
+level too small to repay numpy's per-call cost is scanned node by node with
+the same per-slot formula.
 
 Value pointers leave the enclave as shuffled `uint32` arrays, from both
 entry points, and the driver dereferences them without a conversion.  A
@@ -78,9 +79,11 @@ shuffles draw from one PCG64 generator per thread, reseeded from each call's
 
 from __future__ import annotations
 
+import operator
 import random
 import secrets
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -160,20 +163,13 @@ class IntegritySession:
 @dataclass
 class TouchCounter:
     """Instrumentation for the data-oblivious in-node scan: slots examined,
-    not slots matched."""
+    not slots matched, counted once per call by `EnclaveSim._tally`."""
 
     key_slots: int = 0
     pointer_slots: int = 0
 
-    def add(self, nodes: int, branching: int) -> None:
-        """Count a full scan of `nodes` nodes: every key and pointer slot."""
-        self.key_slots += nodes * (branching - 1)
-        self.pointer_slots += nodes * branching
 
-
-def oblivious_match_slots(
-    nodes: np.ndarray, r_start: int, r_end: int, counter: TouchCounter | None = None
-) -> np.ndarray:
+def oblivious_match_slots(nodes: np.ndarray, r_start: int, r_end: int) -> np.ndarray:
     """Matching pointer slots of every node in a `node_dtype` record array,
     as a boolean array of shape ``(len(nodes), b)``.
 
@@ -204,8 +200,6 @@ def oblivious_match_slots(
     # On booleans, `x > y` is `x & ~y`: lo <= re and rs < hi.
     inner = le_end[:, :-1] > le_start[:, 1:]
     live = np.arange(width + 1) <= nodes["key_count"][:, None]
-    if counter is not None:
-        counter.add(n, width + 1)
     return np.where(nodes["flags"][:, None] & FLAG_LEAF, leaf, inner) & live
 
 
@@ -431,13 +425,13 @@ class EnclaveSim:
         integrity mode the batch continues its token's open session, or, if
         that token has none, opens one and must start at the root.
 
-        A batch opens whole or aborts whole.  It passes one check before
-        any of its rows is read (`_admit`); its rows are then gathered from
-        the shared node region, recorded on the trace as fetched, and opened
-        in one call.  A record that fails aborts the whole batch, naming no
-        record.  An admitted batch is decoded and matched at once, and each
-        session accumulator is folded once.  Every abort ends the token's
-        session.
+        A batch opens whole or aborts whole.  Every refusal of a batch, the
+        first-node check included, comes before any of its rows is read
+        (`_admit`); its rows are then gathered from the shared node region,
+        recorded on the trace as fetched, and opened in one call.  A record
+        that fails aborts the whole batch, naming no record.  An admitted
+        batch is decoded and matched at once, and each session accumulator
+        is folded once.  Every abort ends the token's session.
         """
         if self._container is None:
             raise EnclaveError("no container attached")
@@ -519,21 +513,28 @@ class EnclaveSim:
     def _admit(self, container: EncryptedIndex, token: bytes, positions) -> None:
         """Abort, ending the token's session, unless the batch at
         `positions` fits: it fits the ceiling (`max_batch_nodes`), checked
-        first so that no longer batch is scanned, every position names a
-        record of the region and, in integrity mode, the batch fits the
-        nodes its session has outstanding, one for a session yet to open.
-        Nothing is locked: the count is read as it stands, and checked
-        again under the lock once the records are open."""
+        first so that no longer batch is scanned, every position is an
+        integer (`operator.index`) naming a record of the region and, in
+        integrity mode, the batch fits the nodes its session has
+        outstanding, and a batch that opens a session starts at the root.
+        Nothing is locked: the session is read as it stands, and both
+        session checks run again under the lock once the records are open."""
         count, rows = len(positions), len(container.node_rows)
         ceiling = self.max_batch_nodes(container.node_record_size)
         sess = self._sessions.get(token) if container.integrity else None
         if count > ceiling:
             reason = f"protocol violation: batch of {count} nodes exceeds the ceiling of {ceiling}"
+        elif not _all_integers(positions):
+            reason = "protocol violation: a node position is not an integer"
         elif positions and not (0 <= min(positions) and max(positions) < rows):
             outside = next(p for p in positions if not 0 <= p < rows)
             reason = f"no node record at position {outside}"
-        elif container.integrity and count > (1 if sess is None else sess.outstanding):
+        elif not container.integrity or not positions:
+            return
+        elif count > (1 if sess is None else sess.outstanding):
             reason = "protocol violation: more nodes than requested"
+        elif sess is None and positions[0] != self._find_root_slot(container):
+            reason = "protocol violation: first node is not the root"
         else:
             return
         self._abort(token, reason)
@@ -579,17 +580,21 @@ class EnclaveSim:
         return rng
 
     def _tally(self, decrypted: int, scanned: int, branching: int) -> None:
-        """Fold one call's instrumentation into the shared counters."""
+        """Fold one call's instrumentation into the shared counters: a full
+        scan of `scanned` nodes examines every key and pointer slot."""
         with self._lock:
             self.node_decryptions += decrypted
-            self.touch_counter.add(scanned, branching)
+            self.touch_counter.key_slots += scanned * (branching - 1)
+            self.touch_counter.pointer_slots += scanned * branching
 
     def _open_session(
         self, token: bytes, container: EncryptedIndex, first: int
     ) -> IntegritySession:
         """A new session for `token`'s batch whose first node is at slot
         `first` of `container`, which must be the root's, keyed by the tree
-        key; the caller holds the lock."""
+        key; the caller holds the lock.  `_admit` checked the root only if
+        the session was missing then: one evicted or finalized since is
+        checked here."""
         if first != self._find_root_slot(container):
             raise EnclaveAbort("protocol violation: first node is not the root")
         while len(self._sessions) >= MAX_OPEN_SESSIONS:
@@ -607,6 +612,15 @@ def _check_token_type(token) -> None:
     is either unhashable or not a wire."""
     if type(token) is not bytes:
         raise EnclaveAbort("token failed authentication")
+
+
+def _all_integers(positions) -> bool:
+    """Whether `operator.index` takes every position, in one C-level pass."""
+    try:
+        deque(map(operator.index, positions), maxlen=0)
+    except TypeError:
+        return False
+    return True
 
 
 def _expand(nodes: np.ndarray, r_start: int, r_end: int):

@@ -764,32 +764,48 @@ def test_out_of_range_flags_are_usage_errors(argv, capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
-@pytest.mark.parametrize(
-    "command,flag,value",
-    [
-        ("audit", "--queries", "-3"),
-        ("audit", "--queries", "0"),
-        ("audit", "--reserved-space", "0"),
-        ("query", "--reserved-space", "-7"),
-        ("tamper", "--targets", "-2"),
-        ("tamper", "--reserved-space", "0"),
-        ("bench", "--reserved-space", "-1"),
-    ],
-)
-def test_count_flags_below_one_are_usage_errors(tmp_path, dataset, capsys, command, flag, value):
-    # Real inputs, so that only the flag can make the command a usage error.
+def _valid_inputs(tmp_path, dataset):
+    """Arguments that make each subcommand run, over a freshly built container."""
     out, _ = _build(tmp_path, dataset)
-    inputs = {
+    return {
         "audit": ["--index", str(out), "--key", f"{out}.key", "--input", str(dataset[0])],
         "query": ["--index", str(out), "--key", f"{out}.key", "--range", "1:99"],
         "tamper": ["--n", "100"],
         "bench": ["--n", "100", "--result-size", "1", "--reps", "1"],
     }
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("audit", "--queries", "-3"),
+        ("audit", "--queries", "0"),
+        ("tamper", "--targets", "-2"),
+    ],
+)
+def test_count_flags_below_one_are_usage_errors(tmp_path, dataset, capsys, command, flag, value):
+    # Real inputs, so that only the flag can make the command a usage error.
+    inputs = _valid_inputs(tmp_path, dataset)[command]
     capsys.readouterr()
-    assert main([command, *inputs[command], flag, value]) == 2
+    assert main([command, *inputs, flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {flag} must be at least 1, got {value}"]
+
+
+@pytest.mark.parametrize("command", ["audit", "bench", "query", "tamper"])
+def test_reserved_space_flag_is_unrecognized(tmp_path, dataset, capsys, command):
+    # No subcommand takes `--reserved-space`: the enclave's batch budget is
+    # its default, and argparse refuses the flag as a usage error.
+    inputs = _valid_inputs(tmp_path, dataset)[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *inputs, "--reserved-space", "1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = "hsbt: error: unrecognized arguments: --reserved-space 1"
+    assert captured.err.splitlines()[-1] == error
 
 
 def test_bench_with_every_cell_skipped_is_a_usage_error(tmp_path, capsys):

@@ -40,7 +40,6 @@ from hsbt.enclave import (
     EnclaveError,
     EnclaveSim,
     NoKeyError,
-    TouchCounter,
     _expand,
     _scan_record,
     oblivious_match_slots,
@@ -839,35 +838,39 @@ def _scalar_match_slots(keys, key_count, is_leaf, r_start, r_end):
 
 
 def test_touch_counts_constant_over_sweep():
+    # The enclave counts the slots its scan examines, read here around
+    # one-node batches: the same count whatever the node and the range.
     pairs, tree, sk, index, enclave = _fixture(300, b=8, seed=17)
-    nodes = _decoded(sk, index, range(min(20, index.node_count)))
+    slots = list(range(min(20, index.node_count)))
     rng = random.Random(18)
     cases = 0
-    counter = TouchCounter()
-    for i in range(len(nodes)):
+    counter = enclave.touch_counter
+    for i in slots:
         for _ in range(50):
             a, b_ = sorted((rng.randrange(0, 2**32), rng.randrange(0, 2**32)))
             before = (counter.key_slots, counter.pointer_slots)
-            oblivious_match_slots(nodes[i : i + 1], a, b_, counter)
+            enclave.search_batch(make_token(sk.tree_key, a, b_), [i])
             assert counter.key_slots - before[0] == index.branching - 1
             assert counter.pointer_slots - before[1] == index.branching
             cases += 1
-    assert cases == len(nodes) * 50
+    assert cases == len(slots) * 50
     # A batch counts every slot of every node in it.
     before = (counter.key_slots, counter.pointer_slots)
-    oblivious_match_slots(nodes, 0, 2**32 - 1, counter)
-    assert counter.key_slots - before[0] == len(nodes) * (index.branching - 1)
-    assert counter.pointer_slots - before[1] == len(nodes) * index.branching
+    enclave.search_batch(make_token(sk.tree_key, 0, 2**32 - 1), slots)
+    assert counter.key_slots - before[0] == len(slots) * (index.branching - 1)
+    assert counter.pointer_slots - before[1] == len(slots) * index.branching
 
 
 def test_empty_match_still_touches_every_slot():
     pairs, tree, sk, index, enclave = _fixture(50, b=6, seed=19)
     nodes = _decoded(sk, index, range(index.node_count))
-    leaf = nodes[leaf_mask(nodes)][:1]
-    counter = TouchCounter()
+    leaf = int(np.flatnonzero(leaf_mask(nodes))[0])
     dead_key = next(k for k in range(1, KEY_MAX) if k not in {k_ for k_, _ in pairs})
-    bits = oblivious_match_slots(leaf, dead_key, dead_key, counter)
+    bits = oblivious_match_slots(nodes[leaf : leaf + 1], dead_key, dead_key)
     assert bits.shape == (1, 6) and not bits.any()
+    counter = enclave.touch_counter
+    values, children = enclave.search_batch(make_token(sk.tree_key, dead_key, dead_key), [leaf])
+    assert len(values) == 0 and children == []
     assert (counter.key_slots, counter.pointer_slots) == (5, 6)
 
 
@@ -1349,3 +1352,57 @@ def test_oversize_batch_aborts_before_it_opens_a_record(monkeypatch, integrity, 
     keys = sorted(k for k, _ in pairs)
     values, _ = dep.query(keys[10], keys[60])
     assert Counter(values) == Counter(scan_oracle(pairs, keys[10], keys[60]))
+
+
+_NOT_AN_INTEGER = "^protocol violation: a node position is not an integer$"
+_MORE_THAN_REQUESTED = "^protocol violation: more nodes than requested$"
+
+# Every refusal `_admit` makes, by the abort's message.
+_ADMIT_REFUSALS = {
+    "over-ceiling": "^protocol violation: batch of .* nodes exceeds the ceiling of",
+    "outside-region": "^no node record at position",
+    "more-than-outstanding-at-open": _MORE_THAN_REQUESTED,
+    "more-than-outstanding": _MORE_THAN_REQUESTED,
+    "first-not-root": "^protocol violation: first node is not the root$",
+    "string": _NOT_AN_INTEGER,
+    "none-after-root": _NOT_AN_INTEGER,
+    "float-root": _NOT_AN_INTEGER,
+    "float-mid-session": _NOT_AN_INTEGER,
+}
+
+
+@pytest.mark.parametrize("case", list(_ADMIT_REFUSALS))
+def test_every_admit_refusal_precedes_the_gather(monkeypatch, case):
+    # Every refusal `_admit` makes comes before any row is read: no record
+    # opens or is counted, no slot is scanned or fetched, and the token's
+    # session is gone.  `more-than-outstanding` and `float-mid-session`
+    # refuse a batch of a session the root's batch opened; the others refuse
+    # an opening batch, and take the root's children from another token.
+    pairs, tree, sk, index, enclave = _integrity_fixture(seed=31)
+    token = make_token(sk.tree_key, None, None)
+    root, count = enclave.root_slot(), index.node_count
+    if case in ("more-than-outstanding", "float-mid-session"):
+        _, children = enclave.search_batch(token, [root])
+        assert len(children) > 1 and token in enclave._sessions
+    else:
+        children = enclave.search_batch(make_token(sk.tree_key, None, None), [root])[1]
+    batch = {
+        "over-ceiling": [root] * (enclave.max_batch_nodes(index.node_record_size) + 1),
+        "outside-region": [count],
+        "more-than-outstanding-at-open": [root, root],
+        "more-than-outstanding": children + children[:1],
+        "first-not-root": [(root + 1) % count],
+        "string": ["x"],
+        "none-after-root": [root, None],
+        "float-root": [float(root)],
+        "float-mid-session": [float(children[0])],
+    }[case]
+    opened = _decrypt_wire_spy(monkeypatch)
+    counter = enclave.touch_counter
+    before = enclave.node_decryptions, counter.key_slots, counter.pointer_slots
+    trace = AccessTrace()
+    with pytest.raises(EnclaveAbort, match=_ADMIT_REFUSALS[case]):
+        enclave.search_batch(token, batch, trace=trace)
+    assert opened == [] and trace.touched("node") == []
+    assert (enclave.node_decryptions, counter.key_slots, counter.pointer_slots) == before
+    assert token not in enclave._sessions
