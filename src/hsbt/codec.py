@@ -52,12 +52,13 @@ integrity flag::
 
 Records are array-shaped on both sides: `encrypt_index` assigns the built
 tree's row arrays (`bptree.PlainTree`) into one numpy structured dtype,
-`node_dtype`, and the enclave decodes a batch of plaintexts, or the whole
-node region, into a record array of it with a single `np.frombuffer`
-(`deserialize_node`).  Every record authenticates under the key of the
-header that fixes its size, so the dtype has one item size.  Inner pointer
-slots hold child storage slots on disk (the build-side child ids are
-rewritten here); leaf pointer slots hold value-region slots.
+`node_dtype`, and the enclave decodes a large batch of plaintexts, or the
+whole node region, into a record array of it with a single `np.frombuffer`
+(`deserialize_node`), and a small batch record by record into tuples of
+the same fields (`node_struct`).  Every record authenticates under the key
+of the header that fixes its size, so the dtype has one item size.  Inner
+pointer slots hold child storage slots on disk (the build-side child ids
+are rewritten here); leaf pointer slots hold value-region slots.
 """
 
 from __future__ import annotations

@@ -170,10 +170,37 @@ def value_elements(salt: bytes, slots) -> bytes:
     _check_salt(salt)
     # Two little-endian words a block: the salt, then the slot in the low
     # 32 bits, whose high 32 bits, the counter, are zero.
+    if len(slots) <= _INT_PACK_MAX:
+        word = int.from_bytes(salt, "little")
+        return b"".join([(word | slot << 64).to_bytes(16, "little") for slot in _ints(slots)])
     elements = np.zeros((len(slots), 2), "<u8")
     elements[:, 0] = np.frombuffer(salt, "<u8")
     elements[:, 1] = np.asarray(slots).astype(np.uint32, copy=False)
     return elements.tobytes()
+
+
+def slot_elements(slots) -> bytes:
+    """The 16-byte element ``slot(4, little-endian) || 0^12`` of each of
+    `slots`, in order, as an integrity session's balance folds node slots."""
+    if len(slots) <= _INT_PACK_MAX:
+        return b"".join([slot.to_bytes(16, "little") for slot in _ints(slots)])
+    blocks = np.zeros((len(slots), 4), dtype="<u4")
+    blocks[:, 0] = slots
+    return blocks.tobytes()
+
+
+# Up to this many slots are packed as elements over Python ints, more with
+# numpy, whose fixed cost is repaid above it.  Best of timeit runs on a
+# 2-core Xeon VM, over ints against numpy: the value elements of a `uint32`
+# array of one slot in 0.8 us against 1.5, of four in 1.3 against 1.5 and
+# of eight in 1.9 against 1.6; the slot elements of an int list of one slot
+# in 0.4 us against 0.7, of four in 0.6 against 0.8, of eight in 0.9 alike.
+_INT_PACK_MAX = 4
+
+
+def _ints(slots):
+    """`slots` as Python ints: an array's as a list, anything else as it is."""
+    return slots.tolist() if isinstance(slots, np.ndarray) else slots
 
 
 def _value_nonces(salt: bytes, slots) -> list[bytes]:
@@ -553,27 +580,46 @@ class MultisetHash:
     def add_all(self, elements: bytes, removed: bytes = b"") -> "MultisetHash":
         """Fold in the concatenation of any number of 16-byte `elements` and
         fold out those of `removed`, all in one PRF call; raises
-        `ValueError` on a ragged length."""
+        `ValueError` on a ragged length.  At most `_INT_FOLD_MAX` elements
+        in all are summed over Python ints, more with numpy; both give the
+        same digest."""
         if len(elements) % MSET_DIGEST_BYTES or len(removed) % MSET_DIGEST_BYTES:
             raise ValueError("multiset input is not 16-byte elements")
         if not elements and not removed:
             return self
         data = elements + removed if removed else elements
-        # The AES images land in a writable array (ECB asks for 15 spare
-        # bytes), so `removed` is negated in place: -x = ~x + 1 mod 2^128.
-        out = np.empty(len(data) + 15, np.uint8)
-        _state(subkey(self.key, b"hsbt-mset-prf")).ecb.update_into(data, out)
-        images = out[: len(data)].view("<u4")
-        gone = len(removed) // MSET_DIGEST_BYTES
-        if gone:
-            tail = images[len(elements) // 4 :]
-            np.invert(tail, out=tail)
-        # Each image as four 32-bit limbs, one contiguous row per limb: summing
-        # rows is several times faster than summing across a 4-word axis.
-        s0, s1, s2, s3 = images.reshape(-1, 4).T.copy().sum(axis=1, dtype=np.uint64).tolist()
-        total = int.from_bytes(self.digest, "little") + gone
-        total += s0 + (s1 << 32) + (s2 << 64) + (s3 << 96)
+        ecb = _state(subkey(self.key, b"hsbt-mset-prf")).ecb
+        total = int.from_bytes(self.digest, "little")
+        if len(data) <= MSET_DIGEST_BYTES * _INT_FOLD_MAX:
+            # Each image as two little-endian 64-bit words, low word first;
+            # those of `removed` are subtracted.
+            words = struct.unpack(f"<{len(data) // 8}Q", ecb.update(data))
+            cut = len(elements) // 8
+            total += sum(words[:cut:2]) - sum(words[cut::2])
+            total += (sum(words[1:cut:2]) - sum(words[cut + 1 :: 2])) << 64
+        else:
+            # The AES images land in a writable array (ECB asks for 15 spare
+            # bytes), so `removed` is negated in place: -x = ~x + 1 mod 2^128.
+            out = np.empty(len(data) + 15, np.uint8)
+            ecb.update_into(data, out)
+            images = out[: len(data)].view("<u4")
+            gone = len(removed) // MSET_DIGEST_BYTES
+            if gone:
+                tail = images[len(elements) // 4 :]
+                np.invert(tail, out=tail)
+            # Each image as four 32-bit limbs, one contiguous row per limb:
+            # summing rows is several times faster than across a 4-word axis.
+            s0, s1, s2, s3 = images.reshape(-1, 4).T.copy().sum(axis=1, dtype=np.uint64).tolist()
+            total += gone + s0 + (s1 << 32) + (s2 << 64) + (s3 << 96)
         return MultisetHash((total % 2**128).to_bytes(MSET_DIGEST_BYTES, "little"), self.key)
+
+
+# A fold of at most this many elements sums its images over Python ints,
+# from one `struct.unpack`; numpy's fixed cost of some ten calls is repaid
+# only above it.  Medians of timeit runs on a 2-core Xeon VM: 16 elements
+# folded in 3.5 us over ints against 5.3 with numpy, 32 in 5.0 against 5.7,
+# and 48 in 10.2 against 9.7.
+_INT_FOLD_MAX = 32
 
 
 def mac_tag(key: bytes, message: bytes) -> bytes:

@@ -19,27 +19,32 @@ two query entry points mirror the two deployment modes:
   outstanding, is refused before any record is read, so trusted memory per
   call is bounded whatever the driver sends.
 
-Nodes are array-shaped: the resident tree is one `node_dtype` record array
-indexed by slot, and a streamed batch decodes into one with a single
-`deserialize_node`.  A streamed batch is the unit of work: before any of
-its rows is read it passes one check (`_admit`), which makes every refusal
-of a batch: the batch fits the ceiling, every position is an integer naming
-a record of the region and, in integrity mode, the batch fits its session's
-outstanding count and, when it opens a session, starts at the root.  Its
-rows are then gathered from the node region with one `take` and recorded as
-fetched, once each.  The resident load and a streamed batch open records in
-one place, `_open_records`: one `decrypt_wire` call under the container's
-record key, each row at the nonce of its slot, so a record opens only under
-the header it was sealed with, and at its own slot.  Either every record
-opens or the call aborts with ``node record failed authentication``, naming
-no record; nothing of an aborted batch is decoded, matched, counted or
-folded.  The AES-GCM open is most of the call; 64 or more records of at
-most 128 bytes (b <= 16) take its array passes, which check a pass's tags
-together by one random linear combination under a key drawn for that pass
-(`crypto.open_wires`).  `oblivious_match_slots` matches a whole batch, or a
-whole level of the resident walk, in one vectorised comparison; a resident
-level too small to repay numpy's per-call cost is scanned node by node with
-the same per-slot formula.
+The resident tree is one `node_dtype` record array indexed by slot.  A
+streamed batch is the unit of work: before any of its rows is read it
+passes one check (`_admit`), which makes every refusal of a batch and
+turns its positions into one list of Python ints: the positions are a list
+or a tuple, the batch fits the ceiling, every position is an integer
+naming a record of the region and, in integrity mode, the batch fits its
+session's outstanding count and, when it opens a session, starts at the
+root.  Its rows are then gathered from the node region with one `take` and
+recorded as fetched, once each.  The resident load and a streamed batch
+open records in one place, `_open_records`: one `decrypt_wire` call under
+the container's record key, each row at the nonce of its slot, so a record
+opens only under the header it was sealed with, and at its own slot.
+Either every record opens or the call aborts with ``node record failed
+authentication``, naming no record; nothing of an aborted batch is
+decoded, matched, counted or folded.  The AES-GCM open is most of the call;
+64 or more records of at most 128 bytes (b <= 16) take its array passes,
+which check a pass's tags together by one random linear combination under
+a key drawn for that pass (`crypto.open_wires`).
+
+A streamed batch, or a level of the resident walk, of at least
+`_VECTOR_MIN_SLOTS` slots is matched in one vectorised comparison
+(`oblivious_match_slots`), a streamed batch decoded first into one record
+array with a single `deserialize_node`.  A smaller one, too small to repay
+numpy's per-call cost, is decoded and scanned node by node with the same
+per-slot formula (`_scan_record`), its pointers kept as Python ints: a
+one-node batch at b=100, or up to twelve nodes at b=10.
 
 Value pointers leave the enclave as shuffled `uint32` arrays, from both
 entry points, and the driver dereferences them without a conversion.  A
@@ -73,8 +78,10 @@ oldest.
 Every pointer sequence leaving the enclave is freshly shuffled, and in-node
 matching touches every key and pointer slot whether it matches or not, so
 neither output order nor intra-node access reveals key positions.  The
-shuffles draw from one PCG64 generator per thread, reseeded from each call's
-64-bit seed, so an output order is a function of the recorded seed alone.
+shuffles draw from one PCG64 generator per thread, set to each call's
+64-bit seed before the call's first shuffle of two or more items, so an
+output order is a function of the recorded seed alone.  A shuffle of
+fewer items draws nothing, and a call that runs none sets no state.
 """
 
 from __future__ import annotations
@@ -83,8 +90,8 @@ import operator
 import random
 import secrets
 import threading
-from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from typing import NoReturn
 
 import numpy as np
@@ -105,6 +112,7 @@ from hsbt.crypto import (
     MultisetHash,
     open_wires,
     result_mac,
+    slot_elements,
     value_elements,
 )
 from hsbt.crypto import decrypt_wire as decrypt
@@ -203,30 +211,43 @@ def oblivious_match_slots(nodes: np.ndarray, r_start: int, r_end: int) -> np.nda
     return np.where(nodes["flags"][:, None] & FLAG_LEAF, leaf, inner) & live
 
 
-# A resident level of fewer slots than this is scanned node by node: one
-# vectorised match has a fixed cost of some twenty numpy calls, and a scalar
-# scan is cheaper below about a hundred slots (measured at b = 10 and 32).
-_VECTOR_MIN_SLOTS = 100
+# A resident level or a streamed batch of fewer slots than this is scanned
+# node by node (`_scan_record`): one vectorised match has a fixed cost of
+# some twenty numpy calls, a scan a cost per slot.  Medians of per-batch
+# timings of integrity batches on a 2-core Xeon VM, scanned against matched:
+# one b=100 node 48 against 53 us, two b=100 leaves 71 against 64; at b=10,
+# batches of one to three nodes 20 against 37, fully matched leaf batches of
+# 60 slots 60 against 65 and of 120 slots 86 against 75.  Whole queries of
+# the three benchmark workloads ran alike at cut-overs of 101, 128 and 200,
+# and the resident walk no slower than at the earlier 100.
+_VECTOR_MIN_SLOTS = 128
 
 
 def _scan_record(record: tuple, branching: int, r_start: int, r_end: int) -> list[int]:
     """`oblivious_match_slots` for one record unpacked by `node_struct`:
     the same bit for every pointer slot, live or padded, matching or not,
-    with non-short-circuiting operators; returns the matching slots."""
+    with non-short-circuiting operators; returns the pointers of the
+    matching slots, in slot order."""
     key_count = record[1]
     edges = (-1, *record[2 : branching + 1], 1 << 32)
+    ptrs = record[branching + 1 :]
     if record[0] & FLAG_LEAF:
-        bits = [(r_start <= lo) & (lo <= r_end) for lo in edges[:-1]]
-    else:
-        bits = [(lo <= r_end) & (r_start < hi) for lo, hi in zip(edges, edges[1:])]
-    return [j for j, bit in enumerate(bits) if bit & (j <= key_count)]
+        slots = zip(count(), edges, ptrs)
+        return [p for j, lo, p in slots if (r_start <= lo) & (lo <= r_end) & (j <= key_count)]
+    slots = zip(count(), edges, edges[1:], ptrs)
+    return [p for j, lo, hi, p in slots if (lo <= r_end) & (r_start < hi) & (j <= key_count)]
 
 
-def _slot_elements(slots) -> bytes:
-    """Slots as multiset elements: ``slot(4, little-endian) || 0^12`` each."""
-    blocks = np.zeros((len(slots), 4), dtype="<u4")
-    blocks[:, 0] = slots
-    return blocks.tobytes()
+def _scan_records(records, branching: int, r_start: int, r_end: int):
+    """`_scan_record` over records unpacked by `node_struct`: their
+    matching pointers as ``(value_ptrs, node_ptrs)`` int lists, in record
+    order, slot order within a record, as `_expand` lists them."""
+    values: list[int] = []
+    children: list[int] = []
+    for record in records:
+        out = values if record[0] & FLAG_LEAF else children
+        out += _scan_record(record, branching, r_start, r_end)
+    return values, children
 
 
 # Per-query shuffle seeds come from a process-level generator that is itself
@@ -235,11 +256,33 @@ def _slot_elements(slots) -> bytes:
 _seed_stream = random.Random(secrets.randbits(128))
 
 # One shuffle generator per thread (a bit generator must not be shared across
-# threads), reseeded on every enclave call: setting a PCG64 state costs about
-# a tenth of constructing a seeded generator.  The call's 64-bit seed is the
+# threads), reseeded by every enclave call that shuffles two or more items:
+# setting a PCG64 state costs about a tenth of constructing a seeded
+# generator.  The call's 64-bit seed is the
 # state, the increment is fixed (odd, as PCG requires).
 _order_rngs = threading.local()
 _ORDER_INCREMENT = 0xDA3E39CB94B95BDB5851F42D4C957F2D
+
+# numpy shuffles an `int64` array faster than a `uint32` one, with the same
+# draws and so the same order.  A `uint32` array of more than this many items
+# is shuffled as an `int64` copy and cast back: best of timeit runs on a
+# 2-core Xeon VM, the copy and the cast included, 64 items took 2.2 us
+# either way, 128 took 2.9 against 3.3 and 4,096 took 43 against 79.
+_INT64_SHUFFLE_MIN = 64
+
+
+def _seeded_order_rng(seed: int) -> np.random.Generator:
+    """This thread's shuffle generator, its state set to `seed`."""
+    rng = getattr(_order_rngs, "generator", None)
+    if rng is None:
+        rng = _order_rngs.generator = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": seed, "inc": _ORDER_INCREMENT},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 class EnclaveSim:
@@ -354,7 +397,8 @@ class EnclaveSim:
                 f"budget is {self.capacity}"
             )
         # A region of other than `node_count` rows fails the one call.
-        resident = self._open_records(index, range(index.node_count), index.node_rows)
+        plains = self._open_records(index, range(index.node_count), index.node_rows)
+        resident = deserialize_node(plains, index.branching)
         self._tally(len(resident), 0, index.branching)
         self.attach_container(index)
         self._find_root_slot(index)  # aborts unless the root id is the last node's
@@ -378,7 +422,7 @@ class EnclaveSim:
             raise EnclaveError("no resident tree loaded")
         index, resident = loaded
         rs, re_ = self._open_token(token)
-        rng = self._fresh_order_rng(trace)
+        shuffle = self._order_shuffle(trace)
         branching = resident["ptrs"].shape[1]
         unpack = node_struct(branching).unpack_from
         frontier = [self._find_root_slot(index)]
@@ -386,8 +430,7 @@ class EnclaveSim:
         matched: list[np.ndarray] = []
         visited = 0
         while frontier:
-            if len(frontier) > 1:
-                rng.shuffle(frontier)
+            shuffle(frontier)
             if trace is not None:
                 # Resident nodes sit back to back in slot order; the page
                 # channel observes 4 KiB granules of that layout.
@@ -395,20 +438,15 @@ class EnclaveSim:
                     trace.page_touch(slot * resident.itemsize // PAGE_SIZE)
             visited += len(frontier)
             if len(frontier) * branching < _VECTOR_MIN_SLOTS:
-                children: list[int] = []
-                for slot in frontier:
-                    record = unpack(resident, slot * resident.itemsize)
-                    out = scanned if record[0] & FLAG_LEAF else children
-                    slots = _scan_record(record, branching, rs, re_)
-                    out.extend(record[branching + 1 + j] for j in slots)
-                frontier = children
+                records = (unpack(resident, slot * resident.itemsize) for slot in frontier)
+                values, frontier = _scan_records(records, branching, rs, re_)
+                scanned += values
             else:
                 is_value, found = _expand(resident[frontier], rs, re_)
                 matched.append(found[is_value])
                 frontier = found[~is_value].tolist()
         self._tally(0, visited, branching)
-        pointers = np.concatenate([np.array(scanned, np.uint32), *matched])
-        rng.shuffle(pointers)
+        pointers = shuffle(np.concatenate([np.array(scanned, np.uint32), *matched]))
         if trace is not None:
             trace.pointers_out(pointers.tolist())
         return pointers
@@ -430,8 +468,11 @@ class EnclaveSim:
         (`_admit`); its rows are then gathered from the shared node region,
         recorded on the trace as fetched, and opened in one call.  A record
         that fails aborts the whole batch, naming no record.  An admitted
-        batch is decoded and matched at once, and each session accumulator
-        is folded once.  Every abort ends the token's session.
+        batch of at least `_VECTOR_MIN_SLOTS` slots is decoded and matched
+        at once (`deserialize_node`, `oblivious_match_slots`); a smaller
+        one is decoded and scanned node by node (`_scan_record`), its
+        pointers kept as ints.  Each session accumulator is folded once.
+        Every abort ends the token's session.
         """
         if self._container is None:
             raise EnclaveError("no container attached")
@@ -439,17 +480,23 @@ class EnclaveSim:
             raise NoKeyError("enclave not provisioned")
         container = self._container
         rs, re_ = self._open_token(token)
-        rng = self._fresh_order_rng(trace)
+        shuffle = self._order_shuffle(trace)
 
-        self._admit(container, token, positions)
+        positions = self._admit(container, token, positions)
         rows = container.node_rows.take(positions, axis=0)
         if trace is not None:
             trace.node_fetches(positions)
-        nodes = self._open_records(container, positions, rows, token)
-        self._tally(len(nodes), len(nodes), container.branching)
-        is_value, pointers = _expand(nodes, rs, re_)
-        value_ptrs = pointers[is_value]
-        node_ptrs = pointers[~is_value]
+        plains = self._open_records(container, positions, rows, token)
+        branching = container.branching
+        self._tally(len(plains), len(plains), branching)
+        if len(plains) * branching < _VECTOR_MIN_SLOTS:
+            unpack = node_struct(branching).unpack
+            values, node_ptrs = _scan_records(map(unpack, plains), branching, rs, re_)
+            value_ptrs = np.array(values, np.uint32)
+        else:
+            is_value, pointers = _expand(deserialize_node(plains, branching), rs, re_)
+            value_ptrs = pointers[is_value]
+            node_ptrs = pointers[~is_value]
 
         if container.integrity and positions:
             matched = value_elements(container.salt, value_ptrs)
@@ -466,15 +513,15 @@ class EnclaveSim:
                 sess.outstanding += len(node_ptrs) - len(positions)
                 # Received records opened at their slots; node pointers are requests.
                 sess.balance = sess.balance.add_all(
-                    _slot_elements(node_ptrs), removed=_slot_elements(positions[fresh:])
+                    slot_elements(node_ptrs), removed=slot_elements(positions[fresh:])
                 )
                 sess.result_hash = sess.result_hash.add_all(matched)
 
-        rng.shuffle(value_ptrs)
-        rng.shuffle(node_ptrs)
+        value_ptrs = shuffle(value_ptrs)
+        node_ptrs = shuffle(node_ptrs)
         if trace is not None:
             trace.pointers_out(value_ptrs.tolist())
-        return value_ptrs, node_ptrs.tolist()
+        return value_ptrs, node_ptrs if type(node_ptrs) is list else node_ptrs.tolist()
 
     def finalize_session(self, token: bytes) -> bytes:
         """Close the token's integrity session and issue the result tag.
@@ -510,49 +557,54 @@ class EnclaveSim:
             raise EnclaveAbort("token names an empty range")
         return r_start, r_end
 
-    def _admit(self, container: EncryptedIndex, token: bytes, positions) -> None:
-        """Abort, ending the token's session, unless the batch at
-        `positions` fits: it fits the ceiling (`max_batch_nodes`), checked
-        first so that no longer batch is scanned, every position is an
-        integer (`operator.index`) naming a record of the region and, in
-        integrity mode, the batch fits the nodes its session has
-        outstanding, and a batch that opens a session starts at the root.
-        Nothing is locked: the session is read as it stands, and both
-        session checks run again under the lock once the records are open."""
-        count, rows = len(positions), len(container.node_rows)
+    def _admit(self, container: EncryptedIndex, token: bytes, positions) -> list[int]:
+        """The batch at `positions` as a list of Python ints, or an abort
+        that ends the token's session.  The batch must be a `list` or a
+        `tuple` (`None`, a bare int, a set, a generator or a numpy array is
+        refused), fit the ceiling (`max_batch_nodes`), checked before any
+        position is read so that no longer batch is copied, and hold
+        integers, converted in one `operator.index` pass, naming records of
+        the region; a `bool` passes as the integer it is (`False` is
+        position 0).  In integrity mode it must also fit the nodes its
+        session has outstanding and, when it opens a session, start at the
+        root.  Nothing is locked: the session is read as it stands, and
+        both session checks run again under the lock once the records are
+        open."""
+        rows = len(container.node_rows)
         ceiling = self.max_batch_nodes(container.node_record_size)
         sess = self._sessions.get(token) if container.integrity else None
-        if count > ceiling:
-            reason = f"protocol violation: batch of {count} nodes exceeds the ceiling of {ceiling}"
-        elif not _all_integers(positions):
+        if type(positions) not in (list, tuple):
+            reason = "protocol violation: node positions are not a list or tuple"
+        elif (size := len(positions)) > ceiling:
+            reason = f"protocol violation: batch of {size} nodes exceeds the ceiling of {ceiling}"
+        elif (batch := _as_integers(positions)) is None:
             reason = "protocol violation: a node position is not an integer"
-        elif positions and not (0 <= min(positions) and max(positions) < rows):
-            outside = next(p for p in positions if not 0 <= p < rows)
+        elif batch and not (0 <= min(batch) and max(batch) < rows):
+            outside = next(p for p in batch if not 0 <= p < rows)
             reason = f"no node record at position {outside}"
-        elif not container.integrity or not positions:
-            return
-        elif count > (1 if sess is None else sess.outstanding):
+        elif not container.integrity or not batch:
+            return batch
+        elif size > (1 if sess is None else sess.outstanding):
             reason = "protocol violation: more nodes than requested"
-        elif sess is None and positions[0] != self._find_root_slot(container):
+        elif sess is None and batch[0] != self._find_root_slot(container):
             reason = "protocol violation: first node is not the root"
         else:
-            return
+            return batch
         self._abort(token, reason)
 
     def _open_records(
         self, container: EncryptedIndex, positions, rows: np.ndarray, token=None
-    ) -> np.ndarray:
+    ) -> list[bytes]:
         """Authenticate `rows`, the node records at `positions` of
         `container`, in one `decrypt_wire` call under the container's record
-        key, each at the nonce of its slot, and decode them as one record
-        array.  If any record fails, none opens: the call aborts, ending
-        `token`'s session."""
+        key, each at the nonce of its slot: their plaintexts, in order.  If
+        any record fails, none opens: the call aborts, ending `token`'s
+        session."""
         key = container.record_key(self._tree_key)
         try:
-            plains = decrypt_wire(key, rows, container.salt, positions)
+            return decrypt_wire(key, rows, container.salt, positions)
         except AuthenticationError:
             self._abort(token, "node record failed authentication")
-        return deserialize_node(plains, container.branching)
 
     def _abort(self, token: bytes | None, reason: str) -> NoReturn:
         """Raise `EnclaveAbort(reason)`, ending `token`'s session if it has one."""
@@ -560,7 +612,14 @@ class EnclaveSim:
             self._sessions.pop(token, None)
         raise EnclaveAbort(reason) from None
 
-    def _fresh_order_rng(self, trace) -> np.random.Generator:
+    def _order_shuffle(self, trace):
+        """The call's output-order shuffle: draws the call's seed, records it
+        on the trace, and returns a function that shuffles a list or an
+        array in place and returns it.  The thread's generator is set to the
+        seed at the first shuffle of two or more items, the first to draw
+        from it; a `uint32` array of more than `_INT64_SHUFFLE_MIN` items is
+        shuffled as an `int64` copy, in the same order, and returned as a
+        new `uint32` array."""
         seed = (
             self._order_seed_source()
             if self._order_seed_source is not None
@@ -568,16 +627,22 @@ class EnclaveSim:
         )
         if trace is not None:
             trace.order_seeds.append(seed)
-        rng = getattr(_order_rngs, "generator", None)
-        if rng is None:
-            rng = _order_rngs.generator = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": seed, "inc": _ORDER_INCREMENT},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return rng
+        rng = None
+
+        def shuffle(items):
+            nonlocal rng
+            if len(items) < 2:
+                return items
+            if rng is None:
+                rng = _seeded_order_rng(seed)
+            if len(items) > _INT64_SHUFFLE_MIN and isinstance(items, np.ndarray):
+                wide = items.astype(np.int64)
+                rng.shuffle(wide)
+                return wide.astype(np.uint32)
+            rng.shuffle(items)
+            return items
+
+        return shuffle
 
     def _tally(self, decrypted: int, scanned: int, branching: int) -> None:
         """Fold one call's instrumentation into the shared counters: a full
@@ -614,13 +679,13 @@ def _check_token_type(token) -> None:
         raise EnclaveAbort("token failed authentication")
 
 
-def _all_integers(positions) -> bool:
-    """Whether `operator.index` takes every position, in one C-level pass."""
+def _as_integers(positions) -> list[int] | None:
+    """Every position as a Python int, by `operator.index` in one C-level
+    pass, or None if one is not an integer."""
     try:
-        deque(map(operator.index, positions), maxlen=0)
+        return list(map(operator.index, positions))
     except TypeError:
-        return False
-    return True
+        return None
 
 
 def _expand(nodes: np.ndarray, r_start: int, r_end: int):

@@ -723,6 +723,40 @@ def test_mset_add_all_matches_an_integer_xor_reference(k):
     assert got.digest == (want % 2**128).to_bytes(16, "little")
 
 
+@pytest.mark.parametrize("with_removed", [False, True])
+def test_mset_int_and_numpy_folds_agree(monkeypatch, with_removed):
+    # `add_all` sums at most `_INT_FOLD_MAX` images over Python ints and more
+    # with numpy: forced either way, every fold of 0 to 40 elements, onto a
+    # nonzero start state, gives one digest.
+    key = generate_key()
+    source = random.Random(40 + with_removed)
+    start = MultisetHash.empty(key).add(b"s" * 16)
+    for count in range(41):
+        elements = source.randbytes(16 * count)
+        removed = source.randbytes(16 * source.randrange(41)) if with_removed else b""
+        digests = []
+        for cut in (0, 1 << 20):
+            monkeypatch.setattr(crypto, "_INT_FOLD_MAX", cut)
+            digests.append(start.add_all(elements, removed=removed).digest)
+        assert digests[0] == digests[1], count
+
+
+def test_element_packers_agree_over_ints_and_numpy(monkeypatch):
+    # Up to `_INT_PACK_MAX` slots are packed over Python ints, more with
+    # numpy: forced either way, both packers give the same bytes for 0 to 40
+    # slots, from an int list and from a `uint32` array.
+    source = random.Random(41)
+    for count in range(41):
+        slots = [source.randrange(2**32) for _ in range(count)]
+        values = b"".join(_nonce(s) + bytes(4) for s in slots)
+        nodes = b"".join(s.to_bytes(4, "little") + bytes(12) for s in slots)
+        for cut in (-1, 1 << 20):
+            monkeypatch.setattr(crypto, "_INT_PACK_MAX", cut)
+            for given in (slots, np.array(slots, np.uint32)):
+                assert crypto.value_elements(SALT, given) == values, (count, cut)
+                assert crypto.slot_elements(given) == nodes, (count, cut)
+
+
 def test_mset_folds_agree_across_threads():
     key = generate_key()
     items = b"".join(secrets.token_bytes(16) for _ in range(64))

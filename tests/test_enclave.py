@@ -952,12 +952,115 @@ def test_vectorised_match_agrees_with_scalar_formula(batch):
     assert bits.shape == (len(plain_nodes), branching)
     unpack = node_struct(branching).unpack_from
     for i, (node, row) in enumerate(zip(plain_nodes, bits)):
-        is_leaf, key_count, keys, _ = node
+        is_leaf, key_count, keys, pointers = node
         want = _scalar_match_slots(keys, key_count, is_leaf, r_start, r_end)
         assert np.flatnonzero(row).tolist() == want, (node, r_start, r_end)
-        # The node-by-node scan of small resident levels agrees too.
+        # The node-by-node scan of small levels and batches agrees too: it
+        # returns the pointers of those slots.
         record = unpack(nodes, i * nodes.itemsize)
-        assert _scan_record(record, branching, r_start, r_end) == want
+        assert _scan_record(record, branching, r_start, r_end) == [pointers[j] for j in want]
+
+
+class _LoggedKey(int):
+    """A stored key that logs every order comparison made on it, as
+    ``(key slot, operator)``, and answers as the int it is."""
+
+    def __new__(cls, value, slot, log):
+        key = super().__new__(cls, value)
+        key.slot, key.log = slot, log
+        return key
+
+    def _logged(name):
+        def compare(self, other):
+            self.log.append((self.slot, name))
+            return getattr(int, name)(self, other)
+
+        return compare
+
+    __lt__, __le__, __gt__, __ge__ = map(_logged, ("__lt__", "__le__", "__gt__", "__ge__"))
+
+
+def _scan_comparisons(branching, is_leaf):
+    """The comparisons `_scan_record` makes on the keys of one record, in
+    order: each key slot is compared twice, live or padded."""
+    if is_leaf:
+        # Pointer slot j + 1: rs <= keys[j] and keys[j] <= re.
+        return [(j, op) for j in range(branching - 1) for op in ("__ge__", "__le__")]
+    # Pointer slot j: keys[j-1] <= re and rs < keys[j], the infinite ends
+    # plain ints.
+    inner = [(0, "__gt__")]
+    for j in range(1, branching - 1):
+        inner += [(j - 1, "__le__"), (j, "__gt__")]
+    return inner + [(branching - 2, "__le__")]
+
+
+def test_scan_record_compares_every_key_slot_alike():
+    # The node-by-node scan of small resident levels and of small streamed
+    # batches, fed keys that log each comparison made on them, makes the
+    # same comparisons in the same order on every record of one kind and
+    # size: on padded slots as on live ones, whatever the fill and the
+    # range, and whether a slot matches or not.
+    rng = random.Random(34)
+    for branching in (MIN_BRANCHING, 5, 10, 100):
+        for is_leaf in (True, False):
+            want = _scan_comparisons(branching, is_leaf)
+            for key_count in sorted({0, 1, branching // 2, branching - 1}):
+                stored = sorted(rng.sample(range(KEY_MIN, KEY_MAX), key_count))
+                padded = stored + [KEY_INFINITY] * (branching - 1 - key_count)
+                ranges = {
+                    "empty": (KEY_MAX, KEY_MAX),
+                    "covering": (KEY_NEG_INFINITY, KEY_INFINITY),
+                    "below": (KEY_NEG_INFINITY, KEY_NEG_INFINITY),
+                }
+                if stored:
+                    ranges["partial"] = (stored[len(stored) // 2], stored[-1])
+                    ranges["one-key"] = (stored[0], stored[0])
+                for r_start, r_end in ranges.values():
+                    log: list = []
+                    keys = [_LoggedKey(k, j, log) for j, k in enumerate(padded)]
+                    # Pointer j is j, so the pointers returned are the slots.
+                    record = (FLAG_LEAF if is_leaf else 0, key_count, *keys, *range(branching))
+                    got = _scan_record(record, branching, r_start, r_end)
+                    assert got == _scalar_match_slots(padded, key_count, is_leaf, r_start, r_end)
+                    assert log == want, (branching, is_leaf, key_count, r_start, r_end)
+
+
+@pytest.mark.parametrize("branching", [5, 10, 100])
+def test_scanned_and_matched_batches_answer_alike(monkeypatch, branching):
+    # Forced to scan every streamed batch node by node, or to match every
+    # one at once, the enclave gives the same answers: the same value
+    # pointers and children, in the same seeded order, batch by batch, and
+    # the same result tag.
+    import hsbt.enclave as enclave_mod
+
+    pairs, tree, sk, index, _ = _fixture(3000, b=branching, seed=35, integrity=True)
+    keys = sorted(k for k, _ in pairs)
+    rng = random.Random(36)
+    ranges = [(None, None), (keys[5], keys[5]), (KEY_MAX, KEY_MAX)]
+    ranges += [sorted(rng.sample(keys, 2)) for _ in range(6)]
+    answers = []
+    for cut in (0, 1 << 30):
+        monkeypatch.setattr(enclave_mod, "_VECTOR_MIN_SLOTS", cut)
+        seeds = random.Random(37)
+        enclave = EnclaveSim(order_seed_source=lambda: seeds.getrandbits(64))
+        Deployment.attach(index, sk, tree.root_id, integrity=True, enclave=enclave)
+        ceiling = enclave.max_batch_nodes(index.node_record_size)
+        run = []
+        for r_start, r_end in ranges:
+            token = make_token(sk.tree_key, r_start, r_end)
+            queue = [enclave.root_slot()]
+            while queue:
+                values, children = enclave.search_batch(token, queue[:ceiling])
+                assert values.dtype == np.uint32 and all(type(c) is int for c in children)
+                run.append((values.tolist(), children))
+                queue = queue[ceiling:] + children
+            run.append(enclave.finalize_session(token))
+        answers.append(run)
+    scanned, matched = answers
+    assert scanned == matched
+    batches = [answer for answer in scanned if isinstance(answer, tuple)]
+    assert any(len(values) > 64 for values, _ in batches)
+    assert any(len(children) > 1 for _, children in batches)
 
 
 # -- instrumentation and cached set-up ------------------------------------------
@@ -1406,3 +1509,59 @@ def test_every_admit_refusal_precedes_the_gather(monkeypatch, case):
     assert opened == [] and trace.touched("node") == []
     assert (enclave.node_decryptions, counter.key_slots, counter.pointer_slots) == before
     assert token not in enclave._sessions
+
+
+# Host values for `positions` that are not a list or a tuple, by name.
+_NOT_POSITIONS = {
+    "none": lambda root: None,
+    "bare-int": lambda root: root,
+    "set": lambda root: {root},
+    "generator": lambda root: (p for p in [root]),
+    "array-of-two": lambda root: np.array([root, root]),
+    "array-of-one": lambda root: np.array([root]),
+    "string": lambda root: "ab",
+    "dict": lambda root: {root: root},
+}
+
+
+@pytest.mark.parametrize("mid_session", [False, True], ids=["opening", "mid-session"])
+@pytest.mark.parametrize("case", list(_NOT_POSITIONS))
+def test_positions_that_are_not_a_list_fail_closed(monkeypatch, case, mid_session):
+    # `_admit` takes a list or a tuple of integers and nothing else.  Any
+    # other host value fails closed: only an `EnclaveError` escapes, before
+    # a record is opened or counted, the token's session is gone, and the
+    # client's next honest query still verifies.
+    from hsbt.codec import decrypt_results, verify_result_mac
+    from hsbt.server import fetch_values
+
+    pairs, tree, sk, index, enclave = _integrity_fixture(seed=32)
+    token = make_token(sk.tree_key, None, None)
+    root = enclave.root_slot()
+    if mid_session:
+        enclave.search_batch(token, [root])
+        assert token in enclave._sessions
+    positions = _NOT_POSITIONS[case](root)
+    opened = _decrypt_wire_spy(monkeypatch)
+    before = enclave.node_decryptions
+    with pytest.raises(EnclaveError, match="^protocol violation: node positions are not a list"):
+        enclave.search_batch(token, positions)
+    assert opened == [] and enclave.node_decryptions == before
+    assert token not in enclave._sessions
+    keys = sorted(k for k, _ in pairs)
+    token = make_token(sk.tree_key, keys[3], keys[40])
+    pointers = _drive_batches(index, enclave, token)
+    values = decrypt_results(sk.value_key, fetch_values(index, pointers))
+    assert verify_result_mac(sk.tree_key, values, enclave.finalize_session(token))
+    assert Counter(values) == Counter(scan_oracle(pairs, keys[3], keys[40]))
+
+
+def test_bool_positions_pass_as_the_integers_they_are():
+    # `operator.index` takes `False` and `True` as 0 and 1, and so does
+    # `_admit`: a bool names the record at that slot.
+    pairs, tree, sk, index, enclave = _fixture(300, b=5, seed=33)
+    token = make_token(sk.tree_key, None, None)
+    for flag in (False, True):
+        values, children = enclave.search_batch(token, [flag])
+        want_values, want_children = enclave.search_batch(token, [int(flag)])
+        assert Counter(values.tolist()) == Counter(want_values.tolist())
+        assert Counter(children) == Counter(want_children)
