@@ -22,15 +22,17 @@ two query entry points mirror the two deployment modes:
 The resident tree is one `node_dtype` record array indexed by slot.  A
 streamed batch is the unit of work: before any of its rows is read it
 passes one check (`_admit`), which makes every refusal of a batch and
-turns its positions into one list of Python ints: the positions are a list
-or a tuple, the batch fits the ceiling, every position is an integer
-naming a record of the region and, in integrity mode, the batch fits its
-session's outstanding count and, when it opens a session, starts at the
-root.  Its rows are then gathered from the node region with one `take` and
-recorded as fetched, once each.  The resident load and a streamed batch
-open records in one place, `_open_records`: one `decrypt_wire` call under
-the container's record key, each row at the nonce of its slot, so a record
-opens only under the header it was sealed with, and at its own slot.
+copies its positions into trusted memory once: the positions are a 1-D
+`int64` array, as the driver queues them, or a list or a tuple of
+integers; the batch fits the ceiling, every position names a record of the
+region and, in integrity mode, the batch fits its session's outstanding
+count and, when it opens a session, starts at the root.  Every later step
+reads that copy.  Its rows are then gathered from the node region with one
+`take` and recorded as fetched, once each.  The resident load and a
+streamed batch open records in one place, `_open_records`: one
+`decrypt_wire` call under the container's record key, each row at the
+nonce of its slot, so a record opens only under the header it was sealed
+with, and at its own slot.
 Either every record opens or the call aborts with ``node record failed
 authentication``, naming no record; nothing of an aborted batch is
 decoded, matched, counted or folded.  The AES-GCM open is most of the call;
@@ -43,14 +45,16 @@ A streamed batch, or a level of the resident walk, of at least
 (`oblivious_match_slots`), a streamed batch decoded first into one record
 array with a single `deserialize_node`.  A smaller one, too small to repay
 numpy's per-call cost, is decoded and scanned node by node with the same
-per-slot formula (`_scan_record`), its pointers kept as Python ints: a
-one-node batch at b=100, or up to twelve nodes at b=10.
+per-slot formula (`_scan_record`), its pointers collected as Python ints
+and made arrays once: a one-node batch at b=100, or up to twelve nodes at
+b=10.
 
-Value pointers leave the enclave as shuffled `uint32` arrays, from both
+Value pointers leave the enclave as shuffled `int64` arrays, from both
 entry points, and the driver dereferences them without a conversion.  A
-batch also answers with node pointers, shuffled on their own, as a plain int
-list: the driver slices its queue from them, and `_open_records` gathers
-the rows they name.
+batch also answers with node pointers, shuffled on their own, as an `int64`
+array: the driver appends them to its queue, itself one `int64` array, and
+sends its next batch as a slice of it.  A matched record array yields both
+kinds by two boolean masks over its match (`_expand`).
 
 In integrity mode `search_batch` additionally runs a per-query session, keyed
 by the wire bytes of the token that opened it: a batch continues the open
@@ -263,13 +267,6 @@ _seed_stream = random.Random(secrets.randbits(128))
 _order_rngs = threading.local()
 _ORDER_INCREMENT = 0xDA3E39CB94B95BDB5851F42D4C957F2D
 
-# numpy shuffles an `int64` array faster than a `uint32` one, with the same
-# draws and so the same order.  A `uint32` array of more than this many items
-# is shuffled as an `int64` copy and cast back: best of timeit runs on a
-# 2-core Xeon VM, the copy and the cast included, 64 items took 2.2 us
-# either way, 128 took 2.9 against 3.3 and 4,096 took 43 against 79.
-_INT64_SHUFFLE_MIN = 64
-
 
 def _seeded_order_rng(seed: int) -> np.random.Generator:
     """This thread's shuffle generator, its state set to `seed`."""
@@ -406,16 +403,17 @@ class EnclaveSim:
 
     def search_resident(self, token: bytes, trace=None) -> np.ndarray:
         """Range search over the resident tree; returns the value pointers as
-        a `uint32` array.
+        an `int64` array.
 
         Level-synchronous walk: each level's frontier is shuffled, which
         orders its page touches, then matched; every parent level is touched
         before its children.  A level of at least `_VECTOR_MIN_SLOTS` slots
         is matched in one `oblivious_match_slots` call, a smaller one node by
-        node with `_scan_record`, read straight from the record array.  The
-        value pointers of matched levels stay arrays, those of scanned levels
-        are converted once, and all of them are shuffled once more on the way
-        out.
+        node with `_scan_record`, read straight from the record array.  A
+        matched level's child pointers are the next frontier as they come,
+        an `int64` array.  The value pointers of matched levels stay arrays,
+        those of scanned levels are converted once, and all of them are
+        shuffled once more on the way out.
         """
         loaded = self._resident
         if loaded is None:
@@ -429,50 +427,52 @@ class EnclaveSim:
         scanned: list[int] = []
         matched: list[np.ndarray] = []
         visited = 0
-        while frontier:
+        while len(frontier):
             shuffle(frontier)
             if trace is not None:
                 # Resident nodes sit back to back in slot order; the page
                 # channel observes 4 KiB granules of that layout.
                 for slot in frontier:
-                    trace.page_touch(slot * resident.itemsize // PAGE_SIZE)
+                    trace.page_touch(int(slot) * resident.itemsize // PAGE_SIZE)
             visited += len(frontier)
             if len(frontier) * branching < _VECTOR_MIN_SLOTS:
                 records = (unpack(resident, slot * resident.itemsize) for slot in frontier)
                 values, frontier = _scan_records(records, branching, rs, re_)
                 scanned += values
             else:
-                is_value, found = _expand(resident[frontier], rs, re_)
-                matched.append(found[is_value])
-                frontier = found[~is_value].tolist()
+                values, frontier = _expand(resident[frontier], rs, re_)
+                matched.append(values)
         self._tally(0, visited, branching)
-        pointers = shuffle(np.concatenate([np.array(scanned, np.uint32), *matched]))
+        pointers = np.concatenate([np.array(scanned, np.int64), *matched])
+        shuffle(pointers)
         if trace is not None:
             trace.pointers_out(pointers.tolist())
         return pointers
 
     # -- construction 2: streamed batches ------------------------------------
 
-    def search_batch(self, token: bytes, positions, trace=None) -> tuple[np.ndarray, list[int]]:
+    def search_batch(self, token: bytes, positions, trace=None) -> tuple[np.ndarray, np.ndarray]:
         """Process one batch of node positions for a range query.
 
-        Returns ``(value_ptrs, node_ptrs)``: value pointers come from leaves
-        and index the value region, as a `uint32` array; node pointers name
-        storage positions still to traverse, as an int list.  Each is a
-        fresh permutation drawn from the call's seeded generator.  In
-        integrity mode the batch continues its token's open session, or, if
-        that token has none, opens one and must start at the root.
+        `positions` is a 1-D `int64` array, as `server.search_streamed`
+        sends a slice of its queue, or a list or a tuple of integers.
+        Returns ``(value_ptrs, node_ptrs)``, both `int64` arrays: value
+        pointers come from leaves and index the value region; node pointers
+        name storage positions still to traverse.  Each is a fresh
+        permutation drawn from the call's seeded generator.  In integrity
+        mode the batch continues its token's open session, or, if that
+        token has none, opens one and must start at the root.
 
         A batch opens whole or aborts whole.  Every refusal of a batch, the
         first-node check included, comes before any of its rows is read
-        (`_admit`); its rows are then gathered from the shared node region,
+        (`_admit`), which copies the positions into trusted memory; its
+        rows are then gathered from the shared node region at that copy,
         recorded on the trace as fetched, and opened in one call.  A record
         that fails aborts the whole batch, naming no record.  An admitted
         batch of at least `_VECTOR_MIN_SLOTS` slots is decoded and matched
-        at once (`deserialize_node`, `oblivious_match_slots`); a smaller
-        one is decoded and scanned node by node (`_scan_record`), its
-        pointers kept as ints.  Each session accumulator is folded once.
-        Every abort ends the token's session.
+        at once (`deserialize_node`, `_expand`); a smaller one is decoded
+        and scanned node by node (`_scan_record`).  Each session
+        accumulator is folded once.  Every abort ends the token's session.
         """
         if self._container is None:
             raise EnclaveError("no container attached")
@@ -482,23 +482,21 @@ class EnclaveSim:
         rs, re_ = self._open_token(token)
         shuffle = self._order_shuffle(trace)
 
-        positions = self._admit(container, token, positions)
-        rows = container.node_rows.take(positions, axis=0)
+        batch = self._admit(container, token, positions)
+        rows = container.node_rows.take(batch, axis=0)
         if trace is not None:
-            trace.node_fetches(positions)
-        plains = self._open_records(container, positions, rows, token)
+            trace.node_fetches(batch.tolist() if type(batch) is np.ndarray else batch)
+        plains = self._open_records(container, batch, rows, token)
         branching = container.branching
         self._tally(len(plains), len(plains), branching)
         if len(plains) * branching < _VECTOR_MIN_SLOTS:
             unpack = node_struct(branching).unpack
-            values, node_ptrs = _scan_records(map(unpack, plains), branching, rs, re_)
-            value_ptrs = np.array(values, np.uint32)
+            values, children = _scan_records(map(unpack, plains), branching, rs, re_)
+            value_ptrs, node_ptrs = np.array(values, np.int64), np.array(children, np.int64)
         else:
-            is_value, pointers = _expand(deserialize_node(plains, branching), rs, re_)
-            value_ptrs = pointers[is_value]
-            node_ptrs = pointers[~is_value]
+            value_ptrs, node_ptrs = _expand(deserialize_node(plains, branching), rs, re_)
 
-        if container.integrity and positions:
+        if container.integrity and len(batch):
             matched = value_elements(container.salt, value_ptrs)
             # One locked step from lookup to the last fold: two opening
             # batches of one token share one session, and concurrent batches
@@ -507,21 +505,21 @@ class EnclaveSim:
                 sess = self._sessions.get(token)
                 fresh = sess is None
                 if fresh:
-                    sess = self._open_session(token, container, positions[0])
-                if len(positions) > sess.outstanding:
+                    sess = self._open_session(token, container, int(batch[0]))
+                if len(batch) > sess.outstanding:
                     self._abort(token, "protocol violation: more nodes than requested")
-                sess.outstanding += len(node_ptrs) - len(positions)
+                sess.outstanding += len(node_ptrs) - len(batch)
                 # Received records opened at their slots; node pointers are requests.
                 sess.balance = sess.balance.add_all(
-                    slot_elements(node_ptrs), removed=slot_elements(positions[fresh:])
+                    slot_elements(node_ptrs), removed=slot_elements(batch[fresh:])
                 )
                 sess.result_hash = sess.result_hash.add_all(matched)
 
-        value_ptrs = shuffle(value_ptrs)
-        node_ptrs = shuffle(node_ptrs)
+        shuffle(value_ptrs)
+        shuffle(node_ptrs)
         if trace is not None:
             trace.pointers_out(value_ptrs.tolist())
-        return value_ptrs, node_ptrs if type(node_ptrs) is list else node_ptrs.tolist()
+        return value_ptrs, node_ptrs
 
     def finalize_session(self, token: bytes) -> bytes:
         """Close the token's integrity session and issue the result tag.
@@ -557,32 +555,44 @@ class EnclaveSim:
             raise EnclaveAbort("token names an empty range")
         return r_start, r_end
 
-    def _admit(self, container: EncryptedIndex, token: bytes, positions) -> list[int]:
-        """The batch at `positions` as a list of Python ints, or an abort
-        that ends the token's session.  The batch must be a `list` or a
-        `tuple` (`None`, a bare int, a set, a generator or a numpy array is
-        refused), fit the ceiling (`max_batch_nodes`), checked before any
-        position is read so that no longer batch is copied, and hold
-        integers, converted in one `operator.index` pass, naming records of
-        the region; a `bool` passes as the integer it is (`False` is
-        position 0).  In integrity mode it must also fit the nodes its
-        session has outstanding and, when it opens a session, start at the
-        root.  Nothing is locked: the session is read as it stands, and
-        both session checks run again under the lock once the records are
+    def _admit(self, container: EncryptedIndex, token: bytes, positions) -> list[int] | np.ndarray:
+        """The batch at `positions`, copied into trusted memory, or an abort
+        that ends the token's session.  Every later step of the call reads
+        that copy, so no host write after the call begins reaches the
+        checks, the gather or the trace.
+
+        The batch is a 1-D `int64` numpy array, as the driver queues it,
+        copied once and bounds-checked by one `argmax` over the copy viewed as
+        unsigned, where a negative position is above every valid one; or a
+        `list` or a `tuple`, turned into a list of Python ints by one
+        `operator.index` pass, where a `bool` passes as the integer it is
+        (`False` is position 0).  Anything else is refused: `None`, a bare
+        int, a set, a generator, or an array of another shape or dtype.
+        The batch must fit the ceiling (`max_batch_nodes`), checked before
+        it is copied so that no longer batch is, and name records of the
+        region.  In integrity mode it must also fit the nodes its session
+        has outstanding and, when it opens a session, start at the root.
+        Nothing is locked: the session is read as it stands, and both
+        session checks run again under the lock once the records are
         open."""
         rows = len(container.node_rows)
         ceiling = self.max_batch_nodes(container.node_record_size)
         sess = self._sessions.get(token) if container.integrity else None
-        if type(positions) not in (list, tuple):
-            reason = "protocol violation: node positions are not a list or tuple"
+        if type(positions) in (list, tuple):
+            copy_in = _as_integers
+        elif type(positions) is np.ndarray and positions.ndim == 1 and positions.dtype == np.int64:
+            copy_in = np.ndarray.copy
+        else:
+            copy_in = None
+        if copy_in is None:
+            reason = "protocol violation: node positions are not a list, a tuple or an int64 array"
         elif (size := len(positions)) > ceiling:
             reason = f"protocol violation: batch of {size} nodes exceeds the ceiling of {ceiling}"
-        elif (batch := _as_integers(positions)) is None:
+        elif (batch := copy_in(positions)) is None:
             reason = "protocol violation: a node position is not an integer"
-        elif batch and not (0 <= min(batch) and max(batch) < rows):
-            outside = next(p for p in batch if not 0 <= p < rows)
+        elif (outside := _first_outside(batch, rows)) is not None:
             reason = f"no node record at position {outside}"
-        elif not container.integrity or not batch:
+        elif not container.integrity or not size:
             return batch
         elif size > (1 if sess is None else sess.outstanding):
             reason = "protocol violation: more nodes than requested"
@@ -615,11 +625,9 @@ class EnclaveSim:
     def _order_shuffle(self, trace):
         """The call's output-order shuffle: draws the call's seed, records it
         on the trace, and returns a function that shuffles a list or an
-        array in place and returns it.  The thread's generator is set to the
-        seed at the first shuffle of two or more items, the first to draw
-        from it; a `uint32` array of more than `_INT64_SHUFFLE_MIN` items is
-        shuffled as an `int64` copy, in the same order, and returned as a
-        new `uint32` array."""
+        `int64` array in place.  The thread's generator is set to the seed
+        at the first shuffle of two or more items, the first to draw from
+        it.  A list and an array of one length come out in one order."""
         seed = (
             self._order_seed_source()
             if self._order_seed_source is not None
@@ -629,18 +637,13 @@ class EnclaveSim:
             trace.order_seeds.append(seed)
         rng = None
 
-        def shuffle(items):
+        def shuffle(items) -> None:
             nonlocal rng
             if len(items) < 2:
-                return items
+                return
             if rng is None:
                 rng = _seeded_order_rng(seed)
-            if len(items) > _INT64_SHUFFLE_MIN and isinstance(items, np.ndarray):
-                wide = items.astype(np.int64)
-                rng.shuffle(wide)
-                return wide.astype(np.uint32)
             rng.shuffle(items)
-            return items
 
         return shuffle
 
@@ -688,9 +691,33 @@ def _as_integers(positions) -> list[int] | None:
         return None
 
 
-def _expand(nodes: np.ndarray, r_start: int, r_end: int):
-    """Match a record array and list its matching slots in node order, slot
-    order within a node: ``(is_value, pointers)``, where a value pointer
-    comes from a leaf and the others name child nodes."""
-    rows, cols = np.nonzero(oblivious_match_slots(nodes, r_start, r_end))
-    return leaf_mask(nodes)[rows], nodes["ptrs"][rows, cols]
+def _first_outside(batch, rows: int) -> int | None:
+    """The first position of `batch`, an int list or an `int64` array, that
+    names no record of a region of `rows` records, or None."""
+    if not len(batch):
+        return None
+    if type(batch) is np.ndarray:
+        # A negative position views as above every valid one.  `argmax`
+        # finds the largest without numpy's reduction machinery, at a third
+        # of `max`'s cost on a batch of a few nodes.
+        unsigned = batch.view(np.uint64)
+        if unsigned[unsigned.argmax()] < rows:
+            return None
+        return int(batch[np.argmax(unsigned >= rows)])
+    if min(batch) >= 0 and max(batch) < rows:
+        return None
+    return next(p for p in batch if not 0 <= p < rows)
+
+
+def _expand(nodes: np.ndarray, r_start: int, r_end: int) -> tuple[np.ndarray, np.ndarray]:
+    """Match a record array (`oblivious_match_slots`): the pointers of its
+    matching slots in node order, slot order within a node, as
+    ``(value_ptrs, node_ptrs)`` `int64` arrays, where a value pointer comes
+    from a leaf and a node pointer names a child node.  Each kind is
+    selected by one boolean mask over the whole ``(len(nodes), b)`` match,
+    ``match & leaf`` and ``match & ~leaf``, so no step depends on which
+    slots match or which nodes are leaves."""
+    match = oblivious_match_slots(nodes, r_start, r_end)
+    leaf = leaf_mask(nodes)[:, None]
+    ptrs = nodes["ptrs"].astype(np.int64)
+    return ptrs[match & leaf], ptrs[match & ~leaf]

@@ -64,7 +64,9 @@ def fetch_values(index: EncryptedIndex, pointers) -> SealedValues:
     gathered from `index.value_rows` by one `np.take`, for every ``k``
     including 0, with the pointers as the rows' slots and the container's
     value salt.  The client opens each row at its slot
-    (`codec.decrypt_results`).
+    (`codec.decrypt_results`).  An `int64` array, as the enclave returns
+    pointers, serves as the slots as it is; any other sequence is
+    converted to one first.
 
     An out-of-range pointer means the enclave output was corrupted in
     transit, and surfacing it beats returning garbage.  One bound check
@@ -73,8 +75,10 @@ def fetch_values(index: EncryptedIndex, pointers) -> SealedValues:
     """
     at = np.asarray(pointers, np.intp)
     n = len(index.value_rows)
-    if len(at) and at.view(np.uintp).max() >= n:
-        bad = at[np.argmax(at.view(np.uintp) >= n)]
+    unsigned = at.view(np.uintp)
+    # `argmax` finds the largest at a fraction of `max`'s fixed cost.
+    if len(at) and unsigned[unsigned.argmax()] >= n:
+        bad = at[np.argmax(unsigned >= n)]
         raise ValueError(f"value pointer {bad} outside [0, {n})")
     return SealedValues(index.value_rows.take(at, axis=0), at, index.salt)
 
@@ -114,25 +118,26 @@ def search_streamed(
     routing; returns (the `fetch_values` result, result tag or None,
     stats).
 
-    Seeds the queue with the root position, drains up to the enclave's batch
-    ceiling per crossing, re-queues node pointers, and collects the value
-    pointer arrays, joined once for the fetch.  Every batch carries the
-    token, which names the query's integrity session; in integrity mode the
-    session is finalized under the token afterwards (one more crossing) and
-    the result tag returned for the client to check.
+    The queue is one `int64` array, seeded with the root position.  Each
+    crossing sends its first slice of up to the enclave's batch ceiling,
+    which the enclave copies before it reads it, and appends the node
+    pointers that come back; the value pointer arrays are collected and
+    joined once for the fetch.  Every batch carries the token, which names
+    the query's integrity session; in integrity mode the session is
+    finalized under the token afterwards (one more crossing) and the result
+    tag returned for the client to check.
     """
     t0 = time.thread_time_ns()
     max_batch = enclave.max_batch_nodes(index.node_record_size)
-    queue = [enclave.root_slot()]
+    queue = np.array([enclave.root_slot()], np.int64)
     value_pointers: list[np.ndarray] = []
     crossings = 0
     nodes_moved = 0
     bytes_in = 0
     bytes_out = 0
 
-    while queue:
-        batch = queue[:max_batch]
-        del queue[:max_batch]
+    while len(queue):
+        batch, queue = queue[:max_batch], queue[max_batch:]
         values, nodes = enclave.search_batch(token, batch, trace=trace)
         crossings += 1
         nodes_moved += len(batch)
@@ -141,7 +146,7 @@ def search_streamed(
         bytes_in += len(token) + len(batch) * index.node_record_size
         bytes_out += 4 * (len(values) + len(nodes))
         value_pointers.append(values)
-        queue += nodes
+        queue = np.concatenate((queue, nodes)) if len(queue) else nodes
 
     mac: bytes | None = None
     if index.integrity:

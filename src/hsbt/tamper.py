@@ -112,8 +112,9 @@ class _BatchRewriter:
         self._batches += 1
         if self._batches == 2 and self._second_token is not None:
             token = self._second_token
-        batch = [q for p in positions for q in self._rewrite(p)]
-        return self._enclave.search_batch(token, batch, trace=trace)
+        batch = [q for p in positions.tolist() for q in self._rewrite(p)]
+        # Forwarded as the honest driver sends it, so it meets the same `_admit`.
+        return self._enclave.search_batch(token, np.array(batch, np.int64), trace=trace)
 
     def _rewrite(self, position: int) -> tuple[int, ...]:
         turns = self._rewrites.get(position)
@@ -211,7 +212,7 @@ def run_with_tamper(
     queue = [root_slot]
     while queue:
         slot = queue.pop(0)
-        _, children[slot] = enclave.search_batch(token, [slot])
+        children[slot] = enclave.search_batch(token, np.array([slot], np.int64))[1].tolist()
         queue += children[slot]
     enclave.finalize_session(token)
 

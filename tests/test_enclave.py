@@ -61,9 +61,9 @@ def _oracle_pointer_set(pairs, tree, rs, re):
 
 
 def _drive_batches(index, enclave, token, max_batch=None):
-    """Minimal honest driver used for enclave-level tests; returns the value
-    pointers as an int list.  An integrity session stays open for the
-    caller to finalize under `token`."""
+    """Minimal honest driver used for enclave-level tests, sending int
+    lists; returns the value pointers as an int list.  An integrity session
+    stays open for the caller to finalize under `token`."""
     from collections import deque
 
     max_batch = max_batch or enclave.max_batch_nodes(index.node_record_size)
@@ -72,9 +72,9 @@ def _drive_batches(index, enclave, token, max_batch=None):
     while queue:
         batch = [queue.popleft() for _ in range(min(len(queue), max_batch))]
         found, children = enclave.search_batch(token, batch)
-        assert isinstance(found, np.ndarray) and found.dtype == np.uint32
+        assert found.dtype == children.dtype == np.int64
         values += found.tolist()
-        queue.extend(children)
+        queue.extend(children.tolist())
     return values
 
 
@@ -366,7 +366,7 @@ def test_resident_search_empty_and_full_ranges():
     empty = enclave.search_resident(make_token(sk.tree_key, gap, gap))
     full = enclave.search_resident(make_token(sk.tree_key, None, None))
     for got in (empty, full):
-        assert isinstance(got, np.ndarray) and got.dtype == np.uint32
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
     assert len(empty) == 0
     assert sorted(full.tolist()) == list(range(200))
 
@@ -397,15 +397,15 @@ def test_two_level_tree_root_batch_emits_all_children():
     values, children = enclave.search_batch(token, [root_slot])
     # The root is inner: every emitted pointer names a child node still to
     # traverse, none is a value pointer yet.
-    assert isinstance(values, np.ndarray) and values.dtype == np.uint32 and len(values) == 0
-    child_slots = set(children)
+    assert isinstance(values, np.ndarray) and values.dtype == np.int64 and len(values) == 0
+    assert isinstance(children, np.ndarray) and children.dtype == np.int64
+    child_slots = set(children.tolist())
     assert len(children) == len(child_slots) == 4 and root_slot not in child_slots
-    assert all(type(p) is int for p in children)
 
     # Feeding those children (the leaves) emits exactly the value pointers.
     values2, children2 = enclave.search_batch(token, sorted(child_slots))
-    assert children2 == []
-    assert isinstance(values2, np.ndarray) and values2.dtype == np.uint32
+    assert children2.dtype == np.int64 and len(children2) == 0
+    assert isinstance(values2, np.ndarray) and values2.dtype == np.int64
     assert sorted(values2.tolist()) == list(range(12))
 
 
@@ -445,11 +445,10 @@ def test_batch_pointer_lists_are_the_matched_slots(data):
         st.lists(st.integers(0, index.node_count - 1), min_size=0, max_size=20)
     )
     values, children = enclave.search_batch(make_token(sk.tree_key, r_start, r_end), positions)
-    is_value, pointers = _expand(_decoded(sk, index, positions), r_start, r_end)
-    assert isinstance(values, np.ndarray) and values.dtype == np.uint32
-    assert Counter(values.tolist()) == Counter(pointers[is_value].tolist())
-    assert Counter(children) == Counter(pointers[~is_value].tolist())
-    assert all(type(p) is int for p in children)
+    want_values, want_children = _expand(_decoded(sk, index, positions), r_start, r_end)
+    assert values.dtype == children.dtype == np.int64
+    assert Counter(values.tolist()) == Counter(want_values.tolist())
+    assert Counter(children.tolist()) == Counter(want_children.tolist())
 
 
 def _seeded_outputs(index, sk, root_id, tokens):
@@ -463,8 +462,8 @@ def _seeded_outputs(index, sk, root_id, tokens):
         queue = [dep.enclave.root_slot()]
         while queue:
             values, children = dep.enclave.search_batch(token, queue)
-            answers.append((values.tolist(), children))
-            queue = children
+            answers.append((values.tolist(), children.tolist()))
+            queue = children.tolist()
     return answers
 
 
@@ -544,7 +543,7 @@ def test_withheld_node_blocks_finalize():
     dropped = False
     while queue:
         batch = [queue.popleft() for _ in range(len(queue))]
-        _, children = enclave.search_batch(token, batch)
+        children = enclave.search_batch(token, batch)[1].tolist()
         if children and not dropped:
             dropped = True  # withhold exactly one requested node
             children = children[1:]
@@ -586,7 +585,7 @@ def test_extra_node_beyond_outstanding_requests_aborts_immediately():
     sk, enclave = dep.sk, dep.enclave
     token = make_token(sk.tree_key, None, None)
     values, children = enclave.search_batch(token, [enclave.root_slot()])
-    assert values.tolist() == [0] and children == []
+    assert values.tolist() == [0] and children.tolist() == []
     with pytest.raises(EnclaveAbort):
         enclave.search_batch(token, [0])
 
@@ -620,15 +619,15 @@ def test_node_delivered_with_a_child_it_requests_aborts():
     pairs, tree, sk, index, enclave = _integrity_fixture(seed=18)
     probe, token = (make_token(sk.tree_key, None, None) for _ in range(2))
     root = enclave.root_slot()
-    _, children = enclave.search_batch(probe, [root])
-    _, grandchildren = enclave.search_batch(probe, children[:1])
+    children = enclave.search_batch(probe, [root])[1].tolist()
+    grandchildren = enclave.search_batch(probe, children[:1])[1].tolist()
     # The root and one of its children in the opening batch: one node was
     # outstanding, two arrive.
     with pytest.raises(EnclaveAbort, match="^protocol violation: more nodes than requested$"):
         enclave.search_batch(token, [root, children[0]])
     # The abort closed the session, so the root opens a new one.  A
     # continuing batch: a child of the node, delivered with it.
-    _, children = enclave.search_batch(token, [root])
+    children = enclave.search_batch(token, [root])[1].tolist()
     with pytest.raises(EnclaveAbort, match="more nodes than requested"):
         enclave.search_batch(token, children + grandchildren[:1])
     with pytest.raises(EnclaveAbort, match="^no open session for this token$"):
@@ -643,15 +642,15 @@ def test_tripled_node_with_a_thinned_child_fails_the_balance():
     # even number, which a balance kept mod 2 (XOR) would miss.
     pairs, tree, sk, index, enclave = _integrity_fixture(seed=19)
     token = make_token(sk.tree_key, None, None)
-    _, children = enclave.search_batch(token, [enclave.root_slot()])
+    children = enclave.search_batch(token, [enclave.root_slot()])[1].tolist()
     assert len(children) >= 3
     target, rest = children[0], children[1:]
-    _, tripled = enclave.search_batch(token, [target] * 3)
+    tripled = enclave.search_batch(token, [target] * 3)[1].tolist()
     thinned = tripled[0]
     assert tripled.count(thinned) == 3
     queue = rest + [p for p in tripled if p != thinned] + [thinned]
     while queue:
-        _, queue = enclave.search_batch(token, queue)
+        queue = enclave.search_batch(token, queue)[1].tolist()
     with pytest.raises(EnclaveAbort, match="^protocol violation: received nodes differ from"):
         enclave.finalize_session(token)
 
@@ -667,12 +666,10 @@ def test_two_opening_batches_of_one_token_share_one_session():
     root = enclave.root_slot()
     queue = []
     for _ in range(2):
-        _, children = enclave.search_batch(token, [root])
-        queue += children
+        queue += enclave.search_batch(token, [root])[1].tolist()
     assert len(enclave._sessions) == 1
     while len(queue) > 1:
-        _, children = enclave.search_batch(token, queue[:1])
-        queue = queue[1:] + children
+        queue = queue[1:] + enclave.search_batch(token, queue[:1])[1].tolist()
     with pytest.raises(
         EnclaveAbort, match="^protocol violation: received nodes differ from requested nodes$"
     ):
@@ -703,7 +700,7 @@ def test_batch_under_another_token_aborts_and_leaves_the_session_open():
         make_token(sk.tree_key, keys[5], keys[60]),  # the same range, minted again
     ]
     found, children = enclave.search_batch(token, [enclave.root_slot()])
-    assert children
+    assert len(children)
     for other in others:
         # `other` has no session, so its batch must open one at the root.
         with pytest.raises(EnclaveAbort, match="^protocol violation: first node is not the root$"):
@@ -711,7 +708,7 @@ def test_batch_under_another_token_aborts_and_leaves_the_session_open():
     assert len(enclave._sessions) == 1
     # The opening token's session carries the query through.
     pointers, queue = found.tolist(), children
-    while queue:
+    while len(queue):
         found, queue = enclave.search_batch(token, queue)
         pointers += found.tolist()
     mac = enclave.finalize_session(token)
@@ -786,7 +783,7 @@ def test_concurrent_batches_of_one_token_share_one_session_and_lose_no_update():
     for lo in range(0, 400, 50):
         token = make_token(sk.tree_key, keys[lo], keys[lo + 200])
         found, level = enclave.search_batch(token, [root])
-        pointers = found.tolist()
+        pointers, level = found.tolist(), level.tolist()
         while level:
             below = []
 
@@ -794,7 +791,7 @@ def test_concurrent_batches_of_one_token_share_one_session_and_lose_no_update():
                 for slot in share:
                     values, nodes = enclave.search_batch(token, [slot])
                     pointers.extend(values.tolist())
-                    below.extend(nodes)
+                    below.extend(nodes.tolist())
 
             run([functools.partial(send, level[t::workers]) for t in range(workers)])
             level = below
@@ -870,7 +867,7 @@ def test_empty_match_still_touches_every_slot():
     assert bits.shape == (1, 6) and not bits.any()
     counter = enclave.touch_counter
     values, children = enclave.search_batch(make_token(sk.tree_key, dead_key, dead_key), [leaf])
-    assert len(values) == 0 and children == []
+    assert len(values) == len(children) == 0
     assert (counter.key_slots, counter.pointer_slots) == (5, 6)
 
 
@@ -1025,6 +1022,76 @@ def test_scan_record_compares_every_key_slot_alike():
                     assert log == want, (branching, is_leaf, key_count, r_start, r_end)
 
 
+def _code_objects(function):
+    """The code of `function` and of every function, comprehension or
+    generator nested in it."""
+    found, todo = [], [function.__code__]
+    while todo:
+        code = todo.pop()
+        found.append(code)
+        todo += [const for const in code.co_consts if hasattr(const, "co_code")]
+    return found
+
+
+def _executed_lines(functions, call):
+    """Run `call()` under `sys.settrace`: the ``(name, line)`` sequence of
+    every line executed in the code of `functions`, nested code included."""
+    codes = {code for function in functions for code in _code_objects(function)}
+    lines = []
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.append((frame.f_code.co_name, frame.f_lineno))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code in codes else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def test_vector_match_runs_the_same_lines_for_every_batch_of_one_size():
+    # The vectorised match of large streamed batches and resident levels,
+    # `oblivious_match_slots` and the pointer selection of `_expand`, runs
+    # one executed-line sequence for every batch of one size and branching
+    # factor: leaves and inner nodes, full, partly filled and empty nodes,
+    # and empty, partial and covering ranges.  Any control flow that depends
+    # on the node kind, the fill or the range, a loop over live slots say,
+    # changes the sequence.
+    import hsbt.enclave as enclave_mod
+
+    functions = (enclave_mod.oblivious_match_slots, enclave_mod._expand)
+    rng = random.Random(45)
+    for branching in (MIN_BRANCHING, 5, 10):
+        fills = sorted({0, 1, branching // 2, branching - 1})
+        for size in (1, 2, 5):
+            sequences = set()
+            for _ in range(12):
+                nodes = np.zeros(size, dtype=node_dtype(branching))
+                for node in nodes:
+                    key_count = rng.choice(fills)
+                    stored = sorted(rng.sample(range(KEY_MIN, KEY_MAX), key_count))
+                    node["flags"] = rng.choice((0, FLAG_LEAF))
+                    node["key_count"] = key_count
+                    node["keys"] = stored + [KEY_INFINITY] * (branching - 1 - key_count)
+                    node["ptrs"] = rng.sample(range(1000), branching)
+                stored = sorted(k for node in nodes for k in node["keys"][: node["key_count"]])
+                ranges = [(KEY_MAX, KEY_MAX), (KEY_NEG_INFINITY, KEY_INFINITY)]
+                if stored:
+                    ranges += [(stored[0], stored[len(stored) // 2]), (stored[-1], KEY_MAX)]
+                for r_start, r_end in ranges:
+                    call = functools.partial(enclave_mod._expand, nodes, r_start, r_end)
+                    sequences.add(tuple(_executed_lines(functions, call)))
+            (sequence,) = sequences
+            assert {name for name, _ in sequence} == {"oblivious_match_slots", "_expand"}
+
+
 @pytest.mark.parametrize("branching", [5, 10, 100])
 def test_scanned_and_matched_batches_answer_alike(monkeypatch, branching):
     # Forced to scan every streamed batch node by node, or to match every
@@ -1051,9 +1118,9 @@ def test_scanned_and_matched_batches_answer_alike(monkeypatch, branching):
             queue = [enclave.root_slot()]
             while queue:
                 values, children = enclave.search_batch(token, queue[:ceiling])
-                assert values.dtype == np.uint32 and all(type(c) is int for c in children)
-                run.append((values.tolist(), children))
-                queue = queue[ceiling:] + children
+                assert values.dtype == children.dtype == np.int64
+                run.append((values.tolist(), children.tolist()))
+                queue = queue[ceiling:] + children.tolist()
             run.append(enclave.finalize_session(token))
         answers.append(run)
     scanned, matched = answers
@@ -1169,7 +1236,7 @@ def test_a_batch_aborts_whole_at_any_bad_record(monkeypatch):
         lambda c: c[:1] + [nowhere],
     )
     for make in batches:
-        _, children = enclave.search_batch(token, [root])
+        children = enclave.search_batch(token, [root])[1].tolist()
         trace = AccessTrace()
         del opened[:]
         with pytest.raises(EnclaveAbort, match=f"^no node record at position {nowhere}$"):
@@ -1177,7 +1244,7 @@ def test_a_batch_aborts_whole_at_any_bad_record(monkeypatch):
         assert opened == [] and trace.touched("node") == []
         assert token not in enclave._sessions
     # Inside the region, a fourth node overflows the three requests.
-    _, children = enclave.search_batch(token, [root])
+    children = enclave.search_batch(token, [root])[1].tolist()
     del opened[:]
     with pytest.raises(EnclaveAbort, match="^protocol violation: more nodes than requested$"):
         enclave.search_batch(token, children + children[:1])
@@ -1197,7 +1264,7 @@ def test_a_batch_aborts_whole_at_any_bad_record(monkeypatch):
             token = make_token(dep.sk.tree_key, None, None)
             level = [enclave.root_slot()]
             while len(level) < size:
-                _, level = enclave.search_batch(token, level)
+                level = enclave.search_batch(token, level)[1].tolist()
             positions = level[:size]
             enclave.attach_container(_broken_at(dep.index, positions[k]))
             trace = AccessTrace()
@@ -1257,7 +1324,7 @@ def test_a_copy_attached_mid_call_cannot_move_the_root(monkeypatch):
     enclave, index = dep.enclave, dep.index
     token = make_token(dep.sk.tree_key, None, None)
     _, children = enclave.search_batch(token, [enclave.root_slot()])
-    forged = dataclasses.replace(index, root_slot=children[0])
+    forged = dataclasses.replace(index, root_slot=int(children[0]))
 
     def attaching_first(real):
         def call(*args):
@@ -1485,10 +1552,10 @@ def test_every_admit_refusal_precedes_the_gather(monkeypatch, case):
     token = make_token(sk.tree_key, None, None)
     root, count = enclave.root_slot(), index.node_count
     if case in ("more-than-outstanding", "float-mid-session"):
-        _, children = enclave.search_batch(token, [root])
+        children = enclave.search_batch(token, [root])[1].tolist()
         assert len(children) > 1 and token in enclave._sessions
     else:
-        children = enclave.search_batch(make_token(sk.tree_key, None, None), [root])[1]
+        children = enclave.search_batch(make_token(sk.tree_key, None, None), [root])[1].tolist()
     batch = {
         "over-ceiling": [root] * (enclave.max_batch_nodes(index.node_record_size) + 1),
         "outside-region": [count],
@@ -1511,26 +1578,25 @@ def test_every_admit_refusal_precedes_the_gather(monkeypatch, case):
     assert token not in enclave._sessions
 
 
-# Host values for `positions` that are not a list or a tuple, by name.
+# Host values for `positions` that are neither a list, a tuple nor a numpy
+# array, by name.
 _NOT_POSITIONS = {
-    "none": lambda root: None,
-    "bare-int": lambda root: root,
-    "set": lambda root: {root},
-    "generator": lambda root: (p for p in [root]),
-    "array-of-two": lambda root: np.array([root, root]),
-    "array-of-one": lambda root: np.array([root]),
-    "string": lambda root: "ab",
-    "dict": lambda root: {root: root},
+    "none": lambda root, *_: None,
+    "bare-int": lambda root, *_: root,
+    "set": lambda root, *_: {root},
+    "generator": lambda root, *_: (p for p in [root]),
+    "string": lambda root, *_: "ab",
+    "dict": lambda root, *_: {root: root},
 }
 
+_NOT_POSITIONS_MESSAGE = "^protocol violation: node positions are not a list, a tuple or an int64"
 
-@pytest.mark.parametrize("mid_session", [False, True], ids=["opening", "mid-session"])
-@pytest.mark.parametrize("case", list(_NOT_POSITIONS))
-def test_positions_that_are_not_a_list_fail_closed(monkeypatch, case, mid_session):
-    # `_admit` takes a list or a tuple of integers and nothing else.  Any
-    # other host value fails closed: only an `EnclaveError` escapes, before
-    # a record is opened or counted, the token's session is gone, and the
-    # client's next honest query still verifies.
+
+def _refuses_and_recovers(monkeypatch, positions_of, mid_session, match):
+    """Send `positions_of(root, count, ceiling)` as a batch, opening or
+    mid-session: it must fail closed with an `EnclaveError` matching
+    `match`, before a record is opened or counted, leaving no session for
+    its token, and the client's next honest query must still verify."""
     from hsbt.codec import decrypt_results, verify_result_mac
     from hsbt.server import fetch_values
 
@@ -1540,10 +1606,11 @@ def test_positions_that_are_not_a_list_fail_closed(monkeypatch, case, mid_sessio
     if mid_session:
         enclave.search_batch(token, [root])
         assert token in enclave._sessions
-    positions = _NOT_POSITIONS[case](root)
+    ceiling = enclave.max_batch_nodes(index.node_record_size)
+    positions = positions_of(root, index.node_count, ceiling)
     opened = _decrypt_wire_spy(monkeypatch)
     before = enclave.node_decryptions
-    with pytest.raises(EnclaveError, match="^protocol violation: node positions are not a list"):
+    with pytest.raises(EnclaveError, match=match):
         enclave.search_batch(token, positions)
     assert opened == [] and enclave.node_decryptions == before
     assert token not in enclave._sessions
@@ -1555,6 +1622,141 @@ def test_positions_that_are_not_a_list_fail_closed(monkeypatch, case, mid_sessio
     assert Counter(values) == Counter(scan_oracle(pairs, keys[3], keys[40]))
 
 
+@pytest.mark.parametrize("mid_session", [False, True], ids=["opening", "mid-session"])
+@pytest.mark.parametrize("case", list(_NOT_POSITIONS))
+def test_positions_that_are_not_a_list_fail_closed(monkeypatch, case, mid_session):
+    # `_admit` takes a list or a tuple of integers, or a 1-D `int64` array.
+    # Any other host value fails closed.
+    _refuses_and_recovers(monkeypatch, _NOT_POSITIONS[case], mid_session, _NOT_POSITIONS_MESSAGE)
+
+
+_OUTSIDE = "^no node record at position"
+
+# Numpy arrays `_admit` refuses, by name: every shape and dtype but a 1-D
+# `int64` array, and `int64` arrays that name no record or overflow the
+# ceiling; each with the abort message it gets.
+_NOT_INT64_POSITIONS = {
+    "zero-d": (lambda root, count, ceiling: np.array(root), _NOT_POSITIONS_MESSAGE),
+    "two-d": (lambda root, count, ceiling: np.array([[root]]), _NOT_POSITIONS_MESSAGE),
+    "bool": (lambda root, count, ceiling: np.array([True]), _NOT_POSITIONS_MESSAGE),
+    "uint64": (lambda root, count, ceiling: np.array([root], np.uint64), _NOT_POSITIONS_MESSAGE),
+    "int32": (lambda root, count, ceiling: np.array([root], np.int32), _NOT_POSITIONS_MESSAGE),
+    "float": (lambda root, count, ceiling: np.array([root], float), _NOT_POSITIONS_MESSAGE),
+    "object": (lambda root, count, ceiling: np.array([root], object), _NOT_POSITIONS_MESSAGE),
+    "big-endian": (lambda root, count, ceiling: np.array([root], ">i8"), _NOT_POSITIONS_MESSAGE),
+    "negative": (lambda root, count, ceiling: np.array([root, -1], np.int64), f"{_OUTSIDE} -1$"),
+    "int64-min": (
+        lambda root, count, ceiling: np.array([-(2**63)], np.int64),
+        f"{_OUTSIDE} {-(2**63)}$",
+    ),
+    "out-of-range": (
+        lambda root, count, ceiling: np.array([root, count], np.int64),
+        f"{_OUTSIDE} \\d+$",
+    ),
+    "over-ceiling": (
+        lambda root, count, ceiling: np.full(ceiling + 1, root, np.int64),
+        "^protocol violation: batch of .* nodes exceeds the ceiling of",
+    ),
+}
+
+
+@pytest.mark.parametrize("mid_session", [False, True], ids=["opening", "mid-session"])
+@pytest.mark.parametrize("case", list(_NOT_INT64_POSITIONS))
+def test_positions_that_are_not_an_int64_array_in_bounds_fail_closed(
+    monkeypatch, case, mid_session
+):
+    make, match = _NOT_INT64_POSITIONS[case]
+    _refuses_and_recovers(monkeypatch, make, mid_session, match)
+
+
+def _walk_fed(index, sk, root_id, token, width, feed):
+    """One streamed integrity query on a fresh enclave whose shuffle seeds
+    come from a fixed stream, batches of up to `width` nodes, each batch
+    passed through `feed(at, positions)` (`at` counts the batches from 0):
+    every batch answer as int lists, the trace events and the result tag."""
+    seeds = random.Random(44)
+    enclave = EnclaveSim(order_seed_source=lambda: seeds.getrandbits(64))
+    Deployment.attach(index, sk, root_id, integrity=True, enclave=enclave)
+    trace = AccessTrace()
+    answers, queue = [], [enclave.root_slot()]
+    while queue:
+        batch, queue = queue[:width], queue[width:]
+        values, children = enclave.search_batch(token, feed(len(answers), batch), trace=trace)
+        answers.append((values.tolist(), children.tolist()))
+        queue += children.tolist()
+    return answers, trace.events, enclave.finalize_session(token)
+
+
+@pytest.mark.parametrize("mid_session", [False, True], ids=["opening", "mid-session"])
+@pytest.mark.parametrize("width", [1, 2], ids=["one", "two"])
+def test_int64_positions_are_served_as_the_equal_list(width, mid_session):
+    # A 1-D `int64` array is served as the list of its positions is: the same
+    # answers, in the same seeded order, the same trace and the same result
+    # tag.  "opening" feeds every batch as an array, the session's opening
+    # one included; "mid-session" opens with a list and feeds arrays after.
+    pairs, tree, sk, index, _ = _integrity_fixture(seed=32)
+    keys = sorted(k for k, _ in pairs)
+    token = make_token(sk.tree_key, keys[3], keys[90])
+    first_array = 1 if mid_session else 0
+
+    def as_array(at, batch):
+        return np.array(batch, np.int64) if at >= first_array else batch
+
+    listed = _walk_fed(index, sk, tree.root_id, token, width, lambda at, batch: batch)
+    arrayed = _walk_fed(index, sk, tree.root_id, token, width, as_array)
+    assert arrayed == listed
+    answers, events, _ = listed
+    assert len(answers) > 2 and any(len(values) > 1 for values, _ in answers)
+    assert all(type(slot) is int for kind, slot in events if kind == "node")
+
+
+def test_an_array_batch_is_copied_before_it_is_read(monkeypatch):
+    # `_admit` copies an array batch into trusted memory: the records open at
+    # the copy, which shares no memory with the caller's array, and a host
+    # write to that array while the call runs, or after it, reaches neither
+    # the trace nor the session.
+    import hsbt.enclave as enclave_mod
+    from hsbt.codec import decrypt_results, verify_result_mac
+    from hsbt.server import fetch_values
+
+    pairs, tree, sk, index, enclave = _integrity_fixture(seed=33)
+    keys = sorted(k for k, _ in pairs)
+    token = make_token(sk.tree_key, keys[3], keys[300])
+    root = enclave.root_slot()
+    found, children = enclave.search_batch(token, np.array([root], np.int64))
+    assert len(children) > 1
+    sent = children.copy()
+    outsider = next(s for s in range(index.node_count) if s not in set(children.tolist()))
+    real = enclave_mod.decrypt_wire
+    seen = []
+
+    def host_writes_mid_call(key, rows, salt, slots):
+        seen.append(slots)
+        children[:] = outsider
+        return real(key, rows, salt, slots)
+
+    monkeypatch.setattr(enclave_mod, "decrypt_wire", host_writes_mid_call)
+    trace = AccessTrace()
+    values, below = enclave.search_batch(token, children, trace=trace)
+    monkeypatch.undo()
+    (slots,) = seen
+    assert isinstance(slots, np.ndarray) and not np.shares_memory(slots, children)
+    assert slots.tolist() == sent.tolist() == trace.touched("node")
+    session = enclave._sessions[token]
+    state = session.outstanding, session.balance.digest, session.result_hash.digest
+    children[:] = root
+    assert trace.touched("node") == sent.tolist()
+    assert (session.outstanding, session.balance.digest, session.result_hash.digest) == state
+    # The query the host wrote over still runs to a tag that verifies.
+    pointers, queue = found.tolist() + values.tolist(), below
+    while len(queue):
+        values, queue = enclave.search_batch(token, queue)
+        pointers += values.tolist()
+    values = decrypt_results(sk.value_key, fetch_values(index, pointers))
+    assert verify_result_mac(sk.tree_key, values, enclave.finalize_session(token))
+    assert Counter(values) == Counter(scan_oracle(pairs, keys[3], keys[300]))
+
+
 def test_bool_positions_pass_as_the_integers_they_are():
     # `operator.index` takes `False` and `True` as 0 and 1, and so does
     # `_admit`: a bool names the record at that slot.
@@ -1564,4 +1766,4 @@ def test_bool_positions_pass_as_the_integers_they_are():
         values, children = enclave.search_batch(token, [flag])
         want_values, want_children = enclave.search_batch(token, [int(flag)])
         assert Counter(values.tolist()) == Counter(want_values.tolist())
-        assert Counter(children) == Counter(want_children)
+        assert Counter(children.tolist()) == Counter(want_children.tolist())

@@ -235,3 +235,54 @@ def test_csv_row_schema():
     row = stats.csv_row()
     assert CSV_HEADER.count(",") == row.count(",")
     assert row == "2,10,1000,5,3,4,7,800,40,123.5"
+
+
+class _ListFed:
+    """The enclave as a driver that sends every batch as an int list sees
+    it; every other attribute is the enclave's."""
+
+    def __init__(self, enclave: EnclaveSim):
+        self._enclave = enclave
+
+    def __getattr__(self, name):
+        return getattr(self._enclave, name)
+
+    def search_batch(self, token, positions, trace=None):
+        return self._enclave.search_batch(token, positions.tolist(), trace=trace)
+
+
+@pytest.mark.parametrize("integrity", [False, True], ids=["plain", "integrity"])
+@pytest.mark.parametrize("b", [5, 10, 32, 100])
+def test_list_fed_and_array_fed_batches_answer_alike(b, integrity):
+    # Under one fixed order-seed stream, a query whose batches reach the
+    # enclave as int lists gives what the driver's `int64` array batches
+    # give: the same value and node pointers, in the same order, batch by
+    # batch, the same stats but the CPU time, and the same result tag.
+    pairs, tree, sk, index, _ = _fixture(3000, b=b, seed=60, integrity=integrity)
+    keys = sorted(k for k, _ in pairs)
+    rng = random.Random(61)
+    tokens = []
+    for _ in range(60):
+        lo = rng.randrange(len(keys))
+        hi = min(len(keys) - 1, lo + rng.choice([0, 3, 40, 600, 3000]))
+        tokens.append(make_token(sk.tree_key, keys[lo], keys[hi]))
+
+    def run(wrap):
+        seeds = random.Random(62)
+        enclave = EnclaveSim(order_seed_source=lambda: seeds.getrandbits(64))
+        Deployment.attach(index, sk, tree.root_id, integrity=integrity, enclave=enclave)
+        answers = []
+        for token in tokens:
+            trace = AccessTrace()
+            blobs, mac, stats = search_streamed(index, wrap(enclave), token, trace=trace)
+            answers.append(
+                (blobs.slots.tolist(), mac, dataclasses.replace(stats, micros=0), trace.events)
+            )
+        return answers
+
+    arrayed = run(lambda enclave: enclave)
+    assert run(_ListFed) == arrayed
+    # Some query takes several batches, some returns many values.
+    assert any(stats.crossings - integrity > 1 for _, _, stats, _ in arrayed)
+    assert any(len(slots) > 64 for slots, _, _, _ in arrayed)
+    assert all((mac is not None) == integrity for _, mac, _, _ in arrayed)

@@ -3,6 +3,7 @@ harmless and consistent."""
 
 import random
 
+import numpy as np
 import pytest
 
 from hsbt import crypto
@@ -254,3 +255,23 @@ def test_all_kinds_enumerated():
         "oversize-batch",
         "swap-value-slots",
     }
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_script_sends_batches_as_the_honest_driver_does(setup, monkeypatch, kind):
+    # Every script's batches, the interposer's rewritten ones and the dry
+    # run's included, reach the enclave as 1-D `int64` arrays, as
+    # `server.search_streamed` sends them, so each meets the same `_admit`.
+    pairs, sorted_keys, dep = setup
+    sent = []
+    real = EnclaveSim.search_batch
+
+    def spy(self, token, positions, trace=None):
+        sent.append(positions)
+        return real(self, token, positions, trace=trace)
+
+    monkeypatch.setattr(EnclaveSim, "search_batch", spy)
+    rng = random.Random(7)
+    report = run_with_tamper(dep, _token(dep.sk, sorted_keys, rng), kind, rng)
+    assert report.outcome != Outcome.ACCEPTED or kind == "replay-token"
+    assert sent and all(type(p) is np.ndarray and p.ndim == 1 and p.dtype == np.int64 for p in sent)
