@@ -93,6 +93,30 @@ def test_a_metric_worse_than_its_bound_reads_worse_in_its_own_direction():
     assert rows["throughput_qps"].verdict == "better"
 
 
+def test_a_base_spread_wider_than_the_bound_reads_unresolved():
+    # The base's wall p50 spreads 0.34 to 0.48 ms: IQR 0.14 on a median of
+    # 0.41, 34 % against query_p50_ms's 25 % bound.
+    walls = [0.34, 0.48, 0.41, 0.34, 0.48, 0.41, 0.34, 0.48, 0.41, 0.41]
+    base = [dict(p50=0.46, wall=w) for w in walls]
+    change = [dict(p50=0.46, wall=w - 0.01) for w in walls]
+    rows, base_runs, change_runs = _rows(base, change)
+    wall = rows["wall_query_p50_ms"]
+    assert wall.base_iqr / 0.41 > 0.25 and wall.verdict == "unresolved"
+    assert rows["query_p50_ms"].verdict == "same"
+    text = ab.report(list(rows.values()), base_runs, change_runs).splitlines()
+    assert [line.split()[0] for line in text if line.endswith(" !")] == [
+        "query_p50_ms",
+        "wall_query_p50_ms",
+    ]
+    # A change worse than the bound is unresolved too when the base spreads so.
+    rows, _, _ = _rows(base, [dict(p50=0.46, wall=w * 1.3) for w in walls])
+    assert rows["wall_query_p50_ms"].verdict == "unresolved"
+    # Unless every change run beats every base run: then the usual rules judge.
+    rows, _, _ = _rows(base, [dict(p50=0.46, wall=0.30) for _ in walls])
+    assert rows["wall_query_p50_ms"].dominates
+    assert rows["wall_query_p50_ms"].verdict == "better"
+
+
 def test_a_wall_verdict_that_differs_from_the_scaled_one_is_marked():
     base = [dict(p50=2.0, wall=1.50) for _ in range(10)]
     change = [dict(p50=2.1, wall=1.30) for _ in range(10)]

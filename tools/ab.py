@@ -14,6 +14,10 @@ For every end-to-end metric of BENCHMARK.json the report gives both medians
 and quartiles over the pairs, the pairs in which the change read better,
 the base's interquartile range and a verdict:
 
+* ``unresolved``: the base's IQR, as a share of its median, exceeds the
+  metric's bound, so its runs spread too widely to tell a change within
+  the bound from noise, and not every change run reads better than every
+  base run;
 * ``better``: the change read better in at least 9 pairs of 10 and its
   median beats the base's by more than the base's IQR;
 * ``WORSE``: the change's median is worse than the base's by more than
@@ -24,7 +28,8 @@ The same goes for ``wall_query_p50_ms``, the unscaled median from the
 provenance line, judged against the bound of ``query_p50_ms``; a ``!``
 marks the pair of rows when its verdict and that of the scaled
 ``query_p50_ms`` disagree.  The failed share of queries is reported per
-side.  Exit status: 0, or 1 if any verdict is ``WORSE``.
+side.  Each run takes the harness's own run length.  Exit status: 0, or
+1 if any verdict is ``WORSE`` or ``unresolved``.
 """
 
 from __future__ import annotations
@@ -117,7 +122,16 @@ class Row:
         return (statistics.median(self.change) - base) / base if base else 0.0
 
     @property
+    def dominates(self) -> bool:
+        """Whether every change run reads better than every base run."""
+        return all(self.sign * (c - b) > 0 for b in self.base for c in self.change)
+
+    @property
     def verdict(self) -> str:
+        base = statistics.median(self.base)
+        spread = self.base_iqr / abs(base) if base else 0.0
+        if spread > self.metric.bound and not self.dominates:
+            return "unresolved"
         gain = self.sign * (statistics.median(self.change) - statistics.median(self.base))
         if self.pairs_better >= BETTER_SHARE * len(self.base) and gain > self.base_iqr:
             return "better"
@@ -193,11 +207,12 @@ def run_pairs(pairs: int, run_side) -> tuple[list[Run], list[Run]]:
     return runs["base"], runs["change"]
 
 
-def harness(root: Path, workload: str, seed: int, seconds: float) -> Run:
-    """One untraced run of the harness in the checkout at `root`."""
+def harness(root: Path, workload: str, seed: int) -> Run:
+    """One untraced run of the harness in the checkout at `root`, at the
+    harness's own run length."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=root,
         check=True,
         capture_output=True,
@@ -212,14 +227,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
     metrics = end_to_end(json.loads((ROOT / "BENCHMARK.json").read_text()))
     with tempfile.TemporaryDirectory(prefix="hsbt-ab-") as tmp:
         roots = {"base": unpack(args.base, Path(tmp)), "change": ROOT}
 
         def run_side(side: str) -> Run:
-            run = harness(roots[side], args.workload, args.seed, args.seconds)
+            run = harness(roots[side], args.workload, args.seed)
             print(f"{side}: {WALL_OF} {run.metrics[WALL_OF]:.4f}", file=sys.stderr, flush=True)
             return run
 
@@ -227,7 +241,7 @@ def main(argv=None) -> int:
     rows = compare(metrics, base, change)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, base {args.base}")
     print(report(rows, base, change))
-    return 1 if any(row.verdict == "WORSE" for row in rows) else 0
+    return 1 if any(row.verdict in ("WORSE", "unresolved") for row in rows) else 0
 
 
 if __name__ == "__main__":
